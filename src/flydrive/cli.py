@@ -19,11 +19,9 @@ from importlib import resources
 
 from . import statics
 from .defaults import (
-    USABLE_PROPULSION_ENERGY_WH,
     default_batteries,
     default_mass_budget,
     default_params,
-    default_power_model,
     default_rotor,
 )
 from .dynamics import Mode
@@ -33,7 +31,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     evaluate_simulation,
-    initial_state_for,
     load_scenario,
     run_scenario,
 )

@@ -44,9 +44,10 @@ class Mode(str, Enum):
 
 
 class SimulationFault(RuntimeError):
-    """Numerical divergence; carries the last valid state."""
+    """Numerical divergence or a timed-out validation leg; carries the last
+    valid state, or None where the loop keeps no SimState."""
 
-    def __init__(self, message: str, last_state: "SimState"):
+    def __init__(self, message: str, last_state: "SimState | None"):
         super().__init__(message)
         self.last_state = last_state
 
@@ -243,16 +244,23 @@ def _ground_net_force_moment(
     return left + right, b * (right - left)
 
 
-def _long_feedforward(
-    params: VehicleParams, surface: SurfaceModel, v_target: float, payload: float
+def _ground_longitudinal_force(
+    params: VehicleParams,
+    surface: SurfaceModel,
+    v: float,
+    v_target: float,
+    gains: ControllerGains,
+    payload: float,
 ) -> float:
+    """Along-track force demand (N) at speed v: gravity and rolling
+    resistance feedforward plus the proportional speed loop."""
     m = params.total_mass(payload)
     g = params.gravity
     psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
-    ff = m * g * math.sin(psi)
+    force = m * g * math.sin(psi)
     if v_target != 0.0:
-        ff += surface.mu_roll(params) * m * g * math.cos(psi) * _sgn(v_target)
-    return ff
+        force += surface.mu_roll(params) * m * g * math.cos(psi) * _sgn(v_target)
+    return force + gains.kp_speed * (v_target - v)
 
 
 def ground_longitudinal_control(
@@ -273,8 +281,7 @@ def ground_longitudinal_control(
     gains = gains or ControllerGains()
     surface = surface or SurfaceModel()
     v = along_track_speed(state, surface)
-    force = _long_feedforward(params, surface, v_target, payload)
-    force += gains.kp_speed * (v_target - v)
+    force = _ground_longitudinal_force(params, surface, v, v_target, gains, payload)
     return ground_allocation(params, rotor, force, 0.0)
 
 
@@ -322,11 +329,11 @@ def flight_position_control(
     rotor: RotorModel,
     state: SimState,
     target_position: tuple[float, float, float],
-    target_yaw_deg: float = 0.0,
     gains: ControllerGains | None = None,
     payload: float = 0.0,
-) -> tuple[float, float, float, float]:
-    """Position-hold commands from the cascaded proportional loops.
+) -> tuple[tuple[float, float, float, float], list[float], float]:
+    """Position-hold commands from the cascaded proportional loops, with the
+    commanded acceleration vector and its norm that the thrust follows.
 
     Point-mass abstraction: the attitude loop is assumed fast enough that
     the thrust vector tracks the commanded acceleration direction within a
@@ -339,20 +346,7 @@ def flight_position_control(
             f"target {radius:.1f} m from origin exceeds geofence "
             f"{gains.geofence_radius_m:.1f} m"
         )
-    acc = _flight_accel_command(state, target_position, gains, params.gravity)
-    m = params.total_mass(payload)
-    total = m * math.sqrt(sum(a * a for a in acc))
-    per_rotor = min(total / 4.0, rotor.max_thrust)
-    c = rotor.command_at(per_rotor)
-    return (c, c, c, c)
-
-
-def _flight_accel_command(
-    state: SimState,
-    target_position: tuple[float, float, float],
-    gains: ControllerGains,
-    gravity: float,
-) -> tuple[float, float, float]:
+    gravity = params.gravity
     err = [t - p for t, p in zip(target_position, state.position)]
     acc = [gains.kp_pos * e - gains.kd_pos * v for e, v in zip(err, state.velocity)]
     h = math.sqrt(acc[0] ** 2 + acc[1] ** 2)
@@ -363,7 +357,10 @@ def _flight_accel_command(
     acc[2] += gravity
     # rotors cannot pull down; free fall is the hardest the loop may command
     acc[2] = max(0.0, min(acc[2], gravity + gains.max_flight_accel_mps2))
-    return (acc[0], acc[1], acc[2])
+    mag = math.sqrt(sum(a * a for a in acc))
+    per_rotor = min(params.total_mass(payload) * mag / 4.0, rotor.max_thrust)
+    c = rotor.command_at(per_rotor)
+    return (c, c, c, c), acc, mag
 
 
 @dataclass(frozen=True)
@@ -557,8 +554,9 @@ def _step_ground(
             state,
         )
     v = along_track_speed(state, surface)
-    force_cmd = _long_feedforward(params, surface, setpoint.speed_mps, payload)
-    force_cmd += gains.kp_speed * (setpoint.speed_mps - v)
+    force_cmd = _ground_longitudinal_force(
+        params, surface, v, setpoint.speed_mps, gains, payload
+    )
     moment_cmd = 0.0
     if surface.kind == "flat":
         diff = ground_yaw_control(
@@ -685,14 +683,11 @@ def _step_flight(
 ) -> SimState:
     if setpoint.target_position is None:
         raise ValueError("flight mode needs a target_position setpoint")
-    commands = flight_position_control(
-        params, rotor, state, setpoint.target_position, setpoint.target_yaw_deg,
-        gains, payload,
+    commands, acc_cmd, mag = flight_position_control(
+        params, rotor, state, setpoint.target_position, gains, payload
     )
     m = params.total_mass(payload)
     g = params.gravity
-    acc_cmd = _flight_accel_command(state, setpoint.target_position, gains, g)
-    mag = math.sqrt(sum(a * a for a in acc_cmd))
     thrust = 4.0 * rotor.thrust_at(commands[0])
     if mag > 1e-12:
         direction = tuple(a / mag for a in acc_cmd)

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import statics
 from .vehicle import RotorModel, VehicleParams
 
@@ -122,17 +120,15 @@ def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent
 
 @dataclass
 class EnergyLedger:
-    """Per-mode and per-battery energy accounting plus a (t, power) timeline."""
+    """Per-mode and per-battery energy accounting."""
 
     per_mode_wh: dict = field(default_factory=dict)
     per_battery_ah: dict = field(default_factory=dict)
-    timeline: list = field(default_factory=list)
 
-    def record(self, t_s: float, dt_s: float, power_w: float, mode: str,
+    def record(self, dt_s: float, power_w: float, mode: str,
                battery: Battery | None = None) -> None:
         wh = power_w * dt_s / 3600.0
         self.per_mode_wh[mode] = self.per_mode_wh.get(mode, 0.0) + wh
-        self.timeline.append((t_s, power_w))
         if battery is not None and power_w > 0:
             ah = power_w * dt_s / (battery.nominal_voltage * 3600.0)
             key = battery.battery_id
@@ -153,8 +149,9 @@ class EnergyLedger:
 def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, float]:
     """Fit P(v) = c1 v + c3 v^3 to (speed, power) samples.
 
-    Exact solve with two points, least squares beyond; the zero-power-at-rest
-    constraint is built into the functional form.
+    Least squares through the 2x2 normal equations, which is the exact solve
+    with two points; the zero-power-at-rest constraint is built into the
+    functional form.
     """
     if len(points) < 2:
         raise CalibrationError("need at least 2 calibration points")
@@ -163,16 +160,13 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
         raise CalibrationError("calibration speeds must be > 0")
     if len(set(speeds)) != len(speeds):
         raise CalibrationError("duplicate calibration speeds make the system singular")
-    a = np.array([[v, v**3] for v, _ in points], dtype=float)
-    b = np.array([p for _, p in points], dtype=float)
-    if len(points) == 2:
-        try:
-            c1, c3 = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise CalibrationError(str(exc)) from None
-    else:
-        (c1, c3), *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(c1), float(c3)
+    s2, s4, s6 = (sum(v**k for v in speeds) for k in (2, 4, 6))
+    b1 = sum(v * p for v, p in points)
+    b3 = sum(v**3 * p for v, p in points)
+    det = s2 * s6 - s4 * s4
+    if not det > 0.0:
+        raise CalibrationError("calibration speeds too close together: the system is singular")
+    return (s6 * b1 - s4 * b3) / det, (s2 * b3 - s4 * b1) / det
 
 
 @dataclass(frozen=True)

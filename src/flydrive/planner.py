@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace as _replace
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .energy import PowerModel, usable_propulsion_energy_wh
+from .simulator import instantaneous_power
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -45,7 +46,6 @@ class PlannerConfig:
     fly_speed_mps: float = 4.0
     transition_energy_wh: float = TRANSITION_ENERGY_WH
     transition_time_s: float = TRANSITION_TIME_S
-    fly_clearance_m: float = 2.0
     slope_margin_deg: float = 5.0
 
     def __post_init__(self):
@@ -364,29 +364,30 @@ def validate_plan(
 
     Speed carries across consecutive drive edges; transition legs are
     simulated as a hover of the configured duration; fly legs accelerate
-    with the flight controller's authority and cruise through. A tip or
-    detach event marks the leg failed instead of aborting the report.
+    with the flight controller's authority and cruise through. A tip event,
+    a simulation fault or a leg that times out marks the leg failed instead
+    of aborting the report.
     """
     results: list[LegValidation] = []
     sim_total = 0.0
     v_carry = 0.0
     for i, leg in enumerate(mission.legs):
         fault = None
-        if leg.mode == DRIVE:
-            try:
+        try:
+            if leg.mode == DRIVE:
                 sim_wh, v_carry = _simulate_drive_leg(
                     leg, terrain, cfg, model, payload, dt_s
                 )
-            except dynamics.TipEvent as exc:
-                sim_wh, fault = 0.0, f"tip event: {exc}"
-            except dynamics.SimulationFault as exc:
-                sim_wh, fault = 0.0, f"simulation fault: {exc}"
-        elif leg.mode == FLY:
-            sim_wh = _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)
-            v_carry = 0.0
-        else:
-            sim_wh = model.hover_power_w * cfg.transition_time_s / 3600.0
-            v_carry = 0.0
+            elif leg.mode == FLY:
+                sim_wh = _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)
+                v_carry = 0.0
+            else:
+                sim_wh = model.hover_power_w * cfg.transition_time_s / 3600.0
+                v_carry = 0.0
+        except dynamics.TipEvent as exc:
+            sim_wh, fault = 0.0, f"tip event: {exc}"
+        except dynamics.SimulationFault as exc:
+            sim_wh, fault = 0.0, f"simulation fault: {exc}"
         sim_total += sim_wh
         if fault is not None:
             ok = False
@@ -472,10 +473,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
             )
             v = dynamics.along_track_speed(state, surface)
             covered += v * dt_s
-            if slope == 0.0:
-                power = model.ground_power(abs(v), payload)
-            else:
-                power = model.incline_power(slope, abs(v), payload)
+            power = instantaneous_power(model, state, surface, payload)
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:
@@ -511,5 +509,5 @@ def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
         energy += power * dt_s / 3600.0
         steps += 1
         if steps > max_steps:
-            break
+            raise dynamics.SimulationFault("fly leg timed out", None)
     return energy

@@ -170,9 +170,6 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     if duration < 0:
         _fail(source, "duration_s", "must be >= 0")
     planner_query = _load_planner_query(data, source, base_dir)
-    if planner_query is None and not script and duration == 0.0:
-        # an empty command script is legal; it just stands still
-        pass
     validation = _load_validation(data, source)
     seed = _expect(data, "seed", int, source, default=None)
     return Scenario(
@@ -385,7 +382,7 @@ def _load_planner_query(data, source, base_dir) -> PlannerQuery | None:
             _fail(source, f"planner.{key}", "expected [row, col]")
     cfg_kwargs = {}
     for key in ("drive_speed_mps", "fly_speed_mps", "transition_energy_wh",
-                "transition_time_s", "fly_clearance_m", "slope_margin_deg"):
+                "transition_time_s", "slope_margin_deg"):
         if key in spec:
             cfg_kwargs[key] = float(spec[key])
     unknown = set(spec) - {"terrain", "start_cell", "goal_cell"} - set(cfg_kwargs)

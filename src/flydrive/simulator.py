@@ -217,8 +217,7 @@ class Simulator:
             power = instantaneous_power(
                 self.power_model, state, surface, self.payload, schedule
             )
-            ledger.record(state.time_s, self.dt_s, power,
-                          state.mode.value, battery=None)
+            ledger.record(self.dt_s, power, state.mode.value)
             power_per_pack = power / max(1, len(packs))
             for pack in packs:
                 try:
@@ -239,20 +238,24 @@ class Simulator:
                     })
                     faulted = True
                     fault_reason = f"battery {pe.battery_id} protection tripped"
-            if electronics is not None and not electronics.tripped:
+            if electronics is not None:
                 try:
                     elec_events = drain(electronics, self.avionics_power_w, self.dt_s)
-                except BatteryProtectionError:
-                    elec_events = None
-                if elec_events is not None:
-                    ledger.record(state.time_s, self.dt_s, self.avionics_power_w,
-                                  "avionics", battery=electronics)
+                except BatteryProtectionError as exc:
+                    faulted = True
+                    fault_reason = str(exc)
+                else:
+                    ledger.record(self.dt_s, self.avionics_power_w, "avionics",
+                                  battery=electronics)
                     for pe in elec_events:
                         events.append({
                             "t_s": state.time_s,
                             "kind": "battery_protection",
                             "detail": pe.battery_id,
                         })
+                        # an avionics brownout ends the run like a propulsion trip
+                        faulted = True
+                        fault_reason = f"battery {pe.battery_id} protection tripped"
             if faulted:
                 break
             if (i + 1) % self.trace_decimation == 0:

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from bisect import bisect_right
+from dataclasses import dataclass
 
 GRAVITY = 9.81  # m/s^2, used for all kgf <-> N conversions
 
@@ -50,7 +49,6 @@ class VehicleParams:
         (-0.248, 0.248, 0.1501),
         (-0.248, -0.248, 0.1501),
     )
-    tilt_axle_count: int = 2
     gravity: float = GRAVITY
     rolling_resistance_coeff: float = 0.03
     wall_friction_coeff: float = 0.6  # static, rubber on concrete
@@ -58,8 +56,6 @@ class VehicleParams:
     lateral_friction_coeff: float = 0.6
     # body inertia diagonal (kg m^2), box estimate from dims and empty mass
     inertia: tuple[float, float, float] = (0.130, 0.132, 0.217)
-    # rotor drag torque per newton of thrust (m), for flight-mode yaw authority
-    rotor_torque_coeff: float = 0.016
 
     def __post_init__(self):
         if self.empty_mass + 1e-12 < 0 or self.payload_mass < 0:
@@ -142,7 +138,7 @@ class RotorModel:
         """Interpolated thrust (N) for a normalized command in [0, 1]."""
         if not 0.0 <= command <= 1.0:
             raise ValueError(f"command {command} outside [0, 1]")
-        return float(np.interp(command, self.commands, self.thrusts))
+        return _interp(command, self.commands, self.thrusts)
 
     def power_at_thrust(self, thrust: float) -> float:
         """Interpolated electrical power (W) to produce `thrust` newtons."""
@@ -152,7 +148,7 @@ class RotorModel:
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
-        return float(np.interp(thrust, self.thrusts, self.powers))
+        return _interp(thrust, self.thrusts, self.powers)
 
     def command_at(self, thrust: float) -> float:
         """Inverse of thrust_at (monotone curves make this well-defined)."""
@@ -162,14 +158,23 @@ class RotorModel:
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
-        return float(np.interp(thrust, self.thrusts, self.commands))
+        return _interp(thrust, self.thrusts, self.commands)
 
-    def efficiency_at(self, thrust: float) -> float:
-        """Thrust-specific efficiency in g/W (the usual test-stand figure)."""
-        power = self.power_at_thrust(thrust)
-        if power <= 0:
-            return math.inf if thrust > 0 else 0.0
-        return thrust / GRAVITY * 1000.0 / power
+
+def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """Piecewise-linear lookup, clamped at both ends; xs strictly increasing.
+
+    Repeats numpy.interp's scalar arithmetic so results match it bit for bit.
+    """
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    j = bisect_right(xs, x, 1, len(xs) - 1) - 1
+    if xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:

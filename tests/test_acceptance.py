@@ -6,6 +6,7 @@ Criterion 7 compares the planner against an independent branch-and-bound
 enumeration over all simple mode-annotated paths.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -371,8 +372,29 @@ def test_criterion_8_closed_loop_fidelity():
     _report(8, problems, "4 scenarios at speed, plan validated, idle is a fixed point")
 
 
+# sha256 of every bundled output. Regenerate this table only in a change that
+# states on purpose that it alters behaviour, and record why in CHANGES.md.
+GOLDEN_SHA256 = {
+    ("confined-space", "ledger.json"): "f184744fc04cf2effed0d691187ed2f54042e57f5b5ee3d6b52ccb08e40848f8",
+    ("confined-space", "result.json"): "6be6e695e3c4f5701cfe4e67b078c5ea9e87084ca381b37eb6ea952656b0f28a",
+    ("confined-space", "trace.csv"): "a655edebab073806ec23ebe3264586de3cf4f40e85456a249a1e84863a4f58d6",
+    ("incline-33", "ledger.json"): "4057404b87739af4a70352c89b7356b8247c6d8f4df4032e0b9f91adb9aba246",
+    ("incline-33", "result.json"): "36669d88657277ab60ad0e659b1d48e283b54a2a9eaa66fae6b30c45172855dc",
+    ("incline-33", "trace.csv"): "b440d0f3cf6fba233ef808a69e67658366f4cb91a5dfd589bb8cf1996cbce4c2",
+    ("multimodal-obstacle", "plan.json"): "36e657206fe6cabb433b2c5e11718d3b82a55faf894b025d9226f28948c544c1",
+    ("multimodal-obstacle", "validation.json"): "d4aae5bb33583574bcfc9bfb0ad69555259cdde2f17566d4620d2da90b43dbd2",
+    ("rocky-soil", "ledger.json"): "f184744fc04cf2effed0d691187ed2f54042e57f5b5ee3d6b52ccb08e40848f8",
+    ("rocky-soil", "result.json"): "9c57fdcd0836790a23a797199477e6d57634531727504a17416aa4482f672ba0",
+    ("rocky-soil", "trace.csv"): "85bdfdaf71c2c6b7edea81fd8c73d97ea46387aad5d088e63456f14f2c5fc11f",
+    ("wall-climb", "ledger.json"): "4f70331eef9553dacc330922d06365dd1db6668ac9229a74a7b55c5c1e8c4650",
+    ("wall-climb", "result.json"): "01767b1d93a1a3fab03ec364d05f144b02ab89547a8b983a87ee50b08e1baf95",
+    ("wall-climb", "trace.csv"): "0036b7a37de41a9b1f4325044c7f5beb99f4d1bff4e1bc5883be8cd8c08296a3",
+}
+
+
 def test_criterion_9_bundled_scenarios_deterministic(tmp_path):
     problems = []
+    unchecked = set(GOLDEN_SHA256)
     for name, path in cli.bundled_scenarios().items():
         scenario = load_scenario(path)
         out_a = tmp_path / name / "a"
@@ -389,6 +411,12 @@ def test_criterion_9_bundled_scenarios_deterministic(tmp_path):
             problems.append(f"{name}: exit codes {rc_a}/{rc_b}")
             continue
         for fname in files:
-            if (out_a / fname).read_bytes() != (out_b / fname).read_bytes():
+            data = (out_a / fname).read_bytes()
+            if data != (out_b / fname).read_bytes():
                 problems.append(f"{name}: {fname} differs between runs")
-    _report(9, problems, "all 5 scenarios byte-identical across reruns")
+            unchecked.discard((name, fname))
+            if hashlib.sha256(data).hexdigest() != GOLDEN_SHA256.get((name, fname)):
+                problems.append(f"{name}: {fname} differs from its golden digest")
+    if unchecked:
+        problems.append(f"golden outputs not produced: {sorted(unchecked)}")
+    _report(9, problems, "all 5 scenarios byte-identical across reruns and to golden")

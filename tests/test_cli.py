@@ -111,12 +111,29 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=r"batteries\[0\]\.battery_id"):
             load_scenario(path)
 
-    def test_unknown_vehicle_override(self, tmp_path):
-        bad = dict(MINI_DRIVE)
-        bad["vehicle_overrides"] = {"warp_mass": 1.0}
-        path = write_scenario(tmp_path, bad)
-        with pytest.raises(ScenarioError, match=r"vehicle_overrides\.warp_mass"):
-            load_scenario(path)
+    def test_unknown_vehicle_override(self, tmp_path, capsys):
+        # the last two were vehicle parameters that nothing read
+        for key in ("warp_mass", "rotor_torque_coeff", "tilt_axle_count"):
+            bad = dict(MINI_DRIVE)
+            bad["vehicle_overrides"] = {key: 1.0}
+            path = write_scenario(tmp_path, bad)
+            with pytest.raises(ScenarioError, match=rf"vehicle_overrides\.{key}"):
+                load_scenario(path)
+            rc = main(["simulate", path, "--out", str(tmp_path / "out")])
+            assert rc == EXIT_INPUT
+            assert f"vehicle_overrides.{key}" in capsys.readouterr().err
+
+    def test_unknown_planner_key(self, tmp_path, capsys):
+        # fly_clearance_m was a planner setting that nothing read
+        for key in ("warp_factor", "fly_clearance_m"):
+            bad = json.loads(json.dumps(MINI_PLAN))
+            bad["planner"][key] = 2.0
+            path = write_scenario(tmp_path, bad)
+            with pytest.raises(ScenarioError, match=rf"planner: .*{key}"):
+                load_scenario(path)
+            rc = main(["plan", path, "--out", str(tmp_path / "out")])
+            assert rc == EXIT_INPUT
+            assert key in capsys.readouterr().err
 
     def test_inline_terrain_and_config_parse(self, tmp_path):
         path = write_scenario(tmp_path, MINI_PLAN)
@@ -196,6 +213,23 @@ class TestSimulateCommand:
         rc = main(["simulate", scenario, "--out", str(tmp_path / "out")])
         assert rc == EXIT_INPUT
         assert "use the plan subcommand" in capsys.readouterr().err
+
+    def test_avionics_brownout_is_a_fault(self, tmp_path, capsys):
+        tiny = dict(MINI_DRIVE)
+        tiny["batteries"] = [
+            {"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0},
+            {"battery_id": "prop_b", "cells_series": 4, "capacity_ah": 5.0},
+            {"battery_id": "electronics", "cells_series": 2, "capacity_ah": 0.0001},
+        ]
+        out = tmp_path / "out"
+        rc = main(["simulate", write_scenario(tmp_path, tiny), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        result = json.loads((out / "result.json").read_text())
+        assert result["faulted"] is True
+        assert result["fault_reason"] == "battery electronics protection tripped"
+        assert [e["kind"] for e in result["events"]] == ["battery_protection"]
+        assert result["final_state"]["time_s"] < 1.0  # the run stops at the trip
+        assert "[FAIL] no_faults" in capsys.readouterr().out
 
     def test_reruns_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_DRIVE)

@@ -402,6 +402,20 @@ class TestValidatePlan:
         assert report.legs[0].fault is not None
         assert "tip" in report.legs[0].fault
 
+    def test_fly_leg_timeout_marked_as_fault(self, model):
+        # a 513 m fly leg needs more than the 120 s the validator allows; the
+        # partial energy must not pass as a simulated leg
+        grid = terrain_from_ascii("." + "#" * 170 + ".", cell_size_m=3.0)
+        mission = plan(grid, (0, 0), (0, 171), cfg(), model)
+        fly = [i for i, leg in enumerate(mission.legs) if leg.mode == FLY]
+        assert len(fly) == 1
+        assert mission.legs[fly[0]].energy_wh == pytest.approx(30.57, abs=0.01)
+        report = validate_plan(mission, grid, model, cfg())
+        leg = report.legs[fly[0]]
+        assert not leg.ok
+        assert leg.fault == "simulation fault: fly leg timed out"
+        assert not report.ok
+
     def test_report_serializes(self, model):
         import json
 

@@ -1,8 +1,14 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import flydrive
+from flydrive import vehicle
 from flydrive.vehicle import (
     MassComponent,
     RotorTableError,
@@ -96,6 +102,36 @@ class TestRotorTable:
         )
         rotor = load_rotor_table(text)
         assert rotor.max_thrust == 18.0
+
+    def test_interp_matches_numpy_bit_for_bit(self, rotor):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(20230301)
+        maps = (
+            (rotor.commands, rotor.thrusts),
+            (rotor.thrusts, rotor.powers),
+            (rotor.thrusts, rotor.commands),
+        )
+        for xs, ys in maps:
+            lo, hi = xs[0], xs[-1]
+            span = hi - lo
+            points = [rng.uniform(lo - 0.1 * span, hi + 0.1 * span) for _ in range(20000)]
+            for x in xs:  # every sample and its two neighbouring doubles
+                points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+            points += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+            points += [lo - span, hi + span, -0.0, -1e300, 1e300]
+            for x in points:
+                want = float(np.interp(x, xs, ys))
+                assert vehicle._interp(x, xs, ys).hex() == want.hex(), x
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flydrive.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, flydrive; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestMassBudget:
