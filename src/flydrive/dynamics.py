@@ -94,6 +94,8 @@ _WALL_QUATERNION = (math.cos(math.pi / 4.0), 0.0, -math.sin(math.pi / 4.0), 0.0)
 class SimState:
     """Complete simulation state; frozen so stepping never aliases."""
 
+    # the step functions construct states positionally, in this field order:
+    # matching ten keywords costs as much again as the rest of the constructor
     time_s: float
     position: tuple[float, float, float]
     velocity: tuple[float, float, float]
@@ -221,23 +223,23 @@ def ground_allocation(
     delta = max(-headroom, min(headroom, delta))
     left = f_long / 2.0 - delta
     right = f_long / 2.0 + delta
-    cmd = [0.0, 0.0, 0.0, 0.0]  # fl, fr, rl, rr
+    fl = fr = rl = rr = 0.0
     if left >= 0.0:
-        cmd[2] = rotor.command_at(min(left, f_max))
+        rl = rotor.command_at(min(left, f_max))
     else:
-        cmd[0] = rotor.command_at(min(-left, f_max))
+        fl = rotor.command_at(min(-left, f_max))
     if right >= 0.0:
-        cmd[3] = rotor.command_at(min(right, f_max))
+        rr = rotor.command_at(min(right, f_max))
     else:
-        cmd[1] = rotor.command_at(min(-right, f_max))
-    return tuple(cmd)
+        fr = rotor.command_at(min(-right, f_max))
+    return (fl, fr, rl, rr)
 
 
 def _ground_net_force_moment(
     params: VehicleParams, rotor: RotorModel, commands
 ) -> tuple[float, float]:
     """Net forward force (N) and up-axis moment (N m) realized by commands."""
-    t_fl, t_fr, t_rl, t_rr = (rotor.thrust_at(c) for c in commands)
+    t_fl, t_fr, t_rl, t_rr = map(rotor.thrust_at, commands)
     b = params.wheel_contact_half_spacing_lat
     left = t_rl - t_fl
     right = t_rr - t_fr
@@ -245,21 +247,20 @@ def _ground_net_force_moment(
 
 
 def _ground_longitudinal_force(
-    params: VehicleParams,
-    surface: SurfaceModel,
+    g: float,
+    mu_roll: float,
+    m: float,
+    psi: float,
     v: float,
     v_target: float,
     gains: ControllerGains,
-    payload: float,
 ) -> float:
-    """Along-track force demand (N) at speed v: gravity and rolling
-    resistance feedforward plus the proportional speed loop."""
-    m = params.total_mass(payload)
-    g = params.gravity
-    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
+    """Along-track force demand (N) for mass m at speed v on a slope of psi
+    rad: gravity and rolling resistance feedforward plus the proportional
+    speed loop."""
     force = m * g * math.sin(psi)
     if v_target != 0.0:
-        force += surface.mu_roll(params) * m * g * math.cos(psi) * _sgn(v_target)
+        force += mu_roll * m * g * math.cos(psi) * _sgn(v_target)
     return force + gains.kp_speed * (v_target - v)
 
 
@@ -280,8 +281,12 @@ def ground_longitudinal_control(
     """
     gains = gains or ControllerGains()
     surface = surface or SurfaceModel()
+    m = params.total_mass(payload)
+    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
     v = along_track_speed(state, surface)
-    force = _ground_longitudinal_force(params, surface, v, v_target, gains, payload)
+    force = _ground_longitudinal_force(
+        params.gravity, surface.mu_roll(params), m, psi, v, v_target, gains
+    )
     return ground_allocation(params, rotor, force, 0.0)
 
 
@@ -300,9 +305,17 @@ def ground_yaw_control(
     Feedforward cancels the lateral-friction moment of the fixed wheels.
     """
     gains = gains or ControllerGains()
+    return _ground_yaw_diff(
+        params, state.angular_velocity[2], yaw_rate_target, gains,
+        params.total_mass(payload),
+    )
+
+
+def _ground_yaw_diff(
+    params: VehicleParams, r: float, yaw_rate_target: float, gains: ControllerGains, m: float
+) -> float:
+    """ground_yaw_control for yaw rate r (rad/s, CCW-positive) and mass m."""
     r_target = -yaw_rate_target  # driving convention -> CCW-positive internal
-    r = state.angular_velocity[2]
-    m = params.total_mass(payload)
     friction_moment = (
         params.lateral_friction_coeff
         * m
@@ -315,13 +328,18 @@ def ground_yaw_control(
 
 
 def along_track_speed(state: SimState, surface: SurfaceModel) -> float:
+    yaw = quaternion_yaw(state.quaternion) if surface.kind == "flat" else 0.0
+    return _along_track(state.velocity, surface, yaw)
+
+
+def _along_track(velocity, surface: SurfaceModel, yaw: float) -> float:
+    """along_track_speed with the heading already known (read on flat only)."""
     if surface.kind == "incline":
         psi = math.radians(surface.slope_deg)
-        return state.velocity[0] * math.cos(psi) + state.velocity[2] * math.sin(psi)
+        return velocity[0] * math.cos(psi) + velocity[2] * math.sin(psi)
     if surface.kind == "wall":
-        return state.velocity[2]
-    yaw = state.yaw_rad
-    return state.velocity[0] * math.cos(yaw) + state.velocity[1] * math.sin(yaw)
+        return velocity[2]
+    return velocity[0] * math.cos(yaw) + velocity[1] * math.sin(yaw)
 
 
 def flight_position_control(
@@ -339,28 +357,48 @@ def flight_position_control(
     the thrust vector tracks the commanded acceleration direction within a
     step. Hover at the target is a fixed point of the loop.
     """
-    gains = gains or ControllerGains()
-    radius = math.sqrt(sum(c * c for c in target_position[:2]))
+    c, acc, mag, _ = _flight_control(
+        params, rotor, state, target_position, gains or ControllerGains(), payload
+    )
+    return (c, c, c, c), acc, mag
+
+
+def _flight_control(
+    params: VehicleParams,
+    rotor: RotorModel,
+    state: SimState,
+    target_position: tuple[float, float, float],
+    gains: ControllerGains,
+    payload: float,
+) -> tuple[float, list[float], float, float]:
+    """flight_position_control's per-rotor command, acceleration vector and
+    its norm, plus the total mass the command was sized for."""
+    tx, ty, tz = target_position
+    radius = math.sqrt(tx * tx + ty * ty)
     if radius > gains.geofence_radius_m:
         raise GeofenceError(
             f"target {radius:.1f} m from origin exceeds geofence "
             f"{gains.geofence_radius_m:.1f} m"
         )
     gravity = params.gravity
-    err = [t - p for t, p in zip(target_position, state.position)]
-    acc = [gains.kp_pos * e - gains.kd_pos * v for e, v in zip(err, state.velocity)]
-    h = math.sqrt(acc[0] ** 2 + acc[1] ** 2)
-    if h > gains.max_flight_accel_mps2:
-        scale = gains.max_flight_accel_mps2 / h
-        acc[0] *= scale
-        acc[1] *= scale
-    acc[2] += gravity
+    a_max = gains.max_flight_accel_mps2
+    kp, kd = gains.kp_pos, gains.kd_pos
+    px, py, pz = state.position
+    vx, vy, vz = state.velocity
+    ax = kp * (tx - px) - kd * vx
+    ay = kp * (ty - py) - kd * vy
+    az = kp * (tz - pz) - kd * vz
+    h = math.sqrt(ax ** 2 + ay ** 2)
+    if h > a_max:
+        scale = a_max / h
+        ax *= scale
+        ay *= scale
     # rotors cannot pull down; free fall is the hardest the loop may command
-    acc[2] = max(0.0, min(acc[2], gravity + gains.max_flight_accel_mps2))
-    mag = math.sqrt(sum(a * a for a in acc))
-    per_rotor = min(params.total_mass(payload) * mag / 4.0, rotor.max_thrust)
-    c = rotor.command_at(per_rotor)
-    return (c, c, c, c), acc, mag
+    az = max(0.0, min(az + gravity, gravity + a_max))
+    mag = math.sqrt(ax * ax + ay * ay + az * az)
+    m = params.total_mass(payload)
+    c = rotor.command_at(min(m * mag / 4.0, rotor.max_thrust))
+    return c, [ax, ay, az], mag, m
 
 
 @dataclass(frozen=True)
@@ -482,22 +520,17 @@ def _default_rotor() -> RotorModel:
 
 
 def _check_finite(values, state: SimState) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise SimulationFault("non-finite value in integration step", state)
+    if not all(map(math.isfinite, values)):
+        raise SimulationFault("non-finite value in integration step", state)
 
 
 def _check_inputs_finite(state: SimState, setpoint: ControlSetpoint) -> None:
-    values = [
+    if not all(map(math.isfinite, (
         *state.position, *state.velocity, *state.quaternion,
         *state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg,
-        setpoint.speed_mps, setpoint.yaw_rate_radps,
-    ]
-    if setpoint.target_position is not None:
-        values.extend(setpoint.target_position)
-    for v in values:
-        if not math.isfinite(v):
-            raise SimulationFault("non-finite value in state or setpoint", state)
+        setpoint.speed_mps, setpoint.yaw_rate_radps, *(setpoint.target_position or ()),
+    ))):
+        raise SimulationFault("non-finite value in state or setpoint", state)
 
 
 def step(
@@ -518,16 +551,17 @@ def step(
     params = params or _default_params()
     rotor = rotor or _default_rotor()
     gains = gains or ControllerGains()
-    if state.mode in (Mode.GROUND, Mode.INCLINE):
+    mode = state.mode
+    if mode in (Mode.GROUND, Mode.INCLINE):
         new = _step_ground(state, setpoint, surface, dt_s, params, rotor, gains, payload)
-    elif state.mode == Mode.WALL:
+    elif mode == Mode.WALL:
         new = _step_wall(state, setpoint, dt_s, params, rotor, gains, payload)
-    elif state.mode == Mode.FLIGHT:
+    elif mode == Mode.FLIGHT:
         new = _step_flight(state, setpoint, dt_s, params, rotor, gains, payload)
-    elif state.mode == Mode.TRANSITION:
+    elif mode == Mode.TRANSITION:
         new = _step_transition(state, dt_s, schedule)
     else:
-        raise ValueError(f"unknown mode {state.mode}")
+        raise ValueError(f"unknown mode {mode}")
     _check_finite(
         (*new.position, *new.velocity, *new.quaternion, *new.angular_velocity), state
     )
@@ -546,72 +580,64 @@ def _step_ground(
 ) -> SimState:
     m = params.total_mass(payload)
     g = params.gravity
-    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
-    if surface.kind == "incline" and surface.slope_deg >= statics.tipping_slope(params):
-        raise TipEvent(
-            f"slope {surface.slope_deg:.2f} deg is at or beyond the "
-            f"{statics.tipping_slope(params):.2f} deg tip limit",
-            state,
-        )
-    v = along_track_speed(state, surface)
-    force_cmd = _ground_longitudinal_force(
-        params, surface, v, setpoint.speed_mps, gains, payload
-    )
+    incline = surface.kind == "incline"
+    psi = 0.0
+    if incline:
+        tip = statics.tipping_slope(params)
+        if surface.slope_deg >= tip:
+            raise TipEvent(
+                f"slope {surface.slope_deg:.2f} deg is at or beyond the "
+                f"{tip:.2f} deg tip limit",
+                state,
+            )
+        psi = math.radians(surface.slope_deg)
+    yaw = quaternion_yaw(state.quaternion)
+    v = _along_track(state.velocity, surface, yaw)
+    mu_r = surface.mu_roll(params)
+    force_cmd = _ground_longitudinal_force(g, mu_r, m, psi, v, setpoint.speed_mps, gains)
     moment_cmd = 0.0
+    r = state.angular_velocity[2]
     if surface.kind == "flat":
-        diff = ground_yaw_control(
-            params, rotor, state, setpoint.yaw_rate_radps, gains, payload
-        )
+        diff = _ground_yaw_diff(params, r, setpoint.yaw_rate_radps, gains, m)
         moment_cmd = diff * 2.0 * params.wheel_contact_half_spacing_lat
     commands = ground_allocation(params, rotor, force_cmd, moment_cmd)
     f_net, m_net = _ground_net_force_moment(params, rotor, commands)
 
-    mu_r = surface.mu_roll(params)
     grade = m * g * math.sin(psi)
     normal = m * g * math.cos(psi)
     drive = f_net - grade
     if v == 0.0 and abs(drive) <= mu_r * normal:
-        accel = 0.0
         v_new = 0.0
     else:
         resist = mu_r * normal * _sgn(v if v != 0.0 else drive)
-        accel = (drive - resist) / m
-        v_new = v + accel * dt
+        v_new = v + (drive - resist) / m * dt
         if v != 0.0 and v * v_new < 0.0 and abs(drive) <= mu_r * normal:
             v_new = 0.0  # rolling resistance stops the coast, it never reverses it
 
-    if surface.kind == "incline":
+    if incline:
         r_new = 0.0
-        yaw_new = state.yaw_rad
+        yaw_new = yaw
+        dx, dy, dz = math.cos(psi), 0.0, math.sin(psi)
     else:
         mu_l = surface.mu_lat(params)
-        r = state.angular_velocity[2]
         fric_cap = mu_l * m * g * params.wheel_contact_half_spacing_long
         if r == 0.0 and abs(m_net) <= fric_cap:
             r_new = 0.0
         else:
             m_fric = fric_cap * _sgn(r if r != 0.0 else m_net)
-            r_dot = (m_net - m_fric) / params.inertia[2]
-            r_new = r + r_dot * dt
+            r_new = r + (m_net - m_fric) / params.inertia[2] * dt
             if r != 0.0 and r * r_new < 0.0 and abs(m_net) <= fric_cap:
                 r_new = 0.0
-        yaw_new = state.yaw_rad + r_new * dt
-
-    if surface.kind == "incline":
-        direction = (math.cos(psi), 0.0, math.sin(psi))
-    else:
-        direction = (math.cos(yaw_new), math.sin(yaw_new), 0.0)
-    velocity = tuple(v_new * d for d in direction)
-    position = tuple(p + vel * dt for p, vel in zip(state.position, velocity))
-    return replace(
-        state,
-        time_s=state.time_s + dt,
-        position=position,
-        velocity=velocity,
-        quaternion=_yaw_quaternion(yaw_new),
-        angular_velocity=(0.0, 0.0, r_new),
-        rotor_commands=commands,
-        contact=(True, True, True, True),
+        yaw_new = yaw + r_new * dt
+        dx, dy, dz = math.cos(yaw_new), math.sin(yaw_new), 0.0
+    vx, vy, vz = v_new * dx, v_new * dy, v_new * dz
+    px, py, pz = state.position
+    return SimState(
+        state.time_s + dt,
+        (px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz),
+        _yaw_quaternion(yaw_new), (0.0, 0.0, r_new),
+        state.tilt_front_deg, state.tilt_rear_deg,
+        commands, state.mode, (True, True, True, True),
     )
 
 
@@ -638,7 +664,6 @@ def _step_wall(
     thrust_cmd = thrust_ff + gains.kp_speed * (v_t - v)
     per_rotor = max(0.0, min(thrust_cmd / 4.0, rotor.max_thrust))
     c = rotor.command_at(per_rotor)
-    commands = (c, c, c, c)
     thrust = 4.0 * rotor.thrust_at(c)
 
     normal = thrust * math.sin(gamma)
@@ -659,16 +684,13 @@ def _step_wall(
         v_new = v + (lift - resist) / m * dt
         if v != 0.0 and v * v_new < 0.0 and parked:
             v_new = 0.0
-    position = (state.position[0], state.position[1], state.position[2] + v_new * dt)
-    return replace(
-        state,
-        time_s=state.time_s + dt,
-        position=position,
-        velocity=(0.0, 0.0, v_new),
-        quaternion=_WALL_QUATERNION,
-        angular_velocity=(0.0, 0.0, 0.0),
-        rotor_commands=commands,
-        contact=(True, True, True, True),
+    px, py, pz = state.position
+    return SimState(
+        state.time_s + dt,
+        (px, py, pz + v_new * dt), (0.0, 0.0, v_new),
+        _WALL_QUATERNION, (0.0, 0.0, 0.0),
+        state.tilt_front_deg, state.tilt_rear_deg,
+        (c, c, c, c), state.mode, (True, True, True, True),
     )
 
 
@@ -683,33 +705,29 @@ def _step_flight(
 ) -> SimState:
     if setpoint.target_position is None:
         raise ValueError("flight mode needs a target_position setpoint")
-    commands, acc_cmd, mag = flight_position_control(
+    c, (ax, ay, az), mag, m = _flight_control(
         params, rotor, state, setpoint.target_position, gains, payload
     )
-    m = params.total_mass(payload)
-    g = params.gravity
-    thrust = 4.0 * rotor.thrust_at(commands[0])
+    k = 4.0 * rotor.thrust_at(c) / m
     if mag > 1e-12:
-        direction = tuple(a / mag for a in acc_cmd)
+        ax, ay, az = ax / mag, ay / mag, az / mag
     else:
-        direction = (0.0, 0.0, 1.0)
-    accel = tuple(thrust / m * d - (g if i == 2 else 0.0) for i, d in enumerate(direction))
-    velocity = tuple(v + a * dt for v, a in zip(state.velocity, accel))
-    position = tuple(p + v * dt for p, v in zip(state.position, velocity))
+        ax, ay, az = 0.0, 0.0, 1.0
+    vx, vy, vz = state.velocity
+    vx += k * ax * dt
+    vy += k * ay * dt
+    vz += (k * az - params.gravity) * dt
+    px, py, pz = state.position
 
-    yaw = state.yaw_rad
+    yaw = quaternion_yaw(state.quaternion)
     err = _wrap_angle(math.radians(setpoint.target_yaw_deg) - yaw)
     rate = max(-gains.max_yaw_rate_radps, min(gains.max_yaw_rate_radps, gains.kp_yaw * err))
-    yaw_new = yaw + rate * dt
-    return replace(
-        state,
-        time_s=state.time_s + dt,
-        position=position,
-        velocity=velocity,
-        quaternion=_yaw_quaternion(yaw_new),
-        angular_velocity=(0.0, 0.0, rate),
-        rotor_commands=commands,
-        contact=(False, False, False, False),
+    return SimState(
+        state.time_s + dt,
+        (px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz),
+        _yaw_quaternion(yaw + rate * dt), (0.0, 0.0, rate),
+        state.tilt_front_deg, state.tilt_rear_deg,
+        (c, c, c, c), state.mode, (False, False, False, False),
     )
 
 
@@ -724,18 +742,12 @@ def _step_transition(state: SimState, dt: float, schedule: TiltSchedule | None) 
         mode = schedule.target_mode
         if mode in (Mode.GROUND, Mode.INCLINE, Mode.WALL):
             contact = (True, True, True, True)
-        else:
-            contact = state.contact
-    return replace(
-        state,
-        time_s=t_new,
-        velocity=(0.0, 0.0, 0.0),
-        angular_velocity=(0.0, 0.0, 0.0),
-        tilt_front_deg=front,
-        tilt_rear_deg=rear,
-        rotor_commands=(0.0, 0.0, 0.0, 0.0),
-        mode=mode,
-        contact=contact,
+    return SimState(
+        t_new,
+        state.position, (0.0, 0.0, 0.0),
+        state.quaternion, (0.0, 0.0, 0.0),
+        front, rear,
+        (0.0, 0.0, 0.0, 0.0), mode, contact,
     )
 
 

@@ -107,15 +107,14 @@ def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent
         )
     if power_w == 0 or dt_s == 0:
         return []
-    delta = power_w * dt_s / (battery.pack_energy_wh * 3600.0)
-    new_soc = battery.soc - delta
-    events = []
-    if new_soc <= battery.protection_soc:
-        new_soc = battery.protection_soc
+    new_soc = battery.soc - power_w * dt_s / (battery.pack_energy_wh * 3600.0)
+    floor = battery.protection_soc
+    if new_soc <= floor:
+        battery.soc = floor
         battery.tripped = True
-        events.append(ProtectionEvent(battery.battery_id, new_soc))
+        return [ProtectionEvent(battery.battery_id, floor)]
     battery.soc = new_soc
-    return events
+    return []
 
 
 @dataclass

@@ -107,9 +107,17 @@ def _expect(data: dict, key: str, types, source: str, default=None, required=Fal
         if required:
             _fail(source, key, "missing required key")
         return default
-    value = data[key]
-    if not isinstance(value, types):
-        _fail(source, key, f"expected {types}, got {type(value).__name__}")
+    return _checked(data[key], types, source, key)
+
+
+def _checked(value, types, source: str, keypath: str):
+    """value, if it is one of types; a bool passes only as bool, a float only
+    when finite."""
+    types = types if isinstance(types, tuple) else (types,)
+    if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        names = " or ".join(t.__name__ for t in types)
+        _fail(source, keypath, f"expected {names}, got {value!r}")
     return value
 
 
@@ -272,13 +280,11 @@ def _load_surface(data, source) -> SurfaceModel:
     if not isinstance(spec, dict):
         _fail(source, "surface", "expected an object")
     kind = spec.get("kind", "flat")
+    numbers = {key: float(_checked(spec[key], (int, float), source, f"surface.{key}"))
+               for key in ("slope_deg", "rolling_resistance", "lateral_friction")
+               if spec.get(key) is not None}
     try:
-        return SurfaceModel(
-            kind=kind,
-            slope_deg=float(spec.get("slope_deg", 0.0)),
-            rolling_resistance=spec.get("rolling_resistance"),
-            lateral_friction=spec.get("lateral_friction"),
-        )
+        return SurfaceModel(kind=kind, **numbers)
     except ValueError as exc:
         _fail(source, "surface", str(exc))
 
@@ -297,12 +303,13 @@ def _load_initial(data, source) -> InitialSpec:
     pos = spec.get("position_m", [0.0, 0.0])
     if not isinstance(pos, list) or len(pos) != 2:
         _fail(source, "initial.position_m", "expected [x, y]")
+    numbers = {key: float(_checked(spec[key], (int, float), source, f"initial.{key}"))
+               for key in ("heading_deg", "height_m", "tilt_deg") if key in spec}
     return InitialSpec(
         mode=mode,
-        position_m=(float(pos[0]), float(pos[1])),
-        heading_deg=float(spec.get("heading_deg", 0.0)),
-        height_m=float(spec.get("height_m", 0.0)),
-        tilt_deg=float(spec.get("tilt_deg", 135.0)),
+        position_m=tuple(float(_checked(v, (int, float), source, f"initial.position_m[{i}]"))
+                         for i, v in enumerate(pos)),
+        **numbers,
     )
 
 
@@ -410,6 +417,11 @@ def _load_validation(data, source) -> ValidationSpec:
     unknown = set(spec) - valid
     if unknown:
         _fail(source, "validation", f"unknown key(s): {sorted(unknown)}")
+    # a field whose default is None also takes null
+    for f in dataclass_fields(ValidationSpec):
+        if f.name in spec and not (spec[f.name] is None and f.default is None):
+            kind = {"forbid_faults": bool, "expect_fly_legs": int}.get(f.name, (int, float))
+            _checked(spec[f.name], kind, source, f"validation.{f.name}")
     return ValidationSpec(**spec)
 
 

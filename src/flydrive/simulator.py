@@ -133,15 +133,6 @@ class Simulator:
         self.dt_s = dt_s
         self.trace_decimation = trace_decimation
 
-    def _propulsion_packs(self) -> list[Battery]:
-        return [b for b in self.batteries if b.is_propulsion]
-
-    def _electronics_pack(self) -> Battery | None:
-        for b in self.batteries:
-            if not b.is_propulsion:
-                return b
-        return None
-
     def run(
         self,
         initial_state: SimState,
@@ -157,14 +148,25 @@ class Simulator:
         schedule: TiltSchedule | None = None
         ledger = EnergyLedger()
         events: list[dict] = []
-        rows = [_trace_row(state, instantaneous_power(
-            self.power_model, state, surface, self.payload, schedule))]
-        n_steps = int(round(duration_s / self.dt_s))
+
+        def log(kind: str, detail: str) -> None:
+            events.append({"t_s": state.time_s, "kind": kind, "detail": detail})
+
+        model, payload, dt = self.power_model, self.payload, self.dt_s
+        params, rotor, gains = self.params, self.rotor, self.gains
+        rows = [_trace_row(state, instantaneous_power(model, state, surface, payload, schedule))]
+        n_steps = int(round(duration_s / dt))
         next_event = 0
         faulted = False
         fault_reason = None
-        packs = self._propulsion_packs()
-        electronics = self._electronics_pack()
+        step, record = dynamics.step, ledger.record
+        per_battery_ah = ledger.per_battery_ah
+        packs = [b for b in self.batteries if b.is_propulsion]
+        n_packs = max(1, len(packs))
+        # pack, its id, and the W*s -> Ah divisor (nominal voltage is fixed)
+        pack_ah = [(p, p.battery_id, p.nominal_voltage * 3600.0) for p in packs]
+        electronics = next((b for b in self.batteries if not b.is_propulsion), None)
+        avionics_w = self.avionics_power_w
 
         for i in range(n_steps):
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
@@ -175,87 +177,52 @@ class Simulator:
                 if ev.transition_to is not None:
                     try:
                         schedule = dynamics.mode_transition(
-                            state, ev.transition_to, surface=surface, params=self.params
+                            state, ev.transition_to, surface=surface, params=params
                         )
                         state = dynamics.begin_transition(state)
-                        events.append({
-                            "t_s": state.time_s,
-                            "kind": "transition_started",
-                            "detail": ev.transition_to.value,
-                        })
+                        log("transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
-                        events.append({
-                            "t_s": state.time_s,
-                            "kind": "transition_rejected",
-                            "detail": str(exc),
-                        })
+                        log("transition_rejected", str(exc))
             was_transition = state.mode == Mode.TRANSITION
             try:
-                state = dynamics.step(
-                    state, setpoint, surface, self.dt_s,
-                    params=self.params, rotor=self.rotor, gains=self.gains,
-                    payload=self.payload, schedule=schedule,
+                state = step(
+                    state, setpoint, surface, dt, params, rotor, gains, payload, schedule
                 )
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
-                faulted = True
-                fault_reason = str(exc)
-                events.append({
-                    "t_s": state.time_s,
-                    "kind": type(exc).__name__.lower(),
-                    "detail": fault_reason,
-                })
+                faulted, fault_reason = True, str(exc)
+                log(type(exc).__name__.lower(), fault_reason)
                 break
             if was_transition and state.mode != Mode.TRANSITION:
-                events.append({
-                    "t_s": state.time_s,
-                    "kind": "transition_complete",
-                    "detail": state.mode.value,
-                })
+                log("transition_complete", state.mode.value)
                 setpoint = replace(setpoint, mode=state.mode)
                 schedule = None
 
-            power = instantaneous_power(
-                self.power_model, state, surface, self.payload, schedule
-            )
-            ledger.record(self.dt_s, power, state.mode.value)
-            power_per_pack = power / max(1, len(packs))
-            for pack in packs:
+            power = instantaneous_power(model, state, surface, payload, schedule)
+            record(dt, power, state.mode.value)
+            power_per_pack = power / n_packs
+            for pack, battery_id, ah_divisor in pack_ah:
                 try:
-                    pack_events = drain(pack, power_per_pack, self.dt_s)
+                    pack_events = drain(pack, power_per_pack, dt)
                 except BatteryProtectionError as exc:
-                    faulted = True
-                    fault_reason = str(exc)
+                    faulted, fault_reason = True, str(exc)
                     break
-                ledger.per_battery_ah[pack.battery_id] = (
-                    ledger.per_battery_ah.get(pack.battery_id, 0.0)
-                    + power_per_pack * self.dt_s / (pack.nominal_voltage * 3600.0)
+                per_battery_ah[battery_id] = (
+                    per_battery_ah.get(battery_id, 0.0) + power_per_pack * dt / ah_divisor
                 )
                 for pe in pack_events:
-                    events.append({
-                        "t_s": state.time_s,
-                        "kind": "battery_protection",
-                        "detail": pe.battery_id,
-                    })
-                    faulted = True
-                    fault_reason = f"battery {pe.battery_id} protection tripped"
+                    log("battery_protection", pe.battery_id)
+                    faulted, fault_reason = True, f"battery {pe.battery_id} protection tripped"
             if electronics is not None:
                 try:
-                    elec_events = drain(electronics, self.avionics_power_w, self.dt_s)
+                    elec_events = drain(electronics, avionics_w, dt)
                 except BatteryProtectionError as exc:
-                    faulted = True
-                    fault_reason = str(exc)
+                    faulted, fault_reason = True, str(exc)
                 else:
-                    ledger.record(self.dt_s, self.avionics_power_w, "avionics",
-                                  battery=electronics)
+                    record(dt, avionics_w, "avionics", electronics)
+                    # an avionics brownout ends the run like a propulsion trip
                     for pe in elec_events:
-                        events.append({
-                            "t_s": state.time_s,
-                            "kind": "battery_protection",
-                            "detail": pe.battery_id,
-                        })
-                        # an avionics brownout ends the run like a propulsion trip
-                        faulted = True
-                        fault_reason = f"battery {pe.battery_id} protection tripped"
+                        log("battery_protection", pe.battery_id)
+                        faulted, fault_reason = True, f"battery {pe.battery_id} protection tripped"
             if faulted:
                 break
             if (i + 1) % self.trace_decimation == 0:
@@ -275,4 +242,4 @@ def _trace_row(state: SimState, power_w: float) -> tuple:
         state.time_s, *state.position, *state.velocity, *state.quaternion,
         state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands,
     )
-    return tuple(repr(v) for v in values) + (state.mode.value, repr(power_w))
+    return (*map(repr, values), state.mode.value, repr(power_w))

@@ -156,13 +156,7 @@ def wall_climb_analysis(
     feasible = attached
     if rotor is not None and required > 4.0 * rotor.max_thrust:
         feasible = False
-    return WallClimbAnalysis(
-        tilt_angle=tilt_deg,
-        required_thrust=required,
-        normal_force=normal,
-        attached=attached,
-        climb_feasible=feasible,
-    )
+    return WallClimbAnalysis(tilt_deg, required, normal, attached, feasible)
 
 
 def optimal_wall_tilt(

@@ -144,7 +144,7 @@ class RotorModel:
         """Interpolated electrical power (W) to produce `thrust` newtons."""
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
-        if thrust > self.max_thrust * (1 + 1e-12):
+        if thrust > self.thrusts[-1] * (1 + 1e-12):
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
@@ -154,7 +154,7 @@ class RotorModel:
         """Inverse of thrust_at (monotone curves make this well-defined)."""
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
-        if thrust > self.max_thrust * (1 + 1e-12):
+        if thrust > self.thrusts[-1] * (1 + 1e-12):
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
@@ -171,10 +171,11 @@ def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     if x >= xs[-1]:
         return ys[-1]
     j = bisect_right(xs, x, 1, len(xs) - 1) - 1
-    if xs[j] == x:
-        return ys[j]
-    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-    return slope * (x - xs[j]) + ys[j]
+    x0, y0 = xs[j], ys[j]
+    if x0 == x:
+        return y0
+    slope = (ys[j + 1] - y0) / (xs[j + 1] - x0)
+    return slope * (x - x0) + y0
 
 
 def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:

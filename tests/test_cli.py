@@ -135,6 +135,42 @@ class TestScenarioLoading:
             assert rc == EXIT_INPUT
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keypath, value", [
+        ("surface.rolling_resistance", "0.1"),
+        ("surface.lateral_friction", float("nan")),
+        ("surface.rolling_resistance", True),
+        ("surface.slope_deg", "33"),
+        ("validation.steady_speed_mps", "1"),
+        ("validation.forbid_faults", "yes"),
+        ("validation.expect_fly_legs", 1.5),
+        ("validation.max_speed_error_frac", None),
+        ("initial.heading_deg", "north"),
+        ("initial.height_m", float("inf")),
+        ("initial.tilt_deg", [135]),
+        ("initial.position_m", [0.0, "east"]),
+        ("payload_kg", float("nan")),
+        ("duration_s", True),
+    ])
+    def test_mistyped_value_names_file_and_key(self, tmp_path, capsys, keypath, value):
+        bad = dict(MINI_DRIVE)
+        block, _, key = keypath.rpartition(".")
+        if block:
+            bad[block] = {key: value}
+        else:
+            bad[key] = value
+        path = write_scenario(tmp_path, bad)
+        rc = main(["simulate", path, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        assert f"scn.json: {keypath}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before the run
+
+    def test_null_validation_threshold_means_unchecked(self, tmp_path):
+        spec = dict(MINI_DRIVE)
+        spec["validation"] = {"steady_speed_mps": None, "min_distance_m": 0.5}
+        scenario = load_scenario(write_scenario(tmp_path, spec))
+        assert scenario.validation.steady_speed_mps is None
+        assert scenario.validation.min_distance_m == 0.5
+
     def test_inline_terrain_and_config_parse(self, tmp_path):
         path = write_scenario(tmp_path, MINI_PLAN)
         scenario = load_scenario(path)
