@@ -3,12 +3,23 @@
 Search runs over (cell, mode) nodes with mode in {drive, fly}; edge weights
 are electrical energy in Wh (mode power times traversal time, plus potential
 energy for climbs in flight), and switching mode costs a fixed transition
-energy. Uniform-cost search with a deterministic tie-break: least energy,
-then fewest transitions, then lexicographically smallest cell sequence.
+energy.
+
+The search is Dijkstra over flat arrays: node 2 * cell + mode (cells
+numbered row by row, drive 0, fly 1) has a `dist`, `trans`, `parent` and
+`depth` entry, and the heap holds (energy, n_transitions, node). Routes are ordered by least
+energy, then fewest transitions, then the smallest cell sequence (cells in
+route order, a mode switch adding none), then the mode of the last step,
+then the smallest sequence of (cell, mode) steps, with drive before fly. A
+move costs more than 0 Wh and a switch adds a transition, so a parent's
+(energy, transitions) is strictly below its child's, and the keys after the
+first two only decide between two candidates for the same node (so the same
+last mode) that tie on both: the parent chains of the two are walked up to
+their common ancestor and the parts below it compared.
 
 The returned plan is exactly optimal under this cost model; correctness is
 pinned by a brute-force oracle over all simple mode-annotated paths in the
-test suite.
+test suite, and the tie-break by a heap-of-paths reference search.
 """
 
 from __future__ import annotations
@@ -16,7 +27,9 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, replace as _replace
+from dataclasses import astuple, dataclass, replace as _replace
+from itertools import groupby
+from operator import itemgetter
 
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
@@ -30,6 +43,7 @@ DRIVE = "drive"
 FLY = "fly"
 TRANSITION_TO_FLY = "transition_to_fly"
 TRANSITION_TO_GROUND = "transition_to_ground"
+MODES = (DRIVE, FLY)  # indexed by the low bit of a search node id
 
 
 class NoPathError(RuntimeError):
@@ -49,6 +63,8 @@ class PlannerConfig:
     slope_margin_deg: float = 5.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("planner settings must be finite")
         if self.drive_speed_mps <= 0 or self.fly_speed_mps <= 0:
             raise ValueError("speeds must be > 0")
         if self.slope_margin_deg < 0:
@@ -75,19 +91,64 @@ def classify_traversability(
     """Drivable: free cell whose steepest neighbor gradient stays below the
     tip limit minus the safety margin. Flyable: anything but a no-fly cell."""
     limit = tipping_slope(params) - cfg.slope_margin_deg
-    drivable = tuple(
-        tuple(
-            terrain.classes[r][c] == FREE
-            and terrain.max_neighbor_slope_deg((r, c)) <= limit
-            for c in range(terrain.width)
-        )
-        for r in range(terrain.height)
-    )
-    flyable = tuple(
-        tuple(terrain.classes[r][c] != NO_FLY for c in range(terrain.width))
-        for r in range(terrain.height)
-    )
-    return Traversability(drivable=drivable, flyable=flyable)
+    elevation, cell = terrain.elevation_m, terrain.cell_size_m
+
+    def gradient(a, b):
+        return math.degrees(math.atan2(abs(b - a), cell))
+
+    # each edge's gradient once: abs(b - a) == abs(a - b) in floating point
+    across = [list(map(gradient, row, row[1:])) for row in elevation]
+    along = [list(map(gradient, a, b)) for a, b in zip(elevation, elevation[1:])]
+    drivable = []
+    for r, kinds in enumerate(terrain.classes):
+        # steepest gradient to a 4-neighbour, taken up, left, right, down
+        steepest = [0.0] * terrain.width
+        if r > 0:
+            steepest = list(map(max, steepest, along[r - 1]))
+        steepest[1:] = map(max, steepest[1:], across[r])
+        steepest[:-1] = map(max, steepest[:-1], across[r])
+        if r + 1 < terrain.height:
+            steepest = list(map(max, steepest, along[r]))
+        drivable.append(tuple(k == FREE and s <= limit for k, s in zip(kinds, steepest)))
+    flyable = tuple(tuple(kind != NO_FLY for kind in row) for row in terrain.classes)
+    return Traversability(drivable=tuple(drivable), flyable=flyable)
+
+
+def _edge_pricer(mode, cell_size_m, cfg, model, payload):
+    """Energy (Wh) of one edge in `mode` as a function of the elevation
+    change dh along it. Every edge energy the planner reports is computed
+    here. Each payload-dependent constant is computed once, at the first
+    edge that needs it, so a payload the model cannot price fails at the
+    same edge as it would when pricing one edge at a time."""
+    if mode == DRIVE:
+        speed = cfg.drive_speed_mps
+        time_s = cell_size_m / speed
+        flat_wh = None
+
+        def drive_wh(dh):
+            nonlocal flat_wh
+            slope = math.degrees(math.atan2(abs(dh), cell_size_m))
+            if slope != 0.0:
+                return model.incline_power(slope, speed, payload) * time_s / 3600.0
+            if flat_wh is None:
+                flat_wh = model.ground_power(speed, payload) * time_s / 3600.0
+            return flat_wh
+
+        return drive_wh
+    time_s = cell_size_m / cfg.fly_speed_mps
+    level_wh = weight = None
+
+    def fly_wh(dh):
+        nonlocal level_wh, weight
+        if level_wh is None:
+            level_wh = model.flight_power(payload) * time_s / 3600.0
+        if dh <= 0.0:
+            return level_wh
+        if weight is None:
+            weight = model.params.total_mass(payload) * model.params.gravity
+        return level_wh + weight * dh / 3600.0
+
+    return fly_wh
 
 
 def drive_edge_energy_wh(
@@ -100,14 +161,8 @@ def drive_edge_energy_wh(
 ) -> float:
     """Energy to drive one cell edge. Grade resistance is symmetric in
     direction: descending still needs the rotors to hold against gravity."""
-    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    slope = math.degrees(math.atan2(abs(dh), terrain.cell_size_m))
-    time_s = terrain.cell_size_m / cfg.drive_speed_mps
-    if slope == 0.0:
-        power = model.ground_power(cfg.drive_speed_mps, payload)
-    else:
-        power = model.incline_power(slope, cfg.drive_speed_mps, payload)
-    return power * time_s / 3600.0
+    price = _edge_pricer(DRIVE, terrain.cell_size_m, cfg, model, payload)
+    return price(terrain.elevation_at(b) - terrain.elevation_at(a))
 
 
 def fly_edge_energy_wh(
@@ -120,13 +175,8 @@ def fly_edge_energy_wh(
 ) -> float:
     """Energy to fly one cell edge: cruise power plus potential energy for
     any elevation gained (descents give nothing back)."""
-    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    time_s = terrain.cell_size_m / cfg.fly_speed_mps
-    energy = model.flight_power(payload) * time_s / 3600.0
-    if dh > 0.0:
-        m = model.params.total_mass(payload)
-        energy += m * model.params.gravity * dh / 3600.0
-    return energy
+    price = _edge_pricer(FLY, terrain.cell_size_m, cfg, model, payload)
+    return price(terrain.elevation_at(b) - terrain.elevation_at(a))
 
 
 @dataclass(frozen=True)
@@ -200,55 +250,14 @@ def plan(
             feasible=True,
         )
 
-    goal_node = (goal, DRIVE)
-    # heap entries: (energy, n_transitions, cells, mode, steps)
-    # cells is the tie-breaking cell sequence; steps carries modes for
-    # reconstruction.
-    heap = [(0.0, 0, (start,), DRIVE, ((start, DRIVE),))]
-    settled: dict = {}
-    result = None
-    while heap:
-        energy, ntrans, cells, mode, steps = heapq.heappop(heap)
-        node = (cells[-1], mode)
-        if node in settled:
-            continue
-        settled[node] = energy
-        if node == goal_node:
-            result = (energy, ntrans, steps)
-            break
-        cell = cells[-1]
-        if mode == DRIVE:
-            for n in terrain.neighbors4(cell):
-                if trav.drivable_at(n) and (n, DRIVE) not in settled:
-                    e = energy + drive_edge_energy_wh(terrain, cell, n, cfg, model, payload)
-                    heapq.heappush(
-                        heap, (e, ntrans, cells + (n,), DRIVE, steps + ((n, DRIVE),))
-                    )
-            if trav.flyable_at(cell) and (cell, FLY) not in settled:
-                e = energy + cfg.transition_energy_wh
-                heapq.heappush(
-                    heap, (e, ntrans + 1, cells, FLY, steps + ((cell, FLY),))
-                )
-        else:
-            for n in terrain.neighbors4(cell):
-                if trav.flyable_at(n) and (n, FLY) not in settled:
-                    e = energy + fly_edge_energy_wh(terrain, cell, n, cfg, model, payload)
-                    heapq.heappush(
-                        heap, (e, ntrans, cells + (n,), FLY, steps + ((n, FLY),))
-                    )
-            if trav.drivable_at(cell) and (cell, DRIVE) not in settled:
-                e = energy + cfg.transition_energy_wh
-                heapq.heappush(
-                    heap, (e, ntrans + 1, cells, DRIVE, steps + ((cell, DRIVE),))
-                )
-    if result is None:
-        raise NoPathError(
-            f"no route from {start} to {goal}: explored "
-            f"{len(settled)} (cell, mode) states",
-            explored=sorted(settled),
-        )
-    total_energy, n_transitions, steps = result
-    legs = _legs_from_steps(steps, terrain, cfg, model, payload)
+    prices = (
+        _edge_pricer(DRIVE, terrain.cell_size_m, cfg, model, payload),
+        _edge_pricer(FLY, terrain.cell_size_m, cfg, model, payload),
+    )
+    total_energy, n_transitions, steps = _search(
+        terrain, trav, start, goal, prices, cfg.transition_energy_wh
+    )
+    legs = _legs_from_steps(steps, terrain, cfg, prices)
     total_duration = sum(leg.duration_s for leg in legs)
     feasible = True
     if batteries is not None:
@@ -264,48 +273,129 @@ def plan(
     )
 
 
-def _legs_from_steps(steps, terrain, cfg, model, payload) -> list[MissionLeg]:
-    edge_fn = {DRIVE: drive_edge_energy_wh, FLY: fly_edge_energy_wh}
-    speed = {DRIVE: cfg.drive_speed_mps, FLY: cfg.fly_speed_mps}
+def _search(terrain, trav, start, goal, prices, switch_wh):
+    """Dijkstra from (start, drive) to (goal, drive). Cells are indexed on
+    the grid padded with a border of cells that neither mode may enter, so a
+    move needs no bounds check; cell (row, col) has index
+    (row + 1) * (width + 2) + col + 1, which orders like (row, col), and
+    node id 2 * index + mode. Returns (energy, n_transitions, steps), the
+    route as (cell, mode) steps from start to goal; raises NoPathError
+    listing every reachable (cell, mode) when the goal is not among them."""
+    width, height = terrain.width, terrain.height
+    pw = width + 2
+    size = pw * (height + 2)
+    elevation = [0.0] * size
+    allowed = ([False] * size, [False] * size)
+    for r in range(height):
+        first = (r + 1) * pw + 1
+        elevation[first:first + width] = terrain.elevation_m[r]
+        allowed[0][first:first + width] = trav.drivable[r]
+        allowed[1][first:first + width] = trav.flyable[r]
+    dist = [math.inf] * (2 * size)
+    trans = [0] * (2 * size)
+    parent = [-1] * (2 * size)
+    depth = [0] * (2 * size)  # steps from the source
+    done = [False] * (2 * size)
+    source = 2 * ((start[0] + 1) * pw + start[1] + 1)
+    target = 2 * ((goal[0] + 1) * pw + goal[1] + 1)
+    dist[source] = 0.0
+    heap = [(0.0, 0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        energy, ntrans, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == target:
+            break
+        i, mode = u >> 1, u & 1
+        ok, price, here = allowed[mode], prices[mode], elevation[i]
+        candidates = [
+            (v, energy + price(elevation[j] - here), ntrans)
+            for j in (i - pw, i - 1, i + 1, i + pw)
+            if ok[j] and not done[v := 2 * j + mode]
+        ]
+        if allowed[mode ^ 1][i] and not done[u ^ 1]:
+            candidates.append((u ^ 1, energy + switch_wh, ntrans + 1))
+        for v, e, t in candidates:
+            d = dist[v]
+            if e < d or (e == d and t < trans[v]):
+                dist[v] = e
+                trans[v] = t
+                push(heap, (e, t, v))
+            elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
+                continue
+            parent[v] = u
+            depth[v] = depth[u] + 1
+    if not done[target]:
+        explored = [_cell_mode(n, pw) for n in range(2 * size) if done[n]]
+        raise NoPathError(
+            f"no route from {start} to {goal}: explored "
+            f"{len(explored)} (cell, mode) states",
+            explored=explored,
+        )
+    route = [target]
+    while route[-1] != source:
+        route.append(parent[route[-1]])
+    route.reverse()
+    return dist[target], trans[target], [_cell_mode(n, pw) for n in route]
+
+
+def _cell_mode(node: int, padded_width: int) -> tuple:
+    row, col = divmod(node >> 1, padded_width)
+    return (row - 1, col - 1), MODES[node & 1]
+
+
+def _precedes(u, v, parent, depth) -> bool:
+    """Whether the route through u to v sorts before the route through
+    parent[v] to v; both have the same energy and transition count. The two
+    share everything above their lowest common ancestor, so only the parts
+    from there down are compared: cell sequences first, then node ids,
+    which order like (cell, mode) steps."""
+    x, y = u, parent[v]
+    a, b = [x], [y]
+    while depth[x] > depth[y]:
+        x = parent[x]
+        a.append(x)
+    while depth[y] > depth[x]:
+        y = parent[y]
+        b.append(y)
+    while x != y:
+        x, y = parent[x], parent[y]
+        a.append(x)
+        b.append(y)
+    a, b = a[::-1] + [v], b[::-1] + [v]
+    cells_a, cells_b = _cell_sequence(a), _cell_sequence(b)
+    if cells_a != cells_b:
+        return cells_a < cells_b
+    return a < b
+
+
+def _cell_sequence(nodes: list) -> list:
+    """Cell indices in route order; a mode switch stays on its cell and adds
+    none."""
+    return [n >> 1 for n, prev in zip(nodes, [-2] + nodes) if n >> 1 != prev >> 1]
+
+
+def _legs_from_steps(steps, terrain, cfg, prices) -> list[MissionLeg]:
+    """A leg per run of two or more cells in one mode, with a transition leg
+    on the cell where each run after the first begins."""
+    elevation = terrain.elevation_m
     legs: list[MissionLeg] = []
-    group_cells = [steps[0][0]]
-    group_mode = steps[0][1]
-    group_energy = 0.0
-
-    def close_group():
-        nonlocal group_cells, group_energy
-        if len(group_cells) >= 2:
-            n_edges = len(group_cells) - 1
-            legs.append(
-                MissionLeg(
-                    mode=group_mode,
-                    cells=tuple(group_cells),
-                    speed_mps=speed[group_mode],
-                    energy_wh=group_energy,
-                    duration_s=n_edges * terrain.cell_size_m / speed[group_mode],
-                )
-            )
-
-    for (prev_cell, prev_mode), (cell, mode) in zip(steps, steps[1:]):
-        if mode != prev_mode:
-            close_group()
+    for k, (mode, run) in enumerate(groupby(steps, key=itemgetter(1))):
+        cells = [cell for cell, _ in run]
+        if k > 0:
             kind = TRANSITION_TO_FLY if mode == FLY else TRANSITION_TO_GROUND
-            legs.append(
-                MissionLeg(
-                    mode=kind,
-                    cells=(cell,),
-                    speed_mps=0.0,
-                    energy_wh=cfg.transition_energy_wh,
-                    duration_s=cfg.transition_time_s,
-                )
-            )
-            group_cells = [cell]
-            group_mode = mode
-            group_energy = 0.0
-        else:
-            group_energy += edge_fn[mode](terrain, prev_cell, cell, cfg, model, payload)
-            group_cells.append(cell)
-    close_group()
+            legs.append(MissionLeg(kind, (cells[0],), 0.0, cfg.transition_energy_wh,
+                                   cfg.transition_time_s))
+        if len(cells) >= 2:
+            price = prices[MODES.index(mode)]
+            speed = cfg.drive_speed_mps if mode == DRIVE else cfg.fly_speed_mps
+            energy = 0.0
+            for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
+                energy += price(elevation[r1][c1] - elevation[r0][c0])
+            legs.append(MissionLeg(mode, tuple(cells), speed, energy,
+                                   (len(cells) - 1) * terrain.cell_size_m / speed))
     return legs
 
 

@@ -26,6 +26,7 @@ from .energy import (
     BATTERY_IDS,
     Battery,
     PowerModel,
+    UnknownPayloadError,
     calibrate_ground_power,
 )
 from .planner import PlannerConfig
@@ -112,12 +113,17 @@ def _expect(data: dict, key: str, types, source: str, default=None, required=Fal
 
 def _checked(value, types, source: str, keypath: str):
     """value, if it is one of types; a bool passes only as bool, a float only
-    when finite."""
+    when finite, an int only when it converts to a float."""
     types = types if isinstance(types, tuple) else (types,)
     if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
             or (isinstance(value, float) and not math.isfinite(value))):
         names = " or ".join(t.__name__ for t in types)
         _fail(source, keypath, f"expected {names}, got {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            _fail(source, keypath, "integer too large for a float")
     return value
 
 
@@ -171,6 +177,10 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     avionics = float(_expect(data, "avionics_power_w", (int, float), source,
                              default=AVIONICS_POWER_W))
     model = _load_power_model(data, params, rotor, source)
+    try:  # a payload the ground calibration lacks fails here, not mid-run
+        model.ground_power(0.0, payload)
+    except UnknownPayloadError as exc:
+        _fail(source, "payload_kg", str(exc))
     surface = _load_surface(data, source)
     initial = _load_initial(data, source)
     script = _load_script(data, source)
@@ -382,16 +392,21 @@ def _load_planner_query(data, source, base_dir) -> PlannerQuery | None:
         terrain = load_terrain_file(terrain_path)
     else:
         terrain = terrain_from_dict(terrain_ref, source=f"{source}:planner.terrain")
-    start = spec.get("start_cell")
-    goal = spec.get("goal_cell")
-    for key, cell in (("start_cell", start), ("goal_cell", goal)):
+    cells = {}
+    for key in ("start_cell", "goal_cell"):
+        cell = spec.get(key)
         if not isinstance(cell, list) or len(cell) != 2:
             _fail(source, f"planner.{key}", "expected [row, col]")
-    cfg_kwargs = {}
-    for key in ("drive_speed_mps", "fly_speed_mps", "transition_energy_wh",
-                "transition_time_s", "slope_margin_deg"):
-        if key in spec:
-            cfg_kwargs[key] = float(spec[key])
+        cell = tuple(_checked(v, int, source, f"planner.{key}[{i}]") for i, v in enumerate(cell))
+        if not terrain.in_bounds(cell):
+            _fail(source, f"planner.{key}", f"cell {cell} out of bounds")
+        cells[key] = cell
+    cfg_kwargs = {
+        key: float(_checked(spec[key], (int, float), source, f"planner.{key}"))
+        for key in ("drive_speed_mps", "fly_speed_mps", "transition_energy_wh",
+                    "transition_time_s", "slope_margin_deg")
+        if key in spec
+    }
     unknown = set(spec) - {"terrain", "start_cell", "goal_cell"} - set(cfg_kwargs)
     if unknown:
         _fail(source, "planner", f"unknown key(s): {sorted(unknown)}")
@@ -399,12 +414,8 @@ def _load_planner_query(data, source, base_dir) -> PlannerQuery | None:
         cfg = PlannerConfig(**cfg_kwargs)
     except ValueError as exc:
         _fail(source, "planner", str(exc))
-    return PlannerQuery(
-        terrain=terrain,
-        start=(int(start[0]), int(start[1])),
-        goal=(int(goal[0]), int(goal[1])),
-        config=cfg,
-    )
+    return PlannerQuery(terrain=terrain, start=cells["start_cell"],
+                        goal=cells["goal_cell"], config=cfg)
 
 
 def _load_validation(data, source) -> ValidationSpec:

@@ -194,6 +194,41 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="payload_kg"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key, value, keypath", [
+        ("fly_speed_mps", float("nan"), "planner.fly_speed_mps"),
+        ("drive_speed_mps", True, "planner.drive_speed_mps"),
+        ("transition_energy_wh", "5", "planner.transition_energy_wh"),
+        pytest.param("transition_time_s", 10**400, "planner.transition_time_s",
+                     id="transition_time_s-400-digit-int"),
+        ("slope_margin_deg", float("inf"), "planner.slope_margin_deg"),
+        ("start_cell", [0, 0.9], "planner.start_cell[1]"),
+        ("start_cell", [True, 0], "planner.start_cell[0]"),
+        ("goal_cell", [0, "x"], "planner.goal_cell[1]"),
+        ("goal_cell", [0, 4], "planner.goal_cell"),
+    ])
+    def test_mistyped_planner_value_names_file_and_key(self, tmp_path, capsys,
+                                                       key, value, keypath):
+        bad = json.loads(json.dumps(MINI_PLAN))
+        bad["planner"][key] = value
+        path = write_scenario(tmp_path, bad)
+        rc = main(["plan", path, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        assert f"scn.json: {keypath}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # no plan.json with NaN in it
+
+    @pytest.mark.parametrize("command, spec", [("simulate", MINI_DRIVE), ("plan", MINI_PLAN)])
+    def test_uncalibrated_payload_rejected_at_load(self, tmp_path, capsys, command, spec):
+        path = write_scenario(tmp_path, {**spec, "payload_kg": 1.3})
+        with pytest.raises(ScenarioError, match="scn.json: payload_kg: no ground calibration"):
+            load_scenario(path)
+        assert main([command, path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert "scn.json: payload_kg: no ground calibration" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "payload_kg": 10**400})
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert "scn.json: payload_kg: integer too large" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_mini_drive_passes(self, tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Route planner: traversability classes, optimal plans, validation."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace as _replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_planner
 from flydrive import energy, planner, terrain
+from flydrive.cli import EXIT_OK, main
 from flydrive.defaults import default_batteries, default_power_model
 from flydrive.planner import (
     DRIVE,
@@ -435,8 +440,105 @@ class TestConfigValidation:
             {"slope_margin_deg": -0.1},
             {"transition_energy_wh": -1.0},
             {"transition_time_s": -1.0},
+            {"fly_speed_mps": float("nan")},
+            {"transition_energy_wh": float("inf")},
         ],
     )
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ValueError):
             PlannerConfig(**kw)
+
+
+def _outcome(planner_fn, *args):
+    """A plan, or the message and explored states of its NoPathError."""
+    try:
+        return planner_fn(*args)
+    except NoPathError as exc:
+        return str(exc), exc.explored
+
+
+def _mode_indifferent(model, config):
+    """The model and config with flying an edge priced exactly like driving
+    it on the flat, so routes that differ only in where they switch mode tie
+    and the (cell, mode) steps decide."""
+    config = _replace(config, fly_speed_mps=config.drive_speed_mps)
+    watts = model.ground_power(config.drive_speed_mps, 0.0)
+    return _replace(model, flight_power_w={0.0: watts}), config
+
+
+@st.composite
+def planning_cases(draw):
+    """Small grids of integer elevations with obstacles and no-fly cells,
+    often split by an obstacle fence; flat stretches make many routes tie
+    on energy and transitions."""
+    height = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 9))
+    n = width * height
+    elevation = draw(st.lists(st.integers(0, draw(st.sampled_from((0, 1, 3)))),
+                              min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from("......#~"), min_size=n, max_size=n))
+    fence = draw(st.none() | st.integers(0, width - 1))
+    obstacles = [[i // width, i % width] for i, k in enumerate(kinds)
+                 if k == "#" or i % width == fence]
+    no_fly = [[i // width, i % width] for i, k in enumerate(kinds)
+              if k == "~" and i % width != fence]
+    grid = terrain_from_dict({
+        "width": width, "height": height, "cell_size_m": draw(st.sampled_from((1.0, 3.0))),
+        "elevation_m": [float(e) for e in elevation],
+        "obstacles": obstacles, "no_fly": no_fly,
+    })
+    cell = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    transition = st.sampled_from((0.0, 0.27)) | st.floats(0.0, 0.5)
+    model, config = default_power_model(), cfg(transition_energy_wh=draw(transition))
+    if draw(st.booleans()):
+        model, config = _mode_indifferent(model, config)
+    return grid, draw(cell), draw(cell), config, model
+
+
+class TestMatchesReference:
+    """The array search returns what the heap-of-paths reference returns:
+    the same plan under the full tie-break, the same NoPathError."""
+
+    @given(case=planning_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_random_grids(self, case):
+        assert _outcome(plan, *case) == _outcome(reference_planner.plan, *case)
+
+    @pytest.mark.parametrize("indifferent, digest", [
+        (False, "713cc93b7d9d7b9ee2b4f0426da91a05910c6c221d6680557abd19ccea457d10"),
+        (True, "23ce94384f50f01b4bd3fa58038a5d6be2f4f7b86c9e147ff71fe931e2085172"),
+    ], ids=["default-model", "mode-indifferent"])
+    def test_fenced_flat_grid_plan_pinned(self, model, tmp_path, indifferent, digest):
+        # 40 x 40 flat cells split by a full-height fence, free mode
+        # switches: thousands of routes tie on energy and transitions, so
+        # the bytes pin the tie-break; with flying priced like driving, the
+        # place of each switch is left to the (cell, mode) steps. Digests
+        # taken from the heap-of-paths planner; regenerate only in a change
+        # that states on purpose that it alters plans.
+        config = cfg(transition_energy_wh=0.0)
+        scenario = json.loads(json.dumps(FENCED_FLAT_40))
+        if indifferent:
+            model, config = _mode_indifferent(model, config)
+            scenario["planner"]["fly_speed_mps"] = config.fly_speed_mps
+            scenario["power_model"] = {"flight_power_w": {"0.0": model.flight_power(0.0)}}
+        path = tmp_path / "fenced-flat-40.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        plan_json = (tmp_path / "out" / "plan.json").read_bytes()
+        assert hashlib.sha256(plan_json).hexdigest() == digest
+        grid = terrain_from_dict(scenario["planner"]["terrain"])
+        args = (grid, (34, 0), (5, 39), config, model)
+        assert plan(*args) == reference_planner.plan(*args)
+
+
+FENCED_FLAT_40 = {
+    "name": "fenced-flat-40",
+    "planner": {
+        "terrain": {"width": 40, "height": 40, "cell_size_m": 3.0, "elevation_m": 0.0,
+                    "obstacles": [[r, 20] for r in range(40)]},
+        "start_cell": [34, 0],
+        "goal_cell": [5, 39],
+        "transition_energy_wh": 0.0,
+    },
+    "seed": 0,
+}
