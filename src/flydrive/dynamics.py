@@ -16,11 +16,19 @@ rotors thrust rearward and the rear rotors thrust forward; speed is set by
 the front/rear imbalance and yaw by the left/right imbalance. On a wall both
 axles point the same way at beta > 90, pressing the wheels on while the
 vertical component carries the weight.
+
+A ground, incline or wall step reads the position only to integrate it and
+never reads the time. So once such a step returns every other field bit for
+bit unchanged (`is_steady`), each further step with the same setpoint and
+surface does too, and `coast` gives its result exactly: the time and the
+position advance by the mode's own formula. Flight (its controller reads the
+position) and transitions (their schedule reads the time) never coast.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -566,6 +574,34 @@ def step(
         (*new.position, *new.velocity, *new.quaternion, *new.angular_velocity), state
     )
     return new
+
+
+def _motion_bits(s: SimState) -> bytes:
+    # packed doubles tell 0.0 from -0.0, which == does not
+    return struct.pack("16d", *s.velocity, *s.quaternion, *s.angular_velocity,
+                       *s.rotor_commands, s.tilt_front_deg, s.tilt_rear_deg)
+
+
+def is_steady(before: SimState, after: SimState) -> bool:
+    """True when `after = step(before, ...)` is a ground, incline or wall step
+    that changed nothing but the time and the position, bit for bit; until
+    the setpoint or the surface changes, each further step is `coast`."""
+    return (after.mode in (Mode.GROUND, Mode.INCLINE, Mode.WALL) and after.mode is before.mode
+            and after.contact == before.contact and _motion_bits(after) == _motion_bits(before))
+
+
+def coast(state: SimState, dt_s: float) -> SimState:
+    """`step` from a steady state (see `is_steady`): only the time and the
+    position advance, by the mode's own formula, with the same finiteness check."""
+    (px, py, pz), (vx, vy, vz) = state.position, state.velocity
+    if state.mode is Mode.WALL:
+        position = (px, py, pz + vz * dt_s)
+    else:
+        position = (px + vx * dt_s, py + vy * dt_s, pz + vz * dt_s)
+    _check_finite(position, state)
+    return SimState(state.time_s + dt_s, position, state.velocity, state.quaternion,
+                    state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg,
+                    state.rotor_commands, state.mode, state.contact)
 
 
 def _step_ground(

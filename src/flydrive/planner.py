@@ -556,14 +556,20 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
         )
         covered = 0.0
         steps = 0
+        steady = False
         while covered < terrain.cell_size_m:
-            state = dynamics.step(
-                state, setpoint, surface, dt_s, params=params, rotor=rotor,
-                gains=gains, payload=payload,
-            )
-            v = dynamics.along_track_speed(state, surface)
+            if steady:
+                state = dynamics.coast(state, dt_s)
+            else:
+                previous = state
+                state = dynamics.step(
+                    state, setpoint, surface, dt_s, params=params, rotor=rotor,
+                    gains=gains, payload=payload,
+                )
+                v = dynamics.along_track_speed(state, surface)
+                power = instantaneous_power(model, state, surface, payload)
+                steady = dynamics.is_steady(previous, state)
             covered += v * dt_s
-            power = instantaneous_power(model, state, surface, payload)
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:

@@ -271,12 +271,22 @@ def _load_power_model(data, params, rotor, source) -> PowerModel:
             _fail(source, "power_model.flight_power_w", "expected an object")
         flight = {}
         for key, watts in fp.items():
+            kp = f"power_model.flight_power_w.{key}"
             try:
-                flight[float(key)] = float(watts)
+                payload = float(key)
             except ValueError:
-                _fail(source, f"power_model.flight_power_w.{key}", "bad entry")
-    hover = float(spec.get("hover_power_w", base.hover_power_w))
-    wake = float(spec.get("wall_wake_factor", base.wall_wake_factor))
+                _fail(source, kp, "payload keys must be numeric")
+            flight[payload] = float(_checked(watts, (int, float), source, kp))
+            if flight[payload] <= 0.0:  # every planned move must cost energy
+                _fail(source, kp, "must be > 0")
+    hover = float(_checked(spec.get("hover_power_w", base.hover_power_w), (int, float),
+                           source, "power_model.hover_power_w"))
+    wake = float(_checked(spec.get("wall_wake_factor", base.wall_wake_factor), (int, float),
+                          source, "power_model.wall_wake_factor"))
+    if hover < 0.0:
+        _fail(source, "power_model.hover_power_w", "must be >= 0")
+    if wake <= 0.0:
+        _fail(source, "power_model.wall_wake_factor", "must be > 0")
     return PowerModel(
         params=params, rotor=rotor, ground_coeffs=ground,
         flight_power_w=flight, hover_power_w=hover, wall_wake_factor=wake,
@@ -360,15 +370,15 @@ def _load_script(data, source) -> list[ScriptEvent]:
             if target is not None:
                 if not isinstance(target, list) or len(target) != 3:
                     _fail(source, f"{kp}.target_position_m", "expected [x, y, z]")
-                target = tuple(float(v) for v in target)
-            try:
-                setpoint = ControlSetpoint(
-                    mode=mode,
-                    speed_mps=float(entry.get("speed_mps", 0.0)),
-                    yaw_rate_radps=float(entry.get("yaw_rate_radps", 0.0)),
-                    target_position=target,
-                    target_yaw_deg=float(entry.get("target_yaw_deg", 0.0)),
+                target = tuple(
+                    float(_checked(v, (int, float), source, f"{kp}.target_position_m[{j}]"))
+                    for j, v in enumerate(target)
                 )
+            numbers = {key: float(_checked(entry[key], (int, float), source, f"{kp}.{key}"))
+                       for key in ("speed_mps", "yaw_rate_radps", "target_yaw_deg")
+                       if key in entry}
+            try:
+                setpoint = ControlSetpoint(mode=mode, target_position=target, **numbers)
             except ValueError as exc:
                 _fail(source, kp, str(exc))
         unknown = set(entry) - sp_keys - {"t_s", "transition_to"}
@@ -391,7 +401,7 @@ def _load_planner_query(data, source, base_dir) -> PlannerQuery | None:
             _fail(source, "planner.terrain", f"file not found: {terrain_ref}")
         terrain = load_terrain_file(terrain_path)
     else:
-        terrain = terrain_from_dict(terrain_ref, source=f"{source}:planner.terrain")
+        terrain = terrain_from_dict(terrain_ref, source=source, keypath="planner.terrain.")
     cells = {}
     for key in ("start_cell", "goal_cell"):
         cell = spec.get(key)

@@ -160,6 +160,7 @@ class Simulator:
         faulted = False
         fault_reason = None
         step, record = dynamics.step, ledger.record
+        steady = False  # the last step only moved time and position
         per_battery_ah = ledger.per_battery_ah
         packs = [b for b in self.batteries if b.is_propulsion]
         n_packs = max(1, len(packs))
@@ -172,6 +173,7 @@ class Simulator:
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
                 ev = script[next_event]
                 next_event += 1
+                steady = False
                 if ev.setpoint is not None:
                     setpoint = ev.setpoint
                 if ev.transition_to is not None:
@@ -183,21 +185,25 @@ class Simulator:
                         log("transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
                         log("transition_rejected", str(exc))
-            was_transition = state.mode == Mode.TRANSITION
+            previous = state
             try:
-                state = step(
-                    state, setpoint, surface, dt, params, rotor, gains, payload, schedule
-                )
+                if steady:
+                    state = dynamics.coast(state, dt)
+                else:
+                    state = step(
+                        state, setpoint, surface, dt, params, rotor, gains, payload, schedule
+                    )
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
                 faulted, fault_reason = True, str(exc)
                 log(type(exc).__name__.lower(), fault_reason)
                 break
-            if was_transition and state.mode != Mode.TRANSITION:
-                log("transition_complete", state.mode.value)
-                setpoint = replace(setpoint, mode=state.mode)
-                schedule = None
-
-            power = instantaneous_power(model, state, surface, payload, schedule)
+            if not steady:
+                if previous.mode == Mode.TRANSITION and state.mode != Mode.TRANSITION:
+                    log("transition_complete", state.mode.value)
+                    setpoint = replace(setpoint, mode=state.mode)
+                    schedule = None
+                power = instantaneous_power(model, state, surface, payload, schedule)
+                steady = dynamics.is_steady(previous, state)
             record(dt, power, state.mode.value)
             power_per_pack = power / n_packs
             for pack, battery_id, ah_divisor in pack_ah:

@@ -112,38 +112,72 @@ class TerrainGrid:
         }
 
 
-def terrain_from_dict(data: dict, source: str = "<terrain>") -> TerrainGrid:
-    """Build a grid from the JSON form: dimensions, row-major elevations,
-    obstacle and no-fly cell lists."""
+def _is_number(value) -> bool:
+    """A finite JSON number: not a bool, and an int only within float range."""
     try:
-        width = int(data["width"])
-        height = int(data["height"])
-        cell_size = float(data["cell_size_m"])
-    except KeyError as exc:
-        raise TerrainError(f"{source}: missing key {exc.args[0]!r}") from None
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_cell(entry) -> bool:
+    return (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(type(v) is int for v in entry))
+
+
+def terrain_from_dict(data: dict, source: str = "<terrain>", keypath: str = "") -> TerrainGrid:
+    """Build a grid from the JSON form: dimensions, row-major elevations,
+    obstacle and no-fly cell lists. Errors name the source and the key,
+    with keypath in front of it (the terrain's place in a larger file)."""
+
+    def fail(key: str, message: str):
+        raise TerrainError(f"{source}: {keypath}{key}: {message}")
+
+    if not isinstance(data, dict):
+        raise TerrainError(f"{source}: {keypath.rstrip('.') or 'top level'}: expected an object")
+    for key in ("width", "height", "cell_size_m"):
+        if key not in data:
+            fail(key, "missing required key")
+    width, height = data["width"], data["height"]
+    for key, value in (("width", width), ("height", height)):
+        if type(value) is not int or value < 1:
+            fail(key, f"expected an int >= 1, got {value!r}")
+    cell_size = data["cell_size_m"]
+    if not _is_number(cell_size) or cell_size <= 0:
+        fail("cell_size_m", f"expected a finite number > 0, got {cell_size!r}")
     elev_flat = data.get("elevation_m", 0.0)
-    if isinstance(elev_flat, (int, float)):
-        elev_flat = [float(elev_flat)] * (width * height)
+    if not isinstance(elev_flat, (list, tuple)):
+        if not _is_number(elev_flat):
+            fail("elevation_m", f"expected a finite number or a list, got {elev_flat!r}")
+        elev_flat = [elev_flat] * (width * height)
     if len(elev_flat) != width * height:
-        raise TerrainError(
-            f"{source}: elevation_m has {len(elev_flat)} entries, "
-            f"expected {width * height}"
-        )
+        fail("elevation_m", f"has {len(elev_flat)} entries, expected {width * height}")
+    try:  # one pass in C; the slow scan below only finds the culprit
+        ok = {int, float}.issuperset(map(type, elev_flat)) and all(map(math.isfinite, elev_flat))
+    except OverflowError:
+        ok = False
+    if not ok:
+        i, value = next((i, v) for i, v in enumerate(elev_flat) if not _is_number(v))
+        fail(f"elevation_m[{i}]", f"expected a finite number, got {value!r}")
     rows = tuple(
-        tuple(float(elev_flat[r * width + c]) for c in range(width))
-        for r in range(height)
+        tuple(map(float, elev_flat[r * width:(r + 1) * width])) for r in range(height)
     )
     classes = [[FREE] * width for _ in range(height)]
     for key, label in (("obstacles", OBSTACLE), ("no_fly", NO_FLY)):
-        for entry in data.get(key, ()):
-            r, c = int(entry[0]), int(entry[1])
+        entries = data.get(key, [])
+        if not isinstance(entries, (list, tuple)):
+            fail(key, f"expected a list of [row, col] cells, got {entries!r}")
+        for i, entry in enumerate(entries):
+            if not _is_cell(entry):
+                fail(f"{key}[{i}]", f"expected [row, col] ints, got {entry!r}")
+            r, c = entry
             if not (0 <= r < height and 0 <= c < width):
-                raise TerrainError(f"{source}: {key} cell ({r}, {c}) out of bounds")
+                fail(f"{key}[{i}]", f"cell ({r}, {c}) out of bounds")
             classes[r][c] = label
     return TerrainGrid(
         width=width,
         height=height,
-        cell_size_m=cell_size,
+        cell_size_m=float(cell_size),
         elevation_m=rows,
         classes=tuple(tuple(row) for row in classes),
     )

@@ -150,11 +150,18 @@ class TestScenarioLoading:
         ("initial.position_m", [0.0, "east"]),
         ("payload_kg", float("nan")),
         ("duration_s", True),
+        ("script[0].speed_mps", float("nan")),
+        ("script[0].speed_mps", "1"),
+        ("script[0].yaw_rate_radps", True),
+        ("script[0].target_yaw_deg", None),
+        ("script[0].target_position_m[1]", [8.0, "2", 3.0]),
     ])
     def test_mistyped_value_names_file_and_key(self, tmp_path, capsys, keypath, value):
         bad = dict(MINI_DRIVE)
         block, _, key = keypath.rpartition(".")
-        if block:
+        if block == "script[0]":
+            bad["script"] = [{"t_s": 0.0, "mode": "ground", key.partition("[")[0]: value}]
+        elif block:
             bad[block] = {key: value}
         else:
             bad[key] = value
@@ -215,6 +222,52 @@ class TestScenarioLoading:
         assert rc == EXIT_INPUT
         assert f"scn.json: {keypath}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # no plan.json with NaN in it
+
+    @pytest.mark.parametrize("keypath, value", [
+        ("flight_power_w.0.0", -500.0),
+        ("flight_power_w.0.0", 0.0),
+        ("flight_power_w.0.0", float("nan")),
+        ("flight_power_w.0.0", "100"),
+        ("hover_power_w", -1.0),
+        ("hover_power_w", "x"),
+        ("wall_wake_factor", 0.0),
+        ("wall_wake_factor", True),
+    ])
+    def test_bad_power_model_names_file_and_key(self, tmp_path, capsys, keypath, value):
+        # a 5x1 strip blocked in the middle: the plan must fly one leg
+        spec = json.loads(json.dumps(MINI_PLAN))
+        spec["planner"]["terrain"] = {"width": 5, "height": 1, "cell_size_m": 2.0,
+                                      "obstacles": [[0, 2]]}
+        spec["planner"]["goal_cell"] = [0, 4]
+        key, _, payload = keypath.partition(".")
+        spec["power_model"] = {key: {payload: value} if payload else value}
+        out = tmp_path / "out"
+        assert main(["plan", write_scenario(tmp_path, spec), "--out", str(out)]) == EXIT_INPUT
+        assert f"scn.json: power_model.{keypath}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, keypath", [
+        ("cell_size_m", "3", "cell_size_m"),
+        ("cell_size_m", 0, "cell_size_m"),
+        ("width", 4.0, "width"),
+        ("height", True, "height"),
+        ("elevation_m", float("nan"), "elevation_m"),
+        ("elevation_m", [0.0, 0.0, "1", 0.0], "elevation_m[2]"),
+        ("elevation_m", [0.0, 0.0, 0.0, 10**400], "elevation_m[3]"),
+        ("obstacles", [[0]], "obstacles[0]"),
+        ("obstacles", [[0, 1], [0, 1.0]], "obstacles[1]"),
+        ("no_fly", [[True, 1]], "no_fly[0]"),
+        ("no_fly", "all", "no_fly"),
+    ])
+    def test_mistyped_terrain_value_names_file_and_key(self, tmp_path, capsys,
+                                                       key, value, keypath):
+        bad = json.loads(json.dumps(MINI_PLAN))
+        bad["planner"]["terrain"][key] = value
+        path = write_scenario(tmp_path, bad)
+        out = tmp_path / "out"
+        assert main(["plan", path, "--out", str(out)]) == EXIT_INPUT
+        assert f"scn.json: planner.terrain.{keypath}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, spec", [("simulate", MINI_DRIVE), ("plan", MINI_PLAN)])
     def test_uncalibrated_payload_rejected_at_load(self, tmp_path, capsys, command, spec):

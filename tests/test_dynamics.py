@@ -1,9 +1,12 @@
+import hashlib
 import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flydrive import dynamics
+from flydrive import cli, dynamics
 from flydrive.dynamics import (
     ControlSetpoint,
     ControllerGains,
@@ -23,6 +26,7 @@ from flydrive.dynamics import (
     mode_transition,
     step,
 )
+from flydrive.simulator import ScriptEvent, Simulator
 
 FLAT = SurfaceModel()
 
@@ -357,3 +361,116 @@ def test_ground_speed_always_converges(v_target, seed_v):
     for _ in range(8000):
         s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
     assert s.speed == pytest.approx(v_target, abs=0.05)
+
+
+def _random_steady_case(rng, params):
+    """A ground, incline or wall start, its surface, setpoint, payload and dt."""
+    kind = rng.choice(["flat", "incline", "wall"])
+    payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
+    dt = rng.choice([dynamics.DT_MAX_S, rng.uniform(0.002, dynamics.DT_MAX_S)])
+    if kind == "wall":
+        surface = SurfaceModel(kind="wall")
+        state = initial_wall_state(params, height_m=rng.uniform(0.0, 3.0),
+                                   tilt_deg=rng.uniform(125.0, 145.0))
+        # signed zeros in x and y: the wall step never integrates them
+        state = replace(state, position=(-0.0, rng.choice([0.0, -0.0]), state.position[2]))
+        speed = rng.choice([0.0, rng.uniform(-0.4, 0.4)])
+        setpoint = ControlSetpoint(mode=Mode.WALL, speed_mps=speed)
+        return state, surface, setpoint, payload, dt
+    surface = SurfaceModel(
+        kind=kind,
+        slope_deg=rng.uniform(0.0, 30.0) if kind == "incline" else 0.0,
+        rolling_resistance=rng.choice([None, rng.uniform(0.01, 0.2)]),
+        lateral_friction=rng.choice([None, rng.uniform(0.2, 0.9)]),
+    )
+    state = initial_ground_state(params, surface, heading_deg=rng.uniform(-180.0, 180.0),
+                                 position_xy=(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
+    setpoint = ControlSetpoint(
+        mode=state.mode, speed_mps=rng.choice([0.0, rng.uniform(-4.0, 4.0)]),
+        yaw_rate_radps=rng.choice([0.0, rng.uniform(-1.0, 1.0)]),
+    )
+    return state, surface, setpoint, payload, dt
+
+
+def _count_steps(monkeypatch) -> list:
+    """Patch dynamics.step to log each call into the returned list."""
+    calls, real_step = [], dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
+    return calls
+
+
+class TestSteadyCoast:
+    def test_coast_matches_step_once_steady(self, params, rotor):
+        rng = random.Random(20261018)
+        steady_kinds = []
+        for _ in range(40):
+            s, surface, sp, payload, dt = _random_steady_case(rng, params)
+            for _ in range(3000):
+                new = step(s, sp, surface, dt, params, rotor, None, payload)
+                steady, s = dynamics.is_steady(s, new), new
+                if steady:
+                    break
+            if not steady:
+                continue
+            steady_kinds.append((surface.kind, sp.speed_mps != 0.0))
+            coasted = s
+            for _ in range(25):
+                s = step(s, sp, surface, dt, params, rotor, None, payload)
+                coasted = dynamics.coast(coasted, dt)
+                assert repr(coasted) == repr(s)
+        # every surface reached a steady state both parked and moving
+        assert {(k, m) for k in ("flat", "incline", "wall") for m in (False, True)} \
+            <= set(steady_kinds)
+
+    def test_signed_zero_is_not_steady(self, params, rotor):
+        s = initial_ground_state(params)
+        flipped = replace(s, time_s=0.001, velocity=(-0.0, 0.0, 0.0))
+        assert flipped.velocity == s.velocity  # == cannot tell them apart
+        assert not dynamics.is_steady(s, flipped)
+        assert dynamics.is_steady(s, replace(s, time_s=0.001, position=(1.0, 2.0, 3.0)))
+
+    def test_contact_or_mode_change_is_not_steady(self, params):
+        s = replace(initial_wall_state(params), contact=(False, False, False, False))
+        assert not dynamics.is_steady(s, replace(s, time_s=0.001, contact=(True,) * 4))
+        assert not dynamics.is_steady(replace(s, mode=Mode.TRANSITION), replace(s, time_s=0.001))
+
+    def test_coast_keeps_the_finiteness_check(self, params, rotor):
+        s = initial_ground_state(params)
+        s = replace(s, position=(1.79e308, 0.0, s.position[2]), velocity=(1e308, 0.0, 0.0))
+        sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0)
+        for advance in (lambda: dynamics.coast(s, 0.02),
+                        lambda: step(s, sp, FLAT, 0.02, params=params, rotor=rotor)):
+            with pytest.raises(SimulationFault, match="non-finite value in integration") as err:
+                advance()
+            assert err.value.last_state is s
+
+    def test_hovering_flight_never_coasts(self, params, rotor, power_model, monkeypatch):
+        target = (0.0, 0.0, 2.0)
+        s = initial_flight_state(target)
+        sp = ControlSetpoint(mode=Mode.FLIGHT, target_position=target)
+        for _ in range(1000):
+            new = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
+            if repr(replace(new, time_s=s.time_s)) == repr(s):
+                break
+            s = new
+        else:
+            pytest.fail("hover never settled into a bit-exact fixed point")
+        assert not dynamics.is_steady(s, new)
+
+        calls = _count_steps(monkeypatch)
+        sim = Simulator(params, rotor, power_model, dt_s=0.001)
+        result = sim.run(s, FLAT, [ScriptEvent(0.0, setpoint=sp)], 0.5)
+        assert len(calls) == 500
+        assert result.final_state.position == target
+
+    def test_rocky_soil_coasts_with_same_bytes(self, tmp_path, monkeypatch):
+        from test_acceptance import GOLDEN_SHA256
+
+        calls = _count_steps(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "rocky-soil", "--out", str(out)]) == cli.EXIT_OK
+        n_steps = 30000  # 30 s at the default dt of 1 ms
+        assert 0 < len(calls) < n_steps / 2
+        for fname in ("trace.csv", "ledger.json", "result.json"):
+            digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+            assert digest == GOLDEN_SHA256[("rocky-soil", fname)], fname

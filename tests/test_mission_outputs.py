@@ -1,5 +1,5 @@
 """Byte-level pins for flight, transition and endurance runs, plus the
-endurance range against the energy model.
+endurance range against the energy model and the paper's full-pack range.
 
 Criterion 9 pins the bundled scenarios, which drive on the ground, on an
 incline and on a wall; no bundled run flies, tilts through a transition or
@@ -15,6 +15,7 @@ import pytest
 
 from flydrive.cli import EXIT_OK, main
 from flydrive.defaults import USABLE_FRACTION, default_params
+from flydrive.energy import range_estimate
 from flydrive.scenario import load_scenario
 
 # Drive, stop, take off to a fixed waypoint, land on the spot, drive on.
@@ -48,6 +49,16 @@ ENDURANCE = {
     ],
     "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0}],
     "duration_s": 120.0,
+    "validation": {"forbid_faults": False},
+}
+
+# The default packs, full, at 1 m/s: both propulsion packs trip after about
+# 11.5 km, 575k steps at dt 0.02 s.
+FULL_PACK = {
+    "name": "full-pack-range",
+    "surface": {"kind": "flat"},
+    "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0}],
+    "duration_s": 13000.0,
     "validation": {"forbid_faults": False},
 }
 
@@ -96,3 +107,17 @@ def test_endurance_range_matches_usable_energy(tmp_path):
     expected_m = energy_wh / scenario.power_model.ground_power(1.0) * 3600.0
     x, y, _ = result["final_state"]["position_m"]
     assert math.hypot(x, y) == pytest.approx(expected_m, rel=0.01)
+
+
+@pytest.mark.slow
+def test_full_pack_range_reaches_paper_figure(tmp_path):
+    rc, path, out = _simulate(tmp_path, FULL_PACK, "--dt-s", "0.02")
+    assert rc == EXIT_OK
+    result = json.loads((out / "result.json").read_text())
+    tripped = sorted(e["detail"] for e in result["events"] if e["kind"] == "battery_protection")
+    assert tripped == ["prop_a", "prop_b"]
+    scenario = load_scenario(str(path))
+    expected_m = range_estimate(scenario.power_model, list(scenario.batteries), "ground", 1.0)
+    x, y, _ = result["final_state"]["position_m"]
+    assert math.hypot(x, y) == pytest.approx(expected_m, rel=0.01)
+    assert math.hypot(x, y) == pytest.approx(11500.0, rel=0.05)  # the paper's range
