@@ -4,7 +4,8 @@ Five subcommands: simulate (run a scripted scenario, emit trace + ledger),
 plan (route query on a terrain grid), analyze (static feasibility reports),
 calibrate (fit ground power coefficients), design (headline sizing metrics).
 
-Exit status: 0 success, 1 a validation threshold failed, 2 bad input.
+Exit status: 0 success, 1 a validation threshold failed or an output would
+hold a non-finite number (that file is not written), 2 bad input.
 Outputs are plain JSON and CSV under --out; payloads carry no timestamps so
 reruns are byte-identical.
 """
@@ -62,12 +63,19 @@ def _resolve_scenario(ref: str) -> str:
     raise ScenarioError(f"{ref}: not a file and not a bundled scenario ({names})")
 
 
+class NonFiniteOutputError(RuntimeError):
+    """An output would hold NaN or infinity, which JSON cannot represent."""
+
+
 def _write_json(out_dir: str, name: str, payload) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutputError(f"{path}: non-finite value in output") from None
+    os.makedirs(out_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -410,6 +418,9 @@ def main(argv=None) -> int:
     except (ScenarioError, TerrainError, RotorTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NonFiniteOutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -165,7 +165,10 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
     det = s2 * s6 - s4 * s4
     if not det > 0.0:
         raise CalibrationError("calibration speeds too close together: the system is singular")
-    return (s6 * b1 - s4 * b3) / det, (s2 * b3 - s4 * b1) / det
+    c1, c3 = (s6 * b1 - s4 * b3) / det, (s2 * b3 - s4 * b1) / det
+    if not (math.isfinite(c1) and math.isfinite(c3)):
+        raise CalibrationError("calibration overflows: the coefficients are not finite")
+    return c1, c3
 
 
 @dataclass(frozen=True)

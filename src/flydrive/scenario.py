@@ -224,16 +224,15 @@ def _load_batteries(data, source) -> list[Battery]:
         bid = _expect(entry, "battery_id", str, source, required=True)
         if bid not in BATTERY_IDS:
             _fail(source, f"{kp}.battery_id", f"must be one of {BATTERY_IDS}")
+        for key in ("cells_series", "capacity_ah"):
+            if key not in entry:
+                _fail(source, f"{kp}.{key}", "missing required key")
+        cells = _checked(entry["cells_series"], int, source, f"{kp}.cells_series")
+        numbers = {key: float(_checked(entry[key], (int, float), source, f"{kp}.{key}"))
+                   for key in ("capacity_ah", "nominal_cell_voltage", "cutoff_cell_voltage",
+                               "soc", "usable_fraction") if key in entry}
         try:
-            out.append(Battery(
-                battery_id=bid,
-                cells_series=int(_expect(entry, "cells_series", int, source, required=True)),
-                capacity_ah=float(_expect(entry, "capacity_ah", (int, float), source, required=True)),
-                nominal_cell_voltage=float(entry.get("nominal_cell_voltage", 3.7)),
-                cutoff_cell_voltage=float(entry.get("cutoff_cell_voltage", 3.3)),
-                soc=float(entry.get("soc", 1.0)),
-                usable_fraction=float(entry.get("usable_fraction", 1.0)),
-            ))
+            out.append(Battery(bid, cells, **numbers))
         except ValueError as exc:
             _fail(source, kp, str(exc))
     return out
@@ -253,17 +252,20 @@ def _load_power_model(data, params, rotor, source) -> PowerModel:
             _fail(source, "power_model.ground_calibration", "expected an object")
         ground = {}
         for key, points in cal.items():
+            kp = f"power_model.ground_calibration.{key}"
             try:
                 payload = float(key)
             except ValueError:
-                _fail(source, f"power_model.ground_calibration.{key}",
-                      "payload keys must be numeric")
+                _fail(source, kp, "payload keys must be numeric")
+            if not isinstance(points, list) or not all(
+                    isinstance(pt, list) and len(pt) == 2 for pt in points):
+                _fail(source, kp, "expected a list of [speed_mps, power_w] pairs")
+            pairs = [tuple(float(_checked(v, (int, float), source, f"{kp}[{j}][{m}]"))
+                           for m, v in enumerate(pt)) for j, pt in enumerate(points)]
             try:
-                ground[payload] = calibrate_ground_power(
-                    [(float(v), float(p)) for v, p in points]
-                )
-            except (TypeError, ValueError) as exc:
-                _fail(source, f"power_model.ground_calibration.{key}", str(exc))
+                ground[payload] = calibrate_ground_power(pairs)
+            except ValueError as exc:
+                _fail(source, kp, str(exc))
     flight = dict(base.flight_power_w)
     fp = spec.get("flight_power_w")
     if fp is not None:
@@ -523,9 +525,8 @@ def evaluate_simulation(scenario: Scenario, result: SimResult) -> tuple[bool, li
             f"({100 * err:.2f}% error)",
         )
     if spec.min_distance_m is not None:
-        first = [float(x) for x in result.rows[0][1:4]]
-        last = result.final_state.position
-        dist = math.dist(first, last)
+        first = initial_state_for(scenario).position
+        dist = math.dist(first, result.final_state.position)
         check(
             "min_distance",
             dist >= spec.min_distance_m,

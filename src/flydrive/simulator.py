@@ -5,11 +5,19 @@ Power accounting uses the calibrated per-mode model rather than summing the
 rotor curve, so a simulated mission can be compared one-to-one with planner
 predictions. Traces are written with repr() floats; two runs of the same
 script produce byte-identical files.
+
+Once a step is steady (`dynamics.is_steady`), `Simulator.run` takes the
+following steps over plain floats: time, position, the mode's Wh and each
+pack's SoC and Ah, each advanced by the same increment `drain` and `record`
+add, so every sum keeps its bits. Any step that would consume a script event,
+trip a pack or leave the position non-finite goes through the per-step path.
+A drive at 1 m/s until both full packs trip (575k steps at dt 0.02 s) takes
+0.7 s with a 30 MB peak, against 7.4 s and 120 MB with a `SimState`, three
+`drain` and two `record` calls per step (x86_64, Python 3.11).
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +44,7 @@ TRACE_HEADER = (
     "qw", "qx", "qy", "qz", "tilt_front_deg", "tilt_rear_deg",
     "cmd_fl", "cmd_fr", "cmd_rl", "cmd_rr", "mode", "power_w",
 )
+_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 HOVER_SPEED_THRESHOLD_MPS = 0.5  # below this, flight power is hover power
 
@@ -52,22 +61,19 @@ class ScriptEvent:
 @dataclass
 class SimResult:
     final_state: SimState
-    rows: list
+    rows: list  # one CSV line per trace row, newline included
     ledger: EnergyLedger
     events: list
     faulted: bool = False
     fault_reason: str | None = None
 
     def trace_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(TRACE_HEADER) + "\n")
-        for row in self.rows:
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        return _HEADER_LINE + "".join(self.rows)
 
     def write_trace(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.trace_csv())
+            fh.write(_HEADER_LINE)
+            fh.writelines(self.rows)
 
 
 def instantaneous_power(
@@ -169,7 +175,13 @@ class Simulator:
         electronics = next((b for b in self.batteries if not b.is_propulsion), None)
         avionics_w = self.avionics_power_w
 
-        for i in range(n_steps):
+        i = 0
+        while i < n_steps:
+            if steady:
+                t_event = script[next_event].t_s if next_event < len(script) else math.inf
+                i, state = self._coast_stretch(state, power, i, n_steps, t_event, ledger, rows)
+                if i == n_steps:
+                    break
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
                 ev = script[next_event]
                 next_event += 1
@@ -233,6 +245,7 @@ class Simulator:
                 break
             if (i + 1) % self.trace_decimation == 0:
                 rows.append(_trace_row(state, power))
+            i += 1
         return SimResult(
             final_state=state,
             rows=rows,
@@ -242,10 +255,79 @@ class Simulator:
             fault_reason=fault_reason,
         )
 
+    def _coast_stretch(self, state, power, i, end, t_event, ledger, rows):
+        """Take steady steps i, i + 1, ... over plain floats; return the index
+        and the state of the step after them.
 
-def _trace_row(state: SimState, power_w: float) -> tuple:
-    values = (
-        state.time_s, *state.position, *state.velocity, *state.quaternion,
-        state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands,
-    )
-    return (*map(repr, values), state.mode.value, repr(power_w))
+        Stops before the first step that would consume the script event at
+        `t_event`, bring a pack to its floor or leave the position non-finite,
+        and at step `end`: the per-step path takes that step. The steady step
+        before drew the same power from the same packs, so no draw here is
+        negative or from a tripped pack. Every increment is the expression
+        `drain` or `record` computes, added in the same order, so every sum
+        keeps its bits.
+        """
+        packs = [b for b in self.batteries if b.is_propulsion]
+        if len({p.battery_id for p in packs}) < len(packs):
+            return i, state  # two packs adding to one Ah key
+        dt, avionics_w = self.dt_s, self.avionics_power_w
+        drains = [(p, power / max(1, len(packs))) for p in packs]
+        electronics = next((b for b in self.batteries if not b.is_propulsion), None)
+        if electronics is not None:
+            drains.append((electronics, avionics_w))
+        per_mode_wh, per_battery_ah = ledger.per_mode_wh, ledger.per_battery_ah
+        # per drain: SoC, its decrement, the trip floor, Ah and its increment;
+        # an empty slot never trips
+        slots = [(b.soc, w * dt / (b.pack_energy_wh * 3600.0), b.protection_soc,
+                  per_battery_ah.get(b.battery_id, 0.0), w * dt / (b.nominal_voltage * 3600.0))
+                 for b, w in drains]
+        slots += [(0.0, 0.0, -math.inf, 0.0, 0.0)] * (3 - len(slots))
+        (sa, da, fa, aa, ia), (sb, db, fb, ab, ib), (se, de, fe, ae, ie) = slots
+        mode = state.mode.value
+        wh_mode, d_mode = per_mode_wh.get(mode, 0.0), power * dt / 3600.0
+        wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), avionics_w * dt / 3600.0
+        t, (x, y, z), (vx, vy, vz) = state.time_s, state.position, state.velocity
+        dx, dy, dz = vx * dt, vy * dt, vz * dt
+        moves_xy = state.mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
+        tail, decimation, inf = _row_tail(state, power), self.trace_decimation, math.inf
+        nx, ny, k = x, y, i
+        while k < end and not t_event <= t + 1e-12:
+            if moves_xy:
+                nx, ny = x + dx, y + dy
+            nz = z + dz
+            if not (-inf < nx < inf and -inf < ny < inf and -inf < nz < inf):
+                break
+            na, nb, ne = sa - da, sb - db, se - de
+            if na <= fa or nb <= fb or ne <= fe:
+                break
+            t += dt
+            x, y, z, sa, sb, se = nx, ny, nz, na, nb, ne
+            wh_mode += d_mode
+            wh_avionics += d_avionics
+            aa += ia
+            ab += ib
+            ae += ie
+            k += 1
+            if k % decimation == 0:
+                rows.append(f"{t!r},{x!r},{y!r},{z!r}{tail}")
+        if k == i:
+            return i, state
+        per_mode_wh[mode] = wh_mode
+        if electronics is not None:
+            per_mode_wh["avionics"] = wh_avionics
+        for (b, w), soc, ah in zip(drains, (sa, sb, se), (aa, ab, ae)):
+            b.soc = soc
+            if b.is_propulsion or w > 0:  # `record` books no Ah for a zero draw
+                per_battery_ah[b.battery_id] = ah
+        return k, replace(state, time_s=t, position=(x, y, z))
+
+
+def _trace_row(state: SimState, power_w: float) -> str:
+    return ",".join(map(repr, (state.time_s, *state.position))) + _row_tail(state, power_w)
+
+
+def _row_tail(state: SimState, power_w: float) -> str:
+    """The trace row after z: the columns a coasted step leaves unchanged."""
+    values = (*state.velocity, *state.quaternion, state.tilt_front_deg,
+              state.tilt_rear_deg, *state.rotor_commands)
+    return "," + ",".join(map(repr, values)) + f",{state.mode.value},{power_w!r}\n"

@@ -58,36 +58,6 @@ class TerrainGrid:
     def elevation_at(self, cell: tuple[int, int]) -> float:
         return self.elevation_m[cell[0]][cell[1]]
 
-    def class_at(self, cell: tuple[int, int]) -> str:
-        return self.classes[cell[0]][cell[1]]
-
-    def neighbors4(self, cell: tuple[int, int]) -> list[tuple[int, int]]:
-        r, c = cell
-        return [
-            (nr, nc)
-            for nr, nc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
-            if self.in_bounds((nr, nc))
-        ]
-
-    def max_neighbor_slope_deg(self, cell: tuple[int, int]) -> float:
-        """Steepest elevation gradient to any 4-neighbor, in degrees."""
-        e = self.elevation_at(cell)
-        worst = 0.0
-        for n in self.neighbors4(cell):
-            rise = abs(self.elevation_at(n) - e)
-            worst = max(worst, math.degrees(math.atan2(rise, self.cell_size_m)))
-        return worst
-
-    def mirrored(self) -> "TerrainGrid":
-        """Left-right mirror (columns reversed); used by symmetry checks."""
-        return TerrainGrid(
-            width=self.width,
-            height=self.height,
-            cell_size_m=self.cell_size_m,
-            elevation_m=tuple(tuple(reversed(row)) for row in self.elevation_m),
-            classes=tuple(tuple(reversed(row)) for row in self.classes),
-        )
-
     def to_json_dict(self) -> dict:
         flat = [self.elevation_m[r][c] for r in range(self.height) for c in range(self.width)]
         obstacles = sorted(

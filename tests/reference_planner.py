@@ -27,6 +27,7 @@ from flydrive.planner import (
 )
 from flydrive.statics import tipping_slope
 from flydrive.terrain import FREE, NO_FLY
+from terrain_helpers import max_neighbor_slope_deg, neighbors4
 
 
 def classify(terrain, params, cfg):
@@ -35,7 +36,7 @@ def classify(terrain, params, cfg):
     drivable = tuple(
         tuple(
             terrain.classes[r][c] == FREE
-            and terrain.max_neighbor_slope_deg((r, c)) <= limit
+            and max_neighbor_slope_deg(terrain, (r, c)) <= limit
             for c in range(terrain.width)
         )
         for r in range(terrain.height)
@@ -108,7 +109,7 @@ def plan(terrain, start, goal, cfg, model, batteries=None, payload=0.0) -> Missi
             break
         cell = cells[-1]
         if mode == DRIVE:
-            for n in terrain.neighbors4(cell):
+            for n in neighbors4(terrain, cell):
                 if drivable_at(n) and (n, DRIVE) not in settled:
                     e = energy + drive_edge_energy_wh(terrain, cell, n, cfg, model, payload)
                     heapq.heappush(
@@ -118,7 +119,7 @@ def plan(terrain, start, goal, cfg, model, batteries=None, payload=0.0) -> Missi
                 e = energy + cfg.transition_energy_wh
                 heapq.heappush(heap, (e, ntrans + 1, cells, FLY, steps + ((cell, FLY),)))
         else:
-            for n in terrain.neighbors4(cell):
+            for n in neighbors4(terrain, cell):
                 if flyable_at(n) and (n, FLY) not in settled:
                     e = energy + fly_edge_energy_wh(terrain, cell, n, cfg, model, payload)
                     heapq.heappush(

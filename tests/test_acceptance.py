@@ -38,6 +38,7 @@ from flydrive.statics import (
 )
 from flydrive.terrain import terrain_from_dict
 from flydrive.vehicle import design_metrics
+from terrain_helpers import neighbors4
 
 
 def _report(criterion: int, problems: list, detail: str):
@@ -224,7 +225,7 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
         on_path.add((cell, mode))
         moves = []
         if mode == planner.DRIVE:
-            for n in grid.neighbors4(cell):
+            for n in neighbors4(grid, cell):
                 if trav.drivable_at(n) and (n, planner.DRIVE) not in on_path:
                     e = energy + planner.drive_edge_energy_wh(
                         grid, cell, n, cfg, model, payload
@@ -235,7 +236,7 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
                     (manhattan(cell), energy + cfg.transition_energy_wh, cell, planner.FLY)
                 )
         else:
-            for n in grid.neighbors4(cell):
+            for n in neighbors4(grid, cell):
                 if trav.flyable_at(n) and (n, planner.FLY) not in on_path:
                     e = energy + planner.fly_edge_energy_wh(
                         grid, cell, n, cfg, model, payload

@@ -269,6 +269,37 @@ class TestScenarioLoading:
         assert f"scn.json: planner.terrain.{keypath}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("block, value, keypath", [
+        ("power_model", {"ground_calibration": {"0.0": [["1.0", "29.8"], ["4.1", "nan"]]}},
+         "power_model.ground_calibration.0.0[0][0]"),
+        ("power_model", {"ground_calibration": {"0.0": [[1.0, 29.8], [4.1, float("nan")]]}},
+         "power_model.ground_calibration.0.0[1][1]"),
+        ("power_model", {"ground_calibration": {"0.0": [[1.0, 29.8], [4.1]]}},
+         "power_model.ground_calibration.0.0: expected a list of [speed_mps, power_w] pairs"),
+        ("power_model", {"ground_calibration": {"0.0": [[0.01, 0.0], [0.02, 1e304]]}},
+         "power_model.ground_calibration.0.0: calibration overflows"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                        "nominal_cell_voltage": "nan"}], "batteries[0].nominal_cell_voltage"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                        "soc": float("nan")}], "batteries[0].soc"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                        "usable_fraction": True}], "batteries[0].usable_fraction"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                        "cutoff_cell_voltage": None}], "batteries[0].cutoff_cell_voltage"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": "5"}],
+         "batteries[0].capacity_ah"),
+        ("batteries", [{"battery_id": "prop_a", "capacity_ah": 5.0}],
+         "batteries[0].cells_series: missing required key"),
+    ])
+    def test_bad_calibration_or_battery_value_names_file_and_key(self, tmp_path, capsys,
+                                                                 block, value, keypath):
+        # each is rejected at load, before a NaN can reach the run or ledger.json
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {**MINI_DRIVE, block: value})
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
+        assert f"scn.json: {keypath}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, spec", [("simulate", MINI_DRIVE), ("plan", MINI_PLAN)])
     def test_uncalibrated_payload_rejected_at_load(self, tmp_path, capsys, command, spec):
         path = write_scenario(tmp_path, {**spec, "payload_kg": 1.3})
@@ -354,6 +385,24 @@ class TestSimulateCommand:
         assert [e["kind"] for e in result["events"]] == ["battery_protection"]
         assert result["final_state"]["time_s"] < 1.0  # the run stops at the trip
         assert "[FAIL] no_faults" in capsys.readouterr().out
+
+    def test_non_finite_output_is_not_written(self, tmp_path, capsys):
+        # a finite fit whose power overflows to infinity near 2 m/s, on packs
+        # large enough to still be drawing when it does
+        spec = {
+            **MINI_DRIVE, "duration_s": 5.0, "validation": {"forbid_faults": False},
+            "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 4.0}],
+            "power_model": {"ground_calibration": {"0.0": [[0.01, 0.0], [0.02, 1e302]]}},
+            "batteries": [{"battery_id": pid, "cells_series": 4, "capacity_ah": 1e303}
+                          for pid in ("prop_a", "prop_b")],
+        }
+        out = tmp_path / "out"
+        assert main(["simulate", write_scenario(tmp_path, spec), "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert f"error: {out / 'ledger.json'}: non-finite value in output" \
+            in capsys.readouterr().err
+        assert not (out / "ledger.json").exists()
+        assert not (out / "result.json").exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_DRIVE)

@@ -109,7 +109,6 @@ def test_endurance_range_matches_usable_energy(tmp_path):
     assert math.hypot(x, y) == pytest.approx(expected_m, rel=0.01)
 
 
-@pytest.mark.slow
 def test_full_pack_range_reaches_paper_figure(tmp_path):
     rc, path, out = _simulate(tmp_path, FULL_PACK, "--dt-s", "0.02")
     assert rc == EXIT_OK

@@ -28,6 +28,7 @@ from flydrive.planner import (
     validate_plan,
 )
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
+from terrain_helpers import class_at, mirrored
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ class TestCorridorPlans:
         assert modes == [DRIVE, TRANSITION_TO_FLY, FLY, TRANSITION_TO_GROUND, DRIVE]
         assert mission.n_transitions == 2
         fly_leg = mission.legs[2]
-        assert all(grid.class_at(c) != terrain.NO_FLY for c in fly_leg.cells)
+        assert all(class_at(grid, c) != terrain.NO_FLY for c in fly_leg.cells)
         # the flight leg is what crosses the fence column
         assert any(c[1] == 2 for c in fly_leg.cells)
 
@@ -298,7 +299,7 @@ class TestPlanInvariants:
     )
     def test_mirror_symmetry(self, model, art, start, goal):
         grid = terrain_from_ascii(art, cell_size_m=2.0)
-        mirror = grid.mirrored()
+        mirror = mirrored(grid)
         fwd = plan(grid, start, goal, cfg(), model)
         rev = plan(
             mirror,

@@ -1,0 +1,206 @@
+"""`Simulator.run` takes steady stretches over plain floats; with that fast
+path switched off, every step goes through `dynamics.coast`, `drain` and
+`EnergyLedger.record`. Both must give the same bytes."""
+
+import hashlib
+import os
+import random
+import sys
+from dataclasses import replace
+
+import pytest
+
+from flydrive import cli, dynamics
+from flydrive.defaults import USABLE_FRACTION
+from flydrive.dynamics import (
+    ControlSetpoint,
+    Mode,
+    SurfaceModel,
+    initial_ground_state,
+    initial_wall_state,
+)
+from flydrive.energy import Battery
+from flydrive.simulator import ScriptEvent, Simulator
+
+FLOOR = 1.0 - USABLE_FRACTION
+
+
+def _both_ways(run):
+    """`run()` as it is, then with the stretch helper declining every step."""
+    fast = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "_coast_stretch", lambda self, state, power, i, *rest: (i, state))
+        slow = run()
+    return fast, slow
+
+
+def _simulate(params, rotor, power_model, batteries, state, surface, script, duration, **kw):
+    """A run on copies of the packs: its result and everything it produced, in repr."""
+    sim = Simulator(params, rotor, power_model, batteries=[replace(b) for b in batteries], **kw)
+    result = sim.run(state, surface, script, duration)
+    return result, repr((
+        result.final_state, result.rows, result.ledger.to_dict(), result.events,
+        result.faulted, result.fault_reason,
+        [(b.battery_id, b.soc, b.tripped) for b in sim.batteries],
+    ))
+
+
+def _assert_same(fast, slow, what="outputs"):
+    """Equal reprs, or a failure that quotes where they part (a full diff of
+    two long traces takes pytest minutes)."""
+    if fast != slow:
+        at = len(os.path.commonprefix([fast, slow]))
+        pytest.fail(f"{what} part at char {at}: {fast[at - 60:at + 60]!r} "
+                    f"vs {slow[at - 60:at + 60]!r}")
+
+
+def _batteries(rng):
+    """Packs from under a second to a minute of driving above their floors,
+    or full; sometimes one propulsion pack, no electronics pack or two packs
+    on one id."""
+    def pack(bid, cells, capacity):
+        soc = rng.choice([1.0, FLOOR + 10 ** rng.uniform(-4.7, -2.7)])
+        return Battery(bid, cells, capacity, soc=soc, usable_fraction=USABLE_FRACTION)
+    props = [pack("prop_a", 4, 5.0), pack("prop_b", 4, 5.0)]
+    layout = rng.choice(["two", "two", "two", "one", "none", "same_id"])
+    if layout == "one":
+        props = props[:1]
+    elif layout == "none":
+        props = []
+    elif layout == "same_id":
+        props = [props[0], pack("prop_a", 4, 5.0)]
+    electronics = rng.choice([[], [pack("electronics", 2, rng.choice([3.2, 0.3]))]])
+    return props + electronics
+
+
+def _random_case(rng, params):
+    kind = rng.choice(["flat", "incline", "wall"])
+    slope = rng.uniform(5.0, 25.0) if kind == "incline" else 0.0
+    surface = SurfaceModel(kind=kind, slope_deg=slope)
+    if kind == "wall":
+        state = initial_wall_state(params, height_m=rng.uniform(0.0, 5.0))
+        state = replace(state, position=(-0.0, rng.choice([0.0, -0.0]), state.position[2]))
+        speeds = [0.0, 0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.5)]
+    else:
+        state = initial_ground_state(params, surface, heading_deg=rng.uniform(-180.0, 180.0),
+                                     position_xy=(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
+        speeds = [0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)]
+    dt = rng.choice([0.001, 0.002, 0.005, 0.02])
+    duration = rng.uniform(2.0, 12.0) if dt < 0.005 else rng.uniform(10.0, 60.0)
+    script, t = [], 0.0
+    while t < duration:
+        # a turn changes the heading every step, so it never coasts
+        yaw = rng.choice([0.0, 0.0, 0.0, rng.uniform(-0.5, 0.5)]) if kind == "flat" else 0.0
+        setpoint = ControlSetpoint(mode=state.mode, speed_mps=rng.choice(speeds),
+                                   yaw_rate_radps=yaw)
+        script.append(ScriptEvent(t, setpoint=setpoint))
+        # some events land on a step, some between two
+        t += rng.choice([rng.uniform(0.5, duration / 2), round(rng.uniform(0.5, 4.0), 1)])
+    return state, surface, script, duration, dt
+
+
+def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
+    rng = random.Random(20261018)
+    real_stretch = Simulator._coast_stretch
+    seen = set()  # (mode, why a stretch of at least one step ended)
+
+    def watched(self, state, power, i, end, t_event, ledger, rows):
+        k, after = real_stretch(self, state, power, i, end, t_event, ledger, rows)
+        if k > i:
+            why = ("end" if k == end else "event" if t_event <= after.time_s + 1e-12
+                   else "trip")
+            seen.add((after.mode, why))
+        return k, after
+
+    monkeypatch.setattr(Simulator, "_coast_stretch", watched)
+    for case in range(40):
+        state, surface, script, duration, dt = _random_case(rng, params)
+        batteries = _batteries(rng)
+        kw = {"dt_s": dt, "trace_decimation": rng.choice([1, 7, 10]),
+              "avionics_power_w": rng.choice([5.0, 5.0, 0.0])}
+        fast, slow = _both_ways(lambda: _simulate(params, rotor, power_model, batteries,
+                                                  state, surface, script, duration, **kw))
+        _assert_same(fast[1], slow[1], f"case {case}")
+    assert {(m, why) for m in (Mode.GROUND, Mode.INCLINE, Mode.WALL)
+            for why in ("event", "trip")} <= seen
+    assert "end" in {why for _, why in seen}
+
+
+@pytest.mark.parametrize("electronics_soc, tripped", [
+    (1.0, "prop_a"), (0.2 + 6e-4, "electronics"),
+])
+def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypatch,
+                                           electronics_soc, tripped):
+    """After many coasted steps a pack trips or the electronics pack browns
+    out: the fast path stops one step short and the per-step path trips it."""
+    taken, real = [], Simulator._coast_stretch
+
+    def counted(self, state, power, i, *rest):
+        k, after = real(self, state, power, i, *rest)
+        taken.append(k - i)
+        return k, after
+
+    monkeypatch.setattr(Simulator, "_coast_stretch", counted)
+    packs = [Battery("prop_a", 4, 5.0, soc=FLOOR + 1e-3, usable_fraction=USABLE_FRACTION),
+             Battery("prop_b", 4, 5.0, soc=FLOOR + 2e-3, usable_fraction=USABLE_FRACTION),
+             Battery("electronics", 2, 3.2, soc=electronics_soc, usable_fraction=0.8)]
+    script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
+    fast, slow = _both_ways(lambda: _simulate(
+        params, rotor, power_model, packs, initial_ground_state(params), SurfaceModel(),
+        script, 60.0, dt_s=0.001, trace_decimation=7))
+    _assert_same(fast[1], slow[1])
+    events = [(e["kind"], e["detail"]) for e in fast[0].events]
+    assert events == [("battery_protection", tripped)]
+    assert sum(taken) > 5000  # the trip ends a long stretch
+
+
+@pytest.mark.parametrize("wall", [False, True])
+def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
+    """No controller holds a speed that overflows a position, so here every
+    step is a `coast`: the fast path stops short of the overflow, and the
+    per-step path raises the finiteness fault with the last finite state."""
+    monkeypatch.setattr(dynamics, "step", lambda state, sp, surface, dt, *rest:
+                        dynamics.coast(state, dt))
+    near_max = sys.float_info.max - 3e299  # 300 steps of 1e297 m from overflow
+    if wall:
+        start = replace(initial_wall_state(params), position=(-0.0, -0.0, near_max),
+                        velocity=(0.0, 0.0, 1e300))
+        surface = SurfaceModel(kind="wall")
+    else:  # sideways, so the along-track speed, and with it the power, stays finite
+        ground = initial_ground_state(params)
+        start = replace(ground, position=(0.0, near_max, ground.position[2]),
+                        velocity=(0.0, 1e300, 0.0))
+        surface = SurfaceModel()
+    fast, slow = _both_ways(lambda: _simulate(params, rotor, power_model, [], start, surface,
+                                              [], 1.0, dt_s=0.001, trace_decimation=10))
+    _assert_same(fast[1], slow[1])
+    result = fast[0]
+    assert result.fault_reason == "non-finite value in integration step"
+    assert 0.05 < result.final_state.time_s < 1.0
+    if wall:
+        assert repr(result.final_state.position[:2]) == "(-0.0, -0.0)"
+
+
+def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
+    from test_acceptance import GOLDEN_SHA256
+
+    calls = {}
+    for name in ("step", "coast"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, _n=name, _f=real, **k:
+                            calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k))
+
+    def run():
+        calls.update(step=0, coast=0)
+        out = tmp_path / f"out-{len(list(tmp_path.iterdir()))}"
+        assert cli.main(["simulate", "rocky-soil", "--out", str(out)]) == cli.EXIT_OK
+        return dict(calls), {f: (out / f).read_bytes() for f in
+                             ("trace.csv", "ledger.json", "result.json")}
+
+    (fast_calls, fast_files), (slow_calls, slow_files) = _both_ways(run)
+    assert fast_files == slow_files
+    for fname, data in fast_files.items():
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
+    assert fast_calls["step"] == slow_calls["step"] > 0
+    assert fast_calls["coast"] <= 5
+    assert slow_calls["coast"] > 10_000

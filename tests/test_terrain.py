@@ -13,14 +13,15 @@ from flydrive.terrain import (
     terrain_from_dict,
     terrain_from_json,
 )
+from terrain_helpers import class_at, max_neighbor_slope_deg, mirrored, neighbors4
 
 
 def test_ascii_grid_classes():
     grid = terrain_from_ascii(".#.\n.~.\n...")
     assert grid.width == 3 and grid.height == 3
-    assert grid.class_at((0, 1)) == OBSTACLE
-    assert grid.class_at((1, 1)) == NO_FLY
-    assert grid.class_at((2, 2)) == FREE
+    assert class_at(grid, (0, 1)) == OBSTACLE
+    assert class_at(grid, (1, 1)) == NO_FLY
+    assert class_at(grid, (2, 2)) == FREE
 
 
 def test_ascii_digit_elevations():
@@ -84,32 +85,32 @@ def test_bundled_terrain_loads():
     path = resources.files("flydrive.data").joinpath("terrains/obstacle_fence.json")
     grid = load_terrain_file(str(path))
     assert grid.width == 10 and grid.height == 5
-    assert grid.class_at((2, 4)) == OBSTACLE
+    assert class_at(grid, (2, 4)) == OBSTACLE
 
 
 def test_neighbors4_order_and_bounds():
     grid = terrain_from_ascii("...\n...\n...")
-    assert grid.neighbors4((1, 1)) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    assert grid.neighbors4((0, 0)) == [(0, 1), (1, 0)]
+    assert neighbors4(grid, (1, 1)) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert neighbors4(grid, (0, 0)) == [(0, 1), (1, 0)]
 
 
 def test_max_neighbor_slope():
     grid = terrain_from_dict({
         "width": 2, "height": 1, "cell_size_m": 1.0, "elevation_m": [0.0, 1.0],
     })
-    assert grid.max_neighbor_slope_deg((0, 0)) == pytest.approx(45.0)
-    assert grid.max_neighbor_slope_deg((0, 1)) == pytest.approx(45.0)
+    assert max_neighbor_slope_deg(grid, (0, 0)) == pytest.approx(45.0)
+    assert max_neighbor_slope_deg(grid, (0, 1)) == pytest.approx(45.0)
 
 
 def test_mirror_involution():
     grid = terrain_from_ascii(".#.\n..~\n0..", elevations=None)
-    twice = grid.mirrored().mirrored()
+    twice = mirrored(mirrored(grid))
     assert twice == grid
 
 
 def test_mirror_flips_columns():
     grid = terrain_from_ascii("#..")
-    assert grid.mirrored().class_at((0, 2)) == OBSTACLE
+    assert class_at(mirrored(grid), (0, 2)) == OBSTACLE
 
 
 def test_to_json_round_trip():
