@@ -18,7 +18,7 @@ import os
 import sys
 from importlib import resources
 
-from . import statics
+from . import fields, statics
 from .defaults import (
     default_batteries,
     default_mass_budget,
@@ -33,10 +33,10 @@ from .scenario import (
     ScenarioError,
     evaluate_simulation,
     load_scenario,
+    read_calibration_points,
     run_scenario,
 )
-from .terrain import TerrainError
-from .vehicle import RotorTableError, design_metrics, load_rotor_table_file
+from .vehicle import design_metrics, load_rotor_table_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,7 +54,7 @@ def bundled_scenarios() -> dict:
 
 
 def _resolve_scenario(ref: str) -> str:
-    if os.path.exists(ref):
+    if os.path.isfile(ref):
         return ref
     bundled = bundled_scenarios()
     if ref in bundled:
@@ -276,20 +276,11 @@ def _cmd_calibrate(args) -> int:
     if args.points:
         points = [_parse_point(p) for p in args.points]
     elif args.points_file is not None:
-        try:
-            with open(args.points_file, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            points = [(float(v), float(p)) for v, p in raw]
-        except FileNotFoundError:
-            raise ScenarioError(f"{args.points_file}: no such file") from None
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"{args.points_file}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from None
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"{args.points_file}: expected [[speed_mps, power_w], ...]"
-            ) from None
+        def fail(keypath: str, message: str):
+            raise ScenarioError(f"{args.points_file}: {keypath or 'top level'}: {message}")
+
+        raw = fields.load_json(args.points_file, args.points_file, ScenarioError)
+        points = read_calibration_points(raw, fail, "")
     else:
         raise ScenarioError("calibrate needs --points or --points-file")
     try:
@@ -315,7 +306,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_design(args) -> int:
     params = default_params()
     if args.rotor_table is not None:
-        if not os.path.exists(args.rotor_table):
+        if not os.path.isfile(args.rotor_table):
             raise ScenarioError(f"{args.rotor_table}: no such file")
         rotor = load_rotor_table_file(args.rotor_table)
     else:
@@ -415,13 +406,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TerrainError, RotorTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NonFiniteOutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError, TerrainError and RotorTableError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -159,9 +159,12 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
         raise CalibrationError("calibration speeds must be > 0")
     if len(set(speeds)) != len(speeds):
         raise CalibrationError("duplicate calibration speeds make the system singular")
-    s2, s4, s6 = (sum(v**k for v in speeds) for k in (2, 4, 6))
-    b1 = sum(v * p for v, p in points)
-    b3 = sum(v**3 * p for v, p in points)
+    try:
+        s2, s4, s6 = (sum(v**k for v in speeds) for k in (2, 4, 6))
+        b1 = sum(v * p for v, p in points)
+        b3 = sum(v**3 * p for v, p in points)
+    except OverflowError:
+        raise CalibrationError("calibration overflows: speeds too large") from None
     det = s2 * s6 - s4 * s4
     if not det > 0.0:
         raise CalibrationError("calibration speeds too close together: the system is singular")

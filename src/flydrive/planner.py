@@ -67,6 +67,8 @@ class PlannerConfig:
             raise ValueError("planner settings must be finite")
         if self.drive_speed_mps <= 0 or self.fly_speed_mps <= 0:
             raise ValueError("speeds must be > 0")
+        if self.drive_speed_mps > dynamics.DEFAULT_SPEED_ENVELOPE_MPS:
+            raise ValueError(f"drive_speed_mps must be <= {dynamics.DEFAULT_SPEED_ENVELOPE_MPS}")
         if self.slope_margin_deg < 0:
             raise ValueError("slope_margin_deg must be >= 0")
         if self.transition_energy_wh < 0 or self.transition_time_s < 0:

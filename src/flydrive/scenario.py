@@ -9,36 +9,26 @@ is a one-line fix.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 
+from . import fields
 from .defaults import (
     AVIONICS_POWER_W,
+    HOVER_POWER_W,
+    WALL_WAKE_FACTOR,
     default_batteries,
-    default_params,
     default_power_model,
     default_rotor,
 )
 from .dynamics import ControlSetpoint, Mode, SurfaceModel
-from .energy import (
-    BATTERY_IDS,
-    Battery,
-    PowerModel,
-    UnknownPayloadError,
-    calibrate_ground_power,
-)
+from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
+from .fields import REQUIRED
 from .planner import PlannerConfig
 from .simulator import ScriptEvent, SimResult, Simulator
 from .terrain import TerrainGrid, load_terrain_file, terrain_from_dict
 from .vehicle import RotorModel, VehicleParams, load_rotor_table_file
-
-_TOP_LEVEL_KEYS = {
-    "name", "description", "payload_kg", "rotor_table", "vehicle_overrides",
-    "batteries", "avionics_power_w", "power_model", "surface", "initial",
-    "script", "duration_s", "planner", "validation", "seed",
-}
 
 
 class ScenarioError(ValueError):
@@ -99,353 +89,216 @@ class Scenario:
         return self.planner_query is not None
 
 
-def _fail(source: str, keypath: str, message: str):
-    raise ScenarioError(f"{source}: {keypath}: {message}")
-
-
-def _expect(data: dict, key: str, types, source: str, default=None, required=False):
-    if key not in data:
-        if required:
-            _fail(source, key, "missing required key")
-        return default
-    return _checked(data[key], types, source, key)
-
-
-def _checked(value, types, source: str, keypath: str):
-    """value, if it is one of types; a bool passes only as bool, a float only
-    when finite, an int only when it converts to a float."""
-    types = types if isinstance(types, tuple) else (types,)
-    if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
-            or (isinstance(value, float) and not math.isfinite(value))):
-        names = " or ".join(t.__name__ for t in types)
-        _fail(source, keypath, f"expected {names}, got {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
-        try:
-            float(value)
-        except OverflowError:
-            _fail(source, keypath, "integer too large for a float")
-    return value
+# The schema of a scenario file: one table per JSON object (see fields.py). A
+# block that fills a dataclass takes its keys, kinds and defaults from its fields.
+SCENARIO = {
+    "name": (str, REQUIRED),
+    "description": (str, ""),
+    "payload_kg": (float, 0.0),
+    "rotor_table": (str, "default"),  # "default" or a CSV file beside the scenario
+    "vehicle_overrides": (dict, {}),  # VEHICLE
+    "batteries": ((str, list), "default"),  # "default" or a list of BATTERY
+    "avionics_power_w": (float, AVIONICS_POWER_W),
+    "power_model": (dict, None),  # POWER_MODEL
+    "surface": (dict, None),  # SURFACE
+    "initial": (dict, None),  # INITIAL
+    "script": (list, []),  # SCRIPT_EVENT entries
+    "duration_s": (float, 0.0),
+    "planner": (dict, None),  # PLANNER
+    "validation": (dict, None),  # VALIDATION
+    "seed": (int, None),
+}
+VEHICLE = fields.table_of(VehicleParams)
+BATTERY = {**fields.table_of(Battery), "battery_id": (frozenset(BATTERY_IDS), REQUIRED)}
+POWER_MODEL = {
+    "ground_calibration": (dict, None),  # payload kg -> [[speed_mps, power_w], ...]
+    "flight_power_w": (dict, None),  # payload kg -> W
+    "hover_power_w": (float, HOVER_POWER_W),
+    "wall_wake_factor": (float, WALL_WAKE_FACTOR),
+}
+SURFACE = fields.table_of(SurfaceModel)
+INITIAL = fields.table_of(InitialSpec)
+SCRIPT_EVENT = {
+    "t_s": (float, REQUIRED),
+    "transition_to": (Mode, None),
+    # any of the keys below makes a setpoint, which must name its mode
+    "mode": (Mode, None),
+    "speed_mps": (float, 0.0),
+    "yaw_rate_radps": (float, 0.0),
+    "target_position_m": ([float, float, float], None),
+    "target_yaw_deg": (float, 0.0),
+}
+PLANNER = {
+    "terrain": ((str, dict), REQUIRED),  # a JSON file beside the scenario, or inline
+    "start_cell": ([int, int], REQUIRED),  # [row, col]
+    "goal_cell": ([int, int], REQUIRED),
+    **fields.table_of(PlannerConfig),
+}
+VALIDATION = fields.table_of(ValidationSpec)
 
 
 def load_scenario(path: str) -> Scenario:
     source = os.path.basename(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be an object")
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        _fail(source, ", ".join(sorted(unknown)), "unknown key(s)")
-    return scenario_from_dict(data, source=source, base_dir=base_dir)
+    return scenario_from_dict(fields.load_json(path, source, ScenarioError), source=source,
+                              base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = ".") -> Scenario:
-    name = _expect(data, "name", str, source, required=True)
-    description = _expect(data, "description", str, source, default="")
-    payload = float(_expect(data, "payload_kg", (int, float), source, default=0.0))
-    if payload < 0:
-        _fail(source, "payload_kg", "must be >= 0")
+    def fail(keypath: str, message: str):
+        raise ScenarioError(f"{source}: {keypath}: {message}")
 
-    params = default_params()
-    overrides = _expect(data, "vehicle_overrides", dict, source, default={})
-    if overrides:
-        valid = {f.name for f in dataclass_fields(VehicleParams)}
-        for key in overrides:
-            if key not in valid:
-                _fail(source, f"vehicle_overrides.{key}", "unknown vehicle parameter")
-        try:
-            params = replace(params, **overrides)
-        except ValueError as exc:
-            _fail(source, "vehicle_overrides", str(exc))
+    top = fields.read(data, SCENARIO, fail)
 
-    rotor_ref = _expect(data, "rotor_table", str, source, default="default")
-    if rotor_ref == "default":
+    def block(key: str, table: dict) -> dict:  # a null or missing block reads as {}
+        return fields.read(top[key] or {}, table, fail, key)
+
+    for key in ("payload_kg", "duration_s"):
+        if top[key] < 0:
+            fail(key, "must be >= 0")
+    params = fields.call(VehicleParams, fail, "vehicle_overrides",
+                         **block("vehicle_overrides", VEHICLE))
+    if top["rotor_table"] == "default":
         rotor = default_rotor()
     else:
-        rotor_path = os.path.join(base_dir, rotor_ref)
-        if not os.path.exists(rotor_path):
-            _fail(source, "rotor_table", f"file not found: {rotor_ref}")
-        rotor = load_rotor_table_file(rotor_path)
-
-    batteries = _load_batteries(data, source)
-    avionics = float(_expect(data, "avionics_power_w", (int, float), source,
-                             default=AVIONICS_POWER_W))
-    model = _load_power_model(data, params, rotor, source)
-    try:  # a payload the ground calibration lacks fails here, not mid-run
-        model.ground_power(0.0, payload)
-    except UnknownPayloadError as exc:
-        _fail(source, "payload_kg", str(exc))
-    surface = _load_surface(data, source)
-    initial = _load_initial(data, source)
-    script = _load_script(data, source)
-    duration = float(_expect(data, "duration_s", (int, float), source, default=0.0))
-    if duration < 0:
-        _fail(source, "duration_s", "must be >= 0")
-    planner_query = _load_planner_query(data, source, base_dir)
-    validation = _load_validation(data, source)
-    seed = _expect(data, "seed", int, source, default=None)
+        rotor = load_rotor_table_file(
+            _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
+    model = _load_power_model(block("power_model", POWER_MODEL), params, rotor, fail)
+    # a payload the ground calibration lacks fails here, not mid-run
+    fields.call(model.ground_power, fail, "payload_kg", 0.0, top["payload_kg"])
     return Scenario(
-        name=name,
-        description=description,
-        payload_kg=payload,
+        name=top["name"],
+        description=top["description"],
+        payload_kg=top["payload_kg"],
         params=params,
         rotor=rotor,
         power_model=model,
-        batteries=tuple(batteries),
-        avionics_power_w=avionics,
-        surface=surface,
-        initial=initial,
-        script=tuple(script),
-        duration_s=duration,
-        planner_query=planner_query,
-        validation=validation,
-        seed=seed,
+        batteries=tuple(_load_batteries(top["batteries"], fail)),
+        avionics_power_w=top["avionics_power_w"],
+        surface=fields.call(SurfaceModel, fail, "surface", **block("surface", SURFACE)),
+        initial=InitialSpec(**block("initial", INITIAL)),
+        script=tuple(_load_script(top["script"], fail)),
+        duration_s=top["duration_s"],
+        planner_query=None if top["planner"] is None else _load_planner_query(
+            block("planner", PLANNER), fail, source, base_dir),
+        validation=ValidationSpec(**block("validation", VALIDATION)),
+        seed=top["seed"],
         source=source,
     )
 
 
-def _load_batteries(data, source) -> list[Battery]:
-    spec = data.get("batteries", "default")
+def _file_beside(base_dir: str, ref: str, fail, keypath: str) -> str:
+    path = os.path.join(base_dir, ref)
+    if not os.path.isfile(path):
+        fail(keypath, f"file not found: {ref!r}")
+    return path
+
+
+def _load_batteries(spec, fail) -> list[Battery]:
     if spec == "default":
         return default_batteries()
-    if not isinstance(spec, list):
-        _fail(source, "batteries", "expected 'default' or a list")
-    out = []
+    if isinstance(spec, str):
+        fail("batteries", "expected 'default' or a list")
+    packs = []
     for i, entry in enumerate(spec):
         kp = f"batteries[{i}]"
-        if not isinstance(entry, dict):
-            _fail(source, kp, "expected an object")
-        bid = _expect(entry, "battery_id", str, source, required=True)
-        if bid not in BATTERY_IDS:
-            _fail(source, f"{kp}.battery_id", f"must be one of {BATTERY_IDS}")
-        for key in ("cells_series", "capacity_ah"):
-            if key not in entry:
-                _fail(source, f"{kp}.{key}", "missing required key")
-        cells = _checked(entry["cells_series"], int, source, f"{kp}.cells_series")
-        numbers = {key: float(_checked(entry[key], (int, float), source, f"{kp}.{key}"))
-                   for key in ("capacity_ah", "nominal_cell_voltage", "cutoff_cell_voltage",
-                               "soc", "usable_fraction") if key in entry}
+        pack = fields.read(entry, BATTERY, fail, kp)
+        if any(p.battery_id == pack["battery_id"] for p in packs):
+            fail(f"{kp}.battery_id", f"duplicate {pack['battery_id']!r}")
+        packs.append(fields.call(Battery, fail, kp, **pack))
+    return packs
+
+
+def read_calibration_points(value, fail, keypath: str) -> list[tuple[float, float]]:
+    """[[speed_mps, power_w], ...] as float pairs, or fail(keypath, ...)."""
+    if type(value) is not list or not all(type(pt) is list and len(pt) == 2 for pt in value):
+        fail(keypath, "expected a list of [speed_mps, power_w] pairs")
+    return [fields.check(pt, [float, float], fail, f"{keypath}[{j}]")
+            for j, pt in enumerate(value)]
+
+
+def _by_payload(spec: dict, fail, keypath: str, read_value) -> dict:
+    """{payload kg: read_value(value, keypath)} from an object keyed by
+    payload: each key a finite number, no two naming the same payload."""
+    out = {}
+    for key, value in spec.items():
+        kp = f"{keypath}.{key}"
         try:
-            out.append(Battery(bid, cells, **numbers))
-        except ValueError as exc:
-            _fail(source, kp, str(exc))
+            payload = float(key)
+        except ValueError:
+            payload = math.nan
+        if not math.isfinite(payload):
+            fail(kp, "payload keys must be finite numbers")
+        if payload in out:
+            fail(kp, f"payload {payload} kg given twice")
+        out[payload] = read_value(value, kp)
     return out
 
 
-def _load_power_model(data, params, rotor, source) -> PowerModel:
-    spec = data.get("power_model")
+def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
     base = default_power_model(params, rotor)
-    if spec is None:
-        return base
-    if not isinstance(spec, dict):
-        _fail(source, "power_model", "expected an object")
-    ground = dict(base.ground_coeffs)
-    cal = spec.get("ground_calibration")
-    if cal is not None:
-        if not isinstance(cal, dict):
-            _fail(source, "power_model.ground_calibration", "expected an object")
-        ground = {}
-        for key, points in cal.items():
-            kp = f"power_model.ground_calibration.{key}"
-            try:
-                payload = float(key)
-            except ValueError:
-                _fail(source, kp, "payload keys must be numeric")
-            if not isinstance(points, list) or not all(
-                    isinstance(pt, list) and len(pt) == 2 for pt in points):
-                _fail(source, kp, "expected a list of [speed_mps, power_w] pairs")
-            pairs = [tuple(float(_checked(v, (int, float), source, f"{kp}[{j}][{m}]"))
-                           for m, v in enumerate(pt)) for j, pt in enumerate(points)]
-            try:
-                ground[payload] = calibrate_ground_power(pairs)
-            except ValueError as exc:
-                _fail(source, kp, str(exc))
-    flight = dict(base.flight_power_w)
-    fp = spec.get("flight_power_w")
-    if fp is not None:
-        if not isinstance(fp, dict):
-            _fail(source, "power_model.flight_power_w", "expected an object")
-        flight = {}
-        for key, watts in fp.items():
-            kp = f"power_model.flight_power_w.{key}"
-            try:
-                payload = float(key)
-            except ValueError:
-                _fail(source, kp, "payload keys must be numeric")
-            flight[payload] = float(_checked(watts, (int, float), source, kp))
-            if flight[payload] <= 0.0:  # every planned move must cost energy
-                _fail(source, kp, "must be > 0")
-    hover = float(_checked(spec.get("hover_power_w", base.hover_power_w), (int, float),
-                           source, "power_model.hover_power_w"))
-    wake = float(_checked(spec.get("wall_wake_factor", base.wall_wake_factor), (int, float),
-                          source, "power_model.wall_wake_factor"))
-    if hover < 0.0:
-        _fail(source, "power_model.hover_power_w", "must be >= 0")
-    if wake <= 0.0:
-        _fail(source, "power_model.wall_wake_factor", "must be > 0")
+    if pm["hover_power_w"] < 0.0:
+        fail("power_model.hover_power_w", "must be >= 0")
+    if pm["wall_wake_factor"] <= 0.0:
+        fail("power_model.wall_wake_factor", "must be > 0")
+
+    def fitted(points, kp):
+        return fields.call(calibrate_ground_power, fail, kp,
+                           read_calibration_points(points, fail, kp))
+
+    def watts(value, kp):
+        value = fields.check(value, float, fail, kp)
+        if value <= 0.0:  # every planned move must cost energy
+            fail(kp, "must be > 0")
+        return value
+
+    ground, flight = pm["ground_calibration"], pm["flight_power_w"]
     return PowerModel(
-        params=params, rotor=rotor, ground_coeffs=ground,
-        flight_power_w=flight, hover_power_w=hover, wall_wake_factor=wake,
+        params=params,
+        rotor=rotor,
+        ground_coeffs=dict(base.ground_coeffs) if ground is None else _by_payload(
+            ground, fail, "power_model.ground_calibration", fitted),
+        flight_power_w=dict(base.flight_power_w) if flight is None else _by_payload(
+            flight, fail, "power_model.flight_power_w", watts),
+        hover_power_w=pm["hover_power_w"],
+        wall_wake_factor=pm["wall_wake_factor"],
     )
 
 
-def _load_surface(data, source) -> SurfaceModel:
-    spec = data.get("surface")
-    if spec is None:
-        return SurfaceModel()
-    if not isinstance(spec, dict):
-        _fail(source, "surface", "expected an object")
-    kind = spec.get("kind", "flat")
-    numbers = {key: float(_checked(spec[key], (int, float), source, f"surface.{key}"))
-               for key in ("slope_deg", "rolling_resistance", "lateral_friction")
-               if spec.get(key) is not None}
-    try:
-        return SurfaceModel(kind=kind, **numbers)
-    except ValueError as exc:
-        _fail(source, "surface", str(exc))
-
-
-def _load_initial(data, source) -> InitialSpec:
-    spec = data.get("initial")
-    if spec is None:
-        return InitialSpec()
-    if not isinstance(spec, dict):
-        _fail(source, "initial", "expected an object")
-    mode_name = spec.get("mode", "ground")
-    try:
-        mode = Mode(mode_name)
-    except ValueError:
-        _fail(source, "initial.mode", f"unknown mode {mode_name!r}")
-    pos = spec.get("position_m", [0.0, 0.0])
-    if not isinstance(pos, list) or len(pos) != 2:
-        _fail(source, "initial.position_m", "expected [x, y]")
-    numbers = {key: float(_checked(spec[key], (int, float), source, f"initial.{key}"))
-               for key in ("heading_deg", "height_m", "tilt_deg") if key in spec}
-    return InitialSpec(
-        mode=mode,
-        position_m=tuple(float(_checked(v, (int, float), source, f"initial.position_m[{i}]"))
-                         for i, v in enumerate(pos)),
-        **numbers,
-    )
-
-
-def _load_script(data, source) -> list[ScriptEvent]:
-    entries = data.get("script", [])
-    if not isinstance(entries, list):
-        _fail(source, "script", "expected a list")
+def _load_script(entries: list, fail) -> list[ScriptEvent]:
     events: list[ScriptEvent] = []
-    last_t = -math.inf
     for i, entry in enumerate(entries):
         kp = f"script[{i}]"
-        if not isinstance(entry, dict):
-            _fail(source, kp, "expected an object")
-        t = _expect(entry, "t_s", (int, float), source, required=True)
-        t = float(t)
-        if t < 0:
-            _fail(source, f"{kp}.t_s", "must be >= 0")
-        if t <= last_t:
-            _fail(source, f"{kp}.t_s", "script times must be strictly increasing")
-        last_t = t
-        transition = None
-        if "transition_to" in entry:
-            try:
-                transition = Mode(entry["transition_to"])
-            except ValueError:
-                _fail(source, f"{kp}.transition_to", f"unknown mode {entry['transition_to']!r}")
+        ev = fields.read(entry, SCRIPT_EVENT, fail, kp)
+        if ev["t_s"] < 0:
+            fail(f"{kp}.t_s", "must be >= 0")
+        if events and ev["t_s"] <= events[-1].t_s:
+            fail(f"{kp}.t_s", "script times must be strictly increasing")
         setpoint = None
-        sp_keys = {"mode", "speed_mps", "yaw_rate_radps", "target_position_m", "target_yaw_deg"}
-        if sp_keys & set(entry):
-            mode_name = entry.get("mode")
-            if mode_name is None:
-                _fail(source, f"{kp}.mode", "setpoint entries must name their mode")
-            try:
-                mode = Mode(mode_name)
-            except ValueError:
-                _fail(source, f"{kp}.mode", f"unknown mode {mode_name!r}")
-            target = entry.get("target_position_m")
-            if target is not None:
-                if not isinstance(target, list) or len(target) != 3:
-                    _fail(source, f"{kp}.target_position_m", "expected [x, y, z]")
-                target = tuple(
-                    float(_checked(v, (int, float), source, f"{kp}.target_position_m[{j}]"))
-                    for j, v in enumerate(target)
-                )
-            numbers = {key: float(_checked(entry[key], (int, float), source, f"{kp}.{key}"))
-                       for key in ("speed_mps", "yaw_rate_radps", "target_yaw_deg")
-                       if key in entry}
-            try:
-                setpoint = ControlSetpoint(mode=mode, target_position=target, **numbers)
-            except ValueError as exc:
-                _fail(source, kp, str(exc))
-        unknown = set(entry) - sp_keys - {"t_s", "transition_to"}
-        if unknown:
-            _fail(source, kp, f"unknown key(s): {sorted(unknown)}")
-        events.append(ScriptEvent(t_s=t, setpoint=setpoint, transition_to=transition))
+        if entry.keys() - {"t_s", "transition_to"}:
+            if ev["mode"] is None:
+                fail(f"{kp}.mode", "setpoint entries must name their mode")
+            setpoint = fields.call(
+                ControlSetpoint, fail, kp, mode=ev["mode"], speed_mps=ev["speed_mps"],
+                yaw_rate_radps=ev["yaw_rate_radps"], target_position=ev["target_position_m"],
+                target_yaw_deg=ev["target_yaw_deg"],
+            )
+        events.append(ScriptEvent(t_s=ev["t_s"], setpoint=setpoint,
+                                  transition_to=ev["transition_to"]))
     return events
 
 
-def _load_planner_query(data, source, base_dir) -> PlannerQuery | None:
-    spec = data.get("planner")
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        _fail(source, "planner", "expected an object")
-    terrain_ref = _expect(spec, "terrain", (str, dict), source, required=True)
-    if isinstance(terrain_ref, str):
-        terrain_path = os.path.join(base_dir, terrain_ref)
-        if not os.path.exists(terrain_path):
-            _fail(source, "planner.terrain", f"file not found: {terrain_ref}")
-        terrain = load_terrain_file(terrain_path)
+def _load_planner_query(query: dict, fail, source: str, base_dir: str) -> PlannerQuery:
+    ref = query.pop("terrain")
+    if isinstance(ref, dict):
+        terrain = terrain_from_dict(ref, source=source, keypath="planner.terrain")
     else:
-        terrain = terrain_from_dict(terrain_ref, source=source, keypath="planner.terrain.")
-    cells = {}
-    for key in ("start_cell", "goal_cell"):
-        cell = spec.get(key)
-        if not isinstance(cell, list) or len(cell) != 2:
-            _fail(source, f"planner.{key}", "expected [row, col]")
-        cell = tuple(_checked(v, int, source, f"planner.{key}[{i}]") for i, v in enumerate(cell))
+        terrain = load_terrain_file(_file_beside(base_dir, ref, fail, "planner.terrain"))
+    start, goal = query.pop("start_cell"), query.pop("goal_cell")
+    for key, cell in (("start_cell", start), ("goal_cell", goal)):
         if not terrain.in_bounds(cell):
-            _fail(source, f"planner.{key}", f"cell {cell} out of bounds")
-        cells[key] = cell
-    cfg_kwargs = {
-        key: float(_checked(spec[key], (int, float), source, f"planner.{key}"))
-        for key in ("drive_speed_mps", "fly_speed_mps", "transition_energy_wh",
-                    "transition_time_s", "slope_margin_deg")
-        if key in spec
-    }
-    unknown = set(spec) - {"terrain", "start_cell", "goal_cell"} - set(cfg_kwargs)
-    if unknown:
-        _fail(source, "planner", f"unknown key(s): {sorted(unknown)}")
-    try:
-        cfg = PlannerConfig(**cfg_kwargs)
-    except ValueError as exc:
-        _fail(source, "planner", str(exc))
-    return PlannerQuery(terrain=terrain, start=cells["start_cell"],
-                        goal=cells["goal_cell"], config=cfg)
-
-
-def _load_validation(data, source) -> ValidationSpec:
-    spec = data.get("validation")
-    if spec is None:
-        return ValidationSpec()
-    if not isinstance(spec, dict):
-        _fail(source, "validation", "expected an object")
-    valid = {f.name for f in dataclass_fields(ValidationSpec)}
-    unknown = set(spec) - valid
-    if unknown:
-        _fail(source, "validation", f"unknown key(s): {sorted(unknown)}")
-    # a field whose default is None also takes null
-    for f in dataclass_fields(ValidationSpec):
-        if f.name in spec and not (spec[f.name] is None and f.default is None):
-            kind = {"forbid_faults": bool, "expect_fly_legs": int}.get(f.name, (int, float))
-            _checked(spec[f.name], kind, source, f"validation.{f.name}")
-    return ValidationSpec(**spec)
+            fail(f"planner.{key}", f"cell {cell} out of bounds")
+    return PlannerQuery(terrain=terrain, start=start, goal=goal,
+                        config=fields.call(PlannerConfig, fail, "planner", **query))
 
 
 def build_simulator(scenario: Scenario, dt_s: float = 0.001,
@@ -454,24 +307,11 @@ def build_simulator(scenario: Scenario, dt_s: float = 0.001,
         params=scenario.params,
         rotor=scenario.rotor,
         power_model=scenario.power_model,
-        batteries=[replace_soc(b) for b in scenario.batteries],
+        batteries=[replace(b) for b in scenario.batteries],  # packs change within a run
         payload=scenario.payload_kg,
         avionics_power_w=scenario.avionics_power_w,
         dt_s=dt_s,
         trace_decimation=trace_decimation,
-    )
-
-
-def replace_soc(battery: Battery) -> Battery:
-    """Fresh copy of a battery spec (mutability stays inside one run)."""
-    return Battery(
-        battery_id=battery.battery_id,
-        cells_series=battery.cells_series,
-        capacity_ah=battery.capacity_ah,
-        nominal_cell_voltage=battery.nominal_cell_voltage,
-        cutoff_cell_voltage=battery.cutoff_cell_voltage,
-        soc=battery.soc,
-        usable_fraction=battery.usable_fraction,
     )
 
 
@@ -498,6 +338,9 @@ def run_scenario(scenario: Scenario, dt_s: float = 0.001,
                  trace_decimation: int = 10) -> SimResult:
     if scenario.is_planning:
         raise ScenarioError(f"{scenario.source}: planning scenario has no script to run")
+    if math.isinf(scenario.duration_s / dt_s):
+        raise ScenarioError(f"{scenario.source}: duration_s: {scenario.duration_s} s "
+                            f"is too many steps of {dt_s} s to count")
     sim = build_simulator(scenario, dt_s=dt_s, trace_decimation=trace_decimation)
     state = initial_state_for(scenario)
     return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)

@@ -129,10 +129,12 @@ class Simulator:
     ):
         if trace_decimation < 1:
             raise ValueError("trace_decimation must be >= 1")
+        self.batteries = batteries if batteries is not None else []
+        if len({b.battery_id for b in self.batteries}) < len(self.batteries):
+            raise ValueError("battery ids must be unique: the ledger books Ah by id")
         self.params = params
         self.rotor = rotor
         self.power_model = power_model
-        self.batteries = batteries if batteries is not None else []
         self.gains = gains or ControllerGains()
         self.payload = payload
         self.avionics_power_w = avionics_power_w
@@ -268,8 +270,6 @@ class Simulator:
         keeps its bits.
         """
         packs = [b for b in self.batteries if b.is_propulsion]
-        if len({p.battery_id for p in packs}) < len(packs):
-            return i, state  # two packs adding to one Ah key
         dt, avionics_w = self.dt_s, self.avionics_power_w
         drains = [(p, power / max(1, len(packs))) for p in packs]
         electronics = next((b for b in self.batteries if not b.is_propulsion), None)

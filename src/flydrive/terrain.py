@@ -13,6 +13,9 @@ import math
 import textwrap
 from dataclasses import dataclass
 
+from . import fields
+from .fields import REQUIRED
+
 FREE = "free"
 OBSTACLE = "obstacle"
 NO_FLY = "no_fly"
@@ -82,72 +85,59 @@ class TerrainGrid:
         }
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: not a bool, and an int only within float range."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_cell(entry) -> bool:
-    return (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(type(v) is int for v in entry))
+# The schema of a terrain object (see fields.py).
+TERRAIN = {
+    "width": (int, REQUIRED),  # columns
+    "height": (int, REQUIRED),  # rows
+    "cell_size_m": (float, REQUIRED),
+    "elevation_m": ((float, list), 0.0),  # one for every cell, or row-major per cell
+    "obstacles": (list, []),  # [row, col] cells
+    "no_fly": (list, []),
+}
 
 
 def terrain_from_dict(data: dict, source: str = "<terrain>", keypath: str = "") -> TerrainGrid:
-    """Build a grid from the JSON form: dimensions, row-major elevations,
-    obstacle and no-fly cell lists. Errors name the source and the key,
-    with keypath in front of it (the terrain's place in a larger file)."""
+    """Build a grid from the JSON form. Errors name the source and the key
+    path, which starts at keypath (the terrain's place in a larger file)."""
 
-    def fail(key: str, message: str):
-        raise TerrainError(f"{source}: {keypath}{key}: {message}")
+    def fail(path: str, message: str):
+        raise TerrainError(f"{source}: {path}: {message}")
 
-    if not isinstance(data, dict):
-        raise TerrainError(f"{source}: {keypath.rstrip('.') or 'top level'}: expected an object")
+    spec = fields.read(data, TERRAIN, fail, keypath)
+    at = f"{keypath}." if keypath else ""
+    width, height, cell_size = spec["width"], spec["height"], spec["cell_size_m"]
     for key in ("width", "height", "cell_size_m"):
-        if key not in data:
-            fail(key, "missing required key")
-    width, height = data["width"], data["height"]
-    for key, value in (("width", width), ("height", height)):
-        if type(value) is not int or value < 1:
-            fail(key, f"expected an int >= 1, got {value!r}")
-    cell_size = data["cell_size_m"]
-    if not _is_number(cell_size) or cell_size <= 0:
-        fail("cell_size_m", f"expected a finite number > 0, got {cell_size!r}")
-    elev_flat = data.get("elevation_m", 0.0)
-    if not isinstance(elev_flat, (list, tuple)):
-        if not _is_number(elev_flat):
-            fail("elevation_m", f"expected a finite number or a list, got {elev_flat!r}")
+        if spec[key] <= 0:
+            fail(at + key, f"must be > 0, got {spec[key]!r}")
+    elev_flat = spec["elevation_m"]
+    if type(elev_flat) is float:
         elev_flat = [elev_flat] * (width * height)
     if len(elev_flat) != width * height:
-        fail("elevation_m", f"has {len(elev_flat)} entries, expected {width * height}")
+        fail(at + "elevation_m", f"has {len(elev_flat)} entries, expected {width * height}")
     try:  # one pass in C; the slow scan below only finds the culprit
         ok = {int, float}.issuperset(map(type, elev_flat)) and all(map(math.isfinite, elev_flat))
     except OverflowError:
         ok = False
     if not ok:
-        i, value = next((i, v) for i, v in enumerate(elev_flat) if not _is_number(v))
-        fail(f"elevation_m[{i}]", f"expected a finite number, got {value!r}")
+        for i, value in enumerate(elev_flat):
+            fields.check(value, float, fail, f"{at}elevation_m[{i}]")
     rows = tuple(
         tuple(map(float, elev_flat[r * width:(r + 1) * width])) for r in range(height)
     )
     classes = [[FREE] * width for _ in range(height)]
     for key, label in (("obstacles", OBSTACLE), ("no_fly", NO_FLY)):
-        entries = data.get(key, [])
-        if not isinstance(entries, (list, tuple)):
-            fail(key, f"expected a list of [row, col] cells, got {entries!r}")
-        for i, entry in enumerate(entries):
-            if not _is_cell(entry):
-                fail(f"{key}[{i}]", f"expected [row, col] ints, got {entry!r}")
-            r, c = entry
+        for i, cell in enumerate(spec[key]):
+            if not (type(cell) is list and len(cell) == 2
+                    and type(cell[0]) is type(cell[1]) is int):  # the common case, fast
+                fields.check(cell, [int, int], fail, f"{at}{key}[{i}]")  # names the fault
+            r, c = cell
             if not (0 <= r < height and 0 <= c < width):
-                fail(f"{key}[{i}]", f"cell ({r}, {c}) out of bounds")
+                fail(f"{at}{key}[{i}]", f"cell ({r}, {c}) out of bounds")
             classes[r][c] = label
     return TerrainGrid(
         width=width,
         height=height,
-        cell_size_m=float(cell_size),
+        cell_size_m=cell_size,
         elevation_m=rows,
         classes=tuple(tuple(row) for row in classes),
     )
@@ -162,8 +152,7 @@ def terrain_from_json(text: str, source: str = "<terrain>") -> TerrainGrid:
 
 
 def load_terrain_file(path) -> TerrainGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return terrain_from_json(fh.read(), source=str(path))
+    return terrain_from_dict(fields.load_json(path, str(path), TerrainError), str(path))
 
 
 def terrain_from_ascii(

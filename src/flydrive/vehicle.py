@@ -13,6 +13,8 @@ GRAVITY = 9.81  # m/s^2, used for all kgf <-> N conversions
 
 MASS_CATEGORIES = ("structure", "propulsion", "energy", "gam", "electronics", "payload")
 
+Vec3 = tuple[float, float, float]
+
 
 class RotorTableError(ValueError):
     """Malformed or non-physical rotor performance table."""
@@ -33,7 +35,7 @@ class VehicleParams:
     empty_mass: float = 2.7
     payload_mass: float = 1.3
     mtom: float = 4.0
-    body_dims: tuple[float, float, float] = (0.695, 0.6935, 0.302)  # L, W, H
+    body_dims: Vec3 = (0.695, 0.6935, 0.302)  # L, W, H
     # half-spacing between wheel contact lines, longitudinal / lateral
     wheel_contact_half_spacing_long: float = 0.270
     wheel_contact_half_spacing_lat: float = 0.270
@@ -43,7 +45,7 @@ class VehicleParams:
     wheel_ground_clearance: float = 0.050
     # rotor hub lever arms in body frame (x fwd, y left, z up from the wheel
     # contact plane); must be symmetric about both body axes
-    rotor_positions: tuple[tuple[float, float, float], ...] = (
+    rotor_positions: tuple[Vec3, Vec3, Vec3, Vec3] = (
         (0.248, 0.248, 0.1501),
         (0.248, -0.248, 0.1501),
         (-0.248, 0.248, 0.1501),
@@ -55,11 +57,11 @@ class VehicleParams:
     # skid-steer lateral Coulomb friction for the fixed wheels
     lateral_friction_coeff: float = 0.6
     # body inertia diagonal (kg m^2), box estimate from dims and empty mass
-    inertia: tuple[float, float, float] = (0.130, 0.132, 0.217)
+    inertia: Vec3 = (0.130, 0.132, 0.217)
 
     def __post_init__(self):
-        if self.empty_mass + 1e-12 < 0 or self.payload_mass < 0:
-            raise ValueError("masses must be non-negative")
+        if self.empty_mass <= 0 or self.payload_mass < 0:
+            raise ValueError("empty_mass must be > 0 and payload_mass >= 0")
         if self.empty_mass + self.payload_mass > self.mtom + 1e-9:
             raise ValueError(
                 f"empty_mass + payload_mass = {self.empty_mass + self.payload_mass} "

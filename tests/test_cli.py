@@ -1,12 +1,19 @@
 """Scenario files and the command-line front end."""
 
+import copy
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flydrive import cli
 from flydrive.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, bundled_scenarios, main
 from flydrive.scenario import ScenarioError, load_scenario
+from flydrive.terrain import TerrainError
+from flydrive.vehicle import RotorTableError
 
 BUNDLED = [
     "confined-space",
@@ -129,7 +136,7 @@ class TestScenarioLoading:
             bad = json.loads(json.dumps(MINI_PLAN))
             bad["planner"][key] = 2.0
             path = write_scenario(tmp_path, bad)
-            with pytest.raises(ScenarioError, match=rf"planner: .*{key}"):
+            with pytest.raises(ScenarioError, match=rf"scn\.json: planner\.{key}: unknown key"):
                 load_scenario(path)
             rc = main(["plan", path, "--out", str(tmp_path / "out")])
             assert rc == EXIT_INPUT
@@ -155,6 +162,13 @@ class TestScenarioLoading:
         ("script[0].yaw_rate_radps", True),
         ("script[0].target_yaw_deg", None),
         ("script[0].target_position_m[1]", [8.0, "2", 3.0]),
+        ("surface.rolling_resistence", 0.3),
+        ("surface.slope_deg", None),
+        ("initial.heding_deg", 90.0),
+        ("validation.min_distanse_m", 1.0),
+        ("vehicle_overrides.empty_mass", "1"),
+        ("rotor_table", ""),
+        ("seed", 1.5),
     ])
     def test_mistyped_value_names_file_and_key(self, tmp_path, capsys, keypath, value):
         bad = dict(MINI_DRIVE)
@@ -170,6 +184,10 @@ class TestScenarioLoading:
         assert rc == EXIT_INPUT
         assert f"scn.json: {keypath}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before the run
+
+    def test_null_seed_means_none(self, tmp_path):
+        scenario = load_scenario(write_scenario(tmp_path, {**MINI_DRIVE, "seed": None}))
+        assert scenario.seed is None
 
     def test_null_validation_threshold_means_unchecked(self, tmp_path):
         spec = dict(MINI_DRIVE)
@@ -212,6 +230,9 @@ class TestScenarioLoading:
         ("start_cell", [True, 0], "planner.start_cell[0]"),
         ("goal_cell", [0, "x"], "planner.goal_cell[1]"),
         ("goal_cell", [0, 4], "planner.goal_cell"),
+        ("drive_speed_mps", 1e308, "planner: drive_speed_mps must be <= 4.1"),
+        ("terrain", "", "planner.terrain: file not found"),
+        ("terrain", "missing.json", "planner.terrain: file not found"),
     ])
     def test_mistyped_planner_value_names_file_and_key(self, tmp_path, capsys,
                                                        key, value, keypath):
@@ -258,6 +279,7 @@ class TestScenarioLoading:
         ("obstacles", [[0, 1], [0, 1.0]], "obstacles[1]"),
         ("no_fly", [[True, 1]], "no_fly[0]"),
         ("no_fly", "all", "no_fly"),
+        ("elevation", 3.0, "elevation: unknown key"),
     ])
     def test_mistyped_terrain_value_names_file_and_key(self, tmp_path, capsys,
                                                        key, value, keypath):
@@ -290,6 +312,18 @@ class TestScenarioLoading:
          "batteries[0].capacity_ah"),
         ("batteries", [{"battery_id": "prop_a", "capacity_ah": 5.0}],
          "batteries[0].cells_series: missing required key"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                        "capacity_wh": 74.0}], "batteries[0].capacity_wh: unknown key"),
+        ("batteries", [{"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0}] * 2,
+         "batteries[1].battery_id: duplicate 'prop_a'"),
+        ("power_model", {"ground_calibration": {"nan": [[1.0, 29.8], [4.1, 171.4]],
+                                                "0.0": [[1.0, 29.8], [4.1, 171.4]]}},
+         "power_model.ground_calibration.nan: payload keys must be finite numbers"),
+        ("power_model", {"flight_power_w": {"0": 800.0, "inf": 900.0}},
+         "power_model.flight_power_w.inf: payload keys must be finite numbers"),
+        ("power_model", {"flight_power_w": {"0": 800.0, "0.0": 900.0}},
+         "power_model.flight_power_w.0.0: payload 0.0 kg given twice"),
+        ("power_model", {"hover_powr_w": 500.0}, "power_model.hover_powr_w: unknown key"),
     ])
     def test_bad_calibration_or_battery_value_names_file_and_key(self, tmp_path, capsys,
                                                                  block, value, keypath):
@@ -307,6 +341,20 @@ class TestScenarioLoading:
             load_scenario(path)
         assert main([command, path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
         assert "scn.json: payload_kg: no ground calibration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value, keypath", [
+        ("vehicle_overrides", {"empty_mass": 0}, "vehicle_overrides: empty_mass must be > 0"),
+        ("duration_s", 1e308, "duration_s: 1e+308 s is too many steps"),
+        ("power_model", {"ground_calibration": {"0.0": [[1e308, 1.0], [2.0, 3.0]]}},
+         "power_model.ground_calibration.0.0: calibration overflows"),
+    ])
+    def test_former_tracebacks_exit_2(self, tmp_path, capsys, block, value, keypath):
+        # each would divide by zero or overflow in the run
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {**MINI_DRIVE, block: value})
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
+        assert f"scn.json: {keypath}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {**MINI_DRIVE, "payload_kg": 10**400})
@@ -540,6 +588,18 @@ class TestCalibrateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["c1_w_per_mps"] == pytest.approx(29.04, abs=0.01)
 
+    @pytest.mark.parametrize("points, message", [
+        ([["1.0", 29.8], [4.1, 171.4]], "points.json: [0][0]: expected float"),
+        ([[1.0, 29.8], [4.1, True]], "points.json: [1][1]: expected float"),
+        ([[1.0, 29.8], [4.1]], "points.json: top level: expected a list of [speed_mps"),
+        ([[1e308, 1.0], [2.0, 3.0]], "calibration overflows"),
+    ])
+    def test_bad_points_file(self, tmp_path, capsys, points, message):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points), encoding="utf-8")
+        assert main(["calibrate", "--points-file", str(path)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     def test_no_points_is_an_error(self, capsys):
         rc = main(["calibrate"])
         assert rc == EXIT_INPUT
@@ -575,3 +635,102 @@ def test_resolve_prefers_existing_file(tmp_path):
     assert cli._resolve_scenario(path) == path
     resolved = cli._resolve_scenario("confined-space")
     assert resolved != path and resolved.endswith("confined-space.json")
+
+
+# Two scenarios that use every block, for the fuzz test below.
+FUZZ_DRIVE = {
+    "name": "fuzz-drive",
+    "description": "every drive block",
+    "payload_kg": 0.0,
+    "vehicle_overrides": {"empty_mass": 2.7, "rotor_positions": [
+        [0.248, 0.248, 0.1501], [0.248, -0.248, 0.1501],
+        [-0.248, 0.248, 0.1501], [-0.248, -0.248, 0.1501]]},
+    "batteries": [
+        {"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0, "soc": 1.0},
+        {"battery_id": "electronics", "cells_series": 2, "capacity_ah": 3.2,
+         "usable_fraction": 0.8},
+    ],
+    "avionics_power_w": 5.0,
+    "power_model": {"ground_calibration": {"0.0": [[1.0, 29.8], [4.1, 171.4]]},
+                    "flight_power_w": {"0.0": 858.24}, "hover_power_w": 571.2,
+                    "wall_wake_factor": 1.8},
+    "surface": {"kind": "flat", "rolling_resistance": 0.05},
+    "initial": {"mode": "ground", "position_m": [0.0, 0.0], "heading_deg": 0.0},
+    "script": [
+        {"t_s": 0.0, "mode": "ground", "speed_mps": 1.0, "yaw_rate_radps": 0.0},
+        {"t_s": 0.2, "transition_to": "flight", "mode": "flight",
+         "target_position_m": [0.0, 0.0, 1.0]},
+    ],
+    "duration_s": 0.5,
+    "validation": {"min_distance_m": 0.1, "forbid_faults": False},
+    "seed": 1,
+}
+FUZZ_PLAN = {
+    "name": "fuzz-plan",
+    "planner": {
+        "terrain": {"width": 4, "height": 2, "cell_size_m": 2.0,
+                    "elevation_m": [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0],
+                    "obstacles": [[0, 2]], "no_fly": [[1, 0]]},
+        "start_cell": [0, 0],
+        "goal_cell": [0, 3],
+        "drive_speed_mps": 1.0,
+        "transition_time_s": 4.0,
+    },
+    "validation": {"expect_fly_legs": 1, "max_leg_deviation_frac": 0.15},
+}
+FUZZ_VALUES = ["x", math.nan, True, None, [], {}, 10**400, 1e308, 0, -1, "flight"]
+# keys to add: a typo, payload keys, and keys that belong to another block
+# or that the bases leave out
+FUZZ_KEYS = ["x", "0", "2.0", "mode", "tilt_deg", "slope_deg", "kind", "soc", "terrain",
+             "com_height", "target_yaw_deg", "expect_wall_tilt_deg", "seed", "planner"]
+
+
+def _places(node, path=()):
+    """(path, key) for every value in a JSON tree, and (path, None) for
+    every object, where a key can be added."""
+    if isinstance(node, dict):
+        yield path, None
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    """One base scenario with one value changed or one key added."""
+    base = draw(st.sampled_from([FUZZ_DRIVE, FUZZ_PLAN]))
+    spec = copy.deepcopy(base)
+    path, key = draw(st.sampled_from(list(_places(spec))))
+    node = spec
+    for step in path:
+        node = node[step]
+    if key is None:
+        key = draw(st.sampled_from(FUZZ_KEYS))
+    node[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return base is FUZZ_PLAN, spec
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_mutated())
+def test_malformed_scenario_exits_cleanly(case):
+    """A mutated scenario loads or fails naming scn.json, and main returns
+    0, 1 or 2 without raising."""
+    planning, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        try:
+            load_scenario(path)
+        except (ScenarioError, TerrainError, RotorTableError) as exc:
+            assert str(exc).startswith("scn.json: "), str(exc)
+        if planning:
+            command = ["plan", path, "--validate"]
+        else:
+            command = ["simulate", path, "--dt-s", "0.01"]
+        assert main([*command, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)

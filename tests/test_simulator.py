@@ -57,7 +57,7 @@ def _assert_same(fast, slow, what="outputs"):
 def _batteries(rng):
     """Packs from under a second to a minute of driving above their floors,
     or full; sometimes one propulsion pack, no electronics pack or two packs
-    on one id."""
+    on one id, which a Simulator refuses."""
     def pack(bid, cells, capacity):
         soc = rng.choice([1.0, FLOOR + 10 ** rng.uniform(-4.7, -2.7)])
         return Battery(bid, cells, capacity, soc=soc, usable_fraction=USABLE_FRACTION)
@@ -118,6 +118,10 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         batteries = _batteries(rng)
         kw = {"dt_s": dt, "trace_decimation": rng.choice([1, 7, 10]),
               "avionics_power_w": rng.choice([5.0, 5.0, 0.0])}
+        if len({b.battery_id for b in batteries}) < len(batteries):  # the same_id layout
+            with pytest.raises(ValueError, match="battery ids must be unique"):
+                Simulator(params, rotor, power_model, batteries=batteries, **kw)
+            continue
         fast, slow = _both_ways(lambda: _simulate(params, rotor, power_model, batteries,
                                                   state, surface, script, duration, **kw))
         _assert_same(fast[1], slow[1], f"case {case}")
