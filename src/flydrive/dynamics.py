@@ -20,14 +20,10 @@ vertical component carries the weight.
 A ground, incline or wall step reads the position only to integrate it and
 never reads the time. So once such a step returns every other field bit for
 bit unchanged (`is_steady`), each further step with the same setpoint and
-surface does too, and `coast` gives its result exactly: the time and the
-position advance by the mode's own formula. Flight (its controller reads the
-position) and transitions (their schedule reads the time) never coast.
-`Simulator.run` repeats that formula over plain floats for whole stretches
-and leaves to `coast` only the steps its float loop declines, such as one
-that trips a pack or overflows the position; a 575k-step full-pack drive
-takes 0.7 s that way, against 7.4 s with a `coast` per step (x86_64,
-Python 3.11).
+surface does too: only the time and the position advance. `Simulator.run`
+takes such stretches over plain floats and every other step through `step`;
+flight (its controller reads the position) and transitions (their schedule
+reads the time) are never steady.
 """
 
 from __future__ import annotations
@@ -355,27 +351,6 @@ def _along_track(velocity, surface: SurfaceModel, yaw: float) -> float:
     return velocity[0] * math.cos(yaw) + velocity[1] * math.sin(yaw)
 
 
-def flight_position_control(
-    params: VehicleParams,
-    rotor: RotorModel,
-    state: SimState,
-    target_position: tuple[float, float, float],
-    gains: ControllerGains | None = None,
-    payload: float = 0.0,
-) -> tuple[tuple[float, float, float, float], list[float], float]:
-    """Position-hold commands from the cascaded proportional loops, with the
-    commanded acceleration vector and its norm that the thrust follows.
-
-    Point-mass abstraction: the attitude loop is assumed fast enough that
-    the thrust vector tracks the commanded acceleration direction within a
-    step. Hover at the target is a fixed point of the loop.
-    """
-    c, acc, mag, _ = _flight_control(
-        params, rotor, state, target_position, gains or ControllerGains(), payload
-    )
-    return (c, c, c, c), acc, mag
-
-
 def _flight_control(
     params: VehicleParams,
     rotor: RotorModel,
@@ -384,8 +359,14 @@ def _flight_control(
     gains: ControllerGains,
     payload: float,
 ) -> tuple[float, list[float], float, float]:
-    """flight_position_control's per-rotor command, acceleration vector and
-    its norm, plus the total mass the command was sized for."""
+    """Position-hold command from the cascaded proportional loops: the
+    per-rotor command, the commanded acceleration vector and its norm, and
+    the total mass the command was sized for.
+
+    Point-mass abstraction: the attitude loop is assumed fast enough that
+    the thrust vector tracks the commanded acceleration direction within a
+    step. Hover at the target is a fixed point of the loop.
+    """
     tx, ty, tz = target_position
     radius = math.sqrt(tx * tx + ty * ty)
     if radius > gains.geofence_radius_m:
@@ -503,11 +484,6 @@ def begin_transition(state: SimState) -> SimState:
     return replace(state, mode=Mode.TRANSITION)
 
 
-def replace_velocity(state: SimState, velocity: tuple[float, float, float]) -> SimState:
-    """Copy of a state with the velocity overridden (setup helper)."""
-    return replace(state, velocity=tuple(velocity))
-
-
 def _height_above_surface(
     state: SimState, surface: SurfaceModel | None, params: VehicleParams
 ) -> float:
@@ -590,23 +566,9 @@ def _motion_bits(s: SimState) -> bytes:
 def is_steady(before: SimState, after: SimState) -> bool:
     """True when `after = step(before, ...)` is a ground, incline or wall step
     that changed nothing but the time and the position, bit for bit; until
-    the setpoint or the surface changes, each further step is `coast`."""
+    the setpoint or the surface changes, each further `step` is steady too."""
     return (after.mode in (Mode.GROUND, Mode.INCLINE, Mode.WALL) and after.mode is before.mode
             and after.contact == before.contact and _motion_bits(after) == _motion_bits(before))
-
-
-def coast(state: SimState, dt_s: float) -> SimState:
-    """`step` from a steady state (see `is_steady`): only the time and the
-    position advance, by the mode's own formula, with the same finiteness check."""
-    (px, py, pz), (vx, vy, vz) = state.position, state.velocity
-    if state.mode is Mode.WALL:
-        position = (px, py, pz + vz * dt_s)
-    else:
-        position = (px + vx * dt_s, py + vy * dt_s, pz + vz * dt_s)
-    _check_finite(position, state)
-    return SimState(state.time_s + dt_s, position, state.velocity, state.quaternion,
-                    state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg,
-                    state.rotor_commands, state.mode, state.contact)
 
 
 def _step_ground(

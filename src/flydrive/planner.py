@@ -560,9 +560,9 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
         steps = 0
         steady = False
         while covered < terrain.cell_size_m:
-            if steady:
-                state = dynamics.coast(state, dt_s)
-            else:
+            # a steady step only moves time and position on, which this loop
+            # keeps as `covered`: v and power stay, and no state is built
+            if not steady:
                 previous = state
                 state = dynamics.step(
                     state, setpoint, surface, dt_s, params=params, rotor=rotor,

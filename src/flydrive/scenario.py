@@ -22,7 +22,7 @@ from .defaults import (
     default_power_model,
     default_rotor,
 )
-from .dynamics import ControlSetpoint, Mode, SurfaceModel
+from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS, ControlSetpoint, Mode, SurfaceModel
 from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
 from .fields import REQUIRED
 from .planner import PlannerConfig
@@ -160,8 +160,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     if top["rotor_table"] == "default":
         rotor = default_rotor()
     else:
-        rotor = load_rotor_table_file(
-            _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
+        rotor = fields.call(load_rotor_table_file, fail, "rotor_table",
+                            _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
     model = _load_power_model(block("power_model", POWER_MODEL), params, rotor, fail)
     # a payload the ground calibration lacks fails here, not mid-run
     fields.call(model.ground_power, fail, "payload_kg", 0.0, top["payload_kg"])
@@ -242,8 +242,14 @@ def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
         fail("power_model.wall_wake_factor", "must be > 0")
 
     def fitted(points, kp):
-        return fields.call(calibrate_ground_power, fail, kp,
-                           read_calibration_points(points, fail, kp))
+        c1, c3 = fields.call(calibrate_ground_power, fail, kp,
+                             read_calibration_points(points, fail, kp))
+        # every planned move must cost energy: P(v) = v (c1 + c3 v^2) > 0 on
+        # (0, v_max] holds exactly when c1 + c3 v^2 is > 0 at both ends
+        if c1 < 0.0 or c1 + c3 * DEFAULT_SPEED_ENVELOPE_MPS ** 2 <= 0.0:
+            fail(kp, f"fit P(v) = {c1!r} v + {c3!r} v^3 is not > 0 at every speed "
+                     f"in (0, {DEFAULT_SPEED_ENVELOPE_MPS}] m/s")
+        return c1, c3
 
     def watts(value, kp):
         value = fields.check(value, float, fail, kp)
@@ -338,10 +344,10 @@ def run_scenario(scenario: Scenario, dt_s: float = 0.001,
                  trace_decimation: int = 10) -> SimResult:
     if scenario.is_planning:
         raise ScenarioError(f"{scenario.source}: planning scenario has no script to run")
+    sim = build_simulator(scenario, dt_s=dt_s, trace_decimation=trace_decimation)
     if math.isinf(scenario.duration_s / dt_s):
         raise ScenarioError(f"{scenario.source}: duration_s: {scenario.duration_s} s "
                             f"is too many steps of {dt_s} s to count")
-    sim = build_simulator(scenario, dt_s=dt_s, trace_decimation=trace_decimation)
     state = initial_state_for(scenario)
     return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)
 

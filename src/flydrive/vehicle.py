@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -115,6 +116,8 @@ class RotorModel:
         n = len(self.commands)
         if n < 2 or len(self.thrusts) != n or len(self.powers) != n:
             raise RotorTableError("need at least two aligned (command, thrust, power) samples")
+        if not all(map(math.isfinite, (*self.commands, *self.thrusts, *self.powers))):
+            raise RotorTableError("table values must be finite")
         if abs(self.commands[0]) > 1e-12 or abs(self.commands[-1] - 1.0) > 1e-12:
             raise RotorTableError("command samples must span [0, 1]")
         if abs(self.thrusts[0]) > 1e-12:
@@ -208,6 +211,8 @@ def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:
             c, t, p = (float(x) for x in parts)
         except ValueError as exc:
             raise RotorTableError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, (c, t, p))):
+            raise RotorTableError(f"line {lineno}: non-finite value in {line!r}")
         if not 0.0 <= c <= 1.0:
             raise RotorTableError(f"line {lineno}: command {c} outside [0, 1]")
         if commands and (c <= commands[-1] or t <= thrusts[-1] or p <= powers[-1]):
@@ -225,11 +230,13 @@ def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:
 
 
 def load_rotor_table_file(path, name: str | None = None) -> RotorModel:
+    """load_rotor_table on the file at path; errors are prefixed with path."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
-    return load_rotor_table(text, name=name or os.path.splitext(os.path.basename(path))[0])
+    try:
+        return load_rotor_table(text, name=name or os.path.splitext(os.path.basename(path))[0])
+    except RotorTableError as exc:
+        raise RotorTableError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

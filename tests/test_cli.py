@@ -324,6 +324,12 @@ class TestScenarioLoading:
         ("power_model", {"flight_power_w": {"0": 800.0, "0.0": 900.0}},
          "power_model.flight_power_w.0.0: payload 0.0 kg given twice"),
         ("power_model", {"hover_powr_w": 500.0}, "power_model.hover_powr_w: unknown key"),
+        # c1 = -20, c3 = 30: negative power below 0.82 m/s
+        ("power_model", {"ground_calibration": {"0.0": [[1.0, 10.0], [2.0, 200.0]]}},
+         "power_model.ground_calibration.0.0: fit P(v) = -20.0 v + 30.0 v^3 is not > 0"),
+        # c1 = 60, c3 = -4: negative power above 3.87 m/s
+        ("power_model", {"ground_calibration": {"0.0": [[1.0, 56.0], [2.0, 88.0]]}},
+         "power_model.ground_calibration.0.0: fit P(v)"),
     ])
     def test_bad_calibration_or_battery_value_names_file_and_key(self, tmp_path, capsys,
                                                                  block, value, keypath):
@@ -354,6 +360,34 @@ class TestScenarioLoading:
         path = write_scenario(tmp_path, {**MINI_DRIVE, block: value})
         assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
         assert f"scn.json: {keypath}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_ground_power_cannot_plan(self, tmp_path, capsys):
+        # at 0.5 m/s this fit draws -8.75 W: drive legs would cost less than 0 Wh
+        spec = {**MINI_PLAN, "power_model": {"ground_calibration": {
+            "0.0": [[1.0, 10.0], [2.0, 200.0]]}}}
+        spec["planner"] = {**MINI_PLAN["planner"], "drive_speed_mps": 0.5}
+        out = tmp_path / "out"
+        assert main(["plan", write_scenario(tmp_path, spec), "--out", str(out)]) == EXIT_INPUT
+        assert "scn.json: power_model.ground_calibration.0.0: fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, line", [
+        ("0.5,x,2\n1.0,18.08,300", 4),
+        ("0.5,nan,200\n1.0,18.08,300", 4),
+        ("0.5,9.0,inf\n1.0,18.08,300", 4),
+        ("0.5,9.0,200\n1.0,inf,300", 5),
+    ])
+    def test_bad_rotor_table_names_file_key_and_line(self, tmp_path, capsys, rows, line):
+        (tmp_path / "bad.csv").write_text(
+            "command,thrust_n,power_w\n# bench\n0,0,0\n" + rows + "\n", encoding="utf-8")
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "rotor_table": "bad.csv"})
+        with pytest.raises(ScenarioError, match="^scn.json: rotor_table: "):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "scn.json: rotor_table: " in err and f"bad.csv: line {line}: " in err
         assert not out.exists()
 
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
@@ -435,12 +469,12 @@ class TestSimulateCommand:
         assert "[FAIL] no_faults" in capsys.readouterr().out
 
     def test_non_finite_output_is_not_written(self, tmp_path, capsys):
-        # a finite fit whose power overflows to infinity near 2 m/s, on packs
-        # large enough to still be drawing when it does
+        # a finite fit (c1 = 0, c3 = 1e307) whose power overflows to infinity
+        # near 2.6 m/s, on packs large enough to still be drawing when it does
         spec = {
             **MINI_DRIVE, "duration_s": 5.0, "validation": {"forbid_faults": False},
             "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 4.0}],
-            "power_model": {"ground_calibration": {"0.0": [[0.01, 0.0], [0.02, 1e302]]}},
+            "power_model": {"ground_calibration": {"0.0": [[0.01, 1e301], [0.02, 8e301]]}},
             "batteries": [{"battery_id": pid, "cells_series": 4, "capacity_ah": 1e303}
                           for pid in ("prop_a", "prop_b")],
         }
@@ -451,6 +485,15 @@ class TestSimulateCommand:
             in capsys.readouterr().err
         assert not (out / "ledger.json").exists()
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("dt_s", ["0", "-0.001", "nan", "0.5"])
+    def test_dt_outside_the_step_range_exits_2(self, tmp_path, capsys, dt_s):
+        out = tmp_path / "out"
+        rc = main(["simulate", write_scenario(tmp_path, MINI_DRIVE), "--dt-s", dt_s,
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert "error: dt_s " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_DRIVE)

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 from dataclasses import replace
@@ -6,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flydrive import cli, dynamics
+from flydrive import dynamics
 from flydrive.dynamics import (
     ControlSetpoint,
     ControllerGains,
@@ -89,7 +88,7 @@ class TestGroundBasics:
         # so only rolling resistance acts on the initial momentum
         gains = ControllerGains(kp_speed=0.0, kp_yaw_rate=0.0)
         s = initial_ground_state(params)
-        s = dynamics.replace_velocity(s, (1.2, 0.0, 0.0))
+        s = replace(s, velocity=(1.2, 0.0, 0.0))
         sp = ControlSetpoint(mode=Mode.GROUND)
         ke_prev = 0.5 * params.total_mass() * s.speed ** 2
         for _ in range(5000):
@@ -102,7 +101,7 @@ class TestGroundBasics:
 
     def test_braking_stops_without_reversing(self, params, rotor):
         s = initial_ground_state(params)
-        s = dynamics.replace_velocity(s, (1.0, 0.0, 0.0))
+        s = replace(s, velocity=(1.0, 0.0, 0.0))
         sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=0.0)
         for _ in range(5000):
             s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
@@ -151,7 +150,7 @@ class TestLongitudinalAllocation:
 
     def test_decelerate_uses_front_pair(self, params, rotor):
         s = initial_ground_state(params)
-        s = dynamics.replace_velocity(s, (2.0, 0.0, 0.0))
+        s = replace(s, velocity=(2.0, 0.0, 0.0))
         cmds = ground_longitudinal_control(params, rotor, s, 0.0)
         fl, fr, rl, rr = cmds
         assert fl > rl and fr > rr
@@ -159,7 +158,7 @@ class TestLongitudinalAllocation:
 
     def test_on_target_commands_at_rolling_trim(self, params, rotor):
         s = initial_ground_state(params)
-        s = dynamics.replace_velocity(s, (1.0, 0.0, 0.0))
+        s = replace(s, velocity=(1.0, 0.0, 0.0))
         cmds = ground_longitudinal_control(params, rotor, s, 1.0)
         total = sum(rotor.thrust_at(c) for c in cmds)
         trim = params.rolling_resistance_coeff * params.total_mass() * params.gravity
@@ -270,7 +269,7 @@ class TestFlight:
 
     def test_commanded_thrust_bounded(self, params, rotor):
         s = initial_flight_state((0.0, 0.0, 1.0))
-        s = dynamics.replace_velocity(s, (0.0, 0.0, -3.0))
+        s = replace(s, velocity=(0.0, 0.0, -3.0))
         sp = ControlSetpoint(mode=Mode.FLIGHT, target_position=(0.0, 0.0, 50.0))
         for _ in range(500):
             s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
@@ -326,7 +325,7 @@ class TestTransitions:
 
     def test_moving_transition_rejected(self, params):
         s = initial_ground_state(params)
-        s = dynamics.replace_velocity(s, (1.0, 0.0, 0.0))
+        s = replace(s, velocity=(1.0, 0.0, 0.0))
         with pytest.raises(TransitionEnvelopeError):
             mode_transition(s, Mode.FLIGHT, params=params)
 
@@ -356,7 +355,7 @@ def test_ground_speed_always_converges(v_target, seed_v):
 
     params, rotor = default_params(), default_rotor()
     s = initial_ground_state(params)
-    s = dynamics.replace_velocity(s, (seed_v, 0.0, 0.0))
+    s = replace(s, velocity=(seed_v, 0.0, 0.0))
     sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=v_target)
     for _ in range(8000):
         s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
@@ -399,8 +398,9 @@ def _count_steps(monkeypatch) -> list:
     return calls
 
 
-class TestSteadyCoast:
-    def test_coast_matches_step_once_steady(self, params, rotor):
+class TestSteadySteps:
+    def test_steadiness_persists(self, params, rotor):
+        """Once a step is steady, the next 25 steps from it are steady too."""
         rng = random.Random(20261018)
         steady_kinds = []
         for _ in range(40):
@@ -413,11 +413,10 @@ class TestSteadyCoast:
             if not steady:
                 continue
             steady_kinds.append((surface.kind, sp.speed_mps != 0.0))
-            coasted = s
             for _ in range(25):
-                s = step(s, sp, surface, dt, params, rotor, None, payload)
-                coasted = dynamics.coast(coasted, dt)
-                assert repr(coasted) == repr(s)
+                new = step(s, sp, surface, dt, params, rotor, None, payload)
+                assert dynamics.is_steady(s, new)
+                s = new
         # every surface reached a steady state both parked and moving
         assert {(k, m) for k in ("flat", "incline", "wall") for m in (False, True)} \
             <= set(steady_kinds)
@@ -434,15 +433,13 @@ class TestSteadyCoast:
         assert not dynamics.is_steady(s, replace(s, time_s=0.001, contact=(True,) * 4))
         assert not dynamics.is_steady(replace(s, mode=Mode.TRANSITION), replace(s, time_s=0.001))
 
-    def test_coast_keeps_the_finiteness_check(self, params, rotor):
+    def test_finiteness_fault_carries_the_last_state(self, params, rotor):
         s = initial_ground_state(params)
         s = replace(s, position=(1.79e308, 0.0, s.position[2]), velocity=(1e308, 0.0, 0.0))
         sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0)
-        for advance in (lambda: dynamics.coast(s, 0.02),
-                        lambda: step(s, sp, FLAT, 0.02, params=params, rotor=rotor)):
-            with pytest.raises(SimulationFault, match="non-finite value in integration") as err:
-                advance()
-            assert err.value.last_state is s
+        with pytest.raises(SimulationFault, match="non-finite value in integration") as err:
+            step(s, sp, FLAT, 0.02, params=params, rotor=rotor)
+        assert err.value.last_state is s
 
     def test_hovering_flight_never_coasts(self, params, rotor, power_model, monkeypatch):
         target = (0.0, 0.0, 2.0)
@@ -462,15 +459,3 @@ class TestSteadyCoast:
         result = sim.run(s, FLAT, [ScriptEvent(0.0, setpoint=sp)], 0.5)
         assert len(calls) == 500
         assert result.final_state.position == target
-
-    def test_rocky_soil_coasts_with_same_bytes(self, tmp_path, monkeypatch):
-        from test_acceptance import GOLDEN_SHA256
-
-        calls = _count_steps(monkeypatch)
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "rocky-soil", "--out", str(out)]) == cli.EXIT_OK
-        n_steps = 30000  # 30 s at the default dt of 1 ms
-        assert 0 < len(calls) < n_steps / 2
-        for fname in ("trace.csv", "ledger.json", "result.json"):
-            digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
-            assert digest == GOLDEN_SHA256[("rocky-soil", fname)], fname

@@ -1,8 +1,9 @@
 """`Simulator.run` takes steady stretches over plain floats; with that fast
-path switched off, every step goes through `dynamics.coast`, `drain` and
+path switched off, every step is a full `dynamics.step`, `drain` and
 `EnergyLedger.record`. Both must give the same bytes."""
 
 import hashlib
+import math
 import os
 import random
 import sys
@@ -74,29 +75,38 @@ def _batteries(rng):
 
 
 def _random_case(rng, params):
+    """A ground, incline or wall start, its surface, script, duration, dt and
+    payload."""
     kind = rng.choice(["flat", "incline", "wall"])
-    slope = rng.uniform(5.0, 25.0) if kind == "incline" else 0.0
-    surface = SurfaceModel(kind=kind, slope_deg=slope)
+    payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
+    dt = rng.choice([0.001, 0.002, 0.005, dynamics.DT_MAX_S,
+                     rng.uniform(0.001, dynamics.DT_MAX_S)])
     if kind == "wall":
+        surface = SurfaceModel(kind="wall")
         state = initial_wall_state(params, height_m=rng.uniform(0.0, 5.0))
         state = replace(state, position=(-0.0, rng.choice([0.0, -0.0]), state.position[2]))
         speeds = [0.0, 0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.5)]
     else:
+        surface = SurfaceModel(
+            kind=kind,
+            slope_deg=rng.uniform(5.0, 25.0) if kind == "incline" else 0.0,
+            rolling_resistance=rng.choice([None, rng.uniform(0.01, 0.2)]),
+            lateral_friction=rng.choice([None, rng.uniform(0.2, 0.9)]),
+        )
         state = initial_ground_state(params, surface, heading_deg=rng.uniform(-180.0, 180.0),
                                      position_xy=(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
         speeds = [0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)]
-    dt = rng.choice([0.001, 0.002, 0.005, 0.02])
     duration = rng.uniform(2.0, 12.0) if dt < 0.005 else rng.uniform(10.0, 60.0)
     script, t = [], 0.0
     while t < duration:
-        # a turn changes the heading every step, so it never coasts
+        # a turn changes the heading every step, so it is never steady
         yaw = rng.choice([0.0, 0.0, 0.0, rng.uniform(-0.5, 0.5)]) if kind == "flat" else 0.0
         setpoint = ControlSetpoint(mode=state.mode, speed_mps=rng.choice(speeds),
                                    yaw_rate_radps=yaw)
         script.append(ScriptEvent(t, setpoint=setpoint))
         # some events land on a step, some between two
         t += rng.choice([rng.uniform(0.5, duration / 2), round(rng.uniform(0.5, 4.0), 1)])
-    return state, surface, script, duration, dt
+    return state, surface, script, duration, dt, payload
 
 
 def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
@@ -113,16 +123,18 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         return k, after
 
     monkeypatch.setattr(Simulator, "_coast_stretch", watched)
-    for case in range(40):
-        state, surface, script, duration, dt = _random_case(rng, params)
+    for case in range(80):  # enough for a pack to trip inside a stretch in every mode
+        state, surface, script, duration, dt, payload = _random_case(rng, params)
+        # the unloaded ground calibration, booked under this payload
+        model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]})
         batteries = _batteries(rng)
-        kw = {"dt_s": dt, "trace_decimation": rng.choice([1, 7, 10]),
+        kw = {"dt_s": dt, "payload": payload, "trace_decimation": rng.choice([1, 7, 10]),
               "avionics_power_w": rng.choice([5.0, 5.0, 0.0])}
         if len({b.battery_id for b in batteries}) < len(batteries):  # the same_id layout
             with pytest.raises(ValueError, match="battery ids must be unique"):
-                Simulator(params, rotor, power_model, batteries=batteries, **kw)
+                Simulator(params, rotor, model, batteries=batteries, **kw)
             continue
-        fast, slow = _both_ways(lambda: _simulate(params, rotor, power_model, batteries,
+        fast, slow = _both_ways(lambda: _simulate(params, rotor, model, batteries,
                                                   state, surface, script, duration, **kw))
         _assert_same(fast[1], slow[1], f"case {case}")
     assert {(m, why) for m in (Mode.GROUND, Mode.INCLINE, Mode.WALL)
@@ -160,11 +172,18 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
 
 @pytest.mark.parametrize("wall", [False, True])
 def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
-    """No controller holds a speed that overflows a position, so here every
-    step is a `coast`: the fast path stops short of the overflow, and the
+    """No controller holds a speed that overflows a position, so a step that
+    only moves the vehicle, with `step`'s finiteness check, stands in for
+    `dynamics.step`: the fast path stops short of the overflow, and the
     per-step path raises the finiteness fault with the last finite state."""
-    monkeypatch.setattr(dynamics, "step", lambda state, sp, surface, dt, *rest:
-                        dynamics.coast(state, dt))
+    def drift(state, setpoint, surface, dt, *rest):
+        (x, y, z), (vx, vy, vz) = state.position, state.velocity
+        position = (x, y, z + vz * dt) if wall else (x + vx * dt, y + vy * dt, z + vz * dt)
+        if not all(map(math.isfinite, position)):
+            raise dynamics.SimulationFault("non-finite value in integration step", state)
+        return replace(state, time_s=state.time_s + dt, position=position)
+
+    monkeypatch.setattr(dynamics, "step", drift)
     near_max = sys.float_info.max - 3e299  # 300 steps of 1e297 m from overflow
     if wall:
         start = replace(initial_wall_state(params), position=(-0.0, -0.0, near_max),
@@ -186,25 +205,24 @@ def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypa
 
 
 def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
+    """rocky-soil gives its golden bytes both ways; only the per-step path
+    takes a full `dynamics.step` for every step."""
     from test_acceptance import GOLDEN_SHA256
 
-    calls = {}
-    for name in ("step", "coast"):
-        real = getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name, lambda *a, _n=name, _f=real, **k:
-                            calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k))
+    calls, real_step = [], dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
 
     def run():
-        calls.update(step=0, coast=0)
+        calls.clear()
         out = tmp_path / f"out-{len(list(tmp_path.iterdir()))}"
         assert cli.main(["simulate", "rocky-soil", "--out", str(out)]) == cli.EXIT_OK
-        return dict(calls), {f: (out / f).read_bytes() for f in
-                             ("trace.csv", "ledger.json", "result.json")}
+        return len(calls), {f: (out / f).read_bytes() for f in
+                            ("trace.csv", "ledger.json", "result.json")}
 
-    (fast_calls, fast_files), (slow_calls, slow_files) = _both_ways(run)
+    (fast_steps, fast_files), (slow_steps, slow_files) = _both_ways(run)
     assert fast_files == slow_files
     for fname, data in fast_files.items():
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
-    assert fast_calls["step"] == slow_calls["step"] > 0
-    assert fast_calls["coast"] <= 5
-    assert slow_calls["coast"] > 10_000
+    n_steps = 30_000  # 30 s at the default dt of 1 ms
+    assert slow_steps == n_steps
+    assert 0 < fast_steps < n_steps / 5  # 4361: until the drive settles

@@ -11,12 +11,14 @@ import flydrive
 from flydrive import vehicle
 from flydrive.vehicle import (
     MassComponent,
+    RotorModel,
     RotorTableError,
     ThrustSaturationError,
     VehicleParams,
     design_metrics,
     load_mass_budget,
     load_rotor_table,
+    load_rotor_table_file,
     servo_torque_check,
 )
 
@@ -94,6 +96,23 @@ class TestRotorTable:
         with pytest.raises(RotorTableError) as err:
             load_rotor_table(text)
         assert "line 4" in str(err.value)
+
+    @pytest.mark.parametrize("row", ["0.5,nan,100", "0.5,9,inf", "nan,9,100"])
+    def test_non_finite_cell_rejected(self, row):
+        text = f"command,thrust_n,power_w\n0,0,0\n{row}\n1.0,18,350\n"
+        with pytest.raises(RotorTableError, match="line 3: non-finite value"):
+            load_rotor_table(text)
+
+    def test_model_rejects_non_finite_samples(self):
+        with pytest.raises(RotorTableError, match="finite"):
+            RotorModel((0.0, 1.0), (0.0, math.nan), (0.0, 100.0))
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "weak.csv"
+        path.write_text("command,thrust_n,power_w\n0,0,0\n", encoding="utf-8")
+        with pytest.raises(RotorTableError) as err:
+            load_rotor_table_file(path)
+        assert str(err.value) == f"{path}: need at least 2 data rows, got 1"
 
     def test_comments_and_blanks_ignored(self):
         text = (
