@@ -99,9 +99,10 @@ def quaternion_yaw(q: tuple[float, float, float, float]) -> float:
 _WALL_QUATERNION = (math.cos(math.pi / 4.0), 0.0, -math.sin(math.pi / 4.0), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimState:
-    """Complete simulation state; frozen so stepping never aliases."""
+    """Complete simulation state; frozen so stepping never aliases, slotted
+    so building one per step is cheap."""
 
     # the step functions construct states positionally, in this field order:
     # matching ten keywords costs as much again as the rest of the constructor
@@ -522,6 +523,12 @@ def _check_inputs_finite(state: SimState, setpoint: ControlSetpoint) -> None:
         raise SimulationFault("non-finite value in state or setpoint", state)
 
 
+def check_dt(dt_s: float) -> None:
+    """Raise ValueError unless dt_s lies in the range `step` takes."""
+    if not 0.0 < dt_s <= DT_MAX_S:
+        raise ValueError(f"dt_s {dt_s} outside (0, {DT_MAX_S}] s")
+
+
 def step(
     state: SimState,
     setpoint: ControlSetpoint,
@@ -557,18 +564,33 @@ def step(
     return new
 
 
-def _motion_bits(s: SimState) -> bytes:
-    # packed doubles tell 0.0 from -0.0, which == does not
-    return struct.pack("16d", *s.velocity, *s.quaternion, *s.angular_velocity,
-                       *s.rotor_commands, s.tilt_front_deg, s.tilt_rear_deg)
+_STEADY_MODES = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
+_pack_motion = struct.Struct("16d").pack
+
+
+def _motion_bits(s: SimState) -> bytes | None:
+    """The fields a steady step keeps, packed (packed doubles tell 0.0 from
+    -0.0, which == does not); None in flight and transition, where no step
+    is steady."""
+    if s.mode not in _STEADY_MODES:
+        return None
+    return _pack_motion(*s.velocity, *s.quaternion, *s.angular_velocity,
+                        *s.rotor_commands, s.tilt_front_deg, s.tilt_rear_deg)
+
+
+def _steady_bits(before: SimState, after: SimState, before_bits: bytes | None,
+                 after_bits: bytes | None) -> bool:
+    """`is_steady` given both states' `_motion_bits`, so that a loop packs
+    each state once."""
+    return (after_bits is not None and after_bits == before_bits
+            and after.mode is before.mode and after.contact == before.contact)
 
 
 def is_steady(before: SimState, after: SimState) -> bool:
     """True when `after = step(before, ...)` is a ground, incline or wall step
     that changed nothing but the time and the position, bit for bit; until
     the setpoint or the surface changes, each further `step` is steady too."""
-    return (after.mode in (Mode.GROUND, Mode.INCLINE, Mode.WALL) and after.mode is before.mode
-            and after.contact == before.contact and _motion_bits(after) == _motion_bits(before))
+    return _steady_bits(before, after, _motion_bits(before), _motion_bits(after))
 
 
 def _step_ground(

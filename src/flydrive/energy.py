@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import statics
+from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS
 from .vehicle import RotorModel, VehicleParams
 
 PROPULSION_A = "prop_a"
@@ -119,19 +120,10 @@ def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent
 
 @dataclass
 class EnergyLedger:
-    """Per-mode and per-battery energy accounting."""
+    """Per-mode Wh and per-battery Ah; `Simulator.run` books into it."""
 
     per_mode_wh: dict = field(default_factory=dict)
     per_battery_ah: dict = field(default_factory=dict)
-
-    def record(self, dt_s: float, power_w: float, mode: str,
-               battery: Battery | None = None) -> None:
-        wh = power_w * dt_s / 3600.0
-        self.per_mode_wh[mode] = self.per_mode_wh.get(mode, 0.0) + wh
-        if battery is not None and power_w > 0:
-            ah = power_w * dt_s / (battery.nominal_voltage * 3600.0)
-            key = battery.battery_id
-            self.per_battery_ah[key] = self.per_battery_ah.get(key, 0.0) + ah
 
     @property
     def total_wh(self) -> float:
@@ -150,7 +142,8 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
 
     Least squares through the 2x2 normal equations, which is the exact solve
     with two points; the zero-power-at-rest constraint is built into the
-    functional form.
+    functional form. A fit that is not > 0 at every speed the controller
+    drives is rejected: every planned move must cost energy.
     """
     if len(points) < 2:
         raise CalibrationError("need at least 2 calibration points")
@@ -171,6 +164,11 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
     c1, c3 = (s6 * b1 - s4 * b3) / det, (s2 * b3 - s4 * b1) / det
     if not (math.isfinite(c1) and math.isfinite(c3)):
         raise CalibrationError("calibration overflows: the coefficients are not finite")
+    # P(v) = v (c1 + c3 v^2) > 0 on (0, v_max] holds exactly when c1 + c3 v^2
+    # is > 0 at both ends
+    if c1 < 0.0 or c1 + c3 * DEFAULT_SPEED_ENVELOPE_MPS ** 2 <= 0.0:
+        raise CalibrationError(f"fit P(v) = {c1!r} v + {c3!r} v^3 is not > 0 at every speed "
+                               f"in (0, {DEFAULT_SPEED_ENVELOPE_MPS}] m/s")
     return c1, c3
 
 

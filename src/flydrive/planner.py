@@ -28,6 +28,7 @@ import copy
 import heapq
 import math
 from dataclasses import astuple, dataclass, replace as _replace
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 
@@ -116,39 +117,52 @@ def classify_traversability(
     return Traversability(drivable=tuple(drivable), flyable=flyable)
 
 
+def _drive_wh(cell_size_m, speed, model, payload, dh):
+    """Energy (Wh) to drive one edge of cell_size_m that rises or falls dh m.
+    Grade resistance is symmetric in direction: descending still needs the
+    rotors to hold against gravity. dh comes last so that a plan can bind
+    the rest once (`_edge_pricer`)."""
+    slope = math.degrees(math.atan2(abs(dh), cell_size_m))
+    if slope != 0.0:
+        power = model.incline_power(slope, speed, payload)
+    else:
+        power = model.ground_power(speed, payload)
+    return power * (cell_size_m / speed) / 3600.0
+
+
+def _fly_wh(dh, level_wh, weight_n):
+    """Energy (Wh) to fly one cell edge that rises or falls dh m, given the
+    energy of a level edge and the vehicle's weight (N): potential energy
+    for any elevation gained is added, descents give nothing back."""
+    if dh <= 0.0:
+        return level_wh
+    return level_wh + weight_n * dh / 3600.0
+
+
+def _level_fly_wh(cell_size_m, speed, model, payload):
+    """Energy (Wh) to fly one level edge of cell_size_m at cruise power."""
+    return model.flight_power(payload) * (cell_size_m / speed) / 3600.0
+
+
 def _edge_pricer(mode, cell_size_m, cfg, model, payload):
-    """Energy (Wh) of one edge in `mode` as a function of the elevation
-    change dh along it. Every edge energy the planner reports is computed
-    here. Each payload-dependent constant is computed once, at the first
-    edge that needs it, so a payload the model cannot price fails at the
-    same edge as it would when pricing one edge at a time."""
+    """`_drive_wh` or `_fly_wh` for one plan, as a function of the elevation
+    change dh: every edge energy the planner reports is computed by one of
+    them. The level fly energy and the weight are computed once, at the
+    first edge that needs them, so a payload the model cannot price fails
+    at the same edge as it would when pricing one edge at a time."""
     if mode == DRIVE:
-        speed = cfg.drive_speed_mps
-        time_s = cell_size_m / speed
-        flat_wh = None
-
-        def drive_wh(dh):
-            nonlocal flat_wh
-            slope = math.degrees(math.atan2(abs(dh), cell_size_m))
-            if slope != 0.0:
-                return model.incline_power(slope, speed, payload) * time_s / 3600.0
-            if flat_wh is None:
-                flat_wh = model.ground_power(speed, payload) * time_s / 3600.0
-            return flat_wh
-
-        return drive_wh
-    time_s = cell_size_m / cfg.fly_speed_mps
-    level_wh = weight = None
+        return partial(_drive_wh, cell_size_m, cfg.drive_speed_mps, model, payload)
+    level_wh = weight_n = None
 
     def fly_wh(dh):
-        nonlocal level_wh, weight
+        nonlocal level_wh, weight_n
         if level_wh is None:
-            level_wh = model.flight_power(payload) * time_s / 3600.0
+            level_wh = _level_fly_wh(cell_size_m, cfg.fly_speed_mps, model, payload)
         if dh <= 0.0:
-            return level_wh
-        if weight is None:
-            weight = model.params.total_mass(payload) * model.params.gravity
-        return level_wh + weight * dh / 3600.0
+            return level_wh  # what `_fly_wh` returns for a level or falling edge
+        if weight_n is None:
+            weight_n = model.params.total_mass(payload) * model.params.gravity
+        return _fly_wh(dh, level_wh, weight_n)
 
     return fly_wh
 
@@ -161,10 +175,9 @@ def drive_edge_energy_wh(
     model: PowerModel,
     payload: float = 0.0,
 ) -> float:
-    """Energy to drive one cell edge. Grade resistance is symmetric in
-    direction: descending still needs the rotors to hold against gravity."""
-    price = _edge_pricer(DRIVE, terrain.cell_size_m, cfg, model, payload)
-    return price(terrain.elevation_at(b) - terrain.elevation_at(a))
+    """Energy to drive one cell edge (`_drive_wh`)."""
+    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
+    return _drive_wh(terrain.cell_size_m, cfg.drive_speed_mps, model, payload, dh)
 
 
 def fly_edge_energy_wh(
@@ -175,10 +188,11 @@ def fly_edge_energy_wh(
     model: PowerModel,
     payload: float = 0.0,
 ) -> float:
-    """Energy to fly one cell edge: cruise power plus potential energy for
-    any elevation gained (descents give nothing back)."""
-    price = _edge_pricer(FLY, terrain.cell_size_m, cfg, model, payload)
-    return price(terrain.elevation_at(b) - terrain.elevation_at(a))
+    """Energy to fly one cell edge (`_fly_wh`)."""
+    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
+    level_wh = _level_fly_wh(terrain.cell_size_m, cfg.fly_speed_mps, model, payload)
+    weight_n = model.params.total_mass(payload) * model.params.gravity if dh > 0.0 else None
+    return _fly_wh(dh, level_wh, weight_n)
 
 
 @dataclass(frozen=True)
@@ -460,6 +474,7 @@ def validate_plan(
     a simulation fault or a leg that times out marks the leg failed instead
     of aborting the report.
     """
+    dynamics.check_dt(dt_s)
     results: list[LegValidation] = []
     sim_total = 0.0
     v_carry = 0.0

@@ -22,7 +22,7 @@ from .defaults import (
     default_power_model,
     default_rotor,
 )
-from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS, ControlSetpoint, Mode, SurfaceModel
+from .dynamics import ControlSetpoint, Mode, SurfaceModel
 from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
 from .fields import REQUIRED
 from .planner import PlannerConfig
@@ -242,14 +242,8 @@ def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
         fail("power_model.wall_wake_factor", "must be > 0")
 
     def fitted(points, kp):
-        c1, c3 = fields.call(calibrate_ground_power, fail, kp,
-                             read_calibration_points(points, fail, kp))
-        # every planned move must cost energy: P(v) = v (c1 + c3 v^2) > 0 on
-        # (0, v_max] holds exactly when c1 + c3 v^2 is > 0 at both ends
-        if c1 < 0.0 or c1 + c3 * DEFAULT_SPEED_ENVELOPE_MPS ** 2 <= 0.0:
-            fail(kp, f"fit P(v) = {c1!r} v + {c3!r} v^3 is not > 0 at every speed "
-                     f"in (0, {DEFAULT_SPEED_ENVELOPE_MPS}] m/s")
-        return c1, c3
+        return fields.call(calibrate_ground_power, fail, kp,
+                           read_calibration_points(points, fail, kp))
 
     def watts(value, kp):
         value = fields.check(value, float, fail, kp)

