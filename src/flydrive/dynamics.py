@@ -18,12 +18,17 @@ axles point the same way at beta > 90, pressing the wheels on while the
 vertical component carries the weight.
 
 A ground, incline or wall step reads the position only to integrate it and
-never reads the time. So once such a step returns every other field bit for
-bit unchanged (`is_steady`), each further step with the same setpoint and
-surface does too: only the time and the position advance. `Simulator.run`
-takes such stretches over plain floats and every other step through `step`;
-flight (its controller reads the position) and transitions (their schedule
-reads the time) are never steady.
+never reads the time. On an incline, on a wall, and on flat ground with no
+yaw rate, no yaw demand and a heading the step writes back bit for bit, a
+step changes only the time, the position, the velocity and the rotor
+commands: it is a scalar map of the along-track speed through the speed law
+(`_ground_law`, `_wall_law`) that `step` itself calls. `speed_only_steps`
+hands that map to `Simulator.run` and plan validation, which take such steps
+over plain floats. Once such a step also returns the velocity and the
+commands bit for bit unchanged, each further step with the same setpoint and
+surface does too (it is steady): only the time and the position advance.
+Flight (its controller reads the position) and transitions (their schedule
+reads the time) are never speed-only.
 """
 
 from __future__ import annotations
@@ -62,17 +67,19 @@ class SimulationFault(RuntimeError):
 
 
 class TipEvent(RuntimeError):
-    """Static tip-over limit exceeded during ground/incline operation."""
+    """Static tip-over limit exceeded during ground/incline operation; carries
+    the state, or None where the loop keeps no SimState."""
 
-    def __init__(self, message: str, state: "SimState"):
+    def __init__(self, message: str, state: "SimState | None"):
         super().__init__(message)
         self.state = state
 
 
 class DetachEvent(RuntimeError):
-    """Wall-normal force dropped below the attachment threshold."""
+    """Wall-normal force dropped below the attachment threshold; carries the
+    state, or None where the loop keeps no SimState."""
 
-    def __init__(self, message: str, state: "SimState"):
+    def __init__(self, message: str, state: "SimState | None"):
         super().__init__(message)
         self.state = state
 
@@ -256,22 +263,15 @@ def _ground_net_force_moment(
     return left + right, b * (right - left)
 
 
-def _ground_longitudinal_force(
-    g: float,
-    mu_roll: float,
-    m: float,
-    psi: float,
-    v: float,
-    v_target: float,
-    gains: ControllerGains,
-) -> float:
-    """Along-track force demand (N) for mass m at speed v on a slope of psi
-    rad: gravity and rolling resistance feedforward plus the proportional
-    speed loop."""
+def _ground_feedforward(g: float, mu_roll: float, m: float, psi: float,
+                        v_target: float) -> float:
+    """Along-track force (N) that holds mass m against gravity on a slope of
+    psi rad and, when moving, against rolling resistance; the speed loop's
+    proportional term adds to it."""
     force = m * g * math.sin(psi)
     if v_target != 0.0:
         force += mu_roll * m * g * math.cos(psi) * _sgn(v_target)
-    return force + gains.kp_speed * (v_target - v)
+    return force
 
 
 def ground_longitudinal_control(
@@ -294,10 +294,8 @@ def ground_longitudinal_control(
     m = params.total_mass(payload)
     psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
     v = along_track_speed(state, surface)
-    force = _ground_longitudinal_force(
-        params.gravity, surface.mu_roll(params), m, psi, v, v_target, gains
-    )
-    return ground_allocation(params, rotor, force, 0.0)
+    force = _ground_feedforward(params.gravity, surface.mu_roll(params), m, psi, v_target)
+    return ground_allocation(params, rotor, force + gains.kp_speed * (v_target - v), 0.0)
 
 
 def ground_yaw_control(
@@ -566,6 +564,8 @@ def step(
 
 _STEADY_MODES = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
 _pack_motion = struct.Struct("16d").pack
+_pack_quaternion = struct.Struct("4d").pack
+_pack_speed_only = struct.Struct("7d").pack
 
 
 def _motion_bits(s: SimState) -> bytes | None:
@@ -580,17 +580,171 @@ def _motion_bits(s: SimState) -> bytes | None:
 
 def _steady_bits(before: SimState, after: SimState, before_bits: bytes | None,
                  after_bits: bytes | None) -> bool:
-    """`is_steady` given both states' `_motion_bits`, so that a loop packs
-    each state once."""
+    """True when `after = step(before, ...)` is a ground, incline or wall step
+    that changed nothing but the time and the position, bit for bit, given
+    both states' `_motion_bits` (so that a loop packs each state once); until
+    the setpoint or the surface changes, each further `step` is steady too."""
     return (after_bits is not None and after_bits == before_bits
             and after.mode is before.mode and after.contact == before.contact)
 
 
-def is_steady(before: SimState, after: SimState) -> bool:
-    """True when `after = step(before, ...)` is a ground, incline or wall step
-    that changed nothing but the time and the position, bit for bit; until
-    the setpoint or the surface changes, each further `step` is steady too."""
-    return _steady_bits(before, after, _motion_bits(before), _motion_bits(after))
+def _repeats(velocity, commands, before_velocity, before_commands) -> bool:
+    """True when a speed-only step returned the velocity and rotor commands
+    it started from, bit for bit: from there on every step is steady."""
+    return (velocity == before_velocity and commands == before_commands
+            and _pack_speed_only(*velocity, *commands)
+            == _pack_speed_only(*before_velocity, *before_commands))
+
+
+def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState | None) -> None:
+    """Raise TipEvent carrying `state` on a slope at or past the tip limit."""
+    tip = statics.tipping_slope(params)
+    if surface.slope_deg >= tip:
+        raise TipEvent(
+            f"slope {surface.slope_deg:.2f} deg is at or beyond the {tip:.2f} deg tip limit",
+            state,
+        )
+
+
+def _ground_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
+                surface: SurfaceModel, m: float, v_target: float, dt: float):
+    """The speed law of a ground or incline step for mass m: `law(v, moment)`
+    maps the along-track speed v the step reads and the yaw moment demand
+    (N m) to the new speed, the rotor commands and the yaw moment (N m) they
+    realise. `_step_ground` and every speed-only step call it."""
+    g = params.gravity
+    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
+    mu_r = surface.mu_roll(params)
+    feedforward = _ground_feedforward(g, mu_r, m, psi, v_target)
+    kp = gains.kp_speed
+    grade = m * g * math.sin(psi)
+    hold = mu_r * (m * g * math.cos(psi))  # rolling resistance at the normal force
+
+    def law(v: float, moment_cmd: float = 0.0):
+        commands = ground_allocation(params, rotor, feedforward + kp * (v_target - v), moment_cmd)
+        f_net, m_net = _ground_net_force_moment(params, rotor, commands)
+        drive = f_net - grade
+        if v == 0.0 and abs(drive) <= hold:
+            return 0.0, commands, m_net
+        v_new = v + (drive - hold * _sgn(v if v != 0.0 else drive)) / m * dt
+        if v != 0.0 and v * v_new < 0.0 and abs(drive) <= hold:
+            v_new = 0.0  # rolling resistance stops the coast, it never reverses it
+        return v_new, commands, m_net
+
+    return law
+
+
+def _wall_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
+              gamma: float, m: float, v_target: float, dt: float):
+    """The speed law of a wall step for mass m with the axles gamma rad past
+    vertical: `law(v)` maps the climb speed v to the new speed, the velocity
+    and the rotor commands, or raises DetachEvent (with no state) when the
+    wall-normal force falls below the attachment threshold. `_step_wall` and
+    every speed-only wall step call it."""
+    g = params.gravity
+    mu_r = params.rolling_resistance_coeff
+    den = math.cos(gamma) - mu_r * math.sin(gamma) * _sgn(v_target)
+    thrust_ff = m * g / den if den > 0.0 else 4.0 * rotor.max_thrust
+    kp, f_max = gains.kp_speed, rotor.max_thrust
+    sin_gamma, cos_gamma, weight = math.sin(gamma), math.cos(gamma), m * g
+    attach = gains.attach_normal_fraction * m * g
+    mu_wall = params.wall_friction_coeff
+
+    def law(v: float):
+        per_rotor = max(0.0, min((thrust_ff + kp * (v_target - v)) / 4.0, f_max))
+        c = rotor.command_at(per_rotor)
+        thrust = 4.0 * rotor.thrust_at(c)
+        normal = thrust * sin_gamma
+        if normal < attach:
+            raise DetachEvent(
+                f"wall normal force {normal:.2f} N below the attachment "
+                f"threshold {attach:.2f} N",
+                None,
+            )
+        lift = thrust * cos_gamma - weight
+        # the wheels roll freely along the climb axis; static friction only
+        # holds the vehicle when the controller wants it parked (brake engaged)
+        parked = v_target == 0.0 and abs(lift) <= mu_wall * normal
+        if v == 0.0 and parked:
+            v_new = 0.0
+        else:
+            v_new = v + (lift - mu_r * normal * _sgn(v if v != 0.0 else lift)) / m * dt
+            if v != 0.0 and v * v_new < 0.0 and parked:
+                v_new = 0.0
+        return v_new, (0.0, 0.0, v_new), (c, c, c, c)
+
+    return law
+
+
+def _ground_steps(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
+                  surface: SurfaceModel, m: float, v_target: float, dt: float, yaw: float):
+    """Speed-only steps on flat ground heading `yaw` (no yaw rate and no yaw
+    demand) or on an incline: (read, advance). `read(vx, vy, vz)` is the
+    along-track speed a step reads from a velocity, and `advance(v)` takes
+    one step from speed v to (v', velocity, commands), v' = read(*velocity)."""
+    law = _ground_law(params, rotor, gains, surface, m, v_target, dt)
+    if surface.kind == "incline":
+        psi = math.radians(surface.slope_deg)
+        c, s = math.cos(psi), math.sin(psi)
+        dx, dy, dz = c, 0.0, s
+
+        def read(vx, vy, vz):
+            return vx * c + vz * s
+    else:
+        c, s = math.cos(yaw), math.sin(yaw)
+        yaw_new = yaw + 0.0 * dt  # the heading a step writes at yaw rate 0
+        dx, dy, dz = math.cos(yaw_new), math.sin(yaw_new), 0.0
+
+        def read(vx, vy, vz):
+            return vx * c + vy * s
+
+    def advance(v):
+        v_new, commands, _ = law(v)
+        velocity = (v_new * dx, v_new * dy, v_new * dz)
+        return read(*velocity), velocity, commands
+
+    return read, advance
+
+
+def speed_only_steps(
+    state: SimState,
+    setpoint: ControlSetpoint,
+    surface: SurfaceModel,
+    dt: float,
+    params: VehicleParams,
+    rotor: RotorModel,
+    gains: ControllerGains,
+    payload: float = 0.0,
+):
+    """The steps from `state` as a scalar map of the along-track speed, when
+    each `step` changes only the time, the position, the velocity and the
+    rotor commands: on flat ground with no yaw rate, no yaw demand and a
+    heading the step writes back bit for bit; on an incline below the tip
+    limit; on a wall. Returns (advance, v, quaternion): `advance(v)` takes
+    one step from the along-track speed v the step reads to (v', velocity,
+    commands), and the quaternion is the one every step writes; or None.
+    A wall step may raise DetachEvent with no state."""
+    mode = state.mode
+    if mode not in _STEADY_MODES or state.angular_velocity != (0.0, 0.0, 0.0):
+        return None
+    if mode is Mode.WALL:
+        gamma = math.radians(0.5 * (state.tilt_front_deg + state.tilt_rear_deg) - 90.0)
+        if gamma <= 0.0:
+            return None
+        law = _wall_law(params, rotor, gains, gamma, params.total_mass(payload),
+                        setpoint.speed_mps, dt)
+        return law, state.velocity[2], _WALL_QUATERNION
+    if surface.kind == "wall" or (surface.kind == "flat" and setpoint.yaw_rate_radps != 0.0):
+        return None
+    if surface.kind == "incline" and surface.slope_deg >= statics.tipping_slope(params):
+        return None
+    yaw = quaternion_yaw(state.quaternion)
+    yaw_new = yaw + 0.0 * dt if surface.kind == "flat" else yaw
+    if _pack_quaternion(*_yaw_quaternion(yaw_new)) != _pack_quaternion(*state.quaternion):
+        return None
+    read, advance = _ground_steps(params, rotor, gains, surface, params.total_mass(payload),
+                                  setpoint.speed_mps, dt, yaw)
+    return advance, read(*state.velocity), state.quaternion
 
 
 def _step_ground(
@@ -604,48 +758,27 @@ def _step_ground(
     payload: float,
 ) -> SimState:
     m = params.total_mass(payload)
-    g = params.gravity
     incline = surface.kind == "incline"
-    psi = 0.0
     if incline:
-        tip = statics.tipping_slope(params)
-        if surface.slope_deg >= tip:
-            raise TipEvent(
-                f"slope {surface.slope_deg:.2f} deg is at or beyond the "
-                f"{tip:.2f} deg tip limit",
-                state,
-            )
-        psi = math.radians(surface.slope_deg)
+        _check_tip(params, surface, state)
+    law = _ground_law(params, rotor, gains, surface, m, setpoint.speed_mps, dt)
     yaw = quaternion_yaw(state.quaternion)
     v = _along_track(state.velocity, surface, yaw)
-    mu_r = surface.mu_roll(params)
-    force_cmd = _ground_longitudinal_force(g, mu_r, m, psi, v, setpoint.speed_mps, gains)
     moment_cmd = 0.0
     r = state.angular_velocity[2]
     if surface.kind == "flat":
         diff = _ground_yaw_diff(params, r, setpoint.yaw_rate_radps, gains, m)
         moment_cmd = diff * 2.0 * params.wheel_contact_half_spacing_lat
-    commands = ground_allocation(params, rotor, force_cmd, moment_cmd)
-    f_net, m_net = _ground_net_force_moment(params, rotor, commands)
-
-    grade = m * g * math.sin(psi)
-    normal = m * g * math.cos(psi)
-    drive = f_net - grade
-    if v == 0.0 and abs(drive) <= mu_r * normal:
-        v_new = 0.0
-    else:
-        resist = mu_r * normal * _sgn(v if v != 0.0 else drive)
-        v_new = v + (drive - resist) / m * dt
-        if v != 0.0 and v * v_new < 0.0 and abs(drive) <= mu_r * normal:
-            v_new = 0.0  # rolling resistance stops the coast, it never reverses it
+    v_new, commands, m_net = law(v, moment_cmd)
 
     if incline:
         r_new = 0.0
         yaw_new = yaw
+        psi = math.radians(surface.slope_deg)
         dx, dy, dz = math.cos(psi), 0.0, math.sin(psi)
     else:
         mu_l = surface.mu_lat(params)
-        fric_cap = mu_l * m * g * params.wheel_contact_half_spacing_long
+        fric_cap = mu_l * m * params.gravity * params.wheel_contact_half_spacing_long
         if r == 0.0 and abs(m_net) <= fric_cap:
             r_new = 0.0
         else:
@@ -676,46 +809,23 @@ def _step_wall(
     payload: float,
 ) -> SimState:
     m = params.total_mass(payload)
-    g = params.gravity
     tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
     gamma = math.radians(tilt - 90.0)
     if gamma <= 0.0:
         raise DetachEvent("wall mode needs tilt > 90 deg", state)
-    v = state.velocity[2]
-    v_t = setpoint.speed_mps
-    mu_r = params.rolling_resistance_coeff
-    den = math.cos(gamma) - mu_r * math.sin(gamma) * _sgn(v_t)
-    thrust_ff = m * g / den if den > 0.0 else 4.0 * rotor.max_thrust
-    thrust_cmd = thrust_ff + gains.kp_speed * (v_t - v)
-    per_rotor = max(0.0, min(thrust_cmd / 4.0, rotor.max_thrust))
-    c = rotor.command_at(per_rotor)
-    thrust = 4.0 * rotor.thrust_at(c)
-
-    normal = thrust * math.sin(gamma)
-    if normal < gains.attach_normal_fraction * m * g:
-        raise DetachEvent(
-            f"wall normal force {normal:.2f} N below the attachment "
-            f"threshold {gains.attach_normal_fraction * m * g:.2f} N",
-            state,
-        )
-    lift = thrust * math.cos(gamma) - m * g
-    # the wheels roll freely along the climb axis; static friction only holds
-    # the vehicle when the controller wants it parked (brake engaged)
-    parked = v_t == 0.0 and abs(lift) <= params.wall_friction_coeff * normal
-    if v == 0.0 and parked:
-        v_new = 0.0
-    else:
-        resist = mu_r * normal * _sgn(v if v != 0.0 else lift)
-        v_new = v + (lift - resist) / m * dt
-        if v != 0.0 and v * v_new < 0.0 and parked:
-            v_new = 0.0
+    law = _wall_law(params, rotor, gains, gamma, m, setpoint.speed_mps, dt)
+    try:
+        v_new, velocity, commands = law(state.velocity[2])
+    except DetachEvent as exc:
+        exc.state = state
+        raise
     px, py, pz = state.position
     return SimState(
         state.time_s + dt,
-        (px, py, pz + v_new * dt), (0.0, 0.0, v_new),
+        (px, py, pz + v_new * dt), velocity,
         _WALL_QUATERNION, (0.0, 0.0, 0.0),
         state.tilt_front_deg, state.tilt_rear_deg,
-        (c, c, c, c), state.mode, (True, True, True, True),
+        commands, state.mode, (True, True, True, True),
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import astuple, dataclass, replace as _replace
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -35,7 +35,7 @@ from operator import itemgetter
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .energy import PowerModel, usable_propulsion_energy_wh
-from .simulator import instantaneous_power
+from .simulator import _drive_power, _finite_power
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -45,6 +45,7 @@ FLY = "fly"
 TRANSITION_TO_FLY = "transition_to_fly"
 TRANSITION_TO_GROUND = "transition_to_ground"
 MODES = (DRIVE, FLY)  # indexed by the low bit of a search node id
+_FLAT = dynamics.SurfaceModel("flat")
 
 
 class NoPathError(RuntimeError):
@@ -477,20 +478,15 @@ def validate_plan(
     dynamics.check_dt(dt_s)
     results: list[LegValidation] = []
     sim_total = 0.0
-    v_carry = 0.0
     for i, leg in enumerate(mission.legs):
         fault = None
         try:
             if leg.mode == DRIVE:
-                sim_wh, v_carry = _simulate_drive_leg(
-                    leg, terrain, cfg, model, payload, dt_s
-                )
+                sim_wh = _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s)
             elif leg.mode == FLY:
                 sim_wh = _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)
-                v_carry = 0.0
             else:
                 sim_wh = model.hover_power_w * cfg.transition_time_s / 3600.0
-                v_carry = 0.0
         except dynamics.TipEvent as exc:
             sim_wh, fault = 0.0, f"tip event: {exc}"
         except dynamics.SimulationFault as exc:
@@ -550,6 +546,13 @@ def _drain_under_predicted(mission: MissionPlan, batteries: list) -> bool:
 
 
 def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
+    """Energy (Wh) to drive a leg from rest. Each edge starts from a fresh
+    ground state, heading along +x, at the speed the edge before ended
+    with; every step of it is speed-only, so the loop
+    keeps the speed, velocity, rotor commands and position as floats and
+    steps them through the ground speed law. Once a step is steady it only
+    moves the vehicle on, so v and power stay and only the distance and
+    energy add up."""
     params = model.params
     rotor = model.rotor
     gains = dynamics.ControllerGains()
@@ -559,39 +562,40 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
     for a, b in zip(leg.cells, leg.cells[1:]):
         dh = terrain.elevation_at(b) - terrain.elevation_at(a)
         slope = math.degrees(math.atan2(abs(dh), terrain.cell_size_m))
+        m = params.total_mass(payload)
         if slope == 0.0:
-            surface = dynamics.SurfaceModel("flat")
+            surface, mode = _FLAT, dynamics.Mode.GROUND
             direction = (1.0, 0.0, 0.0)
         else:
             surface = dynamics.SurfaceModel("incline", slope_deg=slope)
+            mode = dynamics.Mode.INCLINE
+            dynamics._check_tip(params, surface, None)
             psi = math.radians(slope)
             direction = (math.cos(psi), 0.0, math.sin(psi))
-        state = dynamics.initial_ground_state(params, surface)
-        state = _replace(state, velocity=tuple(v * d for d in direction))
-        setpoint = dynamics.ControlSetpoint(
-            mode=state.mode, speed_mps=cfg.drive_speed_mps
-        )
+        read, advance = dynamics._ground_steps(params, rotor, gains, surface, m,
+                                               cfg.drive_speed_mps, dt_s, 0.0)
+        velocity = tuple(v * d for d in direction)
+        commands = (0.0, 0.0, 0.0, 0.0)
+        v = read(*velocity)
+        x, y, z = 0.0, 0.0, params.com_height
         covered = 0.0
         steps = 0
         steady = False
         while covered < terrain.cell_size_m:
-            # a steady step only moves time and position on, which this loop
-            # keeps as `covered`: v and power stay, and no state is built
             if not steady:
-                previous = state
-                state = dynamics.step(
-                    state, setpoint, surface, dt_s, params=params, rotor=rotor,
-                    gains=gains, payload=payload,
-                )
-                v = dynamics.along_track_speed(state, surface)
-                power = instantaneous_power(model, state, surface, payload)
-                steady = dynamics.is_steady(previous, state)
+                v, new_velocity, new_commands = advance(v)
+                vx, vy, vz = new_velocity
+                x, y, z = x + vx * dt_s, y + vy * dt_s, z + vz * dt_s
+                dynamics._check_finite((x, y, z, vx, vy, vz), None)
+                power = _finite_power(_drive_power(model, mode, surface, v, payload), mode, None)
+                steady = dynamics._repeats(new_velocity, new_commands, velocity, commands)
+                velocity, commands = new_velocity, new_commands
             covered += v * dt_s
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:
-                raise dynamics.SimulationFault("drive edge timed out", state)
-    return energy, v
+                raise dynamics.SimulationFault("drive edge timed out", None)
+    return energy
 
 
 def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):

@@ -152,7 +152,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     def block(key: str, table: dict) -> dict:  # a null or missing block reads as {}
         return fields.read(top[key] or {}, table, fail, key)
 
-    for key in ("payload_kg", "duration_s"):
+    for key in ("payload_kg", "duration_s", "avionics_power_w"):
         if top[key] < 0:
             fail(key, "must be >= 0")
     params = fields.call(VehicleParams, fail, "vehicle_overrides",

@@ -8,17 +8,22 @@ script produce byte-identical files.
 
 Every step is booked one way, through constants built once per run
 (`_Books`): each pack's SoC and Ah divisors and trip floor, and what the
-avionics draw per step. A full `dynamics.step` is booked by `_Books.book`;
-once a step is steady (`dynamics.is_steady`), `Simulator.run` takes the
-following steps over plain floats: time, position, the mode's Wh and each
-pack's SoC and Ah. Either way each increment is the expression `drain`
+avionics draw per step. A full `dynamics.step` is booked by `_Books.book`.
+When the steps after it are speed-only (`dynamics.speed_only_steps`),
+`Simulator.run` takes them over plain floats through the speed law, each
+booked by `_Books.book` and traced in full, with no `SimState`; once a step
+is steady (it repeats the one before bit for bit), each further step only
+adds the increments of the one before to time, position, the mode's Wh and
+each pack's SoC and Ah. Either way each increment is the expression `drain`
 computes and the ledger adds, in the same order, so every sum keeps its
-bits. Every other step, such as one that would consume a script event, trip
-a pack or leave the position non-finite, is a full `dynamics.step`; a step
-whose power overflows or is not finite ends the run with a fault.
-A drive at 1 m/s until both full packs trip (575k steps at dt 0.02 s) takes
-0.7 s with a 30 MB peak, against 7.4 s and 120 MB with a `SimState`, three
-`drain` and two ledger calls per step (x86_64, Python 3.11).
+bits. Every other step, such as one that would consume a script event,
+detach from a wall or leave the position non-finite, is a full
+`dynamics.step`; a step whose power overflows or is not finite ends the run
+with a fault. A drive at 1 m/s until both full packs trip (575k steps at dt
+0.02 s) takes 0.7 s with a 30 MB peak, against 7.4 s and 120 MB with a
+`SimState`, three `drain` and two ledger calls per step; a speed-only step
+costs about half a full step, 7-17 us against 21-30 us on a wall, flat
+ground or an incline (x86_64, Python 3.11).
 """
 
 from __future__ import annotations
@@ -86,13 +91,12 @@ def instantaneous_power(
     """Electrical propulsion power for the current state, W. A power that
     overflows or is not finite raises SimulationFault carrying the state."""
     mode = state.mode
+    if mode is Mode.GROUND or mode is Mode.INCLINE:
+        power = _drive_power(model, mode, surface, dynamics.along_track_speed(state, surface),
+                             payload)
+        return _finite_power(power, mode, state)
     try:
-        if mode == Mode.GROUND:
-            power = model.ground_power(abs(dynamics.along_track_speed(state, surface)), payload)
-        elif mode == Mode.INCLINE:
-            v = abs(dynamics.along_track_speed(state, surface))
-            power = model.incline_power(surface.slope_deg, v, payload)
-        elif mode == Mode.WALL:
+        if mode == Mode.WALL:
             tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
             power = model.wall_power(tilt, payload)
         elif mode == Mode.FLIGHT:
@@ -113,6 +117,23 @@ def instantaneous_power(
             raise ValueError(f"unknown mode {mode}")
     except OverflowError:
         power = math.inf
+    return _finite_power(power, mode, state)
+
+
+def _drive_power(model: PowerModel, mode: Mode, surface: SurfaceModel, speed: float,
+                 payload: float) -> float:
+    """Ground or incline power (W) at along-track speed `speed`; inf where
+    it overflows."""
+    try:
+        if mode is Mode.GROUND:
+            return model.ground_power(abs(speed), payload)
+        return model.incline_power(surface.slope_deg, abs(speed), payload)
+    except OverflowError:
+        return math.inf
+
+
+def _finite_power(power: float, mode: Mode, state: SimState | None) -> float:
+    """`power`, or SimulationFault carrying `state` where it is not finite."""
     if not -math.inf < power < math.inf:
         raise dynamics.SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
     return power
@@ -122,10 +143,10 @@ class _Books:
     """The booking constants of one run: each propulsion pack with its id,
     its SoC and Ah divisors (a pack's energy and nominal voltage are fixed)
     and its trip floor; the electronics pack, its floor, and the SoC, Ah and
-    Wh the avionics draw each step; and the ledger's dicts.
+    Wh the avionics draw each step; the ledger's dicts and the run's events.
 
-    `book` books a full step, and `Simulator._coast_stretch` a stretch of
-    steady steps over floats, both through these constants. Each SoC
+    `book` books a full or speed-only step, and `Simulator._steady_stretch`
+    a stretch of steady steps over floats, both through these constants. Each SoC
     decrement is the expression `drain` computes, and each Wh and Ah
     increment is power * dt / 3600 (over the nominal voltage for Ah), added
     in the same order as by a loop that calls `drain` for every step, so
@@ -133,9 +154,10 @@ class _Books:
     """
 
     def __init__(self, batteries: list[Battery], avionics_w: float, dt: float,
-                 ledger: EnergyLedger):
+                 ledger: EnergyLedger, events: list):
         self.dt, self.avionics_w, self.avionics_wh = dt, avionics_w, avionics_w * dt / 3600.0
         self.per_mode_wh, self.per_battery_ah = ledger.per_mode_wh, ledger.per_battery_ah
+        self.events = events
         self.packs = [(b, b.battery_id, b.pack_energy_wh * 3600.0, b.protection_soc,
                        b.nominal_voltage * 3600.0) for b in batteries if b.is_propulsion]
         self.n_packs = max(1, len(self.packs))
@@ -145,10 +167,11 @@ class _Books:
             self.avionics_floor = e.protection_soc
             self.avionics_ah = avionics_w * dt / (e.nominal_voltage * 3600.0)
 
-    def book(self, power: float, mode: str, log) -> str | None:
-        """Book one step drawing `power` W in `mode`: drain every pack as
-        `drain` would, add to the ledger and log each trip. Returns the fault
-        that ends the run, if any; a negative draw raises ValueError."""
+    def book(self, power: float, mode: str, t_s: float) -> str | None:
+        """Book the step to `t_s` drawing `power` W in `mode`: drain every
+        pack as `drain` would, add to the ledger and log each trip at `t_s`.
+        Returns the fault that ends the run, if any; a negative draw raises
+        ValueError."""
         dt, per_mode_wh, per_battery_ah = self.dt, self.per_mode_wh, self.per_battery_ah
         fault = None
         per_mode_wh[mode] = per_mode_wh.get(mode, 0.0) + power * dt / 3600.0
@@ -163,7 +186,7 @@ class _Books:
                 soc = pack.soc - share * dt / soc_divisor
                 if soc <= floor:
                     pack.soc, pack.tripped = floor, True
-                    log("battery_protection", battery_id)
+                    self._log_trip(t_s, battery_id)
                     fault = f"battery {battery_id} protection tripped"
                 else:
                     pack.soc = soc
@@ -186,10 +209,13 @@ class _Books:
         if soc <= self.avionics_floor:
             # an avionics brownout ends the run like a propulsion trip
             e.soc, e.tripped = self.avionics_floor, True
-            log("battery_protection", e.battery_id)
+            self._log_trip(t_s, e.battery_id)
             return f"battery {e.battery_id} protection tripped"
         e.soc = soc
         return fault
+
+    def _log_trip(self, t_s: float, battery_id: str) -> None:
+        self.events.append({"t_s": t_s, "kind": "battery_protection", "detail": battery_id})
 
 
 class Simulator:
@@ -248,17 +274,20 @@ class Simulator:
         next_event = 0
         fault_reason = None
         step = dynamics.step
-        books = _Books(self.batteries, self.avionics_power_w, dt, ledger)
+        books = _Books(self.batteries, self.avionics_power_w, dt, ledger, events)
         steady = False  # the last step only moved time and position
+        speed = None  # else `dynamics.speed_only_steps` of `state`, if any
         bits = _motion_bits(state)  # of `state`, carried so each state is packed once
 
         i = 0
         while i < n_steps:
-            if steady:
+            if steady or speed is not None:
                 t_event = script[next_event].t_s if next_event < len(script) else math.inf
-                i, state = self._coast_stretch(state, power, i, n_steps, t_event, books, rows)
-                if i == n_steps:
+                i, state, fault_reason = self._coast_stretch(state, power, i, n_steps, t_event,
+                                                             books, rows, speed, surface)
+                if fault_reason is not None or i == n_steps:
                     break
+                bits = _motion_bits(state)
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
                 ev = script[next_event]
                 next_event += 1
@@ -288,12 +317,14 @@ class Simulator:
                 break
             bits = _motion_bits(state)
             steady = _steady_bits(previous, state, previous_bits, bits)
-            fault_reason = books.book(power, state.mode.value, log)
+            fault_reason = books.book(power, state.mode.value, state.time_s)
             if fault_reason is not None:
                 break
             if (i + 1) % self.trace_decimation == 0:
                 rows.append(_trace_row(state, power))
             i += 1
+            speed = None if steady else dynamics.speed_only_steps(
+                state, setpoint, surface, dt, params, rotor, gains, payload)
         return SimResult(
             final_state=state,
             rows=rows,
@@ -303,21 +334,80 @@ class Simulator:
             fault_reason=fault_reason,
         )
 
-    def _coast_stretch(self, state, power, i, end, t_event, books, rows):
-        """Take steady steps i, i + 1, ... over plain floats; return the index
-        and the state of the step after them.
+    def _coast_stretch(self, state, power, i, end, t_event, books, rows, speed, surface):
+        """Take steps i, i + 1, ... from `state` over plain floats; return the
+        index and the state of the step after them, and the fault that ends
+        the run (a pack trip), if any.
+
+        With `speed` (`dynamics.speed_only_steps` of `state`), each step
+        first goes through the speed law, is booked by `_Books.book` and
+        traced in full, until one returns the velocity and rotor commands it
+        started from bit for bit. From that steady step on, or from the start
+        without `speed`, each step only moves time and position and repeats
+        the increments of the step before: that step drew the same power from
+        the same packs, so no draw is negative or from a tripped pack, and
+        every increment is the one `_Books.book` adds, in the same order, so
+        every sum keeps its bits.
 
         Stops before the first step that would consume the script event at
-        `t_event`, bring a pack to its floor or leave the position non-finite,
-        and at step `end`: the per-step path takes that step. The steady step
-        before drew the same power from the same packs, so no draw here is
-        negative or from a tripped pack. Every increment is the one
-        `_Books.book` adds, in the same order, so every sum keeps its bits.
+        `t_event` or leave the position or velocity non-finite, and at step
+        `end`; while the speed changes, also before a step that would detach
+        from a wall or whose power is not finite, and after one that trips a
+        pack; once steady, before a step that would bring a pack to its floor.
+        The per-step path takes the step it stopped before.
         """
-        dt, share, e = self.dt_s, power / books.n_packs, books.electronics
-        per_mode_wh, per_battery_ah = books.per_mode_wh, books.per_battery_ah
+        if speed is None:
+            return self._steady_stretch(state, power, i, end, t_event, books, rows)
+        dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
+        advance, v, quaternion = speed
+        mode, tilts = state.mode, (state.tilt_front_deg, state.tilt_rear_deg)
+        moves_xy = mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
+        fixed = ",".join(map(repr, (*quaternion, *tilts)))
+        model, payload, name = self.power_model, self.payload, mode.value
+        t, (x, y, z) = state.time_s, state.position
+        velocity, commands = state.velocity, state.rotor_commands
+        k, fault, steady = i, None, False
+        while k < end and not t_event <= t + 1e-12:
+            try:
+                v_next, new_velocity, new_commands = advance(v)
+            except dynamics.DetachEvent:
+                break
+            vx, vy, vz = new_velocity
+            nx, ny = (x + vx * dt, y + vy * dt) if moves_xy else (x, y)
+            nz = z + vz * dt
+            if moves_xy:  # a wall step draws the same power at any speed
+                power = _drive_power(model, mode, surface, v_next, payload)
+            if not (-inf < nx < inf and -inf < ny < inf and -inf < nz < inf and -inf < vx < inf
+                    and -inf < vy < inf and -inf < vz < inf and -inf < power < inf):
+                break
+            t += dt
+            x, y, z = nx, ny, nz
+            steady = dynamics._repeats(new_velocity, new_commands, velocity, commands)
+            v, velocity, commands = v_next, new_velocity, new_commands
+            k += 1
+            fault = books.book(power, name, t)
+            if fault is not None:
+                break
+            if k % decimation == 0:
+                rows.append(f"{t!r},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r},{fixed},"
+                            f"{','.join(map(repr, commands))},{name},{power!r}\n")
+            if steady:
+                break
+        if k > i:
+            state = SimState(t, (x, y, z), velocity, quaternion, (0.0, 0.0, 0.0), *tilts,
+                             commands, mode, (True, True, True, True))
+        if fault is not None or not steady:
+            return k, state, fault
+        return self._steady_stretch(state, power, k, end, t_event, books, rows)
+
+    def _steady_stretch(self, state, power, i, end, t_event, books, rows):
+        """`_coast_stretch` from a steady `state` whose step drew `power`."""
+        dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
+        moves_xy = state.mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
         # per pack: SoC, its decrement, the trip floor, Ah and its increment;
         # an empty slot never trips
+        share, e = power / books.n_packs, books.electronics
+        per_mode_wh, per_battery_ah = books.per_mode_wh, books.per_battery_ah
         slots = [(b.soc, share * dt / soc_divisor, floor, per_battery_ah.get(battery_id, 0.0),
                   share * dt / ah_divisor)
                  for b, battery_id, soc_divisor, floor, ah_divisor in books.packs]
@@ -326,13 +416,12 @@ class Simulator:
                           per_battery_ah.get(e.battery_id, 0.0), books.avionics_ah))
         slots += [(0.0, 0.0, -math.inf, 0.0, 0.0)] * (3 - len(slots))
         (sa, da, fa, aa, ia), (sb, db, fb, ab, ib), (se, de, fe, ae, ie) = slots
-        mode = state.mode.value
-        wh_mode, d_mode = per_mode_wh.get(mode, 0.0), power * dt / 3600.0
+        name = state.mode.value
+        wh_mode, d_mode = per_mode_wh.get(name, 0.0), power * dt / 3600.0
         wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), books.avionics_wh
         t, (x, y, z), (vx, vy, vz) = state.time_s, state.position, state.velocity
         dx, dy, dz = vx * dt, vy * dt, vz * dt
-        moves_xy = state.mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
-        tail, decimation, inf = _row_tail(state, power), self.trace_decimation, math.inf
+        tail = _row_tail(state, power)
         nx, ny, k = x, y, i
         while k < end and not t_event <= t + 1e-12:
             if moves_xy:
@@ -354,8 +443,8 @@ class Simulator:
             if k % decimation == 0:
                 rows.append(f"{t!r},{x!r},{y!r},{z!r}{tail}")
         if k == i:
-            return i, state
-        per_mode_wh[mode] = wh_mode
+            return i, state, None
+        per_mode_wh[name] = wh_mode
         packs = [b for b, *_ in books.packs]
         if e is not None:
             per_mode_wh["avionics"] = wh_avionics
@@ -364,7 +453,7 @@ class Simulator:
             b.soc = soc
             if b is not e or books.avionics_w > 0:  # no Ah is booked for a zero draw
                 per_battery_ah[b.battery_id] = ah
-        return k, replace(state, time_s=t, position=(x, y, z))
+        return k, replace(state, time_s=t, position=(x, y, z)), None
 
 
 def _trace_row(state: SimState, power_w: float) -> str:

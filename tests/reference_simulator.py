@@ -2,7 +2,7 @@
 `instantaneous_power`, one `drain` per pack and `record` into the ledger,
 the way the Simulator booked steps before it kept its own booking
 constants. The differential tests in test_simulator.py compare its bytes
-with the Simulator's.
+with the Simulator's. `is_steady` tells a steady step from two states.
 """
 
 from __future__ import annotations
@@ -10,9 +10,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from flydrive import dynamics
-from flydrive.dynamics import ControlSetpoint, Mode
+from flydrive.dynamics import ControlSetpoint, Mode, SimState, _motion_bits, _steady_bits
 from flydrive.energy import Battery, BatteryProtectionError, EnergyLedger, drain
 from flydrive.simulator import SimResult, Simulator, _trace_row, instantaneous_power
+
+
+def is_steady(before: SimState, after: SimState) -> bool:
+    """True when `after = step(before, ...)` is a ground, incline or wall step
+    that changed nothing but the time and the position, bit for bit; until
+    the setpoint or the surface changes, each further `step` is steady too."""
+    return _steady_bits(before, after, _motion_bits(before), _motion_bits(after))
 
 
 def record(ledger: EnergyLedger, dt_s: float, power_w: float, mode: str,

@@ -1,0 +1,57 @@
+"""A reference for `planner._simulate_drive_leg`: each edge from a fresh
+`SimState`, one full `dynamics.step` and its `instantaneous_power` per step
+until a step is steady, then only distance and energy add up. This is the
+loop plan validation ran before it stepped edges through the speed law over
+floats; the differential test in test_planner.py compares the reports of
+both, in repr.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+from flydrive import dynamics
+from flydrive.simulator import instantaneous_power
+from reference_simulator import is_steady
+
+
+def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
+    """`planner._simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s)`
+    with a full step for every step until an edge is steady."""
+    params = model.params
+    rotor = model.rotor
+    gains = dynamics.ControllerGains()
+    energy = 0.0
+    v = 0.0
+    max_steps_per_edge = int(60.0 / dt_s)
+    for a, b in zip(leg.cells, leg.cells[1:]):
+        dh = terrain.elevation_at(b) - terrain.elevation_at(a)
+        slope = math.degrees(math.atan2(abs(dh), terrain.cell_size_m))
+        if slope == 0.0:
+            surface = dynamics.SurfaceModel("flat")
+            direction = (1.0, 0.0, 0.0)
+        else:
+            surface = dynamics.SurfaceModel("incline", slope_deg=slope)
+            psi = math.radians(slope)
+            direction = (math.cos(psi), 0.0, math.sin(psi))
+        state = dynamics.initial_ground_state(params, surface)
+        state = replace(state, velocity=tuple(v * d for d in direction))
+        setpoint = dynamics.ControlSetpoint(mode=state.mode, speed_mps=cfg.drive_speed_mps)
+        covered = 0.0
+        steps = 0
+        steady = False
+        while covered < terrain.cell_size_m:
+            if not steady:
+                previous = state
+                state = dynamics.step(state, setpoint, surface, dt_s, params=params, rotor=rotor,
+                                      gains=gains, payload=payload)
+                v = dynamics.along_track_speed(state, surface)
+                power = instantaneous_power(model, state, surface, payload)
+                steady = is_steady(previous, state)
+            covered += v * dt_s
+            energy += power * dt_s / 3600.0
+            steps += 1
+            if steps > max_steps_per_edge:
+                raise dynamics.SimulationFault("drive edge timed out", state)
+    return energy

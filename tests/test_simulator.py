@@ -29,10 +29,12 @@ FLOOR = 1.0 - USABLE_FRACTION
 
 
 def _both_ways(run):
-    """`run()` as it is, then with the stretch helper declining every step."""
+    """`run()` as it is, then with the stretch helper declining every step,
+    speed-only and steady alike: every step a full `dynamics.step`."""
     fast = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulator, "_coast_stretch", lambda self, state, power, i, *rest: (i, state))
+        mp.setattr(Simulator, "_coast_stretch",
+                   lambda self, state, power, i, *rest: (i, state, None))
         slow = run()
     return fast, slow
 
@@ -87,17 +89,26 @@ def _batteries(rng):
 
 
 def _random_case(rng, params):
-    """A ground, incline or wall start, its surface, script, duration, dt and
-    payload."""
+    """A ground, incline or wall start, its surface, script, duration, dt,
+    payload and gains. Setpoints change while the speed still settles, stop
+    the vehicle (static friction holds it), reverse it, and turn it and stop
+    turning; the wall sometimes holds on so lightly that it detaches as the
+    climb settles."""
     kind = rng.choice(["flat", "incline", "wall"])
     payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
     dt = rng.choice([0.001, 0.002, 0.005, dynamics.DT_MAX_S,
                      rng.uniform(0.001, dynamics.DT_MAX_S)])
+    gains = dynamics.ControllerGains()
     if kind == "wall":
         surface = SurfaceModel(kind="wall")
         state = initial_wall_state(params, height_m=rng.uniform(0.0, 5.0))
         state = replace(state, position=(-0.0, rng.choice([0.0, -0.0]), state.position[2]))
-        speeds = [0.0, 0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.5)]
+        speeds = [0.0, 0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.5),
+                  -rng.uniform(0.1, 0.5)]
+        if rng.random() < 0.3:
+            # a settled climb presses too lightly on the wall to stay on, the
+            # first steps of a climb from rest hard enough
+            gains = replace(gains, attach_normal_fraction=1.1)
     else:
         surface = SurfaceModel(
             kind=kind,
@@ -107,41 +118,73 @@ def _random_case(rng, params):
         )
         state = initial_ground_state(params, surface, heading_deg=rng.uniform(-180.0, 180.0),
                                      position_xy=(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)))
-        speeds = [0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)]
+        speeds = [0.0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0), -rng.uniform(0.5, 4.0)]
     duration = rng.uniform(2.0, 12.0) if dt < 0.005 else rng.uniform(10.0, 60.0)
-    script, t = [], 0.0
+    script, t, yaw = [], 0.0, 0.0
     while t < duration:
-        # a turn changes the heading every step, so it is never steady
-        yaw = rng.choice([0.0, 0.0, 0.0, rng.uniform(-0.5, 0.5)]) if kind == "flat" else 0.0
+        # a turn changes the heading every step, so it is never speed-only;
+        # the next setpoint stops it turning
+        yaw = (rng.choice([0.0, 0.0, 0.0, rng.uniform(-0.5, 0.5)])
+               if kind == "flat" and yaw == 0.0 else 0.0)
         setpoint = ControlSetpoint(mode=state.mode, speed_mps=rng.choice(speeds),
                                    yaw_rate_radps=yaw)
         script.append(ScriptEvent(t, setpoint=setpoint))
-        # some events land on a step, some between two
-        t += rng.choice([rng.uniform(0.5, duration / 2), round(rng.uniform(0.5, 4.0), 1)])
-    return state, surface, script, duration, dt, payload
+        # some events land on a step, some between two; some come while the
+        # speed still settles (within about 4 s)
+        t += rng.choice([rng.uniform(0.5, duration / 2), round(rng.uniform(0.5, 4.0), 1),
+                         rng.uniform(0.05, 2.0)])
+    if rng.random() < 0.3:  # the run ends while the speed settles
+        duration = script[-1].t_s + rng.uniform(0.05, 2.0)
+    return state, surface, script, duration, dt, payload, gains
 
 
 def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
     rng = random.Random(20261018)
-    real_stretch = Simulator._coast_stretch
-    seen = set()  # (mode, why a stretch of at least one step ended)
+    real_stretch, real_steady = Simulator._coast_stretch, Simulator._steady_stretch
+    seen = set()  # (mode, why a steady stretch of at least one step ended)
+    seen_speed = set()  # (mode, why the speed-only part of a stretch ended)
+    handed = []  # the step index each steady stretch started at
 
-    def watched(self, state, power, i, end, t_event, books, rows):
-        k, after = real_stretch(self, state, power, i, end, t_event, books, rows)
+    def steady_watched(self, state, power, i, end, t_event, books, rows):
+        handed.append(i)
+        k, after, fault = real_steady(self, state, power, i, end, t_event, books, rows)
         if k > i:
             why = ("end" if k == end else "event" if t_event <= after.time_s + 1e-12
                    else "trip")
             seen.add((after.mode, why))
-        return k, after
+        return k, after, fault
+
+    def watched(self, state, power, i, end, t_event, books, rows, speed, surface):
+        handed.clear()
+        k, after, fault = real_stretch(self, state, power, i, end, t_event, books, rows,
+                                       speed, surface)
+        if speed is not None and (handed or k > i):
+            if handed:
+                why = "handoff"
+            elif fault is not None:
+                why = "trip"
+            elif k == end:
+                why = "end"
+            elif t_event <= after.time_s + 1e-12:
+                why = "event"
+            else:
+                try:
+                    speed[0](after.velocity[2])
+                    why = "other"
+                except dynamics.DetachEvent:
+                    why = "detach"
+            seen_speed.add((after.mode, why))
+        return k, after, fault
 
     monkeypatch.setattr(Simulator, "_coast_stretch", watched)
-    for case in range(80):  # enough for a pack to trip inside a stretch in every mode
-        state, surface, script, duration, dt, payload = _random_case(rng, params)
+    monkeypatch.setattr(Simulator, "_steady_stretch", steady_watched)
+    for case in range(120):  # enough for a pack to trip inside a stretch in every mode
+        state, surface, script, duration, dt, payload, gains = _random_case(rng, params)
         # the unloaded ground calibration, booked under this payload
         model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]})
         batteries = _batteries(rng)
         kw = {"dt_s": dt, "payload": payload, "trace_decimation": rng.choice([1, 7, 10]),
-              "avionics_power_w": rng.choice([5.0, 5.0, 0.0])}
+              "avionics_power_w": rng.choice([5.0, 5.0, 0.0]), "gains": gains}
         if len({b.battery_id for b in batteries}) < len(batteries):  # the same_id layout
             with pytest.raises(ValueError, match="battery ids must be unique"):
                 Simulator(params, rotor, model, batteries=batteries, **kw)
@@ -149,9 +192,11 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         fast, ref = _against_reference(params, rotor, model, batteries,
                                         state, surface, script, duration, **kw)
         _assert_same(fast[1], ref[1], f"case {case}")
-    assert {(m, why) for m in (Mode.GROUND, Mode.INCLINE, Mode.WALL)
-            for why in ("event", "trip")} <= seen
+    modes = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
+    assert {(m, why) for m in modes for why in ("event", "trip")} <= seen
     assert "end" in {why for _, why in seen}
+    assert {(m, why) for m in modes for why in ("event", "trip", "handoff", "end")} \
+        | {(Mode.WALL, "detach")} == seen_speed
 
 
 @pytest.mark.parametrize("electronics_soc, tripped", [
@@ -164,9 +209,9 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
     taken, real = [], Simulator._coast_stretch
 
     def counted(self, state, power, i, *rest):
-        k, after = real(self, state, power, i, *rest)
+        k, after, fault = real(self, state, power, i, *rest)
         taken.append(k - i)
-        return k, after
+        return k, after, fault
 
     monkeypatch.setattr(Simulator, "_coast_stretch", counted)
     packs = [Battery("prop_a", 4, 5.0, soc=FLOOR + 1e-3, usable_fraction=USABLE_FRACTION),
@@ -265,7 +310,7 @@ def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
 
 def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
     """rocky-soil gives its golden bytes both ways; only the per-step path
-    takes a full `dynamics.step` for every step."""
+    takes a full `dynamics.step` for every step, the fast path one in all."""
     from test_acceptance import GOLDEN_SHA256
 
     calls, real_step = [], dynamics.step
@@ -284,4 +329,4 @@ def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
     n_steps = 30_000  # 30 s at the default dt of 1 ms
     assert slow_steps == n_steps
-    assert 0 < fast_steps < n_steps / 5  # 4361: until the drive settles
+    assert fast_steps == 1  # the first; the drive's speed-only steps and steady ones follow
