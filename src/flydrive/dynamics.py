@@ -17,25 +17,25 @@ the front/rear imbalance and yaw by the left/right imbalance. On a wall both
 axles point the same way at beta > 90, pressing the wheels on while the
 vertical component carries the weight.
 
-A ground, incline or wall step reads the position only to integrate it and
-never reads the time. On an incline, on a wall, and on flat ground with no
-yaw rate, no yaw demand and a heading the step writes back bit for bit, a
-step changes only the time, the position, the velocity and the rotor
-commands: it is a scalar map of the along-track speed through the speed law
-(`_ground_law`, `_wall_law`) that `step` itself calls. `speed_only_steps`
-hands that map to `Simulator.run` and plan validation, which take such steps
-over plain floats. Once such a step also returns the velocity and the
-commands bit for bit unchanged, each further step with the same setpoint and
-surface does too (it is steady): only the time and the position advance.
-Flight (its controller reads the position) and transitions (their schedule
-reads the time) are never speed-only.
+Each mode's step is one law over plain floats (`step_law`), built once for
+a stretch in which the mode, setpoint, surface and tilt schedule hold: it
+maps a state's floats (`floats_of`) to those of the state after the step.
+`step` builds the law, takes one step and builds the state (`state_of`), so
+there is one copy of the physics; `Simulator.run` and plan validation take
+whole stretches through the law with no state object. A ground, incline or
+wall law reads neither the position nor the time, so once a step changes
+nothing else bit for bit (`repeats`), every further step through the same
+law repeats it. Flight (its controller reads the position) and transitions
+(their schedule reads the time) never repeat. The ground law reruns the
+thrust allocation only when the speed and yaw rate it reads change bit for
+bit, which a settled turn often repeats.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import statics
@@ -47,6 +47,7 @@ GROUND_TILT_DEG = 90.0
 WALL_TILT_DEG = 135.0
 FLIGHT_TILT_DEG = 0.0
 STATIONARY_SPEED_MPS = 0.05  # "at rest" threshold for transition envelopes
+TILT_TIME_S = 1.0  # how long `mode_transition` sweeps the axles by default
 
 
 class Mode(str, Enum):
@@ -68,7 +69,7 @@ class SimulationFault(RuntimeError):
 
 class TipEvent(RuntimeError):
     """Static tip-over limit exceeded during ground/incline operation; carries
-    the state, or None where the loop keeps no SimState."""
+    the state."""
 
     def __init__(self, message: str, state: "SimState | None"):
         super().__init__(message)
@@ -104,6 +105,7 @@ def quaternion_yaw(q: tuple[float, float, float, float]) -> float:
 
 # body pitched nose-up 90 deg, the attitude while on a vertical wall
 _WALL_QUATERNION = (math.cos(math.pi / 4.0), 0.0, -math.sin(math.pi / 4.0), 0.0)
+_WALL_YAW = quaternion_yaw(_WALL_QUATERNION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +113,8 @@ class SimState:
     """Complete simulation state; frozen so stepping never aliases, slotted
     so building one per step is cheap."""
 
-    # the step functions construct states positionally, in this field order:
-    # matching ten keywords costs as much again as the rest of the constructor
+    # `state_of` constructs states positionally, in this field order: matching
+    # ten keywords costs as much again as the rest of the constructor
     time_s: float
     position: tuple[float, float, float]
     velocity: tuple[float, float, float]
@@ -274,67 +276,6 @@ def _ground_feedforward(g: float, mu_roll: float, m: float, psi: float,
     return force
 
 
-def ground_longitudinal_control(
-    params: VehicleParams,
-    rotor: RotorModel,
-    state: SimState,
-    v_target: float,
-    gains: ControllerGains | None = None,
-    surface: SurfaceModel | None = None,
-    payload: float = 0.0,
-) -> tuple[float, float, float, float]:
-    """Speed-tracking rotor commands for ground or incline operation.
-
-    Feedforward holds gravity and rolling resistance, a proportional term
-    closes the loop; acceleration demands land on the rear pair and braking
-    on the front pair.
-    """
-    gains = gains or ControllerGains()
-    surface = surface or SurfaceModel()
-    m = params.total_mass(payload)
-    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
-    v = along_track_speed(state, surface)
-    force = _ground_feedforward(params.gravity, surface.mu_roll(params), m, psi, v_target)
-    return ground_allocation(params, rotor, force + gains.kp_speed * (v_target - v), 0.0)
-
-
-def ground_yaw_control(
-    params: VehicleParams,
-    rotor: RotorModel,
-    state: SimState,
-    yaw_rate_target: float,
-    gains: ControllerGains | None = None,
-    payload: float = 0.0,
-) -> float:
-    """Left/right thrust differential (N) for a yaw-rate target.
-
-    Positive target = turn right (clockwise from above). The returned value
-    is the per-side force offset: right-side net force minus the half-sum.
-    Feedforward cancels the lateral-friction moment of the fixed wheels.
-    """
-    gains = gains or ControllerGains()
-    return _ground_yaw_diff(
-        params, state.angular_velocity[2], yaw_rate_target, gains,
-        params.total_mass(payload),
-    )
-
-
-def _ground_yaw_diff(
-    params: VehicleParams, r: float, yaw_rate_target: float, gains: ControllerGains, m: float
-) -> float:
-    """ground_yaw_control for yaw rate r (rad/s, CCW-positive) and mass m."""
-    r_target = -yaw_rate_target  # driving convention -> CCW-positive internal
-    friction_moment = (
-        params.lateral_friction_coeff
-        * m
-        * params.gravity
-        * params.wheel_contact_half_spacing_long
-        * _sgn(r_target)
-    )
-    moment = friction_moment + gains.kp_yaw_rate * (r_target - r)
-    return moment / (2.0 * params.wheel_contact_half_spacing_lat)
-
-
 def along_track_speed(state: SimState, surface: SurfaceModel) -> float:
     yaw = quaternion_yaw(state.quaternion) if surface.kind == "flat" else 0.0
     return _along_track(state.velocity, surface, yaw)
@@ -348,50 +289,6 @@ def _along_track(velocity, surface: SurfaceModel, yaw: float) -> float:
     if surface.kind == "wall":
         return velocity[2]
     return velocity[0] * math.cos(yaw) + velocity[1] * math.sin(yaw)
-
-
-def _flight_control(
-    params: VehicleParams,
-    rotor: RotorModel,
-    state: SimState,
-    target_position: tuple[float, float, float],
-    gains: ControllerGains,
-    payload: float,
-) -> tuple[float, list[float], float, float]:
-    """Position-hold command from the cascaded proportional loops: the
-    per-rotor command, the commanded acceleration vector and its norm, and
-    the total mass the command was sized for.
-
-    Point-mass abstraction: the attitude loop is assumed fast enough that
-    the thrust vector tracks the commanded acceleration direction within a
-    step. Hover at the target is a fixed point of the loop.
-    """
-    tx, ty, tz = target_position
-    radius = math.sqrt(tx * tx + ty * ty)
-    if radius > gains.geofence_radius_m:
-        raise GeofenceError(
-            f"target {radius:.1f} m from origin exceeds geofence "
-            f"{gains.geofence_radius_m:.1f} m"
-        )
-    gravity = params.gravity
-    a_max = gains.max_flight_accel_mps2
-    kp, kd = gains.kp_pos, gains.kd_pos
-    px, py, pz = state.position
-    vx, vy, vz = state.velocity
-    ax = kp * (tx - px) - kd * vx
-    ay = kp * (ty - py) - kd * vy
-    az = kp * (tz - pz) - kd * vz
-    h = math.sqrt(ax ** 2 + ay ** 2)
-    if h > a_max:
-        scale = a_max / h
-        ax *= scale
-        ay *= scale
-    # rotors cannot pull down; free fall is the hardest the loop may command
-    az = max(0.0, min(az + gravity, gravity + a_max))
-    mag = math.sqrt(ax * ax + ay * ay + az * az)
-    m = params.total_mass(payload)
-    c = rotor.command_at(min(m * mag / 4.0, rotor.max_thrust))
-    return c, [ax, ay, az], mag, m
 
 
 @dataclass(frozen=True)
@@ -431,7 +328,7 @@ _TILT_TARGETS = {
 def mode_transition(
     state: SimState,
     target_mode: Mode,
-    t_tilt_s: float = 1.0,
+    t_tilt_s: float = TILT_TIME_S,
     surface: SurfaceModel | None = None,
     params: VehicleParams | None = None,
 ) -> TiltSchedule:
@@ -538,65 +435,99 @@ def step(
     payload: float = 0.0,
     schedule: TiltSchedule | None = None,
 ) -> SimState:
-    """Advance one control + integration step. Pure function of its inputs."""
+    """Advance one control + integration step: build the `step_law`, take
+    one step through it and build the state. Pure function of its inputs."""
     if not 0.0 < dt_s <= DT_MAX_S:
         raise ValueError(f"dt {dt_s} outside (0, {DT_MAX_S}] s")
-    _check_inputs_finite(state, setpoint)
-    params = params or _default_params()
-    rotor = rotor or _default_rotor()
-    gains = gains or ControllerGains()
-    mode = state.mode
-    if mode in (Mode.GROUND, Mode.INCLINE):
-        new = _step_ground(state, setpoint, surface, dt_s, params, rotor, gains, payload)
-    elif mode == Mode.WALL:
-        new = _step_wall(state, setpoint, dt_s, params, rotor, gains, payload)
-    elif mode == Mode.FLIGHT:
-        new = _step_flight(state, setpoint, dt_s, params, rotor, gains, payload)
-    elif mode == Mode.TRANSITION:
-        new = _step_transition(state, dt_s, schedule)
-    else:
-        raise ValueError(f"unknown mode {mode}")
-    _check_finite(
-        (*new.position, *new.velocity, *new.quaternion, *new.angular_velocity), state
-    )
+    advance = step_law(state, setpoint, surface, dt_s, params or _default_params(),
+                       rotor or _default_rotor(), gains or ControllerGains(), payload, schedule)
+    try:
+        floats = advance(floats_of(state, surface))
+    except DetachEvent as exc:
+        exc.state = state
+        raise
+    new = state_of(floats)
+    _check_finite((*floats[POSITION], *floats[VELOCITY], *floats[QUATERNION], floats[YAW_RATE]),
+                  state)
     return new
 
 
+# Where each field sits in the floats a step law maps (`floats_of`): first
+# the 17 columns of a trace row (time, position, velocity, quaternion, front
+# and rear tilt, rotor commands), then the yaw rate, the yaw
+# (`quaternion_yaw` of the quaternion) and the speed a ground, incline or
+# wall step reads (`along_track_speed` on the ground, the climb speed
+# elsewhere), then the mode and the contact.
+TIME, POSITION, VELOCITY, QUATERNION = 0, slice(1, 4), slice(4, 7), slice(7, 11)
+TILT_FRONT, TILT_REAR, COMMANDS, TRACE = 11, 12, slice(13, 17), slice(0, 17)
+YAW_RATE, YAW, SPEED, MODE, CONTACT = 17, 18, 19, 20, 21
+_CONTACT, _NO_CONTACT = (True, True, True, True), (False, False, False, False)
 _STEADY_MODES = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
 _pack_motion = struct.Struct("16d").pack
-_pack_quaternion = struct.Struct("4d").pack
-_pack_speed_only = struct.Struct("7d").pack
+_pack1, _pack2 = struct.Struct("d").pack, struct.Struct("2d").pack
 
 
-def _motion_bits(s: SimState) -> bytes | None:
-    """The fields a steady step keeps, packed (packed doubles tell 0.0 from
-    -0.0, which == does not); None in flight and transition, where no step
-    is steady."""
-    if s.mode not in _STEADY_MODES:
-        return None
-    return _pack_motion(*s.velocity, *s.quaternion, *s.angular_velocity,
-                        *s.rotor_commands, s.tilt_front_deg, s.tilt_rear_deg)
+def step_law(
+    state: SimState,
+    setpoint: ControlSetpoint,
+    surface: SurfaceModel,
+    dt: float,
+    params: VehicleParams,
+    rotor: RotorModel,
+    gains: ControllerGains,
+    payload: float = 0.0,
+    schedule: TiltSchedule | None = None,
+):
+    """The step from `state` as a map over plain floats, for as long as the
+    mode, setpoint, surface and schedule hold: advance(f) returns the
+    `floats_of` the state that `step` returns from the state of floats f,
+    unchecked for finiteness. Raises what `step` raises before it
+    integrates; a wall step may raise DetachEvent with no state."""
+    _check_inputs_finite(state, setpoint)
+    mode = state.mode
+    if mode in (Mode.GROUND, Mode.INCLINE):
+        advance = _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload)
+    elif mode == Mode.WALL:
+        advance = _wall_law(state, setpoint, dt, params, rotor, gains, payload)
+    elif mode == Mode.FLIGHT:
+        advance = _flight_law(state, setpoint, dt, params, rotor, gains, payload)
+    elif mode == Mode.TRANSITION:
+        if schedule is None:
+            raise ValueError("transition mode needs the active TiltSchedule")
+        advance = _transition_law(schedule, dt)
+    else:
+        raise ValueError(f"unknown mode {mode}")
+    return advance
 
 
-def _steady_bits(before: SimState, after: SimState, before_bits: bytes | None,
-                 after_bits: bytes | None) -> bool:
-    """True when `after = step(before, ...)` is a ground, incline or wall step
-    that changed nothing but the time and the position, bit for bit, given
-    both states' `_motion_bits` (so that a loop packs each state once); until
-    the setpoint or the surface changes, each further `step` is steady too."""
-    return (after_bits is not None and after_bits == before_bits
-            and after.mode is before.mode and after.contact == before.contact)
+def floats_of(state: SimState, surface: SurfaceModel) -> tuple:
+    """The floats of `state` on `surface` that a step law maps."""
+    yaw = quaternion_yaw(state.quaternion)
+    v = (_along_track(state.velocity, surface, yaw) if state.mode in (Mode.GROUND, Mode.INCLINE)
+         else state.velocity[2])
+    return (state.time_s, *state.position, *state.velocity, *state.quaternion,
+            state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands,
+            state.angular_velocity[2], yaw, v, state.mode, state.contact)
 
 
-def _repeats(velocity, commands, before_velocity, before_commands) -> bool:
-    """True when a speed-only step returned the velocity and rotor commands
-    it started from, bit for bit: from there on every step is steady."""
-    return (velocity == before_velocity and commands == before_commands
-            and _pack_speed_only(*velocity, *commands)
-            == _pack_speed_only(*before_velocity, *before_commands))
+def state_of(f) -> SimState:
+    """The state of step-law floats f, after a step (the angular velocity
+    is then (0, 0, yaw rate))."""
+    return SimState(f[TIME], f[POSITION], f[VELOCITY], f[QUATERNION], (0.0, 0.0, f[YAW_RATE]),
+                    f[TILT_FRONT], f[TILT_REAR], f[COMMANDS], f[MODE], f[CONTACT])
 
 
-def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState | None) -> None:
+def repeats(f, g) -> bool:
+    """True when the ground, incline or wall step from floats f to floats g
+    changed nothing but the time and the position, bit for bit (packed
+    doubles tell 0.0 from -0.0, which == does not). Those laws read neither,
+    so each further step through the same law repeats it too."""
+    i = VELOCITY.start  # all that follows the time and position
+    return (g[i] == f[i] and g[i:] == f[i:] and g[MODE] in _STEADY_MODES
+            and _pack_motion(*g[i:MODE]) == _pack_motion(*f[i:MODE]))
+
+
+def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) -> None:
     """Raise TipEvent carrying `state` on a slope at or past the tip limit."""
     tip = statics.tipping_slope(params)
     if surface.slope_deg >= tip:
@@ -606,41 +537,98 @@ def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState | N
         )
 
 
-def _ground_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
-                surface: SurfaceModel, m: float, v_target: float, dt: float):
-    """The speed law of a ground or incline step for mass m: `law(v, moment)`
-    maps the along-track speed v the step reads and the yaw moment demand
-    (N m) to the new speed, the rotor commands and the yaw moment (N m) they
-    realise. `_step_ground` and every speed-only step call it."""
+def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
+    """The step law of a ground or incline state. Feedforward holds gravity
+    and rolling resistance and a proportional term closes the speed loop;
+    on flat ground the yaw loop's feedforward cancels the lateral-friction
+    moment of the fixed wheels (a positive yaw-rate target turns right).
+    It reruns the allocation only when the bits of the speed and yaw rate
+    it reads change (a settled turn repeats them), and the heading's
+    trigonometry only when the new yaw's bits change (a straight run)."""
+    m = params.total_mass(payload)
+    kind = surface.kind
+    incline = kind == "incline"
+    if incline:
+        _check_tip(params, surface, state)
     g = params.gravity
-    psi = math.radians(surface.slope_deg) if surface.kind == "incline" else 0.0
+    psi = math.radians(surface.slope_deg) if incline else 0.0
     mu_r = surface.mu_roll(params)
+    v_target = setpoint.speed_mps
     feedforward = _ground_feedforward(g, mu_r, m, psi, v_target)
     kp = gains.kp_speed
     grade = m * g * math.sin(psi)
     hold = mu_r * (m * g * math.cos(psi))  # rolling resistance at the normal force
+    lat, half_long = params.wheel_contact_half_spacing_lat, params.wheel_contact_half_spacing_long
+    r_target = -setpoint.yaw_rate_radps  # driving convention -> CCW-positive internal
+    friction_moment = params.lateral_friction_coeff * m * g * half_long * _sgn(r_target)
+    kp_yaw, two_lat = gains.kp_yaw_rate, 2.0 * lat
+    fric_cap = surface.mu_lat(params) * m * g * half_long
+    inertia = params.inertia[2]
+    cos_psi, sin_psi = math.cos(psi), math.sin(psi)
+    front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
+    flat = kind == "flat"
+    last_v = last_r = last_yaw = math.nan  # what the memos below were computed for
+    speed = heading = None
 
-    def law(v: float, moment_cmd: float = 0.0):
-        commands = ground_allocation(params, rotor, feedforward + kp * (v_target - v), moment_cmd)
-        f_net, m_net = _ground_net_force_moment(params, rotor, commands)
-        drive = f_net - grade
-        if v == 0.0 and abs(drive) <= hold:
-            return 0.0, commands, m_net
-        v_new = v + (drive - hold * _sgn(v if v != 0.0 else drive)) / m * dt
-        if v != 0.0 and v * v_new < 0.0 and abs(drive) <= hold:
-            v_new = 0.0  # rolling resistance stops the coast, it never reverses it
-        return v_new, commands, m_net
+    def advance(f):
+        nonlocal last_v, last_r, last_yaw, speed, heading
+        r, yaw, v = f[YAW_RATE], f[YAW], f[SPEED]
+        # == cannot tell 0.0 from -0.0, so zeros compare as packed doubles
+        if not (v == last_v and r == last_r and (v and r or _pack2(v, r) == _pack2(last_v, last_r))):
+            # the yaw loop's left/right differential, as a moment
+            moment = 0.0 if not flat else (
+                (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
+            commands = ground_allocation(params, rotor, feedforward + kp * (v_target - v), moment)
+            f_net, m_net = _ground_net_force_moment(params, rotor, commands)
+            drive = f_net - grade
+            if v == 0.0 and abs(drive) <= hold:
+                v_new = 0.0
+            else:
+                v_new = v + (drive - hold * _sgn(v if v != 0.0 else drive)) / m * dt
+                if v != 0.0 and v * v_new < 0.0 and abs(drive) <= hold:
+                    v_new = 0.0  # rolling resistance stops the coast, it never reverses it
+            if incline or r == 0.0 and abs(m_net) <= fric_cap:
+                r_new = 0.0
+            else:
+                r_new = r + (m_net - fric_cap * _sgn(r if r != 0.0 else m_net)) / inertia * dt
+                if r != 0.0 and r * r_new < 0.0 and abs(m_net) <= fric_cap:
+                    r_new = 0.0
+            last_v, last_r, speed = v, r, (v_new, *commands, r_new)
+        v_new, c0, c1, c2, c3, r_new = speed
+        yaw_new = yaw if incline else yaw + r_new * dt
+        if not (yaw_new == last_yaw and (yaw_new or _pack1(yaw_new) == _pack1(last_yaw))):
+            if incline:
+                ux, uy, uz = cos_psi, 0.0, sin_psi
+            else:
+                ux, uy, uz = math.cos(yaw_new), math.sin(yaw_new), 0.0
+            q = _yaw_quaternion(yaw_new)
+            yaw2 = quaternion_yaw(q)
+            last_yaw, heading = yaw_new, (ux, uy, uz, *q, yaw2, math.cos(yaw2), math.sin(yaw2))
+        ux, uy, uz, qw, qx, qy, qz, yaw2, cos_yaw, sin_yaw = heading
+        vx, vy, vz = v_new * ux, v_new * uy, v_new * uz
+        if flat:
+            read = vx * cos_yaw + vy * sin_yaw
+        elif incline:
+            read = vx * cos_psi + vz * sin_psi
+        else:
+            read = vz
+        px, py, pz = f[POSITION]
+        return (f[TIME] + dt, px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz,
+                qw, qx, qy, qz, front, rear, c0, c1, c2, c3, r_new, yaw2, read, mode, _CONTACT)
 
-    return law
+    return advance
 
 
-def _wall_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
-              gamma: float, m: float, v_target: float, dt: float):
-    """The speed law of a wall step for mass m with the axles gamma rad past
-    vertical: `law(v)` maps the climb speed v to the new speed, the velocity
-    and the rotor commands, or raises DetachEvent (with no state) when the
-    wall-normal force falls below the attachment threshold. `_step_wall` and
-    every speed-only wall step call it."""
+def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
+    """The step law of a wall state, with the axles gamma rad past vertical.
+    A step raises DetachEvent (with no state) when the wall-normal force
+    falls below the attachment threshold."""
+    m = params.total_mass(payload)
+    front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
+    gamma = math.radians(0.5 * (front + rear) - 90.0)
+    if gamma <= 0.0:
+        raise DetachEvent("wall mode needs tilt > 90 deg", state)
+    v_target = setpoint.speed_mps
     g = params.gravity
     mu_r = params.rolling_resistance_coeff
     den = math.cos(gamma) - mu_r * math.sin(gamma) * _sgn(v_target)
@@ -649,8 +637,10 @@ def _wall_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
     sin_gamma, cos_gamma, weight = math.sin(gamma), math.cos(gamma), m * g
     attach = gains.attach_normal_fraction * m * g
     mu_wall = params.wall_friction_coeff
+    qw, qx, qy, qz = _WALL_QUATERNION
 
-    def law(v: float):
+    def advance(f):
+        v = f[SPEED]
         per_rotor = max(0.0, min((thrust_ff + kp * (v_target - v)) / 4.0, f_max))
         c = rotor.command_at(per_rotor)
         thrust = 4.0 * rotor.thrust_at(c)
@@ -671,219 +661,84 @@ def _wall_law(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
             v_new = v + (lift - mu_r * normal * _sgn(v if v != 0.0 else lift)) / m * dt
             if v != 0.0 and v * v_new < 0.0 and parked:
                 v_new = 0.0
-        return v_new, (0.0, 0.0, v_new), (c, c, c, c)
+        px, py, pz = f[POSITION]
+        return (f[TIME] + dt, px, py, pz + v_new * dt, 0.0, 0.0, v_new, qw, qx, qy, qz,
+                front, rear, c, c, c, c, 0.0, _WALL_YAW, v_new, mode, _CONTACT)
 
-    return law
-
-
-def _ground_steps(params: VehicleParams, rotor: RotorModel, gains: ControllerGains,
-                  surface: SurfaceModel, m: float, v_target: float, dt: float, yaw: float):
-    """Speed-only steps on flat ground heading `yaw` (no yaw rate and no yaw
-    demand) or on an incline: (read, advance). `read(vx, vy, vz)` is the
-    along-track speed a step reads from a velocity, and `advance(v)` takes
-    one step from speed v to (v', velocity, commands), v' = read(*velocity)."""
-    law = _ground_law(params, rotor, gains, surface, m, v_target, dt)
-    if surface.kind == "incline":
-        psi = math.radians(surface.slope_deg)
-        c, s = math.cos(psi), math.sin(psi)
-        dx, dy, dz = c, 0.0, s
-
-        def read(vx, vy, vz):
-            return vx * c + vz * s
-    else:
-        c, s = math.cos(yaw), math.sin(yaw)
-        yaw_new = yaw + 0.0 * dt  # the heading a step writes at yaw rate 0
-        dx, dy, dz = math.cos(yaw_new), math.sin(yaw_new), 0.0
-
-        def read(vx, vy, vz):
-            return vx * c + vy * s
-
-    def advance(v):
-        v_new, commands, _ = law(v)
-        velocity = (v_new * dx, v_new * dy, v_new * dz)
-        return read(*velocity), velocity, commands
-
-    return read, advance
+    return advance
 
 
-def speed_only_steps(
-    state: SimState,
-    setpoint: ControlSetpoint,
-    surface: SurfaceModel,
-    dt: float,
-    params: VehicleParams,
-    rotor: RotorModel,
-    gains: ControllerGains,
-    payload: float = 0.0,
-):
-    """The steps from `state` as a scalar map of the along-track speed, when
-    each `step` changes only the time, the position, the velocity and the
-    rotor commands: on flat ground with no yaw rate, no yaw demand and a
-    heading the step writes back bit for bit; on an incline below the tip
-    limit; on a wall. Returns (advance, v, quaternion): `advance(v)` takes
-    one step from the along-track speed v the step reads to (v', velocity,
-    commands), and the quaternion is the one every step writes; or None.
-    A wall step may raise DetachEvent with no state."""
-    mode = state.mode
-    if mode not in _STEADY_MODES or state.angular_velocity != (0.0, 0.0, 0.0):
-        return None
-    if mode is Mode.WALL:
-        gamma = math.radians(0.5 * (state.tilt_front_deg + state.tilt_rear_deg) - 90.0)
-        if gamma <= 0.0:
-            return None
-        law = _wall_law(params, rotor, gains, gamma, params.total_mass(payload),
-                        setpoint.speed_mps, dt)
-        return law, state.velocity[2], _WALL_QUATERNION
-    if surface.kind == "wall" or (surface.kind == "flat" and setpoint.yaw_rate_radps != 0.0):
-        return None
-    if surface.kind == "incline" and surface.slope_deg >= statics.tipping_slope(params):
-        return None
-    yaw = quaternion_yaw(state.quaternion)
-    yaw_new = yaw + 0.0 * dt if surface.kind == "flat" else yaw
-    if _pack_quaternion(*_yaw_quaternion(yaw_new)) != _pack_quaternion(*state.quaternion):
-        return None
-    read, advance = _ground_steps(params, rotor, gains, surface, params.total_mass(payload),
-                                  setpoint.speed_mps, dt, yaw)
-    return advance, read(*state.velocity), state.quaternion
-
-
-def _step_ground(
-    state: SimState,
-    setpoint: ControlSetpoint,
-    surface: SurfaceModel,
-    dt: float,
-    params: VehicleParams,
-    rotor: RotorModel,
-    gains: ControllerGains,
-    payload: float,
-) -> SimState:
-    m = params.total_mass(payload)
-    incline = surface.kind == "incline"
-    if incline:
-        _check_tip(params, surface, state)
-    law = _ground_law(params, rotor, gains, surface, m, setpoint.speed_mps, dt)
-    yaw = quaternion_yaw(state.quaternion)
-    v = _along_track(state.velocity, surface, yaw)
-    moment_cmd = 0.0
-    r = state.angular_velocity[2]
-    if surface.kind == "flat":
-        diff = _ground_yaw_diff(params, r, setpoint.yaw_rate_radps, gains, m)
-        moment_cmd = diff * 2.0 * params.wheel_contact_half_spacing_lat
-    v_new, commands, m_net = law(v, moment_cmd)
-
-    if incline:
-        r_new = 0.0
-        yaw_new = yaw
-        psi = math.radians(surface.slope_deg)
-        dx, dy, dz = math.cos(psi), 0.0, math.sin(psi)
-    else:
-        mu_l = surface.mu_lat(params)
-        fric_cap = mu_l * m * params.gravity * params.wheel_contact_half_spacing_long
-        if r == 0.0 and abs(m_net) <= fric_cap:
-            r_new = 0.0
-        else:
-            m_fric = fric_cap * _sgn(r if r != 0.0 else m_net)
-            r_new = r + (m_net - m_fric) / params.inertia[2] * dt
-            if r != 0.0 and r * r_new < 0.0 and abs(m_net) <= fric_cap:
-                r_new = 0.0
-        yaw_new = yaw + r_new * dt
-        dx, dy, dz = math.cos(yaw_new), math.sin(yaw_new), 0.0
-    vx, vy, vz = v_new * dx, v_new * dy, v_new * dz
-    px, py, pz = state.position
-    return SimState(
-        state.time_s + dt,
-        (px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz),
-        _yaw_quaternion(yaw_new), (0.0, 0.0, r_new),
-        state.tilt_front_deg, state.tilt_rear_deg,
-        commands, state.mode, (True, True, True, True),
-    )
-
-
-def _step_wall(
-    state: SimState,
-    setpoint: ControlSetpoint,
-    dt: float,
-    params: VehicleParams,
-    rotor: RotorModel,
-    gains: ControllerGains,
-    payload: float,
-) -> SimState:
-    m = params.total_mass(payload)
-    tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
-    gamma = math.radians(tilt - 90.0)
-    if gamma <= 0.0:
-        raise DetachEvent("wall mode needs tilt > 90 deg", state)
-    law = _wall_law(params, rotor, gains, gamma, m, setpoint.speed_mps, dt)
-    try:
-        v_new, velocity, commands = law(state.velocity[2])
-    except DetachEvent as exc:
-        exc.state = state
-        raise
-    px, py, pz = state.position
-    return SimState(
-        state.time_s + dt,
-        (px, py, pz + v_new * dt), velocity,
-        _WALL_QUATERNION, (0.0, 0.0, 0.0),
-        state.tilt_front_deg, state.tilt_rear_deg,
-        commands, state.mode, (True, True, True, True),
-    )
-
-
-def _step_flight(
-    state: SimState,
-    setpoint: ControlSetpoint,
-    dt: float,
-    params: VehicleParams,
-    rotor: RotorModel,
-    gains: ControllerGains,
-    payload: float,
-) -> SimState:
+def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
+    """The step law of a flight state: position hold through cascaded
+    proportional loops. Point-mass abstraction: the attitude loop is assumed
+    fast enough that the thrust vector tracks the commanded acceleration
+    direction within a step. Hover at the target is a fixed point."""
     if setpoint.target_position is None:
         raise ValueError("flight mode needs a target_position setpoint")
-    c, (ax, ay, az), mag, m = _flight_control(
-        params, rotor, state, setpoint.target_position, gains, payload
-    )
-    k = 4.0 * rotor.thrust_at(c) / m
-    if mag > 1e-12:
-        ax, ay, az = ax / mag, ay / mag, az / mag
-    else:
-        ax, ay, az = 0.0, 0.0, 1.0
-    vx, vy, vz = state.velocity
-    vx += k * ax * dt
-    vy += k * ay * dt
-    vz += (k * az - params.gravity) * dt
-    px, py, pz = state.position
+    tx, ty, tz = setpoint.target_position
+    radius = math.sqrt(tx * tx + ty * ty)
+    if radius > gains.geofence_radius_m:
+        raise GeofenceError(
+            f"target {radius:.1f} m from origin exceeds geofence "
+            f"{gains.geofence_radius_m:.1f} m"
+        )
+    m = params.total_mass(payload)
+    gravity, a_max, f_max = params.gravity, gains.max_flight_accel_mps2, rotor.max_thrust
+    kp, kd = gains.kp_pos, gains.kd_pos
+    kp_yaw, max_rate = gains.kp_yaw, gains.max_yaw_rate_radps
+    yaw_target = math.radians(setpoint.target_yaw_deg)
+    front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
+    command_at, thrust_at = rotor.command_at, rotor.thrust_at
 
-    yaw = quaternion_yaw(state.quaternion)
-    err = _wrap_angle(math.radians(setpoint.target_yaw_deg) - yaw)
-    rate = max(-gains.max_yaw_rate_radps, min(gains.max_yaw_rate_radps, gains.kp_yaw * err))
-    return SimState(
-        state.time_s + dt,
-        (px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz),
-        _yaw_quaternion(yaw + rate * dt), (0.0, 0.0, rate),
-        state.tilt_front_deg, state.tilt_rear_deg,
-        (c, c, c, c), state.mode, (False, False, False, False),
-    )
+    def advance(f):
+        t = f[TIME]
+        px, py, pz = f[POSITION]
+        vx, vy, vz = f[VELOCITY]
+        ax = kp * (tx - px) - kd * vx
+        ay = kp * (ty - py) - kd * vy
+        az = kp * (tz - pz) - kd * vz
+        h = math.sqrt(ax ** 2 + ay ** 2)
+        if h > a_max:
+            scale = a_max / h
+            ax *= scale
+            ay *= scale
+        # rotors cannot pull down; free fall is the hardest the loop may command
+        az = max(0.0, min(az + gravity, gravity + a_max))
+        mag = math.sqrt(ax * ax + ay * ay + az * az)
+        c = command_at(min(m * mag / 4.0, f_max))
+        k = 4.0 * thrust_at(c) / m
+        if mag > 1e-12:
+            ax, ay, az = ax / mag, ay / mag, az / mag
+        else:
+            ax, ay, az = 0.0, 0.0, 1.0
+        vx += k * ax * dt
+        vy += k * ay * dt
+        vz += (k * az - gravity) * dt
+        yaw = f[YAW]
+        rate = max(-max_rate, min(max_rate, kp_yaw * _wrap_angle(yaw_target - yaw)))
+        q = _yaw_quaternion(yaw + rate * dt)
+        qw, qx, qy, qz = q
+        return (t + dt, px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, qw, qx, qy, qz,
+                front, rear, c, c, c, c, rate, quaternion_yaw(q), vz, mode, _NO_CONTACT)
+
+    return advance
 
 
-def _step_transition(state: SimState, dt: float, schedule: TiltSchedule | None) -> SimState:
-    if schedule is None:
-        raise ValueError("transition mode needs the active TiltSchedule")
-    t_new = state.time_s + dt
-    front, rear = schedule.tilts_at(t_new)
-    mode = state.mode
-    contact = state.contact
-    if schedule.done(t_new):
-        mode = schedule.target_mode
-        if mode in (Mode.GROUND, Mode.INCLINE, Mode.WALL):
-            contact = (True, True, True, True)
-    return SimState(
-        t_new,
-        state.position, (0.0, 0.0, 0.0),
-        state.quaternion, (0.0, 0.0, 0.0),
-        front, rear,
-        (0.0, 0.0, 0.0, 0.0), mode, contact,
-    )
+def _transition_law(schedule: TiltSchedule, dt: float):
+    """The step law of a transition: the axles follow the schedule with the
+    vehicle at rest; the step that ends the schedule enters its mode."""
+    def advance(f):
+        t = f[TIME] + dt
+        front, rear = schedule.tilts_at(t)
+        mode, contact = Mode.TRANSITION, f[CONTACT]
+        if schedule.done(t):
+            mode = schedule.target_mode
+            if mode in _STEADY_MODES:
+                contact = _CONTACT
+        return (t, *f[POSITION], 0.0, 0.0, 0.0, *f[QUATERNION], front, rear,
+                0.0, 0.0, 0.0, 0.0, 0.0, f[YAW], 0.0, mode, contact)
+
+    return advance
 
 
 def _wrap_angle(a: float) -> float:

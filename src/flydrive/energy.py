@@ -208,6 +208,18 @@ class PowerModel:
         rotor_power = 4.0 * self.rotor.power_at_thrust(hold_thrust / 4.0)
         return self.ground_power(speed, payload) + rotor_power
 
+    def drive_power_at(self, slope_deg: float | None = None, payload: float = 0.0):
+        """`speed -> ground_power(speed)`, or `incline_power` on a slope of
+        slope_deg, with the payload lookup and the hold power priced once;
+        the same bits, and the same errors, now instead of per call. At rest
+        the ground power is 0 W, so `incline_power` there is the rotor power
+        that holds the slope, bit for bit."""
+        hold_w = None if slope_deg is None else self.incline_power(slope_deg, 0.0, payload)
+        c1, c3 = self._lookup(self.ground_coeffs, payload, "ground")
+        if hold_w is None:
+            return lambda speed: c1 * speed + c3 * speed**3
+        return lambda speed: c1 * speed + c3 * speed**3 + hold_w
+
     def wall_power(self, tilt_deg: float, payload: float = 0.0) -> float:
         analysis = statics.wall_climb_analysis(
             self.params, tilt_deg, climbing=True, rotor=self.rotor, payload=payload

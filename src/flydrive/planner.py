@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -35,7 +35,7 @@ from operator import itemgetter
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .energy import PowerModel, usable_propulsion_energy_wh
-from .simulator import _drive_power, _finite_power
+from .simulator import _finite_power
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -548,48 +548,46 @@ def _drain_under_predicted(mission: MissionPlan, batteries: list) -> bool:
 def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
     """Energy (Wh) to drive a leg from rest. Each edge starts from a fresh
     ground state, heading along +x, at the speed the edge before ended
-    with; every step of it is speed-only, so the loop
-    keeps the speed, velocity, rotor commands and position as floats and
-    steps them through the ground speed law. Once a step is steady it only
-    moves the vehicle on, so v and power stay and only the distance and
-    energy add up."""
+    with, and steps it through the ground step law over plain floats, its
+    power priced once per edge. Once a step repeats the one before
+    (`dynamics.repeats`), each further step only moves the vehicle on, so
+    the speed and power stay and only the distance and energy add up."""
     params = model.params
     rotor = model.rotor
     gains = dynamics.ControllerGains()
     energy = 0.0
     v = 0.0
     max_steps_per_edge = int(60.0 / dt_s)
+    moving, speed = slice(dynamics.POSITION.start, dynamics.VELOCITY.stop), dynamics.SPEED
     for a, b in zip(leg.cells, leg.cells[1:]):
         dh = terrain.elevation_at(b) - terrain.elevation_at(a)
         slope = math.degrees(math.atan2(abs(dh), terrain.cell_size_m))
-        m = params.total_mass(payload)
         if slope == 0.0:
-            surface, mode = _FLAT, dynamics.Mode.GROUND
-            direction = (1.0, 0.0, 0.0)
+            surface, direction = _FLAT, (1.0, 0.0, 0.0)
         else:
             surface = dynamics.SurfaceModel("incline", slope_deg=slope)
-            mode = dynamics.Mode.INCLINE
-            dynamics._check_tip(params, surface, None)
             psi = math.radians(slope)
             direction = (math.cos(psi), 0.0, math.sin(psi))
-        read, advance = dynamics._ground_steps(params, rotor, gains, surface, m,
-                                               cfg.drive_speed_mps, dt_s, 0.0)
-        velocity = tuple(v * d for d in direction)
-        commands = (0.0, 0.0, 0.0, 0.0)
-        v = read(*velocity)
-        x, y, z = 0.0, 0.0, params.com_height
+        state = dynamics.initial_ground_state(params, surface)
+        state = replace(state, velocity=tuple(v * d for d in direction))
+        setpoint = dynamics.ControlSetpoint(state.mode, speed_mps=cfg.drive_speed_mps)
+        advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor, gains, payload)
+        price = model.drive_power_at(None if slope == 0.0 else slope, payload)
+        f = dynamics.floats_of(state, surface)
+        v = f[speed]
         covered = 0.0
         steps = 0
         steady = False
         while covered < terrain.cell_size_m:
             if not steady:
-                v, new_velocity, new_commands = advance(v)
-                vx, vy, vz = new_velocity
-                x, y, z = x + vx * dt_s, y + vy * dt_s, z + vz * dt_s
-                dynamics._check_finite((x, y, z, vx, vy, vz), None)
-                power = _finite_power(_drive_power(model, mode, surface, v, payload), mode, None)
-                steady = dynamics._repeats(new_velocity, new_commands, velocity, commands)
-                velocity, commands = new_velocity, new_commands
+                g = advance(f)
+                dynamics._check_finite(g[moving], None)  # position and velocity
+                try:
+                    power = price(abs(g[speed]))
+                except OverflowError:
+                    power = math.inf
+                power = _finite_power(power, state.mode, None)
+                steady, f, v = dynamics.repeats(f, g), g, g[speed]
             covered += v * dt_s
             energy += power * dt_s / 3600.0
             steps += 1

@@ -22,7 +22,7 @@ from .defaults import (
     default_power_model,
     default_rotor,
 )
-from .dynamics import ControlSetpoint, Mode, SurfaceModel
+from .dynamics import DT_MAX_S, TILT_TIME_S, ControlSetpoint, Mode, SurfaceModel
 from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
 from .fields import REQUIRED
 from .planner import PlannerConfig
@@ -163,6 +163,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         rotor = fields.call(load_rotor_table_file, fail, "rotor_table",
                             _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
     model = _load_power_model(block("power_model", POWER_MODEL), params, rotor, fail)
+    initial = InitialSpec(**block("initial", INITIAL))
     # a payload the ground calibration lacks fails here, not mid-run
     fields.call(model.ground_power, fail, "payload_kg", 0.0, top["payload_kg"])
     return Scenario(
@@ -175,8 +176,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         batteries=tuple(_load_batteries(top["batteries"], fail)),
         avionics_power_w=top["avionics_power_w"],
         surface=fields.call(SurfaceModel, fail, "surface", **block("surface", SURFACE)),
-        initial=InitialSpec(**block("initial", INITIAL)),
-        script=tuple(_load_script(top["script"], fail)),
+        initial=initial,
+        script=tuple(_load_script(top["script"], initial.mode, top["duration_s"], fail)),
         duration_s=top["duration_s"],
         planner_query=None if top["planner"] is None else _load_planner_query(
             block("planner", PLANNER), fail, source, base_dir),
@@ -264,7 +265,8 @@ def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
     )
 
 
-def _load_script(entries: list, fail) -> list[ScriptEvent]:
+def _load_script(entries: list, initial_mode: Mode, duration_s: float,
+                 fail) -> list[ScriptEvent]:
     events: list[ScriptEvent] = []
     for i, entry in enumerate(entries):
         kp = f"script[{i}]"
@@ -284,7 +286,62 @@ def _load_script(entries: list, fail) -> list[ScriptEvent]:
             )
         events.append(ScriptEvent(t_s=ev["t_s"], setpoint=setpoint,
                                   transition_to=ev["transition_to"]))
+    _check_flight_targets(events, initial_mode, duration_s, fail)
     return events
+
+
+def _check_flight_targets(events: list[ScriptEvent], initial_mode: Mode, duration_s: float,
+                          fail) -> None:
+    """Fail where the run would surely fly with no target_position_m in
+    force: from t_s 0 of a flight start, when a take-off's tilt ends and at
+    each setpoint while flying. A run reads the events due at each step, so
+    an event takes effect up to a step (at most DT_MAX_S) after its t_s, and
+    a take-off's tilt ends TILT_TIME_S after it plus up to two steps. Where
+    a setpoint with a target or a transition may come inside that slack, or
+    the run may end first, the check leaves the case to the run. A take-off
+    is checked as though the transition envelope accepts it."""
+    def check(lo, hi, trigger):
+        """Fail if the flight that event `trigger` (None: the flight start)
+        begins between t_s lo and hi has no target."""
+        if hi + DT_MAX_S > duration_s:
+            return
+        in_force = None  # the setpoint in force at lo
+        for i, ev in enumerate(events):  # in time order: the loader checks that
+            if ev.t_s > hi:
+                break
+            if ev.t_s >= lo and ev.transition_to is not None:
+                return
+            if ev.setpoint is not None:
+                if ev.t_s <= lo:
+                    in_force = i
+                elif ev.setpoint.target_position is not None:
+                    return
+        if in_force is not None and events[in_force].setpoint.target_position is not None:
+            return
+        if in_force is None or trigger is not None and in_force < trigger:
+            if trigger is None:
+                fail("initial.mode", "a flight start needs a setpoint with target_position_m "
+                     "at t_s 0")
+            in_force = trigger
+        fail(f"script[{in_force}].target_position_m", "the vehicle would fly with no target")
+
+    eps = 1e-9  # more than a run's rounding of time
+    flying, busy = initial_mode == Mode.FLIGHT, -math.inf  # busy: until a transition may run
+    if flying:
+        check(0.0, eps, None)
+    for i, ev in enumerate(events):
+        if ev.setpoint is not None and flying and ev.t_s > busy:
+            check(ev.t_s, ev.t_s + DT_MAX_S + eps, i)
+        to = ev.transition_to
+        if to is None or to == Mode.FLIGHT and flying and ev.t_s > busy:
+            continue  # a take-off while flying is refused
+        if to == Mode.FLIGHT and ev.t_s > busy:
+            end = ev.t_s + TILT_TIME_S
+            check(end - eps, end + 2.0 * DT_MAX_S + eps, i)
+            flying = True
+        else:  # a landing, or a request that may come while the axles tilt
+            flying = False
+        busy = ev.t_s + TILT_TIME_S + 2.0 * DT_MAX_S + eps
 
 
 def _load_planner_query(query: dict, fail, source: str, base_dir: str) -> PlannerQuery:

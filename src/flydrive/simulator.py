@@ -8,22 +8,24 @@ script produce byte-identical files.
 
 Every step is booked one way, through constants built once per run
 (`_Books`): each pack's SoC and Ah divisors and trip floor, and what the
-avionics draw per step. A full `dynamics.step` is booked by `_Books.book`.
-When the steps after it are speed-only (`dynamics.speed_only_steps`),
-`Simulator.run` takes them over plain floats through the speed law, each
-booked by `_Books.book` and traced in full, with no `SimState`; once a step
-is steady (it repeats the one before bit for bit), each further step only
-adds the increments of the one before to time, position, the mode's Wh and
-each pack's SoC and Ah. Either way each increment is the expression `drain`
-computes and the ledger adds, in the same order, so every sum keeps its
-bits. Every other step, such as one that would consume a script event,
-detach from a wall or leave the position non-finite, is a full
-`dynamics.step`; a step whose power overflows or is not finite ends the run
-with a fault. A drive at 1 m/s until both full packs trip (575k steps at dt
-0.02 s) takes 0.7 s with a 30 MB peak, against 7.4 s and 120 MB with a
-`SimState`, three `drain` and two ledger calls per step; a speed-only step
-costs about half a full step, 7-17 us against 21-30 us on a wall, flat
-ground or an incline (x86_64, Python 3.11).
+avionics draw per step. `Simulator.run` takes each stretch in which the
+mode, setpoint, surface and tilt schedule hold through that mode's
+`dynamics.step_law` over plain floats, prices each step with what the
+stretch keeps fixed bound once (`_stretch_power`), books it by
+`_Books.book` and writes its trace row from the floats; it builds a
+`SimState` only at a script event, at the end of a transition, at a fault
+and at the end of the run. Once a ground, incline or wall step repeats the
+one before bit for bit but for time and position (`dynamics.repeats`),
+each further step only adds the increments of the one before to time,
+position, the mode's Wh and each pack's SoC and Ah. Either way each
+increment is the expression `drain` computes and the ledger adds, in the
+same order, so every sum keeps its bits. A step the float loop declines
+(one that would detach from a wall, end a transition, or leave the state or
+its power non-finite) is a full `dynamics.step`, which raises the fault or
+takes the step; a step whose power overflows or is not finite ends the run
+with a fault. Per step at dt 1 ms, booking and trace included, flight costs
+about 10 us, a turn 14 us and a transition 4 us (medians on a shared 2-core
+x86_64 host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ from dataclasses import dataclass, replace
 
 from . import dynamics
 from .dynamics import (
+    CONTACT,
+    MODE,
+    POSITION,
+    QUATERNION,
+    SPEED,
+    TILT_FRONT,
+    TILT_REAR,
+    TIME,
+    TRACE,
+    VELOCITY,
+    YAW_RATE,
     ControlSetpoint,
     ControllerGains,
     Mode,
@@ -40,8 +53,7 @@ from .dynamics import (
     SurfaceModel,
     TiltSchedule,
 )
-from .dynamics import _motion_bits, _steady_bits
-from .energy import Battery, EnergyLedger, PowerModel
+from .energy import Battery, EnergyLedger, PowerModel, UnknownPayloadError
 from .vehicle import RotorModel, VehicleParams
 
 TRACE_HEADER = (
@@ -72,9 +84,6 @@ class SimResult:
     faulted: bool = False
     fault_reason: str | None = None
 
-    def trace_csv(self) -> str:
-        return _HEADER_LINE + "".join(self.rows)
-
     def write_trace(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_HEADER_LINE)
@@ -90,46 +99,12 @@ def instantaneous_power(
 ) -> float:
     """Electrical propulsion power for the current state, W. A power that
     overflows or is not finite raises SimulationFault carrying the state."""
-    mode = state.mode
-    if mode is Mode.GROUND or mode is Mode.INCLINE:
-        power = _drive_power(model, mode, surface, dynamics.along_track_speed(state, surface),
-                             payload)
-        return _finite_power(power, mode, state)
+    floats = dynamics.floats_of(state, surface)
     try:
-        if mode == Mode.WALL:
-            tilt = 0.5 * (state.tilt_front_deg + state.tilt_rear_deg)
-            power = model.wall_power(tilt, payload)
-        elif mode == Mode.FLIGHT:
-            vx, vy, vz = state.velocity
-            if math.hypot(vx, vy) < HOVER_SPEED_THRESHOLD_MPS:
-                power = model.hover_power_w
-            else:
-                power = model.flight_power(payload)
-            power += model.params.total_mass(payload) * model.params.gravity * max(0.0, vz)
-        elif mode == Mode.TRANSITION:
-            # tilting through a flight configuration means the rotors carry the
-            # vehicle; a tilt swap on the ground is nearly free
-            airborne = schedule is not None and (
-                schedule.target_mode == Mode.FLIGHT or not any(state.contact)
-            )
-            power = model.hover_power_w if airborne else 0.0
-        else:
-            raise ValueError(f"unknown mode {mode}")
+        power = _stretch_power(model, surface, payload, schedule, floats)(floats)
     except OverflowError:
         power = math.inf
-    return _finite_power(power, mode, state)
-
-
-def _drive_power(model: PowerModel, mode: Mode, surface: SurfaceModel, speed: float,
-                 payload: float) -> float:
-    """Ground or incline power (W) at along-track speed `speed`; inf where
-    it overflows."""
-    try:
-        if mode is Mode.GROUND:
-            return model.ground_power(abs(speed), payload)
-        return model.incline_power(surface.slope_deg, abs(speed), payload)
-    except OverflowError:
-        return math.inf
+    return _finite_power(power, state.mode, state)
 
 
 def _finite_power(power: float, mode: Mode, state: SimState | None) -> float:
@@ -145,8 +120,9 @@ class _Books:
     and its trip floor; the electronics pack, its floor, and the SoC, Ah and
     Wh the avionics draw each step; the ledger's dicts and the run's events.
 
-    `book` books a full or speed-only step, and `Simulator._steady_stretch`
-    a stretch of steady steps over floats, both through these constants. Each SoC
+    `book` books a step of the float loop or a full step, and
+    `Simulator._steady_stretch` a stretch of steady steps over floats, both
+    through these constants. Each SoC
     decrement is the expression `drain` computes, and each Wh and Ah
     increment is power * dt / 3600 (over the nominal voltage for Ah), added
     in the same order as by a loop that calls `drain` for every step, so
@@ -273,21 +249,10 @@ class Simulator:
         n_steps = int(round(duration_s / dt))
         next_event = 0
         fault_reason = None
-        step = dynamics.step
         books = _Books(self.batteries, self.avionics_power_w, dt, ledger, events)
-        steady = False  # the last step only moved time and position
-        speed = None  # else `dynamics.speed_only_steps` of `state`, if any
-        bits = _motion_bits(state)  # of `state`, carried so each state is packed once
 
         i = 0
         while i < n_steps:
-            if steady or speed is not None:
-                t_event = script[next_event].t_s if next_event < len(script) else math.inf
-                i, state, fault_reason = self._coast_stretch(state, power, i, n_steps, t_event,
-                                                             books, rows, speed, surface)
-                if fault_reason is not None or i == n_steps:
-                    break
-                bits = _motion_bits(state)
             while next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12:
                 ev = script[next_event]
                 next_event += 1
@@ -298,13 +263,30 @@ class Simulator:
                         schedule = dynamics.mode_transition(
                             state, ev.transition_to, surface=surface, params=params
                         )
-                        state, bits = dynamics.begin_transition(state), None
+                        state = dynamics.begin_transition(state)
                         log("transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
                         log("transition_rejected", str(exc))
-            previous, previous_bits = state, bits
+            t_event = script[next_event].t_s if next_event < len(script) else math.inf
             try:
-                state = step(state, setpoint, surface, dt, params, rotor, gains, payload, schedule)
+                floats = dynamics.floats_of(state, surface)
+                law = (dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains,
+                                         payload, schedule),
+                       floats, _stretch_power(model, surface, payload, schedule, floats))
+            except (ArithmeticError, ValueError, RuntimeError):
+                law = None  # the full step below raises it where it is due, or prices its step
+            if law is not None:
+                k, floats, fault_reason = self._stretch(law, i, n_steps, t_event, books, rows)
+                if k > i:
+                    i, state = k, dynamics.state_of(floats)
+                if fault_reason is not None or i == n_steps:
+                    break
+                if t_event <= state.time_s + 1e-12:
+                    continue
+            previous = state
+            try:
+                state = dynamics.step(state, setpoint, surface, dt, params, rotor, gains, payload,
+                                      schedule)
                 if previous.mode is Mode.TRANSITION and state.mode is not Mode.TRANSITION:
                     log("transition_complete", state.mode.value)
                     setpoint = replace(setpoint, mode=state.mode)
@@ -315,16 +297,12 @@ class Simulator:
                 fault_reason = str(exc)
                 log(type(exc).__name__.lower(), fault_reason)
                 break
-            bits = _motion_bits(state)
-            steady = _steady_bits(previous, state, previous_bits, bits)
             fault_reason = books.book(power, state.mode.value, state.time_s)
             if fault_reason is not None:
                 break
-            if (i + 1) % self.trace_decimation == 0:
-                rows.append(_trace_row(state, power))
             i += 1
-            speed = None if steady else dynamics.speed_only_steps(
-                state, setpoint, surface, dt, params, rotor, gains, payload)
+            if i % self.trace_decimation == 0:
+                rows.append(_trace_row(state, power))
         return SimResult(
             final_state=state,
             rows=rows,
@@ -334,76 +312,61 @@ class Simulator:
             fault_reason=fault_reason,
         )
 
-    def _coast_stretch(self, state, power, i, end, t_event, books, rows, speed, surface):
-        """Take steps i, i + 1, ... from `state` over plain floats; return the
-        index and the state of the step after them, and the fault that ends
-        the run (a pack trip), if any.
-
-        With `speed` (`dynamics.speed_only_steps` of `state`), each step
-        first goes through the speed law, is booked by `_Books.book` and
-        traced in full, until one returns the velocity and rotor commands it
-        started from bit for bit. From that steady step on, or from the start
-        without `speed`, each step only moves time and position and repeats
-        the increments of the step before: that step drew the same power from
-        the same packs, so no draw is negative or from a tripped pack, and
-        every increment is the one `_Books.book` adds, in the same order, so
-        every sum keeps its bits.
+    def _stretch(self, law, i, end, t_event, books, rows):
+        """Take steps i, i + 1, ... through `law` (the `dynamics.step_law`
+        of a state, its floats and `_stretch_power`) over plain floats;
+        return the index and the floats of the step after them, and the
+        fault that ends the run (a pack trip), if any. Each step is booked
+        by `_Books.book` and traced from the floats; from a step that
+        repeats the one before (`dynamics.repeats`), `_steady_stretch`
+        takes the steps that follow.
 
         Stops before the first step that would consume the script event at
-        `t_event` or leave the position or velocity non-finite, and at step
-        `end`; while the speed changes, also before a step that would detach
-        from a wall or whose power is not finite, and after one that trips a
-        pack; once steady, before a step that would bring a pack to its floor.
-        The per-step path takes the step it stopped before.
+        `t_event`, detach from a wall, end a transition, or leave the state
+        or its power non-finite, and at step `end`; after a step that trips
+        a pack. The full `dynamics.step` in `run` takes the step it stopped
+        before.
         """
-        if speed is None:
-            return self._steady_stretch(state, power, i, end, t_event, books, rows)
+        advance, f, power_of = law
         dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
-        advance, v, quaternion = speed
-        mode, tilts = state.mode, (state.tilt_front_deg, state.tilt_rear_deg)
-        moves_xy = mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
-        fixed = ",".join(map(repr, (*quaternion, *tilts)))
-        model, payload, name = self.power_model, self.payload, mode.value
-        t, (x, y, z) = state.time_s, state.position
-        velocity, commands = state.velocity, state.rotor_commands
-        k, fault, steady = i, None, False
-        while k < end and not t_event <= t + 1e-12:
+        mode = f[MODE]
+        name = mode.value
+        moving = slice(POSITION.start, QUATERNION.stop)  # checked for finiteness with the yaw rate
+        k, fault = i, None
+        while k < end and not t_event <= f[TIME] + 1e-12:
             try:
-                v_next, new_velocity, new_commands = advance(v)
+                g = advance(f)
             except dynamics.DetachEvent:
                 break
-            vx, vy, vz = new_velocity
-            nx, ny = (x + vx * dt, y + vy * dt) if moves_xy else (x, y)
-            nz = z + vz * dt
-            if moves_xy:  # a wall step draws the same power at any speed
-                power = _drive_power(model, mode, surface, v_next, payload)
-            if not (-inf < nx < inf and -inf < ny < inf and -inf < nz < inf and -inf < vx < inf
-                    and -inf < vy < inf and -inf < vz < inf and -inf < power < inf):
+            if g[MODE] is not mode or not -inf < sum(g[moving], g[YAW_RATE]) < inf:
                 break
-            t += dt
-            x, y, z = nx, ny, nz
-            steady = dynamics._repeats(new_velocity, new_commands, velocity, commands)
-            v, velocity, commands = v_next, new_velocity, new_commands
+            try:
+                power = power_of(g)
+            except OverflowError:
+                break
+            if not -inf < power < inf:
+                break
             k += 1
-            fault = books.book(power, name, t)
+            fault = books.book(power, name, g[TIME])
             if fault is not None:
-                break
+                return k, g, fault
             if k % decimation == 0:
-                rows.append(f"{t!r},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r},{fixed},"
-                            f"{','.join(map(repr, commands))},{name},{power!r}\n")
-            if steady:
-                break
-        if k > i:
-            state = SimState(t, (x, y, z), velocity, quaternion, (0.0, 0.0, 0.0), *tilts,
-                             commands, mode, (True, True, True, True))
-        if fault is not None or not steady:
-            return k, state, fault
-        return self._steady_stretch(state, power, k, end, t_event, books, rows)
+                rows.append(",".join(map(repr, g[TRACE])) + f",{name},{power!r}\n")
+            if g[SPEED] == f[SPEED] and dynamics.repeats(f, g):
+                k, g = self._steady_stretch(g, power, k, end, t_event, books, rows)
+            f = g
+        return k, f, None
 
-    def _steady_stretch(self, state, power, i, end, t_event, books, rows):
-        """`_coast_stretch` from a steady `state` whose step drew `power`."""
+    def _steady_stretch(self, f, power, i, end, t_event, books, rows):
+        """`_stretch` from the floats f of a step that repeated the one
+        before and drew `power`: each further step only moves time and
+        position and repeats the increments of the step before. That step
+        drew the same power from the same packs, so no draw is negative or
+        from a tripped pack, and every increment is the one `_Books.book`
+        adds, in the same order, so every sum keeps its bits. Also stops
+        before a step that would bring a pack to its floor."""
         dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
-        moves_xy = state.mode is not Mode.WALL  # a wall step keeps x and y, -0.0 included
+        moves_xy = f[MODE] is not Mode.WALL  # a wall step keeps x and y, -0.0 included
         # per pack: SoC, its decrement, the trip floor, Ah and its increment;
         # an empty slot never trips
         share, e = power / books.n_packs, books.electronics
@@ -416,12 +379,13 @@ class Simulator:
                           per_battery_ah.get(e.battery_id, 0.0), books.avionics_ah))
         slots += [(0.0, 0.0, -math.inf, 0.0, 0.0)] * (3 - len(slots))
         (sa, da, fa, aa, ia), (sb, db, fb, ab, ib), (se, de, fe, ae, ie) = slots
-        name = state.mode.value
+        name = f[MODE].value
         wh_mode, d_mode = per_mode_wh.get(name, 0.0), power * dt / 3600.0
         wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), books.avionics_wh
-        t, (x, y, z), (vx, vy, vz) = state.time_s, state.position, state.velocity
+        t, (x, y, z), (vx, vy, vz) = f[TIME], f[POSITION], f[VELOCITY]
         dx, dy, dz = vx * dt, vy * dt, vz * dt
-        tail = _row_tail(state, power)
+        moved = VELOCITY.start  # the trace columns and floats that follow the position
+        tail = "," + ",".join(map(repr, f[moved:TRACE.stop])) + f",{name},{power!r}\n"
         nx, ny, k = x, y, i
         while k < end and not t_event <= t + 1e-12:
             if moves_xy:
@@ -443,7 +407,7 @@ class Simulator:
             if k % decimation == 0:
                 rows.append(f"{t!r},{x!r},{y!r},{z!r}{tail}")
         if k == i:
-            return i, state, None
+            return i, f
         per_mode_wh[name] = wh_mode
         packs = [b for b, *_ in books.packs]
         if e is not None:
@@ -453,15 +417,49 @@ class Simulator:
             b.soc = soc
             if b is not e or books.avionics_w > 0:  # no Ah is booked for a zero draw
                 per_battery_ah[b.battery_id] = ah
-        return k, replace(state, time_s=t, position=(x, y, z)), None
+        return k, (t, x, y, z, *f[moved:])
+
+
+def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
+                   schedule: TiltSchedule | None, f):
+    """The power (W) of each state that a `dynamics.step_law` from floats f
+    steps to, as a function of that state's floats, with what such a
+    stretch keeps fixed priced once; raises where that pricing fails, but
+    for a missing flight calibration, which only a cruising step needs."""
+    mode = f[MODE]
+    if mode in (Mode.GROUND, Mode.INCLINE):
+        price = model.drive_power_at(surface.slope_deg if mode == Mode.INCLINE else None, payload)
+        return lambda g: price(abs(g[SPEED]))
+    if mode == Mode.FLIGHT:
+        hover, weight = model.hover_power_w, model.params.total_mass(payload) * model.params.gravity
+        try:
+            cruise = model.flight_power(payload)
+        except UnknownPayloadError:
+            cruise = None  # a hover needs no flight calibration: the first cruise raises
+
+        def flight_power(g):
+            vx, vy, vz = g[VELOCITY]
+            if math.hypot(vx, vy) < HOVER_SPEED_THRESHOLD_MPS:
+                power = hover
+            else:
+                power = cruise if cruise is not None else model.flight_power(payload)
+            return power + weight * max(0.0, vz)
+
+        return flight_power
+    if mode == Mode.WALL:
+        power = model.wall_power(0.5 * (f[TILT_FRONT] + f[TILT_REAR]), payload)
+    elif mode == Mode.TRANSITION:
+        # tilting through a flight configuration means the rotors carry the
+        # vehicle; a tilt swap on the ground is nearly free
+        airborne = schedule is not None and (
+            schedule.target_mode == Mode.FLIGHT or not any(f[CONTACT]))
+        power = model.hover_power_w if airborne else 0.0
+    else:
+        raise ValueError(f"unknown mode {mode}")
+    return lambda g: power
 
 
 def _trace_row(state: SimState, power_w: float) -> str:
-    return ",".join(map(repr, (state.time_s, *state.position))) + _row_tail(state, power_w)
-
-
-def _row_tail(state: SimState, power_w: float) -> str:
-    """The trace row after z: the columns a coasted step leaves unchanged."""
-    values = (*state.velocity, *state.quaternion, state.tilt_front_deg,
-              state.tilt_rear_deg, *state.rotor_commands)
-    return "," + ",".join(map(repr, values)) + f",{state.mode.value},{power_w!r}\n"
+    values = (state.time_s, *state.position, *state.velocity, *state.quaternion,
+              state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands)
+    return ",".join(map(repr, values)) + f",{state.mode.value},{power_w!r}\n"

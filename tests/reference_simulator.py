@@ -7,19 +7,34 @@ with the Simulator's. `is_steady` tells a steady step from two states.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import replace
 
 from flydrive import dynamics
-from flydrive.dynamics import ControlSetpoint, Mode, SimState, _motion_bits, _steady_bits
+from flydrive.dynamics import ControlSetpoint, Mode, SimState
 from flydrive.energy import Battery, BatteryProtectionError, EnergyLedger, drain
 from flydrive.simulator import SimResult, Simulator, _trace_row, instantaneous_power
+
+
+_pack_motion = struct.Struct("16d").pack
+
+
+def _motion_bits(s: SimState) -> bytes | None:
+    """The fields a steady step keeps, packed (packed doubles tell 0.0 from
+    -0.0, which == does not); None in flight and transition."""
+    if s.mode not in (Mode.GROUND, Mode.INCLINE, Mode.WALL):
+        return None
+    return _pack_motion(*s.velocity, *s.quaternion, *s.angular_velocity,
+                        *s.rotor_commands, s.tilt_front_deg, s.tilt_rear_deg)
 
 
 def is_steady(before: SimState, after: SimState) -> bool:
     """True when `after = step(before, ...)` is a ground, incline or wall step
     that changed nothing but the time and the position, bit for bit; until
     the setpoint or the surface changes, each further `step` is steady too."""
-    return _steady_bits(before, after, _motion_bits(before), _motion_bits(after))
+    bits = _motion_bits(after)
+    return (bits is not None and bits == _motion_bits(before)
+            and after.mode is before.mode and after.contact == before.contact)
 
 
 def record(ledger: EnergyLedger, dt_s: float, power_w: float, mode: str,

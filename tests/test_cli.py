@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -369,6 +371,46 @@ class TestScenarioLoading:
         assert f"scn.json: {keypath}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("script, keypath, initial", [
+        ([{"t_s": 0.0, "transition_to": "flight"}], "script[0].target_position_m", None),
+        ([{"t_s": 0.0, "mode": "ground", "speed_mps": 0.0},
+          {"t_s": 0.5, "mode": "flight", "speed_mps": 0.0, "transition_to": "flight"}],
+         "script[1].target_position_m", None),
+        # a target set while the axles tilt, then a setpoint that drops it in flight
+        ([{"t_s": 0.0, "transition_to": "flight"},
+          {"t_s": 0.5, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]},
+          {"t_s": 2.0, "mode": "flight"}], "script[2].target_position_m", None),
+        # a flight start with no setpoint, or one with no target
+        ([], "initial.mode", {"mode": "flight", "height_m": 2.0}),
+        ([{"t_s": 0.0, "mode": "flight", "target_yaw_deg": 90.0}], "script[0].target_position_m",
+         {"mode": "flight", "height_m": 2.0}),
+    ])
+    def test_flight_without_a_target_exits_2_at_load(self, tmp_path, capsys, script, keypath,
+                                                     initial):
+        # each used to pass load and stop at run time naming no file or key
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "script": script, "duration_s": 3.0,
+                                         "initial": initial})
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
+        assert f"scn.json: {keypath}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("script, dt_s", [
+        ([{"t_s": 0.0, "transition_to": "flight"},
+          {"t_s": 0.5, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]}], "0.001"),
+        # the take-off starts at the step at 0.02 s, so its tilt ends at 1.02 s
+        ([{"t_s": 0.01, "transition_to": "flight"},
+          {"t_s": 1.015, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]}], "0.02"),
+        # the run ends before the tilt does, so the vehicle never flies
+        ([{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0},
+          {"t_s": 0.9, "mode": "ground", "speed_mps": 0.0},
+          {"t_s": 2.5, "transition_to": "flight"}], "0.001"),
+    ])
+    def test_flight_with_a_target_in_time_runs(self, tmp_path, script, dt_s):
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "script": script, "duration_s": 3.0})
+        assert main(["simulate", path, "--out", str(tmp_path / "out"),
+                     "--dt-s", dt_s]) == EXIT_OK
+
     def test_negative_ground_power_cannot_plan(self, tmp_path, capsys):
         # at 0.5 m/s this fit draws -8.75 W: drive legs would cost less than 0 Wh
         spec = {**MINI_PLAN, "power_model": {"ground_calibration": {
@@ -588,6 +630,15 @@ class TestPlanCommand:
 
 
 class TestAnalyzeCommand:
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "flydrive", "analyze", "--tipping"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "tipping_slope_deg" in json.loads(proc.stdout)["sections"][0]["result"]
+
     def test_tipping_report(self, capsys):
         rc = main(["analyze", "--tipping"])
         assert rc == EXIT_OK

@@ -18,8 +18,6 @@ from flydrive.dynamics import (
     TipEvent,
     TransitionEnvelopeError,
     ground_allocation,
-    ground_longitudinal_control,
-    ground_yaw_control,
     initial_flight_state,
     initial_ground_state,
     initial_wall_state,
@@ -143,25 +141,27 @@ class TestGroundBasics:
 
 
 class TestLongitudinalAllocation:
+    """The speed loop's rotor commands, read off one `step` from a state
+    moving along +x."""
+
+    @staticmethod
+    def commands(params, rotor, speed, v_target):
+        s = replace(initial_ground_state(params), velocity=(speed, 0.0, 0.0))
+        sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=v_target)
+        return step(s, sp, FLAT, 0.001, params=params, rotor=rotor).rotor_commands
+
     def test_accelerate_uses_rear_pair(self, params, rotor):
-        s = initial_ground_state(params)
-        cmds = ground_longitudinal_control(params, rotor, s, 2.0)
-        fl, fr, rl, rr = cmds
+        fl, fr, rl, rr = self.commands(params, rotor, 0.0, 2.0)
         assert rl > fl and rr > fr
         assert fl == 0.0 and fr == 0.0
 
     def test_decelerate_uses_front_pair(self, params, rotor):
-        s = initial_ground_state(params)
-        s = replace(s, velocity=(2.0, 0.0, 0.0))
-        cmds = ground_longitudinal_control(params, rotor, s, 0.0)
-        fl, fr, rl, rr = cmds
+        fl, fr, rl, rr = self.commands(params, rotor, 2.0, 0.0)
         assert fl > rl and fr > rr
         assert rl == 0.0 and rr == 0.0
 
     def test_on_target_commands_at_rolling_trim(self, params, rotor):
-        s = initial_ground_state(params)
-        s = replace(s, velocity=(1.0, 0.0, 0.0))
-        cmds = ground_longitudinal_control(params, rotor, s, 1.0)
+        cmds = self.commands(params, rotor, 1.0, 1.0)
         total = sum(rotor.thrust_at(c) for c in cmds)
         trim = params.rolling_resistance_coeff * params.total_mass() * params.gravity
         assert total == pytest.approx(trim, rel=1e-6)
@@ -195,7 +195,11 @@ class TestLongitudinalAllocation:
 class TestYawControl:
     def test_zero_target_zero_differential(self, params, rotor):
         s = initial_ground_state(params)
-        assert ground_yaw_control(params, rotor, s, 0.0) == 0.0
+        sp = ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0)
+        s1 = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
+        fl, fr, rl, rr = s1.rotor_commands
+        assert (fl, rl) == (fr, rr) and rl > 0.0  # both sides alike
+        assert s1.angular_velocity == (0.0, 0.0, 0.0)
 
     def test_positive_target_turns_right(self, params, rotor):
         # drive at speed with a right-turn command and check the heading drops
@@ -457,9 +461,13 @@ class TestSteadySteps:
         assert not is_steady(s, new)
 
         calls = _count_steps(monkeypatch)
+        coasted, real = [], Simulator._steady_stretch
+        monkeypatch.setattr(Simulator, "_steady_stretch",
+                            lambda self, *a: coasted.append(1) or real(self, *a))
         sim = Simulator(params, rotor, power_model, dt_s=0.001)
         result = sim.run(s, FLAT, [ScriptEvent(0.0, setpoint=sp)], 0.5)
-        assert len(calls) == 500
+        assert len(calls) == 0  # all 500 steps through the flight law over floats
+        assert coasted == []  # the law reads the position, so no step repeats
         assert result.final_state.position == target
 
 

@@ -1,6 +1,7 @@
-"""`Simulator.run` books every step through per-run constants and takes
-steady stretches over plain floats. `reference_run` takes every step as a
-full `dynamics.step`, `drain` and `record`. Both must give the same bytes."""
+"""`Simulator.run` takes every step through the step law of its mode over
+plain floats, books it through per-run constants and takes steady stretches
+by constant increments. `reference_run` takes every step as a full
+`dynamics.step`, `drain` and `record`. Both must give the same bytes."""
 
 import copy
 import hashlib
@@ -15,9 +16,14 @@ import pytest
 from flydrive import cli, dynamics
 from flydrive.defaults import USABLE_FRACTION
 from flydrive.dynamics import (
+    MODE,
+    POSITION,
+    TIME,
+    VELOCITY,
     ControlSetpoint,
     Mode,
     SurfaceModel,
+    initial_flight_state,
     initial_ground_state,
     initial_wall_state,
 )
@@ -29,14 +35,20 @@ FLOOR = 1.0 - USABLE_FRACTION
 
 
 def _both_ways(run):
-    """`run()` as it is, then with the stretch helper declining every step,
-    speed-only and steady alike: every step a full `dynamics.step`."""
+    """`run()` as it is, then with the float stretch declining every step:
+    every step a full `dynamics.step`."""
     fast = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulator, "_coast_stretch",
-                   lambda self, state, power, i, *rest: (i, state, None))
+        mp.setattr(Simulator, "_stretch", lambda self, law, i, *rest: (i, law[1], None))
         slow = run()
     return fast, slow
+
+
+def _count_steps(monkeypatch) -> list:
+    """Patch dynamics.step to log each call into the returned list."""
+    calls, real_step = [], dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
+    return calls
 
 
 def _simulate(run, params, rotor, power_model, batteries, state, surface, script, duration,
@@ -89,16 +101,19 @@ def _batteries(rng):
 
 
 def _random_case(rng, params):
-    """A ground, incline or wall start, its surface, script, duration, dt,
-    payload and gains. Setpoints change while the speed still settles, stop
-    the vehicle (static friction holds it), reverse it, and turn it and stop
-    turning; the wall sometimes holds on so lightly that it detaches as the
-    climb settles."""
-    kind = rng.choice(["flat", "incline", "wall"])
+    """A ground, incline, wall or flight start, its surface, script,
+    duration, dt, payload and gains. Setpoints change while the speed still
+    settles, stop the vehicle (static friction holds it), reverse it, and
+    turn it and stop turning; the wall sometimes holds on so lightly that it
+    detaches as the climb settles. A flight flies to waypoints, sometimes
+    from a take-off, and sometimes lands and drives on, turning."""
+    kind = rng.choice(["flat", "incline", "wall", "flight", "takeoff"])
     payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
     dt = rng.choice([0.001, 0.002, 0.005, dynamics.DT_MAX_S,
                      rng.uniform(0.001, dynamics.DT_MAX_S)])
     gains = dynamics.ControllerGains()
+    if kind in ("flight", "takeoff"):
+        return _random_flight(rng, params, kind == "takeoff", dt, payload, gains)
     if kind == "wall":
         surface = SurfaceModel(kind="wall")
         state = initial_wall_state(params, height_m=rng.uniform(0.0, 5.0))
@@ -122,8 +137,7 @@ def _random_case(rng, params):
     duration = rng.uniform(2.0, 12.0) if dt < 0.005 else rng.uniform(10.0, 60.0)
     script, t, yaw = [], 0.0, 0.0
     while t < duration:
-        # a turn changes the heading every step, so it is never speed-only;
-        # the next setpoint stops it turning
+        # a turn, right or left, settles; the next setpoint stops it turning
         yaw = (rng.choice([0.0, 0.0, 0.0, rng.uniform(-0.5, 0.5)])
                if kind == "flat" and yaw == 0.0 else 0.0)
         setpoint = ControlSetpoint(mode=state.mode, speed_mps=rng.choice(speeds),
@@ -138,50 +152,78 @@ def _random_case(rng, params):
     return state, surface, script, duration, dt, payload, gains
 
 
+def _random_flight(rng, params, takeoff, dt, payload, gains):
+    """`_random_case` for a flight: from the air, or a take-off from rest
+    (one second of transition), then waypoints, and sometimes a landing
+    (a transition back to the ground) and a turning drive."""
+    surface = SurfaceModel()
+    if takeoff:
+        state = initial_ground_state(params, heading_deg=rng.uniform(-180.0, 180.0))
+    else:
+        state = initial_flight_state((rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
+                                      rng.uniform(1.0, 5.0)), yaw_deg=rng.uniform(-180.0, 180.0))
+    script, t, target = [], 0.0, state.position
+    for n in range(rng.randint(1, 3)):
+        target = (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(1.0, 5.0))
+        setpoint = ControlSetpoint(mode=Mode.FLIGHT, target_position=target,
+                                   target_yaw_deg=rng.uniform(-180.0, 180.0))
+        script.append(ScriptEvent(t, setpoint, Mode.FLIGHT if takeoff and n == 0 else None))
+        t += rng.uniform(0.5, 4.0) + (1.0 if takeoff and n == 0 else 0.0)
+    if rng.random() < 0.5:  # land where the last waypoint was, and drive on
+        landing = (target[0], target[1], params.com_height)
+        script.append(ScriptEvent(t, ControlSetpoint(mode=Mode.FLIGHT, target_position=landing)))
+        t += 6.0
+        script.append(ScriptEvent(t, transition_to=Mode.GROUND))
+        t += 1.5
+        script.append(ScriptEvent(t, ControlSetpoint(
+            mode=Mode.GROUND, speed_mps=rng.uniform(0.5, 2.0),
+            yaw_rate_radps=rng.choice([0.0, rng.uniform(-0.5, 0.5)]))))
+    duration = t + rng.uniform(0.5, 3.0)
+    return state, surface, script, duration, max(dt, 0.002), payload, gains
+
+
 def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
     rng = random.Random(20261018)
-    real_stretch, real_steady = Simulator._coast_stretch, Simulator._steady_stretch
+    real_stretch, real_steady = Simulator._stretch, Simulator._steady_stretch
     seen = set()  # (mode, why a steady stretch of at least one step ended)
-    seen_speed = set()  # (mode, why the speed-only part of a stretch ended)
+    seen_law = set()  # (mode, why a float stretch ended, or "handoff" to a steady one)
     handed = []  # the step index each steady stretch started at
 
-    def steady_watched(self, state, power, i, end, t_event, books, rows):
+    def steady_watched(self, f, power, i, end, t_event, books, rows):
         handed.append(i)
-        k, after, fault = real_steady(self, state, power, i, end, t_event, books, rows)
+        k, after = real_steady(self, f, power, i, end, t_event, books, rows)
         if k > i:
-            why = ("end" if k == end else "event" if t_event <= after.time_s + 1e-12
-                   else "trip")
-            seen.add((after.mode, why))
-        return k, after, fault
+            why = "end" if k == end else "event" if t_event <= after[TIME] + 1e-12 else "trip"
+            seen.add((after[MODE], why))
+        return k, after
 
-    def watched(self, state, power, i, end, t_event, books, rows, speed, surface):
+    def watched(self, law, i, end, t_event, books, rows):
         handed.clear()
-        k, after, fault = real_stretch(self, state, power, i, end, t_event, books, rows,
-                                       speed, surface)
-        if speed is not None and (handed or k > i):
-            if handed:
-                why = "handoff"
-            elif fault is not None:
-                why = "trip"
-            elif k == end:
-                why = "end"
-            elif t_event <= after.time_s + 1e-12:
-                why = "event"
-            else:
-                try:
-                    speed[0](after.velocity[2])
-                    why = "other"
-                except dynamics.DetachEvent:
-                    why = "detach"
-            seen_speed.add((after.mode, why))
+        k, after, fault = real_stretch(self, law, i, end, t_event, books, rows)
+        mode = law[1][MODE]
+        if handed:
+            seen_law.add((mode, "handoff"))
+        if fault is not None:
+            why = "trip"
+        elif k == end:
+            why = "end"
+        elif t_event <= after[TIME] + 1e-12:
+            why = "event"
+        else:  # the float loop declined the next step
+            try:
+                why = "mode" if law[0](after)[MODE] is not mode else "other"
+            except dynamics.DetachEvent:
+                why = "detach"
+        seen_law.add((mode, why))
         return k, after, fault
 
-    monkeypatch.setattr(Simulator, "_coast_stretch", watched)
+    monkeypatch.setattr(Simulator, "_stretch", watched)
     monkeypatch.setattr(Simulator, "_steady_stretch", steady_watched)
-    for case in range(120):  # enough for a pack to trip inside a stretch in every mode
+    for case in range(150):  # enough for a pack to trip inside a stretch in every mode
         state, surface, script, duration, dt, payload, gains = _random_case(rng, params)
-        # the unloaded ground calibration, booked under this payload
-        model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]})
+        # the unloaded ground calibration, and flight power, booked under this payload
+        model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]},
+                        flight_power_w={payload: power_model.flight_power_w[0.0]})
         batteries = _batteries(rng)
         kw = {"dt_s": dt, "payload": payload, "trace_decimation": rng.choice([1, 7, 10]),
               "avionics_power_w": rng.choice([5.0, 5.0, 0.0]), "gains": gains}
@@ -192,11 +234,13 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         fast, ref = _against_reference(params, rotor, model, batteries,
                                         state, surface, script, duration, **kw)
         _assert_same(fast[1], ref[1], f"case {case}")
-    modes = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
-    assert {(m, why) for m in modes for why in ("event", "trip")} <= seen
+    steady_modes = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
+    assert {(m, why) for m in steady_modes for why in ("event", "trip")} <= seen
     assert "end" in {why for _, why in seen}
-    assert {(m, why) for m in modes for why in ("event", "trip", "handoff", "end")} \
-        | {(Mode.WALL, "detach")} == seen_speed
+    assert {(m, why) for m in steady_modes for why in ("event", "trip", "handoff", "end")} \
+        | {(Mode.FLIGHT, why) for why in ("event", "trip", "end")} \
+        | {(Mode.WALL, "detach"), (Mode.TRANSITION, "mode")} <= seen_law
+    assert "other" not in {why for _, why in seen_law}
 
 
 @pytest.mark.parametrize("electronics_soc, tripped", [
@@ -205,15 +249,15 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
 def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypatch,
                                            electronics_soc, tripped):
     """After many coasted steps a pack trips or the electronics pack browns
-    out: the stretch stops one step short and a full step trips it."""
-    taken, real = [], Simulator._coast_stretch
+    out: the steady stretch stops one step short and the law's step trips it."""
+    taken, real = [], Simulator._stretch
 
-    def counted(self, state, power, i, *rest):
-        k, after, fault = real(self, state, power, i, *rest)
+    def counted(self, law, i, *rest):
+        k, after, fault = real(self, law, i, *rest)
         taken.append(k - i)
         return k, after, fault
 
-    monkeypatch.setattr(Simulator, "_coast_stretch", counted)
+    monkeypatch.setattr(Simulator, "_stretch", counted)
     packs = [Battery("prop_a", 4, 5.0, soc=FLOOR + 1e-3, usable_fraction=USABLE_FRACTION),
              Battery("prop_b", 4, 5.0, soc=FLOOR + 2e-3, usable_fraction=USABLE_FRACTION),
              Battery("electronics", 2, 3.2, soc=electronics_soc, usable_fraction=0.8)]
@@ -229,18 +273,19 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
 
 @pytest.mark.parametrize("wall", [False, True])
 def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
-    """No controller holds a speed that overflows a position, so a step that
-    only moves the vehicle, with `step`'s finiteness check, stands in for
-    `dynamics.step`: the stretch stops short of the overflow, and a full
-    step raises the finiteness fault with the last finite state."""
+    """No controller holds a speed that overflows a position, so a step law
+    that only moves the vehicle stands in for `dynamics.step_law`: the
+    stretch stops short of the overflow, and a full step raises the
+    finiteness fault with the last finite state."""
     def drift(state, setpoint, surface, dt, *rest):
-        (x, y, z), (vx, vy, vz) = state.position, state.velocity
-        position = (x, y, z + vz * dt) if wall else (x + vx * dt, y + vy * dt, z + vz * dt)
-        if not all(map(math.isfinite, position)):
-            raise dynamics.SimulationFault("non-finite value in integration step", state)
-        return replace(state, time_s=state.time_s + dt, position=position)
+        def advance(f):
+            (x, y, z), (vx, vy, vz) = f[POSITION], f[VELOCITY]
+            if not wall:
+                x, y = x + vx * dt, y + vy * dt
+            return (f[TIME] + dt, x, y, z + vz * dt, *f[VELOCITY.start:])
+        return advance
 
-    monkeypatch.setattr(dynamics, "step", drift)
+    monkeypatch.setattr(dynamics, "step_law", drift)
     near_max = sys.float_info.max - 3e299  # 300 steps of 1e297 m from overflow
     if wall:
         start = replace(initial_wall_state(params), position=(-0.0, -0.0, near_max),
@@ -310,11 +355,10 @@ def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
 
 def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
     """rocky-soil gives its golden bytes both ways; only the per-step path
-    takes a full `dynamics.step` for every step, the fast path one in all."""
+    takes a full `dynamics.step` for every step, the fast path none."""
     from test_acceptance import GOLDEN_SHA256
 
-    calls, real_step = [], dynamics.step
-    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
+    calls = _count_steps(monkeypatch)
 
     def run():
         calls.clear()
@@ -329,4 +373,152 @@ def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
     n_steps = 30_000  # 30 s at the default dt of 1 ms
     assert slow_steps == n_steps
-    assert fast_steps == 1  # the first; the drive's speed-only steps and steady ones follow
+    assert fast_steps == 0  # the ground law over floats, then steady stretches
+
+
+def _ground(speed, yaw_rate=0.0):
+    return ControlSetpoint(mode=Mode.GROUND, speed_mps=speed, yaw_rate_radps=yaw_rate)
+
+
+def _fly(target, yaw_deg=0.0):
+    return ControlSetpoint(mode=Mode.FLIGHT, target_position=target, target_yaw_deg=yaw_deg)
+
+
+# settled right and left turns that end in a straight run
+TURNS = [ScriptEvent(0.0, _ground(1.0, 0.35)), ScriptEvent(6.0, _ground(1.5, -0.5)),
+         ScriptEvent(12.0, _ground(1.0))]
+
+
+def _drive_fly_land(params, extra=()):
+    """Drive, stop, take off, fly to two waypoints, land, drive on turning."""
+    land = (8.0, -4.0, params.com_height)
+    return sorted([
+        ScriptEvent(0.0, _ground(1.0)), ScriptEvent(3.0, _ground(0.0)),
+        ScriptEvent(6.0, _fly((3.0, 0.0, 3.0)), Mode.FLIGHT),
+        ScriptEvent(10.0, _fly((8.0, -4.0, 4.0), -45.0)), ScriptEvent(15.0, _fly(land, -45.0)),
+        ScriptEvent(22.0, transition_to=Mode.GROUND), ScriptEvent(23.5, _ground(1.0, -0.35)),
+        *extra,
+    ], key=lambda ev: ev.t_s)
+
+
+def _packs(margin_a):
+    """prop_a `margin_a` SoC above its floor, prop_b and electronics full."""
+    return [Battery("prop_a", 4, 5.0, soc=FLOOR + margin_a, usable_fraction=USABLE_FRACTION),
+            Battery("prop_b", 4, 5.0, usable_fraction=USABLE_FRACTION),
+            Battery("electronics", 2, 3.2, usable_fraction=0.8)]
+
+
+def _non_finite_after(t_s, mode, monkeypatch):
+    """Make every step in `mode` past t_s move the vehicle to x = inf, in
+    both the float stretch and `dynamics.step`."""
+    real = dynamics.step_law
+
+    def law(state, *args):
+        advance = real(state, *args)
+        if state.mode is not mode:
+            return advance
+
+        def poisoned(f):
+            g = advance(f)
+            return g if g[TIME] <= t_s else (g[TIME], math.inf, *g[2:])
+        return poisoned
+
+    monkeypatch.setattr(dynamics, "step_law", law)
+
+
+@pytest.mark.parametrize("case", ["turns", "ground-on-wall", "fly-land", "geofence",
+                                  "trip-in-turn", "trip-in-flight", "non-finite-in-turn",
+                                  "non-finite-in-flight"])
+def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_model,
+                                                          monkeypatch, case):
+    """Settled turns, the same script in ground mode at the foot of a wall
+    (the yaw loop steers on flat ground only), a flight to waypoints with a
+    landing, transitions both ways, and a fault in the middle of a turn or
+    a flight: the float stretches give `reference_run`'s bytes, and take no
+    full step but the two that end a transition."""
+    surface = SurfaceModel(kind="wall") if case == "ground-on-wall" else SurfaceModel()
+    start, script, duration = initial_ground_state(params, surface), TURNS, 16.0
+    packs = _packs(USABLE_FRACTION)  # full
+    if case in ("fly-land", "geofence") or case.endswith("flight"):
+        script, duration = _drive_fly_land(params), 30.0
+    if case == "geofence":
+        script = _drive_fly_land(params, [ScriptEvent(12.0, _fly((500.0, 0.0, 4.0)))])
+    if case.startswith("trip"):
+        # a turn draws about 15 W from each pack, a flight about 290 W
+        packs = _packs(4e-4 if case == "trip-in-turn" else 9e-3)
+    if case.startswith("non-finite"):
+        _non_finite_after(8.0, Mode.GROUND if case.endswith("turn") else Mode.FLIGHT,
+                          monkeypatch)
+    calls = _count_steps(monkeypatch)
+    fast, ref = _against_reference(params, rotor, power_model, packs, start, surface,
+                                   script, duration)
+    _assert_same(fast[1], ref[1], case)
+    full_steps = len(calls) - int(round(duration / 0.001))  # the reference takes them all
+    result = fast[0]
+    if case == "geofence":
+        assert result is None and "GeofenceError" in fast[1]
+        return
+    kinds = [e["kind"] for e in result.events]
+    if case == "turns":
+        assert not result.faulted and full_steps == 0
+        assert result.final_state.angular_velocity == (0.0, 0.0, 0.0)
+    elif case == "ground-on-wall":  # no yaw differential: left and right commands agree
+        assert start.mode is Mode.GROUND and not result.faulted and full_steps == 0
+        commands = [row.split(",")[13:17] for row in result.rows]
+        assert all(fl == fr and rl == rr for fl, fr, rl, rr in commands)
+        assert any(fl != rl for fl, fr, rl, rr in commands)  # the speed loop drives
+        assert result.final_state.quaternion == start.quaternion
+    elif case == "fly-land":
+        assert not result.faulted and full_steps == 2  # each ends a transition
+        assert kinds == ["transition_started", "transition_complete"] * 2
+        assert result.final_state.mode is Mode.GROUND
+    else:
+        mode = Mode.GROUND if case.endswith("turn") else Mode.FLIGHT
+        assert result.final_state.mode is mode and result.final_state.time_s > 1.0
+        if mode is Mode.GROUND:
+            assert result.final_state.angular_velocity[2] != 0.0  # mid-turn
+        if case.startswith("trip"):
+            assert kinds[-1] == "battery_protection"
+            assert result.fault_reason == "battery prop_a protection tripped"
+        else:
+            assert kinds[-1] == "simulationfault" and 7.99 < result.final_state.time_s <= 8.0
+            assert result.fault_reason == "non-finite value in integration step"
+
+
+@pytest.mark.parametrize("takeoff", [False, True])
+def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
+    """A hover is priced at the hover power, so a payload with a ground
+    calibration but none for flight hovers (from the air, or after a
+    take-off) to the end of the run; a step that cruises raises for it."""
+    payload = 0.5
+    model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]})
+    if takeoff:
+        start = initial_ground_state(params)
+        hover = [ScriptEvent(0.0, _fly(start.position), Mode.FLIGHT)]
+    else:
+        start = initial_flight_state((0.0, 0.0, 3.0))
+        hover = [ScriptEvent(0.0, _fly(start.position))]
+    fast, ref = _against_reference(params, rotor, model, _packs(1e-2), start, SurfaceModel(),
+                                   hover, 3.0, payload=payload)
+    _assert_same(fast[1], ref[1])
+    assert not fast[0].faulted and fast[0].final_state.mode is Mode.FLIGHT
+    cruise = [*hover, ScriptEvent(2.0, _fly((8.0, 0.0, 3.0)))]
+    fast, ref = _against_reference(params, rotor, model, _packs(1e-2), start, SurfaceModel(),
+                                   cruise, 4.0, payload=payload)
+    _assert_same(fast[1], ref[1])
+    assert fast[0] is None and "no flight calibration for payload 0.5 kg" in fast[1]
+
+
+@pytest.mark.parametrize("mission, most", [("confined-space", 0), ("drive-fly-land", 2)])
+def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission,
+                                most):
+    """confined-space (turns) takes every step over floats, and a drive /
+    fly / land mission a full step only where a transition ends."""
+    calls = _count_steps(monkeypatch)
+    if mission == "confined-space":
+        assert cli.main(["simulate", mission, "--out", str(tmp_path)]) == cli.EXIT_OK
+    else:
+        result = Simulator(params, rotor, power_model).run(
+            initial_ground_state(params), SurfaceModel(), _drive_fly_land(params), 30.0)
+        assert not result.faulted and result.final_state.mode is Mode.GROUND
+    assert len(calls) <= most
