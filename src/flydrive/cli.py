@@ -5,7 +5,8 @@ plan (route query on a terrain grid), analyze (static feasibility reports),
 calibrate (fit ground power coefficients), design (headline sizing metrics).
 
 Exit status: 0 success, 1 a validation threshold failed or an output would
-hold a non-finite number (that file is not written), 2 bad input.
+hold a non-finite number (that file is not written), 2 bad input; a
+reader that closes stdout early changes neither the status nor the files.
 Outputs are plain JSON and CSV under --out; payloads carry no timestamps so
 reruns are byte-identical.
 """
@@ -13,6 +14,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -405,13 +407,36 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(_ReaderMayLeave(sys.stdout)):
+            return args.func(args)
     except NonFiniteOutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:  # ScenarioError, TerrainError and RotorTableError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+class _ReaderMayLeave:
+    """stdout for a command. Once its reader has closed it, output is
+    dropped and the command runs on: its files and its exit code are its
+    results, and stdout only reports them."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text):
+        try:
+            self._stream.write(text)
+            self._stream.flush()  # a closed stdout shows here, not at exit
+        except BrokenPipeError:
+            # what is still buffered, and all later output, go to devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), self._stream.fileno())
+        return len(text)
 
 
 if __name__ == "__main__":

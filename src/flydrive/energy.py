@@ -203,10 +203,27 @@ class PowerModel:
         return c1 * speed + c3 * speed**3
 
     def incline_power(self, slope_deg: float, speed: float, payload: float = 0.0) -> float:
-        m = self.params.total_mass(payload)
-        hold_thrust = m * self.params.gravity * math.sin(math.radians(slope_deg))
-        rotor_power = 4.0 * self.rotor.power_at_thrust(hold_thrust / 4.0)
-        return self.ground_power(speed, payload) + rotor_power
+        return self.incline_power_at(speed, payload)(slope_deg)
+
+    def incline_power_at(self, speed: float, payload: float = 0.0):
+        """`slope_deg -> incline_power(slope_deg, speed, payload)`. The
+        weight m g is bound at the first call and the ground power at the
+        first call whose hold the rotors can give, so every call raises
+        what `incline_power` would: the MTOM check first, then rotor
+        saturation, then an unknown payload."""
+        weight_n = ground_w = None
+
+        def power(slope_deg):
+            nonlocal weight_n, ground_w
+            if weight_n is None:
+                weight_n = self.params.total_mass(payload) * self.params.gravity
+            hold_thrust = weight_n * math.sin(math.radians(slope_deg))
+            rotor_power = 4.0 * self.rotor.power_at_thrust(hold_thrust / 4.0)
+            if ground_w is None:
+                ground_w = self.ground_power(speed, payload)
+            return ground_w + rotor_power
+
+        return power
 
     def drive_power_at(self, slope_deg: float | None = None, payload: float = 0.0):
         """`speed -> ground_power(speed)`, or `incline_power` on a slope of

@@ -28,7 +28,6 @@ import copy
 import heapq
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import partial
 from itertools import groupby
 from operator import itemgetter
 
@@ -118,52 +117,46 @@ def classify_traversability(
     return Traversability(drivable=tuple(drivable), flyable=flyable)
 
 
-def _drive_wh(cell_size_m, speed, model, payload, dh):
-    """Energy (Wh) to drive one edge of cell_size_m that rises or falls dh m.
-    Grade resistance is symmetric in direction: descending still needs the
-    rotors to hold against gravity. dh comes last so that a plan can bind
-    the rest once (`_edge_pricer`)."""
-    slope = math.degrees(math.atan2(abs(dh), cell_size_m))
-    if slope != 0.0:
-        power = model.incline_power(slope, speed, payload)
-    else:
-        power = model.ground_power(speed, payload)
-    return power * (cell_size_m / speed) / 3600.0
-
-
-def _fly_wh(dh, level_wh, weight_n):
-    """Energy (Wh) to fly one cell edge that rises or falls dh m, given the
-    energy of a level edge and the vehicle's weight (N): potential energy
-    for any elevation gained is added, descents give nothing back."""
-    if dh <= 0.0:
-        return level_wh
-    return level_wh + weight_n * dh / 3600.0
-
-
-def _level_fly_wh(cell_size_m, speed, model, payload):
-    """Energy (Wh) to fly one level edge of cell_size_m at cruise power."""
-    return model.flight_power(payload) * (cell_size_m / speed) / 3600.0
-
-
 def _edge_pricer(mode, cell_size_m, cfg, model, payload):
-    """`_drive_wh` or `_fly_wh` for one plan, as a function of the elevation
-    change dh: every edge energy the planner reports is computed by one of
-    them. The level fly energy and the weight are computed once, at the
+    """The energy (Wh) of one edge of cell_size_m in `mode` for one plan, as
+    a function of the elevation change dh; every edge energy the planner
+    reports comes from one of these. Driving pays the ground power, plus the
+    rotor power that holds the vehicle against gravity on a slope, which is
+    symmetric in direction. Flying pays the cruise power, plus the potential
+    energy of any elevation gained; descents give nothing back.
+
+    The per-plan constants (the ground power at the drive speed, the weight
+    behind the hold, the level fly energy, the edge time) are bound at the
     first edge that needs them, so a payload the model cannot price fails
-    at the same edge as it would when pricing one edge at a time."""
+    at the same edge, with the same error, as when each edge is priced on
+    its own."""
     if mode == DRIVE:
-        return partial(_drive_wh, cell_size_m, cfg.drive_speed_mps, model, payload)
+        speed = cfg.drive_speed_mps
+        time_s = cell_size_m / speed
+        incline_w = model.incline_power_at(speed, payload)
+        ground_w = None
+
+        def drive_wh(dh):
+            nonlocal ground_w
+            slope = math.degrees(math.atan2(abs(dh), cell_size_m))
+            if slope != 0.0:
+                return incline_w(slope) * time_s / 3600.0
+            if ground_w is None:
+                ground_w = model.ground_power(speed, payload)
+            return ground_w * time_s / 3600.0
+
+        return drive_wh
     level_wh = weight_n = None
 
     def fly_wh(dh):
         nonlocal level_wh, weight_n
         if level_wh is None:
-            level_wh = _level_fly_wh(cell_size_m, cfg.fly_speed_mps, model, payload)
+            level_wh = model.flight_power(payload) * (cell_size_m / cfg.fly_speed_mps) / 3600.0
         if dh <= 0.0:
-            return level_wh  # what `_fly_wh` returns for a level or falling edge
+            return level_wh
         if weight_n is None:
             weight_n = model.params.total_mass(payload) * model.params.gravity
-        return _fly_wh(dh, level_wh, weight_n)
+        return level_wh + weight_n * dh / 3600.0
 
     return fly_wh
 
@@ -176,9 +169,9 @@ def drive_edge_energy_wh(
     model: PowerModel,
     payload: float = 0.0,
 ) -> float:
-    """Energy to drive one cell edge (`_drive_wh`)."""
+    """Energy to drive one cell edge (`_edge_pricer`)."""
     dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    return _drive_wh(terrain.cell_size_m, cfg.drive_speed_mps, model, payload, dh)
+    return _edge_pricer(DRIVE, terrain.cell_size_m, cfg, model, payload)(dh)
 
 
 def fly_edge_energy_wh(
@@ -189,11 +182,9 @@ def fly_edge_energy_wh(
     model: PowerModel,
     payload: float = 0.0,
 ) -> float:
-    """Energy to fly one cell edge (`_fly_wh`)."""
+    """Energy to fly one cell edge (`_edge_pricer`)."""
     dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    level_wh = _level_fly_wh(terrain.cell_size_m, cfg.fly_speed_mps, model, payload)
-    weight_n = model.params.total_mass(payload) * model.params.gravity if dh > 0.0 else None
-    return _fly_wh(dh, level_wh, weight_n)
+    return _edge_pricer(FLY, terrain.cell_size_m, cfg, model, payload)(dh)
 
 
 @dataclass(frozen=True)
@@ -295,19 +286,23 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     the grid padded with a border of cells that neither mode may enter, so a
     move needs no bounds check; cell (row, col) has index
     (row + 1) * (width + 2) + col + 1, which orders like (row, col), and
-    node id 2 * index + mode. Returns (energy, n_transitions, steps), the
-    route as (cell, mode) steps from start to goal; raises NoPathError
+    node id 2 * index + mode, so a move to the cell above, left, right or
+    below is a fixed step in node id and a mode switch flips the low bit.
+    Each neighbour of a settled node is priced and relaxed in one pass, in
+    that order and then the switch. Returns (energy, n_transitions, steps),
+    the route as (cell, mode) steps from start to goal; raises NoPathError
     listing every reachable (cell, mode) when the goal is not among them."""
     width, height = terrain.width, terrain.height
     pw = width + 2
     size = pw * (height + 2)
+    row = 2 * pw  # node id step to the next row
     elevation = [0.0] * size
-    allowed = ([False] * size, [False] * size)
+    allowed = [False] * (2 * size)
     for r in range(height):
         first = (r + 1) * pw + 1
         elevation[first:first + width] = terrain.elevation_m[r]
-        allowed[0][first:first + width] = trav.drivable[r]
-        allowed[1][first:first + width] = trav.flyable[r]
+        allowed[2 * first:2 * (first + width):2] = trav.drivable[r]
+        allowed[2 * first + 1:2 * (first + width):2] = trav.flyable[r]
     dist = [math.inf] * (2 * size)
     trans = [0] * (2 * size)
     parent = [-1] * (2 * size)
@@ -325,16 +320,14 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
         done[u] = True
         if u == target:
             break
-        i, mode = u >> 1, u & 1
-        ok, price, here = allowed[mode], prices[mode], elevation[i]
-        candidates = [
-            (v, energy + price(elevation[j] - here), ntrans)
-            for j in (i - pw, i - 1, i + 1, i + pw)
-            if ok[j] and not done[v := 2 * j + mode]
-        ]
-        if allowed[mode ^ 1][i] and not done[u ^ 1]:
-            candidates.append((u ^ 1, energy + switch_wh, ntrans + 1))
-        for v, e, t in candidates:
+        price, here, switch = prices[u & 1], elevation[u >> 1], u ^ 1
+        for v in (u - row, u - 2, u + 2, u + row, switch):
+            if done[v] or not allowed[v]:
+                continue
+            if v == switch:
+                e, t = energy + switch_wh, ntrans + 1
+            else:
+                e, t = energy + price(elevation[v >> 1] - here), ntrans
             d = dist[v]
             if e < d or (e == d and t < trans[v]):
                 dist[v] = e

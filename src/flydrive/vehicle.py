@@ -1,6 +1,6 @@
 """Physical parameterization of the vehicle: geometry, masses, rotor
 performance curves built from ingested test-stand tables, and the headline
-design metrics (thrust-to-weight, payload, hover sizing, servo torque)."""
+design metrics (thrust-to-weight, payload, hover sizing)."""
 
 from __future__ import annotations
 
@@ -84,11 +84,6 @@ class VehicleParams:
             raise ValueError("rotor positions must be symmetric about the lateral axis")
         if abs(ys[0] + ys[3]) > 1e-9 or abs(ys[1] + ys[2]) > 1e-9:
             raise ValueError("rotor positions must be symmetric about the longitudinal axis")
-
-    @property
-    def operating_mass(self) -> float:
-        """Vehicle mass without payload (the as-built platform)."""
-        return self.empty_mass
 
     def total_mass(self, payload: float = 0.0) -> float:
         if payload < 0:
@@ -357,36 +352,3 @@ def design_metrics(
         hover_endurance_estimate=endurance,
     )
 
-
-@dataclass(frozen=True)
-class ServoTorqueCheck:
-    passed: bool
-    required_torque: float  # N m, safety factor included
-    gyroscopic_moment: float  # N m
-    margin: float  # servo torque minus required
-
-
-def servo_torque_check(
-    rotor_inertia: float,
-    spin_rate: float,
-    tilt_rate: float,
-    servo_torque: float,
-    safety_factor: float = 2.0,
-) -> ServoTorqueCheck:
-    """Check the tilt servo against the gyroscopic moment of a spinning rotor.
-
-    A rotor with spin inertia I at rate w precessed at tilt rate wt produces a
-    moment I*w*wt; the servo must beat it with the given safety factor.
-    """
-    if rotor_inertia < 0 or spin_rate < 0 or tilt_rate < 0:
-        raise ValueError("inertia and rates must be >= 0")
-    if servo_torque <= 0 or safety_factor <= 0:
-        raise ValueError("servo_torque and safety_factor must be > 0")
-    moment = rotor_inertia * spin_rate * tilt_rate
-    required = safety_factor * moment
-    return ServoTorqueCheck(
-        passed=servo_torque >= required,
-        required_torque=required,
-        gyroscopic_moment=moment,
-        margin=servo_torque - required,
-    )

@@ -629,13 +629,38 @@ class TestPlanCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _module_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, written", [
+    (["analyze", "--tipping"], "analysis.json"),
+    # validation.json is written after the first lines of output
+    (["plan", "multimodal-obstacle", "--validate"], "validation.json"),
+], ids=["analyze", "plan"])
+def test_closed_stdout_is_a_normal_end(tmp_path, argv, written, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    env = {**_module_env(), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flydrive", *argv, "--out", str(tmp_path)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert (tmp_path / written).is_file()
+
+
 class TestAnalyzeCommand:
     def test_runs_as_a_module(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "flydrive", "analyze", "--tipping"],
-                              capture_output=True, text=True, env=env, check=False)
+                              capture_output=True, text=True, env=_module_env(), check=False)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "tipping_slope_deg" in json.loads(proc.stdout)["sections"][0]["result"]
 

@@ -1,5 +1,6 @@
 """Byte-level pins for flight, transition and endurance runs, plus the
-endurance range against the energy model and the paper's full-pack range.
+endurance range against the energy model and the paper's full-pack ranges
+at 1 m/s and 4.1 m/s.
 
 Criterion 9 pins the bundled scenarios, which drive on the ground, on an
 incline and on a wall; no bundled run flies, tilts through a transition or
@@ -7,6 +8,7 @@ drains a pack to its protection floor. The two inline scenarios here cover
 those paths through `flydrive simulate`.
 """
 
+import copy
 import hashlib
 import json
 import math
@@ -109,14 +111,30 @@ def test_endurance_range_matches_usable_energy(tmp_path):
     assert math.hypot(x, y) == pytest.approx(expected_m, rel=0.01)
 
 
-def test_full_pack_range_reaches_paper_figure(tmp_path):
-    rc, path, out = _simulate(tmp_path, FULL_PACK, "--dt-s", "0.02")
+def _full_pack_drive(tmp_path, speed_mps):
+    """Distance (m) driven at speed_mps until both full packs trip, and the
+    energy-based range at that speed."""
+    scenario = copy.deepcopy(FULL_PACK)
+    scenario["script"][0]["speed_mps"] = speed_mps
+    rc, path, out = _simulate(tmp_path, scenario, "--dt-s", "0.02")
     assert rc == EXIT_OK
     result = json.loads((out / "result.json").read_text())
     tripped = sorted(e["detail"] for e in result["events"] if e["kind"] == "battery_protection")
     assert tripped == ["prop_a", "prop_b"]
-    scenario = load_scenario(str(path))
-    expected_m = range_estimate(scenario.power_model, list(scenario.batteries), "ground", 1.0)
+    loaded = load_scenario(str(path))
+    expected_m = range_estimate(loaded.power_model, list(loaded.batteries), "ground", speed_mps)
     x, y, _ = result["final_state"]["position_m"]
-    assert math.hypot(x, y) == pytest.approx(expected_m, rel=0.01)
-    assert math.hypot(x, y) == pytest.approx(11500.0, rel=0.05)  # the paper's range
+    return math.hypot(x, y), expected_m
+
+
+def test_full_pack_range_reaches_paper_figure(tmp_path):
+    driven_m, expected_m = _full_pack_drive(tmp_path, 1.0)
+    assert driven_m == pytest.approx(expected_m, rel=0.01)
+    assert driven_m == pytest.approx(11500.0, rel=0.05)  # the paper's range
+
+
+def test_full_pack_range_at_4_1_mps_reaches_paper_figure(tmp_path):
+    # both packs trip after about 8.2 km, 100k steps at dt 0.02 s
+    driven_m, expected_m = _full_pack_drive(tmp_path, 4.1)
+    assert driven_m == pytest.approx(expected_m, rel=0.01)
+    assert driven_m == pytest.approx(8200.0, rel=0.05)  # the paper's range at 4.1 m/s

@@ -28,7 +28,9 @@ from flydrive.planner import (
     plan,
     validate_plan,
 )
+from flydrive.statics import tipping_slope
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
+from flydrive.vehicle import ThrustSaturationError
 from reference_validation import reference_drive_leg
 from terrain_helpers import class_at, mirrored
 
@@ -606,3 +608,122 @@ FENCED_FLAT_40 = {
     },
     "seed": 0,
 }
+
+
+def _relief_scenario():
+    """60 x 60 relief, 3 m cells, elevation uniform in 0-0.5 m, split by a
+    full-height fence of obstacles at a seeded column in the middle third,
+    so a route across drives, flies over the fence and drives on."""
+    n, rng = 60, random.Random(12)
+    fence = rng.randrange(n // 3, 2 * n // 3)
+    return {
+        "name": f"relief-{n}",
+        "planner": {
+            "terrain": {"width": n, "height": n, "cell_size_m": 3.0,
+                        "elevation_m": [rng.uniform(0.0, 0.5) for _ in range(n * n)],
+                        "obstacles": [[r, fence] for r in range(n)]},
+            "start_cell": [0, 0],
+            "goal_cell": [n - 1, n - 1],
+        },
+        "seed": 0,
+    }
+
+
+class TestReliefPlansPinned:
+    # Digests of plan.json for both diagonals of a seeded, fenced 60 x 60
+    # relief grid. Every drive edge there is sloped and every route flies
+    # the fence, so they pin the incline and climb pricing bit for bit.
+    # Regenerate only in a change that states on purpose that it alters
+    # plans.
+    @pytest.mark.parametrize("start, goal, digest", [
+        ((0, 0), (59, 59), "4f34051a12003a410efb96e04a957d004e98c7eda1ce35cef32a14f7b8693240"),
+        ((59, 0), (0, 59), "f2a8a447b984dd61b148c6acc81caecfbd450cc339128c50fb4854a9f0a8e23a"),
+    ], ids=["main-diagonal", "anti-diagonal"])
+    def test_relief_grid_plan_pinned(self, model, tmp_path, start, goal, digest):
+        scenario = _relief_scenario()
+        scenario["planner"]["start_cell"], scenario["planner"]["goal_cell"] = start, goal
+        path = tmp_path / "relief-60.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main(["plan", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        plan_json = (tmp_path / "out" / "plan.json").read_bytes()
+        assert hashlib.sha256(plan_json).hexdigest() == digest
+        grid = terrain_from_dict(scenario["planner"]["terrain"])
+        args = (grid, start, goal, cfg(), model)
+        assert plan(*args) == reference_planner.plan(*args)
+
+
+def _two_cells(dh):
+    return terrain_from_dict({"width": 2, "height": 1, "cell_size_m": 3.0,
+                              "elevation_m": [0.0, dh]})
+
+
+class TestDrivePricer:
+    """The per-plan drive pricer against the reference's edge-at-a-time
+    pricing through `PowerModel.incline_power`."""
+
+    def test_matches_reference_bit_for_bit(self, model):
+        rng = random.Random(3)
+        tip_dh = 3.0 * math.tan(math.radians(tipping_slope(model.params)))
+        cases = [0.0, 1e-300, -1e-300, tip_dh, -tip_dh]
+        cases += [rng.uniform(-1.0, 1.0) * rng.choice((1e-6, 0.01, 0.5, 3.0, tip_dh))
+                  for _ in range(4000)]
+        for config in (cfg(), cfg(drive_speed_mps=4.1), cfg(drive_speed_mps=0.37)):
+            price = planner._edge_pricer(DRIVE, 3.0, config, model, 0.0)
+            for dh in cases:
+                expected = reference_planner.drive_edge_energy_wh(
+                    _two_cells(dh), (0, 0), (0, 1), config, model)
+                assert price(dh) == expected, dh
+                assert drive_edge_energy_wh(_two_cells(dh), (0, 0), (0, 1), config,
+                                            model) == expected, dh
+
+    @pytest.mark.parametrize("payload, flat, sloped", [
+        (0.5, energy.UnknownPayloadError, energy.UnknownPayloadError),
+        (2.0, float, ValueError),  # calibrated, over MTOM: the hold checks the mass
+        (1.5, energy.UnknownPayloadError, ValueError),  # the mass is checked first
+    ], ids=["unknown", "over-mtom", "unknown-and-over-mtom"])
+    def test_errors_at_the_same_edge(self, model, payload, flat, sloped):
+        price = planner._edge_pricer(DRIVE, 3.0, cfg(), model, payload)
+        for dh in (0.0, 0.25, 0.0, -0.25):
+            outcome = _outcome_of(price, dh)
+            assert outcome[0] is (flat if dh == 0.0 else sloped), dh
+            assert outcome == _outcome_of(
+                reference_planner.drive_edge_energy_wh, _two_cells(dh), (0, 0), (0, 1),
+                cfg(), model, payload), dh
+
+    def test_saturated_hold_raises_at_its_edge(self, model):
+        weak = _replace(model, rotor=_replace(model.rotor, thrusts=tuple(
+            t / 4.0 for t in model.rotor.thrusts)))
+        price = planner._edge_pricer(DRIVE, 3.0, cfg(), weak, 0.0)
+        for dh in (0.1, 3.0, 0.1):
+            outcome = _outcome_of(price, dh)
+            assert outcome == _outcome_of(reference_planner.drive_edge_energy_wh,
+                                          _two_cells(dh), (0, 0), (0, 1), cfg(), weak), dh
+        assert outcome[0] is float
+        assert _outcome_of(price, 3.0)[0] is ThrustSaturationError
+
+    @pytest.mark.parametrize("relief", [False, True], ids=["flat", "relief"])
+    @pytest.mark.parametrize("payload", [0.5, 2.0, 1.5], ids=[
+        "unknown", "over-mtom", "unknown-and-over-mtom"])
+    def test_plan_fails_like_the_reference(self, model, relief, payload):
+        rng = random.Random(5)
+        grid = terrain_from_dict({
+            "width": 8, "height": 6, "cell_size_m": 3.0,
+            "elevation_m": [rng.uniform(0.0, 0.5) if relief else 0.0 for _ in range(48)],
+            "obstacles": [[r, 4] for r in range(6)],
+        })
+        args = (grid, (0, 0), (5, 7), cfg(), model, None, payload)
+        outcome = _outcome_of(plan, *args)
+        assert outcome == _outcome_of(reference_planner.plan, *args)
+        if payload == 2.0 and not relief:
+            assert outcome[0] is MissionPlan  # priced on the flat, as at MTOM
+        else:
+            assert issubclass(outcome[0], ValueError)
+
+
+def _outcome_of(fn, *args):
+    """(type, value) of what fn returns, or (type, message) of what it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(value), value

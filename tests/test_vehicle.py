@@ -19,7 +19,6 @@ from flydrive.vehicle import (
     load_mass_budget,
     load_rotor_table,
     load_rotor_table_file,
-    servo_torque_check,
 )
 
 
@@ -27,7 +26,6 @@ def test_default_params_masses(params):
     assert params.empty_mass == 2.7
     assert params.mtom == 4.0
     assert params.total_mass(1.3) == 4.0
-    assert params.operating_mass == 2.7
 
 
 def test_total_mass_rejects_overload(params):
@@ -202,12 +200,3 @@ class TestDesignMetrics:
         with pytest.raises(ValueError):
             design_metrics(params, rotor, usable_energy_wh=0.0)
 
-
-def test_servo_torque_check_margin():
-    # gyroscopic moment I*w*wt = 1e-4 * 800 * 2 = 0.16 N m, doubled for safety
-    check = servo_torque_check(1e-4, 800.0, 2.0, servo_torque=0.5)
-    assert check.gyroscopic_moment == pytest.approx(0.16)
-    assert check.required_torque == pytest.approx(0.32)
-    assert check.passed
-    weak = servo_torque_check(1e-4, 800.0, 2.0, servo_torque=0.2)
-    assert not weak.passed
