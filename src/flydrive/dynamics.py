@@ -29,6 +29,12 @@ law repeats it. Flight (its controller reads the position) and transitions
 (their schedule reads the time) never repeat. The ground law reruns the
 thrust allocation only when the speed and yaw rate it reads change bit for
 bit, which a settled turn often repeats.
+
+Every law drives the four rotors through the one `RotorModel` table: each
+demanded rotor thrust becomes a command and the thrust that command
+realises in one `RotorModel.realise` call, once per step in a wall or
+flight step and once per side (once for both on a straight run) in the
+ground allocation (`ground_allocator`).
 """
 
 from __future__ import annotations
@@ -221,48 +227,53 @@ def _sgn(x: float) -> float:
     return 0.0
 
 
-def ground_allocation(
-    params: VehicleParams,
-    rotor: RotorModel,
-    f_long_n: float,
-    yaw_moment_nm: float,
-) -> tuple[float, float, float, float]:
-    """Map a longitudinal force + yaw moment demand to four rotor commands.
+def ground_allocator(params: VehicleParams, rotor: RotorModel):
+    """The thrust allocation of one ground law: allocate(f_long_n,
+    yaw_moment_nm) maps a longitudinal force and yaw moment demand to the
+    four rotor commands (fl, fr, rl, rr), followed by the net forward force
+    (N) and up-axis moment (N m) that those commands realise.
 
     With the axles at 90 deg the front rotors pull rearward and the rear
     rotors push forward, so each side realizes a signed net force with one
-    rotor active at a time. The yaw differential is clamped so the requested
-    longitudinal sum survives saturation.
+    rotor active at a time; the idle rotor gives `thrust_at(0.0)`. The yaw
+    differential is clamped so the requested longitudinal sum survives
+    saturation. Each side takes one `RotorModel.realise`, and a straight
+    demand (both sides alike) one for both.
     """
     f_max = rotor.max_thrust
+    two_f_max = 2.0 * f_max
     b = params.wheel_contact_half_spacing_lat
-    f_long = max(-2.0 * f_max, min(2.0 * f_max, f_long_n))
-    delta = yaw_moment_nm / (2.0 * b)  # right-side-forward minus half-sum
-    headroom = f_max - abs(f_long) / 2.0
-    delta = max(-headroom, min(headroom, delta))
-    left = f_long / 2.0 - delta
-    right = f_long / 2.0 + delta
-    fl = fr = rl = rr = 0.0
-    if left >= 0.0:
-        rl = rotor.command_at(min(left, f_max))
-    else:
-        fl = rotor.command_at(min(-left, f_max))
-    if right >= 0.0:
-        rr = rotor.command_at(min(right, f_max))
-    else:
-        fr = rotor.command_at(min(-right, f_max))
-    return (fl, fr, rl, rr)
+    two_b = 2.0 * b
+    idle = rotor.thrust_at(0.0)
+    realise = rotor.realise
 
+    def allocate(f_long_n: float, yaw_moment_nm: float):
+        f_long = max(-two_f_max, min(two_f_max, f_long_n))
+        delta = yaw_moment_nm / two_b  # right-side-forward minus half-sum
+        headroom = f_max - abs(f_long) / 2.0
+        delta = max(-headroom, min(headroom, delta))
+        left = f_long / 2.0 - delta
+        right = f_long / 2.0 + delta
+        # a lookup raises in rotor order (fl, fr, rl, rr): the right side
+        # first only where it alone pulls rearward
+        if left >= 0.0 > right:
+            c_right, t_right = realise(min(-right, f_max))
+            c_left, t_left = realise(min(left, f_max))
+        else:
+            c_left, t_left = realise(min(abs(left), f_max))
+            c_right, t_right = (c_left, t_left) if right == left else realise(
+                min(abs(right), f_max))
+        if left >= 0.0:
+            fl, rl, net_left = 0.0, c_left, t_left - idle
+        else:
+            fl, rl, net_left = c_left, 0.0, idle - t_left
+        if right >= 0.0:
+            fr, rr, net_right = 0.0, c_right, t_right - idle
+        else:
+            fr, rr, net_right = c_right, 0.0, idle - t_right
+        return fl, fr, rl, rr, net_left + net_right, b * (net_right - net_left)
 
-def _ground_net_force_moment(
-    params: VehicleParams, rotor: RotorModel, commands
-) -> tuple[float, float]:
-    """Net forward force (N) and up-axis moment (N m) realized by commands."""
-    t_fl, t_fr, t_rl, t_rr = map(rotor.thrust_at, commands)
-    b = params.wheel_contact_half_spacing_lat
-    left = t_rl - t_fl
-    right = t_rr - t_fr
-    return left + right, b * (right - left)
+    return allocate
 
 
 def _ground_feedforward(g: float, mu_roll: float, m: float, psi: float,
@@ -274,21 +285,6 @@ def _ground_feedforward(g: float, mu_roll: float, m: float, psi: float,
     if v_target != 0.0:
         force += mu_roll * m * g * math.cos(psi) * _sgn(v_target)
     return force
-
-
-def along_track_speed(state: SimState, surface: SurfaceModel) -> float:
-    yaw = quaternion_yaw(state.quaternion) if surface.kind == "flat" else 0.0
-    return _along_track(state.velocity, surface, yaw)
-
-
-def _along_track(velocity, surface: SurfaceModel, yaw: float) -> float:
-    """along_track_speed with the heading already known (read on flat only)."""
-    if surface.kind == "incline":
-        psi = math.radians(surface.slope_deg)
-        return velocity[0] * math.cos(psi) + velocity[2] * math.sin(psi)
-    if surface.kind == "wall":
-        return velocity[2]
-    return velocity[0] * math.cos(yaw) + velocity[1] * math.sin(yaw)
 
 
 @dataclass(frozen=True)
@@ -456,8 +452,9 @@ def step(
 # the 17 columns of a trace row (time, position, velocity, quaternion, front
 # and rear tilt, rotor commands), then the yaw rate, the yaw
 # (`quaternion_yaw` of the quaternion) and the speed a ground, incline or
-# wall step reads (`along_track_speed` on the ground, the climb speed
-# elsewhere), then the mode and the contact.
+# wall step reads (in ground and incline mode along the slope on an incline
+# and along the heading elsewhere, the climb speed in the other modes), then
+# the mode and the contact.
 TIME, POSITION, VELOCITY, QUATERNION = 0, slice(1, 4), slice(4, 7), slice(7, 11)
 TILT_FRONT, TILT_REAR, COMMANDS, TRACE = 11, 12, slice(13, 17), slice(0, 17)
 YAW_RATE, YAW, SPEED, MODE, CONTACT = 17, 18, 19, 20, 21
@@ -503,8 +500,14 @@ def step_law(
 def floats_of(state: SimState, surface: SurfaceModel) -> tuple:
     """The floats of `state` on `surface` that a step law maps."""
     yaw = quaternion_yaw(state.quaternion)
-    v = (_along_track(state.velocity, surface, yaw) if state.mode in (Mode.GROUND, Mode.INCLINE)
-         else state.velocity[2])
+    vx, vy, vz = state.velocity
+    if state.mode not in (Mode.GROUND, Mode.INCLINE):
+        v = vz  # the climb speed
+    elif surface.kind == "incline":
+        psi = math.radians(surface.slope_deg)
+        v = vx * math.cos(psi) + vz * math.sin(psi)
+    else:  # along the heading, on flat ground and at the foot of a wall
+        v = vx * math.cos(yaw) + vy * math.sin(yaw)
     return (state.time_s, *state.position, *state.velocity, *state.quaternion,
             state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands,
             state.angular_velocity[2], yaw, v, state.mode, state.contact)
@@ -539,7 +542,9 @@ def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) ->
 
 def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     """The step law of a ground or incline state. Feedforward holds gravity
-    and rolling resistance and a proportional term closes the speed loop;
+    and rolling resistance and a proportional term closes the speed loop,
+    which reads the speed along the slope on an incline and along the
+    heading on any other surface (a wall's foot included);
     on flat ground the yaw loop's feedforward cancels the lateral-friction
     moment of the fixed wheels (a positive yaw-rate target turns right).
     It reruns the allocation only when the bits of the speed and yaw rate
@@ -567,6 +572,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     cos_psi, sin_psi = math.cos(psi), math.sin(psi)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     flat = kind == "flat"
+    allocate = ground_allocator(params, rotor)
     last_v = last_r = last_yaw = math.nan  # what the memos below were computed for
     speed = heading = None
 
@@ -578,8 +584,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
             # the yaw loop's left/right differential, as a moment
             moment = 0.0 if not flat else (
                 (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
-            commands = ground_allocation(params, rotor, feedforward + kp * (v_target - v), moment)
-            f_net, m_net = _ground_net_force_moment(params, rotor, commands)
+            c0, c1, c2, c3, f_net, m_net = allocate(feedforward + kp * (v_target - v), moment)
             drive = f_net - grade
             if v == 0.0 and abs(drive) <= hold:
                 v_new = 0.0
@@ -593,7 +598,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
                 r_new = r + (m_net - fric_cap * _sgn(r if r != 0.0 else m_net)) / inertia * dt
                 if r != 0.0 and r * r_new < 0.0 and abs(m_net) <= fric_cap:
                     r_new = 0.0
-            last_v, last_r, speed = v, r, (v_new, *commands, r_new)
+            last_v, last_r, speed = v, r, (v_new, c0, c1, c2, c3, r_new)
         v_new, c0, c1, c2, c3, r_new = speed
         yaw_new = yaw if incline else yaw + r_new * dt
         if not (yaw_new == last_yaw and (yaw_new or _pack1(yaw_new) == _pack1(last_yaw))):
@@ -606,12 +611,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
             last_yaw, heading = yaw_new, (ux, uy, uz, *q, yaw2, math.cos(yaw2), math.sin(yaw2))
         ux, uy, uz, qw, qx, qy, qz, yaw2, cos_yaw, sin_yaw = heading
         vx, vy, vz = v_new * ux, v_new * uy, v_new * uz
-        if flat:
-            read = vx * cos_yaw + vy * sin_yaw
-        elif incline:
-            read = vx * cos_psi + vz * sin_psi
-        else:
-            read = vz
+        read = vx * cos_psi + vz * sin_psi if incline else vx * cos_yaw + vy * sin_yaw
         px, py, pz = f[POSITION]
         return (f[TIME] + dt, px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz,
                 qw, qx, qy, qz, front, rear, c0, c1, c2, c3, r_new, yaw2, read, mode, _CONTACT)
@@ -638,12 +638,13 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
     attach = gains.attach_normal_fraction * m * g
     mu_wall = params.wall_friction_coeff
     qw, qx, qy, qz = _WALL_QUATERNION
+    realise = rotor.realise
 
     def advance(f):
         v = f[SPEED]
         per_rotor = max(0.0, min((thrust_ff + kp * (v_target - v)) / 4.0, f_max))
-        c = rotor.command_at(per_rotor)
-        thrust = 4.0 * rotor.thrust_at(c)
+        c, realised = realise(per_rotor)
+        thrust = 4.0 * realised
         normal = thrust * sin_gamma
         if normal < attach:
             raise DetachEvent(
@@ -688,7 +689,7 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
     kp_yaw, max_rate = gains.kp_yaw, gains.max_yaw_rate_radps
     yaw_target = math.radians(setpoint.target_yaw_deg)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
-    command_at, thrust_at = rotor.command_at, rotor.thrust_at
+    realise = rotor.realise
 
     def advance(f):
         t = f[TIME]
@@ -705,8 +706,8 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
         # rotors cannot pull down; free fall is the hardest the loop may command
         az = max(0.0, min(az + gravity, gravity + a_max))
         mag = math.sqrt(ax * ax + ay * ay + az * az)
-        c = command_at(min(m * mag / 4.0, f_max))
-        k = 4.0 * thrust_at(c) / m
+        c, per_rotor = realise(min(m * mag / 4.0, f_max))
+        k = 4.0 * per_rotor / m
         if mag > 1e-12:
             ax, ay, az = ax / mag, ay / mag, az / mag
         else:

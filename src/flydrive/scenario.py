@@ -35,6 +35,13 @@ class ScenarioError(ValueError):
     """Bad scenario config; message carries file and key path."""
 
 
+# The most thrust the four rotors may give per unit of the vehicle's empty
+# weight. A multirotor's thrust-to-weight ratio is typically 2 to 10 (the
+# bundled vehicle's, empty, is 2.7); one far lighter than its rotors would
+# leave the speed envelope within a step and overflow the outputs.
+MAX_THRUST_TO_EMPTY_WEIGHT = 20.0
+
+
 @dataclass(frozen=True)
 class ValidationSpec:
     """Pass/fail thresholds a scenario run is judged against."""
@@ -162,6 +169,13 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     else:
         rotor = fields.call(load_rotor_table_file, fail, "rotor_table",
                             _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
+    weight, thrust = params.empty_mass * params.gravity, 4.0 * rotor.max_thrust
+    if not thrust <= MAX_THRUST_TO_EMPTY_WEIGHT * weight:
+        fail("vehicle_overrides.empty_mass",
+             f"{params.empty_mass} kg weighs {weight:.3g} N at {params.gravity} m/s^2; the "
+             f"rotors' full thrust {thrust:.3g} N may be at most {MAX_THRUST_TO_EMPTY_WEIGHT:g} "
+             f"times the empty weight")
+    fields.call(params.total_mass, fail, "payload_kg", top["payload_kg"])
     model = _load_power_model(block("power_model", POWER_MODEL), params, rotor, fail)
     initial = InitialSpec(**block("initial", INITIAL))
     # a payload the ground calibration lacks fails here, not mid-run

@@ -8,7 +8,7 @@ import io
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 GRAVITY = 9.81  # m/s^2, used for all kgf <-> N conversions
 
@@ -99,13 +99,22 @@ class RotorModel:
     """Monotone thrust<->power<->command maps from a performance table.
 
     Piecewise-linear between samples; exact at sample points. Thrust in
-    newtons, electrical power in watts, command normalized to [0, 1].
+    newtons, electrical power in watts, command normalized to [0, 1]. Each
+    map's segment slopes are computed once, at construction; every lookup
+    goes through `_interp` with them. `realise` is the step laws' one call:
+    the command for a thrust and the thrust that command gives.
     """
 
     commands: tuple[float, ...]
     thrusts: tuple[float, ...]
     powers: tuple[float, ...]
     name: str = "rotor"
+    # set by __post_init__: each map's segment slopes, and the largest
+    # thrust a lookup accepts
+    _thrust_slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _power_slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _command_slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _saturation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.commands)
@@ -128,6 +137,10 @@ class RotorModel:
         bad = [i for i in range(1, n) if self.powers[i] <= self.powers[i - 1]]
         if bad:
             raise RotorTableError(f"power not strictly increasing at rows {bad}")
+        object.__setattr__(self, "_thrust_slopes", _slopes(self.commands, self.thrusts))
+        object.__setattr__(self, "_power_slopes", _slopes(self.thrusts, self.powers))
+        object.__setattr__(self, "_command_slopes", _slopes(self.thrusts, self.commands))
+        object.__setattr__(self, "_saturation", self.thrusts[-1] * (1 + 1e-12))
 
     @property
     def max_thrust(self) -> float:
@@ -138,31 +151,55 @@ class RotorModel:
         """Interpolated thrust (N) for a normalized command in [0, 1]."""
         if not 0.0 <= command <= 1.0:
             raise ValueError(f"command {command} outside [0, 1]")
-        return _interp(command, self.commands, self.thrusts)
+        return _interp(command, self.commands, self.thrusts, self._thrust_slopes)
 
     def power_at_thrust(self, thrust: float) -> float:
         """Interpolated electrical power (W) to produce `thrust` newtons."""
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
-        if thrust > self.thrusts[-1] * (1 + 1e-12):
+        if thrust > self._saturation:
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
-        return _interp(thrust, self.thrusts, self.powers)
+        return _interp(thrust, self.thrusts, self.powers, self._power_slopes)
 
     def command_at(self, thrust: float) -> float:
         """Inverse of thrust_at (monotone curves make this well-defined)."""
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
-        if thrust > self.thrusts[-1] * (1 + 1e-12):
+        if thrust > self._saturation:
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
-        return _interp(thrust, self.thrusts, self.commands)
+        return _interp(thrust, self.thrusts, self.commands, self._command_slopes)
+
+    def realise(self, thrust: float) -> tuple[float, float]:
+        """(command, realised thrust N) for a demanded thrust: what
+        `command_at(thrust)` and then `thrust_at` of that command return,
+        raising what they raise, in that order."""
+        # both methods' checks inline: a call costs a fifth of the lookup
+        if thrust < 0:
+            raise ValueError(f"thrust {thrust} must be >= 0")
+        if thrust > self._saturation:
+            raise ThrustSaturationError(
+                f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
+            )
+        thrusts, commands = self.thrusts, self.commands
+        command = _interp(thrust, thrusts, commands, self._command_slopes)
+        if not 0.0 <= command <= 1.0:
+            raise ValueError(f"command {command} outside [0, 1]")
+        return command, _interp(command, commands, thrusts, self._thrust_slopes)
 
 
-def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
-    """Piecewise-linear lookup, clamped at both ends; xs strictly increasing.
+def _slopes(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, ...]:
+    """The slope of each segment of the piecewise-linear map xs -> ys."""
+    return tuple((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1))
+
+
+def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...],
+            slopes: tuple[float, ...]) -> float:
+    """Piecewise-linear lookup, clamped at both ends; xs strictly increasing,
+    slopes = `_slopes(xs, ys)`.
 
     Repeats numpy.interp's scalar arithmetic so results match it bit for bit.
     """
@@ -171,11 +208,10 @@ def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     if x >= xs[-1]:
         return ys[-1]
     j = bisect_right(xs, x, 1, len(xs) - 1) - 1
-    x0, y0 = xs[j], ys[j]
+    x0 = xs[j]
     if x0 == x:
-        return y0
-    slope = (ys[j + 1] - y0) / (xs[j + 1] - x0)
-    return slope * (x - x0) + y0
+        return ys[j]
+    return slopes[j] * (x - x0) + ys[j]
 
 
 def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:

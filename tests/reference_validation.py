@@ -16,6 +16,17 @@ from flydrive.simulator import instantaneous_power
 from reference_simulator import is_steady
 
 
+def along_track_speed(state, surface) -> float:
+    """The speed along the track that a ground or incline step reads: along
+    the slope on an incline, along the heading elsewhere."""
+    vx, vy, vz = state.velocity
+    if surface.kind == "incline":
+        psi = math.radians(surface.slope_deg)
+        return vx * math.cos(psi) + vz * math.sin(psi)
+    yaw = dynamics.quaternion_yaw(state.quaternion)
+    return vx * math.cos(yaw) + vy * math.sin(yaw)
+
+
 def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
     """`planner._simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s)`
     with a full step for every step until an edge is steady."""
@@ -46,7 +57,7 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
                 previous = state
                 state = dynamics.step(state, setpoint, surface, dt_s, params=params, rotor=rotor,
                                       gains=gains, payload=payload)
-                v = dynamics.along_track_speed(state, surface)
+                v = along_track_speed(state, surface)
                 power = instantaneous_power(model, state, surface, payload)
                 steady = is_steady(previous, state)
             covered += v * dt_s

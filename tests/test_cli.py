@@ -11,8 +11,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flydrive import cli
+from flydrive import cli, dynamics
 from flydrive.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, bundled_scenarios, main
+from flydrive.dynamics import SPEED, VELOCITY, Mode
 from flydrive.scenario import ScenarioError, load_scenario
 from flydrive.terrain import TerrainError
 from flydrive.vehicle import RotorTableError
@@ -50,6 +51,24 @@ MINI_PLAN = {
     "validation": {"expect_fly_legs": 0},
     "seed": 3,
 }
+
+
+def _runaway(monkeypatch, mode, velocity, speed):
+    """Make every step in `mode` end at `velocity`, reading `speed`, as a
+    vehicle far lighter than its rotors would (the loader refuses one)."""
+    real = dynamics.step_law
+
+    def law(state, *args):
+        advance = real(state, *args)
+        if state.mode is not mode:
+            return advance
+
+        def runaway(f):
+            g = advance(f)
+            return (*g[:VELOCITY.start], *velocity, *g[VELOCITY.stop:SPEED], speed, *g[SPEED + 1:])
+        return runaway
+
+    monkeypatch.setattr(dynamics, "step_law", law)
 
 
 class TestScenarioLoading:
@@ -221,6 +240,21 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="payload_kg"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("command, spec", [("simulate", MINI_DRIVE), ("plan", MINI_PLAN)])
+    def test_payload_over_mtom_names_its_key(self, tmp_path, capsys, command, spec):
+        # 2.0 kg has a ground calibration, but 2.7 + 2.0 kg exceeds the MTOM
+        path = write_scenario(tmp_path, {**spec, "payload_kg": 2.0})
+        assert main([command, path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert "error: scn.json: payload_kg: mass 4.7 kg exceeds MTOM 4.0 kg" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lightest_vehicle_the_rotors_allow_loads(self, tmp_path):
+        rotor = load_scenario(write_scenario(tmp_path, MINI_DRIVE)).rotor
+        lightest = 4.0 * rotor.max_thrust / (20.0 * 9.81)
+        spec = {**MINI_DRIVE, "vehicle_overrides": {"empty_mass": lightest}}
+        assert load_scenario(write_scenario(tmp_path, spec)).params.empty_mass == lightest
+
     @pytest.mark.parametrize("key", ["payload_kg", "duration_s", "avionics_power_w"])
     def test_negative_amount_exits_2_with_its_key(self, tmp_path, capsys, key):
         path = write_scenario(tmp_path, dict(MINI_DRIVE, **{key: -1.0}))
@@ -362,6 +396,11 @@ class TestScenarioLoading:
         ("duration_s", 1e308, "duration_s: 1e+308 s is too many steps"),
         ("power_model", {"ground_calibration": {"0.0": [[1e308, 1.0], [2.0, 3.0]]}},
          "power_model.ground_calibration.0.0: calibration overflows"),
+        # the rotors' full thrust 72.3 N would be about 2.5e300 times its weight
+        ("vehicle_overrides", {"empty_mass": 1e-300},
+         "vehicle_overrides.empty_mass: 1e-300 kg weighs 9.81e-300 N at 9.81 m/s^2; the "
+         "rotors' full thrust 72.3 N may be at most 20 times the empty weight"),
+        ("vehicle_overrides", {"gravity": 0.3}, "vehicle_overrides.empty_mass: 2.7 kg weighs "),
     ])
     def test_former_tracebacks_exit_2(self, tmp_path, capsys, block, value, keypath):
         # each would divide by zero or overflow in the run
@@ -517,15 +556,15 @@ class TestSimulateCommand:
         assert result["final_state"]["time_s"] < 1.0  # the run stops at the trip
         assert "[FAIL] no_faults" in capsys.readouterr().out
 
-    def test_non_finite_output_is_not_written(self, tmp_path, capsys):
-        # a vehicle so light that its first wall step reaches about 1e298 m/s:
-        # the wall power does not depend on the speed, the next step detaches,
-        # and the final state's speed overflows to infinity
+    def test_non_finite_output_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # the first wall step reaches 1e200 m/s: the wall power does not
+        # depend on the speed, the next step detaches, and the final state's
+        # speed overflows to infinity
+        _runaway(monkeypatch, Mode.WALL, (0.0, 0.0, 1e200), 1e200)
         spec = {
             **MINI_DRIVE, "validation": {"forbid_faults": False},
             "surface": {"kind": "wall"}, "initial": {"mode": "wall"},
             "script": [{"t_s": 0.0, "mode": "wall", "speed_mps": 0.2}],
-            "vehicle_overrides": {"empty_mass": 1e-300},
         }
         out = tmp_path / "out"
         assert main(["simulate", write_scenario(tmp_path, spec), "--out", str(out)]) \
@@ -544,13 +583,13 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("dt_s", ["0.001", "0.01", "0.02"])
-    def test_overflowing_power_is_a_fault(self, tmp_path, capsys, dt_s):
-        """A vehicle so light that its first step's speed overflows the ground
-        power: the run ends with a fault, its outputs written, exit 1."""
+    def test_overflowing_power_is_a_fault(self, tmp_path, capsys, monkeypatch, dt_s):
+        """A first step whose speed overflows the ground power: the run ends
+        with a fault, its outputs written, exit 1."""
+        _runaway(monkeypatch, Mode.GROUND, (1e300, 0.0, 0.0), 1e300)
         out = tmp_path / "out"
-        rc = main(["simulate", write_scenario(tmp_path, {
-            **MINI_DRIVE, "vehicle_overrides": {"empty_mass": 1e-300},
-        }), "--dt-s", dt_s, "--out", str(out)])
+        rc = main(["simulate", write_scenario(tmp_path, MINI_DRIVE), "--dt-s", dt_s,
+                   "--out", str(out)])
         assert rc == EXIT_VALIDATION
         result = json.loads((out / "result.json").read_text())
         assert result["fault_reason"] == "non-finite power inf W in ground mode"

@@ -17,7 +17,7 @@ from flydrive.dynamics import (
     SurfaceModel,
     TipEvent,
     TransitionEnvelopeError,
-    ground_allocation,
+    ground_allocator,
     initial_flight_state,
     initial_ground_state,
     initial_wall_state,
@@ -25,6 +25,8 @@ from flydrive.dynamics import (
     step,
 )
 from flydrive.simulator import ScriptEvent, Simulator
+from flydrive.vehicle import RotorModel
+from reference_rotor import outcome, reference_ground_allocation
 from reference_simulator import is_steady
 
 FLAT = SurfaceModel()
@@ -174,7 +176,7 @@ class TestLongitudinalAllocation:
         from flydrive.defaults import default_params, default_rotor
 
         params, rotor = default_params(), default_rotor()
-        fl, fr, rl, rr = ground_allocation(params, rotor, f_long, moment)
+        fl, fr, rl, rr, _, _ = ground_allocator(params, rotor)(f_long, moment)
         band = ControllerGains().overlap_band_command
         # per side, front and rear are never simultaneously engaged
         assert min(fl, rl) <= band and min(fr, rr) <= band
@@ -185,11 +187,50 @@ class TestLongitudinalAllocation:
 
         params, rotor = default_params(), default_rotor()
         huge_moment = 100.0  # far past what the headroom allows
-        cmds = ground_allocation(params, rotor, f_long, huge_moment)
-        realized, _ = dynamics._ground_net_force_moment(params, rotor, cmds)
+        *_, realized, _ = ground_allocator(params, rotor)(f_long, huge_moment)
         cap = 2.0 * rotor.max_thrust
         want = max(-cap, min(cap, f_long))
         assert realized == pytest.approx(want, rel=0.01, abs=1e-9)
+
+
+    def test_fused_allocation_matches_reference(self, params, rotor):
+        """Commands, force and moment equal, bit for bit, those of the
+        allocation that looked up each rotor on its own, over random
+        demands up to four times the saturating force and far past the
+        moment headroom, straight demands, and exact zeros."""
+        rng = random.Random(20230302)
+        cap = 2.0 * rotor.max_thrust
+        demands = [(rng.uniform(-4.0 * cap, 4.0 * cap), rng.uniform(-200.0, 200.0))
+                   for _ in range(20000)]
+        demands += [(rng.uniform(-cap, cap), 0.0) for _ in range(2000)]
+        demands += [(f, m) for f in (0.0, -0.0, cap, -cap, 1e300, -1e300)
+                    for m in (0.0, -0.0, 1e-300, 1e300, -1e300)]
+        allocate = ground_allocator(params, rotor)
+        for f_long, moment in demands:
+            want = reference_ground_allocation(params, rotor, f_long, moment)
+            assert repr(allocate(f_long, moment)) == repr(want), (f_long, moment)
+
+    def test_fused_allocation_raises_as_reference(self, params):
+        """On a table whose end commands stray from [0, 1] by 1e-13 (its
+        idle rotor then gives thrust_at(0.0) > 0), each demand returns or
+        raises what the reference does, the same message included; a
+        side that asks for no thrust, or for full thrust, raises."""
+        commands = (-1e-13, 0.25, 0.5, 1.0 + 1e-13)
+        rotor = RotorModel(commands, (0.0, 2.0, 7.0, 18.0), (0.0, 20.0, 80.0, 350.0))
+        assert rotor.thrust_at(0.0) > 0.0
+        f_max, b = rotor.max_thrust, params.wheel_contact_half_spacing_lat
+        rng = random.Random(20230303)
+        demands = [(rng.uniform(-40.0, 40.0), rng.uniform(-20.0, 20.0)) for _ in range(5000)]
+        # the left side asks for 0 N and the right side for full thrust,
+        # forward (the left side raises first) or rearward (the right does)
+        edges = {(f_max, b * f_max): "command -1e-13 outside [0, 1]",
+                 (-f_max, -b * f_max): "command 1.0000000000001 outside [0, 1]"}
+        allocate = ground_allocator(params, rotor)
+        for f_long, moment in [*demands, *edges]:
+            got = outcome(allocate, f_long, moment)
+            assert got == outcome(reference_ground_allocation, params, rotor, f_long, moment)
+        for demand, message in edges.items():
+            assert outcome(allocate, *demand) == ("ValueError", message)
 
 
 class TestYawControl:

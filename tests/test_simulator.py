@@ -485,6 +485,26 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
             assert result.fault_reason == "non-finite value in integration step"
 
 
+@pytest.mark.parametrize("heading_deg", [0.0, 30.0])
+def test_ground_drive_at_the_foot_of_a_wall_covers_the_flat_distance(params, rotor, power_model,
+                                                                      heading_deg):
+    """Ground mode on a wall surface reads its speed along the heading, as
+    on flat ground, so a straight drive covers the same distance and books
+    the same energy there, bit for bit."""
+    script = [ScriptEvent(0.0, _ground(1.0)), ScriptEvent(4.0, _ground(0.5))]
+    runs = []
+    for kind in ("flat", "wall"):
+        surface = SurfaceModel(kind=kind)
+        start = initial_ground_state(params, surface, heading_deg=heading_deg)
+        result = Simulator(params, rotor, power_model).run(start, surface, script, 8.0)
+        assert not result.faulted
+        runs.append((result.final_state, result.ledger.to_dict()))
+    (flat, flat_ledger), (wall, wall_ledger) = runs
+    assert repr(wall) == repr(flat) and wall_ledger == flat_ledger
+    assert 5.5 < math.dist(wall.position, initial_ground_state(params).position) < 6.5
+    assert wall_ledger["per_mode_wh"]["ground"] > 0.0
+
+
 @pytest.mark.parametrize("takeoff", [False, True])
 def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
     """A hover is priced at the hover power, so a payload with a ground

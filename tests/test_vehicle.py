@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import flydrive
 from flydrive import vehicle
+from reference_rotor import outcome, reference_realise
 from flydrive.vehicle import (
     MassComponent,
     RotorModel,
@@ -121,14 +122,17 @@ class TestRotorTable:
         assert rotor.max_thrust == 18.0
 
     def test_interp_matches_numpy_bit_for_bit(self, rotor):
+        """`_interp` with each map's slopes, and the model's lookup through
+        it wherever the lookup takes its argument, give numpy.interp's bits."""
         np = pytest.importorskip("numpy")
         rng = random.Random(20230301)
         maps = (
-            (rotor.commands, rotor.thrusts),
-            (rotor.thrusts, rotor.powers),
-            (rotor.thrusts, rotor.commands),
+            (rotor.commands, rotor.thrusts, rotor._thrust_slopes, rotor.thrust_at),
+            (rotor.thrusts, rotor.powers, rotor._power_slopes, rotor.power_at_thrust),
+            (rotor.thrusts, rotor.commands, rotor._command_slopes, rotor.command_at),
         )
-        for xs, ys in maps:
+        for xs, ys, slopes, lookup in maps:
+            assert slopes == vehicle._slopes(xs, ys)
             lo, hi = xs[0], xs[-1]
             span = hi - lo
             points = [rng.uniform(lo - 0.1 * span, hi + 0.1 * span) for _ in range(20000)]
@@ -137,8 +141,43 @@ class TestRotorTable:
             points += [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
             points += [lo - span, hi + span, -0.0, -1e300, 1e300]
             for x in points:
-                want = float(np.interp(x, xs, ys))
-                assert vehicle._interp(x, xs, ys).hex() == want.hex(), x
+                want = float(np.interp(x, xs, ys)).hex()
+                assert vehicle._interp(x, xs, ys, slopes).hex() == want, x
+                if 0.0 <= x <= xs[-1]:
+                    assert lookup(x).hex() == want, x
+
+    def test_realise_is_command_then_thrust(self, rotor):
+        """`realise` returns, bit for bit, or raises, with the same message,
+        what `command_at` and then `thrust_at` do: over a dense sweep past
+        both ends, at each sample and its neighbouring doubles, at +-0.0
+        and at the saturation limit."""
+        rng = random.Random(20230304)
+        top = rotor.max_thrust
+        points = [rng.uniform(-0.05 * top, 1.05 * top) for _ in range(100000)]
+        for x in rotor.thrusts:
+            points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        limit = top * (1 + 1e-12)
+        points += [0.0, -0.0, top, limit, math.nextafter(limit, math.inf), -1e-300, 1e300]
+        for x in points:
+            assert outcome(rotor.realise, x) == outcome(reference_realise, rotor, x), x
+        assert outcome(rotor.realise, -1.0) == ("ValueError", "thrust -1.0 must be >= 0")
+        with pytest.raises(ThrustSaturationError, match="exceeds max 18.080 N"):
+            rotor.realise(18.1)
+
+    @pytest.mark.parametrize("commands", [(-1e-13, 0.5, 1.0), (0.0, 0.5, 1.0 + 1e-13)])
+    def test_realise_on_a_table_that_strays_past_the_command_range(self, commands):
+        """A table may put its end commands up to 1e-12 outside [0, 1]; a
+        thrust whose command falls outside raises `thrust_at`'s ValueError
+        from `realise` too."""
+        rotor = RotorModel(commands, (0.0, 6.0, 18.0), (0.0, 70.0, 350.0))
+        rng = random.Random(20230305)
+        points = [rng.uniform(0.0, 18.0) for _ in range(20000)]
+        points += [0.0, -0.0, 1e-300, 5e-324, 6.0, 18.0, 18.0 * (1 + 1e-12)]
+        for x in points:
+            assert outcome(rotor.realise, x) == outcome(reference_realise, rotor, x), x
+        stray = commands[0] if commands[0] < 0.0 else commands[-1]
+        end = 0.0 if commands[0] < 0.0 else 18.0
+        assert outcome(rotor.realise, end) == ("ValueError", f"command {stray} outside [0, 1]")
 
 
 def test_import_does_not_load_numpy():
