@@ -69,7 +69,6 @@ from .vehicle import (
     RotorModel,
     VehicleParams,
     design_metrics,
-    load_mass_budget_file,
     load_rotor_table,
     load_rotor_table_file,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "initial_ground_state",
     "initial_wall_state",
     "instantaneous_power",
-    "load_mass_budget_file",
     "load_rotor_table",
     "load_rotor_table_file",
     "load_scenario",

@@ -1,10 +1,11 @@
 """Time-stepped vehicle simulation with the per-mode controllers.
 
 The model is deliberately reduced-order: planar skid-steer dynamics on flat
-ground, along-slope dynamics on inclines, along-wall dynamics while climbing,
-and a point-mass cascade in flight. Wheel contact is a kinematic constraint
-(no spring-damper), integration is semi-implicit Euler, and everything is a
-pure function of the inputs so trajectories are bit-reproducible.
+ground and at the foot of a wall, along-slope dynamics on inclines,
+along-wall dynamics while climbing, and a point-mass cascade in flight.
+Wheel contact is a kinematic constraint (no spring-damper), integration is
+semi-implicit Euler, and everything is a pure function of the inputs so
+trajectories are bit-reproducible.
 
 Conventions: world frame is ENU (z up), body x forward, heading is CCW about
 z. Setpoint yaw rate follows the driving convention instead: positive turns
@@ -45,6 +46,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import statics
+from .fields import FieldError
 from .vehicle import RotorModel, VehicleParams
 
 DT_MAX_S = 0.02
@@ -53,7 +55,7 @@ GROUND_TILT_DEG = 90.0
 WALL_TILT_DEG = 135.0
 FLIGHT_TILT_DEG = 0.0
 STATIONARY_SPEED_MPS = 0.05  # "at rest" threshold for transition envelopes
-TILT_TIME_S = 1.0  # how long `mode_transition` sweeps the axles by default
+TILT_TIME_S = 1.0  # how long `mode_transition` sweeps the axles
 
 
 class Mode(str, Enum):
@@ -157,9 +159,9 @@ class SimState:
 class ControlSetpoint:
     """Target for the active mode controller.
 
-    speed_mps drives ground/incline/wall; yaw_rate_radps steers on flat
-    ground (positive = turn right); target_position/target_yaw_deg drive
-    flight.
+    speed_mps drives ground/incline/wall, within the speed envelope;
+    yaw_rate_radps steers in ground mode on any surface but an incline
+    (positive = turn right); target_position/target_yaw_deg drive flight.
     """
 
     mode: Mode
@@ -167,13 +169,12 @@ class ControlSetpoint:
     yaw_rate_radps: float = 0.0
     target_position: tuple[float, float, float] | None = None
     target_yaw_deg: float = 0.0
-    envelope_mps: float = DEFAULT_SPEED_ENVELOPE_MPS
 
     def __post_init__(self):
-        if abs(self.speed_mps) > self.envelope_mps + 1e-9:
+        if abs(self.speed_mps) > DEFAULT_SPEED_ENVELOPE_MPS + 1e-9:
             raise ValueError(
                 f"speed target {self.speed_mps} m/s outside envelope "
-                f"+-{self.envelope_mps} m/s"
+                f"+-{DEFAULT_SPEED_ENVELOPE_MPS} m/s"
             )
 
 
@@ -191,6 +192,9 @@ class SurfaceModel:
             raise ValueError(f"unknown surface kind {self.kind!r}")
         if self.kind == "incline" and not 0.0 <= self.slope_deg < 90.0:
             raise ValueError("incline slope must be in [0, 90) deg")
+        for name in ("rolling_resistance", "lateral_friction"):
+            if (getattr(self, name) or 0.0) < 0.0:
+                raise FieldError(name, "must be >= 0")
 
     def mu_roll(self, params: VehicleParams) -> float:
         if self.rolling_resistance is not None:
@@ -215,7 +219,6 @@ class ControllerGains:
     max_yaw_rate_radps: float = 1.5
     max_flight_accel_mps2: float = 15.0  # horizontal authority at T/W 1.84
     geofence_radius_m: float = 200.0
-    overlap_band_command: float = 0.02  # max simultaneous front+rear command
     attach_normal_fraction: float = statics.DEFAULT_ATTACH_NORMAL_FRACTION
 
 
@@ -324,11 +327,11 @@ _TILT_TARGETS = {
 def mode_transition(
     state: SimState,
     target_mode: Mode,
-    t_tilt_s: float = TILT_TIME_S,
     surface: SurfaceModel | None = None,
     params: VehicleParams | None = None,
 ) -> TiltSchedule:
-    """Plan the axle tilt ramp into another mode, enforcing the envelope.
+    """Plan the TILT_TIME_S axle tilt ramp into another mode, enforcing the
+    envelope.
 
     Ground<->Flight requires standing on the surface at near-zero speed
     (the tilt sweep passes through thrust directions that would fight the
@@ -362,7 +365,7 @@ def mode_transition(
     end_front, end_rear = _TILT_TARGETS[target_mode]
     return TiltSchedule(
         start_time_s=state.time_s,
-        duration_s=t_tilt_s,
+        duration_s=TILT_TIME_S,
         start_front_deg=state.tilt_front_deg,
         start_rear_deg=state.tilt_rear_deg,
         end_front_deg=end_front,
@@ -544,15 +547,14 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     """The step law of a ground or incline state. Feedforward holds gravity
     and rolling resistance and a proportional term closes the speed loop,
     which reads the speed along the slope on an incline and along the
-    heading on any other surface (a wall's foot included);
-    on flat ground the yaw loop's feedforward cancels the lateral-friction
+    heading on any other surface (a wall's foot included). Off an incline
+    the yaw loop steers, its feedforward cancelling the lateral-friction
     moment of the fixed wheels (a positive yaw-rate target turns right).
     It reruns the allocation only when the bits of the speed and yaw rate
     it reads change (a settled turn repeats them), and the heading's
     trigonometry only when the new yaw's bits change (a straight run)."""
     m = params.total_mass(payload)
-    kind = surface.kind
-    incline = kind == "incline"
+    incline = surface.kind == "incline"
     if incline:
         _check_tip(params, surface, state)
     g = params.gravity
@@ -568,10 +570,9 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     friction_moment = params.lateral_friction_coeff * m * g * half_long * _sgn(r_target)
     kp_yaw, two_lat = gains.kp_yaw_rate, 2.0 * lat
     fric_cap = surface.mu_lat(params) * m * g * half_long
-    inertia = params.inertia[2]
+    inertia = params.yaw_inertia
     cos_psi, sin_psi = math.cos(psi), math.sin(psi)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
-    flat = kind == "flat"
     allocate = ground_allocator(params, rotor)
     last_v = last_r = last_yaw = math.nan  # what the memos below were computed for
     speed = heading = None
@@ -582,7 +583,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
         # == cannot tell 0.0 from -0.0, so zeros compare as packed doubles
         if not (v == last_v and r == last_r and (v and r or _pack2(v, r) == _pack2(last_v, last_r))):
             # the yaw loop's left/right differential, as a moment
-            moment = 0.0 if not flat else (
+            moment = 0.0 if incline else (
                 (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
             c0, c1, c2, c3, f_net, m_net = allocate(feedforward + kp * (v_target - v), moment)
             drive = f_net - grade

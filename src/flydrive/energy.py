@@ -43,7 +43,6 @@ class Battery:
     cells_series: int
     capacity_ah: float
     nominal_cell_voltage: float = 3.7
-    cutoff_cell_voltage: float = 3.3
     soc: float = 1.0
     usable_fraction: float = 1.0
     tripped: bool = field(default=False, init=False)
@@ -53,8 +52,6 @@ class Battery:
             raise ValueError(f"battery_id must be one of {BATTERY_IDS}")
         if self.cells_series < 1 or self.capacity_ah <= 0:
             raise ValueError("cells_series >= 1 and capacity_ah > 0 required")
-        if self.cutoff_cell_voltage >= self.nominal_cell_voltage:
-            raise ValueError("cutoff voltage must be below nominal")
         if not 0.0 <= self.soc <= 1.0:
             raise ValueError("soc must be in [0, 1]")
         if not 0.0 < self.usable_fraction <= 1.0:

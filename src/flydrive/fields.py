@@ -19,6 +19,15 @@ from enum import Enum
 REQUIRED = object()
 
 
+class FieldError(ValueError):
+    """A settings object's check that failed on one field, named by key;
+    `call` reports it at that field's keypath."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key, self.message = key, message
+
+
 def load_json(path: str, source: str, error: type):
     """The JSON document in the file at path; a missing file or malformed JSON
     raises error, naming path or the line and column in source."""
@@ -84,9 +93,12 @@ def check(value, kind, fail, path: str):
 
 
 def call(make, fail, path: str, /, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError from its own checks sent to fail at path."""
+    """make(*args, **kwargs), a ValueError from its own checks sent to fail at
+    path, or at the field's keypath under path for a FieldError."""
     try:
         return make(*args, **kwargs)
+    except FieldError as exc:
+        fail(f"{path}.{exc.key}", exc.message)
     except ValueError as exc:
         fail(path, str(exc))
 

@@ -8,7 +8,6 @@ with row 0 at the first line of the ASCII form.
 
 from __future__ import annotations
 
-import json
 import math
 import textwrap
 from dataclasses import dataclass
@@ -141,14 +140,6 @@ def terrain_from_dict(data: dict, source: str = "<terrain>", keypath: str = "") 
         elevation_m=rows,
         classes=tuple(tuple(row) for row in classes),
     )
-
-
-def terrain_from_json(text: str, source: str = "<terrain>") -> TerrainGrid:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TerrainError(f"{source}:{exc.lineno}: {exc.msg}") from None
-    return terrain_from_dict(data, source)
 
 
 def load_terrain_file(path) -> TerrainGrid:

@@ -10,11 +10,11 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .fields import FieldError
+
 GRAVITY = 9.81  # m/s^2, used for all kgf <-> N conversions
 
 MASS_CATEGORIES = ("structure", "propulsion", "energy", "gam", "electronics", "payload")
-
-Vec3 = tuple[float, float, float]
 
 
 class RotorTableError(ValueError):
@@ -34,56 +34,35 @@ class VehicleParams:
     """
 
     empty_mass: float = 2.7
-    payload_mass: float = 1.3
     mtom: float = 4.0
-    body_dims: Vec3 = (0.695, 0.6935, 0.302)  # L, W, H
     # half-spacing between wheel contact lines, longitudinal / lateral
     wheel_contact_half_spacing_long: float = 0.270
     wheel_contact_half_spacing_lat: float = 0.270
     # center of mass height above the wheel contact plane; together with the
     # longitudinal half-spacing this fixes the 60.93 deg tip angle
     com_height: float = 0.1501
-    wheel_ground_clearance: float = 0.050
-    # rotor hub lever arms in body frame (x fwd, y left, z up from the wheel
-    # contact plane); must be symmetric about both body axes
-    rotor_positions: tuple[Vec3, Vec3, Vec3, Vec3] = (
-        (0.248, 0.248, 0.1501),
-        (0.248, -0.248, 0.1501),
-        (-0.248, 0.248, 0.1501),
-        (-0.248, -0.248, 0.1501),
-    )
     gravity: float = GRAVITY
     rolling_resistance_coeff: float = 0.03
     wall_friction_coeff: float = 0.6  # static, rubber on concrete
     # skid-steer lateral Coulomb friction for the fixed wheels
     lateral_friction_coeff: float = 0.6
-    # body inertia diagonal (kg m^2), box estimate from dims and empty mass
-    inertia: Vec3 = (0.130, 0.132, 0.217)
+    # body moment of inertia about the up axis (kg m^2), box estimate from
+    # the body dimensions and empty mass
+    yaw_inertia: float = 0.217
 
     def __post_init__(self):
-        if self.empty_mass <= 0 or self.payload_mass < 0:
-            raise ValueError("empty_mass must be > 0 and payload_mass >= 0")
-        if self.empty_mass + self.payload_mass > self.mtom + 1e-9:
-            raise ValueError(
-                f"empty_mass + payload_mass = {self.empty_mass + self.payload_mass} "
-                f"exceeds mtom = {self.mtom}"
-            )
+        if self.empty_mass <= 0:
+            raise ValueError("empty_mass must be > 0")
+        if self.empty_mass > self.mtom + 1e-9:
+            raise FieldError("empty_mass", f"{self.empty_mass} kg exceeds mtom {self.mtom} kg")
         for name in ("wheel_contact_half_spacing_long", "wheel_contact_half_spacing_lat",
-                     "com_height", "wheel_ground_clearance", "gravity"):
+                     "com_height", "gravity", "yaw_inertia"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if any(d <= 0 for d in self.body_dims):
-            raise ValueError("body dimensions must be > 0")
-        if self.com_height >= self.body_dims[2]:
-            raise ValueError("com_height must be below the body height")
-        if len(self.rotor_positions) != 4:
-            raise ValueError("exactly four rotor positions required")
-        xs = sorted(p[0] for p in self.rotor_positions)
-        ys = sorted(p[1] for p in self.rotor_positions)
-        if abs(xs[0] + xs[3]) > 1e-9 or abs(xs[1] + xs[2]) > 1e-9:
-            raise ValueError("rotor positions must be symmetric about the lateral axis")
-        if abs(ys[0] + ys[3]) > 1e-9 or abs(ys[1] + ys[2]) > 1e-9:
-            raise ValueError("rotor positions must be symmetric about the longitudinal axis")
+                raise FieldError(name, "must be > 0")
+        for name in ("rolling_resistance_coeff", "wall_friction_coeff",
+                     "lateral_friction_coeff"):
+            if getattr(self, name) < 0:
+                raise FieldError(name, "must be >= 0")
 
     def total_mass(self, payload: float = 0.0) -> float:
         if payload < 0:
@@ -339,11 +318,6 @@ def load_mass_budget(csv_text: str) -> MassBudget:
     if not components:
         raise ValueError("empty mass budget")
     return MassBudget(tuple(components))
-
-
-def load_mass_budget_file(path) -> MassBudget:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_mass_budget(fh.read())
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,9 @@ class TestScenarioLoading:
             load_scenario(path)
 
     def test_unknown_vehicle_override(self, tmp_path, capsys):
-        # the last two were vehicle parameters that nothing read
-        for key in ("warp_mass", "rotor_torque_coeff", "tilt_axle_count"):
+        # all but the first were vehicle parameters that nothing read
+        for key in ("warp_mass", "rotor_torque_coeff", "tilt_axle_count", "payload_mass",
+                    "body_dims", "wheel_ground_clearance", "rotor_positions", "inertia"):
             bad = dict(MINI_DRIVE)
             bad["vehicle_overrides"] = {key: 1.0}
             path = write_scenario(tmp_path, bad)
@@ -401,9 +402,23 @@ class TestScenarioLoading:
          "vehicle_overrides.empty_mass: 1e-300 kg weighs 9.81e-300 N at 9.81 m/s^2; the "
          "rotors' full thrust 72.3 N may be at most 20 times the empty weight"),
         ("vehicle_overrides", {"gravity": 0.3}, "vehicle_overrides.empty_mass: 2.7 kg weighs "),
+        ("vehicle_overrides", {"yaw_inertia": 0}, "vehicle_overrides.yaw_inertia: must be > 0"),
+        ("vehicle_overrides", {"yaw_inertia": -0.2},
+         "vehicle_overrides.yaw_inertia: must be > 0"),
+        ("vehicle_overrides", {"rolling_resistance_coeff": -1.0},
+         "vehicle_overrides.rolling_resistance_coeff: must be >= 0"),
+        ("vehicle_overrides", {"wall_friction_coeff": -1.0},
+         "vehicle_overrides.wall_friction_coeff: must be >= 0"),
+        ("vehicle_overrides", {"lateral_friction_coeff": -1.0},
+         "vehicle_overrides.lateral_friction_coeff: must be >= 0"),
+        ("surface", {"rolling_resistance": -1.0}, "surface.rolling_resistance: must be >= 0"),
+        ("surface", {"lateral_friction": -1.0}, "surface.lateral_friction: must be >= 0"),
+        ("vehicle_overrides", {"empty_mass": 4.5},
+         "vehicle_overrides.empty_mass: 4.5 kg exceeds mtom 4.0 kg"),
     ])
     def test_former_tracebacks_exit_2(self, tmp_path, capsys, block, value, keypath):
-        # each would divide by zero or overflow in the run
+        # each would divide by zero or overflow in the run, or run on a
+        # coefficient no vehicle has
         out = tmp_path / "out"
         path = write_scenario(tmp_path, {**MINI_DRIVE, block: value})
         assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
@@ -827,9 +842,7 @@ FUZZ_DRIVE = {
     "name": "fuzz-drive",
     "description": "every drive block",
     "payload_kg": 0.0,
-    "vehicle_overrides": {"empty_mass": 2.7, "rotor_positions": [
-        [0.248, 0.248, 0.1501], [0.248, -0.248, 0.1501],
-        [-0.248, 0.248, 0.1501], [-0.248, -0.248, 0.1501]]},
+    "vehicle_overrides": {"empty_mass": 2.7, "com_height": 0.1501, "yaw_inertia": 0.217},
     "batteries": [
         {"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0, "soc": 1.0},
         {"battery_id": "electronics", "cells_series": 2, "capacity_ah": 3.2,
@@ -863,7 +876,8 @@ FUZZ_PLAN = {
     },
     "validation": {"expect_fly_legs": 1, "max_leg_deviation_frac": 0.15},
 }
-FUZZ_VALUES = ["x", math.nan, True, None, [], {}, 10**400, 1e308, 0, -1, "flight"]
+FUZZ_VALUES = ["x", math.nan, True, None, [], {}, 10**400, 1e308, 1e-300, 0, -1, 4.0,
+               "flight"]
 # keys to add: a typo, payload keys, and keys that belong to another block
 # or that the bases leave out
 FUZZ_KEYS = ["x", "0", "2.0", "mode", "tilt_deg", "slope_deg", "kind", "soc", "terrain",

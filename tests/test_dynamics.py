@@ -172,14 +172,13 @@ class TestLongitudinalAllocation:
         f_long=st.floats(min_value=-30.0, max_value=30.0),
         moment=st.floats(min_value=-40.0, max_value=40.0),
     )
-    def test_overlap_band_respected(self, f_long, moment):
+    def test_one_rotor_per_side_engaged(self, f_long, moment):
         from flydrive.defaults import default_params, default_rotor
 
         params, rotor = default_params(), default_rotor()
         fl, fr, rl, rr, _, _ = ground_allocator(params, rotor)(f_long, moment)
-        band = ControllerGains().overlap_band_command
         # per side, front and rear are never simultaneously engaged
-        assert min(fl, rl) <= band and min(fr, rr) <= band
+        assert min(fl, rl) == 0.0 and min(fr, rr) == 0.0
 
     @given(f_long=st.floats(min_value=-30.0, max_value=30.0))
     def test_saturated_differential_preserves_longitudinal(self, f_long):

@@ -39,8 +39,6 @@ class TestBattery:
         with pytest.raises(ValueError):
             make_pack(soc=1.2)
         with pytest.raises(ValueError):
-            make_pack(cutoff_cell_voltage=3.8)  # above nominal
-        with pytest.raises(ValueError):
             Battery(battery_id="prop_c", cells_series=4, capacity_ah=5.0)
 
     def test_drain_zero_power_is_noop(self):

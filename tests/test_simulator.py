@@ -432,7 +432,7 @@ def _non_finite_after(t_s, mode, monkeypatch):
 def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_model,
                                                           monkeypatch, case):
     """Settled turns, the same script in ground mode at the foot of a wall
-    (the yaw loop steers on flat ground only), a flight to waypoints with a
+    (where it steers as on flat ground), a flight to waypoints with a
     landing, transitions both ways, and a fault in the middle of a turn or
     a flight: the float stretches give `reference_run`'s bytes, and take no
     full step but the two that end a transition."""
@@ -462,12 +462,13 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
     if case == "turns":
         assert not result.faulted and full_steps == 0
         assert result.final_state.angular_velocity == (0.0, 0.0, 0.0)
-    elif case == "ground-on-wall":  # no yaw differential: left and right commands agree
+    elif case == "ground-on-wall":  # the same run as on flat ground, bit for bit
         assert start.mode is Mode.GROUND and not result.faulted and full_steps == 0
-        commands = [row.split(",")[13:17] for row in result.rows]
-        assert all(fl == fr and rl == rr for fl, fr, rl, rr in commands)
-        assert any(fl != rl for fl, fr, rl, rr in commands)  # the speed loop drives
-        assert result.final_state.quaternion == start.quaternion
+        flat = Simulator(params, rotor, power_model, batteries=_packs(USABLE_FRACTION)).run(
+            initial_ground_state(params), SurfaceModel(), script, duration)
+        assert repr(result.final_state) == repr(flat.final_state)
+        assert result.ledger.to_dict() == flat.ledger.to_dict()
+        assert result.final_state.quaternion != start.quaternion  # it turned
     elif case == "fly-land":
         assert not result.faulted and full_steps == 2  # each ends a transition
         assert kinds == ["transition_started", "transition_complete"] * 2

@@ -11,7 +11,6 @@ from flydrive.terrain import (
     load_terrain_file,
     terrain_from_ascii,
     terrain_from_dict,
-    terrain_from_json,
 )
 from terrain_helpers import class_at, max_neighbor_slope_deg, mirrored, neighbors4
 
@@ -73,10 +72,12 @@ def test_dict_out_of_bounds_obstacle():
         })
 
 
-def test_json_error_carries_line():
+def test_json_error_carries_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n  "width": 2,\n  oops\n}', encoding="utf-8")
     with pytest.raises(TerrainError) as err:
-        terrain_from_json('{\n  "width": 2,\n  oops\n}', source="bad.json")
-    assert "bad.json:3" in str(err.value)
+        load_terrain_file(path)
+    assert "bad.json:3:3: " in str(err.value)
 
 
 def test_bundled_terrain_loads():

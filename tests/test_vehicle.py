@@ -36,16 +36,10 @@ def test_total_mass_rejects_overload(params):
         params.total_mass(-0.1)
 
 
-def test_params_reject_asymmetric_rotors():
-    with pytest.raises(ValueError):
-        VehicleParams(rotor_positions=(
-            (0.3, 0.2, 0.1), (0.2, -0.2, 0.1), (-0.2, 0.2, 0.1), (-0.2, -0.2, 0.1),
-        ))
-
-
 def test_params_reject_budget_overflow():
-    with pytest.raises(ValueError):
-        VehicleParams(empty_mass=3.0, payload_mass=1.3, mtom=4.0)
+    with pytest.raises(ValueError, match="empty_mass 4.5 kg exceeds mtom 4.0 kg"):
+        VehicleParams(empty_mass=4.5, mtom=4.0)
+    assert VehicleParams(empty_mass=4.0, mtom=4.0).total_mass() == 4.0
 
 
 class TestRotorTable:
