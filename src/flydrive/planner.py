@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
-from .energy import PowerModel, usable_propulsion_energy_wh
+from .energy import PowerModel
 from .simulator import _finite_power
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
@@ -269,7 +269,10 @@ def plan(
     total_duration = sum(leg.duration_s for leg in legs)
     feasible = True
     if batteries is not None:
-        feasible = total_energy <= usable_propulsion_energy_wh(batteries)
+        # a run draws an equal share from each propulsion pack
+        packs = [b for b in batteries if b.is_propulsion]
+        share = total_energy / max(1, len(packs))
+        feasible = share <= min((b.remaining_usable_wh for b in packs), default=0.0)
     return MissionPlan(
         start=start,
         goal=goal,

@@ -171,7 +171,10 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
                             _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
     weight, thrust = params.empty_mass * params.gravity, 4.0 * rotor.max_thrust
     if not thrust <= MAX_THRUST_TO_EMPTY_WEIGHT * weight:
-        fail("vehicle_overrides.empty_mass",
+        # named by the setting that moved: a lowered gravity, else empty_mass
+        key = ("gravity" if params.gravity != VehicleParams.gravity
+               and params.empty_mass == VehicleParams.empty_mass else "empty_mass")
+        fail(f"vehicle_overrides.{key}",
              f"{params.empty_mass} kg weighs {weight:.3g} N at {params.gravity} m/s^2; the "
              f"rotors' full thrust {thrust:.3g} N may be at most {MAX_THRUST_TO_EMPTY_WEIGHT:g} "
              f"times the empty weight")
@@ -413,6 +416,14 @@ def run_scenario(scenario: Scenario, dt_s: float = 0.001,
     if math.isinf(scenario.duration_s / dt_s):
         raise ScenarioError(f"{scenario.source}: duration_s: {scenario.duration_s} s "
                             f"is too many steps of {dt_s} s to count")
+    # the ground yaw-rate loop integrates explicitly: past this gain per step
+    # each correction overshoots by more than the error it corrects
+    kp_yaw, inertia = sim.gains.kp_yaw_rate, scenario.params.yaw_inertia
+    if not kp_yaw * dt_s / inertia < 2.0:
+        raise ScenarioError(
+            f"{scenario.source}: vehicle_overrides.yaw_inertia: {inertia} kg m^2 makes the "
+            f"yaw-rate loop unstable at dt_s {dt_s} s; it must exceed "
+            f"{kp_yaw * dt_s / 2.0:.3g} kg m^2")
     state = initial_state_for(scenario)
     return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)
 

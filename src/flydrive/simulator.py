@@ -8,24 +8,23 @@ script produce byte-identical files.
 
 Every step is booked one way, through constants built once per run
 (`_Books`): each pack's SoC and Ah divisors and trip floor, and what the
-avionics draw per step. `Simulator.run` takes each stretch in which the
-mode, setpoint, surface and tilt schedule hold through that mode's
-`dynamics.step_law` over plain floats, prices each step with what the
-stretch keeps fixed bound once (`_stretch_power`), books it by
-`_Books.book` and writes its trace row from the floats; it builds a
+avionics draw per step. `Simulator.run` takes every step through its mode's
+`dynamics.step_law` over plain floats, a stretch at a time: within a
+stretch the mode, setpoint, surface and tilt schedule hold. It prices each
+step with what the stretch keeps fixed bound once (`_stretch_power`), books
+it by `_Books.book` and writes its trace row from the floats; it builds a
 `SimState` only at a script event, at the end of a transition, at a fault
 and at the end of the run. Once a ground, incline or wall step repeats the
 one before bit for bit but for time and position (`dynamics.repeats`),
 each further step only adds the increments of the one before to time,
 position, the mode's Wh and each pack's SoC and Ah. Either way each
 increment is the expression `drain` computes and the ledger adds, in the
-same order, so every sum keeps its bits. A step the float loop declines
-(one that would detach from a wall, end a transition, or leave the state or
-its power non-finite) is a full `dynamics.step`, which raises the fault or
-takes the step; a step whose power overflows or is not finite ends the run
-with a fault. Per step at dt 1 ms, booking and trace included, flight costs
-about 10 us, a turn 14 us and a transition 4 us (medians on a shared 2-core
-x86_64 host, Python 3.11.7).
+same order, so every sum keeps its bits. The step that ends a transition is
+booked in the mode it enters and ends its stretch. A step that would detach
+from a wall, or leave the state or its power non-finite, ends the run with
+that fault, logged at the state before it. Per step at dt 1 ms, booking and
+trace included, flight costs about 10 us, a turn 14 us and a transition
+4 us (medians on a shared 2-core x86_64 host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ class _Books:
                 soc = pack.soc - share * dt / soc_divisor
                 if soc <= floor:
                     pack.soc, pack.tripped = floor, True
-                    self._log_trip(t_s, battery_id)
+                    self.log(t_s, "battery_protection", battery_id)
                     fault = f"battery {battery_id} protection tripped"
                 else:
                     pack.soc = soc
@@ -185,13 +184,20 @@ class _Books:
         if soc <= self.avionics_floor:
             # an avionics brownout ends the run like a propulsion trip
             e.soc, e.tripped = self.avionics_floor, True
-            self._log_trip(t_s, e.battery_id)
+            self.log(t_s, "battery_protection", e.battery_id)
             return f"battery {e.battery_id} protection tripped"
         e.soc = soc
         return fault
 
-    def _log_trip(self, t_s: float, battery_id: str) -> None:
-        self.events.append({"t_s": t_s, "kind": "battery_protection", "detail": battery_id})
+    def log(self, t_s: float, kind: str, detail: str) -> None:
+        self.events.append({"t_s": t_s, "kind": kind, "detail": detail})
+
+    def fault(self, t_s: float, exc: Exception) -> str:
+        """Log the fault `exc` (a tip, a detach or a SimulationFault) that
+        ends the run at `t_s`; return its reason."""
+        reason = str(exc)
+        self.log(t_s, type(exc).__name__.lower(), reason)
+        return reason
 
 
 class Simulator:
@@ -239,13 +245,10 @@ class Simulator:
         schedule: TiltSchedule | None = None
         ledger = EnergyLedger()
         events: list[dict] = []
-
-        def log(kind: str, detail: str) -> None:
-            events.append({"t_s": state.time_s, "kind": kind, "detail": detail})
-
         model, payload, dt = self.power_model, self.payload, self.dt_s
         params, rotor, gains = self.params, self.rotor, self.gains
-        rows = [_trace_row(state, instantaneous_power(model, state, surface, payload, schedule))]
+        rows = [_row(dynamics.floats_of(state, surface),
+                     instantaneous_power(model, state, surface, payload, schedule))]
         n_steps = int(round(duration_s / dt))
         next_event = 0
         fault_reason = None
@@ -264,45 +267,25 @@ class Simulator:
                             state, ev.transition_to, surface=surface, params=params
                         )
                         state = dynamics.begin_transition(state)
-                        log("transition_started", ev.transition_to.value)
+                        books.log(state.time_s, "transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
-                        log("transition_rejected", str(exc))
+                        books.log(state.time_s, "transition_rejected", str(exc))
             t_event = script[next_event].t_s if next_event < len(script) else math.inf
             try:
-                floats = dynamics.floats_of(state, surface)
-                law = (dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains,
-                                         payload, schedule),
-                       floats, _stretch_power(model, surface, payload, schedule, floats))
-            except (ArithmeticError, ValueError, RuntimeError):
-                law = None  # the full step below raises it where it is due, or prices its step
-            if law is not None:
-                k, floats, fault_reason = self._stretch(law, i, n_steps, t_event, books, rows)
-                if k > i:
-                    i, state = k, dynamics.state_of(floats)
-                if fault_reason is not None or i == n_steps:
-                    break
-                if t_event <= state.time_s + 1e-12:
-                    continue
-            previous = state
-            try:
-                state = dynamics.step(state, setpoint, surface, dt, params, rotor, gains, payload,
-                                      schedule)
-                if previous.mode is Mode.TRANSITION and state.mode is not Mode.TRANSITION:
-                    log("transition_complete", state.mode.value)
-                    setpoint = replace(setpoint, mode=state.mode)
-                    schedule = None
-                power = instantaneous_power(model, state, surface, payload, schedule)
+                advance = dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains,
+                                            payload, schedule)
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
-                state = previous  # the run ends before the step that faulted
-                fault_reason = str(exc)
-                log(type(exc).__name__.lower(), fault_reason)
+                fault_reason = books.fault(state.time_s, exc)
                 break
-            fault_reason = books.book(power, state.mode.value, state.time_s)
+            floats = dynamics.floats_of(state, surface)
+            law = advance, floats, _stretch_power(model, surface, payload, schedule, floats)
+            k, floats, fault_reason = self._stretch(law, i, n_steps, t_event, books, rows)
+            if k > i:
+                i, state = k, dynamics.state_of(floats)
             if fault_reason is not None:
                 break
-            i += 1
-            if i % self.trace_decimation == 0:
-                rows.append(_trace_row(state, power))
+            if schedule is not None and state.mode is not Mode.TRANSITION:  # the tilt ended
+                setpoint, schedule = replace(setpoint, mode=state.mode), None
         return SimResult(
             final_state=state,
             rows=rows,
@@ -316,42 +299,50 @@ class Simulator:
         """Take steps i, i + 1, ... through `law` (the `dynamics.step_law`
         of a state, its floats and `_stretch_power`) over plain floats;
         return the index and the floats of the step after them, and the
-        fault that ends the run (a pack trip), if any. Each step is booked
-        by `_Books.book` and traced from the floats; from a step that
-        repeats the one before (`dynamics.repeats`), `_steady_stretch`
-        takes the steps that follow.
+        fault that ends the run, if any. Each step is booked by
+        `_Books.book` and traced from the floats; from a step that repeats
+        the one before (`dynamics.repeats`), `_steady_stretch` takes the
+        steps that follow.
 
         Stops before the first step that would consume the script event at
-        `t_event`, detach from a wall, end a transition, or leave the state
-        or its power non-finite, and at step `end`; after a step that trips
-        a pack. The full `dynamics.step` in `run` takes the step it stopped
-        before.
+        `t_event`, and at step `end`. Ends the run after a step that trips
+        a pack, and before one that detaches from a wall or leaves the state
+        or its power non-finite, logging that fault at the last finite
+        floats. The step that ends a transition logs `transition_complete`
+        before it is booked (in its new mode), and is the last of the
+        stretch.
         """
         advance, f, power_of = law
-        dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
+        decimation, inf = self.trace_decimation, math.inf
         mode = f[MODE]
         name = mode.value
         moving = slice(POSITION.start, QUATERNION.stop)  # checked for finiteness with the yaw rate
-        k, fault = i, None
+        k = i
         while k < end and not t_event <= f[TIME] + 1e-12:
             try:
                 g = advance(f)
-            except dynamics.DetachEvent:
-                break
-            if g[MODE] is not mode or not -inf < sum(g[moving], g[YAW_RATE]) < inf:
-                break
-            try:
-                power = power_of(g)
-            except OverflowError:
-                break
-            if not -inf < power < inf:
-                break
+                if not -inf < sum(g[moving], g[YAW_RATE]) < inf:  # the sum may overflow alone
+                    dynamics._check_finite((*g[moving], g[YAW_RATE]), None)
+                ends = g[MODE] is not mode  # the step that ends a transition
+                if ends:
+                    name = g[MODE].value
+                    books.log(g[TIME], "transition_complete", name)
+                try:
+                    power = power_of(g)
+                except OverflowError:
+                    power = inf
+                if not -inf < power < inf:
+                    _finite_power(power, g[MODE], None)  # raises the fault
+            except (dynamics.DetachEvent, dynamics.SimulationFault) as exc:
+                return k, f, books.fault(f[TIME], exc)
             k += 1
             fault = books.book(power, name, g[TIME])
             if fault is not None:
                 return k, g, fault
             if k % decimation == 0:
-                rows.append(",".join(map(repr, g[TRACE])) + f",{name},{power!r}\n")
+                rows.append(_row(g, power))
+            if ends:
+                return k, g, None
             if g[SPEED] == f[SPEED] and dynamics.repeats(f, g):
                 k, g = self._steady_stretch(g, power, k, end, t_event, books, rows)
             f = g
@@ -425,7 +416,9 @@ def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
     """The power (W) of each state that a `dynamics.step_law` from floats f
     steps to, as a function of that state's floats, with what such a
     stretch keeps fixed priced once; raises where that pricing fails, but
-    for a missing flight calibration, which only a cruising step needs."""
+    for a missing flight calibration, which only a cruising step needs. The
+    step that ends a transition is priced as a state of its new mode with
+    no schedule, when it is taken."""
     mode = f[MODE]
     if mode in (Mode.GROUND, Mode.INCLINE):
         price = model.drive_power_at(surface.slope_deg if mode == Mode.INCLINE else None, payload)
@@ -454,12 +447,14 @@ def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
         airborne = schedule is not None and (
             schedule.target_mode == Mode.FLIGHT or not any(f[CONTACT]))
         power = model.hover_power_w if airborne else 0.0
+        # the step that ends the tilt is priced in the mode it enters
+        return lambda g: (power if g[MODE] is mode
+                          else _stretch_power(model, surface, payload, None, g)(g))
     else:
         raise ValueError(f"unknown mode {mode}")
     return lambda g: power
 
 
-def _trace_row(state: SimState, power_w: float) -> str:
-    values = (state.time_s, *state.position, *state.velocity, *state.quaternion,
-              state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands)
-    return ",".join(map(repr, values)) + f",{state.mode.value},{power_w!r}\n"
+def _row(f, power_w: float) -> str:
+    """The trace row of step-law floats f drawing `power_w` W."""
+    return ",".join(map(repr, f[TRACE])) + f",{f[MODE].value},{power_w!r}\n"

@@ -52,8 +52,10 @@ class VehicleParams:
 
     def __post_init__(self):
         if self.empty_mass <= 0:
-            raise ValueError("empty_mass must be > 0")
+            raise FieldError("empty_mass", "must be > 0")
         if self.empty_mass > self.mtom + 1e-9:
+            if self.empty_mass == VehicleParams.empty_mass:  # named by the setting that moved
+                raise FieldError("mtom", f"{self.mtom} kg is below empty_mass {self.empty_mass} kg")
             raise FieldError("empty_mass", f"{self.empty_mass} kg exceeds mtom {self.mtom} kg")
         for name in ("wheel_contact_half_spacing_long", "wheel_contact_half_spacing_lat",
                      "com_height", "gravity", "yaw_inertia"):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 
-from flydrive.energy import usable_propulsion_energy_wh
 from flydrive.planner import (
     DRIVE,
     FLY,
@@ -140,7 +139,10 @@ def plan(terrain, start, goal, cfg, model, batteries=None, payload=0.0) -> Missi
     legs = _legs_from_steps(steps, terrain, cfg, model, payload)
     feasible = True
     if batteries is not None:
-        feasible = total_energy <= usable_propulsion_energy_wh(batteries)
+        # a run draws an equal share from each propulsion pack
+        packs = [b for b in batteries if b.is_propulsion]
+        share = total_energy / max(1, len(packs))
+        feasible = share <= min((b.remaining_usable_wh for b in packs), default=0.0)
     return MissionPlan(
         start=start,
         goal=goal,

@@ -13,7 +13,7 @@ from dataclasses import replace
 from flydrive import dynamics
 from flydrive.dynamics import ControlSetpoint, Mode, SimState
 from flydrive.energy import Battery, BatteryProtectionError, EnergyLedger, drain
-from flydrive.simulator import SimResult, Simulator, _trace_row, instantaneous_power
+from flydrive.simulator import SimResult, Simulator, instantaneous_power
 
 
 _pack_motion = struct.Struct("16d").pack
@@ -35,6 +35,12 @@ def is_steady(before: SimState, after: SimState) -> bool:
     bits = _motion_bits(after)
     return (bits is not None and bits == _motion_bits(before)
             and after.mode is before.mode and after.contact == before.contact)
+
+
+def _trace_row(state: SimState, power_w: float) -> str:
+    values = (state.time_s, *state.position, *state.velocity, *state.quaternion,
+              state.tilt_front_deg, state.tilt_rear_deg, *state.rotor_commands)
+    return ",".join(map(repr, values)) + f",{state.mode.value},{power_w!r}\n"
 
 
 def record(ledger: EnergyLedger, dt_s: float, power_w: float, mode: str,

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from flydrive import cli, dynamics
 from flydrive.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, bundled_scenarios, main
 from flydrive.dynamics import SPEED, VELOCITY, Mode
-from flydrive.scenario import ScenarioError, load_scenario
+from flydrive.scenario import VEHICLE, ScenarioError, load_scenario, run_scenario
 from flydrive.terrain import TerrainError
 from flydrive.vehicle import RotorTableError
 
@@ -393,7 +393,7 @@ class TestScenarioLoading:
         assert "scn.json: payload_kg: no ground calibration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, value, keypath", [
-        ("vehicle_overrides", {"empty_mass": 0}, "vehicle_overrides: empty_mass must be > 0"),
+        ("vehicle_overrides", {"empty_mass": 0}, "vehicle_overrides.empty_mass: must be > 0"),
         ("duration_s", 1e308, "duration_s: 1e+308 s is too many steps"),
         ("power_model", {"ground_calibration": {"0.0": [[1e308, 1.0], [2.0, 3.0]]}},
          "power_model.ground_calibration.0.0: calibration overflows"),
@@ -401,7 +401,7 @@ class TestScenarioLoading:
         ("vehicle_overrides", {"empty_mass": 1e-300},
          "vehicle_overrides.empty_mass: 1e-300 kg weighs 9.81e-300 N at 9.81 m/s^2; the "
          "rotors' full thrust 72.3 N may be at most 20 times the empty weight"),
-        ("vehicle_overrides", {"gravity": 0.3}, "vehicle_overrides.empty_mass: 2.7 kg weighs "),
+        ("vehicle_overrides", {"gravity": 0.3}, "vehicle_overrides.gravity: 2.7 kg weighs "),
         ("vehicle_overrides", {"yaw_inertia": 0}, "vehicle_overrides.yaw_inertia: must be > 0"),
         ("vehicle_overrides", {"yaw_inertia": -0.2},
          "vehicle_overrides.yaw_inertia: must be > 0"),
@@ -424,6 +424,25 @@ class TestScenarioLoading:
         assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
         assert f"scn.json: {keypath}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("inertia, dt_s", [(1e-6, 0.01), (0.058, 0.01), (0.062, 0.01),
+                                               (0.217, 0.02)])
+    def test_unstable_yaw_loop_exits_2(self, tmp_path, capsys, inertia, dt_s):
+        # the explicit yaw-rate loop is stable while kp_yaw_rate * dt_s / yaw_inertia < 2,
+        # at dt_s 0.01 while yaw_inertia > 0.06; below, the turn used to be lost (0.058)
+        # or to run away to -2.7e4 rad/s (1e-6), with exit 0
+        path = write_scenario(tmp_path, {
+            **MINI_DRIVE, "vehicle_overrides": {"yaw_inertia": inertia},
+            "script": [{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0, "yaw_rate_radps": 0.4}]})
+        out = tmp_path / "out"
+        rc = main(["simulate", path, "--dt-s", str(dt_s), "--out", str(out)])
+        if inertia < 0.06:
+            assert rc == EXIT_INPUT and not out.exists()
+            assert "scn.json: vehicle_overrides.yaw_inertia: " in capsys.readouterr().err
+        else:
+            assert rc == EXIT_OK
+            final = run_scenario(load_scenario(path), dt_s=dt_s).final_state
+            assert final.angular_velocity[2] == pytest.approx(-0.4, rel=1e-3)  # turning right
 
     @pytest.mark.parametrize("script, keypath, initial", [
         ([{"t_s": 0.0, "transition_to": "flight"}], "script[0].target_position_m", None),
@@ -633,6 +652,28 @@ class TestPlanCommand:
         assert plan["total_energy_wh"] > 0.0
         assert all(leg["mode"] == "drive" for leg in plan["legs"])
         assert "feasible=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("socs, feasible", [
+        ((1.0, 1.0), True), ((0.36, 0.36), False), ((0.36, 1.0), False),
+    ], ids=["full", "both-low", "one-low"])
+    def test_plan_feasible_only_within_each_packs_charge(self, tmp_path, capsys, socs, feasible):
+        # a run draws half the 1.95 Wh route from each pack; at SoC 0.36 a
+        # pack is 0.22 Wh above its 0.357 floor
+        path = bundled_scenarios()["multimodal-obstacle"]
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        terrain = spec["planner"]["terrain"]
+        spec["planner"]["terrain"] = os.path.join(os.path.dirname(path), terrain)
+        spec["batteries"] = [{"battery_id": bid, "cells_series": 4, "capacity_ah": 5.0,
+                              "soc": soc, "usable_fraction": 0.643}
+                             for bid, soc in zip(("prop_a", "prop_b"), socs)]
+        out = tmp_path / "out"
+        rc = main(["plan", write_scenario(tmp_path, spec), "--out", str(out)])
+        assert rc == (EXIT_OK if feasible else EXIT_VALIDATION)
+        plan = json.loads((out / "plan.json").read_text())
+        assert round(plan["total_energy_wh"], 4) == 1.9547
+        assert plan["feasible"] is feasible
+        assert f"feasible={feasible}" in capsys.readouterr().out
 
     def test_validate_writes_report(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_PLAN)
@@ -882,6 +923,25 @@ FUZZ_VALUES = ["x", math.nan, True, None, [], {}, 10**400, 1e308, 1e-300, 0, -1,
 # or that the bases leave out
 FUZZ_KEYS = ["x", "0", "2.0", "mode", "tilt_deg", "slope_deg", "kind", "soc", "terrain",
              "com_height", "target_yaw_deg", "expect_wall_tilt_deg", "seed", "planner"]
+
+
+FUZZ_NUMBERS = [v for v in FUZZ_VALUES if type(v) in (int, float)]
+
+
+@pytest.mark.parametrize("key", list(VEHICLE))
+def test_every_vehicle_override_exits_cleanly(tmp_path, capsys, key):
+    """Each vehicle override set to each numeric fuzz value, on a 1 s
+    turning drive: main returns 0, 1 or 2 without raising, and an input
+    error names that override."""
+    script = [{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0, "yaw_rate_radps": 0.4}]
+    for n, value in enumerate(FUZZ_NUMBERS):
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "duration_s": 1.0, "script": script,
+                                         "vehicle_overrides": {key: value}})
+        rc = main(["simulate", path, "--dt-s", "0.01", "--out", str(tmp_path / f"out{n}")])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_INPUT), (value, rc)
+        if rc == EXIT_INPUT:
+            assert f"scn.json: vehicle_overrides.{key}: " in err, (value, err)
 
 
 def _places(node, path=()):

@@ -34,16 +34,6 @@ from reference_simulator import reference_run
 FLOOR = 1.0 - USABLE_FRACTION
 
 
-def _both_ways(run):
-    """`run()` as it is, then with the float stretch declining every step:
-    every step a full `dynamics.step`."""
-    fast = run()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulator, "_stretch", lambda self, law, i, *rest: (i, law[1], None))
-        slow = run()
-    return fast, slow
-
-
 def _count_steps(monkeypatch) -> list:
     """Patch dynamics.step to log each call into the returned list."""
     calls, real_step = [], dynamics.step
@@ -186,7 +176,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     rng = random.Random(20261018)
     real_stretch, real_steady = Simulator._stretch, Simulator._steady_stretch
     seen = set()  # (mode, why a steady stretch of at least one step ended)
-    seen_law = set()  # (mode, why a float stretch ended, or "handoff" to a steady one)
+    seen_law = set()  # (mode, why a stretch ended, or "handoff" to a steady one)
     handed = []  # the step index each steady stretch started at
 
     def steady_watched(self, f, power, i, end, t_event, books, rows):
@@ -203,17 +193,17 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         mode = law[1][MODE]
         if handed:
             seen_law.add((mode, "handoff"))
-        if fault is not None:
-            why = "trip"
+        last = books.events[-1]["kind"] if books.events else None
+        if after[MODE] is not mode:  # the step that ends a transition
+            why = "mode"
+        elif fault is not None:  # a pack, or a detach or non-finite fault
+            why = {"detachevent": "detach", "simulationfault": "other"}.get(last, "trip")
         elif k == end:
             why = "end"
         elif t_event <= after[TIME] + 1e-12:
             why = "event"
-        else:  # the float loop declined the next step
-            try:
-                why = "mode" if law[0](after)[MODE] is not mode else "other"
-            except dynamics.DetachEvent:
-                why = "detach"
+        else:  # a stretch that ended for no reason
+            why = "other"
         seen_law.add((mode, why))
         return k, after, fault
 
@@ -275,8 +265,8 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
 def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
     """No controller holds a speed that overflows a position, so a step law
     that only moves the vehicle stands in for `dynamics.step_law`: the
-    stretch stops short of the overflow, and a full step raises the
-    finiteness fault with the last finite state."""
+    stretch ends the run with the finiteness fault at the last finite
+    state, as the full step of `reference_run` does."""
     def drift(state, setpoint, surface, dt, *rest):
         def advance(f):
             (x, y, z), (vx, vy, vz) = f[POSITION], f[VELOCITY]
@@ -354,8 +344,9 @@ def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
 
 
 def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
-    """rocky-soil gives its golden bytes both ways; only the per-step path
-    takes a full `dynamics.step` for every step, the fast path none."""
+    """rocky-soil gives its golden bytes through `Simulator.run` and through
+    `reference_run`; only the reference takes a full `dynamics.step` for
+    every step, the Simulator none."""
     from test_acceptance import GOLDEN_SHA256
 
     calls = _count_steps(monkeypatch)
@@ -367,7 +358,10 @@ def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
         return len(calls), {f: (out / f).read_bytes() for f in
                             ("trace.csv", "ledger.json", "result.json")}
 
-    (fast_steps, fast_files), (slow_steps, slow_files) = _both_ways(run)
+    fast_steps, fast_files = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "run", reference_run)
+        slow_steps, slow_files = run()
     assert fast_files == slow_files
     for fname, data in fast_files.items():
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
@@ -435,7 +429,7 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
     (where it steers as on flat ground), a flight to waypoints with a
     landing, transitions both ways, and a fault in the middle of a turn or
     a flight: the float stretches give `reference_run`'s bytes, and take no
-    full step but the two that end a transition."""
+    full step, not even where a transition ends."""
     surface = SurfaceModel(kind="wall") if case == "ground-on-wall" else SurfaceModel()
     start, script, duration = initial_ground_state(params, surface), TURNS, 16.0
     packs = _packs(USABLE_FRACTION)  # full
@@ -470,7 +464,7 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
         assert result.ledger.to_dict() == flat.ledger.to_dict()
         assert result.final_state.quaternion != start.quaternion  # it turned
     elif case == "fly-land":
-        assert not result.faulted and full_steps == 2  # each ends a transition
+        assert not result.faulted and full_steps == 0
         assert kinds == ["transition_started", "transition_complete"] * 2
         assert result.final_state.mode is Mode.GROUND
     else:
@@ -530,11 +524,10 @@ def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
     assert fast[0] is None and "no flight calibration for payload 0.5 kg" in fast[1]
 
 
-@pytest.mark.parametrize("mission, most", [("confined-space", 0), ("drive-fly-land", 2)])
-def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission,
-                                most):
-    """confined-space (turns) takes every step over floats, and a drive /
-    fly / land mission a full step only where a transition ends."""
+@pytest.mark.parametrize("mission", ["confined-space", "drive-fly-land"])
+def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission):
+    """confined-space (turns) and a drive / fly / land mission take every
+    step over floats, the ends of its transitions included."""
     calls = _count_steps(monkeypatch)
     if mission == "confined-space":
         assert cli.main(["simulate", mission, "--out", str(tmp_path)]) == cli.EXIT_OK
@@ -542,4 +535,4 @@ def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_mode
         result = Simulator(params, rotor, power_model).run(
             initial_ground_state(params), SurfaceModel(), _drive_fly_land(params), 30.0)
         assert not result.faulted and result.final_state.mode is Mode.GROUND
-    assert len(calls) <= most
+    assert len(calls) == 0
