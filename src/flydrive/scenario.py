@@ -169,6 +169,13 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     else:
         rotor = fields.call(load_rotor_table_file, fail, "rotor_table",
                             _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
+    for mass_key in ("empty_mass", "mtom"):
+        mass = getattr(params, mass_key)
+        if not mass * params.gravity < math.inf:
+            # named by the setting that moved: a raised gravity, else the mass
+            key = "gravity" if params.gravity != VehicleParams.gravity else mass_key
+            fail(f"vehicle_overrides.{key}", f"{mass_key} {mass} kg weighs inf N at "
+                 f"{params.gravity} m/s^2; the weight must be finite")
     weight, thrust = params.empty_mass * params.gravity, 4.0 * rotor.max_thrust
     if not thrust <= MAX_THRUST_TO_EMPTY_WEIGHT * weight:
         # named by the setting that moved: a lowered gravity, else empty_mass

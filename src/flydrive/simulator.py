@@ -11,20 +11,25 @@ Every step is booked one way, through constants built once per run
 avionics draw per step. `Simulator.run` takes every step through its mode's
 `dynamics.step_law` over plain floats, a stretch at a time: within a
 stretch the mode, setpoint, surface and tilt schedule hold. It prices each
-step with what the stretch keeps fixed bound once (`_stretch_power`), books
-it by `_Books.book` and writes its trace row from the floats; it builds a
-`SimState` only at a script event, at the end of a transition, at a fault
-and at the end of the run. Once a ground, incline or wall step repeats the
-one before bit for bit but for time and position (`dynamics.repeats`),
-each further step only adds the increments of the one before to time,
-position, the mode's Wh and each pack's SoC and Ah. Either way each
-increment is the expression `drain` computes and the ledger adds, in the
-same order, so every sum keeps its bits. The step that ends a transition is
-booked in the mode it enters and ends its stretch. A step that would detach
-from a wall, or leave the state or its power non-finite, ends the run with
-that fault, logged at the state before it. Per step at dt 1 ms, booking and
-trace included, flight costs about 10 us, a turn 14 us and a transition
-4 us (medians on a shared 2-core x86_64 host, Python 3.11.7).
+step with what the stretch keeps fixed bound once (`_stretch_power`), adds
+its increments to running sums held in local floats (the mode's and the
+avionics Wh, each pack's SoC and Ah), which go back to the ledger and the
+packs when the stretch ends, and writes its trace row from the floats; it
+builds a `SimState` only at a script event, at the end of a transition, at
+a fault and at the end of the run. `_Books.book` takes only the steps that
+trip a pack or are refused: one that would bring a pack to its floor, one
+that draws below 0 W, and every step of a run that starts with a tripped
+pack or with an avionics draw not above 0 W. Once a ground, incline or wall
+step repeats the one before bit for bit but for time and position
+(`dynamics.repeats`), each further step only adds the increments of the one
+before to time, position and the same sums. Either way each increment is
+the expression `drain` computes and the ledger adds, in the same order, so
+every sum keeps its bits. The step that ends a transition is booked in the
+mode it enters and ends its stretch. A step that would detach from a wall,
+or leave the state or its power non-finite, ends the run with that fault,
+logged at the state before it. Per step at dt 1 ms, booking and trace
+included, flight costs about 8 us, a turn 9.5 us and a transition 4.5 us
+(medians on a shared 2-core x86_64 host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -119,10 +124,11 @@ class _Books:
     and its trip floor; the electronics pack, its floor, and the SoC, Ah and
     Wh the avionics draw each step; the ledger's dicts and the run's events.
 
-    `book` books a step of the float loop or a full step, and
-    `Simulator._steady_stretch` a stretch of steady steps over floats, both
-    through these constants. Each SoC
-    decrement is the expression `drain` computes, and each Wh and Ah
+    A stretch books its steps into local floats, the running sums `sums`
+    reads and `put` writes back: the mode's and the avionics Wh and each
+    pack's SoC and Ah, in `slots` order. `book` takes the steps those floats
+    leave to it, and alone decides trips, refusals and negative draws. Each
+    SoC decrement is the expression `drain` computes, and each Wh and Ah
     increment is power * dt / 3600 (over the nominal voltage for Ah), added
     in the same order as by a loop that calls `drain` for every step, so
     every sum keeps its bits.
@@ -137,10 +143,46 @@ class _Books:
                        b.nominal_voltage * 3600.0) for b in batteries if b.is_propulsion]
         self.n_packs = max(1, len(self.packs))
         self.electronics = e = next((b for b in batteries if not b.is_propulsion), None)
+        d_soc_e = d_ah_e = 0.0
+        floor_e = -math.inf
         if e is not None:
-            self.avionics_soc = avionics_w * dt / (e.pack_energy_wh * 3600.0)
-            self.avionics_floor = e.protection_soc
-            self.avionics_ah = avionics_w * dt / (e.nominal_voltage * 3600.0)
+            self.avionics_soc = d_soc_e = avionics_w * dt / (e.pack_energy_wh * 3600.0)
+            self.avionics_floor = floor_e = e.protection_soc
+            self.avionics_ah = d_ah_e = avionics_w * dt / (e.nominal_voltage * 3600.0)
+            if not avionics_w > 0.0:
+                floor_e = math.inf  # such a draw books no Ah: no SoC is above this floor
+        if any(b.tripped for b in batteries):
+            floor_e = math.inf  # so `book` takes every step, and refuses those that draw
+        # the slots of the local sums: two propulsion packs, each with its SoC
+        # divisor, trip floor and Ah divisor, then the electronics pack with
+        # the SoC decrement, floor and Ah increment of a step; a missing pack
+        # (None) never trips and adds 0
+        slots = [(b, soc_divisor, floor, ah_divisor)
+                 for b, _, soc_divisor, floor, ah_divisor in self.packs]
+        slots += [(None, math.inf, -math.inf, math.inf)] * (2 - len(slots))
+        slots.append((e, d_soc_e, floor_e, d_ah_e))
+        self.slot_packs = [b for b, *_ in slots]
+        self.slots = [slot[1:] for slot in slots]
+
+    def sums(self, name: str) -> tuple:
+        """The running sums a step in mode `name` adds to: that mode's Wh,
+        the avionics Wh, then the SoC and Ah of each pack in `slots` order
+        (0.0 for a missing pack)."""
+        per_battery_ah = self.per_battery_ah
+        sums = [self.per_mode_wh.get(name, 0.0), self.per_mode_wh.get("avionics", 0.0)]
+        for b in self.slot_packs:
+            sums += (0.0, 0.0) if b is None else (b.soc, per_battery_ah.get(b.battery_id, 0.0))
+        return tuple(sums)
+
+    def put(self, name: str, sums: tuple) -> None:
+        """Write back the `sums` of the steps in mode `name` booked locally
+        since they were read."""
+        self.per_mode_wh[name] = sums[0]
+        if self.electronics is not None:
+            self.per_mode_wh["avionics"] = sums[1]
+        for b, soc, ah in zip(self.slot_packs, sums[2::2], sums[3::2]):
+            if b is not None:
+                b.soc, self.per_battery_ah[b.battery_id] = soc, ah
 
     def book(self, power: float, mode: str, t_s: float) -> str | None:
         """Book the step to `t_s` drawing `power` W in `mode`: drain every
@@ -299,10 +341,13 @@ class Simulator:
         """Take steps i, i + 1, ... through `law` (the `dynamics.step_law`
         of a state, its floats and `_stretch_power`) over plain floats;
         return the index and the floats of the step after them, and the
-        fault that ends the run, if any. Each step is booked by
-        `_Books.book` and traced from the floats; from a step that repeats
-        the one before (`dynamics.repeats`), `_steady_stretch` takes the
-        steps that follow.
+        fault that ends the run, if any. Each step is booked into the local
+        sums of `books` (written back when the stretch ends, however it
+        ends) and traced from the floats; a step that would bring a pack to
+        its floor, draws below 0 W, or that the local sums do not take at
+        all, is booked by `_Books.book`. From a step that repeats the one
+        before (`dynamics.repeats`), `_steady_stretch` takes the steps that
+        follow.
 
         Stops before the first step that would consume the script event at
         `t_event`, and at step `end`. Ends the run after a step that trips
@@ -313,102 +358,118 @@ class Simulator:
         stretch.
         """
         advance, f, power_of = law
-        decimation, inf = self.trace_decimation, math.inf
+        dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
         mode = f[MODE]
         name = mode.value
         moving = slice(POSITION.start, QUATERNION.stop)  # checked for finiteness with the yaw rate
-        k = i
-        while k < end and not t_event <= f[TIME] + 1e-12:
-            try:
-                g = advance(f)
-                if not -inf < sum(g[moving], g[YAW_RATE]) < inf:  # the sum may overflow alone
-                    dynamics._check_finite((*g[moving], g[YAW_RATE]), None)
-                ends = g[MODE] is not mode  # the step that ends a transition
-                if ends:
-                    name = g[MODE].value
-                    books.log(g[TIME], "transition_complete", name)
+        n_packs, d_avionics = books.n_packs, books.avionics_wh
+        (soc_a, floor_a, ah_a), (soc_b, floor_b, ah_b), (d_soc_e, floor_e, d_ah_e) = books.slots
+        wh, wh_avionics, sa, aa, sb, ab, se, ae = books.sums(name)
+        k = synced = i  # the books hold every step before `synced`, the sums the rest
+        try:
+            while True:  # closed by an unconditional jump: see `_steady_stretch`
+                if k >= end or t_event <= f[TIME] + 1e-12:
+                    return k, f, None
                 try:
-                    power = power_of(g)
-                except OverflowError:
-                    power = inf
-                if not -inf < power < inf:
-                    _finite_power(power, g[MODE], None)  # raises the fault
-            except (dynamics.DetachEvent, dynamics.SimulationFault) as exc:
-                return k, f, books.fault(f[TIME], exc)
-            k += 1
-            fault = books.book(power, name, g[TIME])
-            if fault is not None:
-                return k, g, fault
-            if k % decimation == 0:
-                rows.append(_row(g, power))
-            if ends:
-                return k, g, None
-            if g[SPEED] == f[SPEED] and dynamics.repeats(f, g):
-                k, g = self._steady_stretch(g, power, k, end, t_event, books, rows)
-            f = g
-        return k, f, None
+                    g = advance(f)
+                    if not -inf < sum(g[moving], g[YAW_RATE]) < inf:  # the sum may overflow alone
+                        dynamics._check_finite((*g[moving], g[YAW_RATE]), None)
+                    ends = g[MODE] is not mode  # the step that ends a transition
+                    if ends:
+                        if synced < k:
+                            books.put(name, (wh, wh_avionics, sa, aa, sb, ab, se, ae))
+                        name, synced = g[MODE].value, k
+                        wh, wh_avionics, sa, aa, sb, ab, se, ae = books.sums(name)
+                        books.log(g[TIME], "transition_complete", name)
+                    try:
+                        power = power_of(g)
+                    except OverflowError:
+                        power = inf
+                    if not -inf < power < inf:
+                        _finite_power(power, g[MODE], None)  # raises the fault
+                except (dynamics.DetachEvent, dynamics.SimulationFault) as exc:
+                    return k, f, books.fault(f[TIME], exc)
+                k += 1
+                share = power / n_packs
+                q = share * dt
+                na, nb, ne = sa - q / soc_a, sb - q / soc_b, se - d_soc_e
+                if share >= 0.0 and na > floor_a and nb > floor_b and ne > floor_e:
+                    wh += power * dt / 3600.0
+                    wh_avionics += d_avionics
+                    sa, sb, se = na, nb, ne
+                    aa += q / ah_a
+                    ab += q / ah_b
+                    ae += d_ah_e
+                else:  # a trip, a refusal or a negative draw: `book` decides
+                    if synced < k - 1:
+                        books.put(name, (wh, wh_avionics, sa, aa, sb, ab, se, ae))
+                    synced = k
+                    fault = books.book(power, name, g[TIME])
+                    if fault is not None:
+                        return k, g, fault
+                    wh, wh_avionics, sa, aa, sb, ab, se, ae = books.sums(name)
+                if k % decimation == 0:
+                    rows.append(_row(g, power))
+                if ends:
+                    return k, g, None
+                if g[SPEED] == f[SPEED] and dynamics.repeats(f, g):
+                    k, g, (wh, wh_avionics, sa, aa, sb, ab, se, ae) = self._steady_stretch(
+                        g, power, k, end, t_event, books, rows,
+                        (wh, wh_avionics, sa, aa, sb, ab, se, ae))
+                f = g
+        finally:
+            if synced < k:
+                books.put(name, (wh, wh_avionics, sa, aa, sb, ab, se, ae))
 
-    def _steady_stretch(self, f, power, i, end, t_event, books, rows):
+    def _steady_stretch(self, f, power, i, end, t_event, books, rows, sums):
         """`_stretch` from the floats f of a step that repeated the one
-        before and drew `power`: each further step only moves time and
-        position and repeats the increments of the step before. That step
-        drew the same power from the same packs, so no draw is negative or
-        from a tripped pack, and every increment is the one `_Books.book`
-        adds, in the same order, so every sum keeps its bits. Also stops
-        before a step that would bring a pack to its floor."""
+        before and drew `power`, with its local `sums`: each further step
+        only moves time and position and adds the increments of the step
+        before to the sums, in the same order, so every sum keeps its bits.
+        Returns the index and the floats of the step after them, and the
+        sums. Stops before a step that would bring a pack to its floor, and
+        takes none where the sums leave every step to `_Books.book`."""
         dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
         moves_xy = f[MODE] is not Mode.WALL  # a wall step keeps x and y, -0.0 included
-        # per pack: SoC, its decrement, the trip floor, Ah and its increment;
-        # an empty slot never trips
-        share, e = power / books.n_packs, books.electronics
-        per_mode_wh, per_battery_ah = books.per_mode_wh, books.per_battery_ah
-        slots = [(b.soc, share * dt / soc_divisor, floor, per_battery_ah.get(battery_id, 0.0),
-                  share * dt / ah_divisor)
-                 for b, battery_id, soc_divisor, floor, ah_divisor in books.packs]
-        if e is not None:
-            slots.append((e.soc, books.avionics_soc, books.avionics_floor,
-                          per_battery_ah.get(e.battery_id, 0.0), books.avionics_ah))
-        slots += [(0.0, 0.0, -math.inf, 0.0, 0.0)] * (3 - len(slots))
-        (sa, da, fa, aa, ia), (sb, db, fb, ab, ib), (se, de, fe, ae, ie) = slots
+        (soc_a, floor_a, ah_a), (soc_b, floor_b, ah_b), (d_soc_e, floor_e, d_ah_e) = books.slots
+        q = power / books.n_packs * dt
+        d_soc_a, d_soc_b, d_ah_a, d_ah_b = q / soc_a, q / soc_b, q / ah_a, q / ah_b
+        d_mode, d_avionics = power * dt / 3600.0, books.avionics_wh
+        wh, wh_avionics, sa, aa, sb, ab, se, ae = sums
         name = f[MODE].value
-        wh_mode, d_mode = per_mode_wh.get(name, 0.0), power * dt / 3600.0
-        wh_avionics, d_avionics = per_mode_wh.get("avionics", 0.0), books.avionics_wh
         t, (x, y, z), (vx, vy, vz) = f[TIME], f[POSITION], f[VELOCITY]
         dx, dy, dz = vx * dt, vy * dt, vz * dt
         moved = VELOCITY.start  # the trace columns and floats that follow the position
         tail = "," + ",".join(map(repr, f[moved:TRACE.stop])) + f",{name},{power!r}\n"
         nx, ny, k = x, y, i
-        while k < end and not t_event <= t + 1e-12:
+        # CPython 3.11 specializes a function's bytecode after a few calls or
+        # unconditional backward jumps; a `while <test>:` loop closes with a
+        # conditional one, so a long stretch taken in one call would run
+        # generic bytecode throughout, about a third slower
+        while True:
+            if k >= end or t_event <= t + 1e-12:
+                break
             if moves_xy:
                 nx, ny = x + dx, y + dy
             nz = z + dz
             if not (-inf < nx < inf and -inf < ny < inf and -inf < nz < inf):
                 break
-            na, nb, ne = sa - da, sb - db, se - de
-            if na <= fa or nb <= fb or ne <= fe:
+            na, nb, ne = sa - d_soc_a, sb - d_soc_b, se - d_soc_e
+            if na <= floor_a or nb <= floor_b or ne <= floor_e:
                 break
             t += dt
             x, y, z, sa, sb, se = nx, ny, nz, na, nb, ne
-            wh_mode += d_mode
+            wh += d_mode
             wh_avionics += d_avionics
-            aa += ia
-            ab += ib
-            ae += ie
+            aa += d_ah_a
+            ab += d_ah_b
+            ae += d_ah_e
             k += 1
             if k % decimation == 0:
                 rows.append(f"{t!r},{x!r},{y!r},{z!r}{tail}")
         if k == i:
-            return i, f
-        per_mode_wh[name] = wh_mode
-        packs = [b for b, *_ in books.packs]
-        if e is not None:
-            per_mode_wh["avionics"] = wh_avionics
-            packs.append(e)
-        for b, soc, ah in zip(packs, (sa, sb, se), (aa, ab, ae)):
-            b.soc = soc
-            if b is not e or books.avionics_w > 0:  # no Ah is booked for a zero draw
-                per_battery_ah[b.battery_id] = ah
-        return k, (t, x, y, z, *f[moved:])
+            return i, f, sums
+        return k, (t, x, y, z, *f[moved:]), (wh, wh_avionics, sa, aa, sb, ab, se, ae)
 
 
 def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,

@@ -402,6 +402,12 @@ class TestScenarioLoading:
          "vehicle_overrides.empty_mass: 1e-300 kg weighs 9.81e-300 N at 9.81 m/s^2; the "
          "rotors' full thrust 72.3 N may be at most 20 times the empty weight"),
         ("vehicle_overrides", {"gravity": 0.3}, "vehicle_overrides.gravity: 2.7 kg weighs "),
+        # an infinite weight passed the thrust check and faulted at t 0 with exit 1
+        ("vehicle_overrides", {"gravity": 1e308},
+         "vehicle_overrides.gravity: empty_mass 2.7 kg weighs inf N at 1e+308 m/s^2; "
+         "the weight must be finite"),
+        ("vehicle_overrides", {"mtom": 1e308},
+         "vehicle_overrides.mtom: mtom 1e+308 kg weighs inf N at 9.81 m/s^2"),
         ("vehicle_overrides", {"yaw_inertia": 0}, "vehicle_overrides.yaw_inertia: must be > 0"),
         ("vehicle_overrides", {"yaw_inertia": -0.2},
          "vehicle_overrides.yaw_inertia: must be > 0"),

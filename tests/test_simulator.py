@@ -28,7 +28,7 @@ from flydrive.dynamics import (
     initial_wall_state,
 )
 from flydrive.energy import Battery
-from flydrive.simulator import ScriptEvent, Simulator
+from flydrive.simulator import ScriptEvent, Simulator, _Books
 from reference_simulator import reference_run
 
 FLOOR = 1.0 - USABLE_FRACTION
@@ -38,6 +38,13 @@ def _count_steps(monkeypatch) -> list:
     """Patch dynamics.step to log each call into the returned list."""
     calls, real_step = [], dynamics.step
     monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
+    return calls
+
+
+def _count_books(monkeypatch) -> list:
+    """Patch `_Books.book` to log each step it takes into the returned list."""
+    calls, real_book = [], _Books.book
+    monkeypatch.setattr(_Books, "book", lambda self, *a: calls.append(a) or real_book(self, *a))
     return calls
 
 
@@ -71,12 +78,16 @@ def _assert_same(fast, slow, what="outputs"):
                     f"vs {slow[at - 60:at + 60]!r}")
 
 
-def _batteries(rng):
+def _batteries(rng, low=0.0):
     """Packs from under a second to a minute of driving above their floors,
-    or full; sometimes one propulsion pack, no electronics pack or two packs
-    on one id, which a Simulator refuses."""
+    or full, and each at the chance `low` at or below its floor but not
+    tripped (its first step that draws trips it); sometimes one propulsion
+    pack, none, or two packs on one id, which a Simulator refuses; and,
+    unless `low` is above 0, sometimes no electronics pack."""
     def pack(bid, cells, capacity):
         soc = rng.choice([1.0, FLOOR + 10 ** rng.uniform(-4.7, -2.7)])
+        if low > 0.0 and rng.random() < low:  # no draw at all when `low` is 0
+            soc = rng.choice([FLOOR, FLOOR * rng.uniform(0.5, 1.0)])
         return Battery(bid, cells, capacity, soc=soc, usable_fraction=USABLE_FRACTION)
     props = [pack("prop_a", 4, 5.0), pack("prop_b", 4, 5.0)]
     layout = rng.choice(["two", "two", "two", "one", "none", "same_id"])
@@ -86,18 +97,22 @@ def _batteries(rng):
         props = []
     elif layout == "same_id":
         props = [props[0], pack("prop_a", 4, 5.0)]
-    electronics = rng.choice([[], [pack("electronics", 2, rng.choice([3.2, 0.3]))]])
+    electronics = [pack("electronics", 2, rng.choice([3.2, 0.3]))]
+    if not low:
+        electronics = rng.choice([[], electronics])
     return props + electronics
 
 
-def _random_case(rng, params):
+def _random_case(rng, params, standing=False):
     """A ground, incline, wall or flight start, its surface, script,
     duration, dt, payload and gains. Setpoints change while the speed still
     settles, stop the vehicle (static friction holds it), reverse it, and
     turn it and stop turning; the wall sometimes holds on so lightly that it
     detaches as the climb settles. A flight flies to waypoints, sometimes
-    from a take-off, and sometimes lands and drives on, turning."""
-    kind = rng.choice(["flat", "incline", "wall", "flight", "takeoff"])
+    from a take-off, and sometimes lands and drives on, turning. With
+    `standing`, a start on flat ground that stands still, at 0 W for
+    propulsion, until the second setpoint."""
+    kind = "flat" if standing else rng.choice(["flat", "incline", "wall", "flight", "takeoff"])
     payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
     dt = rng.choice([0.001, 0.002, 0.005, dynamics.DT_MAX_S,
                      rng.uniform(0.001, dynamics.DT_MAX_S)])
@@ -139,6 +154,8 @@ def _random_case(rng, params):
                          rng.uniform(0.05, 2.0)])
     if rng.random() < 0.3:  # the run ends while the speed settles
         duration = script[-1].t_s + rng.uniform(0.05, 2.0)
+    if standing:
+        script[0] = ScriptEvent(0.0, setpoint=ControlSetpoint(mode=state.mode))
     return state, surface, script, duration, dt, payload, gains
 
 
@@ -174,18 +191,19 @@ def _random_flight(rng, params, takeoff, dt, payload, gains):
 
 def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
     rng = random.Random(20261018)
-    real_stretch, real_steady = Simulator._stretch, Simulator._steady_stretch
+    real_stretch, real_steady, real_book = Simulator._stretch, Simulator._steady_stretch, _Books.book
+    at_floor = set()  # (propulsion?, "trip" or "rest"): a step `book` took from a pack at its floor
     seen = set()  # (mode, why a steady stretch of at least one step ended)
     seen_law = set()  # (mode, why a stretch ended, or "handoff" to a steady one)
     handed = []  # the step index each steady stretch started at
 
-    def steady_watched(self, f, power, i, end, t_event, books, rows):
+    def steady_watched(self, f, power, i, end, t_event, books, rows, sums):
         handed.append(i)
-        k, after = real_steady(self, f, power, i, end, t_event, books, rows)
+        k, after, sums = real_steady(self, f, power, i, end, t_event, books, rows, sums)
         if k > i:
             why = "end" if k == end else "event" if t_event <= after[TIME] + 1e-12 else "trip"
             seen.add((after[MODE], why))
-        return k, after
+        return k, after, sums
 
     def watched(self, law, i, end, t_event, books, rows):
         handed.clear()
@@ -207,14 +225,25 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         seen_law.add((mode, why))
         return k, after, fault
 
+    def book_watched(self, power, mode, t_s):
+        packs = [b for b, *_ in self.packs] + [self.electronics]
+        low = [b for b in packs if b is not None and b.soc <= b.protection_soc and not b.tripped]
+        fault = real_book(self, power, mode, t_s)
+        at_floor.update((b.is_propulsion, "trip" if b.tripped else "rest") for b in low)
+        return fault
+
     monkeypatch.setattr(Simulator, "_stretch", watched)
     monkeypatch.setattr(Simulator, "_steady_stretch", steady_watched)
-    for case in range(150):  # enough for a pack to trip inside a stretch in every mode
-        state, surface, script, duration, dt, payload, gains = _random_case(rng, params)
+    monkeypatch.setattr(_Books, "book", book_watched)
+    electronics_only = 0
+    for case in range(180):  # enough for a pack to trip inside a stretch in every mode
+        # and then flat starts that stand still with packs at or below their floors
+        standing = case >= 150
+        state, surface, script, duration, dt, payload, gains = _random_case(rng, params, standing)
         # the unloaded ground calibration, and flight power, booked under this payload
         model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]},
                         flight_power_w={payload: power_model.flight_power_w[0.0]})
-        batteries = _batteries(rng)
+        batteries = _batteries(rng, 0.5 if standing else 0.0)
         kw = {"dt_s": dt, "payload": payload, "trace_decimation": rng.choice([1, 7, 10]),
               "avionics_power_w": rng.choice([5.0, 5.0, 0.0]), "gains": gains}
         if len({b.battery_id for b in batteries}) < len(batteries):  # the same_id layout
@@ -224,6 +253,11 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         fast, ref = _against_reference(params, rotor, model, batteries,
                                         state, surface, script, duration, **kw)
         _assert_same(fast[1], ref[1], f"case {case}")
+        electronics_only += [b.battery_id for b in batteries] == ["electronics"]
+    # a pack at its floor trips at its first step that draws, and a stretch
+    # at rest (or with no avionics draw) leaves it as it is
+    assert at_floor == {(p, why) for p in (True, False) for why in ("trip", "rest")}
+    assert electronics_only > 0
     steady_modes = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
     assert {(m, why) for m in steady_modes for why in ("event", "trip")} <= seen
     assert "end" in {why for _, why in seen}
@@ -239,7 +273,8 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
 def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypatch,
                                            electronics_soc, tripped):
     """After many coasted steps a pack trips or the electronics pack browns
-    out: the steady stretch stops one step short and the law's step trips it."""
+    out: the steady stretch stops one step short and the law's step trips it,
+    the one step `_Books.book` takes."""
     taken, real = [], Simulator._stretch
 
     def counted(self, law, i, *rest):
@@ -252,10 +287,12 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
              Battery("prop_b", 4, 5.0, soc=FLOOR + 2e-3, usable_fraction=USABLE_FRACTION),
              Battery("electronics", 2, 3.2, soc=electronics_soc, usable_fraction=0.8)]
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
+    booked = _count_books(monkeypatch)  # `reference_run` books through `drain`
     fast, ref = _against_reference(
         params, rotor, power_model, packs, initial_ground_state(params), SurfaceModel(),
         script, 60.0, dt_s=0.001, trace_decimation=7)
     _assert_same(fast[1], ref[1])
+    assert len(booked) == 1
     events = [(e["kind"], e["detail"]) for e in fast[0].events]
     assert events == [("battery_protection", tripped)]
     assert sum(taken) > 5000  # the trip ends a long stretch
@@ -313,6 +350,19 @@ def test_pre_tripped_pack(params, rotor, power_model, tripped, speed, avionics_w
     draws = speed > 0.0 if tripped != "electronics" else avionics_w > 0.0
     assert fast[0].fault_reason == (
         f"battery {tripped} is below its protection threshold" if draws else None)
+
+
+@pytest.mark.parametrize("tripped", ["prop_b", "electronics"])
+def test_tripped_pack_above_its_floor(params, rotor, power_model, tripped):
+    """A pack recharged after it tripped, its protection not reset: its
+    first draw is refused as `drain` refuses it, however full it is."""
+    packs = _packs(USABLE_FRACTION)
+    next(b for b in packs if b.battery_id == tripped).tripped = True
+    script = [ScriptEvent(0.0, setpoint=_ground(1.0))]
+    fast, ref = _against_reference(params, rotor, power_model, packs, initial_ground_state(params),
+                                   SurfaceModel(), script, 0.5)
+    _assert_same(fast[1], ref[1])
+    assert fast[0].fault_reason == f"battery {tripped} is below its protection threshold"
 
 
 @pytest.mark.parametrize("c1, avionics_w", [(-10.0, 5.0), (29.0, -1.0)])
@@ -527,8 +577,9 @@ def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
 @pytest.mark.parametrize("mission", ["confined-space", "drive-fly-land"])
 def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission):
     """confined-space (turns) and a drive / fly / land mission take every
-    step over floats, the ends of its transitions included."""
-    calls = _count_steps(monkeypatch)
+    step over floats, the ends of its transitions included, and book each in
+    the stretch's local sums: `_Books.book` takes none."""
+    calls, booked = _count_steps(monkeypatch), _count_books(monkeypatch)
     if mission == "confined-space":
         assert cli.main(["simulate", mission, "--out", str(tmp_path)]) == cli.EXIT_OK
     else:
@@ -536,3 +587,4 @@ def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_mode
             initial_ground_state(params), SurfaceModel(), _drive_fly_land(params), 30.0)
         assert not result.faulted and result.final_state.mode is Mode.GROUND
     assert len(calls) == 0
+    assert len(booked) == 0
