@@ -22,9 +22,13 @@ that draws below 0 W, and every step of a run that starts with a tripped
 pack or with an avionics draw not above 0 W. Once a ground, incline or wall
 step repeats the one before bit for bit but for time and position
 (`dynamics.repeats`), each further step only adds the increments of the one
-before to time, position and the same sums. Either way each increment is
-the expression `drain` computes and the ledger adds, in the same order, so
-every sum keeps its bits. The step that ends a transition is booked in the
+before to time, position and the same sums, and those steps are taken in
+jumps (`_steady_stretch`): while a float's sums stay inside one binade,
+where floats are evenly spaced, each addition rounds to the same whole
+number of spacings, so j of them add exactly j times that, and one exact
+addition gives the bits of j. Either way each increment is the expression
+`drain` computes and the ledger adds, in the same order, so every sum keeps
+its bits. The step that ends a transition is booked in the
 mode it enters and ends its stretch. A step that would detach from a wall,
 or leave the state or its power non-finite, ends the run with that fault,
 logged at the state before it. Per step at dt 1 ms, booking and trace
@@ -35,6 +39,8 @@ included, flight costs about 8 us, a turn 9.5 us and a transition 4.5 us
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from . import dynamics
@@ -424,52 +430,116 @@ class Simulator:
     def _steady_stretch(self, f, power, i, end, t_event, books, rows, sums):
         """`_stretch` from the floats f of a step that repeated the one
         before and drew `power`, with its local `sums`: each further step
-        only moves time and position and adds the increments of the step
-        before to the sums, in the same order, so every sum keeps its bits.
-        Returns the index and the floats of the step after them, and the
-        sums. Stops before a step that would bring a pack to its floor, and
-        takes none where the sums leave every step to `_Books.book`."""
-        dt, decimation, inf = self.dt_s, self.trace_decimation, math.inf
-        moves_xy = f[MODE] is not Mode.WALL  # a wall step keeps x and y, -0.0 included
+        only adds the increments of the step before to time, position and
+        the sums. Returns the index and the floats of the step after them,
+        and the sums. Stops before a step that would bring a pack to its
+        floor, and takes none where the sums leave every step to
+        `_Books.book`.
+
+        The steps go in jumps as long as every float allows (`_run`), cut
+        at `end`, at the first step that meets the script event at `t_event`
+        and before the first that would bring a pack to its floor (each
+        test is monotone in the jump's length, so bisection finds it); the
+        trace rows inside a jump come from the same closed form. Where a
+        float allows no jump, one step is added plainly. Either way every
+        float gets the bits that adding one step at a time gives.
+        """
+        dt, decimation = self.dt_s, self.trace_decimation
         (soc_a, floor_a, ah_a), (soc_b, floor_b, ah_b), (d_soc_e, floor_e, d_ah_e) = books.slots
         q = power / books.n_packs * dt
-        d_soc_a, d_soc_b, d_ah_a, d_ah_b = q / soc_a, q / soc_b, q / ah_a, q / ah_b
-        d_mode, d_avionics = power * dt / 3600.0, books.avionics_wh
-        wh, wh_avionics, sa, aa, sb, ab, se, ae = sums
         name = f[MODE].value
-        t, (x, y, z), (vx, vy, vz) = f[TIME], f[POSITION], f[VELOCITY]
-        dx, dy, dz = vx * dt, vy * dt, vz * dt
-        moved = VELOCITY.start  # the trace columns and floats that follow the position
+        (vx, vy, vz), moved = f[VELOCITY], VELOCITY.start  # the trace columns after the position
         tail = "," + ",".join(map(repr, f[moved:TRACE.stop])) + f",{name},{power!r}\n"
-        nx, ny, k = x, y, i
+        # time, position and the sums, and what each step adds to them: a wall
+        # step keeps x and y (adding -0.0 keeps any float's bits), and a SoC
+        # falls by its decrement (a - d is a + -d, bit for bit)
+        floats = [f[TIME], *f[POSITION], *sums]
+        adds = (dt, *((vx * dt, vy * dt) if f[MODE] is not Mode.WALL else (-0.0, -0.0)), vz * dt,
+                power * dt / 3600.0, books.avionics_wh,
+                -(q / soc_a), q / ah_a, -(q / soc_b), q / ah_b, -d_soc_e, d_ah_e)
+        socs = ((6, floor_a), (8, floor_b), (10, floor_e))  # each SoC's place and floor
+        k = i
         # CPython 3.11 specializes a function's bytecode after a few calls or
         # unconditional backward jumps; a `while <test>:` loop closes with a
         # conditional one, so a long stretch taken in one call would run
-        # generic bytecode throughout, about a third slower
+        # generic bytecode throughout
         while True:
+            t, x, y, z = floats[:4]
             if k >= end or t_event <= t + 1e-12:
                 break
-            if moves_xy:
-                nx, ny = x + dx, y + dy
-            nz = z + dz
-            if not (-inf < nx < inf and -inf < ny < inf and -inf < nz < inf):
+            n, steps = end - k, []
+            for a, d in zip(floats, adds):
+                n, s = _run(a, d, n)
+                steps.append(s)
+            jt, jx, jy, jz = steps[:4]
+            if n and t_event <= t + n * jt + 1e-12:  # the jump ends at the step that meets it
+                n = _first(n, lambda j: t_event <= t + j * jt + 1e-12)
+
+            def refused(j):  # whether step j of the jump would bring a pack to its floor
+                return any(floats[s] + j * steps[s] <= floor for s, floor in socs)
+
+            if n and refused(n):
+                n = _first(n, refused) - 1
+            if n:
+                for r in range(decimation - k % decimation, n + 1, decimation):
+                    rows.append(f"{t + r * jt!r},{x + r * jx!r},{y + r * jy!r},{z + r * jz!r}{tail}")
+                floats = [a + n * s for a, s in zip(floats, steps)]
+                k += n
+                continue
+            g = [a + d for a, d in zip(floats, adds)]  # one plain step
+            if not all(map(math.isfinite, g[1:4])) or any(g[s] <= floor for s, floor in socs):
                 break
-            na, nb, ne = sa - d_soc_a, sb - d_soc_b, se - d_soc_e
-            if na <= floor_a or nb <= floor_b or ne <= floor_e:
-                break
-            t += dt
-            x, y, z, sa, sb, se = nx, ny, nz, na, nb, ne
-            wh += d_mode
-            wh_avionics += d_avionics
-            aa += d_ah_a
-            ab += d_ah_b
-            ae += d_ah_e
+            floats = g
             k += 1
             if k % decimation == 0:
-                rows.append(f"{t!r},{x!r},{y!r},{z!r}{tail}")
+                rows.append(f"{g[0]!r},{g[1]!r},{g[2]!r},{g[3]!r}{tail}")
         if k == i:
             return i, f, sums
-        return k, (t, x, y, z, *f[moved:]), (wh, wh_avionics, sa, aa, sb, ab, se, ae)
+        return k, (*floats[:4], *f[moved:]), tuple(floats[4:])
+
+
+# a normal float's binade in units of its ulp, and the least normal float
+_UNITS_LO, _UNITS_HI, _MIN_NORMAL = 1 << 52, 1 << 53, sys.float_info.min
+
+
+def _run(a: float, d: float, n: int) -> tuple[int, float]:
+    """How many of n additions `a += d` one jump may take, at most n, and
+    the float s such that after j of them (j up to that count) `a` holds
+    a + j * s, bit for bit.
+
+    Floats with |a| in the binade [2^e, 2^(e+1)) lie u = ulp(a) apart, so
+    while the exact sum of each addition stays in that binade, rounding to
+    nearest gives a + m * u with m = round(d / u) every time (d / u is exact:
+    u is a power of two). The run stops a unit short of either edge of the
+    binade, and is empty at a tie (d / u an odd multiple of 1/2, rounded to
+    even), at a zero or subnormal `a` that d moves, and at a huge |d / u|; a
+    plain addition then takes the step. A d of 0.0 or -0.0 allows any run."""
+    if d == 0.0:  # a + j * d is a + d for any j >= 1, -0.0 + 0.0 = 0.0 included
+        return n, d
+    size = abs(a)
+    if not size >= _MIN_NORMAL:
+        return 0, d
+    u = math.ulp(a)
+    q = d / u if a > 0.0 else -d / u  # the step in units of u, positive away from 0
+    if not -_UNITS_LO < q < _UNITS_LO:
+        return 0, d
+    m = round(q)
+    if abs(q - m) == 0.5:
+        return 0, d
+    units = int(size / u)
+    if m > 0:
+        room = (_UNITS_HI - 1 - units) // m
+    elif m < 0:
+        room = (units - _UNITS_LO - 1) // -m if units > _UNITS_LO else 0
+    else:  # the sum stays put, unless a is a power of two that d pulls down
+        room = n if q >= 0.0 or units > _UNITS_LO else 0
+    return min(n, room), (m * u if a > 0.0 else -m * u)
+
+
+def _first(n: int, holds) -> int:
+    """The least j in 1..n with holds(j), for a test `holds` that is
+    monotone in j and holds at n."""
+    return 1 + bisect_left(range(1, n + 1), True, key=holds)
 
 
 def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,

@@ -20,6 +20,7 @@ OBSTACLE = "obstacle"
 NO_FLY = "no_fly"
 CELL_CLASSES = (FREE, OBSTACLE, NO_FLY)
 
+_CLASS_SET = frozenset(CELL_CLASSES)
 _ASCII_CLASSES = {".": FREE, "#": OBSTACLE, "~": NO_FLY}
 
 
@@ -45,6 +46,12 @@ class TerrainGrid:
         for r in range(self.height):
             if len(self.elevation_m[r]) != self.width or len(self.classes[r]) != self.width:
                 raise TerrainError(f"row {r}: column count mismatch")
+            try:  # one pass in C; the scan below only names the cell at fault
+                if all(map(math.isfinite, self.elevation_m[r])) \
+                        and _CLASS_SET.issuperset(self.classes[r]):
+                    continue
+            except (TypeError, OverflowError):
+                pass
             for c in range(self.width):
                 if not math.isfinite(self.elevation_m[r][c]):
                     raise TerrainError(f"cell ({r}, {c}): elevation must be finite")

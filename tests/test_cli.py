@@ -459,6 +459,10 @@ class TestScenarioLoading:
         ([{"t_s": 0.0, "transition_to": "flight"},
           {"t_s": 0.5, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]},
           {"t_s": 2.0, "mode": "flight"}], "script[2].target_position_m", None),
+        # a take-off is checked as though the envelope accepts it: this one
+        # comes while the vehicle drives at 1 m/s, which the run refuses
+        ([{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0},
+          {"t_s": 1.0, "transition_to": "flight"}], "script[1].target_position_m", None),
         # a flight start with no setpoint, or one with no target
         ([], "initial.mode", {"mode": "flight", "height_m": 2.0}),
         ([{"t_s": 0.0, "mode": "flight", "target_yaw_deg": 90.0}], "script[0].target_position_m",

@@ -1,17 +1,20 @@
 """`Simulator.run` takes every step through the step law of its mode over
 plain floats, books it through per-run constants and takes steady stretches
-by constant increments. `reference_run` takes every step as a full
-`dynamics.step`, `drain` and `record`. Both must give the same bytes."""
+of constant increments in exact jumps. `reference_run` takes every step as
+a full `dynamics.step`, `drain` and `record`. Both must give the same bytes,
+and a jump (`_run`) the bits of repeated addition."""
 
 import copy
 import hashlib
 import math
 import os
 import random
+import struct
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flydrive import cli, dynamics
 from flydrive.defaults import USABLE_FRACTION
@@ -28,7 +31,7 @@ from flydrive.dynamics import (
     initial_wall_state,
 )
 from flydrive.energy import Battery
-from flydrive.simulator import ScriptEvent, Simulator, _Books
+from flydrive.simulator import ScriptEvent, Simulator, _Books, _run
 from reference_simulator import reference_run
 
 FLOOR = 1.0 - USABLE_FRACTION
@@ -189,6 +192,43 @@ def _random_flight(rng, params, takeoff, dt, payload, gains):
     return state, surface, script, duration, max(dt, 0.002), payload, gains
 
 
+def _steady_case(params, kind):
+    """A long run that a steady stretch takes almost whole: its packs,
+    start, surface, script, duration, dt, trace decimation and the fault
+    that ends it."""
+    full = _packs(USABLE_FRACTION)
+    flat = SurfaceModel()
+    if kind == "binades":  # t and x cross several binades, x through 0; events mid-jump
+        start = initial_ground_state(params, heading_deg=30.0, position_xy=(-4.0, -2.0))
+        script = [ScriptEvent(0.0, _ground(1.5)), ScriptEvent(137.01, _ground(1.5)),
+                  ScriptEvent(260.0, _ground(1.5))]
+        return full, start, flat, script, 300.0, 0.02, 7, None
+    if kind == "trip":  # prop_a trips about 180 s in
+        start = initial_ground_state(params, heading_deg=-100.0)
+        return (_packs(0.01), start, flat, [ScriptEvent(0.0, _ground(1.0))], 300.0, 0.02, 10,
+                "battery prop_a protection tripped")
+    if kind == "brownout":  # on an incline, the electronics pack browns out
+        packs = full[:2] + [Battery("electronics", 2, 3.2, soc=0.2 + 0.005, usable_fraction=0.8)]
+        surface = SurfaceModel(kind="incline", slope_deg=15.0)
+        start = initial_ground_state(params, surface)
+        return (packs, start, surface, [ScriptEvent(0.0, _ground(0.7))], 200.0, 0.02, 13,
+                "battery electronics protection tripped")
+    if kind == "wall":  # x and y stay -0.0 while z climbs, until prop_b trips
+        packs = full[:1] + [Battery("prop_b", 4, 5.0, soc=FLOOR + 0.1,
+                                    usable_fraction=USABLE_FRACTION)] + full[2:]
+        start = replace(initial_wall_state(params, height_m=1.0),
+                        position=(-0.0, -0.0, 1.0))
+        script = [ScriptEvent(0.0, ControlSetpoint(mode=Mode.WALL, speed_mps=0.3))]
+        return packs, start, SurfaceModel(kind="wall"), script, 100.0, 0.01, 1, \
+            "battery prop_b protection tripped"
+    # a stop, dx = 0: from -0.0, which the first step turns to 0.0; then a
+    # drive and a second stop
+    start = initial_ground_state(params, heading_deg=0.0, position_xy=(-0.0, -0.0))
+    script = [ScriptEvent(0.0, _ground(0.0)), ScriptEvent(50.0, _ground(1.0)),
+              ScriptEvent(60.0, _ground(0.0))]
+    return full, start, flat, script, 250.0, 0.02, 3, None
+
+
 def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
     rng = random.Random(20261018)
     real_stretch, real_steady, real_book = Simulator._stretch, Simulator._steady_stretch, _Books.book
@@ -196,10 +236,12 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     seen = set()  # (mode, why a steady stretch of at least one step ended)
     seen_law = set()  # (mode, why a stretch ended, or "handoff" to a steady one)
     handed = []  # the step index each steady stretch started at
+    steady_steps = []  # the steps each steady stretch took
 
     def steady_watched(self, f, power, i, end, t_event, books, rows, sums):
         handed.append(i)
         k, after, sums = real_steady(self, f, power, i, end, t_event, books, rows, sums)
+        steady_steps.append(k - i)
         if k > i:
             why = "end" if k == end else "event" if t_event <= after[TIME] + 1e-12 else "trip"
             seen.add((after[MODE], why))
@@ -254,6 +296,18 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
                                         state, surface, script, duration, **kw)
         _assert_same(fast[1], ref[1], f"case {case}")
         electronics_only += [b.battery_id for b in batteries] == ["electronics"]
+    # long runs that steady stretches take almost whole, in jumps: across
+    # binades, with script events inside a jump, standing, at several trace
+    # decimations, and ended by a pack in each of ground, incline and wall
+    # whatever the draws above
+    for kind in ("binades", "trip", "brownout", "wall", "stop"):
+        packs, state, surface, script, duration, dt, decimation, fault = _steady_case(params, kind)
+        steady_steps.clear()
+        fast, ref = _against_reference(params, rotor, power_model, packs, state, surface, script,
+                                        duration, dt_s=dt, trace_decimation=decimation)
+        _assert_same(fast[1], ref[1], kind)
+        assert fast[0].fault_reason == fault
+        assert sum(steady_steps) > 0.8 * fast[0].final_state.time_s / dt
     # a pack at its floor trips at its first step that draws, and a stretch
     # at rest (or with no avionics draw) leaves it as it is
     assert at_floor == {(p, why) for p in (True, False) for why in ("trip", "rest")}
@@ -588,3 +642,74 @@ def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_mode
         assert not result.faulted and result.final_state.mode is Mode.GROUND
     assert len(calls) == 0
     assert len(booked) == 0
+
+
+# -- the exact jump of a steady stretch ---------------------------------------
+
+def _bits(x: float) -> bytes:
+    """The bits of a float: tells 0.0 from -0.0, which == does not."""
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _sums(draw):
+    """A running float and what each step adds to it, where the closed form
+    must hold or give way: any two floats; a power of two moved up or down,
+    and a float a few units below the next one moved up (the binade's
+    edges); steps of an odd number of half units (ties); zeros of either
+    sign; subnormal and near-overflow sums; and steps under half a unit."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    step_sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["any", "edge", "tie", "zero", "subnormal", "overflow", "small"]))
+    if kind == "any":
+        return (draw(st.floats(allow_nan=False, allow_infinity=False)),
+                draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "zero":
+        return (draw(st.sampled_from([0.0, -0.0, sign * draw(st.floats(1e-3, 1e3))])),
+                draw(st.sampled_from([0.0, -0.0])))
+    if kind == "subnormal":
+        unit = 5e-324
+        return sign * draw(st.integers(1, 2 ** 52 - 1)) * unit, \
+            step_sign * draw(st.integers(0, 2 ** 40)) * unit
+    e = {"overflow": 1023}.get(kind, draw(st.integers(-1000, 1000)))
+    u = math.ldexp(1.0, e - 52)
+    units = draw(st.one_of(st.just(2 ** 52), st.integers(2 ** 53 - 64, 2 ** 53 - 1),
+                           st.integers(2 ** 52, 2 ** 53 - 1)))
+    m = draw(st.integers(0, 5))
+    frac = {"tie": 0.5, "small": draw(st.floats(0.0, 0.499))}.get(
+        kind, draw(st.floats(0.0, 1.0, exclude_max=True)))
+    if kind == "small":
+        m = 0
+    return sign * units * u, step_sign * (m + frac) * u
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(_sums(), st.integers(0, 300))
+def test_jump_matches_repeated_addition(case, n):
+    """After each of the additions `_run` allows, a + j * s holds the bits
+    that adding d j times gives."""
+    a, d = case
+    count, s = _run(a, d, n)
+    assert 0 <= count <= n
+    total = a
+    for j in range(1, count + 1):
+        total += d
+        assert _bits(a + j * s) == _bits(total), (a, d, j)
+
+
+@pytest.mark.parametrize("a, d, n, count", [
+    # time at dt 1 ms: every step that stays below 2 in one run, and from
+    # -3.5 toward 0 every one that stays below -2
+    (1.001, 0.001, 10 ** 6, 999), (-3.5, 1e-3, 10 ** 6, 1500),
+    # a step of 0 keeps the bits, or turns -0.0 into 0.0 at the first step
+    # and keeps them from there, as -0.0 + j * 0.0 does
+    (5.0, 0.0, 7, 7), (-0.0, -0.0, 7, 7), (0.0, -0.0, 7, 7), (-0.0, 0.0, 7, 7),
+    (0.0, 1e-3, 7, 0), (5e-324, 5e-324, 7, 0),  # a zero or subnormal sum moved
+    (1.0, -1e-17, 7, 0),  # a power of two pulled down by less than half a unit
+    (1.0, 1e-17, 7, 7),  # and pushed up by as little
+    (1.0, 1.5 * math.ulp(1.0), 7, 0),  # a tie
+    (1.0, 1e300, 7, 0),  # a huge step
+])
+def test_jump_lengths(a, d, n, count):
+    assert _run(a, d, n)[0] == count
+

@@ -132,3 +132,22 @@ def test_elevations_must_be_finite():
 def test_dimensions_must_be_positive():
     with pytest.raises(TerrainError):
         terrain_from_dict({"width": 0, "height": 2, "cell_size_m": 1.0})
+
+
+@pytest.mark.parametrize("elevation, classes, message", [
+    (((0.0, 1.0), (2.0, math.nan)), ((FREE, FREE), (FREE, OBSTACLE)),
+     "cell (1, 1): elevation must be finite"),
+    (((0.0, 1.0), (2.0, 3.0)), ((FREE, FREE), (NO_FLY, "rock")),
+     "cell (1, 1): unknown class 'rock'"),
+    # cell by cell, the first fault of a row is named, the elevation first
+    (((0.0, -math.inf), (2.0, 3.0)), (("rock", FREE), (FREE, FREE)),
+     "cell (0, 0): unknown class 'rock'"),
+    (((math.inf, 1.0), (2.0, 3.0)), (("rock", FREE), (FREE, FREE)),
+     "cell (0, 0): elevation must be finite"),
+    (((0.0, 1.0), (2.0, 3.0)), ((FREE, ["free"]), (FREE, FREE)),
+     "cell (0, 1): unknown class ['free']"),
+])
+def test_a_built_grid_names_its_first_bad_cell(elevation, classes, message):
+    with pytest.raises(TerrainError) as err:
+        TerrainGrid(width=2, height=2, cell_size_m=1.0, elevation_m=elevation, classes=classes)
+    assert str(err.value) == message
