@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -102,7 +103,6 @@ def _cmd_simulate(args) -> int:
         )
     result = run_scenario(scenario, dt_s=args.dt_s, trace_decimation=args.decimation)
     ok, checks = evaluate_simulation(scenario, result)
-    seed = args.seed if args.seed is not None else scenario.seed
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -111,7 +111,7 @@ def _cmd_simulate(args) -> int:
 
     payload = {
         "scenario": scenario.name,
-        "seed": seed,
+        "seed": scenario.seed,
         "ok": ok,
         "faulted": result.faulted,
         "fault_reason": result.fault_reason,
@@ -149,7 +149,6 @@ def _cmd_plan(args) -> int:
         raise ScenarioError(
             f"{scenario.source}: scenario has no planner query; use the simulate subcommand"
         )
-    seed = args.seed if args.seed is not None else scenario.seed
     batteries = list(scenario.batteries)
     try:
         mission = plan_route(
@@ -162,7 +161,7 @@ def _cmd_plan(args) -> int:
 
     payload = mission.to_json_dict()
     payload["scenario"] = scenario.name
-    payload["seed"] = seed
+    payload["seed"] = scenario.seed
     plan_path = _write_json(args.out, "plan.json", payload)
     print(f"wrote {plan_path}")
     n_fly = sum(1 for leg in mission.legs if leg.mode == "fly")
@@ -185,7 +184,7 @@ def _cmd_plan(args) -> int:
         )
         report_payload = report.to_json_dict()
         report_payload["scenario"] = scenario.name
-        report_payload["seed"] = seed
+        report_payload["seed"] = scenario.seed
         report_path = _write_json(args.out, "validation.json", report_payload)
         print(f"wrote {report_path}")
         for leg in report.legs:
@@ -256,7 +255,7 @@ def _cmd_analyze(args) -> int:
             "nothing to analyze: pass --tipping, --incline, --wall, "
             "--optimal-tilt, or --decompose"
         )
-    report = {"seed": args.seed, "sections": sections}
+    report = {"sections": sections}
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out is not None:
         path = _write_json(args.out, "analysis.json", report)
@@ -264,14 +263,26 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a bad number exits 2 naming
+    the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> tuple:
     try:
-        speed, power = text.split("=")
-        return float(speed), float(power)
-    except ValueError:
+        speed, power = map(_finite_float, text.split("="))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ScenarioError(
-            f"bad --points entry {text!r}: expected SPEED_MPS=POWER_W"
+            f"bad --points entry {text!r}: expected SPEED_MPS=POWER_W, each a finite number"
         ) from None
+    return speed, power
 
 
 def _cmd_calibrate(args) -> int:
@@ -296,7 +307,6 @@ def _cmd_calibrate(args) -> int:
         "fit_power_w": {
             str(v): c1 * v + c3 * v ** 3 for v, _ in points
         },
-        "seed": args.seed,
     }
     print(json.dumps(fitted, indent=2, sort_keys=True))
     if args.out is not None:
@@ -336,7 +346,6 @@ def _cmd_design(args) -> int:
         "mass_budget_ok": budget_ok,
         "mass_budget_note": budget_note,
         "rotor_table": rotor.name,
-        "seed": args.seed,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out is not None:
@@ -355,10 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scripted scenario")
     p_sim.add_argument("scenario", help="scenario file or bundled scenario name")
     p_sim.add_argument("--out", default="out", help="output directory")
-    p_sim.add_argument("--dt-s", type=float, default=0.001, help="integrator step")
+    p_sim.add_argument("--dt-s", type=_finite_float, default=0.001, help="integrator step")
     p_sim.add_argument("--decimation", type=int, default=10,
                        help="trace every Nth step")
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_plan = sub.add_parser("plan", help="plan a route on a terrain grid")
@@ -366,22 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", default="out", help="output directory")
     p_plan.add_argument("--validate", action="store_true",
                         help="re-simulate each leg and compare energies")
-    p_plan.add_argument("--seed", type=int, default=None)
     p_plan.set_defaults(func=_cmd_plan)
 
     p_an = sub.add_parser("analyze", help="static feasibility reports")
     p_an.add_argument("--tipping", action="store_true",
                       help="tipping slope of the default geometry")
-    p_an.add_argument("--incline", type=float, default=None, metavar="SLOPE_DEG")
-    p_an.add_argument("--wall", type=float, default=None, metavar="TILT_DEG")
+    p_an.add_argument("--incline", type=_finite_float, default=None, metavar="SLOPE_DEG")
+    p_an.add_argument("--wall", type=_finite_float, default=None, metavar="TILT_DEG")
     p_an.add_argument("--optimal-tilt", action="store_true")
-    p_an.add_argument("--decompose", type=float, nargs=2, default=None,
+    p_an.add_argument("--decompose", type=_finite_float, nargs=2, default=None,
                       metavar=("THRUST_N", "PITCH_DEG"))
-    p_an.add_argument("--payload-kg", type=float, default=0.0)
+    p_an.add_argument("--payload-kg", type=_finite_float, default=0.0)
     p_an.add_argument("--static", action="store_true",
                       help="analyze holding instead of moving")
     p_an.add_argument("--out", default=None, help="also write analysis.json here")
-    p_an.add_argument("--seed", type=int, default=None)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_cal = sub.add_parser("calibrate", help="fit ground power coefficients")
@@ -390,15 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--points-file", default=None,
                        help="JSON [[speed_mps, power_w], ...]")
     p_cal.add_argument("--out", default=None, help="also write calibration.json here")
-    p_cal.add_argument("--seed", type=int, default=None)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_des = sub.add_parser("design", help="headline sizing metrics")
     p_des.add_argument("--rotor-table", default=None, help="CSV performance table")
-    p_des.add_argument("--usable-wh", type=float, default=None,
+    p_des.add_argument("--usable-wh", type=_finite_float, default=None,
                        help="usable propulsion energy override")
     p_des.add_argument("--out", default=None, help="also write design.json here")
-    p_des.add_argument("--seed", type=int, default=None)
     p_des.set_defaults(func=_cmd_design)
     return parser
 

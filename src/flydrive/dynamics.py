@@ -93,7 +93,15 @@ class DetachEvent(RuntimeError):
         self.state = state
 
 
-class GeofenceError(ValueError):
+class FlightTargetError(ValueError):
+    """A flight with no usable target. `Simulator.run` sets `event` to the
+    script event behind it: the last one that set the setpoint or started a
+    transition, or None where the setpoint is the initial state's."""
+
+    event = None
+
+
+class GeofenceError(FlightTargetError):
     """Flight target outside the configured geofence."""
 
 
@@ -436,8 +444,7 @@ def step(
 ) -> SimState:
     """Advance one control + integration step: build the `step_law`, take
     one step through it and build the state. Pure function of its inputs."""
-    if not 0.0 < dt_s <= DT_MAX_S:
-        raise ValueError(f"dt {dt_s} outside (0, {DT_MAX_S}] s")
+    check_dt(dt_s)
     advance = step_law(state, setpoint, surface, dt_s, params or _default_params(),
                        rotor or _default_rotor(), gains or ControllerGains(), payload, schedule)
     try:
@@ -676,7 +683,7 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
     fast enough that the thrust vector tracks the commanded acceleration
     direction within a step. Hover at the target is a fixed point."""
     if setpoint.target_position is None:
-        raise ValueError("flight mode needs a target_position setpoint")
+        raise FlightTargetError("flight mode needs a target_position setpoint")
     tx, ty, tz = setpoint.target_position
     radius = math.sqrt(tx * tx + ty * ty)
     if radius > gains.geofence_radius_m:

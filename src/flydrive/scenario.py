@@ -22,7 +22,7 @@ from .defaults import (
     default_power_model,
     default_rotor,
 )
-from .dynamics import DT_MAX_S, TILT_TIME_S, ControlSetpoint, Mode, SurfaceModel
+from .dynamics import ControlSetpoint, FlightTargetError, Mode, SurfaceModel
 from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
 from .fields import REQUIRED
 from .planner import PlannerConfig
@@ -187,7 +187,6 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
              f"times the empty weight")
     fields.call(params.total_mass, fail, "payload_kg", top["payload_kg"])
     model = _load_power_model(block("power_model", POWER_MODEL), params, rotor, fail)
-    initial = InitialSpec(**block("initial", INITIAL))
     # a payload the ground calibration lacks fails here, not mid-run
     fields.call(model.ground_power, fail, "payload_kg", 0.0, top["payload_kg"])
     return Scenario(
@@ -200,8 +199,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         batteries=tuple(_load_batteries(top["batteries"], fail)),
         avionics_power_w=top["avionics_power_w"],
         surface=fields.call(SurfaceModel, fail, "surface", **block("surface", SURFACE)),
-        initial=initial,
-        script=tuple(_load_script(top["script"], initial.mode, top["duration_s"], fail)),
+        initial=InitialSpec(**block("initial", INITIAL)),
+        script=tuple(_load_script(top["script"], fail)),
         duration_s=top["duration_s"],
         planner_query=None if top["planner"] is None else _load_planner_query(
             block("planner", PLANNER), fail, source, base_dir),
@@ -289,8 +288,9 @@ def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
     )
 
 
-def _load_script(entries: list, initial_mode: Mode, duration_s: float,
-                 fail) -> list[ScriptEvent]:
+def _load_script(entries: list, fail) -> list[ScriptEvent]:
+    """The script's events. Whether a flight has a usable target is left to
+    the run, which names the entry behind it (`run_scenario`)."""
     events: list[ScriptEvent] = []
     for i, entry in enumerate(entries):
         kp = f"script[{i}]"
@@ -310,62 +310,7 @@ def _load_script(entries: list, initial_mode: Mode, duration_s: float,
             )
         events.append(ScriptEvent(t_s=ev["t_s"], setpoint=setpoint,
                                   transition_to=ev["transition_to"]))
-    _check_flight_targets(events, initial_mode, duration_s, fail)
     return events
-
-
-def _check_flight_targets(events: list[ScriptEvent], initial_mode: Mode, duration_s: float,
-                          fail) -> None:
-    """Fail where the run would surely fly with no target_position_m in
-    force: from t_s 0 of a flight start, when a take-off's tilt ends and at
-    each setpoint while flying. A run reads the events due at each step, so
-    an event takes effect up to a step (at most DT_MAX_S) after its t_s, and
-    a take-off's tilt ends TILT_TIME_S after it plus up to two steps. Where
-    a setpoint with a target or a transition may come inside that slack, or
-    the run may end first, the check leaves the case to the run. A take-off
-    is checked as though the transition envelope accepts it."""
-    def check(lo, hi, trigger):
-        """Fail if the flight that event `trigger` (None: the flight start)
-        begins between t_s lo and hi has no target."""
-        if hi + DT_MAX_S > duration_s:
-            return
-        in_force = None  # the setpoint in force at lo
-        for i, ev in enumerate(events):  # in time order: the loader checks that
-            if ev.t_s > hi:
-                break
-            if ev.t_s >= lo and ev.transition_to is not None:
-                return
-            if ev.setpoint is not None:
-                if ev.t_s <= lo:
-                    in_force = i
-                elif ev.setpoint.target_position is not None:
-                    return
-        if in_force is not None and events[in_force].setpoint.target_position is not None:
-            return
-        if in_force is None or trigger is not None and in_force < trigger:
-            if trigger is None:
-                fail("initial.mode", "a flight start needs a setpoint with target_position_m "
-                     "at t_s 0")
-            in_force = trigger
-        fail(f"script[{in_force}].target_position_m", "the vehicle would fly with no target")
-
-    eps = 1e-9  # more than a run's rounding of time
-    flying, busy = initial_mode == Mode.FLIGHT, -math.inf  # busy: until a transition may run
-    if flying:
-        check(0.0, eps, None)
-    for i, ev in enumerate(events):
-        if ev.setpoint is not None and flying and ev.t_s > busy:
-            check(ev.t_s, ev.t_s + DT_MAX_S + eps, i)
-        to = ev.transition_to
-        if to is None or to == Mode.FLIGHT and flying and ev.t_s > busy:
-            continue  # a take-off while flying is refused
-        if to == Mode.FLIGHT and ev.t_s > busy:
-            end = ev.t_s + TILT_TIME_S
-            check(end - eps, end + 2.0 * DT_MAX_S + eps, i)
-            flying = True
-        else:  # a landing, or a request that may come while the axles tilt
-            flying = False
-        busy = ev.t_s + TILT_TIME_S + 2.0 * DT_MAX_S + eps
 
 
 def _load_planner_query(query: dict, fail, source: str, base_dir: str) -> PlannerQuery:
@@ -432,7 +377,13 @@ def run_scenario(scenario: Scenario, dt_s: float = 0.001,
             f"yaw-rate loop unstable at dt_s {dt_s} s; it must exceed "
             f"{kp_yaw * dt_s / 2.0:.3g} kg m^2")
     state = initial_state_for(scenario)
-    return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)
+    try:
+        return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)
+    except FlightTargetError as exc:  # named by the entry behind the flight
+        keypath = "initial.mode" if exc.event is None else next(
+            f"script[{i}].target_position_m" for i, ev in enumerate(scenario.script)
+            if ev is exc.event)
+        raise ScenarioError(f"{scenario.source}: {keypath}: {exc}") from None
 
 
 def evaluate_simulation(scenario: Scenario, result: SimResult) -> tuple[bool, list[dict]]:

@@ -301,6 +301,7 @@ class Simulator:
         next_event = 0
         fault_reason = None
         books = _Books(self.batteries, self.avionics_power_w, dt, ledger, events)
+        cause = None  # the last event that set the setpoint or started a transition
 
         i = 0
         while i < n_steps:
@@ -308,13 +309,13 @@ class Simulator:
                 ev = script[next_event]
                 next_event += 1
                 if ev.setpoint is not None:
-                    setpoint = ev.setpoint
+                    setpoint, cause = ev.setpoint, ev
                 if ev.transition_to is not None:
                     try:
                         schedule = dynamics.mode_transition(
                             state, ev.transition_to, surface=surface, params=params
                         )
-                        state = dynamics.begin_transition(state)
+                        state, cause = dynamics.begin_transition(state), ev
                         books.log(state.time_s, "transition_started", ev.transition_to.value)
                     except dynamics.TransitionEnvelopeError as exc:
                         books.log(state.time_s, "transition_rejected", str(exc))
@@ -325,6 +326,9 @@ class Simulator:
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
                 fault_reason = books.fault(state.time_s, exc)
                 break
+            except dynamics.FlightTargetError as exc:
+                exc.event = cause
+                raise
             floats = dynamics.floats_of(state, surface)
             law = advance, floats, _stretch_power(model, surface, payload, schedule, floats)
             k, floats, fault_reason = self._stretch(law, i, n_steps, t_event, books, rows)

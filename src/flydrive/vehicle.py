@@ -67,7 +67,7 @@ class VehicleParams:
                 raise FieldError(name, "must be >= 0")
 
     def total_mass(self, payload: float = 0.0) -> float:
-        if payload < 0:
+        if not payload >= 0:  # NaN included
             raise ValueError("payload must be >= 0")
         m = self.empty_mass + payload
         if m > self.mtom + 1e-9:
@@ -343,8 +343,8 @@ def design_metrics(
     the rotor curve at the per-rotor hover thrust; endurance is usable energy
     over hover power. gam_mass_kg defaults to the bundled budget's total.
     """
-    if usable_energy_wh <= 0:
-        raise ValueError("usable_energy_wh must be > 0")
+    if not 0.0 < usable_energy_wh < math.inf:
+        raise ValueError("usable_energy_wh must be finite and > 0")
     if gam_mass_kg is None:
         from .defaults import DEFAULT_GAM_MASS_KG
 

@@ -1,22 +1,35 @@
 """Scenario files and the command-line front end."""
 
+import argparse
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flydrive import cli, dynamics
 from flydrive.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, bundled_scenarios, main
+from flydrive.defaults import default_params
 from flydrive.dynamics import SPEED, VELOCITY, Mode
-from flydrive.scenario import VEHICLE, ScenarioError, load_scenario, run_scenario
+from flydrive.scenario import (
+    VEHICLE,
+    ScenarioError,
+    build_simulator,
+    initial_state_for,
+    load_scenario,
+    run_scenario,
+)
 from flydrive.terrain import TerrainError
 from flydrive.vehicle import RotorTableError
+from reference_simulator import reference_run
 
 BUNDLED = [
     "confined-space",
@@ -459,24 +472,37 @@ class TestScenarioLoading:
         ([{"t_s": 0.0, "transition_to": "flight"},
           {"t_s": 0.5, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]},
           {"t_s": 2.0, "mode": "flight"}], "script[2].target_position_m", None),
-        # a take-off is checked as though the envelope accepts it: this one
-        # comes while the vehicle drives at 1 m/s, which the run refuses
-        ([{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0},
-          {"t_s": 1.0, "transition_to": "flight"}], "script[1].target_position_m", None),
+        # the tilt ends at 1.0 s, ten steps before the target comes
+        ([{"t_s": 0.0, "transition_to": "flight"},
+          {"t_s": 1.01, "mode": "flight", "target_position_m": [0.0, 0.0, 2.0]}],
+         "script[0].target_position_m", None),
+        # a target beyond the 200 m geofence
+        ([{"t_s": 0.0, "mode": "ground", "speed_mps": 0.0},
+          {"t_s": 1.0, "transition_to": "flight", "mode": "flight",
+           "target_position_m": [500.0, 0.0, 5.0]}], "script[1].target_position_m", None),
         # a flight start with no setpoint, or one with no target
         ([], "initial.mode", {"mode": "flight", "height_m": 2.0}),
         ([{"t_s": 0.0, "mode": "flight", "target_yaw_deg": 90.0}], "script[0].target_position_m",
          {"mode": "flight", "height_m": 2.0}),
     ])
-    def test_flight_without_a_target_exits_2_at_load(self, tmp_path, capsys, script, keypath,
-                                                     initial):
-        # each used to pass load and stop at run time naming no file or key
+    def test_flight_without_a_target_exits_2(self, tmp_path, capsys, script, keypath, initial):
+        # the run names the entry behind the flight, and writes nothing
         out = tmp_path / "out"
         path = write_scenario(tmp_path, {**MINI_DRIVE, "script": script, "duration_s": 3.0,
-                                         "initial": initial})
+                                         "surface": {"kind": "flat"}, "initial": initial})
         assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
         assert f"scn.json: {keypath}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_refused_take_off_needs_no_target(self, tmp_path):
+        # a take-off while the vehicle drives at 1 m/s is refused: it never flies
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "duration_s": 3.0, "script": [
+            {"t_s": 0.0, "mode": "ground", "speed_mps": 1.0},
+            {"t_s": 1.0, "transition_to": "flight"}]})
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_OK
+        events = json.loads((out / "result.json").read_text())["events"]
+        assert [e["kind"] for e in events] == ["transition_rejected"]
 
     @pytest.mark.parametrize("script, dt_s", [
         ([{"t_s": 0.0, "transition_to": "flight"},
@@ -617,7 +643,7 @@ class TestSimulateCommand:
             in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
-    @pytest.mark.parametrize("dt_s", ["0", "-0.001", "nan", "0.5"])
+    @pytest.mark.parametrize("dt_s", ["0", "-0.001", "0.5"])  # nan: FLOAT_FLAGS
     def test_dt_outside_the_step_range_exits_2(self, tmp_path, capsys, dt_s):
         out = tmp_path / "out"
         rc = main(["simulate", write_scenario(tmp_path, MINI_DRIVE), "--dt-s", dt_s,
@@ -809,11 +835,11 @@ class TestAnalyzeCommand:
         assert "nothing to analyze" in capsys.readouterr().err
 
     def test_out_writes_report(self, tmp_path, capsys):
-        rc = main(["analyze", "--tipping", "--out", str(tmp_path), "--seed", "5"])
+        rc = main(["analyze", "--tipping", "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        capsys.readouterr()
         report = json.loads((tmp_path / "analysis.json").read_text())
-        assert report["seed"] == 5
+        assert report == json.loads(capsys.readouterr().out)
+        assert [section["analysis"] for section in report["sections"]] == ["tipping_slope"]
 
 
 class TestCalibrateCommand:
@@ -856,10 +882,12 @@ class TestCalibrateCommand:
         assert rc == EXIT_INPUT
         assert "needs --points" in capsys.readouterr().err
 
-    def test_malformed_point(self, capsys):
-        rc = main(["calibrate", "--points", "fast"])
-        assert rc == EXIT_INPUT
-        assert "SPEED_MPS=POWER_W" in capsys.readouterr().err
+    # 1=nan used to fail as "calibration overflows", naming no entry
+    @pytest.mark.parametrize("entry", ["fast", "1=nan", "1=inf", "inf=3", "1e999=3"])
+    def test_malformed_point(self, capsys, entry):
+        assert main(["calibrate", "--points", entry, "--points", "2=3"]) == EXIT_INPUT
+        assert f"bad --points entry {entry!r}: expected SPEED_MPS=POWER_W" in \
+            capsys.readouterr().err
 
     def test_duplicate_speeds_rejected(self, capsys):
         rc = main(["calibrate", "--points", "1.0=29.8", "--points", "1.0=30.0"])
@@ -879,6 +907,39 @@ class TestDesignCommand:
     def test_missing_rotor_table(self, capsys):
         rc = main(["design", "--rotor-table", "/nonexistent.csv"])
         assert rc == EXIT_INPUT
+
+
+# every float flag, in a command line that runs with a finite value in place of X
+FLOAT_FLAGS = {
+    "--dt-s": ["simulate", "confined-space", "--dt-s", "X"],
+    "--incline": ["analyze", "--incline", "X"],
+    "--wall": ["analyze", "--wall", "X"],
+    "--decompose": ["analyze", "--decompose", "10", "X"],
+    "--payload-kg": ["analyze", "--wall", "135", "--payload-kg", "X"],
+    "--usable-wh": ["design", "--usable-wh", "X"],
+}
+
+
+def test_float_flags_are_every_float_flag():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices.values()
+    types = {a.option_strings[0]: a.type for sub in subcommands for a in sub._actions
+             if a.type in (float, cli._finite_float)}
+    assert types == dict.fromkeys(FLOAT_FLAGS, cli._finite_float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAGS))
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, flag, value):
+    # --payload-kg, --decompose and --usable-wh used to exit 1 with "non-finite
+    # value in output"
+    out = tmp_path / "out"
+    argv = [value if a == "X" else a for a in FLOAT_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resolve_prefers_existing_file(tmp_path):
@@ -1003,3 +1064,94 @@ def test_malformed_scenario_exits_cleanly(case):
         else:
             command = ["simulate", path, "--dt-s", "0.01"]
         assert main([*command, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+@st.composite
+def _flight_scripts(draw):
+    """A flight or ground start at a dt from 1 to 20 ms, and a script of
+    take-offs, landings and setpoints with and without a target (some beyond
+    the 200 m geofence); events often come about a tilt's time apart, so
+    near the step where a take-off's tilt ends, and some within a step."""
+    dt = draw(st.sampled_from([0.001, 0.005, 0.02]) | st.floats(0.001, 0.02))
+    flying = draw(st.booleans())
+    target = st.sampled_from([[0.0, 0.0, 2.0], [3.0, -1.0, 1.0], [500.0, 0.0, 5.0],
+                              [0.0, 0.0, default_params().com_height], [-150.0, 150.0, 2.0]])
+    script, t = [], draw(st.sampled_from([0.0, 0.0, 0.3]))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["take-off", "landing", "target", "no target", "drive"]))
+        entry = {"t_s": t}
+        if kind in ("take-off", "landing"):
+            entry["transition_to"] = "flight" if kind == "take-off" else "ground"
+            kind = draw(st.sampled_from([None, "target", "no target"]))
+        if kind == "target":
+            entry.update(mode="flight", target_position_m=draw(target))
+        elif kind == "no target":
+            entry.update(mode="flight", target_yaw_deg=90.0)
+        elif kind == "drive":
+            entry.update(mode="ground", speed_mps=draw(st.sampled_from([0.0, 1.0])))
+        script.append(entry)
+        t += draw(st.sampled_from([0.001, 0.99, 1.0, 1.001, 1.01, 1.02, 1.04])
+                  | st.floats(0.001, 1.5))
+    duration = draw(st.floats(0.5, 2.5))
+    return dt, flying, script, duration
+
+
+def _reference_error(scenario, dt):
+    """Run `scenario` one full step at a time (`reference_run`). None if the
+    run ends, else the flight law's error and the index of the script entry
+    behind it: the last one consumed before the error that set the setpoint
+    or started a transition (None if there is none)."""
+    accepted, times = [], []
+    real_transition, real_step = dynamics.mode_transition, dynamics.step
+
+    def transition(*args, **kw):
+        accepted.append(False)
+        schedule = real_transition(*args, **kw)
+        accepted[-1] = True
+        return schedule
+
+    def step(state, *args):
+        times.append(state.time_s)
+        return real_step(state, *args)
+
+    try:
+        with mock.patch.object(dynamics, "mode_transition", transition), \
+                mock.patch.object(dynamics, "step", step):
+            reference_run(build_simulator(scenario, dt_s=dt), initial_state_for(scenario),
+                          scenario.surface, list(scenario.script), scenario.duration_s)
+        return None
+    except dynamics.FlightTargetError as exc:
+        entry, started = None, iter(accepted)  # one outcome per transition consumed
+        for i, ev in enumerate(scenario.script):
+            if ev.t_s > times[-1] + 1e-12:  # due after the step that raised
+                break
+            if ev.setpoint is not None or ev.transition_to is not None and next(started):
+                entry = i
+        return exc, entry
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(case=_flight_scripts())
+def test_flight_target_error_names_its_entry(case):
+    """`simulate` exits 2 naming scn.json and the entry behind the flight
+    exactly when a run one full step at a time raises the flight law's
+    error, with that error's reason; it writes nothing then, and never
+    prints the error bare."""
+    dt, flying, script, duration = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scn.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"name": "fly", "duration_s": duration, "script": script,
+                       "initial": {"mode": "flight", "height_m": 2.0} if flying else None}, fh)
+        expected = _reference_error(load_scenario(path), dt)
+        out, err = os.path.join(tmp, "out"), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["simulate", path, "--dt-s", repr(dt), "--out", out])
+        wrote = os.path.exists(out)
+    if expected is None:
+        assert rc in (EXIT_OK, EXIT_VALIDATION) and not err.getvalue(), err.getvalue()
+        return
+    reason, entry = expected
+    keypath = "initial.mode" if entry is None else f"script[{entry}].target_position_m"
+    assert (rc, err.getvalue(), wrote) == (EXIT_INPUT, f"error: scn.json: {keypath}: {reason}\n",
+                                           False)

@@ -34,6 +34,14 @@ def test_total_mass_rejects_overload(params):
         params.total_mass(1.5)
     with pytest.raises(ValueError):
         params.total_mass(-0.1)
+    with pytest.raises(ValueError, match="payload must be >= 0"):
+        params.total_mass(math.nan)  # used to return NaN
+
+
+@pytest.mark.parametrize("usable_wh", [0.0, -1.0, math.inf, math.nan])
+def test_design_metrics_rejects_usable_energy(params, rotor, usable_wh):
+    with pytest.raises(ValueError, match="usable_energy_wh must be finite and > 0"):
+        vehicle.design_metrics(params, rotor, usable_wh)
 
 
 def test_params_reject_budget_overflow():
