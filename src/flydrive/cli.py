@@ -29,7 +29,7 @@ from .defaults import (
     default_rotor,
 )
 from .dynamics import Mode
-from .energy import calibrate_ground_power, usable_propulsion_energy_wh
+from .energy import UnknownPayloadError, calibrate_ground_power, usable_propulsion_energy_wh
 from .planner import NoPathError, plan as plan_route, validate_plan
 from .scenario import (
     Scenario,
@@ -158,6 +158,8 @@ def _cmd_plan(args) -> int:
     except NoPathError as exc:
         print(f"no feasible route: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except UnknownPayloadError as exc:  # a calibration only a fly edge needs
+        raise ScenarioError(f"{scenario.source}: payload_kg: {exc}") from None
 
     payload = mission.to_json_dict()
     payload["scenario"] = scenario.name

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import statics
 from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS
-from .vehicle import RotorModel, VehicleParams
+from .vehicle import RotorModel, VehicleParams, _interp
 
 PROPULSION_A = "prop_a"
 PROPULSION_B = "prop_b"
@@ -207,15 +207,22 @@ class PowerModel:
         weight m g is bound at the first call and the ground power at the
         first call whose hold the rotors can give, so every call raises
         what `incline_power` would: the MTOM check first, then rotor
-        saturation, then an unknown payload."""
+        saturation, then an unknown payload. The rotor's power table is
+        looked up directly; a hold thrust outside [0, saturation] goes
+        through `RotorModel.power_at_thrust`, which raises its error."""
         weight_n = ground_w = None
+        rotor = self.rotor
+        thrusts, powers, slopes = rotor.thrusts, rotor.powers, rotor._power_slopes
+        saturation = rotor._saturation
 
         def power(slope_deg):
             nonlocal weight_n, ground_w
             if weight_n is None:
                 weight_n = self.params.total_mass(payload) * self.params.gravity
-            hold_thrust = weight_n * math.sin(math.radians(slope_deg))
-            rotor_power = 4.0 * self.rotor.power_at_thrust(hold_thrust / 4.0)
+            per_rotor = weight_n * math.sin(math.radians(slope_deg)) / 4.0
+            if not 0.0 <= per_rotor <= saturation:
+                rotor.power_at_thrust(per_rotor)
+            rotor_power = 4.0 * _interp(per_rotor, thrusts, powers, slopes)
             if ground_w is None:
                 ground_w = self.ground_power(speed, payload)
             return ground_w + rotor_power

@@ -6,8 +6,9 @@ energy for climbs in flight), and switching mode costs a fixed transition
 energy.
 
 The search is Dijkstra over flat arrays: node 2 * cell + mode (cells
-numbered row by row, drive 0, fly 1) has a `dist`, `trans`, `parent` and
-`depth` entry, and the heap holds (energy, n_transitions, node). Routes are ordered by least
+numbered row by row, drive 0, fly 1) has a `dist`, `trans`, `parent`,
+`depth` and `closed` entry (closed: settled, or a mode the cell forbids),
+and the heap holds (energy, n_transitions, node). Routes are ordered by least
 energy, then fewest transitions, then the smallest cell sequence (cells in
 route order, a mode switch adding none), then the mode of the last step,
 then the smallest sequence of (cell, mode) steps, with drive before fly. A
@@ -16,6 +17,14 @@ move costs more than 0 Wh and a switch adds a transition, so a parent's
 first two only decide between two candidates for the same node (so the same
 last mode) that tie on both: the parent chains of the two are walked up to
 their common ancestor and the parts below it compared.
+
+A fly move whose target already holds less than the settled node's energy
+plus the level fly edge energy is skipped unpriced: no fly edge costs less
+than a level one and float addition is monotone, so the move could neither
+improve nor tie. The floor is used only once the fly pricer has checked
+the vehicle's weight, after which no fly price can raise; drive moves are
+always priced, so every error arises at the edge where it would if every
+move were priced.
 
 The returned plan is exactly optimal under this cost model; correctness is
 pinned by a brute-force oracle over all simple mode-annotated paths in the
@@ -29,7 +38,7 @@ import heapq
 import math
 from dataclasses import astuple, dataclass, replace
 from itertools import groupby
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
@@ -91,28 +100,31 @@ class Traversability:
 def classify_traversability(
     terrain: TerrainGrid, params: VehicleParams, cfg: PlannerConfig
 ) -> Traversability:
-    """Drivable: free cell whose steepest neighbor gradient stays below the
+    """Drivable: free cell whose steepest neighbor gradient is at most the
     tip limit minus the safety margin. Flyable: anything but a no-fly cell."""
     limit = tipping_slope(params) - cfg.slope_margin_deg
     elevation, cell = terrain.elevation_m, terrain.cell_size_m
+    degrees, atan2 = math.degrees, math.atan2
 
-    def gradient(a, b):
-        return math.degrees(math.atan2(abs(b - a), cell))
+    def gentle(a, b):
+        return degrees(atan2(abs(b - a), cell)) <= limit
 
-    # each edge's gradient once: abs(b - a) == abs(a - b) in floating point
-    across = [list(map(gradient, row, row[1:])) for row in elevation]
-    along = [list(map(gradient, a, b)) for a, b in zip(elevation, elevation[1:])]
+    # each edge tested once: abs(b - a) == abs(a - b) in floating point
+    across = [list(map(gentle, row, row[1:])) for row in elevation]
+    along = [list(map(gentle, a, b)) for a, b in zip(elevation, elevation[1:])]
+    # every gradient is >= 0, so a cell is drivable when each of its edges
+    # is; a cell with no edge has a steepest gradient of 0
+    level_ok = 0.0 <= limit
     drivable = []
     for r, kinds in enumerate(terrain.classes):
-        # steepest gradient to a 4-neighbour, taken up, left, right, down
-        steepest = [0.0] * terrain.width
+        ok = [level_ok and kind == FREE for kind in kinds]
         if r > 0:
-            steepest = list(map(max, steepest, along[r - 1]))
-        steepest[1:] = map(max, steepest[1:], across[r])
-        steepest[:-1] = map(max, steepest[:-1], across[r])
+            ok = list(map(and_, ok, along[r - 1]))
+        ok[1:] = map(and_, ok[1:], across[r])
+        ok[:-1] = map(and_, ok[:-1], across[r])
         if r + 1 < terrain.height:
-            steepest = list(map(max, steepest, along[r]))
-        drivable.append(tuple(k == FREE and s <= limit for k, s in zip(kinds, steepest)))
+            ok = list(map(and_, ok, along[r]))
+        drivable.append(tuple(ok))
     flyable = tuple(tuple(kind != NO_FLY for kind in row) for row in terrain.classes)
     return Traversability(drivable=tuple(drivable), flyable=flyable)
 
@@ -129,7 +141,9 @@ def _edge_pricer(mode, cell_size_m, cfg, model, payload):
     behind the hold, the level fly energy, the edge time) are bound at the
     first edge that needs them, so a payload the model cannot price fails
     at the same edge, with the same error, as when each edge is priced on
-    its own."""
+    its own. The fly pricer's `floor` is -inf until both its constants are
+    bound; from then on no fly edge can raise or cost less than the floor,
+    the level edge energy."""
     if mode == DRIVE:
         speed = cfg.drive_speed_mps
         time_s = cell_size_m / speed
@@ -156,8 +170,10 @@ def _edge_pricer(mode, cell_size_m, cfg, model, payload):
             return level_wh
         if weight_n is None:
             weight_n = model.params.total_mass(payload) * model.params.gravity
+            fly_wh.floor = level_wh
         return level_wh + weight_n * dh / 3600.0
 
+    fly_wh.floor = -math.inf
     return fly_wh
 
 
@@ -291,57 +307,79 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     (row + 1) * (width + 2) + col + 1, which orders like (row, col), and
     node id 2 * index + mode, so a move to the cell above, left, right or
     below is a fixed step in node id and a mode switch flips the low bit.
-    Each neighbour of a settled node is priced and relaxed in one pass, in
-    that order and then the switch. Returns (energy, n_transitions, steps),
-    the route as (cell, mode) steps from start to goal; raises NoPathError
-    listing every reachable (cell, mode) when the goal is not among them."""
+    `closed` marks every node that is settled or that its mode may not
+    enter. Each open neighbour of a settled node is priced and relaxed in
+    one pass, in that order and then the switch.
+
+    A fly move is skipped unpriced when its target already holds less
+    energy than the settled node's energy plus the fly pricer's `floor`:
+    no fly price is below the floor and float addition is monotone, so the
+    move could neither improve nor tie that energy. The floor is -inf until
+    the pricer has bound every constant that can raise, so a skipped move
+    never hides an error that pricing it would raise; drive moves are
+    always priced. Returns (energy, n_transitions, steps), the route as (cell,
+    mode) steps from start to goal; raises NoPathError listing every
+    reachable (cell, mode) when the goal is not among them."""
     width, height = terrain.width, terrain.height
     pw = width + 2
     size = pw * (height + 2)
     row = 2 * pw  # node id step to the next row
     elevation = [0.0] * size
-    allowed = [False] * (2 * size)
+    closed = [True] * (2 * size)
     for r in range(height):
         first = (r + 1) * pw + 1
         elevation[first:first + width] = terrain.elevation_m[r]
-        allowed[2 * first:2 * (first + width):2] = trav.drivable[r]
-        allowed[2 * first + 1:2 * (first + width):2] = trav.flyable[r]
+        closed[2 * first:2 * (first + width):2] = [not ok for ok in trav.drivable[r]]
+        closed[2 * first + 1:2 * (first + width):2] = [not ok for ok in trav.flyable[r]]
     dist = [math.inf] * (2 * size)
     trans = [0] * (2 * size)
     parent = [-1] * (2 * size)
     depth = [0] * (2 * size)  # steps from the source
-    done = [False] * (2 * size)
     source = 2 * ((start[0] + 1) * pw + start[1] + 1)
     target = 2 * ((goal[0] + 1) * pw + goal[1] + 1)
     dist[source] = 0.0
     heap = [(0.0, 0, source)]
     pop, push = heapq.heappop, heapq.heappush
+    drive, fly = prices
     while heap:
         energy, ntrans, u = pop(heap)
-        if done[u]:
+        if closed[u]:
             continue
-        done[u] = True
+        closed[u] = True
         if u == target:
             break
-        price, here, switch = prices[u & 1], elevation[u >> 1], u ^ 1
-        for v in (u - row, u - 2, u + 2, u + row, switch):
-            if done[v] or not allowed[v]:
+        here = elevation[u >> 1]
+        if u & 1:
+            price, floor = fly, energy + fly.floor
+        else:
+            price, floor = drive, -math.inf
+        for v in (u - row, u - 2, u + 2, u + row):
+            if closed[v] or dist[v] < floor:
                 continue
-            if v == switch:
-                e, t = energy + switch_wh, ntrans + 1
-            else:
-                e, t = energy + price(elevation[v >> 1] - here), ntrans
-            d = dist[v]
-            if e < d or (e == d and t < trans[v]):
+            e, d = energy + price(elevation[v >> 1] - here), dist[v]
+            if e < d or (e == d and ntrans < trans[v]):
                 dist[v] = e
-                trans[v] = t
-                push(heap, (e, t, v))
-            elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
+                trans[v] = ntrans
+                push(heap, (e, ntrans, v))
+            elif e != d or ntrans != trans[v] or not _precedes(u, v, parent, depth):
                 continue
             parent[v] = u
             depth[v] = depth[u] + 1
-    if not done[target]:
-        explored = [_cell_mode(n, pw) for n in range(2 * size) if done[n]]
+        v = u ^ 1
+        if closed[v]:
+            continue
+        e, t, d = energy + switch_wh, ntrans + 1, dist[v]
+        if e < d or (e == d and t < trans[v]):
+            dist[v] = e
+            trans[v] = t
+            push(heap, (e, t, v))
+        elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
+            continue
+        parent[v] = u
+        depth[v] = depth[u] + 1
+    if not closed[target]:
+        # the heap ran dry, so every node given an energy was settled
+        explored = [_cell_mode(n, pw) for n, d in enumerate(dist) if d < math.inf]
         raise NoPathError(
             f"no route from {start} to {goal}: explored "
             f"{len(explored)} (cell, mode) states",

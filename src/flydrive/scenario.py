@@ -23,7 +23,7 @@ from .defaults import (
     default_rotor,
 )
 from .dynamics import ControlSetpoint, FlightTargetError, Mode, SurfaceModel
-from .energy import BATTERY_IDS, Battery, PowerModel, calibrate_ground_power
+from .energy import BATTERY_IDS, Battery, PowerModel, UnknownPayloadError, calibrate_ground_power
 from .fields import REQUIRED
 from .planner import PlannerConfig
 from .simulator import ScriptEvent, SimResult, Simulator
@@ -384,6 +384,8 @@ def run_scenario(scenario: Scenario, dt_s: float = 0.001,
             f"script[{i}].target_position_m" for i, ev in enumerate(scenario.script)
             if ev is exc.event)
         raise ScenarioError(f"{scenario.source}: {keypath}: {exc}") from None
+    except UnknownPayloadError as exc:  # a calibration only a cruise needs
+        raise ScenarioError(f"{scenario.source}: payload_kg: {exc}") from None
 
 
 def evaluate_simulation(scenario: Scenario, result: SimResult) -> tuple[bool, list[dict]]:

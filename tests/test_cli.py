@@ -263,6 +263,31 @@ class TestScenarioLoading:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    GROUND_ONLY_0_5 = {"payload_kg": 0.5, "power_model": {
+        "ground_calibration": {"0.5": [[1.0, 29.8], [4.1, 171.4]]}}}
+
+    @pytest.mark.parametrize("command, spec", [
+        ("simulate", {**MINI_DRIVE, "duration_s": 4.0, "script": [
+            {"t_s": 0.0, "transition_to": "flight", "mode": "flight",
+             "target_position_m": [5.0, 0.0, 2.0]}]}),
+        ("plan", {**MINI_PLAN, "validation": {}, "planner": {
+            **MINI_PLAN["planner"], "terrain": {"width": 4, "height": 1, "cell_size_m": 2.0,
+                                                "elevation_m": 0.0, "obstacles": [[0, 1]]}}}),
+    ], ids=["simulate-cruise", "plan-over-fence"])
+    def test_missing_flight_calibration_names_its_key(self, tmp_path, capsys, command, spec):
+        # 0.5 kg is calibrated on the ground only, and the run has to cruise
+        path = write_scenario(tmp_path, {**spec, **self.GROUND_ONLY_0_5})
+        assert main([command, path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: scn.json: payload_kg: no flight calibration for payload 0.5 kg "
+            "(known: [0.0, 2.0])\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_without_a_fly_edge_needs_no_flight_calibration(self, tmp_path):
+        path = write_scenario(tmp_path, {**MINI_PLAN, **self.GROUND_ONLY_0_5})
+        assert main(["plan", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "plan.json").exists()
+
     def test_lightest_vehicle_the_rotors_allow_loads(self, tmp_path):
         rotor = load_scenario(write_scenario(tmp_path, MINI_DRIVE)).rotor
         lightest = 4.0 * rotor.max_thrust / (20.0 * 9.81)

@@ -113,6 +113,30 @@ class TestTraversability:
         assert loose.drivable_at((0, 1))
         assert not tight.drivable_at((0, 1))
 
+    def test_matches_the_reference_on_random_grids(self, model):
+        # margins up to and past the tip limit (a limit <= 0 leaves nothing
+        # drivable, even a lone cell), and elevations of +-1e308, whose
+        # differences overflow to a 90 degree gradient
+        rng = random.Random(19)
+        tip = tipping_slope(model.params)
+        for case in range(600):
+            height, width = rng.randint(1, 6), rng.randint(1, 6)
+            scale = rng.choice((0.0, 0.5, 3.0, 1e308))
+            elevation = [scale * rng.choice((0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0)))
+                         for _ in range(width * height)]
+            kinds = [rng.choice(".....#~") for _ in elevation]
+            grid = terrain_from_dict({
+                "width": width, "height": height, "cell_size_m": rng.choice((1.0, 3.0)),
+                "elevation_m": elevation,
+                "obstacles": [list(divmod(i, width)) for i, k in enumerate(kinds) if k == "#"],
+                "no_fly": [list(divmod(i, width)) for i, k in enumerate(kinds) if k == "~"],
+            })
+            margin = rng.choice((0.0, 5.0, rng.uniform(0.0, tip), tip, tip + rng.uniform(0.0, 10.0)))
+            config = cfg(slope_margin_deg=margin)
+            trav = classify_traversability(grid, model.params, config)
+            assert (trav.drivable, trav.flyable) == reference_planner.classify(
+                grid, model.params, config), case
+
 
 class TestCorridorPlans:
     def test_open_corridor_single_drive_leg(self, model):
@@ -516,11 +540,14 @@ class TestConfigValidation:
 
 
 def _outcome(planner_fn, *args):
-    """A plan, or the message and explored states of its NoPathError."""
+    """A plan, the message and explored states of its NoPathError, or the
+    type and message of the pricing error it raises."""
     try:
         return planner_fn(*args)
     except NoPathError as exc:
         return str(exc), exc.explored
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _mode_indifferent(model, config):
@@ -536,7 +563,9 @@ def _mode_indifferent(model, config):
 def planning_cases(draw):
     """Small grids of integer elevations with obstacles and no-fly cells,
     often split by an obstacle fence; flat stretches make many routes tie
-    on energy and transitions."""
+    on energy and transitions. Now and then the payload is 2.0 kg: it is
+    calibrated but over the MTOM, so a climb in flight or a sloped drive
+    edge raises."""
     height = draw(st.integers(1, 9))
     width = draw(st.integers(1, 9))
     n = width * height
@@ -558,7 +587,8 @@ def planning_cases(draw):
     model, config = default_power_model(), cfg(transition_energy_wh=draw(transition))
     if draw(st.booleans()):
         model, config = _mode_indifferent(model, config)
-    return grid, draw(cell), draw(cell), config, model
+    payload = draw(st.sampled_from((0.0, 0.0, 0.0, 2.0)))
+    return grid, draw(cell), draw(cell), config, model, None, payload
 
 
 class TestMatchesReference:
@@ -569,6 +599,21 @@ class TestMatchesReference:
     @settings(max_examples=400, deadline=None)
     def test_random_grids(self, case):
         assert _outcome(plan, *case) == _outcome(reference_planner.plan, *case)
+
+    def test_climb_before_the_mass_check_is_priced(self, model):
+        # over the MTOM a climb in flight raises. The goal is walled in by
+        # obstacles, one sunk 1 m; the first climb the search meets is from
+        # that one onto the goal, whose fly node already holds less energy
+        # than the climb can give. No climb has been priced yet, so the mass
+        # is unchecked and the move must be priced, and raise, as in the
+        # reference.
+        grid = terrain_from_dict({"width": 2, "height": 3, "cell_size_m": 1.0,
+                                  "elevation_m": [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                  "obstacles": [[0, 0], [1, 1]]})
+        args = (grid, (2, 1), (0, 1), cfg(), model, None, 2.0)
+        outcome = _outcome(plan, *args)
+        assert outcome == (ValueError, "mass 4.7 kg exceeds MTOM 4.0 kg")
+        assert outcome == _outcome(reference_planner.plan, *args)
 
     @pytest.mark.parametrize("indifferent, digest", [
         (False, "713cc93b7d9d7b9ee2b4f0426da91a05910c6c221d6680557abd19ccea457d10"),
@@ -650,6 +695,35 @@ class TestReliefPlansPinned:
         grid = terrain_from_dict(scenario["planner"]["terrain"])
         args = (grid, start, goal, cfg(), model)
         assert plan(*args) == reference_planner.plan(*args)
+
+    def test_fly_moves_that_cannot_improve_go_unpriced(self, model, monkeypatch):
+        # no fly edge costs less than the level one, so a fly move onto a
+        # node that already holds less than that above the settled node is
+        # skipped: about 600 fly pricings, legs included, where pricing
+        # every fly move takes 6 593
+        real, counts = planner._edge_pricer, []
+
+        class Counted:
+            def __init__(self, price):
+                self.price = price
+
+            def __call__(self, dh):
+                counts.append(dh)
+                return self.price(dh)
+
+            @property
+            def floor(self):
+                return self.price.floor
+
+        def pricer(mode, *args):
+            price = real(mode, *args)
+            return Counted(price) if mode == FLY else price
+
+        monkeypatch.setattr(planner, "_edge_pricer", pricer)
+        grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
+        mission = plan(grid, (0, 0), (59, 59), cfg(), model)
+        assert any(leg.mode == FLY for leg in mission.legs)
+        assert 0 < len(counts) < 1000
 
 
 def _two_cells(dh):
