@@ -36,6 +36,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+import struct
 from dataclasses import astuple, dataclass, replace
 from itertools import groupby
 from operator import and_, itemgetter
@@ -43,7 +44,7 @@ from operator import and_, itemgetter
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .energy import PowerModel
-from .simulator import _finite_power
+from .simulator import _finite_power, _first, _run
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -54,6 +55,7 @@ TRANSITION_TO_FLY = "transition_to_fly"
 TRANSITION_TO_GROUND = "transition_to_ground"
 MODES = (DRIVE, FLY)  # indexed by the low bit of a search node id
 _FLAT = dynamics.SurfaceModel("flat")
+_pack_edge = struct.Struct("3d").pack  # a drive edge's slope, entry speed and energy
 
 
 class NoPathError(RuntimeError):
@@ -466,7 +468,7 @@ class LegValidation:
             "mode": self.mode,
             "predicted_wh": self.predicted_wh,
             "simulated_wh": self.simulated_wh,
-            "deviation": self.deviation,
+            "deviation": self.deviation if math.isfinite(self.deviation) else None,
             "ok": self.ok,
             "fault": self.fault,
         }
@@ -505,18 +507,21 @@ def validate_plan(
 
     Speed carries across consecutive drive edges; transition legs are
     simulated as a hover of the configured duration; fly legs accelerate
-    with the flight controller's authority and cruise through. A tip event,
-    a simulation fault or a leg that times out marks the leg failed instead
-    of aborting the report.
+    with the flight controller's authority and cruise through. Each
+    distinct drive edge is stepped once per call, its steady steps in
+    exact jumps (`_simulate_drive_leg`). A tip event, a simulation fault or
+    a leg that times out marks the leg failed, with an infinite deviation,
+    instead of aborting the report.
     """
     dynamics.check_dt(dt_s)
     results: list[LegValidation] = []
     sim_total = 0.0
+    edges = {}  # each drive edge driven to its end: see `_simulate_drive_leg`
     for i, leg in enumerate(mission.legs):
         fault = None
         try:
             if leg.mode == DRIVE:
-                sim_wh = _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s)
+                sim_wh = _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges)
             elif leg.mode == FLY:
                 sim_wh = _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)
             else:
@@ -579,23 +584,34 @@ def _drain_under_predicted(mission: MissionPlan, batteries: list) -> bool:
     return True
 
 
-def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
+def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     """Energy (Wh) to drive a leg from rest. Each edge starts from a fresh
     ground state, heading along +x, at the speed the edge before ended
     with, and steps it through the ground step law over plain floats, its
     power priced once per edge. Once a step repeats the one before
     (`dynamics.repeats`), each further step only moves the vehicle on, so
-    the speed and power stay and only the distance and energy add up."""
+    the speed and power stay and the distance and energy go up by the same
+    amounts every step: those steps go in exact jumps (`_steady_edge`).
+
+    An edge's energy and end speed depend only on its slope and on the
+    speed and energy it starts with: `edges`, kept by one `validate_plan`
+    call, holds them for each edge driven to its end, keyed by the bits of
+    those three floats. An edge that raises is not kept; it raises again."""
     params = model.params
     rotor = model.rotor
     gains = dynamics.ControllerGains()
+    cell = terrain.cell_size_m
     energy = 0.0
     v = 0.0
     max_steps_per_edge = int(60.0 / dt_s)
     moving, speed = slice(dynamics.POSITION.start, dynamics.VELOCITY.stop), dynamics.SPEED
     for a, b in zip(leg.cells, leg.cells[1:]):
         dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-        slope = math.degrees(math.atan2(abs(dh), terrain.cell_size_m))
+        slope = math.degrees(math.atan2(abs(dh), cell))
+        key = _pack_edge(slope, v, energy)
+        if key in edges:
+            energy, v = edges[key]
+            continue
         if slope == 0.0:
             surface, direction = _FLAT, (1.0, 0.0, 0.0)
         else:
@@ -608,25 +624,52 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s):
         advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor, gains, payload)
         price = model.drive_power_at(None if slope == 0.0 else slope, payload)
         f = dynamics.floats_of(state, surface)
-        v = f[speed]
         covered = 0.0
         steps = 0
         steady = False
-        while covered < terrain.cell_size_m:
-            if not steady:
-                g = advance(f)
-                dynamics._check_finite(g[moving], None)  # position and velocity
-                try:
-                    power = price(abs(g[speed]))
-                except OverflowError:
-                    power = math.inf
-                power = _finite_power(power, state.mode, None)
-                steady, f, v = dynamics.repeats(f, g), g, g[speed]
+        while covered < cell and not steady:
+            g = advance(f)
+            dynamics._check_finite(g[moving], None)  # position and velocity
+            try:
+                power = price(abs(g[speed]))
+            except OverflowError:
+                power = math.inf
+            power = _finite_power(power, state.mode, None)
+            steady, f, v = dynamics.repeats(f, g), g, g[speed]
             covered += v * dt_s
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:
                 raise dynamics.SimulationFault("drive edge timed out", None)
+        # steady unless the cell is covered: each further step adds the same
+        energy = _steady_edge(covered, energy, steps, v * dt_s, power * dt_s / 3600.0, cell,
+                              max_steps_per_edge)
+        edges[key] = energy, v
+    return energy
+
+
+def _steady_edge(covered, energy, steps, moved, used, cell, max_steps):
+    """The energy (Wh) at the end of a drive edge of `cell` m that has
+    covered `covered` m and reached `energy` Wh in `steps` steps, each
+    further step adding `moved` m and `used` Wh. The steps go in jumps as
+    long as both floats allow (`simulator._run`), cut at the first step
+    that covers the cell (monotone in the jump's length, so bisection finds
+    it) and at `max_steps`; where either float allows no jump, one step is
+    added plainly. Either way every float gets the bits that adding one
+    step at a time gives, and the step after `max_steps` times out."""
+    while covered < cell:
+        n, ds = _run(covered, moved, max_steps - steps)
+        n, de = _run(energy, used, n)
+        if n:
+            if covered + n * ds >= cell:
+                n = _first(n, lambda j: covered + j * ds >= cell)
+            covered, energy, steps = covered + n * ds, energy + n * de, steps + n
+            continue
+        covered += moved
+        energy += used
+        steps += 1
+        if steps > max_steps:
+            raise dynamics.SimulationFault("drive edge timed out", None)
     return energy
 
 

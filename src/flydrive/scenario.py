@@ -24,7 +24,7 @@ from .defaults import (
 )
 from .dynamics import ControlSetpoint, FlightTargetError, Mode, SurfaceModel
 from .energy import BATTERY_IDS, Battery, PowerModel, UnknownPayloadError, calibrate_ground_power
-from .fields import REQUIRED
+from .fields import REQUIRED, FieldError
 from .planner import PlannerConfig
 from .simulator import ScriptEvent, SimResult, Simulator
 from .terrain import TerrainGrid, load_terrain_file, terrain_from_dict
@@ -53,6 +53,11 @@ class ValidationSpec:
     expect_fly_legs: int | None = None
     max_leg_deviation_frac: float = 0.15
     expect_wall_tilt_deg: float | None = None
+
+    def __post_init__(self):
+        for name in ("max_speed_error_frac", "expect_fly_legs", "max_leg_deviation_frac"):
+            if (getattr(self, name) or 0) < 0:
+                raise FieldError(name, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,8 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         duration_s=top["duration_s"],
         planner_query=None if top["planner"] is None else _load_planner_query(
             block("planner", PLANNER), fail, source, base_dir),
-        validation=ValidationSpec(**block("validation", VALIDATION)),
+        validation=fields.call(ValidationSpec, fail, "validation",
+                               **block("validation", VALIDATION)),
         seed=top["seed"],
         source=source,
     )

@@ -186,6 +186,9 @@ class TestScenarioLoading:
         ("validation.forbid_faults", "yes"),
         ("validation.expect_fly_legs", 1.5),
         ("validation.max_speed_error_frac", None),
+        ("validation.max_speed_error_frac", -0.05),
+        ("validation.max_leg_deviation_frac", -0.5),
+        ("validation.expect_fly_legs", -1),
         ("initial.heading_deg", "north"),
         ("initial.height_m", float("inf")),
         ("initial.tilt_deg", [135]),
@@ -745,6 +748,27 @@ class TestPlanCommand:
         assert report["battery_ok"] is True
         assert report["ok"] is True
         assert all(leg["deviation"] <= 0.15 for leg in report["legs"])
+
+    def test_faulted_leg_is_reported(self, tmp_path, capsys):
+        # the 513 m fly leg over a 170-cell fence times out: its deviation
+        # is infinite, written as null, and the report and the verdict of
+        # every leg still come out
+        spec = {**MINI_PLAN, "validation": {}, "planner": {
+            "terrain": {"width": 172, "height": 1, "cell_size_m": 3.0, "elevation_m": 0.0,
+                        "obstacles": [[0, c] for c in range(1, 171)]},
+            "start_cell": [0, 0], "goal_cell": [0, 171]}}
+        out = tmp_path / "out"
+        rc = main(["plan", write_scenario(tmp_path, spec), "--out", str(out), "--validate"])
+        assert rc == EXIT_VALIDATION
+        report = json.loads((out / "validation.json").read_text())
+        assert [(leg["mode"], leg["fault"], leg["deviation"]) for leg in report["legs"]] == [
+            ("transition_to_fly", None, 0.0),
+            ("fly", "simulation fault: fly leg timed out", None),
+            ("transition_to_ground", None, 0.0)]
+        assert report["ok"] is False
+        printed = capsys.readouterr().out
+        assert "[FAIL] leg 1 (fly): predicted 30.5748 Wh, simulated 0.0000 Wh" in printed
+        assert printed.count("[pass] leg") == 2
 
     def test_fly_leg_count_enforced(self, tmp_path, capsys):
         wrong = json.loads(json.dumps(MINI_PLAN))

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_planner
-from flydrive import energy, planner, terrain
-from flydrive.cli import EXIT_OK, main
+from flydrive import dynamics, energy, planner, terrain
+from flydrive.cli import EXIT_OK, bundled_scenarios, main
 from flydrive.defaults import default_batteries, default_power_model
 from flydrive.planner import (
     DRIVE,
@@ -28,10 +28,12 @@ from flydrive.planner import (
     plan,
     validate_plan,
 )
+from flydrive.scenario import load_scenario
 from flydrive.statics import tipping_slope
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
 from flydrive.vehicle import ThrustSaturationError
-from reference_validation import reference_drive_leg
+from reference_simulator import is_steady
+from reference_validation import along_track_speed, reference_drive_leg
 from terrain_helpers import class_at, mirrored
 
 
@@ -451,14 +453,20 @@ class TestValidatePlan:
         assert not report.ok
 
     @staticmethod
-    def _random_mission(rng):
+    def _random_mission(rng, repeat=False, long_cells=False):
         """A row of cells joined by flat, rising and falling edges (now and
         then one past the tip limit, or cells too long to drive in 60 s),
         split into drive legs, each carrying its speed from edge to edge,
-        with a fly leg between two of them now and then."""
+        with a fly leg between two of them now and then. With `repeat` the
+        first drive leg is driven again from rest after a fly leg, as a plan
+        drives the same ground on both sides of a fence; with `long_cells`
+        the cells are 20-50 m, so the distance and energy cross binades
+        within a steady stretch."""
         n = rng.randint(2, 7)
         cell = rng.choice([0.5, 2.0, 3.0, rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)])
-        if rng.random() < 0.08:
+        if long_cells:
+            cell = rng.uniform(20.0, 50.0)
+        elif rng.random() < 0.08:
             cell = 300.0
         elevation = [0.0]
         for _ in range(n - 1):
@@ -470,39 +478,126 @@ class TestValidatePlan:
                                   "elevation_m": elevation})
         cuts = sorted(rng.sample(range(1, n - 1), rng.randint(0, min(2, n - 2))))
         legs = []
+
+        def fly(cells):
+            return [planner.MissionLeg(TRANSITION_TO_FLY, cells[:1], 0.0, 0.5, 1.0),
+                    planner.MissionLeg(FLY, cells, 4.0, rng.uniform(0.01, 0.5), 1.0),
+                    planner.MissionLeg(TRANSITION_TO_GROUND, cells[-1:], 0.0, 0.5, 1.0)]
+
         for first, last in zip([0] + cuts, cuts + [n - 1]):
             cells = tuple((0, c) for c in range(first, last + 1))
             if legs and rng.random() < 0.25:
-                legs += [planner.MissionLeg(TRANSITION_TO_FLY, cells[:1], 0.0, 0.5, 1.0),
-                         planner.MissionLeg(FLY, cells, 4.0, rng.uniform(0.01, 0.5), 1.0),
-                         planner.MissionLeg(TRANSITION_TO_GROUND, cells[-1:], 0.0, 0.5, 1.0)]
+                legs += fly(cells)
             else:
                 legs.append(planner.MissionLeg(DRIVE, cells, 1.0, rng.uniform(0.001, 0.5), 1.0))
+        if repeat:
+            legs += fly(legs[0].cells) + [legs[0]]
         mission = MissionPlan(start=(0, 0), goal=(0, n - 1), legs=tuple(legs),
                               total_energy_wh=sum(leg.energy_wh for leg in legs),
                               total_duration_s=float(len(legs)), n_transitions=0, feasible=True)
         return grid, mission
 
     def test_drive_legs_match_the_per_step_reference(self, model, monkeypatch):
-        """Drive legs stepped through the speed law over floats give the
-        report, in repr, of full steps until each edge is steady."""
+        """Drive legs stepped through the speed law over floats, with their
+        steady steps in jumps and each distinct edge driven once per report,
+        give the report, in repr, of full steps until each edge is steady.
+        Every third mission drives its first leg again and every fourth has
+        long cells, so edges read back and multi-step jumps occur on any
+        draw."""
         rng = random.Random(20261018)
-        faults = set()
-        for case in range(30):
-            grid, mission = self._random_mission(rng)
+        faults, seen = set(), set()
+        real_leg, real_run = planner._simulate_drive_leg, planner._run
+
+        def leg_noting_reads(leg, *args):
+            edges = args[-1]
+            before = len(edges)
+            energy = real_leg(leg, *args)
+            if len(edges) - before < len(leg.cells) - 1:  # an edge not driven again
+                seen.add("read back")
+            return energy
+
+        def run_noting_jumps(a, d, n):
+            count, step = real_run(a, d, n)
+            if count > 1:
+                seen.add("jump")
+            return count, step
+
+        for case in range(36):
+            grid, mission = self._random_mission(rng, repeat=case % 3 == 0,
+                                                 long_cells=case % 4 == 1)
             payload = rng.choice([0.0, 0.0, rng.uniform(0.0, 1.3)])
             m = _replace(model, ground_coeffs={payload: model.ground_coeffs[0.0]},
                          flight_power_w={payload: model.flight_power_w[0.0]})
             c = cfg(drive_speed_mps=rng.choice([1.0, rng.uniform(0.2, 4.1)]))
             dt_s = rng.choice([0.001, 0.005, 0.02])
-            fast = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
             with monkeypatch.context() as mp:
-                mp.setattr(planner, "_simulate_drive_leg", reference_drive_leg)
+                mp.setattr(planner, "_simulate_drive_leg", leg_noting_reads)
+                mp.setattr(planner, "_run", run_noting_jumps)
+                fast = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
+            with monkeypatch.context() as mp:
+                mp.setattr(planner, "_simulate_drive_leg",
+                           lambda *args: reference_drive_leg(*args[:-1]))  # no memo
                 slow = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
             assert repr(fast) == repr(slow), f"case {case}"
             faults.update(leg.fault.split(":")[0] for leg in fast.legs if leg.fault)
             faults.update("timeout" for leg in fast.legs if leg.fault and "timed out" in leg.fault)
         assert faults == {"tip event", "simulation fault", "timeout"}
+        assert seen == {"read back", "jump"}
+
+    @pytest.mark.parametrize("last_step, above", [
+        (2000, False), (3000, False), (3000, True),
+    ], ids=["cut-in-a-jump", "at-the-step-limit", "just-past-the-limit"])
+    def test_edge_ends_at_its_exact_step(self, model, last_step, above):
+        # a flat edge whose length is the distance covered after `last_step`
+        # steps (or the next float above it) ends at that step (or the one
+        # after), deep in a steady stretch; past int(60 / dt) = 3000 steps it
+        # times out
+        dt_s, params, flat = 0.02, model.params, dynamics.SurfaceModel("flat")
+        state = dynamics.initial_ground_state(params, flat)
+        setpoint = dynamics.ControlSetpoint(mode=state.mode, speed_mps=1.0)
+        covered, steady = 0.0, False
+        for _ in range(last_step):  # as `reference_drive_leg` adds it up
+            if not steady:
+                previous, state = state, dynamics.step(state, setpoint, flat, dt_s, params=params,
+                                                       rotor=model.rotor)
+                v, steady = along_track_speed(state, flat), is_steady(previous, state)
+            covered += v * dt_s
+        assert steady
+        cell = math.nextafter(covered, math.inf) if above else covered
+        grid = terrain_from_dict({"width": 2, "height": 1, "cell_size_m": cell,
+                                  "elevation_m": 0.0})
+        leg = planner.MissionLeg(DRIVE, ((0, 0), (0, 1)), 1.0, 0.5, cell)
+        mission = MissionPlan(start=(0, 0), goal=(0, 1), legs=(leg,), total_energy_wh=0.5,
+                              total_duration_s=cell, n_transitions=0, feasible=True)
+        report = validate_plan(mission, grid, model, cfg(), dt_s=dt_s)
+        timed_out = last_step + above > 3000
+        assert report.legs[0].fault == ("simulation fault: drive edge timed out"
+                                        if timed_out else None)
+        assert report.legs[0].simulated_wh == (0.0 if timed_out else reference_drive_leg(
+            leg, grid, cfg(), model, 0.0, dt_s))
+
+    def test_each_distinct_edge_is_stepped_once(self, monkeypatch):
+        # both drive legs of multimodal-obstacle cross the same flat edges
+        # from rest, so the second reads them back: stepping every edge of
+        # both legs takes 8 726 ground steps
+        real, steps = dynamics.step_law, []
+
+        def law(*args):
+            advance = real(*args)
+
+            def counted(f):
+                steps.append(f)
+                return advance(f)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "step_law", law)
+        scenario = load_scenario(bundled_scenarios()["multimodal-obstacle"])
+        query, model = scenario.planner_query, scenario.power_model
+        mission = plan(query.terrain, query.start, query.goal, query.config, model)
+        report = validate_plan(mission, query.terrain, model, query.config)
+        assert report.ok and [leg.mode for leg in mission.legs].count(DRIVE) == 2
+        assert 0 < len(steps) < 5000
 
     @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
     def test_dt_outside_the_step_range_raises(self, model, dt_s):
@@ -519,6 +614,37 @@ class TestValidatePlan:
         report = validate_plan(mission, grid, model, cfg())
         blob = json.dumps(report.to_json_dict())
         assert "predicted_total_wh" in blob
+
+    # Digests of validation.json for a 12 x 5 field of 3 m cells split by a
+    # 2-cell fence, flat, rising and falling along the route: drive, fly the
+    # fence, drive on, with every drive edge sloped on the last two. They
+    # pin the validated energies bit for bit. Regenerate only in a change
+    # that states on purpose that it alters validation.
+    @pytest.mark.parametrize("grade, digest", [
+        (0.0, "4799e0ad5ece96db017c0b55c4252556417c5811f1e8d65f36d0adcf1a1eac53"),
+        (0.05, "d757760667938f533193bc8261c9562ccf54e0f08dd542e744a543298e4ecaa9"),
+        (-0.05, "347ca9c6d067c4fae764c98a725f73158d95361f520eec0eb0ebe6b5573a86ca"),
+    ], ids=["flat", "rising", "falling"])
+    def test_fenced_field_validation_pinned(self, tmp_path, grade, digest):
+        width, height = 12, 5
+        scenario = {
+            "name": "fenced-field",
+            "planner": {
+                "terrain": {"width": width, "height": height, "cell_size_m": 3.0,
+                            "elevation_m": [1.0 + grade * 3.0 * c for _ in range(height)
+                                            for c in range(width)],
+                            "obstacles": [[r, c] for r in range(height) for c in (5, 6)]},
+                "start_cell": [2, 0],
+                "goal_cell": [2, width - 1],
+            },
+            "validation": {"expect_fly_legs": 1},
+            "seed": 0,
+        }
+        path = tmp_path / "fenced-field.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main(["plan", str(path), "--validate", "--out", str(tmp_path / "out")]) == EXIT_OK
+        report = (tmp_path / "out" / "validation.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
 
 
 class TestConfigValidation:
