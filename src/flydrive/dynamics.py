@@ -29,7 +29,10 @@ nothing else bit for bit (`repeats`), every further step through the same
 law repeats it. Flight (its controller reads the position) and transitions
 (their schedule reads the time) never repeat. The ground law reruns the
 thrust allocation only when the speed and yaw rate it reads change bit for
-bit, which a settled turn often repeats.
+bit, which a settled turn often repeats, and its heading's trigonometry,
+like the flight law its yaw loop, only when the yaw's bits change, which a
+settled yaw repeats. In a step, clamps are comparisons with the bits of
+`min`, `max`, `abs` and `_sgn`.
 
 Every law drives the four rotors through the one `RotorModel` table: each
 demanded rotor thrust becomes a command and the thrust that command
@@ -250,6 +253,9 @@ def ground_allocator(params: VehicleParams, rotor: RotorModel):
     differential is clamped so the requested longitudinal sum survives
     saturation. Each side takes one `RotorModel.realise`, and a straight
     demand (both sides alike) one for both.
+
+    Its clamps keep the bits of `min`, `max` and `abs`: `min(a, b)` is
+    `b if b < a else a`, and `abs(x)` is `x if x > 0.0 else 0.0 - x`.
     """
     f_max = rotor.max_thrust
     two_f_max = 2.0 * f_max
@@ -259,21 +265,27 @@ def ground_allocator(params: VehicleParams, rotor: RotorModel):
     realise = rotor.realise
 
     def allocate(f_long_n: float, yaw_moment_nm: float):
-        f_long = max(-two_f_max, min(two_f_max, f_long_n))
+        f_long = f_long_n if f_long_n < two_f_max else two_f_max
+        f_long = f_long if f_long > -two_f_max else -two_f_max
         delta = yaw_moment_nm / two_b  # right-side-forward minus half-sum
-        headroom = f_max - abs(f_long) / 2.0
-        delta = max(-headroom, min(headroom, delta))
+        headroom = f_max - (f_long if f_long > 0.0 else 0.0 - f_long) / 2.0
+        delta = delta if delta < headroom else headroom
+        delta = delta if delta > -headroom else -headroom
         left = f_long / 2.0 - delta
         right = f_long / 2.0 + delta
         # a lookup raises in rotor order (fl, fr, rl, rr): the right side
         # first only where it alone pulls rearward
         if left >= 0.0 > right:
-            c_right, t_right = realise(min(-right, f_max))
-            c_left, t_left = realise(min(left, f_max))
+            c_right, t_right = realise(f_max if f_max < -right else -right)
+            c_left, t_left = realise(f_max if f_max < left else left)
         else:
-            c_left, t_left = realise(min(abs(left), f_max))
-            c_right, t_right = (c_left, t_left) if right == left else realise(
-                min(abs(right), f_max))
+            side = left if left > 0.0 else 0.0 - left
+            c_left, t_left = realise(f_max if f_max < side else side)
+            if right == left:
+                c_right, t_right = c_left, t_left
+            else:
+                side = right if right > 0.0 else 0.0 - right
+                c_right, t_right = realise(f_max if f_max < side else side)
         if left >= 0.0:
             fl, rl, net_left = 0.0, c_left, t_left - idle
         else:
@@ -594,17 +606,22 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
                 (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
             c0, c1, c2, c3, f_net, m_net = allocate(feedforward + kp * (v_target - v), moment)
             drive = f_net - grade
-            if v == 0.0 and abs(drive) <= hold:
+            # abs(x) <= c is -c <= x <= c, and c * _sgn(s) is c, -c or c * 0.0
+            if v == 0.0 and -hold <= drive <= hold:
                 v_new = 0.0
             else:
-                v_new = v + (drive - hold * _sgn(v if v != 0.0 else drive)) / m * dt
-                if v != 0.0 and v * v_new < 0.0 and abs(drive) <= hold:
+                s = v if v != 0.0 else drive
+                v_new = v + (drive - (hold if s > 0.0 else -hold if s < 0.0 else hold * 0.0)
+                             ) / m * dt
+                if v != 0.0 and v * v_new < 0.0 and -hold <= drive <= hold:
                     v_new = 0.0  # rolling resistance stops the coast, it never reverses it
-            if incline or r == 0.0 and abs(m_net) <= fric_cap:
+            if incline or r == 0.0 and -fric_cap <= m_net <= fric_cap:
                 r_new = 0.0
             else:
-                r_new = r + (m_net - fric_cap * _sgn(r if r != 0.0 else m_net)) / inertia * dt
-                if r != 0.0 and r * r_new < 0.0 and abs(m_net) <= fric_cap:
+                s = r if r != 0.0 else m_net
+                r_new = r + (m_net - (fric_cap if s > 0.0 else -fric_cap if s < 0.0
+                                      else fric_cap * 0.0)) / inertia * dt
+                if r != 0.0 and r * r_new < 0.0 and -fric_cap <= m_net <= fric_cap:
                     r_new = 0.0
             last_v, last_r, speed = v, r, (v_new, c0, c1, c2, c3, r_new)
         v_new, c0, c1, c2, c3, r_new = speed
@@ -650,8 +667,10 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
 
     def advance(f):
         v = f[SPEED]
-        per_rotor = max(0.0, min((thrust_ff + kp * (v_target - v)) / 4.0, f_max))
-        c, realised = realise(per_rotor)
+        # max(0.0, min(demand, f_max)), as comparisons
+        per_rotor = (thrust_ff + kp * (v_target - v)) / 4.0
+        per_rotor = f_max if f_max < per_rotor else per_rotor
+        c, realised = realise(per_rotor if per_rotor > 0.0 else 0.0)
         thrust = 4.0 * realised
         normal = thrust * sin_gamma
         if normal < attach:
@@ -663,11 +682,13 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
         lift = thrust * cos_gamma - weight
         # the wheels roll freely along the climb axis; static friction only
         # holds the vehicle when the controller wants it parked (brake engaged)
-        parked = v_target == 0.0 and abs(lift) <= mu_wall * normal
+        parked = v_target == 0.0 and -mu_wall * normal <= lift <= mu_wall * normal
         if v == 0.0 and parked:
             v_new = 0.0
         else:
-            v_new = v + (lift - mu_r * normal * _sgn(v if v != 0.0 else lift)) / m * dt
+            s = v if v != 0.0 else lift
+            grip = mu_r * normal
+            v_new = v + (lift - (grip if s > 0.0 else -grip if s < 0.0 else grip * 0.0)) / m * dt
             if v != 0.0 and v * v_new < 0.0 and parked:
                 v_new = 0.0
         px, py, pz = f[POSITION]
@@ -681,7 +702,8 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
     """The step law of a flight state: position hold through cascaded
     proportional loops. Point-mass abstraction: the attitude loop is assumed
     fast enough that the thrust vector tracks the commanded acceleration
-    direction within a step. Hover at the target is a fixed point."""
+    direction within a step. Hover at the target is a fixed point. The yaw
+    loop reruns only when the bits of the yaw it reads change."""
     if setpoint.target_position is None:
         raise FlightTargetError("flight mode needs a target_position setpoint")
     tx, ty, tz = setpoint.target_position
@@ -698,8 +720,12 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
     yaw_target = math.radians(setpoint.target_yaw_deg)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     realise = rotor.realise
+    az_cap = gravity + a_max
+    last_yaw = math.nan  # the yaw the heading memo below was computed for
+    heading = None
 
     def advance(f):
+        nonlocal last_yaw, heading
         t = f[TIME]
         px, py, pz = f[POSITION]
         vx, vy, vz = f[VELOCITY]
@@ -711,10 +737,14 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
             scale = a_max / h
             ax *= scale
             ay *= scale
-        # rotors cannot pull down; free fall is the hardest the loop may command
-        az = max(0.0, min(az + gravity, gravity + a_max))
+        # rotors cannot pull down; free fall is the hardest the loop may
+        # command: max(0.0, min(az + gravity, az_cap)), as comparisons
+        az += gravity
+        az = az_cap if az_cap < az else az
+        az = az if az > 0.0 else 0.0
         mag = math.sqrt(ax * ax + ay * ay + az * az)
-        c, per_rotor = realise(min(m * mag / 4.0, f_max))
+        demand = m * mag / 4.0
+        c, per_rotor = realise(f_max if f_max < demand else demand)
         k = 4.0 * per_rotor / m
         if mag > 1e-12:
             ax, ay, az = ax / mag, ay / mag, az / mag
@@ -724,11 +754,16 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
         vy += k * ay * dt
         vz += (k * az - gravity) * dt
         yaw = f[YAW]
-        rate = max(-max_rate, min(max_rate, kp_yaw * _wrap_angle(yaw_target - yaw)))
-        q = _yaw_quaternion(yaw + rate * dt)
-        qw, qx, qy, qz = q
+        # == cannot tell 0.0 from -0.0, so a zero compares as packed doubles
+        if not (yaw == last_yaw and (yaw or _pack1(yaw) == _pack1(last_yaw))):
+            rate = kp_yaw * _wrap_angle(yaw_target - yaw)
+            rate = rate if rate < max_rate else max_rate
+            rate = rate if rate > -max_rate else -max_rate
+            q = _yaw_quaternion(yaw + rate * dt)
+            last_yaw, heading = yaw, (rate, *q, quaternion_yaw(q))
+        rate, qw, qx, qy, qz, yaw_new = heading
         return (t + dt, px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, qw, qx, qy, qz,
-                front, rear, c, c, c, c, rate, quaternion_yaw(q), vz, mode, _NO_CONTACT)
+                front, rear, c, c, c, c, rate, yaw_new, vz, mode, _NO_CONTACT)
 
     return advance
 

@@ -604,6 +604,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     energy = 0.0
     v = 0.0
     max_steps_per_edge = int(60.0 / dt_s)
+    inf = math.inf
     moving, speed = slice(dynamics.POSITION.start, dynamics.VELOCITY.stop), dynamics.SPEED
     for a, b in zip(leg.cells, leg.cells[1:]):
         dh = terrain.elevation_at(b) - terrain.elevation_at(a)
@@ -629,13 +630,17 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
         steady = False
         while covered < cell and not steady:
             g = advance(f)
-            dynamics._check_finite(g[moving], None)  # position and velocity
+            if not -inf < sum(g[moving]) < inf:  # the sum may overflow alone
+                dynamics._check_finite(g[moving], None)  # position and velocity
+            v = g[speed]
             try:
-                power = price(abs(g[speed]))
+                power = price(v if v > 0.0 else 0.0 - v)  # abs(v), signed zeros included
             except OverflowError:
-                power = math.inf
-            power = _finite_power(power, state.mode, None)
-            steady, f, v = dynamics.repeats(f, g), g, g[speed]
+                power = inf
+            if not -inf < power < inf:
+                _finite_power(power, state.mode, None)  # raises the fault
+            steady = v == f[speed] and dynamics.repeats(f, g)
+            f = g
             covered += v * dt_s
             energy += power * dt_s / 3600.0
             steps += 1

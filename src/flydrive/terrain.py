@@ -39,8 +39,8 @@ class TerrainGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise TerrainError("grid dimensions must be >= 1")
-        if self.cell_size_m <= 0:
-            raise TerrainError("cell_size_m must be > 0")
+        if not 0.0 < self.cell_size_m < math.inf:  # NaN and +inf fail too
+            raise TerrainError(f"cell_size_m must be finite and > 0, got {self.cell_size_m!r}")
         if len(self.elevation_m) != self.height or len(self.classes) != self.height:
             raise TerrainError("row count mismatch")
         for r in range(self.height):

@@ -83,7 +83,8 @@ class RotorModel:
     newtons, electrical power in watts, command normalized to [0, 1]. Each
     map's segment slopes are computed once, at construction; every lookup
     goes through `_interp` with them. `realise` is the step laws' one call:
-    the command for a thrust and the thrust that command gives.
+    the command for a thrust and the thrust that command gives, its two
+    lookups written out inline with `_interp`'s arithmetic.
     """
 
     commands: tuple[float, ...]
@@ -158,7 +159,8 @@ class RotorModel:
         """(command, realised thrust N) for a demanded thrust: what
         `command_at(thrust)` and then `thrust_at` of that command return,
         raising what they raise, in that order."""
-        # both methods' checks inline: a call costs a fifth of the lookup
+        # both methods' checks and both `_interp` lookups inline: a call
+        # costs a fifth of a lookup
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
         if thrust > self._saturation:
@@ -166,10 +168,27 @@ class RotorModel:
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
         thrusts, commands = self.thrusts, self.commands
-        command = _interp(thrust, thrusts, commands, self._command_slopes)
+        last = len(thrusts) - 1
+        if thrust <= thrusts[0]:
+            command = commands[0]
+        elif thrust >= thrusts[last]:
+            command = commands[last]
+        else:
+            j = bisect_right(thrusts, thrust, 1, last) - 1
+            x0 = thrusts[j]
+            command = commands[j] if x0 == thrust else \
+                self._command_slopes[j] * (thrust - x0) + commands[j]
         if not 0.0 <= command <= 1.0:
             raise ValueError(f"command {command} outside [0, 1]")
-        return command, _interp(command, commands, thrusts, self._thrust_slopes)
+        if command <= commands[0]:
+            return command, thrusts[0]
+        if command >= commands[last]:
+            return command, thrusts[last]
+        j = bisect_right(commands, command, 1, last) - 1
+        x0 = commands[j]
+        if x0 == command:
+            return command, thrusts[j]
+        return command, self._thrust_slopes[j] * (command - x0) + thrusts[j]
 
 
 def _slopes(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, ...]:

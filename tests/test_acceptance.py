@@ -189,7 +189,8 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
     """Minimum route energy by exhaustive enumeration of simple paths.
 
     Depth-first branch and bound over (cell, mode) nodes, sharing only the
-    edge energy functions with the planner. Pruning uses an admissible
+    edge energy functions with the planner (`planner._edge_pricer`, bound
+    once per instance). Pruning uses an admissible
     remaining-cost bound (cheapest conceivable move times the Manhattan cell
     distance, shaved by 1e-9 against float rounding), so the returned value
     is the exact enumeration minimum. Returns None when the goal is
@@ -209,6 +210,8 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
         * grid.cell_size_m / cfg.fly_speed_mps / 3600.0
     )
     min_edge = min(flat_drive, flat_fly) * (1.0 - 1e-9)
+    drive_wh = planner._edge_pricer(planner.DRIVE, grid.cell_size_m, cfg, model, payload)
+    fly_wh = planner._edge_pricer(planner.FLY, grid.cell_size_m, cfg, model, payload)
     goal_node = (goal, planner.DRIVE)
     best = math.inf
     on_path = set()
@@ -227,9 +230,7 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
         if mode == planner.DRIVE:
             for n in neighbors4(grid, cell):
                 if trav.drivable_at(n) and (n, planner.DRIVE) not in on_path:
-                    e = energy + planner.drive_edge_energy_wh(
-                        grid, cell, n, cfg, model, payload
-                    )
+                    e = energy + drive_wh(grid.elevation_at(n) - grid.elevation_at(cell))
                     moves.append((manhattan(n), e, n, planner.DRIVE))
             if trav.flyable_at(cell) and (cell, planner.FLY) not in on_path:
                 moves.append(
@@ -238,9 +239,7 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
         else:
             for n in neighbors4(grid, cell):
                 if trav.flyable_at(n) and (n, planner.FLY) not in on_path:
-                    e = energy + planner.fly_edge_energy_wh(
-                        grid, cell, n, cfg, model, payload
-                    )
+                    e = energy + fly_wh(grid.elevation_at(n) - grid.elevation_at(cell))
                     moves.append((manhattan(n), e, n, planner.FLY))
             if trav.drivable_at(cell) and (cell, planner.DRIVE) not in on_path:
                 moves.append(

@@ -204,6 +204,11 @@ class TestLongitudinalAllocation:
         demands += [(rng.uniform(-cap, cap), 0.0) for _ in range(2000)]
         demands += [(f, m) for f in (0.0, -0.0, cap, -cap, 1e300, -1e300)
                     for m in (0.0, -0.0, 1e-300, 1e300, -1e300)]
+        # no moment headroom at all (a clamp to +-0.0), with moments up to
+        # the whole headroom of a demand of no force
+        h = 2.0 * params.wheel_contact_half_spacing_lat * rotor.max_thrust
+        demands += [(f, m) for f in (cap, -cap)
+                    for m in (0.0, -0.0, 1e-300, -1e-300, h, -h)]
         allocate = ground_allocator(params, rotor)
         for f_long, moment in demands:
             want = reference_ground_allocation(params, rotor, f_long, moment)
@@ -326,6 +331,47 @@ class TestFlight:
         sp = ControlSetpoint(mode=Mode.FLIGHT, target_position=(500.0, 0.0, 2.0))
         with pytest.raises(GeofenceError):
             step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
+
+    # a yaw quaternion never reads as yaw -0.0 (w * z + 0.0 * 0.0 is +0.0
+    # for z = -0.0); this one does, through x * y = -0.0
+    YAW_MINUS_ZERO = (1.0, -0.0, 0.0, -0.0)
+
+    @pytest.mark.parametrize("start, target_yaw_deg, n, yaw_moves", [
+        (29.9, 30.0, 12500, "settles"),  # the yaw's bits stop changing
+        (10.0, 0.0, 3000, "never settles"),  # the yaw changes every step
+        # yaw -0.0, then 0.0: only the rate, 0.0 then -0.0, tells the steps apart
+        (YAW_MINUS_ZERO, -0.0, 50, "settles"),
+        (YAW_MINUS_ZERO, 0.0, 50, "settles"),
+        (170.0, -170.0, 3000, "wraps"),  # past +pi to -pi
+        (-170.0, 170.0, 3000, "wraps"),  # past -pi to +pi
+    ])
+    def test_one_law_matches_a_fresh_law_per_step(self, params, rotor, start,
+                                                  target_yaw_deg, n, yaw_moves):
+        """Stepping one flight law n times, which reuses its yaw loop while
+        the yaw's bits hold, gives every float of n `step` calls, which
+        build a fresh law each time; compared by repr, so -0.0 is not 0.0.
+        `start` is the initial yaw in degrees, or the initial quaternion."""
+        if isinstance(start, tuple):
+            s = replace(initial_flight_state((0.0, 0.0, 2.0)), quaternion=start)
+        else:
+            s = initial_flight_state((0.0, 0.0, 2.0), yaw_deg=start)
+        sp = ControlSetpoint(mode=Mode.FLIGHT, target_position=(1.0, -2.0, 3.0),
+                             target_yaw_deg=target_yaw_deg)
+        advance = dynamics.step_law(s, sp, FLAT, 0.001, params, rotor, ControllerGains())
+        f = dynamics.floats_of(s, FLAT)
+        yaws = [f[dynamics.YAW]]
+        for _ in range(n):
+            f = advance(f)
+            s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
+            assert repr(f) == repr(dynamics.floats_of(s, FLAT))
+            yaws.append(f[dynamics.YAW])
+        moves = [repr(a) != repr(b) for a, b in zip(yaws, yaws[1:])]
+        if yaw_moves == "settles":
+            assert not any(moves[-20:]) and any(moves)
+        elif yaw_moves == "never settles":
+            assert all(moves)
+        else:
+            assert any(a * b < 0.0 and abs(a) > 3.0 for a, b in zip(yaws, yaws[1:]))
 
     def test_nan_target_faults_with_last_state(self, params, rotor):
         s = initial_flight_state((0.0, 0.0, 2.0))

@@ -134,6 +134,16 @@ def test_dimensions_must_be_positive():
         terrain_from_dict({"width": 0, "height": 2, "cell_size_m": 1.0})
 
 
+@pytest.mark.parametrize("cell_size_m", [math.nan, math.inf, 0.0, -1.0])
+def test_a_built_grid_needs_a_finite_positive_cell_size(cell_size_m):
+    """A cell size that is not finite and > 0 is refused where the grid is
+    built, naming the field, before a plan can read it."""
+    with pytest.raises(TerrainError) as err:
+        TerrainGrid(width=3, height=1, cell_size_m=cell_size_m,
+                    elevation_m=((0.0, 0.0, 0.0),), classes=((FREE,) * 3,))
+    assert str(err.value) == f"cell_size_m must be finite and > 0, got {cell_size_m!r}"
+
+
 @pytest.mark.parametrize("elevation, classes, message", [
     (((0.0, 1.0), (2.0, math.nan)), ((FREE, FREE), (FREE, OBSTACLE)),
      "cell (1, 1): elevation must be finite"),

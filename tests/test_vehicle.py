@@ -151,15 +151,16 @@ class TestRotorTable:
     def test_realise_is_command_then_thrust(self, rotor):
         """`realise` returns, bit for bit, or raises, with the same message,
         what `command_at` and then `thrust_at` do: over a dense sweep past
-        both ends, at each sample and its neighbouring doubles, at +-0.0
-        and at the saturation limit."""
+        both ends, at each sample and its neighbouring doubles, at +-0.0,
+        at the saturation limit and at NaN."""
         rng = random.Random(20230304)
         top = rotor.max_thrust
         points = [rng.uniform(-0.05 * top, 1.05 * top) for _ in range(100000)]
         for x in rotor.thrusts:
             points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
         limit = top * (1 + 1e-12)
-        points += [0.0, -0.0, top, limit, math.nextafter(limit, math.inf), -1e-300, 1e300]
+        points += [0.0, -0.0, top, limit, math.nextafter(limit, math.inf), -1e-300, 1e300,
+                   math.nan]
         for x in points:
             assert outcome(rotor.realise, x) == outcome(reference_realise, rotor, x), x
         assert outcome(rotor.realise, -1.0) == ("ValueError", "thrust -1.0 must be >= 0")
