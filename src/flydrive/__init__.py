@@ -8,6 +8,8 @@ The public surface groups into five layers:
 - energy: batteries, calibrated per-mode power, endurance and range
 - dynamics + simulator: mode controllers, rigid-body stepping, traces
 - terrain + planner: grid worlds and least-energy multi-modal routing
+
+`__all__` is the library API; other module-level names may change.
 """
 
 from .defaults import (
@@ -57,6 +59,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, run_scenario
 from .simulator import ScriptEvent, SimResult, Simulator, instantaneous_power
 from .statics import (
     InfeasibleTiltError,
+    conventional_pitch_for_slope,
     decompose_thrust,
     incline_equilibrium,
     optimal_wall_tilt,
@@ -104,6 +107,7 @@ __all__ = [
     "VehicleParams",
     "calibrate_ground_power",
     "classify_traversability",
+    "conventional_pitch_for_slope",
     "decompose_thrust",
     "default_batteries",
     "default_mass_budget",

@@ -25,9 +25,6 @@ from .vehicle import (
     load_rotor_table,
 )
 
-# total mass of the four passive wheel assemblies
-DEFAULT_GAM_MASS_KG = 0.3288
-
 # Ground power P(v) = c1 v + c3 v^3, anchored at (1.0 m/s, 29.8 W) and
 # (4.1 m/s, 171.4 W). c3 is written as a difference so P(1.0) reproduces the
 # anchor bit-exactly. The loaded curve keeps the same shape, re-anchored at

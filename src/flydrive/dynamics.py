@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -423,7 +425,7 @@ def _default_rotor() -> RotorModel:
     return default_rotor()
 
 
-def _check_finite(values, state: SimState) -> None:
+def check_finite(values, state: SimState) -> None:
     if not all(map(math.isfinite, values)):
         raise SimulationFault("non-finite value in integration step", state)
 
@@ -465,8 +467,8 @@ def step(
         exc.state = state
         raise
     new = state_of(floats)
-    _check_finite((*floats[POSITION], *floats[VELOCITY], *floats[QUATERNION], floats[YAW_RATE]),
-                  state)
+    check_finite((*floats[POSITION], *floats[VELOCITY], *floats[QUATERNION], floats[YAW_RATE]),
+                 state)
     return new
 
 
@@ -550,6 +552,57 @@ def repeats(f, g) -> bool:
     i = VELOCITY.start  # all that follows the time and position
     return (g[i] == f[i] and g[i:] == f[i:] and g[MODE] in _STEADY_MODES
             and _pack_motion(*g[i:MODE]) == _pack_motion(*f[i:MODE]))
+
+
+# a normal float's binade in units of its ulp, and the least normal float
+_UNITS_LO, _UNITS_HI, _MIN_NORMAL = 1 << 52, 1 << 53, sys.float_info.min
+
+
+def exact_run(a: float, d: float, n: int) -> tuple[int, float]:
+    """How many of n additions `a += d` one jump may take, at most n, and
+    the float s such that after j of them (j up to that count) `a` holds
+    a + j * s, bit for bit.
+
+    Floats with |a| in the binade [2^e, 2^(e+1)) lie u = ulp(a) apart, so
+    while the exact sum of each addition stays in that binade, rounding to
+    nearest gives a + m * u with m = round(d / u) every time (d / u is exact:
+    u is a power of two). The run stops a unit short of either edge of the
+    binade, and is empty at a tie (d / u an odd multiple of 1/2, rounded to
+    even), at a zero or subnormal `a` that d moves, and at a huge |d / u|; a
+    plain addition then takes the step. A d of 0.0 or -0.0 allows any run."""
+    if d == 0.0:  # a + j * d is a + d for any j >= 1, -0.0 + 0.0 = 0.0 included
+        return n, d
+    size = abs(a)
+    if not size >= _MIN_NORMAL:
+        return 0, d
+    u = math.ulp(a)
+    q = d / u if a > 0.0 else -d / u  # the step in units of u, positive away from 0
+    if not -_UNITS_LO < q < _UNITS_LO:
+        return 0, d
+    m = round(q)
+    if abs(q - m) == 0.5:
+        return 0, d
+    units = int(size / u)
+    if m > 0:
+        room = (_UNITS_HI - 1 - units) // m
+    elif m < 0:
+        room = (units - _UNITS_LO - 1) // -m if units > _UNITS_LO else 0
+    else:  # the sum stays put, unless a is a power of two that d pulls down
+        room = n if q >= 0.0 or units > _UNITS_LO else 0
+    return min(n, room), (m * u if a > 0.0 else -m * u)
+
+
+def first_holding(n: int, holds) -> int:
+    """The least j in 1..n with holds(j), for a test `holds` that is
+    monotone in j and holds at n."""
+    return 1 + bisect_left(range(1, n + 1), True, key=holds)
+
+
+def finite_power(power: float, mode: Mode, state: SimState | None) -> float:
+    """`power`, or SimulationFault carrying `state` where it is not finite."""
+    if not -math.inf < power < math.inf:
+        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
+    return power
 
 
 def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import statics
 from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS
-from .vehicle import RotorModel, VehicleParams, _interp
+from .vehicle import RotorModel, VehicleParams, interp
 
 PROPULSION_A = "prop_a"
 PROPULSION_B = "prop_b"
@@ -222,7 +222,7 @@ class PowerModel:
             per_rotor = weight_n * math.sin(math.radians(slope_deg)) / 4.0
             if not 0.0 <= per_rotor <= saturation:
                 rotor.power_at_thrust(per_rotor)
-            rotor_power = 4.0 * _interp(per_rotor, thrusts, powers, slopes)
+            rotor_power = 4.0 * interp(per_rotor, thrusts, powers, slopes)
             if ground_w is None:
                 ground_w = self.ground_power(speed, payload)
             return ground_w + rotor_power

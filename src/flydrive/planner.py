@@ -43,8 +43,8 @@ from operator import and_, itemgetter
 
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
+from .dynamics import exact_run, finite_power, first_holding
 from .energy import PowerModel
-from .simulator import _finite_power, _first, _run
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -94,9 +94,6 @@ class Traversability:
 
     def drivable_at(self, cell: tuple[int, int]) -> bool:
         return self.drivable[cell[0]][cell[1]]
-
-    def flyable_at(self, cell: tuple[int, int]) -> bool:
-        return self.flyable[cell[0]][cell[1]]
 
 
 def classify_traversability(
@@ -177,32 +174,6 @@ def _edge_pricer(mode, cell_size_m, cfg, model, payload):
 
     fly_wh.floor = -math.inf
     return fly_wh
-
-
-def drive_edge_energy_wh(
-    terrain: TerrainGrid,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    cfg: PlannerConfig,
-    model: PowerModel,
-    payload: float = 0.0,
-) -> float:
-    """Energy to drive one cell edge (`_edge_pricer`)."""
-    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    return _edge_pricer(DRIVE, terrain.cell_size_m, cfg, model, payload)(dh)
-
-
-def fly_edge_energy_wh(
-    terrain: TerrainGrid,
-    a: tuple[int, int],
-    b: tuple[int, int],
-    cfg: PlannerConfig,
-    model: PowerModel,
-    payload: float = 0.0,
-) -> float:
-    """Energy to fly one cell edge (`_edge_pricer`)."""
-    dh = terrain.elevation_at(b) - terrain.elevation_at(a)
-    return _edge_pricer(FLY, terrain.cell_size_m, cfg, model, payload)(dh)
 
 
 @dataclass(frozen=True)
@@ -631,14 +602,14 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
         while covered < cell and not steady:
             g = advance(f)
             if not -inf < sum(g[moving]) < inf:  # the sum may overflow alone
-                dynamics._check_finite(g[moving], None)  # position and velocity
+                dynamics.check_finite(g[moving], None)  # position and velocity
             v = g[speed]
             try:
                 power = price(v if v > 0.0 else 0.0 - v)  # abs(v), signed zeros included
             except OverflowError:
                 power = inf
             if not -inf < power < inf:
-                _finite_power(power, state.mode, None)  # raises the fault
+                finite_power(power, state.mode, None)  # raises the fault
             steady = v == f[speed] and dynamics.repeats(f, g)
             f = g
             covered += v * dt_s
@@ -657,17 +628,17 @@ def _steady_edge(covered, energy, steps, moved, used, cell, max_steps):
     """The energy (Wh) at the end of a drive edge of `cell` m that has
     covered `covered` m and reached `energy` Wh in `steps` steps, each
     further step adding `moved` m and `used` Wh. The steps go in jumps as
-    long as both floats allow (`simulator._run`), cut at the first step
+    long as both floats allow (`dynamics.exact_run`), cut at the first step
     that covers the cell (monotone in the jump's length, so bisection finds
     it) and at `max_steps`; where either float allows no jump, one step is
     added plainly. Either way every float gets the bits that adding one
     step at a time gives, and the step after `max_steps` times out."""
     while covered < cell:
-        n, ds = _run(covered, moved, max_steps - steps)
-        n, de = _run(energy, used, n)
+        n, ds = exact_run(covered, moved, max_steps - steps)
+        n, de = exact_run(energy, used, n)
         if n:
             if covered + n * ds >= cell:
-                n = _first(n, lambda j: covered + j * ds >= cell)
+                n = first_holding(n, lambda j: covered + j * ds >= cell)
             covered, energy, steps = covered + n * ds, energy + n * de, steps + n
             continue
         covered += moved

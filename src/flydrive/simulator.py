@@ -40,8 +40,6 @@ Python 3.11.7).
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from . import dynamics
@@ -63,6 +61,9 @@ from .dynamics import (
     SimState,
     SurfaceModel,
     TiltSchedule,
+    exact_run,
+    finite_power,
+    first_holding,
 )
 from .energy import Battery, EnergyLedger, PowerModel, UnknownPayloadError
 from .vehicle import RotorModel, VehicleParams
@@ -115,14 +116,7 @@ def instantaneous_power(
         power = _stretch_power(model, surface, payload, schedule, floats)(floats)
     except OverflowError:
         power = math.inf
-    return _finite_power(power, state.mode, state)
-
-
-def _finite_power(power: float, mode: Mode, state: SimState | None) -> float:
-    """`power`, or SimulationFault carrying `state` where it is not finite."""
-    if not -math.inf < power < math.inf:
-        raise dynamics.SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
-    return power
+    return finite_power(power, state.mode, state)
 
 
 class _Books:
@@ -384,7 +378,7 @@ class Simulator:
                 try:
                     g = advance(f)
                     if not -inf < sum(g[moving], g[YAW_RATE]) < inf:  # the sum may overflow alone
-                        dynamics._check_finite((*g[moving], g[YAW_RATE]), None)
+                        dynamics.check_finite((*g[moving], g[YAW_RATE]), None)
                     ends = g[MODE] is not mode  # the step that ends a transition
                     if ends:
                         if synced < k:
@@ -397,7 +391,7 @@ class Simulator:
                     except OverflowError:
                         power = inf
                     if not -inf < power < inf:
-                        _finite_power(power, g[MODE], None)  # raises the fault
+                        finite_power(power, g[MODE], None)  # raises the fault
                 except (dynamics.DetachEvent, dynamics.SimulationFault) as exc:
                     return k, f, books.fault(f[TIME], exc)
                 k += 1
@@ -441,7 +435,7 @@ class Simulator:
         floor, and takes none where the sums leave every step to
         `_Books.book`.
 
-        The steps go in jumps as long as every float allows (`_run`), cut
+        The steps go in jumps as long as every float allows (`exact_run`), cut
         at `end`, at the first step that meets the script event at `t_event`
         and before the first that would bring a pack to its floor (each
         test is monotone in the jump's length, so bisection finds it); the
@@ -474,17 +468,17 @@ class Simulator:
                 break
             n, steps = end - k, []
             for a, d in zip(floats, adds):
-                n, s = _run(a, d, n)
+                n, s = exact_run(a, d, n)
                 steps.append(s)
             jt, jx, jy, jz = steps[:4]
             if n and t_event <= t + n * jt + 1e-12:  # the jump ends at the step that meets it
-                n = _first(n, lambda j: t_event <= t + j * jt + 1e-12)
+                n = first_holding(n, lambda j: t_event <= t + j * jt + 1e-12)
 
             def refused(j):  # whether step j of the jump would bring a pack to its floor
                 return any(floats[s] + j * steps[s] <= floor for s, floor in socs)
 
             if n and refused(n):
-                n = _first(n, refused) - 1
+                n = first_holding(n, refused) - 1
             if n:
                 for r in range(decimation - k % decimation, n + 1, decimation):
                     rows.append(f"{t + r * jt!r},{x + r * jx!r},{y + r * jy!r},{z + r * jz!r}{tail}")
@@ -501,50 +495,6 @@ class Simulator:
         if k == i:
             return i, f, sums
         return k, (*floats[:4], *f[moved:]), tuple(floats[4:])
-
-
-# a normal float's binade in units of its ulp, and the least normal float
-_UNITS_LO, _UNITS_HI, _MIN_NORMAL = 1 << 52, 1 << 53, sys.float_info.min
-
-
-def _run(a: float, d: float, n: int) -> tuple[int, float]:
-    """How many of n additions `a += d` one jump may take, at most n, and
-    the float s such that after j of them (j up to that count) `a` holds
-    a + j * s, bit for bit.
-
-    Floats with |a| in the binade [2^e, 2^(e+1)) lie u = ulp(a) apart, so
-    while the exact sum of each addition stays in that binade, rounding to
-    nearest gives a + m * u with m = round(d / u) every time (d / u is exact:
-    u is a power of two). The run stops a unit short of either edge of the
-    binade, and is empty at a tie (d / u an odd multiple of 1/2, rounded to
-    even), at a zero or subnormal `a` that d moves, and at a huge |d / u|; a
-    plain addition then takes the step. A d of 0.0 or -0.0 allows any run."""
-    if d == 0.0:  # a + j * d is a + d for any j >= 1, -0.0 + 0.0 = 0.0 included
-        return n, d
-    size = abs(a)
-    if not size >= _MIN_NORMAL:
-        return 0, d
-    u = math.ulp(a)
-    q = d / u if a > 0.0 else -d / u  # the step in units of u, positive away from 0
-    if not -_UNITS_LO < q < _UNITS_LO:
-        return 0, d
-    m = round(q)
-    if abs(q - m) == 0.5:
-        return 0, d
-    units = int(size / u)
-    if m > 0:
-        room = (_UNITS_HI - 1 - units) // m
-    elif m < 0:
-        room = (units - _UNITS_LO - 1) // -m if units > _UNITS_LO else 0
-    else:  # the sum stays put, unless a is a power of two that d pulls down
-        room = n if q >= 0.0 or units > _UNITS_LO else 0
-    return min(n, room), (m * u if a > 0.0 else -m * u)
-
-
-def _first(n: int, holds) -> int:
-    """The least j in 1..n with holds(j), for a test `holds` that is
-    monotone in j and holds at n."""
-    return 1 + bisect_left(range(1, n + 1), True, key=holds)
 
 
 def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,

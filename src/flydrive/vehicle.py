@@ -82,9 +82,9 @@ class RotorModel:
     Piecewise-linear between samples; exact at sample points. Thrust in
     newtons, electrical power in watts, command normalized to [0, 1]. Each
     map's segment slopes are computed once, at construction; every lookup
-    goes through `_interp` with them. `realise` is the step laws' one call:
+    goes through `interp` with them. `realise` is the step laws' one call:
     the command for a thrust and the thrust that command gives, its two
-    lookups written out inline with `_interp`'s arithmetic.
+    lookups written out inline with `interp`'s arithmetic.
     """
 
     commands: tuple[float, ...]
@@ -133,7 +133,7 @@ class RotorModel:
         """Interpolated thrust (N) for a normalized command in [0, 1]."""
         if not 0.0 <= command <= 1.0:
             raise ValueError(f"command {command} outside [0, 1]")
-        return _interp(command, self.commands, self.thrusts, self._thrust_slopes)
+        return interp(command, self.commands, self.thrusts, self._thrust_slopes)
 
     def power_at_thrust(self, thrust: float) -> float:
         """Interpolated electrical power (W) to produce `thrust` newtons."""
@@ -143,24 +143,14 @@ class RotorModel:
             raise ThrustSaturationError(
                 f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
             )
-        return _interp(thrust, self.thrusts, self.powers, self._power_slopes)
-
-    def command_at(self, thrust: float) -> float:
-        """Inverse of thrust_at (monotone curves make this well-defined)."""
-        if thrust < 0:
-            raise ValueError(f"thrust {thrust} must be >= 0")
-        if thrust > self._saturation:
-            raise ThrustSaturationError(
-                f"thrust {thrust:.3f} N exceeds max {self.max_thrust:.3f} N"
-            )
-        return _interp(thrust, self.thrusts, self.commands, self._command_slopes)
+        return interp(thrust, self.thrusts, self.powers, self._power_slopes)
 
     def realise(self, thrust: float) -> tuple[float, float]:
-        """(command, realised thrust N) for a demanded thrust: what
-        `command_at(thrust)` and then `thrust_at` of that command return,
-        raising what they raise, in that order."""
-        # both methods' checks and both `_interp` lookups inline: a call
-        # costs a fifth of a lookup
+        """(command, realised thrust N) for a demanded thrust: the inverse
+        of `thrust_at` (monotone curves make it well-defined), then
+        `thrust_at` of that command, each raising on a value out of range."""
+        # the checks and both `interp` lookups inline: a call costs a fifth
+        # of a lookup
         if thrust < 0:
             raise ValueError(f"thrust {thrust} must be >= 0")
         if thrust > self._saturation:
@@ -196,7 +186,7 @@ def _slopes(xs: tuple[float, ...], ys: tuple[float, ...]) -> tuple[float, ...]:
     return tuple((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1))
 
 
-def _interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...],
+def interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...],
             slopes: tuple[float, ...]) -> float:
     """Piecewise-linear lookup, clamped at both ends; xs strictly increasing,
     slopes = `_slopes(xs, ys)`.
@@ -365,9 +355,9 @@ def design_metrics(
     if not 0.0 < usable_energy_wh < math.inf:
         raise ValueError("usable_energy_wh must be finite and > 0")
     if gam_mass_kg is None:
-        from .defaults import DEFAULT_GAM_MASS_KG
+        from .defaults import default_mass_budget
 
-        gam_mass_kg = DEFAULT_GAM_MASS_KG
+        gam_mass_kg = default_mass_budget().gam_mass
     tw = 4.0 * rotor.max_thrust / (params.mtom * params.gravity)
     hover_thrust_per_rotor = params.mtom * params.gravity / 4.0
     hover_power = 4.0 * rotor.power_at_thrust(hover_thrust_per_rotor)

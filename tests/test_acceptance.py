@@ -232,13 +232,13 @@ def _oracle_min_energy(grid, start, goal, cfg, model, payload=0.0):
                 if trav.drivable_at(n) and (n, planner.DRIVE) not in on_path:
                     e = energy + drive_wh(grid.elevation_at(n) - grid.elevation_at(cell))
                     moves.append((manhattan(n), e, n, planner.DRIVE))
-            if trav.flyable_at(cell) and (cell, planner.FLY) not in on_path:
+            if trav.flyable[cell[0]][cell[1]] and (cell, planner.FLY) not in on_path:
                 moves.append(
                     (manhattan(cell), energy + cfg.transition_energy_wh, cell, planner.FLY)
                 )
         else:
             for n in neighbors4(grid, cell):
-                if trav.flyable_at(n) and (n, planner.FLY) not in on_path:
+                if trav.flyable[n[0]][n[1]] and (n, planner.FLY) not in on_path:
                     e = energy + fly_wh(grid.elevation_at(n) - grid.elevation_at(cell))
                     moves.append((manhattan(n), e, n, planner.FLY))
             if trav.drivable_at(cell) and (cell, planner.DRIVE) not in on_path:

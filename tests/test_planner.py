@@ -23,8 +23,6 @@ from flydrive.planner import (
     NoPathError,
     PlannerConfig,
     classify_traversability,
-    drive_edge_energy_wh,
-    fly_edge_energy_wh,
     plan,
     validate_plan,
 )
@@ -69,7 +67,7 @@ class TestTraversability:
         assert not trav.drivable_at((0, 0))
         assert not trav.drivable_at((0, 1))
         # still overflyable
-        assert trav.flyable_at((0, 0)) and trav.flyable_at((0, 1))
+        assert trav.flyable[0][0] and trav.flyable[0][1]
 
     def test_moderate_gradient_drivable_with_margin(self, model):
         rise = math.tan(math.radians(33.0))
@@ -88,14 +86,14 @@ class TestTraversability:
         grid = terrain_from_ascii(".#.")
         trav = classify_traversability(grid, model.params, cfg())
         assert not trav.drivable_at((0, 1))
-        assert trav.flyable_at((0, 1))
+        assert trav.flyable[0][1]
 
     def test_no_fly_cell_blocks_flight(self, model):
         # cell classes are exclusive: a keep-out cell is not a Free cell,
         # so it blocks both modes
         grid = terrain_from_ascii(".~.")
         trav = classify_traversability(grid, model.params, cfg())
-        assert not trav.flyable_at((0, 1))
+        assert not trav.flyable[0][1]
         assert not trav.drivable_at((0, 1))
 
     def test_margin_tightens_limit(self, model):
@@ -246,34 +244,20 @@ class TestCorridorPlans:
 
     def test_drive_edges_price_grade(self, model):
         rise = math.tan(math.radians(20.0)) * 2.0
-        grid = terrain_from_dict(
-            {
-                "width": 2,
-                "height": 1,
-                "cell_size_m": 2.0,
-                "elevation_m": [0.0, rise],
-            }
-        )
         c = cfg()
-        up = drive_edge_energy_wh(grid, (0, 0), (0, 1), c, model)
+        drive = planner._edge_pricer(DRIVE, 2.0, c, model, 0.0)  # 2 m cells
+        up = drive(rise)
         flat = model.ground_power(c.drive_speed_mps, 0.0) * 2.0 / 3600.0
         assert up > flat
         # grade resistance is direction-symmetric in this model
-        down = drive_edge_energy_wh(grid, (0, 1), (0, 0), c, model)
+        down = drive(-rise)
         assert down == up
 
     def test_fly_edges_price_climb_only(self, model):
-        grid = terrain_from_dict(
-            {
-                "width": 2,
-                "height": 1,
-                "cell_size_m": 2.0,
-                "elevation_m": [0.0, 3.0],
-            }
-        )
         c = cfg()
-        up = fly_edge_energy_wh(grid, (0, 0), (0, 1), c, model)
-        down = fly_edge_energy_wh(grid, (0, 1), (0, 0), c, model)
+        fly = planner._edge_pricer(FLY, 2.0, c, model, 0.0)  # 2 m cells, 3 m rise
+        up = fly(3.0)
+        down = fly(-3.0)
         level = model.flight_power(0.0) * (2.0 / c.fly_speed_mps) / 3600.0
         assert down == pytest.approx(level, rel=1e-12)
         climb_wh = model.params.total_mass(0.0) * model.params.gravity * 3.0 / 3600.0
@@ -506,7 +490,7 @@ class TestValidatePlan:
         draw."""
         rng = random.Random(20261018)
         faults, seen = set(), set()
-        real_leg, real_run = planner._simulate_drive_leg, planner._run
+        real_leg, real_run = planner._simulate_drive_leg, planner.exact_run
 
         def leg_noting_reads(leg, *args):
             edges = args[-1]
@@ -532,7 +516,7 @@ class TestValidatePlan:
             dt_s = rng.choice([0.001, 0.005, 0.02])
             with monkeypatch.context() as mp:
                 mp.setattr(planner, "_simulate_drive_leg", leg_noting_reads)
-                mp.setattr(planner, "_run", run_noting_jumps)
+                mp.setattr(planner, "exact_run", run_noting_jumps)
                 fast = validate_plan(mission, grid, m, c, payload=payload, dt_s=dt_s)
             with monkeypatch.context() as mp:
                 mp.setattr(planner, "_simulate_drive_leg",
@@ -873,8 +857,8 @@ class TestDrivePricer:
                 expected = reference_planner.drive_edge_energy_wh(
                     _two_cells(dh), (0, 0), (0, 1), config, model)
                 assert price(dh) == expected, dh
-                assert drive_edge_energy_wh(_two_cells(dh), (0, 0), (0, 1), config,
-                                            model) == expected, dh
+                fresh = planner._edge_pricer(DRIVE, 3.0, config, model, 0.0)
+                assert fresh(dh) == expected, dh
 
     @pytest.mark.parametrize("payload, flat, sloped", [
         (0.5, energy.UnknownPayloadError, energy.UnknownPayloadError),

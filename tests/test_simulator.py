@@ -2,7 +2,7 @@
 plain floats, books it through per-run constants and takes steady stretches
 of constant increments in exact jumps. `reference_run` takes every step as
 a full `dynamics.step`, `drain` and `record`. Both must give the same bytes,
-and a jump (`_run`) the bits of repeated addition."""
+and a jump (`exact_run`) the bits of repeated addition."""
 
 import copy
 import hashlib
@@ -31,7 +31,8 @@ from flydrive.dynamics import (
     initial_wall_state,
 )
 from flydrive.energy import Battery
-from flydrive.simulator import ScriptEvent, Simulator, _Books, _run
+from flydrive.dynamics import exact_run
+from flydrive.simulator import ScriptEvent, Simulator, _Books
 from reference_simulator import reference_run
 
 FLOOR = 1.0 - USABLE_FRACTION
@@ -686,10 +687,10 @@ def _sums(draw):
 @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
 @given(_sums(), st.integers(0, 300))
 def test_jump_matches_repeated_addition(case, n):
-    """After each of the additions `_run` allows, a + j * s holds the bits
+    """After each of the additions `exact_run` allows, a + j * s holds the bits
     that adding d j times gives."""
     a, d = case
-    count, s = _run(a, d, n)
+    count, s = exact_run(a, d, n)
     assert 0 <= count <= n
     total = a
     for j in range(1, count + 1):
@@ -711,5 +712,5 @@ def test_jump_matches_repeated_addition(case, n):
     (1.0, 1e300, 7, 0),  # a huge step
 ])
 def test_jump_lengths(a, d, n, count):
-    assert _run(a, d, n)[0] == count
+    assert exact_run(a, d, n)[0] == count
 

