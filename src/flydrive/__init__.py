@@ -36,11 +36,9 @@ from .dynamics import (
 )
 from .energy import (
     Battery,
-    BatteryProtectionError,
     EnergyLedger,
     PowerModel,
     calibrate_ground_power,
-    drain,
     endurance_ratio,
     mode_power,
     range_estimate,
@@ -80,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Battery",
-    "BatteryProtectionError",
     "ControlSetpoint",
     "ControllerGains",
     "DetachEvent",
@@ -115,7 +112,6 @@ __all__ = [
     "default_power_model",
     "default_rotor",
     "design_metrics",
-    "drain",
     "endurance_ratio",
     "incline_equilibrium",
     "initial_flight_state",

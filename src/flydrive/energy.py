@@ -1,5 +1,6 @@
-"""Battery state-of-charge bookkeeping with over-discharge protection and the
-calibrated per-mode power model behind every range and endurance figure."""
+"""Battery packs with their state of charge and over-discharge protection
+floor, and the calibrated per-mode power model behind every range and
+endurance figure. `simulator._Books` books a run's draw against the packs."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 
 from . import statics
 from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS
+from .fields import FieldError
 from .vehicle import RotorModel, VehicleParams, interp
 
 PROPULSION_A = "prop_a"
@@ -16,10 +18,6 @@ ELECTRONICS = "electronics"
 BATTERY_IDS = (PROPULSION_A, PROPULSION_B, ELECTRONICS)
 
 POWER_MODES = ("ground", "incline", "wall", "flight", "hover")
-
-
-class BatteryProtectionError(RuntimeError):
-    """Drain attempted on a battery whose protection already tripped."""
 
 
 class UnknownPayloadError(ValueError):
@@ -49,13 +47,17 @@ class Battery:
 
     def __post_init__(self):
         if self.battery_id not in BATTERY_IDS:
-            raise ValueError(f"battery_id must be one of {BATTERY_IDS}")
-        if self.cells_series < 1 or self.capacity_ah <= 0:
-            raise ValueError("cells_series >= 1 and capacity_ah > 0 required")
+            raise FieldError("battery_id", f"must be one of {BATTERY_IDS}")
+        # each check is written so that NaN fails it
+        if not self.cells_series >= 1:
+            raise FieldError("cells_series", "must be >= 1")
+        for name in ("capacity_ah", "nominal_cell_voltage"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "must be > 0")
         if not 0.0 <= self.soc <= 1.0:
-            raise ValueError("soc must be in [0, 1]")
+            raise FieldError("soc", "must be in [0, 1]")
         if not 0.0 < self.usable_fraction <= 1.0:
-            raise ValueError("usable_fraction must be in (0, 1]")
+            raise FieldError("usable_fraction", "must be in (0, 1]")
 
     @property
     def is_propulsion(self) -> bool:
@@ -81,38 +83,6 @@ class Battery:
     @property
     def remaining_usable_wh(self) -> float:
         return max(0.0, (self.soc - self.protection_soc)) * self.pack_energy_wh
-
-
-@dataclass(frozen=True)
-class ProtectionEvent:
-    battery_id: str
-    soc: float
-
-
-def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent]:
-    """Discharge a battery by power_w over dt_s seconds.
-
-    Returns the protection events raised by this call (at most one). Draining
-    an already-tripped battery is refused.
-    """
-    if power_w < 0:
-        raise ValueError("power must be >= 0")
-    if dt_s < 0:
-        raise ValueError("dt must be >= 0")
-    if battery.tripped and power_w > 0:
-        raise BatteryProtectionError(
-            f"battery {battery.battery_id} is below its protection threshold"
-        )
-    if power_w == 0 or dt_s == 0:
-        return []
-    new_soc = battery.soc - power_w * dt_s / (battery.pack_energy_wh * 3600.0)
-    floor = battery.protection_soc
-    if new_soc <= floor:
-        battery.soc = floor
-        battery.tripped = True
-        return [ProtectionEvent(battery.battery_id, floor)]
-    battery.soc = new_soc
-    return []
 
 
 @dataclass

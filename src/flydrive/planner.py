@@ -33,7 +33,6 @@ test suite, and the tie-break by a heap-of-paths reference search.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import struct
@@ -256,12 +255,7 @@ def plan(
     )
     legs = _legs_from_steps(steps, terrain, cfg, prices)
     total_duration = sum(leg.duration_s for leg in legs)
-    feasible = True
-    if batteries is not None:
-        # a run draws an equal share from each propulsion pack
-        packs = [b for b in batteries if b.is_propulsion]
-        share = total_energy / max(1, len(packs))
-        feasible = share <= min((b.remaining_usable_wh for b in packs), default=0.0)
+    feasible = batteries is None or _packs_hold(batteries, total_energy)
     return MissionPlan(
         start=start,
         goal=goal,
@@ -271,6 +265,15 @@ def plan(
         n_transitions=n_transitions,
         feasible=feasible,
     )
+
+
+def _packs_hold(batteries: list, energy_wh: float) -> bool:
+    """Whether `energy_wh` fits the packs: a run draws an equal share from
+    each propulsion pack, and each share must fit above that pack's
+    protection floor. Both `plan` and `validate_plan` decide by this rule."""
+    packs = [b for b in batteries if b.is_propulsion]
+    share = energy_wh / max(1, len(packs))
+    return share <= min((b.remaining_usable_wh for b in packs), default=0.0)
 
 
 def _search(terrain, trav, start, goal, prices, switch_wh):
@@ -482,7 +485,10 @@ def validate_plan(
     distinct drive edge is stepped once per call, its steady steps in
     exact jumps (`_simulate_drive_leg`). A tip event, a simulation fault or
     a leg that times out marks the leg failed, with an infinite deviation,
-    instead of aborting the report.
+    instead of aborting the report. `battery_ok` applies the plan's own
+    rule (`_packs_hold`): the predicted total, split in equal shares over
+    the propulsion packs, must fit above each pack's protection floor, so
+    it equals `plan(..., batteries).feasible` for the same packs.
     """
     dynamics.check_dt(dt_s)
     results: list[LegValidation] = []
@@ -522,9 +528,7 @@ def validate_plan(
                 fault=fault,
             )
         )
-    battery_ok = True
-    if batteries is not None:
-        battery_ok = _drain_under_predicted(mission, copy.deepcopy(batteries))
+    battery_ok = batteries is None or _packs_hold(batteries, mission.total_energy_wh)
     ok = all(r.ok for r in results) and battery_ok
     return PlanValidationReport(
         legs=tuple(results),
@@ -533,26 +537,6 @@ def validate_plan(
         battery_ok=battery_ok,
         ok=ok,
     )
-
-
-def _drain_under_predicted(mission: MissionPlan, batteries: list) -> bool:
-    from .energy import BatteryProtectionError, drain
-
-    packs = [b for b in batteries if b.is_propulsion]
-    if not packs:
-        return True
-    for leg in mission.legs:
-        if leg.duration_s <= 0.0 or leg.energy_wh <= 0.0:
-            continue
-        power = leg.energy_wh * 3600.0 / leg.duration_s
-        for pack in packs:
-            try:
-                events = drain(pack, power / len(packs), leg.duration_s)
-            except BatteryProtectionError:
-                return False
-            if events:
-                return False
-    return True
 
 
 def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):

@@ -27,9 +27,10 @@ jumps (`_steady_stretch`): while a float's sums stay inside one binade,
 where floats are evenly spaced, each addition rounds to the same whole
 number of spacings, so j of them add exactly j times that, and one exact
 addition gives the bits of j. Either way each increment is the expression
-`drain` computes and the ledger adds, in the same order, so every sum keeps
-its bits. The step that ends a transition is booked in the
-mode it enters and ends its stretch. A step that would detach from a wall,
+the booking oracle `tests/reference_simulator.drain` computes and its
+`record` adds, in the same order, so every sum keeps its bits. The step
+that ends a transition is booked in the mode it enters and ends its
+stretch. A step that would detach from a wall,
 or leave the state or its power non-finite, ends the run with that fault,
 logged at the state before it. Per step at dt 1 ms, booking and trace
 included, flight costs about 5 us, a turn 5.5 us and a transition 3 us
@@ -129,10 +130,11 @@ class _Books:
     reads and `put` writes back: the mode's and the avionics Wh and each
     pack's SoC and Ah, in `slots` order. `book` takes the steps those floats
     leave to it, and alone decides trips, refusals and negative draws. Each
-    SoC decrement is the expression `drain` computes, and each Wh and Ah
-    increment is power * dt / 3600 (over the nominal voltage for Ah), added
-    in the same order as by a loop that calls `drain` for every step, so
-    every sum keeps its bits.
+    SoC decrement is the expression the oracle
+    `tests/reference_simulator.drain` computes, and each Wh and Ah increment
+    is power * dt / 3600 (over the nominal voltage for Ah), added in the
+    same order as by a loop that calls `drain` for every step, so every sum
+    keeps its bits.
     """
 
     def __init__(self, batteries: list[Battery], avionics_w: float, dt: float,

@@ -3,17 +3,57 @@
 the way the Simulator booked steps before it kept its own booking
 constants. The differential tests in test_simulator.py compare its bytes
 with the Simulator's. `is_steady` tells a steady step from two states.
+
+`drain` and `record` are the booking oracle: the SoC, Ah and Wh arithmetic
+of `simulator._Books` must match theirs bit for bit. test_energy.py holds
+their own tests.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from flydrive import dynamics
 from flydrive.dynamics import ControlSetpoint, Mode, SimState
-from flydrive.energy import Battery, BatteryProtectionError, EnergyLedger, drain
+from flydrive.energy import Battery, EnergyLedger
 from flydrive.simulator import SimResult, Simulator, instantaneous_power
+
+
+class BatteryProtectionError(RuntimeError):
+    """Drain attempted on a battery whose protection already tripped."""
+
+
+@dataclass(frozen=True)
+class ProtectionEvent:
+    battery_id: str
+    soc: float
+
+
+def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent]:
+    """Discharge a battery by power_w over dt_s seconds.
+
+    Returns the protection events raised by this call (at most one). Draining
+    an already-tripped battery is refused.
+    """
+    if power_w < 0:
+        raise ValueError("power must be >= 0")
+    if dt_s < 0:
+        raise ValueError("dt must be >= 0")
+    if battery.tripped and power_w > 0:
+        raise BatteryProtectionError(
+            f"battery {battery.battery_id} is below its protection threshold"
+        )
+    if power_w == 0 or dt_s == 0:
+        return []
+    new_soc = battery.soc - power_w * dt_s / (battery.pack_energy_wh * 3600.0)
+    floor = battery.protection_soc
+    if new_soc <= floor:
+        battery.soc = floor
+        battery.tripped = True
+        return [ProtectionEvent(battery.battery_id, floor)]
+    battery.soc = new_soc
+    return []
 
 
 _pack_motion = struct.Struct("16d").pack

@@ -20,6 +20,7 @@ from flydrive.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, bundled_scenarios
 from flydrive.defaults import default_params
 from flydrive.dynamics import SPEED, VELOCITY, Mode
 from flydrive.scenario import (
+    BATTERY,
     VEHICLE,
     ScenarioError,
     build_simulator,
@@ -717,12 +718,17 @@ class TestPlanCommand:
         assert all(leg["mode"] == "drive" for leg in plan["legs"])
         assert "feasible=True" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("socs, feasible", [
-        ((1.0, 1.0), True), ((0.36, 0.36), False), ((0.36, 1.0), False),
-    ], ids=["full", "both-low", "one-low"])
-    def test_plan_feasible_only_within_each_packs_charge(self, tmp_path, capsys, socs, feasible):
-        # a run draws half the 1.95 Wh route from each pack; at SoC 0.36 a
-        # pack is 0.22 Wh above its 0.357 floor
+    @pytest.mark.parametrize("packs, feasible", [
+        ((("prop_a", 1.0), ("prop_b", 1.0)), True),
+        ((("prop_a", 0.36), ("prop_b", 0.36)), False),
+        ((("prop_a", 0.36), ("prop_b", 1.0)), False),
+        ((("electronics", 1.0),), False),
+    ], ids=["full", "both-low", "one-low", "electronics-only"])
+    def test_plan_feasible_only_within_each_packs_charge(self, tmp_path, capsys, packs, feasible):
+        # a run draws half the 1.95 Wh route from each propulsion pack; at
+        # SoC 0.36 a pack is 0.22 Wh above its 0.357 floor, and with no
+        # propulsion pack nothing can carry the route. --validate's
+        # battery_ok applies the same rule.
         path = bundled_scenarios()["multimodal-obstacle"]
         with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -730,13 +736,14 @@ class TestPlanCommand:
         spec["planner"]["terrain"] = os.path.join(os.path.dirname(path), terrain)
         spec["batteries"] = [{"battery_id": bid, "cells_series": 4, "capacity_ah": 5.0,
                               "soc": soc, "usable_fraction": 0.643}
-                             for bid, soc in zip(("prop_a", "prop_b"), socs)]
+                             for bid, soc in packs]
         out = tmp_path / "out"
-        rc = main(["plan", write_scenario(tmp_path, spec), "--out", str(out)])
+        rc = main(["plan", write_scenario(tmp_path, spec), "--out", str(out), "--validate"])
         assert rc == (EXIT_OK if feasible else EXIT_VALIDATION)
         plan = json.loads((out / "plan.json").read_text())
         assert round(plan["total_energy_wh"], 4) == 1.9547
         assert plan["feasible"] is feasible
+        assert json.loads((out / "validation.json").read_text())["battery_ok"] is feasible
         assert f"feasible={feasible}" in capsys.readouterr().out
 
     def test_validate_writes_report(self, tmp_path):
@@ -1048,20 +1055,38 @@ FUZZ_KEYS = ["x", "0", "2.0", "mode", "tilt_deg", "slope_deg", "kind", "soc", "t
 FUZZ_NUMBERS = [v for v in FUZZ_VALUES if type(v) in (int, float)]
 
 
-@pytest.mark.parametrize("key", list(VEHICLE))
+# the packs a run draws from, each numeric field of the first set in turn below
+FUZZ_PACKS = [
+    {"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0, "usable_fraction": 0.643},
+    {"battery_id": "prop_b", "cells_series": 4, "capacity_ah": 5.0, "usable_fraction": 0.643},
+    {"battery_id": "electronics", "cells_series": 2, "capacity_ah": 3.2, "usable_fraction": 0.8},
+]
+PACK_NUMBERS = [f"batteries[0].{key}" for key, (kind, _) in BATTERY.items()
+                if kind in (int, float)]
+
+
+@pytest.mark.parametrize("key", list(VEHICLE) + PACK_NUMBERS)
 def test_every_vehicle_override_exits_cleanly(tmp_path, capsys, key):
-    """Each vehicle override set to each numeric fuzz value, on a 1 s
-    turning drive: main returns 0, 1 or 2 without raising, and an input
-    error names that override."""
+    """Each vehicle override, and each numeric field of the first pack, set
+    to each numeric fuzz value, on a 1 s turning drive: main returns 0, 1
+    or 2 without raising, and an input error names that override or
+    field."""
     script = [{"t_s": 0.0, "mode": "ground", "speed_mps": 1.0, "yaw_rate_radps": 0.4}]
+    field = key.removeprefix("batteries[0].")
     for n, value in enumerate(FUZZ_NUMBERS):
-        path = write_scenario(tmp_path, {**MINI_DRIVE, "duration_s": 1.0, "script": script,
-                                         "vehicle_overrides": {key: value}})
+        spec = {**MINI_DRIVE, "duration_s": 1.0, "script": script}
+        if field == key:
+            spec["vehicle_overrides"] = {key: value}
+            keypath = f"vehicle_overrides.{key}"
+        else:
+            spec["batteries"] = [{**FUZZ_PACKS[0], field: value}, *FUZZ_PACKS[1:]]
+            keypath = key
+        path = write_scenario(tmp_path, spec)
         rc = main(["simulate", path, "--dt-s", "0.01", "--out", str(tmp_path / f"out{n}")])
         err = capsys.readouterr().err
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_INPUT), (value, rc)
         if rc == EXIT_INPUT:
-            assert f"scn.json: vehicle_overrides.{key}: " in err, (value, err)
+            assert f"scn.json: {keypath}: " in err, (value, err)
 
 
 def _places(node, path=()):

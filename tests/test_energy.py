@@ -10,17 +10,15 @@ from flydrive.defaults import (
 )
 from flydrive.energy import (
     Battery,
-    BatteryProtectionError,
     EnergyLedger,
     UnknownPayloadError,
     calibrate_ground_power,
-    drain,
     endurance_ratio,
     mode_power,
     range_estimate,
     usable_propulsion_energy_wh,
 )
-from reference_simulator import record
+from reference_simulator import BatteryProtectionError, drain, record
 
 
 def make_pack(**kw):

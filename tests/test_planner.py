@@ -337,6 +337,24 @@ class TestPlanInvariants:
         )
         assert report.battery_ok
 
+    def test_battery_ok_counts_instant_transitions(self, model):
+        # with transition_time_s=0 the two transitions last 0 s yet carry
+        # 1.27 Wh of the 1.68 Wh route; at SoC 0.3598 each pack holds
+        # 0.23 Wh above its floor: more than its share of the other legs,
+        # less than its 0.84 Wh share of the route
+        grid = terrain_from_ascii("..#..\n..#..\n..#..", cell_size_m=3.0)
+        instant = cfg(transition_time_s=0.0)
+
+        def low_packs():
+            return [_replace(b, soc=0.3598) if b.is_propulsion else b
+                    for b in default_batteries()]
+
+        mission = plan(grid, (1, 0), (1, 4), instant, model, batteries=low_packs())
+        assert sum(leg.energy_wh for leg in mission.legs if leg.duration_s == 0.0) > 1.2
+        assert not mission.feasible
+        report = validate_plan(mission, grid, model, instant, batteries=low_packs())
+        assert report.battery_ok is mission.feasible
+
     def test_infeasible_when_energy_exceeds_usable(self, model):
         grid = terrain_from_ascii("..#..\n..#..\n..#..", cell_size_m=2.0)
         tiny = [

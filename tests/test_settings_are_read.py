@@ -7,8 +7,9 @@ the package's source and finds, for each settings class below, the fields
 that no code outside a `__post_init__` reads as an attribute.
 
 The same parse keeps the package's surface decided: `flydrive.__all__` is
-the library API, every other top-level function and class and every method
-is read somewhere in the package, and no module reads another's private
+the library API and lists, once each, the public names the package imports;
+every other top-level function and class and every method is read
+somewhere in the package, and no module reads another's private
 (`_`-prefixed) names.
 """
 
@@ -123,6 +124,21 @@ def test_every_definition_is_used_or_exported():
               if node.name not in flydrive.__all__ and not read_elsewhere(node)]
     unused += [name for name, node in methods if not read_elsewhere(node)]
     assert unused == [], f"neither read in the package nor in flydrive.__all__: {unused}"
+
+
+def test_all_lists_each_public_import_once():
+    """Every name in `flydrive.__all__` resolves and is listed once, and
+    every public name `flydrive/__init__.py` imports is listed, so an
+    import dropped without its entry, or the reverse, fails."""
+    missing = [name for name in flydrive.__all__ if not hasattr(flydrive, name)]
+    assert missing == [], f"listed in flydrive.__all__ but not defined: {missing}"
+    repeated = [name for name, n in Counter(flydrive.__all__).items() if n > 1]
+    assert repeated == [], f"listed more than once in flydrive.__all__: {repeated}"
+    imported = [alias.asname or alias.name for node in ast.walk(_trees()["__init__"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    unlisted = [name for name in imported
+                if not name.startswith("_") and name not in flydrive.__all__]
+    assert unlisted == [], f"imported by flydrive but not in flydrive.__all__: {unlisted}"
 
 
 def test_no_module_reads_another_modules_private_names():
