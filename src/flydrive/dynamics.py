@@ -328,7 +328,8 @@ class TiltSchedule:
         if self.duration_s <= 0.0:
             return (self.end_front_deg, self.end_rear_deg)
         a = (t_s - self.start_time_s) / self.duration_s
-        a = max(0.0, min(1.0, a))
+        a = a if a < 1.0 else 1.0
+        a = a if a > 0.0 else 0.0
         return (
             self.start_front_deg + a * (self.end_front_deg - self.start_front_deg),
             self.start_rear_deg + a * (self.end_rear_deg - self.start_rear_deg),

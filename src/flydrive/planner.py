@@ -8,7 +8,7 @@ energy.
 The search is Dijkstra over flat arrays: node 2 * cell + mode (cells
 numbered row by row, drive 0, fly 1) has a `dist`, `trans`, `parent`,
 `depth` and `closed` entry (closed: settled, or a mode the cell forbids),
-and the heap holds (energy, n_transitions, node). Routes are ordered by least
+and each key is (energy, n_transitions, node). Routes are ordered by least
 energy, then fewest transitions, then the smallest cell sequence (cells in
 route order, a mode switch adding none), then the mode of the last step,
 then the smallest sequence of (cell, mode) steps, with drive before fly. A
@@ -17,6 +17,12 @@ move costs more than 0 Wh and a switch adds a transition, so a parent's
 first two only decide between two candidates for the same node (so the same
 last mode) that tie on both: the parent chains of the two are walked up to
 their common ancestor and the parts below it compared.
+
+A move's key goes on a heap. Every mode switch adds the same energy to a
+key that settles in order, so switch keys arrive sorted and go on a
+first-in first-out queue, bar two energies an ulp apart that round to the
+same sum, inserted in place (see `_search`). Each step settles the smaller
+front, as one heap of every key would.
 
 A fly move whose target already holds less than the settled node's energy
 plus the level fly edge energy is skipped unpriced: no fly edge costs less
@@ -36,14 +42,17 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import astuple, dataclass, replace
-from itertools import groupby
-from operator import and_, itemgetter
+from bisect import insort
+from collections import deque
+from dataclasses import dataclass, replace
+from itertools import groupby, repeat
+from operator import and_, eq, itemgetter, le, ne, sub
 
 from . import dynamics
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .dynamics import exact_run, finite_power, first_holding
 from .energy import PowerModel
+from .fields import FieldError
 from .statics import tipping_slope
 from .terrain import NO_FLY, FREE, TerrainGrid
 from .vehicle import VehicleParams
@@ -74,16 +83,15 @@ class PlannerConfig:
     slope_margin_deg: float = 5.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValueError("planner settings must be finite")
-        if self.drive_speed_mps <= 0 or self.fly_speed_mps <= 0:
-            raise ValueError("speeds must be > 0")
-        if self.drive_speed_mps > dynamics.DEFAULT_SPEED_ENVELOPE_MPS:
-            raise ValueError(f"drive_speed_mps must be <= {dynamics.DEFAULT_SPEED_ENVELOPE_MPS}")
-        if self.slope_margin_deg < 0:
-            raise ValueError("slope_margin_deg must be >= 0")
-        if self.transition_energy_wh < 0 or self.transition_time_s < 0:
-            raise ValueError("transition cost must be >= 0")
+        # each check is written so that NaN fails it
+        envelope = dynamics.DEFAULT_SPEED_ENVELOPE_MPS
+        if not 0.0 < self.drive_speed_mps <= envelope:
+            raise FieldError("drive_speed_mps", f"must be in (0, {envelope}]")
+        if not 0.0 < self.fly_speed_mps < math.inf:
+            raise FieldError("fly_speed_mps", "must be finite and > 0")
+        for name in ("transition_energy_wh", "transition_time_s", "slope_margin_deg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,17 +113,19 @@ def classify_traversability(
     degrees, atan2 = math.degrees, math.atan2
 
     def gentle(a, b):
-        return degrees(atan2(abs(b - a), cell)) <= limit
+        """Whether each edge from a[i] to b[i] is at most the limit."""
+        rises = map(abs, map(sub, b, a))
+        return list(map(le, map(degrees, map(atan2, rises, repeat(cell))), repeat(limit)))
 
     # each edge tested once: abs(b - a) == abs(a - b) in floating point
-    across = [list(map(gentle, row, row[1:])) for row in elevation]
-    along = [list(map(gentle, a, b)) for a, b in zip(elevation, elevation[1:])]
+    across = [gentle(row, row[1:]) for row in elevation]
+    along = [gentle(a, b) for a, b in zip(elevation, elevation[1:])]
     # every gradient is >= 0, so a cell is drivable when each of its edges
     # is; a cell with no edge has a steepest gradient of 0
     level_ok = 0.0 <= limit
     drivable = []
     for r, kinds in enumerate(terrain.classes):
-        ok = [level_ok and kind == FREE for kind in kinds]
+        ok = list(map(eq, kinds, repeat(FREE))) if level_ok else [False] * len(kinds)
         if r > 0:
             ok = list(map(and_, ok, along[r - 1]))
         ok[1:] = map(and_, ok[1:], across[r])
@@ -123,7 +133,7 @@ def classify_traversability(
         if r + 1 < terrain.height:
             ok = list(map(and_, ok, along[r]))
         drivable.append(tuple(ok))
-    flyable = tuple(tuple(kind != NO_FLY for kind in row) for row in terrain.classes)
+    flyable = tuple(tuple(map(ne, row, repeat(NO_FLY))) for row in terrain.classes)
     return Traversability(drivable=tuple(drivable), flyable=flyable)
 
 
@@ -287,6 +297,16 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     enter. Each open neighbour of a settled node is priced and relaxed in
     one pass, in that order and then the switch.
 
+    A move's key (energy, n_transitions, node) is pushed on `heap`; a mode
+    switch's is appended to `switched`, and each step settles whichever
+    front is smaller. Settled keys never decrease and each switch adds
+    `switch_wh` and one transition, so, float addition being monotone,
+    switch keys arrive in order. The exception is two energies an ulp apart
+    whose sums round to the same energy: the later key may then carry fewer
+    transitions, so a key below the queue's last is inserted in its sorted
+    place. The queue stays sorted and the settle order is that of one heap
+    of every key.
+
     A fly move is skipped unpriced when its target already holds less
     energy than the settled node's energy plus the fly pricer's `floor`:
     no fly price is below the floor and float addition is monotone, so the
@@ -315,10 +335,16 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     target = 2 * ((goal[0] + 1) * pw + goal[1] + 1)
     dist[source] = 0.0
     heap = [(0.0, 0, source)]
-    pop, push = heapq.heappop, heapq.heappush
+    switched = deque()  # mode-switch keys, sorted
+    pop, push, popleft = heapq.heappop, heapq.heappush, switched.popleft
     drive, fly = prices
-    while heap:
-        energy, ntrans, u = pop(heap)
+    while True:
+        if switched and (not heap or switched[0] < heap[0]):
+            energy, ntrans, u = popleft()
+        elif heap:
+            energy, ntrans, u = pop(heap)
+        else:
+            break
         if closed[u]:
             continue
         closed[u] = True
@@ -348,13 +374,16 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
         if e < d or (e == d and t < trans[v]):
             dist[v] = e
             trans[v] = t
-            push(heap, (e, t, v))
+            if switched and (e, t, v) < switched[-1]:
+                insort(switched, (e, t, v))  # energies an ulp apart
+            else:
+                switched.append((e, t, v))
         elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
             continue
         parent[v] = u
         depth[v] = depth[u] + 1
     if not closed[target]:
-        # the heap ran dry, so every node given an energy was settled
+        # both queues ran dry, so every node given an energy was settled
         explored = [_cell_mode(n, pw) for n, d in enumerate(dist) if d < math.inf]
         raise NoPathError(
             f"no route from {start} to {goal}: explored "
@@ -635,10 +664,12 @@ def _steady_edge(covered, energy, steps, moved, used, cell, max_steps):
 
 def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
     gains = dynamics.ControllerGains()
+    cap = gains.max_flight_accel_mps2
     m = model.params.total_mass(payload)
     g = model.params.gravity
     cell = terrain.cell_size_m
     n_edges = len(leg.cells) - 1
+    last = n_edges - 1
     total_len = n_edges * cell
     rises = [
         terrain.elevation_at(b) - terrain.elevation_at(a)
@@ -652,12 +683,14 @@ def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
     p_cruise = model.flight_power(payload)
     while s < total_len:
         accel = gains.kp_pos * (cfg.fly_speed_mps - v)
-        accel = max(-gains.max_flight_accel_mps2, min(gains.max_flight_accel_mps2, accel))
+        accel = accel if accel < cap else cap
+        accel = accel if accel > -cap else -cap
         v += accel * dt_s
         s += v * dt_s
-        edge = min(int(s / cell), n_edges - 1)
+        edge = int(s / cell)
+        edge = edge if edge < last else last
         vz = v * rises[edge] / cell
-        power = p_cruise + m * g * max(0.0, vz)
+        power = p_cruise + m * g * (vz if vz > 0.0 else 0.0)
         energy += power * dt_s / 3600.0
         steps += 1
         if steps > max_steps:

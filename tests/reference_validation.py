@@ -1,9 +1,12 @@
-"""A reference for `planner._simulate_drive_leg`: each edge from a fresh
-`SimState`, one full `dynamics.step` and its `instantaneous_power` per step
-until a step is steady, then only distance and energy add up. This is the
-loop plan validation ran before it stepped edges through the speed law over
-floats; the differential test in test_planner.py compares the reports of
-both, in repr.
+"""References for plan validation's leg loops, compared in repr by the
+differential tests in test_planner.py.
+
+`reference_drive_leg` is `planner._simulate_drive_leg` with each edge from a
+fresh `SimState`, one full `dynamics.step` and its `instantaneous_power` per
+step until a step is steady, then only distance and energy add up: the loop
+plan validation ran before it stepped edges through the speed law over
+floats. `reference_fly_leg` is `planner._simulate_fly_leg` with its clamps
+written with the builtin `min` and `max`.
 """
 
 from __future__ import annotations
@@ -65,4 +68,38 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
             steps += 1
             if steps > max_steps_per_edge:
                 raise dynamics.SimulationFault("drive edge timed out", state)
+    return energy
+
+
+def reference_fly_leg(leg, terrain, cfg, model, payload, dt_s):
+    """`planner._simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)`
+    clamping with the builtin `min` and `max`."""
+    gains = dynamics.ControllerGains()
+    m = model.params.total_mass(payload)
+    g = model.params.gravity
+    cell = terrain.cell_size_m
+    n_edges = len(leg.cells) - 1
+    total_len = n_edges * cell
+    rises = [
+        terrain.elevation_at(b) - terrain.elevation_at(a)
+        for a, b in zip(leg.cells, leg.cells[1:])
+    ]
+    v = 0.0
+    s = 0.0
+    energy = 0.0
+    steps = 0
+    max_steps = int(120.0 / dt_s)
+    p_cruise = model.flight_power(payload)
+    while s < total_len:
+        accel = gains.kp_pos * (cfg.fly_speed_mps - v)
+        accel = max(-gains.max_flight_accel_mps2, min(gains.max_flight_accel_mps2, accel))
+        v += accel * dt_s
+        s += v * dt_s
+        edge = min(int(s / cell), n_edges - 1)
+        vz = v * rises[edge] / cell
+        power = p_cruise + m * g * max(0.0, vz)
+        energy += power * dt_s / 3600.0
+        steps += 1
+        if steps > max_steps:
+            raise dynamics.SimulationFault("fly leg timed out", None)
     return energy

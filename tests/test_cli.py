@@ -316,7 +316,7 @@ class TestScenarioLoading:
         ("start_cell", [True, 0], "planner.start_cell[0]"),
         ("goal_cell", [0, "x"], "planner.goal_cell[1]"),
         ("goal_cell", [0, 4], "planner.goal_cell"),
-        ("drive_speed_mps", 1e308, "planner: drive_speed_mps must be <= 4.1"),
+        ("drive_speed_mps", 1e308, "planner.drive_speed_mps: must be in (0, 4.1]"),
         ("terrain", "", "planner.terrain: file not found"),
         ("terrain", "missing.json", "planner.terrain: file not found"),
     ])
@@ -329,6 +329,25 @@ class TestScenarioLoading:
         assert rc == EXIT_INPUT
         assert f"scn.json: {keypath}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # no plan.json with NaN in it
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    @pytest.mark.parametrize("key, rule", [
+        ("drive_speed_mps", "must be in (0, 4.1]"),
+        ("fly_speed_mps", "must be finite and > 0"),
+        ("transition_energy_wh", "must be finite and >= 0"),
+        ("transition_time_s", "must be finite and >= 0"),
+        ("slope_margin_deg", "must be finite and >= 0"),
+    ])
+    def test_bad_planner_number_names_its_field(self, tmp_path, capsys, key, rule, value):
+        # a non-finite number fails as it is read, a negative one at the
+        # setting's own check; both exit 2 at planner.<field>
+        bad = json.loads(json.dumps(MINI_PLAN))
+        bad["planner"][key] = value
+        path = write_scenario(tmp_path, bad)
+        assert main(["plan", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        reason = rule if math.isfinite(value) else f"expected float, got {value!r}"
+        assert f"scn.json: planner.{key}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("keypath, value", [
         ("flight_power_w.0.0", -500.0),

@@ -436,6 +436,22 @@ class TestTransitions:
         with pytest.raises(TransitionEnvelopeError):
             mode_transition(s, Mode.TRANSITION, params=params)
 
+    def test_tilts_clamp_like_the_builtins(self):
+        """The ramp fraction's clamp to [0, 1] gives, in repr, what
+        `max(0.0, min(1.0, a))` gives, for fractions of NaN, +-0.0, +-inf
+        and either side of the ramp."""
+        edges = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308)
+        times = edges + (0.5, 2.0, 3.0, 5.0)
+        for start, duration, ends in [(0.0, 2.0, (90.0, -0.0)), (-0.0, 2.0, (-0.0, 0.0)),
+                                      (1.0, 1e-300, (0.0, -0.0)), (1.0, math.inf, (45.0, 135.0)),
+                                      (-1.0, 3.0, (1e308, -1e308))]:
+            schedule = dynamics.TiltSchedule(start, duration, ends[1], ends[0], ends[0],
+                                             ends[1], Mode.FLIGHT)
+            for t in times:
+                a = max(0.0, min(1.0, (t - start) / duration))
+                want = (ends[1] + a * (ends[0] - ends[1]), ends[0] + a * (ends[1] - ends[0]))
+                assert repr(schedule.tilts_at(t)) == repr(want), (start, duration, t)
+
 
 @settings(max_examples=25, deadline=None)
 @given(

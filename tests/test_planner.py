@@ -1,6 +1,7 @@
 """Route planner: traversability classes, optimal plans, validation."""
 
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -14,6 +15,7 @@ import reference_planner
 from flydrive import dynamics, energy, planner, terrain
 from flydrive.cli import EXIT_OK, bundled_scenarios, main
 from flydrive.defaults import default_batteries, default_power_model
+from flydrive.fields import FieldError
 from flydrive.planner import (
     DRIVE,
     FLY,
@@ -31,7 +33,7 @@ from flydrive.statics import tipping_slope
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
 from flydrive.vehicle import ThrustSaturationError
 from reference_simulator import is_steady
-from reference_validation import along_track_speed, reference_drive_leg
+from reference_validation import along_track_speed, reference_drive_leg, reference_fly_leg
 from terrain_helpers import class_at, mirrored
 
 
@@ -454,6 +456,44 @@ class TestValidatePlan:
         assert leg.fault == "simulation fault: fly leg timed out"
         assert not report.ok
 
+    def test_fly_leg_clamps_like_the_builtins(self, model, monkeypatch):
+        """The fly leg's three clamps (acceleration, edge index, climb rate)
+        give, in repr, the energy or the error of the same loop written with
+        the builtin `min` and `max`, on rises of NaN, +-0.0, +-inf and out of
+        range, acceleration caps of NaN, +-0.0 and +-inf, and accelerations
+        of NaN (a NaN or infinite position gain)."""
+        class Rises:
+            cell_size_m = 3.0
+
+            def __init__(self, elevations):
+                self.elevations = elevations
+
+            def elevation_at(self, cell):
+                return self.elevations[cell[1]]
+
+        def outcome(fn, *args):
+            try:
+                return repr(fn(*args))
+            except (ValueError, OverflowError, IndexError, dynamics.SimulationFault) as exc:
+                return type(exc), str(exc)
+
+        profiles = [(0.0, 0.5, -0.0, 1e308, 0.25), (0.0, -0.0, 0.0, -0.0),
+                    (0.0, math.nan, 1.0), (0.0, math.inf, 0.0), (0.0, -math.inf, 2.0),
+                    (math.inf, math.inf, 1.0), (-1e308, 1e308, -1e308)]
+        gains_of = dynamics.ControllerGains
+        limits = [(cap, 4.0) for cap in (15.0, 1.0, 0.0, -0.0, math.inf, -math.inf, math.nan)]
+        for cap, kp in limits + [(15.0, math.nan), (0.5, math.inf)]:
+            gains = gains_of(kp_pos=kp, max_flight_accel_mps2=cap)
+            monkeypatch.setattr(dynamics, "ControllerGains", lambda gains=gains: gains)
+            for speed in (4.0, 1e308, -4.0, -math.inf, math.inf):
+                config = type("Config", (), {"fly_speed_mps": speed})
+                for elevations in profiles:
+                    cells = tuple((0, c) for c in range(len(elevations)))
+                    leg = planner.MissionLeg(FLY, cells, 4.0, 0.1, 1.0)
+                    args = (leg, Rises(elevations), config, model, 0.0, 0.02)
+                    assert outcome(planner._simulate_fly_leg, *args) == outcome(
+                        reference_fly_leg, *args), (cap, kp, speed, elevations)
+
     @staticmethod
     def _random_mission(rng, repeat=False, long_cells=False):
         """A row of cells joined by flat, rising and falling edges (now and
@@ -660,11 +700,15 @@ class TestConfigValidation:
             {"transition_time_s": -1.0},
             {"fly_speed_mps": float("nan")},
             {"transition_energy_wh": float("inf")},
+            {"drive_speed_mps": float("nan")},
+            {"slope_margin_deg": float("nan")},
+            {"transition_time_s": float("-inf")},
         ],
     )
     def test_bad_config_rejected(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as err:
             PlannerConfig(**kw)
+        assert [err.value.key] == list(kw)
 
 
 def _outcome(planner_fn, *args):
@@ -852,6 +896,55 @@ class TestReliefPlansPinned:
         mission = plan(grid, (0, 0), (59, 59), cfg(), model)
         assert any(leg.mode == FLY for leg in mission.legs)
         assert 0 < len(counts) < 1000
+
+    def test_mode_switches_skip_the_heap(self, model, monkeypatch):
+        # a mode switch's key goes to its own sorted queue, not the heap:
+        # 4 774 heap pushes, where pushing every relaxation takes 8 220
+        real, pushes = heapq.heappush, []
+
+        def push(heap, item):
+            pushes.append(item)
+            real(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
+        mission = plan(grid, (0, 0), (59, 59), cfg(), model)
+        assert mission.n_transitions == 2
+        assert 0 < len(pushes) < 6000
+
+    def test_switch_keys_an_ulp_apart_settle_in_heap_order(self):
+        """A fly node settled at energy 1.0 and a drive node settled after it
+        one ulp higher both switch mode at 1.0 Wh: both sums round to 2.0,
+        and the later switch, with one transition fewer, settles first, as
+        in one heap of every key. The settle order shows in the order of
+        the pricer calls, each edge told apart by its elevation change."""
+        # row 0: Y, start, X; row 1: Y', goal, X'
+        grid = terrain_from_dict({"width": 3, "height": 2, "cell_size_m": 1.0,
+                                  "elevation_m": [-1.0, 0.0, 3.0, -10.0, -20.0, 30.0]})
+        trav = planner.Traversability(drivable=((True,) * 3,) * 2, flyable=((True,) * 3,) * 2)
+        calls = []
+
+        def drive(dh):  # start to Y one ulp over 1.0 Wh, every other edge 10 Wh
+            calls.append((DRIVE, dh))
+            return math.nextafter(1.0, 2.0) if dh == -1.0 else 10.0
+
+        def fly(dh):  # start to X for almost nothing, every other edge 5 Wh
+            calls.append((FLY, dh))
+            return 1e-17 if dh == 3.0 else 5.0
+
+        fly.floor = -math.inf
+        wh, n_transitions, _ = planner._search(grid, trav, (0, 1), (1, 1), (drive, fly), 1.0)
+        assert (wh, n_transitions) == (7.0, 2)
+        assert calls == [
+            (DRIVE, -1.0), (DRIVE, 3.0), (DRIVE, -20.0),  # start, drive: 0 Wh
+            (FLY, -1.0), (FLY, 3.0), (FLY, -20.0),  # start, fly: 1.0 Wh
+            (FLY, 27.0),  # X, fly: 1.0 Wh, 1 transition; its switch's key (2.0, 2)
+            # Y, drive: 1.0 Wh + 1 ulp, 0 transitions; its switch's key (2.0, 1)
+            (DRIVE, -9.0),
+            (FLY, -9.0),  # Y, fly: (2.0, 1), before X, drive: (2.0, 2)
+            (DRIVE, 27.0),
+            (FLY, 10.0), (FLY, 50.0),  # goal, fly: 6.0 Wh
+        ]
 
 
 def _two_cells(dh):
