@@ -163,10 +163,6 @@ class SimState:
     def speed(self) -> float:
         return math.sqrt(sum(v * v for v in self.velocity))
 
-    @property
-    def yaw_rad(self) -> float:
-        return quaternion_yaw(self.quaternion)
-
 
 @dataclass(frozen=True)
 class ControlSetpoint:
@@ -201,12 +197,15 @@ class SurfaceModel:
     lateral_friction: float | None = None
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.kind not in ("flat", "incline", "wall"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.kind == "incline" and not 0.0 <= self.slope_deg < 90.0:
-            raise ValueError("incline slope must be in [0, 90) deg")
+        if not (0.0 <= self.slope_deg < 90.0
+                or self.kind != "incline" and math.isfinite(self.slope_deg)):
+            raise FieldError("slope_deg", "must be finite, and in [0, 90) deg on an incline")
         for name in ("rolling_resistance", "lateral_friction"):
-            if (getattr(self, name) or 0.0) < 0.0:
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
                 raise FieldError(name, "must be >= 0")
 
     def mu_roll(self, params: VehicleParams) -> float:
@@ -360,7 +359,7 @@ def mode_transition(
     (the tilt sweep passes through thrust directions that would fight the
     airframe anywhere else). Wall entry/exit requires near-zero speed too.
     """
-    params = params or _default_params()
+    params = params or VehicleParams()
     if target_mode == Mode.TRANSITION:
         raise TransitionEnvelopeError("transition is not a target mode")
     if state.mode == target_mode:
@@ -414,12 +413,6 @@ def _height_above_surface(
     return state.position[2] - rest
 
 
-def _default_params() -> VehicleParams:
-    from .defaults import default_params
-
-    return default_params()
-
-
 def _default_rotor() -> RotorModel:
     from .defaults import default_rotor
 
@@ -460,7 +453,7 @@ def step(
     """Advance one control + integration step: build the `step_law`, take
     one step through it and build the state. Pure function of its inputs."""
     check_dt(dt_s)
-    advance = step_law(state, setpoint, surface, dt_s, params or _default_params(),
+    advance = step_law(state, setpoint, surface, dt_s, params or VehicleParams(),
                        rotor or _default_rotor(), gains or ControllerGains(), payload, schedule)
     try:
         floats = advance(floats_of(state, surface))
@@ -854,7 +847,7 @@ def initial_ground_state(
     heading_deg: float = 0.0,
 ) -> SimState:
     """Vehicle standing still on the surface, axles in ground configuration."""
-    params = params or _default_params()
+    params = params or VehicleParams()
     surface = surface or SurfaceModel()
     mode = Mode.INCLINE if surface.kind == "incline" else Mode.GROUND
     x, y = position_xy

@@ -129,14 +129,20 @@ def calibrate_ground_power(points: list[tuple[float, float]]) -> tuple[float, fl
     if not det > 0.0:
         raise CalibrationError("calibration speeds too close together: the system is singular")
     c1, c3 = (s6 * b1 - s4 * b3) / det, (s2 * b3 - s4 * b1) / det
-    if not (math.isfinite(c1) and math.isfinite(c3)):
-        raise CalibrationError("calibration overflows: the coefficients are not finite")
-    # P(v) = v (c1 + c3 v^2) > 0 on (0, v_max] holds exactly when c1 + c3 v^2
-    # is > 0 at both ends
-    if c1 < 0.0 or c1 + c3 * DEFAULT_SPEED_ENVELOPE_MPS ** 2 <= 0.0:
-        raise CalibrationError(f"fit P(v) = {c1!r} v + {c3!r} v^3 is not > 0 at every speed "
-                               f"in (0, {DEFAULT_SPEED_ENVELOPE_MPS}] m/s")
+    if fault := _ground_fit_fault(c1, c3):
+        raise CalibrationError(fault)
     return c1, c3
+
+
+def _ground_fit_fault(c1: float, c3: float) -> str | None:
+    """Why the fit P(v) = v (c1 + c3 v^2) is refused, or None. It must be
+    finite and > 0 on (0, v_max], so that every planned move costs energy:
+    exactly when c1 + c3 v^2 is > 0 at both ends. NaN fails too."""
+    if not (math.isfinite(c1) and math.isfinite(c3)):  # inf * 0.0 at rest would be NaN
+        return "calibration overflows: the coefficients are not finite"
+    if not (c1 >= 0.0 and c1 + c3 * DEFAULT_SPEED_ENVELOPE_MPS ** 2 > 0.0):
+        return (f"fit P(v) = {c1!r} v + {c3!r} v^3 is not > 0 at every speed "
+                f"in (0, {DEFAULT_SPEED_ENVELOPE_MPS}] m/s")
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,19 @@ class PowerModel:
     flight_power_w: dict  # payload kg -> W at the reference speed
     hover_power_w: float
     wall_wake_factor: float = 1.8
+
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not self.hover_power_w >= 0.0:
+            raise FieldError("hover_power_w", "must be >= 0")
+        if not self.wall_wake_factor > 0.0:
+            raise FieldError("wall_wake_factor", "must be > 0")
+        for payload, (c1, c3) in self.ground_coeffs.items():
+            if fault := _ground_fit_fault(c1, c3):
+                raise FieldError(f"ground_coeffs.{payload}", fault)
+        for payload, watts in self.flight_power_w.items():
+            if not watts > 0.0:  # every planned move must cost energy
+                raise FieldError(f"flight_power_w.{payload}", "must be > 0")
 
     def _lookup(self, table: dict, payload: float, what: str) -> float:
         for key, value in table.items():
@@ -238,7 +257,7 @@ def mode_power(
     tilt_deg: float | None = None,
 ) -> float:
     """Electrical power (W) to maintain an operating state."""
-    if speed < 0:
+    if not speed >= 0:  # NaN included
         raise ValueError("speed must be >= 0")
     if mode == "ground":
         return model.ground_power(speed, payload)
@@ -260,7 +279,7 @@ def mode_power(
 def endurance_ratio(model: PowerModel, payload: float, speed: float) -> float:
     """Flight power over ground power at the same speed."""
     ground = model.ground_power(speed, payload)
-    if ground <= 0:
+    if not ground > 0:  # NaN included
         raise ValueError("endurance ratio undefined at zero ground power (v = 0)")
     return model.flight_power(payload) / ground
 
@@ -279,7 +298,7 @@ def range_estimate(
     tilt_deg: float | None = None,
 ) -> float:
     """Distance (m) the propulsion packs sustain a mode at constant speed."""
-    if speed <= 0:
+    if not speed > 0:  # NaN included
         raise ValueError("range needs speed > 0")
     power = mode_power(model, mode, speed, payload, slope_deg, tilt_deg)
     energy = usable_propulsion_energy_wh(batteries)

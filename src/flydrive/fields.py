@@ -1,5 +1,5 @@
-"""Field tables for the JSON objects of scenario and terrain files, and the
-one reader that applies them.
+"""Field tables for the JSON objects of scenario and terrain files, the one
+reader that applies them, and the one writer of records as JSON data.
 
 A table maps each key to (kind, default). A kind is a type (`float` takes any
 finite number, `int` only an integer, both within float range; others only
@@ -20,8 +20,8 @@ REQUIRED = object()
 
 
 class FieldError(ValueError):
-    """A settings object's check that failed on one field, named by key;
-    `call` reports it at that field's keypath."""
+    """A check that failed on one named value, a settings object's field or
+    a function's argument; `call` reports it at that value's keypath."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key} {message}")
@@ -94,11 +94,14 @@ def check(value, kind, fail, path: str):
 
 def call(make, fail, path: str, /, *args, **kwargs):
     """make(*args, **kwargs), a ValueError from its own checks sent to fail at
-    path, or at the field's keypath under path for a FieldError."""
+    path. Keyword arguments are the fields of the object at path, and a
+    FieldError from a call given them goes to its field's keypath under
+    path; a call given positional arguments only is given the value at path
+    itself, and a FieldError from it goes to path, with its message."""
     try:
         return make(*args, **kwargs)
     except FieldError as exc:
-        fail(f"{path}.{exc.key}", exc.message)
+        fail(f"{path}.{exc.key}" if kwargs else path, exc.message)
     except ValueError as exc:
         fail(path, str(exc))
 
@@ -117,3 +120,20 @@ def _kind(hint):
     if typing.get_origin(hint) is tuple:
         return [_kind(a) for a in args]
     return _kind(args[0]) if args else hint
+
+
+_PLAIN = frozenset((bool, int, float, str, type(None)))
+
+
+def record(value):
+    """value as JSON data: a dataclass as a dict of its fields in order, a
+    tuple as a list, each item written the same way, anything else as it
+    is. Unlike `dataclasses.asdict` it copies nothing it does not convert."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is tuple:  # one call for a tuple of plain values
+        return list(value) if _PLAIN.issuperset(map(type, value)) else list(map(record, value))
+    if not dataclasses.is_dataclass(kind):
+        return value
+    return {f.name: record(getattr(value, f.name)) for f in dataclasses.fields(kind)}

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby, repeat
 from operator import and_, eq, itemgetter, le, ne, sub
 
-from . import dynamics
+from . import dynamics, fields
 from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .dynamics import exact_run, finite_power, first_holding
 from .energy import PowerModel
@@ -193,15 +193,6 @@ class MissionLeg:
     energy_wh: float
     duration_s: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cells": [list(c) for c in self.cells],
-            "speed_mps": self.speed_mps,
-            "energy_wh": self.energy_wh,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass(frozen=True)
 class MissionPlan:
@@ -214,15 +205,7 @@ class MissionPlan:
     feasible: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "start": list(self.start),
-            "goal": list(self.goal),
-            "legs": [leg.to_json_dict() for leg in self.legs],
-            "total_energy_wh": self.total_energy_wh,
-            "total_duration_s": self.total_duration_s,
-            "n_transitions": self.n_transitions,
-            "feasible": self.feasible,
-        }
+        return fields.record(self)
 
 
 def plan(
@@ -465,17 +448,6 @@ class LegValidation:
     ok: bool
     fault: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "mode": self.mode,
-            "predicted_wh": self.predicted_wh,
-            "simulated_wh": self.simulated_wh,
-            "deviation": self.deviation if math.isfinite(self.deviation) else None,
-            "ok": self.ok,
-            "fault": self.fault,
-        }
-
 
 @dataclass(frozen=True)
 class PlanValidationReport:
@@ -486,13 +458,11 @@ class PlanValidationReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "legs": [leg.to_json_dict() for leg in self.legs],
-            "predicted_total_wh": self.predicted_total_wh,
-            "simulated_total_wh": self.simulated_total_wh,
-            "battery_ok": self.battery_ok,
-            "ok": self.ok,
-        }
+        out = fields.record(self)
+        for leg in out["legs"]:
+            if not math.isfinite(leg["deviation"]):
+                leg["deviation"] = None  # a faulted leg's, which JSON cannot hold
+        return out
 
 
 def validate_plan(
@@ -520,6 +490,8 @@ def validate_plan(
     it equals `plan(..., batteries).feasible` for the same packs.
     """
     dynamics.check_dt(dt_s)
+    if not max_deviation >= 0.0:  # NaN included, which would fail every leg
+        raise ValueError(f"max_deviation must be >= 0, got {max_deviation!r}")
     results: list[LegValidation] = []
     sim_total = 0.0
     edges = {}  # each drive edge driven to its end: see `_simulate_drive_leg`

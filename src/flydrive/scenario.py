@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from . import fields
+from . import dynamics, fields
 from .defaults import (
     AVIONICS_POWER_W,
     HOVER_POWER_W,
@@ -56,7 +56,7 @@ class ValidationSpec:
 
     def __post_init__(self):
         for name in ("max_speed_error_frac", "expect_fly_legs", "max_leg_deviation_frac"):
-            if (getattr(self, name) or 0) < 0:
+            if not (getattr(self, name) or 0) >= 0:  # NaN fails too
                 raise FieldError(name, "must be >= 0")
 
 
@@ -80,7 +80,6 @@ class InitialSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    description: str
     payload_kg: float
     params: VehicleParams
     rotor: RotorModel
@@ -105,7 +104,7 @@ class Scenario:
 # block that fills a dataclass takes its keys, kinds and defaults from its fields.
 SCENARIO = {
     "name": (str, REQUIRED),
-    "description": (str, ""),
+    "description": (str, ""),  # free text for the reader; the program ignores it
     "payload_kg": (float, 0.0),
     "rotor_table": (str, "default"),  # "default" or a CSV file beside the scenario
     "vehicle_overrides": (dict, {}),  # VEHICLE
@@ -164,7 +163,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     def block(key: str, table: dict) -> dict:  # a null or missing block reads as {}
         return fields.read(top[key] or {}, table, fail, key)
 
-    for key in ("payload_kg", "duration_s", "avionics_power_w"):
+    for key in ("duration_s", "avionics_power_w"):
         if top[key] < 0:
             fail(key, "must be >= 0")
     params = fields.call(VehicleParams, fail, "vehicle_overrides",
@@ -174,13 +173,6 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     else:
         rotor = fields.call(load_rotor_table_file, fail, "rotor_table",
                             _file_beside(base_dir, top["rotor_table"], fail, "rotor_table"))
-    for mass_key in ("empty_mass", "mtom"):
-        mass = getattr(params, mass_key)
-        if not mass * params.gravity < math.inf:
-            # named by the setting that moved: a raised gravity, else the mass
-            key = "gravity" if params.gravity != VehicleParams.gravity else mass_key
-            fail(f"vehicle_overrides.{key}", f"{mass_key} {mass} kg weighs inf N at "
-                 f"{params.gravity} m/s^2; the weight must be finite")
     weight, thrust = params.empty_mass * params.gravity, 4.0 * rotor.max_thrust
     if not thrust <= MAX_THRUST_TO_EMPTY_WEIGHT * weight:
         # named by the setting that moved: a lowered gravity, else empty_mass
@@ -196,7 +188,6 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     fields.call(model.ground_power, fail, "payload_kg", 0.0, top["payload_kg"])
     return Scenario(
         name=top["name"],
-        description=top["description"],
         payload_kg=top["payload_kg"],
         params=params,
         rotor=rotor,
@@ -266,23 +257,17 @@ def _by_payload(spec: dict, fail, keypath: str, read_value) -> dict:
 
 def _load_power_model(pm: dict, params, rotor, fail) -> PowerModel:
     base = default_power_model(params, rotor)
-    if pm["hover_power_w"] < 0.0:
-        fail("power_model.hover_power_w", "must be >= 0")
-    if pm["wall_wake_factor"] <= 0.0:
-        fail("power_model.wall_wake_factor", "must be > 0")
 
     def fitted(points, kp):
         return fields.call(calibrate_ground_power, fail, kp,
                            read_calibration_points(points, fail, kp))
 
-    def watts(value, kp):
-        value = fields.check(value, float, fail, kp)
-        if value <= 0.0:  # every planned move must cost energy
-            fail(kp, "must be > 0")
-        return value
+    def watts(value, kp):  # the model checks that each is > 0
+        return fields.check(value, float, fail, kp)
 
     ground, flight = pm["ground_calibration"], pm["flight_power_w"]
-    return PowerModel(
+    return fields.call(
+        PowerModel, fail, "power_model",
         params=params,
         rotor=rotor,
         ground_coeffs=dict(base.ground_coeffs) if ground is None else _by_payload(
@@ -301,10 +286,6 @@ def _load_script(entries: list, fail) -> list[ScriptEvent]:
     for i, entry in enumerate(entries):
         kp = f"script[{i}]"
         ev = fields.read(entry, SCRIPT_EVENT, fail, kp)
-        if ev["t_s"] < 0:
-            fail(f"{kp}.t_s", "must be >= 0")
-        if events and ev["t_s"] <= events[-1].t_s:
-            fail(f"{kp}.t_s", "script times must be strictly increasing")
         setpoint = None
         if entry.keys() - {"t_s", "transition_to"}:
             if ev["mode"] is None:
@@ -314,8 +295,10 @@ def _load_script(entries: list, fail) -> list[ScriptEvent]:
                 yaw_rate_radps=ev["yaw_rate_radps"], target_position=ev["target_position_m"],
                 target_yaw_deg=ev["target_yaw_deg"],
             )
-        events.append(ScriptEvent(t_s=ev["t_s"], setpoint=setpoint,
+        events.append(fields.call(ScriptEvent, fail, kp, t_s=ev["t_s"], setpoint=setpoint,
                                   transition_to=ev["transition_to"]))
+        if len(events) > 1 and events[-1].t_s <= events[-2].t_s:
+            fail(f"{kp}.t_s", "script times must be strictly increasing")
     return events
 
 
@@ -348,8 +331,6 @@ def build_simulator(scenario: Scenario, dt_s: float = 0.001,
 
 
 def initial_state_for(scenario: Scenario):
-    from . import dynamics
-
     init = scenario.initial
     if init.mode == Mode.WALL:
         return dynamics.initial_wall_state(

@@ -67,6 +67,7 @@ from .dynamics import (
     first_holding,
 )
 from .energy import Battery, EnergyLedger, PowerModel, UnknownPayloadError
+from .fields import FieldError
 from .vehicle import RotorModel, VehicleParams
 
 TRACE_HEADER = (
@@ -86,6 +87,10 @@ class ScriptEvent:
     t_s: float
     setpoint: ControlSetpoint | None = None
     transition_to: Mode | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.t_s < math.inf:  # NaN fails too, and would never fire
+            raise FieldError("t_s", "must be finite and >= 0")
 
 
 @dataclass

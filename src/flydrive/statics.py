@@ -5,8 +5,9 @@ and wall-climb attachment/feasibility."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
+from . import fields
 from .vehicle import RotorModel, VehicleParams
 
 # Minimum wall-normal force for attachment, as a fraction of vehicle weight.
@@ -46,8 +47,8 @@ class WallClimbAnalysis:
 def decompose_thrust(total_thrust: float, pitch_deg: float) -> ForceDecomposition:
     """Split a pitched thrust vector into surface-parallel and -perpendicular
     parts: parallel = F sin(pitch), perpendicular = F cos(pitch)."""
-    if total_thrust < 0:
-        raise ValueError("total_thrust must be >= 0")
+    if not 0.0 <= total_thrust < math.inf:  # NaN fails too
+        raise ValueError(f"total_thrust must be finite and >= 0, got {total_thrust!r}")
     if not 0.0 <= pitch_deg <= 90.0:
         raise ValueError(f"pitch {pitch_deg} outside [0, 90] deg")
     theta = math.radians(pitch_deg)
@@ -168,8 +169,8 @@ def optimal_wall_tilt(
 ) -> float:
     """Tilt angle minimizing the climb thrust, over a grid on (90, 180) deg,
     subject to attachment and the four-rotor thrust limit."""
-    if step_deg <= 0:
-        raise ValueError("step_deg must be > 0")
+    if not step_deg > 0:  # NaN included
+        raise ValueError(f"step_deg must be > 0, got {step_deg!r}")
     best_tilt = None
     best_required = math.inf
     n = int(round((180.0 - 90.0) / step_deg))
@@ -195,4 +196,4 @@ def optimal_wall_tilt(
 
 def analysis_record(kind: str, inputs: dict, result) -> dict:
     """JSON-ready report record echoing all inputs alongside the result."""
-    return {"analysis": kind, "inputs": inputs, "result": asdict(result)}
+    return {"analysis": kind, "inputs": inputs, "result": fields.record(result)}

@@ -13,7 +13,7 @@ import textwrap
 from dataclasses import dataclass
 
 from . import fields
-from .fields import REQUIRED
+from .fields import REQUIRED, FieldError
 
 FREE = "free"
 OBSTACLE = "obstacle"
@@ -28,6 +28,20 @@ class TerrainError(ValueError):
     """Malformed terrain description."""
 
 
+class TerrainFieldError(TerrainError, FieldError):
+    """A grid field that breaks its own rule; `.key` names the field."""
+
+
+def _check_size(width: int, height: int, cell_size_m: float) -> None:
+    """The grid's size rule, applied by `TerrainGrid` and by
+    `terrain_from_dict` before it lays out the rows."""
+    for name, value in (("width", width), ("height", height)):
+        if type(value) is not int or value < 1:  # NaN and +inf are floats, so fail too
+            raise TerrainFieldError(name, f"must be an integer >= 1, got {value!r}")
+    if not 0.0 < cell_size_m < math.inf:  # NaN and +inf fail too
+        raise TerrainFieldError("cell_size_m", f"must be finite and > 0, got {cell_size_m!r}")
+
+
 @dataclass(frozen=True)
 class TerrainGrid:
     width: int  # columns
@@ -37,10 +51,7 @@ class TerrainGrid:
     classes: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise TerrainError("grid dimensions must be >= 1")
-        if not 0.0 < self.cell_size_m < math.inf:  # NaN and +inf fail too
-            raise TerrainError(f"cell_size_m must be finite and > 0, got {self.cell_size_m!r}")
+        _check_size(self.width, self.height, self.cell_size_m)
         if len(self.elevation_m) != self.height or len(self.classes) != self.height:
             raise TerrainError("row count mismatch")
         for r in range(self.height):
@@ -68,26 +79,18 @@ class TerrainGrid:
         return self.elevation_m[cell[0]][cell[1]]
 
     def to_json_dict(self) -> dict:
-        flat = [self.elevation_m[r][c] for r in range(self.height) for c in range(self.width)]
-        obstacles = sorted(
-            [r, c]
-            for r in range(self.height)
-            for c in range(self.width)
-            if self.classes[r][c] == OBSTACLE
-        )
-        no_fly = sorted(
-            [r, c]
-            for r in range(self.height)
-            for c in range(self.width)
-            if self.classes[r][c] == NO_FLY
-        )
+        marked = {OBSTACLE: [], NO_FLY: []}  # each in row-major order, so sorted
+        for r, row in enumerate(self.classes):
+            for c, kind in enumerate(row):
+                if kind in marked:
+                    marked[kind].append([r, c])
         return {
             "width": self.width,
             "height": self.height,
             "cell_size_m": self.cell_size_m,
-            "elevation_m": flat,
-            "obstacles": obstacles,
-            "no_fly": no_fly,
+            "elevation_m": [h for row in self.elevation_m for h in row],
+            "obstacles": marked[OBSTACLE],
+            "no_fly": marked[NO_FLY],
         }
 
 
@@ -112,9 +115,10 @@ def terrain_from_dict(data: dict, source: str = "<terrain>", keypath: str = "") 
     spec = fields.read(data, TERRAIN, fail, keypath)
     at = f"{keypath}." if keypath else ""
     width, height, cell_size = spec["width"], spec["height"], spec["cell_size_m"]
-    for key in ("width", "height", "cell_size_m"):
-        if spec[key] <= 0:
-            fail(at + key, f"must be > 0, got {spec[key]!r}")
+    try:
+        _check_size(width, height, cell_size)
+    except FieldError as exc:
+        fail(at + exc.key, exc.message)
     elev_flat = spec["elevation_m"]
     if type(elev_flat) is float:
         elev_flat = [elev_flat] * (width * height)

@@ -51,24 +51,32 @@ class VehicleParams:
     yaw_inertia: float = 0.217
 
     def __post_init__(self):
-        if self.empty_mass <= 0:
+        # each check is written so that NaN fails it
+        if not self.empty_mass > 0:
             raise FieldError("empty_mass", "must be > 0")
-        if self.empty_mass > self.mtom + 1e-9:
+        if not self.empty_mass <= self.mtom + 1e-9:
             if self.empty_mass == VehicleParams.empty_mass:  # named by the setting that moved
                 raise FieldError("mtom", f"{self.mtom} kg is below empty_mass {self.empty_mass} kg")
             raise FieldError("empty_mass", f"{self.empty_mass} kg exceeds mtom {self.mtom} kg")
         for name in ("wheel_contact_half_spacing_long", "wheel_contact_half_spacing_lat",
                      "com_height", "gravity", "yaw_inertia"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise FieldError(name, "must be > 0")
         for name in ("rolling_resistance_coeff", "wall_friction_coeff",
                      "lateral_friction_coeff"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise FieldError(name, "must be >= 0")
+        for name in ("empty_mass", "mtom"):
+            mass = getattr(self, name)
+            if not mass * self.gravity < math.inf:
+                # named by the setting that moved: a raised gravity, else the mass
+                key = "gravity" if self.gravity != VehicleParams.gravity else name
+                raise FieldError(key, f"{name} {mass} kg weighs inf N at {self.gravity} "
+                                 f"m/s^2; the weight must be finite")
 
     def total_mass(self, payload: float = 0.0) -> float:
         if not payload >= 0:  # NaN included
-            raise ValueError("payload must be >= 0")
+            raise FieldError("payload", "must be >= 0")
         m = self.empty_mass + payload
         if m > self.mtom + 1e-9:
             raise ValueError(f"mass {m} kg exceeds MTOM {self.mtom} kg")
@@ -110,15 +118,11 @@ class RotorModel:
             raise RotorTableError("thrust at zero command must be 0")
         if self.powers[0] < 0:
             raise RotorTableError("idle power must be >= 0")
-        bad = [i for i in range(1, n) if self.commands[i] <= self.commands[i - 1]]
-        if bad:
-            raise RotorTableError(f"commands not strictly increasing at rows {bad}")
-        bad = [i for i in range(1, n) if self.thrusts[i] <= self.thrusts[i - 1]]
-        if bad:
-            raise RotorTableError(f"thrust not strictly increasing at rows {bad}")
-        bad = [i for i in range(1, n) if self.powers[i] <= self.powers[i - 1]]
-        if bad:
-            raise RotorTableError(f"power not strictly increasing at rows {bad}")
+        for what, xs in (("commands", self.commands), ("thrust", self.thrusts),
+                         ("power", self.powers)):
+            bad = [i for i in range(1, n) if xs[i] <= xs[i - 1]]
+            if bad:
+                raise RotorTableError(f"{what} not strictly increasing at rows {bad}")
         object.__setattr__(self, "_thrust_slopes", _slopes(self.commands, self.thrusts))
         object.__setattr__(self, "_power_slopes", _slopes(self.thrusts, self.powers))
         object.__setattr__(self, "_command_slopes", _slopes(self.thrusts, self.commands))
@@ -204,6 +208,28 @@ def interp(x: float, xs: tuple[float, ...], ys: tuple[float, ...],
     return slopes[j] * (x - x0) + ys[j]
 
 
+def _csv_rows(text: str, header: str, error: type):
+    """(line number, cells) of each data row of a CSV text, blank lines and
+    lines starting with ``#`` skipped; the first other line must be header.
+    A wrong header or column count raises error naming the line."""
+    names, header_seen = header.split(","), False
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if not header_seen:
+            if [c.lower() for c in cells] != names:
+                raise error(f"line {lineno}: expected header {header!r}, got {line!r}")
+            header_seen = True
+        elif len(cells) != len(names):
+            raise error(f"line {lineno}: expected {len(names)} columns, got {len(cells)}")
+        else:
+            yield lineno, cells
+    if not header_seen:
+        raise error("empty table: missing header")
+
+
 def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:
     """Parse a performance table into a RotorModel.
 
@@ -212,28 +238,13 @@ def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:
     on malformed rows and names offending rows on non-monotone data.
     """
     commands, thrusts, powers = [], [], []
-    header_seen = False
-    for lineno, raw in enumerate(io.StringIO(table_source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            cols = [c.strip().lower() for c in line.split(",")]
-            if cols != ["command", "thrust_n", "power_w"]:
-                raise RotorTableError(
-                    f"line {lineno}: expected header 'command,thrust_n,power_w', got {line!r}"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise RotorTableError(f"line {lineno}: expected 3 columns, got {len(parts)}")
+    for lineno, cells in _csv_rows(table_source, "command,thrust_n,power_w", RotorTableError):
         try:
-            c, t, p = (float(x) for x in parts)
+            c, t, p = map(float, cells)
         except ValueError as exc:
             raise RotorTableError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, (c, t, p))):
-            raise RotorTableError(f"line {lineno}: non-finite value in {line!r}")
+            raise RotorTableError(f"line {lineno}: non-finite value in {','.join(cells)!r}")
         if not 0.0 <= c <= 1.0:
             raise RotorTableError(f"line {lineno}: command {c} outside [0, 1]")
         if commands and (c <= commands[-1] or t <= thrusts[-1] or p <= powers[-1]):
@@ -243,8 +254,6 @@ def load_rotor_table(table_source: str, name: str = "rotor") -> RotorModel:
         commands.append(c)
         thrusts.append(t)
         powers.append(p)
-    if not header_seen:
-        raise RotorTableError("empty table: missing header")
     if len(commands) < 2:
         raise RotorTableError(f"need at least 2 data rows, got {len(commands)}")
     return RotorModel(tuple(commands), tuple(thrusts), tuple(powers), name=name)
@@ -269,7 +278,7 @@ class MassComponent:
     def __post_init__(self):
         if self.category not in MASS_CATEGORIES:
             raise ValueError(f"unknown mass category {self.category!r}")
-        if self.mass_kg < 0:
+        if not self.mass_kg >= 0:  # NaN included
             raise ValueError(f"component {self.name}: mass must be >= 0")
 
 
@@ -304,26 +313,10 @@ class MassBudget:
 def load_mass_budget(csv_text: str) -> MassBudget:
     """Parse a ``name,mass_kg,category`` CSV (``#`` comments allowed)."""
     components = []
-    header_seen = False
-    for lineno, raw in enumerate(io.StringIO(csv_text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            cols = [c.strip().lower() for c in line.split(",")]
-            if cols != ["name", "mass_kg", "category"]:
-                raise ValueError(f"line {lineno}: expected header 'name,mass_kg,category'")
-            header_seen = True
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns")
+    for lineno, (name, mass, category) in _csv_rows(csv_text, "name,mass_kg,category",
+                                                     ValueError):
         try:
-            mass = float(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad mass {parts[1]!r}") from None
-        try:
-            components.append(MassComponent(parts[0], mass, parts[2]))
+            components.append(MassComponent(name, float(mass), category))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not components:

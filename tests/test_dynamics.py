@@ -22,6 +22,7 @@ from flydrive.dynamics import (
     initial_ground_state,
     initial_wall_state,
     mode_transition,
+    quaternion_yaw,
     step,
 )
 from flydrive.simulator import ScriptEvent, Simulator
@@ -253,7 +254,7 @@ class TestYawControl:
         s = initial_ground_state(params)
         for _ in range(4000):
             s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
-        assert math.degrees(s.yaw_rad) < -5.0
+        assert math.degrees(quaternion_yaw(s.quaternion)) < -5.0
         fl, fr, rl, rr = s.rotor_commands
         left = rotor.thrust_at(rl) - rotor.thrust_at(fl)
         right = rotor.thrust_at(rr) - rotor.thrust_at(fr)

@@ -8,9 +8,9 @@ that no code outside a `__post_init__` reads as an attribute.
 
 The same parse keeps the package's surface decided: `flydrive.__all__` is
 the library API and lists, once each, the public names the package imports;
-every other top-level function and class and every method is read
-somewhere in the package, and no module reads another's private
-(`_`-prefixed) names.
+every other top-level function and class is read somewhere in the package,
+every method is read there as an attribute, and no module reads another's
+private (`_`-prefixed) names.
 """
 
 import ast
@@ -67,10 +67,11 @@ def test_every_setting_is_read():
     assert unread == [], f"settings that nothing reads: {unread}"
 
 
-def _names_read(node) -> Counter:
-    """How often node loads each name, as a variable or as an attribute."""
+def _names_read(node, kinds=(ast.Name, ast.Attribute)) -> Counter:
+    """How often node loads each name, as a variable or as an attribute
+    (kinds narrows that to either)."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+                   if isinstance(n, kinds) and isinstance(n.ctx, ast.Load))
 
 
 def _is_dunder(name: str) -> bool:
@@ -111,18 +112,22 @@ def _private_reads(module: str, tree) -> set:
 
 
 def test_every_definition_is_used_or_exported():
-    """Each top-level function and class not in `__all__`, and each method,
-    is read, by name, somewhere in the package outside its own body."""
+    """Each top-level function and class not in `__all__` is read, by name,
+    somewhere in the package outside its own body, and each method is read
+    there as an attribute: a variable or parameter of the same name does
+    not count for a method."""
     trees = _trees()
-    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    by_name, as_attribute = (ast.Name, ast.Attribute), ast.Attribute
+    read = {kinds: sum((_names_read(tree, kinds) for tree in trees.values()), Counter())
+            for kinds in (by_name, as_attribute)}
 
-    def read_elsewhere(node):
-        return read[node.name] > _names_read(node)[node.name]
+    def read_elsewhere(node, kinds):
+        return read[kinds][node.name] > _names_read(node, kinds)[node.name]
 
     top, methods = _definitions(trees)
     unused = [name for name, node in top
-              if node.name not in flydrive.__all__ and not read_elsewhere(node)]
-    unused += [name for name, node in methods if not read_elsewhere(node)]
+              if node.name not in flydrive.__all__ and not read_elsewhere(node, by_name)]
+    unused += [name for name, node in methods if not read_elsewhere(node, as_attribute)]
     assert unused == [], f"neither read in the package nor in flydrive.__all__: {unused}"
 
 

@@ -423,8 +423,11 @@ def test_tripped_pack_above_its_floor(params, rotor, power_model, tripped):
 @pytest.mark.parametrize("c1, avionics_w", [(-10.0, 5.0), (29.0, -1.0)])
 def test_negative_draw_raises(params, rotor, power_model, batteries, c1, avionics_w):
     """A model that prices a move below 0 W, or a negative avionics draw,
-    raises `drain`'s ValueError after the same packs were drained."""
-    model = replace(power_model, ground_coeffs={0.0: (c1, 0.0)})
+    raises `drain`'s ValueError after the same packs were drained.
+    `PowerModel` refuses a negative ground fit when it is built, but its
+    `ground_coeffs` dict can still be edited after that."""
+    model = replace(power_model, ground_coeffs={0.0: (29.0, 0.0)})
+    model.ground_coeffs[0.0] = (c1, 0.0)
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
     fast, ref = _against_reference(params, rotor, model, batteries, initial_ground_state(params),
                                    SurfaceModel(), script, 1.0, avionics_power_w=avionics_w)
