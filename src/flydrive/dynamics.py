@@ -180,11 +180,16 @@ class ControlSetpoint:
     target_yaw_deg: float = 0.0
 
     def __post_init__(self):
-        if abs(self.speed_mps) > DEFAULT_SPEED_ENVELOPE_MPS + 1e-9:
-            raise ValueError(
-                f"speed target {self.speed_mps} m/s outside envelope "
-                f"+-{DEFAULT_SPEED_ENVELOPE_MPS} m/s"
-            )
+        # each check is written so that NaN fails it
+        if not abs(self.speed_mps) <= DEFAULT_SPEED_ENVELOPE_MPS + 1e-9:
+            raise FieldError("speed_mps", f"must be within +-{DEFAULT_SPEED_ENVELOPE_MPS} m/s")
+        if not math.isfinite(self.yaw_rate_radps):
+            raise FieldError("yaw_rate_radps", "must be finite")
+        position = self.target_position
+        if position is not None and not all(map(math.isfinite, position)):
+            raise FieldError("target_position", "must be finite")
+        if not abs(self.target_yaw_deg) <= 360.0:  # so each heading wrap turns at most twice
+            raise FieldError("target_yaw_deg", "must be within +-360 deg")
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,11 @@ class ControllerGains:
     max_flight_accel_mps2: float = 15.0  # horizontal authority at T/W 1.84
     geofence_radius_m: float = 200.0
     attach_normal_fraction: float = statics.DEFAULT_ATTACH_NORMAL_FRACTION
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise FieldError(name, "must be finite")
 
 
 def _sgn(x: float) -> float:
@@ -424,13 +434,14 @@ def check_finite(values, state: SimState) -> None:
         raise SimulationFault("non-finite value in integration step", state)
 
 
-def _check_inputs_finite(state: SimState, setpoint: ControlSetpoint) -> None:
+def _check_state_finite(state: SimState) -> None:
+    """A `ControlSetpoint` is finite by construction; the state is checked
+    at each step."""
     if not all(map(math.isfinite, (
         *state.position, *state.velocity, *state.quaternion,
         *state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg,
-        setpoint.speed_mps, setpoint.yaw_rate_radps, *(setpoint.target_position or ()),
     ))):
-        raise SimulationFault("non-finite value in state or setpoint", state)
+        raise SimulationFault("non-finite value in state", state)
 
 
 def check_dt(dt_s: float) -> None:
@@ -498,7 +509,7 @@ def step_law(
     `floats_of` the state that `step` returns from the state of floats f,
     unchecked for finiteness. Raises what `step` raises before it
     integrates; a wall step may raise DetachEvent with no state."""
-    _check_inputs_finite(state, setpoint)
+    _check_state_finite(state)
     mode = state.mode
     if mode in (Mode.GROUND, Mode.INCLINE):
         advance = _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload)

@@ -5,12 +5,13 @@ endurance figure. `simulator._Books` books a run's draw against the packs."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import statics
 from .dynamics import DEFAULT_SPEED_ENVELOPE_MPS
 from .fields import FieldError
-from .vehicle import RotorModel, VehicleParams, interp
+from .vehicle import RotorModel, VehicleParams
 
 PROPULSION_A = "prop_a"
 PROPULSION_B = "prop_b"
@@ -198,23 +199,33 @@ class PowerModel:
         what `incline_power` would: the MTOM check first, then rotor
         saturation, then an unknown payload. The rotor's power table is
         looked up directly; a hold thrust outside [0, saturation] goes
-        through `RotorModel.power_at_thrust`, which raises its error."""
+        through `RotorModel.power_at_thrust`, which raises its error. The
+        lookup is `vehicle.interp` written out inline, as in
+        `RotorModel.realise`, which spares each sloped planner edge a call."""
         weight_n = ground_w = None
         rotor = self.rotor
         thrusts, powers, slopes = rotor.thrusts, rotor.powers, rotor._power_slopes
-        saturation = rotor._saturation
+        saturation, last = rotor._saturation, len(thrusts) - 1
+        sin, radians = math.sin, math.radians
 
         def power(slope_deg):
             nonlocal weight_n, ground_w
             if weight_n is None:
                 weight_n = self.params.total_mass(payload) * self.params.gravity
-            per_rotor = weight_n * math.sin(math.radians(slope_deg)) / 4.0
+            per_rotor = weight_n * sin(radians(slope_deg)) / 4.0
             if not 0.0 <= per_rotor <= saturation:
                 rotor.power_at_thrust(per_rotor)
-            rotor_power = 4.0 * interp(per_rotor, thrusts, powers, slopes)
+            if per_rotor <= thrusts[0]:
+                held = powers[0]
+            elif per_rotor >= thrusts[last]:
+                held = powers[last]
+            else:
+                j = bisect_right(thrusts, per_rotor, 1, last) - 1
+                x0 = thrusts[j]
+                held = powers[j] if x0 == per_rotor else slopes[j] * (per_rotor - x0) + powers[j]
             if ground_w is None:
                 ground_w = self.ground_power(speed, payload)
-            return ground_w + rotor_power
+            return ground_w + 4.0 * held
 
         return power
 

@@ -22,7 +22,12 @@ A move's key goes on a heap. Every mode switch adds the same energy to a
 key that settles in order, so switch keys arrive sorted and go on a
 first-in first-out queue, bar two energies an ulp apart that round to the
 same sum, inserted in place (see `_search`). Each step settles the smaller
-front, as one heap of every key would.
+front, as one heap of every key would. A drive node's fly twin (the fly
+node its switch reaches) is not queued at all when it cannot move: each of
+its fly neighbours is closed or will hold less, by the time it would
+settle, than any fly move from it could give. Settling it would change
+nothing, so every other node settles in the same order; its energy is
+still written, and a fly move that lowers it later heaps it as usual.
 
 A fly move whose target already holds less than the settled node's energy
 plus the level fly edge energy is skipped unpriced: no fly edge costs less
@@ -290,6 +295,19 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     place. The queue stays sorted and the settle order is that of one heap
     of every key.
 
+    A drive node u settled at energy E writes its fly twin v = u ^ 1 at
+    e = E + switch_wh as any switch does, but queues it only if v can move:
+    unless, with b = e + fly.floor > e, each fly neighbour w of v is
+    closed, holds dist[w] < b, or has a drive twin w - 1 with
+    dist[w - 1] < e and dist[w - 1] + switch_wh < b. This is exact: dist
+    only falls and closed only rises, and a drive twin below e settles
+    before v would, its own switch giving w at most dist[w - 1] + switch_wh
+    (float addition is monotone). So when v would settle, each of its fly
+    moves fails the floor test below and its switch back meets the closed
+    u; from then on every move onto v fails the floor test too, and a fly
+    move that lowers v before then heaps it as usual. The floor is bound,
+    so no fly price can raise.
+
     A fly move is skipped unpriced when its target already holds less
     energy than the settled node's energy plus the fly pricer's `floor`:
     no fly price is below the floor and float addition is monotone, so the
@@ -357,16 +375,29 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
         if e < d or (e == d and t < trans[v]):
             dist[v] = e
             trans[v] = t
-            if switched and (e, t, v) < switched[-1]:
-                insort(switched, (e, t, v))  # energies an ulp apart
-            else:
-                switched.append((e, t, v))
+            # v's fly neighbours are x + 1 for u's drive neighbours x
+            # (u - row, u - 2, u + 2, u + row): queued only if v can move
+            if u & 1 or not (b := e + fly.floor) > e or not (
+                (closed[u - row + 1] or dist[u - row + 1] < b
+                 or dist[u - row] < e and dist[u - row] + switch_wh < b)
+                and (closed[u - 1] or dist[u - 1] < b
+                     or dist[u - 2] < e and dist[u - 2] + switch_wh < b)
+                and (closed[u + 3] or dist[u + 3] < b
+                     or dist[u + 2] < e and dist[u + 2] + switch_wh < b)
+                and (closed[u + row + 1] or dist[u + row + 1] < b
+                     or dist[u + row] < e and dist[u + row] + switch_wh < b)
+            ):
+                if switched and (e, t, v) < switched[-1]:
+                    insort(switched, (e, t, v))  # energies an ulp apart
+                else:
+                    switched.append((e, t, v))
         elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
             continue
         parent[v] = u
         depth[v] = depth[u] + 1
     if not closed[target]:
-        # both queues ran dry, so every node given an energy was settled
+        # both queues ran dry, so every node given an energy was settled or
+        # is a fly twin that could not move
         explored = [_cell_mode(n, pw) for n, d in enumerate(dist) if d < math.inf]
         raise NoPathError(
             f"no route from {start} to {goal}: explored "

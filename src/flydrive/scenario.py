@@ -55,9 +55,15 @@ class ValidationSpec:
     expect_wall_tilt_deg: float | None = None
 
     def __post_init__(self):
+        # each check is written so that NaN fails it; None leaves a check out
         for name in ("max_speed_error_frac", "expect_fly_legs", "max_leg_deviation_frac"):
-            if not (getattr(self, name) or 0) >= 0:  # NaN fails too
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
                 raise FieldError(name, "must be >= 0")
+        for name in ("steady_speed_mps", "min_distance_m", "expect_wall_tilt_deg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FieldError(name, "must be finite")
 
 
 @dataclass(frozen=True)

@@ -287,8 +287,8 @@ class Simulator:
         script: list[ScriptEvent],
         duration_s: float,
     ) -> SimResult:
-        if duration_s < 0:
-            raise ValueError("duration must be >= 0")
+        if not 0.0 <= duration_s < math.inf:  # NaN included
+            raise FieldError("duration_s", "must be finite and >= 0")
         script = sorted(script, key=lambda ev: ev.t_s)
         state = initial_state
         setpoint = ControlSetpoint(mode=state.mode)

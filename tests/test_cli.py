@@ -542,6 +542,20 @@ class TestScenarioLoading:
         assert f"scn.json: {keypath}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("yaw", [1e8, -1e300, 360.5])
+    def test_yaw_target_beyond_a_turn_exits_2(self, tmp_path, capsys, yaw):
+        # the heading wrap used to take 45.9 s on a 4.2 s flight at 1e8,
+        # and never to end at 1e300
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {
+            **MINI_DRIVE, "duration_s": 4.2, "initial": {"mode": "flight", "height_m": 2.0},
+            "script": [{"t_s": 0.0, "mode": "flight", "target_position_m": [1.0, 0.0, 2.0],
+                        "target_yaw_deg": yaw}]})
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "scn.json: script[0].target_yaw_deg: must be within +-360 deg" in err
+        assert not out.exists()
+
     def test_refused_take_off_needs_no_target(self, tmp_path):
         # a take-off while the vehicle drives at 1 m/s is refused: it never flies
         out = tmp_path / "out"

@@ -25,6 +25,7 @@ from flydrive.dynamics import (
     quaternion_yaw,
     step,
 )
+from flydrive.fields import FieldError
 from flydrive.simulator import ScriptEvent, Simulator
 from flydrive.vehicle import RotorModel
 from reference_rotor import outcome, reference_ground_allocation
@@ -374,12 +375,15 @@ class TestFlight:
         else:
             assert any(a * b < 0.0 and abs(a) > 3.0 for a, b in zip(yaws, yaws[1:]))
 
-    def test_nan_target_faults_with_last_state(self, params, rotor):
-        s = initial_flight_state((0.0, 0.0, 2.0))
-        sp = ControlSetpoint(
-            mode=Mode.FLIGHT, target_position=(math.nan, 0.0, 2.0)
-        )
-        with pytest.raises(SimulationFault) as err:
+    def test_nan_target_is_refused(self):
+        with pytest.raises(FieldError) as err:
+            ControlSetpoint(mode=Mode.FLIGHT, target_position=(math.nan, 0.0, 2.0))
+        assert err.value.key == "target_position"
+
+    def test_nan_state_faults_with_last_state(self, params, rotor):
+        s = replace(initial_flight_state((0.0, 0.0, 2.0)), velocity=(math.nan, 0.0, 0.0))
+        sp = ControlSetpoint(mode=Mode.FLIGHT, target_position=(0.0, 0.0, 2.0))
+        with pytest.raises(SimulationFault, match="non-finite value in state") as err:
             step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
         assert err.value.last_state == s
 

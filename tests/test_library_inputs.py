@@ -16,7 +16,13 @@ import pytest
 
 from flydrive import fields
 from flydrive.defaults import default_power_model
-from flydrive.dynamics import ControlSetpoint, Mode, SurfaceModel, initial_ground_state
+from flydrive.dynamics import (
+    ControllerGains,
+    ControlSetpoint,
+    Mode,
+    SurfaceModel,
+    initial_ground_state,
+)
 from flydrive.energy import Battery, calibrate_ground_power, mode_power, range_estimate
 from flydrive.fields import FieldError
 from flydrive.planner import PlannerConfig, plan, validate_plan
@@ -73,6 +79,17 @@ BUILDERS = [
                    "transition_time_s", "slope_margin_deg")],
     *[(f"TerrainGrid.{name}", name, lambda v, name=name: _grid(**{name: v}))
       for name in ("width", "height", "cell_size_m")],
+    *[(f"ControlSetpoint.{name}", name,
+       lambda v, name=name: ControlSetpoint(Mode.FLIGHT, **{name: v}))
+      for name in ("speed_mps", "yaw_rate_radps", "target_yaw_deg")],
+    ("ControlSetpoint.target_position", "target_position",
+     lambda v: ControlSetpoint(Mode.FLIGHT, target_position=(0.0, 0.0, v))),
+    *[(f"ControllerGains.{f.name}", f.name,
+       lambda v, name=f.name: ControllerGains(**{name: v}))
+      for f in dataclasses.fields(ControllerGains)],
+    *[(f"ValidationSpec.{name}", name, lambda v, name=name: ValidationSpec(**{name: v}))
+      for name in ("steady_speed_mps", "max_speed_error_frac", "min_distance_m",
+                   "expect_fly_legs", "max_leg_deviation_frac", "expect_wall_tilt_deg")],
 ]
 
 
@@ -179,12 +196,30 @@ class TestMovedRules:
             SurfaceModel(**changes)
         assert err.value.key == key
 
-    @pytest.mark.parametrize("name", ["max_speed_error_frac", "max_leg_deviation_frac"])
+    @pytest.mark.parametrize("name", ["max_speed_error_frac", "max_leg_deviation_frac",
+                                      "steady_speed_mps", "min_distance_m",
+                                      "expect_wall_tilt_deg"])
     def test_validation_thresholds(self, name):
         # a NaN threshold used to build, and then failed every check it bounds
         with pytest.raises(FieldError) as err:
             ValidationSpec(**{name: math.nan})
         assert err.value.key == name
+
+    @pytest.mark.parametrize("yaw", [360.5, -1e8, 1e300])
+    def test_yaw_target_is_bounded(self, yaw):
+        # the heading wrap subtracts a turn at a time: 1e300 never ended
+        with pytest.raises(FieldError) as err:
+            ControlSetpoint(Mode.FLIGHT, target_yaw_deg=yaw)
+        assert str(err.value) == "target_yaw_deg must be within +-360 deg"
+        assert ControlSetpoint(Mode.FLIGHT, target_yaw_deg=-360.0).target_yaw_deg == -360.0
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -1.0])
+    def test_run_duration(self, params, rotor, power_model, batteries, duration_s):
+        # NaN used to raise "cannot convert float NaN to integer"
+        sim = Simulator(params, rotor, power_model, batteries)
+        with pytest.raises(FieldError) as err:
+            sim.run(initial_ground_state(params), SurfaceModel(), [], duration_s)
+        assert str(err.value) == "duration_s must be finite and >= 0"
 
     def test_a_loader_reports_a_positional_value_at_its_own_key(self):
         """A FieldError from a call given only positional arguments names the

@@ -5,7 +5,9 @@ import heapq
 import json
 import math
 import random
+from collections import deque
 from dataclasses import replace as _replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -480,7 +482,11 @@ class TestValidatePlan:
         profiles = [(0.0, 0.5, -0.0, 1e308, 0.25), (0.0, -0.0, 0.0, -0.0),
                     (0.0, math.nan, 1.0), (0.0, math.inf, 0.0), (0.0, -math.inf, 2.0),
                     (math.inf, math.inf, 1.0), (-1e308, 1e308, -1e308)]
-        gains_of = dynamics.ControllerGains
+        def gains_of(**changes):
+            # ControllerGains refuses a non-finite field; the clamps must
+            # still match the builtins on any float
+            return SimpleNamespace(**{**vars(dynamics.ControllerGains()), **changes})
+
         limits = [(cap, 4.0) for cap in (15.0, 1.0, 0.0, -0.0, math.inf, -math.inf, math.nan)]
         for cap, kp in limits + [(15.0, math.nan), (0.5, math.inf)]:
             gains = gains_of(kp_pos=kp, max_flight_accel_mps2=cap)
@@ -731,13 +737,47 @@ def _mode_indifferent(model, config):
     return _replace(model, flight_power_w={0.0: watts}), config
 
 
+def _oriented_ascii(lines, flip, transpose):
+    """The ASCII terrain of `lines`, each row reversed if flip and rows and
+    columns swapped if transpose, and the cell of each marker letter (a
+    free cell at 0 m)."""
+    if flip:
+        lines = [line[::-1] for line in lines]
+    if transpose:
+        lines = ["".join(column) for column in zip(*lines)]
+    at = {ch: (r, c) for r, line in enumerate(lines) for c, ch in enumerate(line)
+          if ch.isalpha()}
+    return terrain_from_ascii("\n".join(lines), elevations=dict.fromkeys(at, 0.0)), at
+
+
+def _switch_queue_log(monkeypatch):
+    """Log every key that enters the search's mode-switch queue; the
+    returned function gives the logged (cell, mode) nodes on a grid."""
+    keys = []
+
+    class Logged(deque):
+        def append(self, key):
+            keys.append(key)
+            super().append(key)
+
+        def insert(self, i, key):
+            keys.append(key)
+            super().insert(i, key)
+
+    monkeypatch.setattr(planner, "deque", Logged)
+    return lambda grid: [planner._cell_mode(node, grid.width + 2) for _, _, node in keys]
+
+
 @st.composite
 def planning_cases(draw):
     """Small grids of integer elevations with obstacles and no-fly cells,
     often split by an obstacle fence; flat stretches make many routes tie
     on energy and transitions. Now and then the payload is 2.0 kg: it is
     calibrated but over the MTOM, so a climb in flight or a sloped drive
-    edge raises."""
+    edge raises. Sometimes flight costs a quarter of its calibration, so
+    a level fly edge is cheaper than a sloped drive edge and a fly twin
+    (the fly node a settled drive node switches into) often has a move
+    that improves on a neighbour: the search must queue it."""
     height = draw(st.integers(1, 9))
     width = draw(st.integers(1, 9))
     n = width * height
@@ -760,7 +800,11 @@ def planning_cases(draw):
     if draw(st.booleans()):
         model, config = _mode_indifferent(model, config)
     payload = draw(st.sampled_from((0.0, 0.0, 0.0, 2.0)))
-    return grid, draw(cell), draw(cell), config, model, None, payload
+    start, goal = draw(cell), draw(cell)
+    if draw(st.integers(0, 3)) == 0:
+        model = _replace(model, flight_power_w={
+            kg: watts / 4.0 for kg, watts in model.flight_power_w.items()})
+    return grid, start, goal, config, model, None, payload
 
 
 class TestMatchesReference:
@@ -786,6 +830,45 @@ class TestMatchesReference:
         outcome = _outcome(plan, *args)
         assert outcome == (ValueError, "mass 4.7 kg exceeds MTOM 4.0 kg")
         assert outcome == _outcome(reference_planner.plan, *args)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["along-row", "along-column"])
+    @pytest.mark.parametrize("flip", [False, True], ids=["forward", "reverse"])
+    def test_only_takeoff_borders_no_fly_and_an_obstacle(self, model, monkeypatch,
+                                                         flip, transpose):
+        # S's twin settles first (the switch costs a little more than a
+        # drive edge) and prices the climb onto the 1 m cell, which binds
+        # the fly floor. The fly twins of X and Y, settled after it, cannot
+        # move and skip the switch queue; T's twin, between no-fly cells
+        # and beside the obstacle, is the only useful takeoff and must be
+        # queued. Each orientation puts the obstacle at another of T's
+        # four neighbours.
+        lines = ["~~~~~~~~~", "1S.XYT#.G", "~~~~~~~~~"]
+        grid, at = _oriented_ascii(lines, flip, transpose)
+        queued = _switch_queue_log(monkeypatch)
+        args = (grid, at["S"], at["G"], cfg(transition_energy_wh=0.01), model)
+        mission = plan(*args)
+        assert mission == reference_planner.plan(*args)
+        assert [leg.cells for leg in mission.legs if leg.mode == TRANSITION_TO_FLY] \
+            == [(at["T"],)]
+        twins = [cell for cell, mode in queued(grid) if mode == FLY]
+        assert at["T"] in twins
+        assert at["X"] not in twins and at["Y"] not in twins
+
+    def test_skipped_twins_are_explored(self, model, monkeypatch):
+        # the goal is cut off by a no-fly cell; once the floor is bound,
+        # the fly twins of X and Y cannot move and skip the switch queue,
+        # but they hold an energy, so NoPathError lists them as the
+        # reference does
+        lines = ["~~~~~~~~", "1S.XY~.G", "~~~~~~~~"]
+        grid, at = _oriented_ascii(lines, False, False)
+        queued = _switch_queue_log(monkeypatch)
+        args = (grid, at["S"], at["G"], cfg(transition_energy_wh=0.01), model, None, 0.0)
+        outcome = _outcome(plan, *args)
+        assert outcome == _outcome(reference_planner.plan, *args)
+        twins = [cell for cell, mode in queued(grid) if mode == FLY]
+        for cell in (at["X"], at["Y"]):
+            assert cell not in twins
+            assert (cell, FLY) in outcome[1]
 
     @pytest.mark.parametrize("indifferent, digest", [
         (False, "713cc93b7d9d7b9ee2b4f0426da91a05910c6c221d6680557abd19ccea457d10"),
@@ -911,6 +994,40 @@ class TestReliefPlansPinned:
         mission = plan(grid, (0, 0), (59, 59), cfg(), model)
         assert mission.n_transitions == 2
         assert 0 < len(pushes) < 6000
+
+    def test_fly_twins_that_cannot_move_skip_the_switch_queue(self, model, monkeypatch):
+        # a settled drive node's fly twin goes to the switch queue only if
+        # one of its fly moves could improve or tie a neighbour: 614 queued
+        # switches, where queueing every twin takes 3 446
+        queued = _switch_queue_log(monkeypatch)
+        grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
+        mission = plan(grid, (0, 0), (59, 59), cfg(), model)
+        assert mission.n_transitions == 2
+        assert 0 < len(queued(grid)) < 1000
+
+    def test_twin_whose_move_ties_a_neighbour_is_queued(self):
+        """A fly twin with a move that ties a neighbour's energy must settle:
+        the tie goes to the route that sorts first. U's twin, at 4.5 Wh with
+        the fly floor 1.0 Wh, reaches W for 5.5 Wh, which W already holds
+        from Y with as many transitions; the route through U sorts first,
+        so W's parent becomes U's twin."""
+        # row 0: start S, U; row 1: Y, goal W
+        grid = terrain_from_dict({"width": 2, "height": 2, "cell_size_m": 1.0,
+                                  "elevation_m": [0.0, 5.0, 0.5, 3.0]})
+        trav = planner.Traversability(drivable=((True,) * 2,) * 2, flyable=((True,) * 2,) * 2)
+
+        def drive(dh):  # S to U 4 Wh, every other edge 100 Wh
+            return 4.0 if dh == 5.0 else 100.0
+
+        def fly(dh):  # S to Y and every level or descending edge 1 Wh, Y to W 4 Wh
+            return {0.5: 1.0, 2.5: 4.0}.get(dh, 1.0 if dh <= 0.0 else 10.0)
+
+        fly.floor = 1.0
+        wh, n_transitions, steps = planner._search(grid, trav, (0, 0), (1, 1),
+                                                   (drive, fly), 0.5)
+        assert (wh, n_transitions) == (6.0, 2)
+        assert steps == [((0, 0), DRIVE), ((0, 1), DRIVE), ((0, 1), FLY), ((1, 1), FLY),
+                         ((1, 1), DRIVE)]
 
     def test_switch_keys_an_ulp_apart_settle_in_heap_order(self):
         """A fly node settled at energy 1.0 and a drive node settled after it
