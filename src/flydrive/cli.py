@@ -82,6 +82,29 @@ def _write_json(out_dir: str, name: str, payload) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _staged(path: str):
+    """A text file open at a temporary name beside path, which the block
+    renames to path; its directory is made if missing. If the block raises,
+    the temporary file and every directory made for it are removed, so a
+    failed command leaves nothing behind."""
+    made, parent = [], os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    staged = path + ".tmp"
+    try:
+        with open(staged, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except BaseException:
+        if os.path.exists(staged):
+            os.remove(staged)
+        for directory in made:  # the deepest first
+            os.rmdir(directory)
+        raise
+
+
 def _state_dict(state) -> dict:
     return {
         "time_s": state.time_s,
@@ -101,12 +124,12 @@ def _cmd_simulate(args) -> int:
         raise ScenarioError(
             f"{scenario.source}: scenario defines a planner query; use the plan subcommand"
         )
-    result = run_scenario(scenario, dt_s=args.dt_s, trace_decimation=args.decimation)
-    ok, checks = evaluate_simulation(scenario, result)
-
-    os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
-    result.write_trace(trace_path)
+    with _staged(trace_path) as trace:  # the rows stream to it as the run goes
+        result = run_scenario(scenario, dt_s=args.dt_s, trace_decimation=args.decimation,
+                              trace=trace)
+        ok, checks = evaluate_simulation(scenario, result)
+        result.write_trace(trace_path)
     ledger_path = _write_json(args.out, "ledger.json", result.ledger.to_dict())
 
     payload = {

@@ -687,6 +687,8 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
         if not (yaw_new == last_yaw and (yaw_new or _pack1(yaw_new) == _pack1(last_yaw))):
             if incline:
                 ux, uy, uz = cos_psi, 0.0, sin_psi
+            elif not -math.inf < yaw_new < math.inf:  # a yaw rate that overflowed
+                raise SimulationFault("non-finite value in integration step", None)
             else:
                 ux, uy, uz = math.cos(yaw_new), math.sin(yaw_new), 0.0
             q = _yaw_quaternion(yaw_new)
@@ -802,6 +804,8 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
         az = az if az > 0.0 else 0.0
         mag = math.sqrt(ax * ax + ay * ay + az * az)
         demand = m * mag / 4.0
+        if not demand >= 0.0:  # NaN: kp times a position error of ~1e308 m overflowed
+            raise SimulationFault("non-finite value in integration step", None)
         c, per_rotor = realise(f_max if f_max < demand else demand)
         k = 4.0 * per_rotor / m
         if mag > 1e-12:

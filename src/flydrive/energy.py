@@ -59,6 +59,13 @@ class Battery:
             raise FieldError("soc", "must be in [0, 1]")
         if not 0.0 < self.usable_fraction <= 1.0:
             raise FieldError("usable_fraction", "must be in (0, 1]")
+        if not 0.0 < self.pack_energy_wh * 3600.0 < math.inf:  # a run divides by it
+            # named by the factor farthest from 1: the one that overflowed or underflowed
+            factors = {"capacity_ah": self.capacity_ah, "cells_series": self.cells_series,
+                       "nominal_cell_voltage": self.nominal_cell_voltage}
+            name = max(factors, key=lambda n: abs(math.log(factors[n])))
+            raise FieldError(name, f"{factors[name]!r} makes a pack energy of "
+                                   f"{self.pack_energy_wh} Wh; it must be finite and > 0")
 
     @property
     def is_propulsion(self) -> bool:
@@ -169,6 +176,9 @@ class PowerModel:
             raise FieldError("hover_power_w", "must be >= 0")
         if not self.wall_wake_factor > 0.0:
             raise FieldError("wall_wake_factor", "must be > 0")
+        if not self.wall_wake_factor * 4.0 * self.rotor.powers[-1] < math.inf:  # the most it draws
+            raise FieldError("wall_wake_factor", f"{self.wall_wake_factor} makes the wall "
+                                                 "power at the rotors' full thrust overflow")
         for payload, (c1, c3) in self.ground_coeffs.items():
             if fault := _ground_fit_fault(c1, c3):
                 raise FieldError(f"ground_coeffs.{payload}", fault)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 from . import dynamics, fields
 from .defaults import (
@@ -201,7 +202,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         batteries=tuple(_load_batteries(top["batteries"], fail)),
         avionics_power_w=top["avionics_power_w"],
         surface=fields.call(SurfaceModel, fail, "surface", **block("surface", SURFACE)),
-        initial=InitialSpec(**block("initial", INITIAL)),
+        initial=_load_initial(block("initial", INITIAL), model, top["payload_kg"], fail),
         script=tuple(_load_script(top["script"], fail)),
         duration_s=top["duration_s"],
         planner_query=None if top["planner"] is None else _load_planner_query(
@@ -211,6 +212,15 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
         seed=top["seed"],
         source=source,
     )
+
+
+def _load_initial(spec: dict, model: PowerModel, payload: float, fail) -> InitialSpec:
+    """The initial state's spec. A wall start's tilt must be one the
+    vehicle can climb at, since the run prices its first row there."""
+    initial = InitialSpec(**spec)
+    if initial.mode == Mode.WALL:
+        fields.call(model.wall_power, fail, "initial.tilt_deg", initial.tilt_deg, payload)
+    return initial
 
 
 def _file_beside(base_dir: str, ref: str, fail, keypath: str) -> str:
@@ -354,24 +364,18 @@ def initial_state_for(scenario: Scenario):
 
 
 def run_scenario(scenario: Scenario, dt_s: float = 0.001,
-                 trace_decimation: int = 10) -> SimResult:
+                 trace_decimation: int = 10, trace: TextIO | None = None) -> SimResult:
+    """Run the scenario's script; `trace` is `Simulator.run`'s."""
     if scenario.is_planning:
         raise ScenarioError(f"{scenario.source}: planning scenario has no script to run")
     sim = build_simulator(scenario, dt_s=dt_s, trace_decimation=trace_decimation)
-    if math.isinf(scenario.duration_s / dt_s):
-        raise ScenarioError(f"{scenario.source}: duration_s: {scenario.duration_s} s "
-                            f"is too many steps of {dt_s} s to count")
-    # the ground yaw-rate loop integrates explicitly: past this gain per step
-    # each correction overshoots by more than the error it corrects
-    kp_yaw, inertia = sim.gains.kp_yaw_rate, scenario.params.yaw_inertia
-    if not kp_yaw * dt_s / inertia < 2.0:
-        raise ScenarioError(
-            f"{scenario.source}: vehicle_overrides.yaw_inertia: {inertia} kg m^2 makes the "
-            f"yaw-rate loop unstable at dt_s {dt_s} s; it must exceed "
-            f"{kp_yaw * dt_s / 2.0:.3g} kg m^2")
     state = initial_state_for(scenario)
     try:
-        return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s)
+        return sim.run(state, scenario.surface, list(scenario.script), scenario.duration_s,
+                       trace=trace)
+    except FieldError as exc:  # the run's checks of duration_s and yaw_inertia
+        keypath = "vehicle_overrides.yaw_inertia" if exc.key == "yaw_inertia" else exc.key
+        raise ScenarioError(f"{scenario.source}: {keypath}: {exc.message}") from None
     except FlightTargetError as exc:  # named by the entry behind the flight
         keypath = "initial.mode" if exc.event is None else next(
             f"script[{i}].target_position_m" for i, ev in enumerate(scenario.script)

@@ -36,12 +36,22 @@ logged at the state before it. Per step at dt 1 ms, booking and trace
 included, flight costs about 5 us, a turn 5.5 us and a transition 3 us
 (medians of nine best-of-five runs on a shared 2-core x86_64 host,
 Python 3.11.7).
+
+A library call keeps the trace rows in `SimResult.rows`, a list.
+`flydrive simulate` passes `Simulator.run` an open file instead, and the
+rows stream to it in chunks of `_TRACE_CHUNK_ROWS` (`_TraceSink`), so a
+run's memory does not grow with its length: the full-pack drive at dt 1 ms
+writes 1.15M rows, 200 MB, and peaks at 17.5 MB (279 MB while it kept
+them, on the host above). Either way `SimResult.write_trace` puts the same
+bytes at its path.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 from . import dynamics
 from .dynamics import (
@@ -78,6 +88,7 @@ TRACE_HEADER = (
 _HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 HOVER_SPEED_THRESHOLD_MPS = 0.5  # below this, flight power is hover power
+_TRACE_CHUNK_ROWS = 256  # rows a streamed trace holds before it writes them out
 
 
 @dataclass(frozen=True)
@@ -93,16 +104,50 @@ class ScriptEvent:
             raise FieldError("t_s", "must be finite and >= 0")
 
 
+class _TraceSink:
+    """The trace rows of a run streamed to an open text file: the header at
+    once, then the rows in chunks of `_TRACE_CHUNK_ROWS`. `len` counts every
+    row appended; `place` writes the rest, closes the file and renames it."""
+
+    def __init__(self, fh: TextIO):
+        fh.write(_HEADER_LINE)
+        self.fh, self.chunk, self.n_written = fh, [], 0
+
+    def append(self, row: str) -> None:
+        chunk = self.chunk
+        chunk.append(row)
+        if len(chunk) == _TRACE_CHUNK_ROWS:
+            self.fh.writelines(chunk)
+            self.n_written += _TRACE_CHUNK_ROWS
+            chunk.clear()
+
+    def __len__(self) -> int:
+        return self.n_written + len(self.chunk)
+
+    def place(self, path) -> None:
+        fh = self.fh
+        fh.writelines(self.chunk)
+        self.n_written += len(self.chunk)
+        self.chunk.clear()
+        fh.close()
+        os.replace(fh.name, path)
+
+
 @dataclass
 class SimResult:
     final_state: SimState
-    rows: list  # one CSV line per trace row, newline included
+    rows: list[str] | _TraceSink  # one CSV line per trace row, newline included
     ledger: EnergyLedger
     events: list
     faulted: bool = False
     fault_reason: str | None = None
 
     def write_trace(self, path) -> None:
+        """Put the trace CSV at path. A run streamed to a trace file writes
+        its last rows there, closes it and renames it to path."""
+        if isinstance(self.rows, _TraceSink):
+            self.rows.place(path)
+            return
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_HEADER_LINE)
             fh.writelines(self.rows)
@@ -286,19 +331,37 @@ class Simulator:
         surface: SurfaceModel,
         script: list[ScriptEvent],
         duration_s: float,
+        trace: TextIO | None = None,
     ) -> SimResult:
+        """Run the script from `initial_state` for `duration_s`. The trace
+        rows go to `SimResult.rows`, a list, or with `trace`, an open text
+        file, to that file in chunks; `SimResult.write_trace` then puts
+        the file in place. A duration of more steps than a float counts,
+        or a yaw-rate loop unstable at the step, raises a FieldError before
+        the file gets a row."""
+        dt = self.dt_s
         if not 0.0 <= duration_s < math.inf:  # NaN included
             raise FieldError("duration_s", "must be finite and >= 0")
+        if math.isinf(duration_s / dt):
+            raise FieldError("duration_s", f"{duration_s} s is too many steps of {dt} s to count")
+        # the ground yaw-rate loop integrates explicitly: past this gain per
+        # step each correction overshoots by more than the error it corrects
+        kp_yaw, inertia = self.gains.kp_yaw_rate, self.params.yaw_inertia
+        if not kp_yaw * dt / inertia < 2.0:
+            raise FieldError("yaw_inertia", f"{inertia} kg m^2 makes the yaw-rate loop unstable "
+                                            f"at dt_s {dt} s; it must exceed "
+                                            f"{kp_yaw * dt / 2.0:.3g} kg m^2")
         script = sorted(script, key=lambda ev: ev.t_s)
         state = initial_state
         setpoint = ControlSetpoint(mode=state.mode)
         schedule: TiltSchedule | None = None
         ledger = EnergyLedger()
         events: list[dict] = []
-        model, payload, dt = self.power_model, self.payload, self.dt_s
+        model, payload = self.power_model, self.payload
         params, rotor, gains = self.params, self.rotor, self.gains
-        rows = [_row(dynamics.floats_of(state, surface),
-                     instantaneous_power(model, state, surface, payload, schedule))]
+        rows = [] if trace is None else _TraceSink(trace)
+        rows.append(_row(dynamics.floats_of(state, surface),
+                         instantaneous_power(model, state, surface, payload, schedule)))
         n_steps = int(round(duration_s / dt))
         next_event = 0
         fault_reason = None
@@ -540,9 +603,17 @@ def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
         airborne = schedule is not None and (
             schedule.target_mode == Mode.FLIGHT or not any(f[CONTACT]))
         power = model.hover_power_w if airborne else 0.0
-        # the step that ends the tilt is priced in the mode it enters
-        return lambda g: (power if g[MODE] is mode
-                          else _stretch_power(model, surface, payload, None, g)(g))
+
+        def entered(g):  # the step that ends the tilt is priced in the mode it enters
+            try:
+                return _stretch_power(model, surface, payload, None, g)(g)
+            except UnknownPayloadError:
+                raise
+            except ValueError as exc:  # a wall it cannot climb, a slope it cannot hold
+                raise dynamics.SimulationFault(
+                    f"cannot enter {g[MODE].value} mode: {exc}", None) from None
+
+        return lambda g: power if g[MODE] is mode else entered(g)
     else:
         raise ValueError(f"unknown mode {mode}")
     return lambda g: power

@@ -511,6 +511,13 @@ class TestScenarioLoading:
             final = run_scenario(load_scenario(path), dt_s=dt_s).final_state
             assert final.angular_velocity[2] == pytest.approx(-0.4, rel=1e-3)  # turning right
 
+    def test_duration_is_reported_before_the_yaw_loop(self, tmp_path, capsys):
+        # both are the run's checks, in the order the scenario runner had them
+        path = write_scenario(tmp_path, {**MINI_DRIVE, "duration_s": 1e308,
+                                         "vehicle_overrides": {"yaw_inertia": 1e-6}})
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert "scn.json: duration_s: 1e+308 s is too many steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("script, keypath, initial", [
         ([{"t_s": 0.0, "transition_to": "flight"}], "script[0].target_position_m", None),
         ([{"t_s": 0.0, "mode": "ground", "speed_mps": 0.0},

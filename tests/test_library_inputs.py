@@ -10,6 +10,7 @@ run on.
 """
 
 import dataclasses
+import io
 import math
 
 import pytest
@@ -220,6 +221,25 @@ class TestMovedRules:
         with pytest.raises(FieldError) as err:
             sim.run(initial_ground_state(params), SurfaceModel(), [], duration_s)
         assert str(err.value) == "duration_s must be finite and >= 0"
+
+    def test_run_duration_of_too_many_steps(self, params, rotor, power_model, batteries):
+        # used to raise a bare OverflowError from int(round(duration_s / dt))
+        sim = Simulator(params, rotor, power_model, batteries)
+        trace = io.StringIO()
+        with pytest.raises(FieldError) as err:
+            sim.run(initial_ground_state(params), SurfaceModel(), [], 1e308, trace=trace)
+        assert str(err.value) == "duration_s 1e+308 s is too many steps of 0.001 s to count"
+        assert trace.getvalue() == ""  # refused before the trace got its header
+
+    def test_run_refuses_an_unstable_yaw_loop(self, rotor, power_model, batteries):
+        # the rule `run_scenario` applied alone: a library run used to turn
+        # at a yaw rate that ran away, unfaulted
+        params = VehicleParams(yaw_inertia=0.05)
+        sim = Simulator(params, rotor, power_model, batteries, dt_s=0.01)
+        with pytest.raises(FieldError) as err:
+            sim.run(initial_ground_state(params), SurfaceModel(), [], 1.0)
+        assert str(err.value) == ("yaw_inertia 0.05 kg m^2 makes the yaw-rate loop unstable "
+                                  "at dt_s 0.01 s; it must exceed 0.06 kg m^2")
 
     def test_a_loader_reports_a_positional_value_at_its_own_key(self):
         """A FieldError from a call given only positional arguments names the
