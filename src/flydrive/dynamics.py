@@ -22,17 +22,19 @@ Each mode's step is one law over plain floats (`step_law`), built once for
 a stretch in which the mode, setpoint, surface and tilt schedule hold: it
 maps a state's floats (`floats_of`) to those of the state after the step.
 `step` builds the law, takes one step and builds the state (`state_of`), so
-there is one copy of the physics; `Simulator.run` and plan validation take
-whole stretches through the law with no state object. A ground, incline or
-wall law reads neither the position nor the time, so once a step changes
-nothing else bit for bit (`repeats`), every further step through the same
-law repeats it. Flight (its controller reads the position) and transitions
-(their schedule reads the time) never repeat. The ground law reruns the
-thrust allocation only when the speed and yaw rate it reads change bit for
-bit, which a settled turn often repeats, and its heading's trigonometry,
-like the flight law its yaw loop, only when the yaw's bits change, which a
-settled yaw repeats. In a step, clamps are comparisons with the bits of
-`min`, `max`, `abs` and `_sgn`.
+there is one copy of the physics; `Simulator.run` takes whole stretches
+through the law with no state object. A ground, incline or wall law reads
+neither the position nor the time, so once a step changes nothing else bit
+for bit (`repeats`), every further step through the same law repeats it.
+Flight (its controller reads the position) and transitions (their
+schedule reads the time) never repeat. Plan validation drives straight
+edges, whose steps change only the speed, velocity and commands besides:
+`speed_law` steps just those, through the ground law's own speed update
+(`_ground_update`). The ground law reruns that update only when the speed
+and yaw rate it reads change bit for bit, which a settled turn often
+repeats, and its heading's trigonometry, like the flight law its yaw loop,
+only when the yaw's bits change, which a settled yaw repeats. In a step,
+clamps are comparisons with the bits of `min`, `max`, `abs` and `_sgn`.
 
 Every law drives the four rotors through the one `RotorModel` table: each
 demanded rotor thrust becomes a command and the thrust that command
@@ -491,6 +493,9 @@ _CONTACT, _NO_CONTACT = (True, True, True, True), (False, False, False, False)
 _STEADY_MODES = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
 _pack_motion = struct.Struct("16d").pack
 _pack1, _pack2 = struct.Struct("d").pack, struct.Struct("2d").pack
+_pack5 = struct.Struct("5d").pack
+_STRAIGHT = _pack5(1.0, 0.0, 0.0, 0.0, 0.0)  # heading along +x, no yaw rate
+_pack_speed = struct.Struct("8d").pack  # a `speed_law` tuple
 
 
 def step_law(
@@ -620,16 +625,19 @@ def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) ->
         )
 
 
-def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
-    """The step law of a ground or incline state. Feedforward holds gravity
-    and rolling resistance and a proportional term closes the speed loop,
-    which reads the speed along the slope on an incline and along the
-    heading on any other surface (a wall's foot included). Off an incline
-    the yaw loop steers, its feedforward cancelling the lateral-friction
-    moment of the fixed wheels (a positive yaw-rate target turns right).
-    It reruns the allocation only when the bits of the speed and yaw rate
-    it reads change (a settled turn repeats them), and the heading's
-    trigonometry only when the new yaw's bits change (a straight run)."""
+def _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload):
+    """The speed update of a ground or incline step law, and the slope's
+    axis. update(v, r) maps the speed and yaw rate a step reads to
+    (v_new, c0, c1, c2, c3, r_new): the speed along the track after the
+    step, the four rotor commands and the yaw rate after the step.
+    Feedforward holds gravity and rolling resistance and a proportional
+    term closes the speed loop, which reads the speed along the slope on an
+    incline and along the heading on any other surface (a wall's foot
+    included). Off an incline the yaw loop steers, its feedforward
+    cancelling the lateral-friction moment of the fixed wheels (a positive
+    yaw-rate target turns right). The axis is the unit vector up an
+    incline's slope, (cos psi, 0, sin psi), and None on any other surface.
+    Raises TipEvent on a slope at or past the tip limit."""
     m = params.total_mass(payload)
     incline = surface.kind == "incline"
     if incline:
@@ -648,9 +656,45 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     kp_yaw, two_lat = gains.kp_yaw_rate, 2.0 * lat
     fric_cap = surface.mu_lat(params) * m * g * half_long
     inertia = params.yaw_inertia
-    cos_psi, sin_psi = math.cos(psi), math.sin(psi)
-    front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     allocate = ground_allocator(params, rotor)
+
+    def update(v, r):
+        # the yaw loop's left/right differential, as a moment
+        moment = 0.0 if incline else (
+            (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
+        c0, c1, c2, c3, f_net, m_net = allocate(feedforward + kp * (v_target - v), moment)
+        drive = f_net - grade
+        # abs(x) <= c is -c <= x <= c, and c * _sgn(s) is c, -c or c * 0.0
+        if v == 0.0 and -hold <= drive <= hold:
+            v_new = 0.0
+        else:
+            s = v if v != 0.0 else drive
+            v_new = v + (drive - (hold if s > 0.0 else -hold if s < 0.0 else hold * 0.0)) / m * dt
+            if v != 0.0 and v * v_new < 0.0 and -hold <= drive <= hold:
+                v_new = 0.0  # rolling resistance stops the coast, it never reverses it
+        if incline or r == 0.0 and -fric_cap <= m_net <= fric_cap:
+            r_new = 0.0
+        else:
+            s = r if r != 0.0 else m_net
+            r_new = r + (m_net - (fric_cap if s > 0.0 else -fric_cap if s < 0.0
+                                  else fric_cap * 0.0)) / inertia * dt
+            if r != 0.0 and r * r_new < 0.0 and -fric_cap <= m_net <= fric_cap:
+                r_new = 0.0
+        return v_new, c0, c1, c2, c3, r_new
+
+    return update, ((math.cos(psi), 0.0, math.sin(psi)) if incline else None)
+
+
+def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
+    """The step law of a ground or incline state: the speed update
+    (`_ground_update`), then the heading and the velocity along it. It
+    reruns the update only when the bits of the speed and yaw rate it reads
+    change (a settled turn repeats them), and the heading's trigonometry
+    only when the new yaw's bits change (a straight run)."""
+    update, axis = _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload)
+    incline = axis is not None
+    cos_psi, _, sin_psi = axis or (1.0, 0.0, 0.0)
+    front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     last_v = last_r = last_yaw = math.nan  # what the memos below were computed for
     speed = heading = None
 
@@ -659,34 +703,12 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
         r, yaw, v = f[YAW_RATE], f[YAW], f[SPEED]
         # == cannot tell 0.0 from -0.0, so zeros compare as packed doubles
         if not (v == last_v and r == last_r and (v and r or _pack2(v, r) == _pack2(last_v, last_r))):
-            # the yaw loop's left/right differential, as a moment
-            moment = 0.0 if incline else (
-                (friction_moment + kp_yaw * (r_target - r)) / two_lat * 2.0 * lat)
-            c0, c1, c2, c3, f_net, m_net = allocate(feedforward + kp * (v_target - v), moment)
-            drive = f_net - grade
-            # abs(x) <= c is -c <= x <= c, and c * _sgn(s) is c, -c or c * 0.0
-            if v == 0.0 and -hold <= drive <= hold:
-                v_new = 0.0
-            else:
-                s = v if v != 0.0 else drive
-                v_new = v + (drive - (hold if s > 0.0 else -hold if s < 0.0 else hold * 0.0)
-                             ) / m * dt
-                if v != 0.0 and v * v_new < 0.0 and -hold <= drive <= hold:
-                    v_new = 0.0  # rolling resistance stops the coast, it never reverses it
-            if incline or r == 0.0 and -fric_cap <= m_net <= fric_cap:
-                r_new = 0.0
-            else:
-                s = r if r != 0.0 else m_net
-                r_new = r + (m_net - (fric_cap if s > 0.0 else -fric_cap if s < 0.0
-                                      else fric_cap * 0.0)) / inertia * dt
-                if r != 0.0 and r * r_new < 0.0 and -fric_cap <= m_net <= fric_cap:
-                    r_new = 0.0
-            last_v, last_r, speed = v, r, (v_new, c0, c1, c2, c3, r_new)
+            last_v, last_r, speed = v, r, update(v, r)
         v_new, c0, c1, c2, c3, r_new = speed
         yaw_new = yaw if incline else yaw + r_new * dt
         if not (yaw_new == last_yaw and (yaw_new or _pack1(yaw_new) == _pack1(last_yaw))):
             if incline:
-                ux, uy, uz = cos_psi, 0.0, sin_psi
+                ux, uy, uz = axis
             elif not -math.inf < yaw_new < math.inf:  # a yaw rate that overflowed
                 raise SimulationFault("non-finite value in integration step", None)
             else:
@@ -702,6 +724,46 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
                 qw, qx, qy, qz, front, rear, c0, c1, c2, c3, r_new, yaw2, read, mode, _CONTACT)
 
     return advance
+
+
+def speed_law(state, setpoint, surface, dt, params, rotor, gains, payload=0.0):
+    """The step law of a straight ground or incline state over its speed
+    alone: the state heads along +x (quaternion (1, 0, 0, 0)) with a yaw
+    rate of 0.0, and the setpoint asks for no yaw rate. Returns (advance,
+    start): advance(v) maps the speed v a step reads to (v', vx, vy, vz,
+    c0, c1, c2, c3), the floats `step_law` gives at SPEED, VELOCITY and
+    COMMANDS through the same update (`_ground_update`); `start` is that
+    tuple of the state. Only the time and the position, left out, change
+    besides, so a step repeats the one before exactly when `repeats` would
+    (`speed_repeats`, the first step against `start`). Raises ValueError
+    for any other state or setpoint, and at a step that would turn the
+    vehicle (only a lateral friction moment that overflows asks for that);
+    otherwise what `step_law` raises before it steps."""
+    _check_state_finite(state)
+    if (state.mode not in (Mode.GROUND, Mode.INCLINE) or setpoint.yaw_rate_radps != 0.0
+            or _pack5(*state.quaternion, state.angular_velocity[2]) != _STRAIGHT):
+        raise ValueError("a speed law needs a ground or incline state heading along +x "
+                         "with a yaw rate of 0.0, and no yaw-rate setpoint")
+    update, axis = _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload)
+    incline = axis is not None
+    ux, uy, uz = axis or (1.0, 0.0, 0.0)  # off an incline, also heading 0's cosine and sine
+
+    def advance(v):
+        v_new, c0, c1, c2, c3, r_new = update(v, 0.0)
+        if r_new != 0.0:
+            raise ValueError(f"the step turns the vehicle at {r_new} rad/s")
+        vx, vy, vz = v_new * ux, v_new * uy, v_new * uz
+        return vx * ux + (vz * uz if incline else vy * uy), vx, vy, vz, c0, c1, c2, c3
+
+    f = floats_of(state, surface)
+    return advance, (f[SPEED], *f[VELOCITY], *f[COMMANDS])
+
+
+def speed_repeats(f, g) -> bool:
+    """True when the `speed_law` step from tuple f to tuple g changed
+    nothing, bit for bit: exactly when `repeats` holds for the floats of
+    the full step."""
+    return g == f and _pack_speed(*g) == _pack_speed(*f)
 
 
 def _wall_law(state, setpoint, dt, params, rotor, gains, payload):

@@ -511,9 +511,11 @@ def validate_plan(
 
     Speed carries across consecutive drive edges; transition legs are
     simulated as a hover of the configured duration; fly legs accelerate
-    with the flight controller's authority and cruise through. Each
-    distinct drive edge is stepped once per call, its steady steps in
-    exact jumps (`_simulate_drive_leg`). A tip event, a simulation fault or
+    with the flight controller's authority and cruise through. A drive
+    edge is straight, so only its speed is stepped, through the ground
+    law's speed update (`dynamics.speed_law`); each distinct drive edge is
+    stepped once per call, its steady steps in exact jumps
+    (`_simulate_drive_leg`). A tip event, a simulation fault or
     a leg that times out marks the leg failed, with an infinite deviation,
     instead of aborting the report. `battery_ok` applies the plan's own
     rule (`_packs_hold`): the predicted total, split in equal shares over
@@ -573,12 +575,23 @@ def validate_plan(
 
 def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     """Energy (Wh) to drive a leg from rest. Each edge starts from a fresh
-    ground state, heading along +x, at the speed the edge before ended
-    with, and steps it through the ground step law over plain floats, its
-    power priced once per edge. Once a step repeats the one before
-    (`dynamics.repeats`), each further step only moves the vehicle on, so
-    the speed and power stay and the distance and energy go up by the same
-    amounts every step: those steps go in exact jumps (`_steady_edge`).
+    ground state at the origin, heading along +x, at the speed the edge
+    before ended with. An edge is straight, so only its speed is stepped,
+    through `dynamics.speed_law`, and its power priced once per edge. Once
+    a step repeats the one before (`dynamics.speed_repeats`, exactly where
+    `dynamics.repeats` would), each further step only moves the vehicle
+    on, so the speed and power stay and the distance and energy go up by
+    the same amounts every step: those steps go in exact jumps
+    (`_steady_edge`).
+
+    The position is not stepped, yet each step faults as a full step
+    would. A step whose velocity or position is not finite reads a speed
+    whose power is not finite either: the ground power cubes the speed,
+    which overflows above 5.7e102 m/s. The steps before it, each slower,
+    moved the vehicle from (0, 0, z0) by less than 4e104 m, which leaves z0
+    itself where z0 is 2^1023 or more; so the velocity and position are
+    tested only when the power is not finite, and the position is then
+    finite exactly when z0 + vz dt is.
 
     An edge's energy and end speed depend only on its slope and on the
     speed and energy it starts with: `edges`, kept by one `validate_plan`
@@ -592,7 +605,6 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     v = 0.0
     max_steps_per_edge = int(60.0 / dt_s)
     inf = math.inf
-    moving, speed = slice(dynamics.POSITION.start, dynamics.VELOCITY.stop), dynamics.SPEED
     for a, b in zip(leg.cells, leg.cells[1:]):
         dh = terrain.elevation_at(b) - terrain.elevation_at(a)
         slope = math.degrees(math.atan2(abs(dh), cell))
@@ -609,24 +621,24 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
         state = dynamics.initial_ground_state(params, surface)
         state = replace(state, velocity=tuple(v * d for d in direction))
         setpoint = dynamics.ControlSetpoint(state.mode, speed_mps=cfg.drive_speed_mps)
-        advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor, gains, payload)
+        advance, f = dynamics.speed_law(state, setpoint, surface, dt_s, params, rotor, gains,
+                                        payload)
         price = model.drive_power_at(None if slope == 0.0 else slope, payload)
-        f = dynamics.floats_of(state, surface)
+        z0 = state.position[2]
         covered = 0.0
         steps = 0
         steady = False
         while covered < cell and not steady:
-            g = advance(f)
-            if not -inf < sum(g[moving]) < inf:  # the sum may overflow alone
-                dynamics.check_finite(g[moving], None)  # position and velocity
-            v = g[speed]
+            g = advance(f[0])
+            v = g[0]
             try:
                 power = price(v if v > 0.0 else 0.0 - v)  # abs(v), signed zeros included
             except OverflowError:
                 power = inf
             if not -inf < power < inf:
+                dynamics.check_finite((*g[1:4], z0 + g[3] * dt_s), None)  # velocity, position
                 finite_power(power, state.mode, None)  # raises the fault
-            steady = v == f[speed] and dynamics.repeats(f, g)
+            steady = v == f[0] and dynamics.speed_repeats(f, g)
             f = g
             covered += v * dt_s
             energy += power * dt_s / 3600.0

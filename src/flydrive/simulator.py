@@ -577,7 +577,9 @@ def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
     no schedule, when it is taken."""
     mode = f[MODE]
     if mode in (Mode.GROUND, Mode.INCLINE):
-        price = model.drive_power_at(surface.slope_deg if mode == Mode.INCLINE else None, payload)
+        # the hold follows the surface, as the ground law's climb does
+        price = model.drive_power_at(surface.slope_deg if surface.kind == "incline" else None,
+                                     payload)
         return lambda g: price(abs(g[SPEED]))
     if mode == Mode.FLIGHT:
         hover, weight = model.hover_power_w, model.params.total_mass(payload) * model.params.gravity

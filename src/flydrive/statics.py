@@ -168,9 +168,10 @@ def optimal_wall_tilt(
     attach_normal_fraction: float = DEFAULT_ATTACH_NORMAL_FRACTION,
 ) -> float:
     """Tilt angle minimizing the climb thrust, over a grid on (90, 180) deg,
-    subject to attachment and the four-rotor thrust limit."""
-    if not step_deg > 0:  # NaN included
-        raise ValueError(f"step_deg must be > 0, got {step_deg!r}")
+    subject to attachment and the four-rotor thrust limit. A step below
+    0.001 deg (more than 90 000 analyses) is refused."""
+    if not step_deg >= 0.001:  # NaN included
+        raise ValueError(f"step_deg must be >= 0.001, got {step_deg!r}")
     best_tilt = None
     best_required = math.inf
     n = int(round((180.0 - 90.0) / step_deg))

@@ -736,6 +736,32 @@ class TestSimulateCommand:
         assert result["final_state"]["time_s"] == 0.0
         assert "[FAIL] no_faults: non-finite power" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("surface, mode, climbs", [
+        ({"kind": "flat", "slope_deg": 30.0}, "incline", False),
+        ({"kind": "incline", "slope_deg": 20.0}, "ground", True),
+    ], ids=["incline-mode-on-flat-ground", "ground-mode-on-an-incline"])
+    def test_drive_power_follows_the_surface(self, tmp_path, surface, mode, climbs):
+        """Driving in a mode that is not the surface's: the vehicle climbs
+        as the surface does, and each step is priced as the surface is, the
+        slope's rotor hold on an incline and none on flat ground."""
+        spec = {"name": "mismatch", "surface": surface, "duration_s": 8.0,
+                "script": [{"t_s": 0.0, "transition_to": mode},
+                           {"t_s": 1.5, "mode": mode, "speed_mps": 1.0}]}
+        path = write_scenario(tmp_path, spec)
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_OK
+        slope = surface["slope_deg"] if climbs else None
+        price = load_scenario(path).power_model.drive_power_at(slope)
+        psi = math.radians(surface["slope_deg"])
+        rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+        driven = [row for row in rows if row[17] == mode]
+        assert len(driven) > 500
+        for row in driven:
+            vx, vz = float(row[4]), float(row[6])
+            speed = vx * math.cos(psi) + vz * math.sin(psi) if climbs else vx
+            assert float(row[18]) == pytest.approx(price(abs(speed)), rel=1e-12)
+        assert (float(rows[-1][3]) - float(rows[0][3]) > 2.0) == climbs
+
     def test_reruns_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_DRIVE)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -25,8 +26,10 @@ from flydrive.dynamics import (
     quaternion_yaw,
     step,
 )
+from flydrive.defaults import default_params, default_rotor
 from flydrive.fields import FieldError
 from flydrive.simulator import ScriptEvent, Simulator
+from flydrive.statics import tipping_slope
 from flydrive.vehicle import RotorModel
 from reference_rotor import outcome, reference_ground_allocation
 from reference_simulator import is_steady
@@ -473,6 +476,71 @@ def test_ground_speed_always_converges(v_target, seed_v):
     for _ in range(8000):
         s = step(s, sp, FLAT, 0.001, params=params, rotor=rotor)
     assert s.speed == pytest.approx(v_target, abs=0.05)
+
+
+_TIP_DEG = math.nextafter(tipping_slope(default_params()), 0.0)  # the steepest drivable slope
+_bits = struct.Struct("8d").pack
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    incline=st.booleans(),
+    slope=st.floats(min_value=0.0, max_value=_TIP_DEG),
+    carried=st.sampled_from(["rest", "below", "at", "above"]),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    target=st.floats(min_value=0.2, max_value=4.1),
+    payload=st.floats(min_value=0.0, max_value=1.3),
+    dt=st.sampled_from([0.001, 0.005, 0.02]),
+)
+def test_speed_law_steps_as_the_step_law(incline, slope, carried, fraction, target, payload,
+                                         dt):
+    """From a straight ground or incline state, each `speed_law` step has
+    the bits of the full step's read speed, velocity and commands, and
+    `speed_repeats` first holds at the step that `repeats` first reports."""
+    params, rotor, gains = default_params(), default_rotor(), ControllerGains()
+    if incline:
+        surface = SurfaceModel("incline", slope_deg=slope)
+        psi = math.radians(slope)
+        direction = (math.cos(psi), 0.0, math.sin(psi))
+    else:
+        surface, direction = FLAT, (1.0, 0.0, 0.0)
+    speed = {"rest": 0.0, "below": target * fraction, "at": target,
+             "above": target * (1.0 + fraction)}[carried]
+    state = replace(initial_ground_state(params, surface),
+                    velocity=tuple(speed * d for d in direction))
+    setpoint = ControlSetpoint(mode=state.mode, speed_mps=target)
+    full = dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains, payload)
+    f = dynamics.floats_of(state, surface)
+    advance, s = dynamics.speed_law(state, setpoint, surface, dt, params, rotor, gains, payload)
+    for n in range(1, 6001):  # a heavy start from rest takes about 5 500 at dt 1 ms
+        g, t = full(f), advance(s[0])
+        assert _bits(*t) == _bits(g[dynamics.SPEED], *g[dynamics.VELOCITY],
+                                  *g[dynamics.COMMANDS]), n
+        steady = dynamics.repeats(f, g)
+        assert dynamics.speed_repeats(s, t) == steady, n
+        if steady:
+            break
+        f, s = g, t
+
+
+def test_speed_law_needs_a_straight_ground_state(params, rotor):
+    gains, state = ControllerGains(), initial_ground_state(params)
+    drive = ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0)
+    for s, sp in [
+        (state, replace(drive, yaw_rate_radps=0.5)),
+        (replace(state, angular_velocity=(0.0, 0.0, 0.1)), drive),
+        (replace(state, angular_velocity=(0.0, 0.0, -0.0)), drive),  # the step gives 0.0
+        (initial_ground_state(params, heading_deg=30.0), drive),
+        (initial_wall_state(params), ControlSetpoint(mode=Mode.WALL, speed_mps=0.2)),
+    ]:
+        with pytest.raises(ValueError, match="a speed law needs"):
+            dynamics.speed_law(s, sp, FLAT, 0.001, params, rotor, gains)
+    # a lateral friction moment that overflows to NaN makes the yaw loop ask
+    # for a moment that a frictionless surface cannot hold: the step turns
+    advance, _ = dynamics.speed_law(state, drive, SurfaceModel(lateral_friction=0.0), 0.001,
+                                    replace(params, lateral_friction_coeff=1e308), rotor, gains)
+    with pytest.raises(ValueError, match="the step turns the vehicle"):
+        advance(0.0)
 
 
 def _random_steady_case(rng, params):

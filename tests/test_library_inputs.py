@@ -263,8 +263,10 @@ class TestNanArguments:
                 decompose_thrust(thrust, 30.0)
 
     def test_optimal_wall_tilt_step(self, params, rotor):
-        with pytest.raises(ValueError, match="step_deg"):
-            optimal_wall_tilt(params, rotor, step_deg=math.nan)
+        # 1e-12 would ask for about 9e13 analyses and never return
+        for step in (math.nan, 1e-12):
+            with pytest.raises(ValueError, match="step_deg"):
+                optimal_wall_tilt(params, rotor, step_deg=step)
 
     def test_mode_power_and_range_speed(self, power_model, batteries):
         with pytest.raises(ValueError, match="speed"):

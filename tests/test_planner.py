@@ -627,25 +627,26 @@ class TestValidatePlan:
     def test_each_distinct_edge_is_stepped_once(self, monkeypatch):
         # both drive legs of multimodal-obstacle cross the same flat edges
         # from rest, so the second reads them back: stepping every edge of
-        # both legs takes 8 726 ground steps
-        real, steps = dynamics.step_law, []
+        # both legs would take 8 726 ground steps, and one call takes 4 363
+        # speed steps, as many as it took full steps before
+        real, steps = dynamics.speed_law, []
 
         def law(*args):
-            advance = real(*args)
+            advance, start = real(*args)
 
-            def counted(f):
-                steps.append(f)
-                return advance(f)
+            def counted(v):
+                steps.append(v)
+                return advance(v)
 
-            return counted
+            return counted, start
 
-        monkeypatch.setattr(dynamics, "step_law", law)
+        monkeypatch.setattr(dynamics, "speed_law", law)
         scenario = load_scenario(bundled_scenarios()["multimodal-obstacle"])
         query, model = scenario.planner_query, scenario.power_model
         mission = plan(query.terrain, query.start, query.goal, query.config, model)
         report = validate_plan(mission, query.terrain, model, query.config)
         assert report.ok and [leg.mode for leg in mission.legs].count(DRIVE) == 2
-        assert 0 < len(steps) < 5000
+        assert len(steps) == 4363
 
     @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
     def test_dt_outside_the_step_range_raises(self, model, dt_s):
