@@ -24,17 +24,19 @@ maps a state's floats (`floats_of`) to those of the state after the step.
 `step` builds the law, takes one step and builds the state (`state_of`), so
 there is one copy of the physics; `Simulator.run` takes whole stretches
 through the law with no state object. A ground, incline or wall law reads
-neither the position nor the time, so once a step changes nothing else bit
-for bit (`repeats`), every further step through the same law repeats it.
-Flight (its controller reads the position) and transitions (their
-schedule reads the time) never repeat. Plan validation drives straight
-edges, whose steps change only the speed, velocity and commands besides:
-`speed_law` steps just those, through the ground law's own speed update
-(`_ground_update`). The ground law reruns that update only when the speed
-and yaw rate it reads change bit for bit, which a settled turn often
-repeats, and its heading's trigonometry, like the flight law its yaw loop,
-only when the yaw's bits change, which a settled yaw repeats. In a step,
-clamps are comparisons with the bits of `min`, `max`, `abs` and `_sgn`.
+three floats, the yaw rate, the yaw and the speed, and the time and the
+position only to advance them. So once a step reads, bit for bit, what the
+step before it read (`repeats`), it computes everything else as that step
+did, and so does every further step through the same law. Flight (its
+controller reads the position) and transitions (their schedule reads the
+time) never repeat. Plan validation drives straight edges, whose yaw rate
+and yaw stay 0.0: `speed_law` steps just the speed, through the ground
+law's own speed update (`_ground_update`). The ground law reruns that
+update only when the speed and yaw rate it reads change bit for bit, which
+a settled turn often repeats, and its heading's trigonometry, like the
+flight law its yaw loop, only when the yaw's bits change, which a settled
+yaw repeats. In a step, clamps are comparisons with the bits of `min`,
+`max`, `abs` and `_sgn`.
 
 Every law drives the four rotors through the one `RotorModel` table: each
 demanded rotor thrust becomes a command and the thrust that command
@@ -196,7 +198,7 @@ class ControlSetpoint:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """What the wheels are touching. slope_deg is only read for inclines."""
+    """What the wheels are touching. Only an incline has a slope."""
 
     kind: str = "flat"  # flat | incline | wall
     slope_deg: float = 0.0
@@ -207,9 +209,8 @@ class SurfaceModel:
         # each check is written so that NaN fails it
         if self.kind not in ("flat", "incline", "wall"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
-        if not (0.0 <= self.slope_deg < 90.0
-                or self.kind != "incline" and math.isfinite(self.slope_deg)):
-            raise FieldError("slope_deg", "must be finite, and in [0, 90) deg on an incline")
+        if not (0.0 <= self.slope_deg < 90.0 if self.kind == "incline" else self.slope_deg == 0.0):
+            raise FieldError("slope_deg", "must be in [0, 90) deg on an incline, and 0 elsewhere")
         for name in ("rolling_resistance", "lateral_friction"):
             value = getattr(self, name)
             if value is not None and not value >= 0.0:
@@ -491,11 +492,7 @@ TILT_FRONT, TILT_REAR, COMMANDS, TRACE = 11, 12, slice(13, 17), slice(0, 17)
 YAW_RATE, YAW, SPEED, MODE, CONTACT = 17, 18, 19, 20, 21
 _CONTACT, _NO_CONTACT = (True, True, True, True), (False, False, False, False)
 _STEADY_MODES = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
-_pack_motion = struct.Struct("16d").pack
-_pack1, _pack2 = struct.Struct("d").pack, struct.Struct("2d").pack
-_pack5 = struct.Struct("5d").pack
-_STRAIGHT = _pack5(1.0, 0.0, 0.0, 0.0, 0.0)  # heading along +x, no yaw rate
-_pack_speed = struct.Struct("8d").pack  # a `speed_law` tuple
+_pack1, _pack2, _pack3 = (struct.Struct(f"{n}d").pack for n in (1, 2, 3))
 
 
 def step_law(
@@ -555,13 +552,14 @@ def state_of(f) -> SimState:
 
 
 def repeats(f, g) -> bool:
-    """True when the ground, incline or wall step from floats f to floats g
-    changed nothing but the time and the position, bit for bit (packed
-    doubles tell 0.0 from -0.0, which == does not). Those laws read neither,
-    so each further step through the same law repeats it too."""
-    i = VELOCITY.start  # all that follows the time and position
-    return (g[i] == f[i] and g[i:] == f[i:] and g[MODE] in _STEADY_MODES
-            and _pack_motion(*g[i:MODE]) == _pack_motion(*f[i:MODE]))
+    """True when floats g, after a ground, incline or wall step from floats
+    f, hold what that step read from f, bit for bit (packed doubles tell 0.0
+    from -0.0, which == does not): the yaw rate, the yaw and the speed. Those
+    laws read nothing else but the time and the position, which they only
+    advance, so the step from g computes everything else as the step to g
+    did, and so does each further step through the same law."""
+    return (g[YAW] == f[YAW] and g[YAW_RATE] == f[YAW_RATE] and g[MODE] in _STEADY_MODES
+            and _pack3(*g[YAW_RATE:MODE]) == _pack3(*f[YAW_RATE:MODE]))
 
 
 # a normal float's binade in units of its ulp, and the least normal float
@@ -615,8 +613,11 @@ def finite_power(power: float, mode: Mode, state: SimState | None) -> float:
     return power
 
 
-def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) -> None:
-    """Raise TipEvent carrying `state` on a slope at or past the tip limit."""
+def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState | None) -> None:
+    """Raise TipEvent carrying `state` on an incline at or past the tip
+    limit."""
+    if surface.kind != "incline":
+        return
     tip = statics.tipping_slope(params)
     if surface.slope_deg >= tip:
         raise TipEvent(
@@ -625,33 +626,30 @@ def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState) ->
         )
 
 
-def _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload):
-    """The speed update of a ground or incline step law, and the slope's
-    axis. update(v, r) maps the speed and yaw rate a step reads to
-    (v_new, c0, c1, c2, c3, r_new): the speed along the track after the
-    step, the four rotor commands and the yaw rate after the step.
+def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, gains, payload):
+    """The speed update of a ground or incline step law asked for the speed
+    `v_target` and the yaw rate `yaw_rate_target`, and the slope's axis.
+    update(v, r) maps the speed and yaw rate a step reads to (v_new, c0, c1,
+    c2, c3, r_new): the speed along the track after the step, the four
+    rotor commands and the yaw rate after the step.
     Feedforward holds gravity and rolling resistance and a proportional
     term closes the speed loop, which reads the speed along the slope on an
     incline and along the heading on any other surface (a wall's foot
     included). Off an incline the yaw loop steers, its feedforward
     cancelling the lateral-friction moment of the fixed wheels (a positive
     yaw-rate target turns right). The axis is the unit vector up an
-    incline's slope, (cos psi, 0, sin psi), and None on any other surface.
-    Raises TipEvent on a slope at or past the tip limit."""
+    incline's slope, (cos psi, 0, sin psi), and None on any other surface."""
     m = params.total_mass(payload)
     incline = surface.kind == "incline"
-    if incline:
-        _check_tip(params, surface, state)
     g = params.gravity
     psi = math.radians(surface.slope_deg) if incline else 0.0
     mu_r = surface.mu_roll(params)
-    v_target = setpoint.speed_mps
     feedforward = _ground_feedforward(g, mu_r, m, psi, v_target)
     kp = gains.kp_speed
     grade = m * g * math.sin(psi)
     hold = mu_r * (m * g * math.cos(psi))  # rolling resistance at the normal force
     lat, half_long = params.wheel_contact_half_spacing_lat, params.wheel_contact_half_spacing_long
-    r_target = -setpoint.yaw_rate_radps  # driving convention -> CCW-positive internal
+    r_target = -yaw_rate_target  # driving convention -> CCW-positive internal
     friction_moment = params.lateral_friction_coeff * m * g * half_long * _sgn(r_target)
     kp_yaw, two_lat = gains.kp_yaw_rate, 2.0 * lat
     fric_cap = surface.mu_lat(params) * m * g * half_long
@@ -690,8 +688,11 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     (`_ground_update`), then the heading and the velocity along it. It
     reruns the update only when the bits of the speed and yaw rate it reads
     change (a settled turn repeats them), and the heading's trigonometry
-    only when the new yaw's bits change (a straight run)."""
-    update, axis = _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload)
+    only when the new yaw's bits change (a straight run). Raises TipEvent
+    on an incline at or past the tip limit."""
+    _check_tip(params, surface, state)
+    update, axis = _ground_update(surface, setpoint.speed_mps, setpoint.yaw_rate_radps, dt,
+                                  params, rotor, gains, payload)
     incline = axis is not None
     cos_psi, _, sin_psi = axis or (1.0, 0.0, 0.0)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
@@ -726,44 +727,36 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     return advance
 
 
-def speed_law(state, setpoint, surface, dt, params, rotor, gains, payload=0.0):
-    """The step law of a straight ground or incline state over its speed
-    alone: the state heads along +x (quaternion (1, 0, 0, 0)) with a yaw
-    rate of 0.0, and the setpoint asks for no yaw rate. Returns (advance,
-    start): advance(v) maps the speed v a step reads to (v', vx, vy, vz,
-    c0, c1, c2, c3), the floats `step_law` gives at SPEED, VELOCITY and
-    COMMANDS through the same update (`_ground_update`); `start` is that
-    tuple of the state. Only the time and the position, left out, change
-    besides, so a step repeats the one before exactly when `repeats` would
-    (`speed_repeats`, the first step against `start`). Raises ValueError
-    for any other state or setpoint, and at a step that would turn the
-    vehicle (only a lateral friction moment that overflows asks for that);
-    otherwise what `step_law` raises before it steps."""
-    _check_state_finite(state)
-    if (state.mode not in (Mode.GROUND, Mode.INCLINE) or setpoint.yaw_rate_radps != 0.0
-            or _pack5(*state.quaternion, state.angular_velocity[2]) != _STRAIGHT):
-        raise ValueError("a speed law needs a ground or incline state heading along +x "
-                         "with a yaw rate of 0.0, and no yaw-rate setpoint")
-    update, axis = _ground_update(state, setpoint, surface, dt, params, rotor, gains, payload)
+def speed_law(surface, speed_mps, dt, params, rotor, gains, payload=0.0):
+    """The step law of a straight ground or incline state over the speed it
+    reads alone: the state heads along +x (quaternion (1, 0, 0, 0)) with a
+    yaw rate of 0.0, and is asked for `speed_mps` and no yaw rate. Returns
+    (read, advance): read(v) is the speed a step reads from such a state
+    moving at v along the track, and advance(v) maps the speed v a step
+    reads to (v', vx, vy, vz), the floats `step_law` gives at SPEED and
+    VELOCITY through the same update (`_ground_update`). The yaw rate and
+    yaw that step reads stay 0.0, so it repeats (`repeats`) once v' has the
+    bits of v. Raises TipEvent, with no state, on an incline at or past the
+    tip limit, and ValueError at a step that would turn the vehicle (only a
+    lateral friction moment that overflows asks for that)."""
+    _check_tip(params, surface, None)
+    update, axis = _ground_update(surface, speed_mps, 0.0, dt, params, rotor, gains, payload)
     incline = axis is not None
     ux, uy, uz = axis or (1.0, 0.0, 0.0)  # off an incline, also heading 0's cosine and sine
 
+    def read(v):
+        vx, vy, vz = v * ux, v * uy, v * uz
+        return vx * ux + (vz * uz if incline else vy * uy)
+
     def advance(v):
-        v_new, c0, c1, c2, c3, r_new = update(v, 0.0)
+        v_new, _, _, _, _, r_new = update(v, 0.0)
         if r_new != 0.0:
             raise ValueError(f"the step turns the vehicle at {r_new} rad/s")
+        # read(v_new), inlined: the call would cost about 6 % of a step
         vx, vy, vz = v_new * ux, v_new * uy, v_new * uz
-        return vx * ux + (vz * uz if incline else vy * uy), vx, vy, vz, c0, c1, c2, c3
+        return vx * ux + (vz * uz if incline else vy * uy), vx, vy, vz
 
-    f = floats_of(state, surface)
-    return advance, (f[SPEED], *f[VELOCITY], *f[COMMANDS])
-
-
-def speed_repeats(f, g) -> bool:
-    """True when the `speed_law` step from tuple f to tuple g changed
-    nothing, bit for bit: exactly when `repeats` holds for the floats of
-    the full step."""
-    return g == f and _pack_speed(*g) == _pack_speed(*f)
+    return read, advance
 
 
 def _wall_law(state, setpoint, dt, params, rotor, gains, payload):

@@ -49,7 +49,7 @@ import math
 import struct
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import and_, eq, itemgetter, le, ne, sub
 
@@ -576,22 +576,22 @@ def validate_plan(
 def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     """Energy (Wh) to drive a leg from rest. Each edge starts from a fresh
     ground state at the origin, heading along +x, at the speed the edge
-    before ended with. An edge is straight, so only its speed is stepped,
-    through `dynamics.speed_law`, and its power priced once per edge. Once
-    a step repeats the one before (`dynamics.speed_repeats`, exactly where
-    `dynamics.repeats` would), each further step only moves the vehicle
-    on, so the speed and power stay and the distance and energy go up by
-    the same amounts every step: those steps go in exact jumps
-    (`_steady_edge`).
+    before ended with. An edge is straight, so only the speed it reads is
+    stepped, through `dynamics.speed_law`, and its power priced once per
+    edge. Once that speed comes back with the same bits (where
+    `dynamics.repeats` holds: the yaw rate and yaw stay 0.0), each further
+    step only moves the vehicle on, so the speed and power stay and the
+    distance and energy go up by the same amounts every step: those steps
+    go in exact jumps (`_steady_edge`).
 
     The position is not stepped, yet each step faults as a full step
     would. A step whose velocity or position is not finite reads a speed
     whose power is not finite either: the ground power cubes the speed,
     which overflows above 5.7e102 m/s. The steps before it, each slower,
-    moved the vehicle from (0, 0, z0) by less than 4e104 m, which leaves z0
-    itself where z0 is 2^1023 or more; so the velocity and position are
-    tested only when the power is not finite, and the position is then
-    finite exactly when z0 + vz dt is.
+    moved the vehicle from (0, 0, z0), z0 the height of its centre of mass,
+    by less than 4e104 m, which leaves z0 itself where z0 is 2^1023 or
+    more; so the velocity and position are tested only when the power is
+    not finite, and the position is then finite exactly when z0 + vz dt is.
 
     An edge's energy and end speed depend only on its slope and on the
     speed and energy it starts with: `edges`, kept by one `validate_plan`
@@ -612,34 +612,28 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
         if key in edges:
             energy, v = edges[key]
             continue
-        if slope == 0.0:
-            surface, direction = _FLAT, (1.0, 0.0, 0.0)
-        else:
-            surface = dynamics.SurfaceModel("incline", slope_deg=slope)
-            psi = math.radians(slope)
-            direction = (math.cos(psi), 0.0, math.sin(psi))
-        state = dynamics.initial_ground_state(params, surface)
-        state = replace(state, velocity=tuple(v * d for d in direction))
-        setpoint = dynamics.ControlSetpoint(state.mode, speed_mps=cfg.drive_speed_mps)
-        advance, f = dynamics.speed_law(state, setpoint, surface, dt_s, params, rotor, gains,
-                                        payload)
+        surface = _FLAT if slope == 0.0 else dynamics.SurfaceModel("incline", slope_deg=slope)
+        read, advance = dynamics.speed_law(surface, cfg.drive_speed_mps, dt_s, params, rotor,
+                                           gains, payload)
         price = model.drive_power_at(None if slope == 0.0 else slope, payload)
-        z0 = state.position[2]
+        v = read(v)
         covered = 0.0
         steps = 0
         steady = False
         while covered < cell and not steady:
-            g = advance(f[0])
-            v = g[0]
+            w, vx, vy, vz = advance(v)
             try:
-                power = price(v if v > 0.0 else 0.0 - v)  # abs(v), signed zeros included
+                power = price(w if w > 0.0 else 0.0 - w)  # abs(w), signed zeros included
             except OverflowError:
                 power = inf
             if not -inf < power < inf:
-                dynamics.check_finite((*g[1:4], z0 + g[3] * dt_s), None)  # velocity, position
-                finite_power(power, state.mode, None)  # raises the fault
-            steady = v == f[0] and dynamics.speed_repeats(f, g)
-            f = g
+                z = params.com_height + vz * dt_s
+                dynamics.check_finite((vx, vy, vz, z), None)  # velocity, position
+                mode = dynamics.Mode.GROUND if slope == 0.0 else dynamics.Mode.INCLINE
+                finite_power(power, mode, None)  # raises the fault
+            # the same bits: == cannot tell 0.0 from -0.0
+            steady = w == v and (w or math.copysign(1.0, w) == math.copysign(1.0, v))
+            v = w
             covered += v * dt_s
             energy += power * dt_s / 3600.0
             steps += 1

@@ -19,23 +19,23 @@ builds a `SimState` only at a script event, at the end of a transition, at
 a fault and at the end of the run. `_Books.book` takes only the steps that
 trip a pack or are refused: one that would bring a pack to its floor, one
 that draws below 0 W, and every step of a run that starts with a tripped
-pack or with an avionics draw not above 0 W. Once a ground, incline or wall
-step repeats the one before bit for bit but for time and position
-(`dynamics.repeats`), each further step only adds the increments of the one
-before to time, position and the same sums, and those steps are taken in
-jumps (`_steady_stretch`): while a float's sums stay inside one binade,
-where floats are evenly spaced, each addition rounds to the same whole
-number of spacings, so j of them add exactly j times that, and one exact
-addition gives the bits of j. Either way each increment is the expression
-the booking oracle `tests/reference_simulator.drain` computes and its
-`record` adds, in the same order, so every sum keeps its bits. The step
-that ends a transition is booked in the mode it enters and ends its
-stretch. A step that would detach from a wall,
-or leave the state or its power non-finite, ends the run with that fault,
-logged at the state before it. Per step at dt 1 ms, booking and trace
-included, flight costs about 5 us, a turn 5.5 us and a transition 3 us
-(medians of nine best-of-five runs on a shared 2-core x86_64 host,
-Python 3.11.7).
+pack or with a negative or NaN avionics draw. Once the speed, yaw rate and
+yaw that a ground, incline or wall step read come back bit for bit after
+it (`dynamics.repeats`), every further step computes the same, so each
+only adds the increments of the one before to time, position and the same
+sums, and those steps are taken in jumps (`_steady_stretch`): while a
+float's sums stay inside one binade, where floats are evenly spaced, each
+addition rounds to the same whole number of spacings, so j of them add
+exactly j times that, and one exact addition gives the bits of j. Either
+way each increment is the expression the booking oracle
+`tests/reference_simulator.drain` computes and its `record` adds, in the
+same order, so every sum keeps its bits. The step that ends a transition is
+booked in the mode it enters and ends its stretch. A step that would detach
+from a wall, or leave the state or its power non-finite, ends the run with
+that fault, logged at the state before it. Per step at dt 1 ms, booking
+and trace included, flight costs about 5 us, a turn 5.5 us and a
+transition 3 us (medians of nine best-of-five runs on a shared 2-core
+x86_64 host, Python 3.11.7).
 
 A library call keeps the trace rows in `SimResult.rows`, a list.
 `flydrive simulate` passes `Simulator.run` an open file instead, and the
@@ -179,12 +179,15 @@ class _Books:
     A stretch books its steps into local floats, the running sums `sums`
     reads and `put` writes back: the mode's and the avionics Wh and each
     pack's SoC and Ah, in `slots` order. `book` takes the steps those floats
-    leave to it, and alone decides trips, refusals and negative draws. Each
-    SoC decrement is the expression the oracle
-    `tests/reference_simulator.drain` computes, and each Wh and Ah increment
-    is power * dt / 3600 (over the nominal voltage for Ah), added in the
-    same order as by a loop that calls `drain` for every step, so every sum
-    keeps its bits.
+    leave to it, and alone decides trips, refusals and negative draws: a
+    step that would bring a pack to its floor or draws below 0 W, and every
+    step of a run that starts with a tripped pack or with a negative or NaN
+    avionics draw. A draw of exactly 0 W books its avionics Wh in the sums
+    and, as `book` does, no Ah and no SoC. Each SoC decrement is the
+    expression the oracle `tests/reference_simulator.drain` computes, and
+    each Wh and Ah increment is power * dt / 3600 (over the nominal voltage
+    for Ah), added in the same order as by a loop that calls `drain` for
+    every step, so every sum keeps its bits.
     """
 
     def __init__(self, batteries: list[Battery], avionics_w: float, dt: float,
@@ -197,13 +200,13 @@ class _Books:
         self.n_packs = max(1, len(self.packs))
         self.electronics = e = next((b for b in batteries if not b.is_propulsion), None)
         d_soc_e = d_ah_e = 0.0
-        floor_e = -math.inf
+        floor_e = -math.inf  # no pack, or a zero draw, which books its Wh alone, as `book` does
         if e is not None:
             self.avionics_soc = d_soc_e = avionics_w * dt / (e.pack_energy_wh * 3600.0)
-            self.avionics_floor = floor_e = e.protection_soc
+            self.avionics_floor = e.protection_soc
             self.avionics_ah = d_ah_e = avionics_w * dt / (e.nominal_voltage * 3600.0)
-            if not avionics_w > 0.0:
-                floor_e = math.inf  # such a draw books no Ah: no SoC is above this floor
+            if avionics_w != 0.0:  # a NaN or negative one goes to `book`: no SoC is above inf
+                floor_e = e.protection_soc if avionics_w > 0.0 else math.inf
         if any(b.tripped for b in batteries):
             floor_e = math.inf  # so `book` takes every step, and refuses those that draw
         # the slots of the local sums: two propulsion packs, each with its SoC
@@ -213,7 +216,7 @@ class _Books:
         slots = [(b, soc_divisor, floor, ah_divisor)
                  for b, _, soc_divisor, floor, ah_divisor in self.packs]
         slots += [(None, math.inf, -math.inf, math.inf)] * (2 - len(slots))
-        slots.append((e, d_soc_e, floor_e, d_ah_e))
+        slots.append((e if avionics_w != 0.0 else None, d_soc_e, floor_e, d_ah_e))
         self.slot_packs = [b for b, *_ in slots]
         self.slots = [slot[1:] for slot in slots]
 
@@ -420,9 +423,9 @@ class Simulator:
         sums of `books` (written back when the stretch ends, however it
         ends) and traced from the floats; a step that would bring a pack to
         its floor, draws below 0 W, or that the local sums do not take at
-        all, is booked by `_Books.book`. From a step that repeats the one
-        before (`dynamics.repeats`), `_steady_stretch` takes the steps that
-        follow.
+        all, is booked by `_Books.book`. From a step after which the speed,
+        yaw rate and yaw it read come back bit for bit (`dynamics.repeats`),
+        `_steady_stretch` takes the steps that follow.
 
         Stops before the first step that would consume the script event at
         `t_event`, and at step `end`. Ends the run after a step that trips
@@ -497,11 +500,12 @@ class Simulator:
                 books.put(name, (wh, wh_avionics, sa, aa, sb, ab, se, ae))
 
     def _steady_stretch(self, f, power, i, end, t_event, books, rows, sums):
-        """`_stretch` from the floats f of a step that repeated the one
-        before and drew `power`, with its local `sums`: each further step
-        only adds the increments of the step before to time, position and
-        the sums. Returns the index and the floats of the step after them,
-        and the sums. Stops before a step that would bring a pack to its
+        """`_stretch` from the floats f of a step that drew `power`, after
+        which the speed, yaw rate and yaw it read came back bit for bit
+        (`dynamics.repeats`), with its local `sums`: each further step only
+        adds the increments of the step before to time, position and the
+        sums. Returns the index and the floats of the step after them, and
+        the sums. Stops before a step that would bring a pack to its
         floor, and takes none where the sums leave every step to
         `_Books.book`.
 

@@ -3,12 +3,15 @@ differential tests in test_planner.py.
 
 `reference_drive_leg` is `planner._simulate_drive_leg` with each edge from a
 fresh `SimState`, one full `dynamics.step` and its `instantaneous_power` per
-step until a step is steady, then only distance and energy add up: the loop
-plan validation ran before it stepped edges through the step law over
-floats, and then through `dynamics.speed_law`, the speed of each straight
-edge alone. Each full step also integrates the heading and the position,
+step until a step changes nothing but the time and the position
+(`is_steady`), then only distance and energy add up: the loop plan
+validation ran before it stepped edges through the step law over floats,
+and then through `dynamics.speed_law`, the speed of each straight edge
+alone, calling an edge steady once the speed it reads comes back, up to a
+step sooner. Each full step also integrates the heading and the position,
 and faults where either is not finite, so the comparison checks that
-stepping the speed alone leaves neither out of any result or fault.
+stepping the speed alone leaves neither out of any result or fault, and
+that where the jumps begin moves no bit.
 `reference_fly_leg` is `planner._simulate_fly_leg` with its clamps written
 with the builtin `min` and `max`.
 """

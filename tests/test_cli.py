@@ -737,7 +737,7 @@ class TestSimulateCommand:
         assert "[FAIL] no_faults: non-finite power" in capsys.readouterr().out
 
     @pytest.mark.parametrize("surface, mode, climbs", [
-        ({"kind": "flat", "slope_deg": 30.0}, "incline", False),
+        ({"kind": "flat"}, "incline", False),
         ({"kind": "incline", "slope_deg": 20.0}, "ground", True),
     ], ids=["incline-mode-on-flat-ground", "ground-mode-on-an-incline"])
     def test_drive_power_follows_the_surface(self, tmp_path, surface, mode, climbs):
@@ -752,7 +752,7 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--out", str(out)]) == EXIT_OK
         slope = surface["slope_deg"] if climbs else None
         price = load_scenario(path).power_model.drive_power_at(slope)
-        psi = math.radians(surface["slope_deg"])
+        psi = math.radians(surface.get("slope_deg", 0.0))
         rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
         driven = [row for row in rows if row[17] == mode]
         assert len(driven) > 500

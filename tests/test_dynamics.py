@@ -479,7 +479,11 @@ def test_ground_speed_always_converges(v_target, seed_v):
 
 
 _TIP_DEG = math.nextafter(tipping_slope(default_params()), 0.0)  # the steepest drivable slope
-_bits = struct.Struct("8d").pack
+
+
+def _bits(*floats) -> bytes:
+    """The bits of floats: tells 0.0 from -0.0, which == does not."""
+    return struct.pack(f"{len(floats)}d", *floats)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -494,9 +498,11 @@ _bits = struct.Struct("8d").pack
 )
 def test_speed_law_steps_as_the_step_law(incline, slope, carried, fraction, target, payload,
                                          dt):
-    """From a straight ground or incline state, each `speed_law` step has
-    the bits of the full step's read speed, velocity and commands, and
-    `speed_repeats` first holds at the step that `repeats` first reports."""
+    """From a straight ground or incline state, `read` has the bits of the
+    speed the full step reads, and each `speed_law` step those of the full
+    step's read speed and velocity. The read speed comes back exactly where
+    `repeats` holds, and first no later than the first full step that
+    changes nothing but the time and the position."""
     params, rotor, gains = default_params(), default_rotor(), ControllerGains()
     if incline:
         surface = SurfaceModel("incline", slope_deg=slope)
@@ -511,34 +517,31 @@ def test_speed_law_steps_as_the_step_law(incline, slope, carried, fraction, targ
     setpoint = ControlSetpoint(mode=state.mode, speed_mps=target)
     full = dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains, payload)
     f = dynamics.floats_of(state, surface)
-    advance, s = dynamics.speed_law(state, setpoint, surface, dt, params, rotor, gains, payload)
+    read, advance = dynamics.speed_law(surface, target, dt, params, rotor, gains, payload)
+    v = read(speed)
+    assert _bits(v) == _bits(f[dynamics.SPEED])
+    came_back = None  # the first step whose read speed comes back
+    moved = dynamics.VELOCITY.start  # all that follows the time and position
     for n in range(1, 6001):  # a heavy start from rest takes about 5 500 at dt 1 ms
-        g, t = full(f), advance(s[0])
-        assert _bits(*t) == _bits(g[dynamics.SPEED], *g[dynamics.VELOCITY],
-                                  *g[dynamics.COMMANDS]), n
-        steady = dynamics.repeats(f, g)
-        assert dynamics.speed_repeats(s, t) == steady, n
-        if steady:
+        g, t = full(f), advance(v)
+        assert _bits(*t) == _bits(g[dynamics.SPEED], *g[dynamics.VELOCITY]), n
+        assert dynamics.repeats(f, g) == (_bits(t[0]) == _bits(v)), n
+        if came_back is None and _bits(t[0]) == _bits(v):
+            came_back = n
+        if _bits(*g[moved:dynamics.MODE]) == _bits(*f[moved:dynamics.MODE]):
             break
-        f, s = g, t
+        f, v = g, t[0]
+    else:
+        pytest.fail("no step changed nothing but the time and the position")
+    assert came_back is not None and came_back <= n
 
 
 def test_speed_law_needs_a_straight_ground_state(params, rotor):
-    gains, state = ControllerGains(), initial_ground_state(params)
-    drive = ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0)
-    for s, sp in [
-        (state, replace(drive, yaw_rate_radps=0.5)),
-        (replace(state, angular_velocity=(0.0, 0.0, 0.1)), drive),
-        (replace(state, angular_velocity=(0.0, 0.0, -0.0)), drive),  # the step gives 0.0
-        (initial_ground_state(params, heading_deg=30.0), drive),
-        (initial_wall_state(params), ControlSetpoint(mode=Mode.WALL, speed_mps=0.2)),
-    ]:
-        with pytest.raises(ValueError, match="a speed law needs"):
-            dynamics.speed_law(s, sp, FLAT, 0.001, params, rotor, gains)
     # a lateral friction moment that overflows to NaN makes the yaw loop ask
     # for a moment that a frictionless surface cannot hold: the step turns
-    advance, _ = dynamics.speed_law(state, drive, SurfaceModel(lateral_friction=0.0), 0.001,
-                                    replace(params, lateral_friction_coeff=1e308), rotor, gains)
+    _, advance = dynamics.speed_law(SurfaceModel(lateral_friction=0.0), 1.0, 0.001,
+                                    replace(params, lateral_friction_coeff=1e308), rotor,
+                                    ControllerGains())
     with pytest.raises(ValueError, match="the step turns the vehicle"):
         advance(0.0)
 
@@ -601,6 +604,44 @@ class TestSteadySteps:
         # every surface reached a steady state both parked and moving
         assert {(k, m) for k in ("flat", "incline", "wall") for m in (False, True)} \
             <= set(steady_kinds)
+
+    def test_repeats_is_sound(self, params, rotor):
+        """Once `repeats(f, g)` holds, the next 25 steps through the same
+        law give the floats of g but for the time and the position, bit for
+        bit: on flat ground, inclines and walls, parked and moving, from
+        starts that turn or read a yaw of -0.0, and through settled turns,
+        whose speed and yaw rate repeat while the yaw moves on."""
+        rng = random.Random(20261020)
+        gains, seen = ControllerGains(), set()
+        moved = dynamics.VELOCITY.start  # all that follows the time and position
+        for case in range(100):
+            state, surface, setpoint, payload, dt = _random_steady_case(rng, params)
+            if state.mode is not Mode.WALL:
+                spin = rng.choice([0.0, -0.0, rng.uniform(-0.02, 0.02), rng.uniform(-1.0, 1.0)])
+                state = replace(state, angular_velocity=(0.0, 0.0, spin))
+                if rng.random() < 0.3:  # heading 0, read as a yaw of -0.0
+                    state = replace(state, quaternion=(1.0, -0.0, 0.0, -0.0))
+            advance = dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains,
+                                        payload)
+            f = dynamics.floats_of(state, surface)
+            for _ in range(3000):
+                g = advance(f)
+                if dynamics.repeats(f, g):
+                    break
+                if (_bits(g[dynamics.YAW_RATE], g[dynamics.SPEED])
+                        == _bits(f[dynamics.YAW_RATE], f[dynamics.SPEED])):
+                    seen.add("settled turn")
+                f = g
+            else:
+                continue
+            seen.add((surface.kind, setpoint.speed_mps != 0.0))
+            h = g
+            for n in range(25):
+                h = advance(h)
+                assert _bits(*h[moved:dynamics.MODE]) == _bits(*g[moved:dynamics.MODE]), (case, n)
+                assert h[dynamics.MODE:] == g[dynamics.MODE:], (case, n)
+        assert {(k, m) for k in ("flat", "incline", "wall") for m in (False, True)} \
+            | {"settled turn"} <= seen
 
     def test_signed_zero_is_not_steady(self, params, rotor):
         s = initial_ground_state(params)

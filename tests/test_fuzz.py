@@ -269,9 +269,9 @@ _TAKE_OFF = [{"t_s": 0.0, "transition_to": "flight", "mode": "flight",
               "target_position_m": [0.0, 0.0, 2.0]}]
 
 # The defects this generator found, with the seeds above and with more
-# seeds and steps, each now an exit 2 naming its key, a run that ends in a
-# fault, exit 1, or, where the fault was the defect, a run with none:
-# (scenario, exit code, what stderr or the fault reason starts with, or None)
+# seeds and steps, each now an exit 2 naming its key or a run that ends in
+# a fault, exit 1:
+# (scenario, exit code, what stderr or the fault reason starts with)
 FOUND = [
     # a wall start's tilt went unchecked to the run's first row
     ({**_DRIVE, "initial": {"mode": "wall", "tilt_deg": 1e308}}, EXIT_INPUT,
@@ -299,10 +299,11 @@ FOUND = [
       "script": [{"t_s": 0.0, "transition_to": "wall"}]}, EXIT_VALIDATION,
      "cannot enter wall mode: wall climb not feasible at tilt 135.0 deg"),
     # incline mode on a wall's foot was priced up a slope of -1e308 deg and
-    # faulted with "cannot enter incline mode: thrust -"; it drives on the
-    # level there and is now priced so, with no fault
+    # faulted with "cannot enter incline mode: thrust -"; only an incline
+    # has a slope now
     ({**_DRIVE, "surface": {"kind": "wall", "slope_deg": -1e308},
-      "script": [{"t_s": 0.0, "transition_to": "incline"}]}, EXIT_OK, None),
+      "script": [{"t_s": 0.0, "transition_to": "incline"}]}, EXIT_INPUT,
+     "error: scn.json: surface.slope_deg: must be in [0, 90) deg on an incline, and 0 elsewhere"),
 ]
 
 
@@ -317,5 +318,4 @@ def test_found_case_exits_cleanly(tmp_path, spec, rc, message):
         assert err.startswith(message)
         assert not out.exists()
     else:
-        reason = json.loads((out / "result.json").read_text())["fault_reason"]
-        assert reason is None if message is None else reason.startswith(message)
+        assert json.loads((out / "result.json").read_text())["fault_reason"].startswith(message)

@@ -191,6 +191,10 @@ class TestMovedRules:
         ({"lateral_friction": math.nan}, "lateral_friction"),
         ({"slope_deg": math.nan}, "slope_deg"),
         ({"kind": "incline", "slope_deg": 90.0}, "slope_deg"),
+        # only an incline has a slope
+        ({"slope_deg": 30.0}, "slope_deg"),
+        ({"kind": "wall", "slope_deg": -1e308}, "slope_deg"),
+        ({"kind": "wall", "slope_deg": 1e-300}, "slope_deg"),
     ])
     def test_surface_values(self, changes, key):
         with pytest.raises(FieldError) as err:

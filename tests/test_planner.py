@@ -627,18 +627,20 @@ class TestValidatePlan:
     def test_each_distinct_edge_is_stepped_once(self, monkeypatch):
         # both drive legs of multimodal-obstacle cross the same flat edges
         # from rest, so the second reads them back: stepping every edge of
-        # both legs would take 8 726 ground steps, and one call takes 4 363
-        # speed steps, as many as it took full steps before
+        # both legs would take 8 726 ground steps, and one call takes 4 361
+        # speed steps of its three distinct edges, two fewer than it took
+        # full steps before, as a step is steady once the speed it reads
+        # repeats, at most one step before the whole step repeats
         real, steps = dynamics.speed_law, []
 
         def law(*args):
-            advance, start = real(*args)
+            read, advance = real(*args)
 
             def counted(v):
                 steps.append(v)
                 return advance(v)
 
-            return counted, start
+            return read, counted
 
         monkeypatch.setattr(dynamics, "speed_law", law)
         scenario = load_scenario(bundled_scenarios()["multimodal-obstacle"])
@@ -646,7 +648,7 @@ class TestValidatePlan:
         mission = plan(query.terrain, query.start, query.goal, query.config, model)
         report = validate_plan(mission, query.terrain, model, query.config)
         assert report.ok and [leg.mode for leg in mission.legs].count(DRIVE) == 2
-        assert len(steps) == 4363
+        assert len(steps) == 4361
 
     @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
     def test_dt_outside_the_step_range_raises(self, model, dt_s):

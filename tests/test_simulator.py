@@ -634,6 +634,23 @@ def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
     assert fast[0] is None and "no flight calibration for payload 0.5 kg" in fast[1]
 
 
+@pytest.mark.parametrize("speed", [0.0, 1.0])
+def test_zero_avionics_draw_books_in_the_sums(params, rotor, power_model, monkeypatch, speed):
+    """An avionics draw of 0 W books its Wh in a stretch's local sums and,
+    as `_Books.book` would, no Ah and no SoC: parked or driving, `book`
+    takes no step, and the run matches the per-step reference."""
+    booked = _count_books(monkeypatch)  # `reference_run` books through `drain`
+    script = [ScriptEvent(0.0, setpoint=_ground(speed))]
+    fast, ref = _against_reference(params, rotor, power_model, _packs(USABLE_FRACTION),
+                                   initial_ground_state(params), SurfaceModel(), script, 30.0,
+                                   dt_s=0.01, avionics_power_w=0.0)
+    _assert_same(fast[1], ref[1])
+    assert len(booked) == 0
+    ledger = fast[0].ledger.to_dict()
+    assert ledger["per_mode_wh"]["avionics"] == 0.0 and "electronics" not in ledger.get(
+        "per_battery_ah", {})
+
+
 @pytest.mark.parametrize("mission", ["confined-space", "drive-fly-land"])
 def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission):
     """confined-space (turns) and a drive / fly / land mission take every
