@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     at_best = statics.wall_climb_analysis(
         params, best, climbing=True, rotor=rotor, payload=args.payload_kg
     )
-    print(f"\noptimal tilt {best:.1f} deg needs {at_best.required_thrust:.2f} N")
+    print(f"\noptimal tilt {best:.4f} deg needs {at_best.required_thrust:.2f} N")
     return 0
 
 

@@ -177,6 +177,7 @@ def _cmd_plan(args) -> int:
         mission = plan_route(
             query.terrain, query.start, query.goal, query.config,
             scenario.power_model, batteries=batteries, payload=scenario.payload_kg,
+            avionics_power_w=scenario.avionics_power_w,
         )
     except NoPathError as exc:
         print(f"no feasible route: {exc}", file=sys.stderr)
@@ -206,6 +207,7 @@ def _cmd_plan(args) -> int:
             mission, query.terrain, scenario.power_model, query.config,
             batteries=batteries, payload=scenario.payload_kg,
             max_deviation=scenario.validation.max_leg_deviation_frac,
+            avionics_power_w=scenario.avionics_power_w,
         )
         report_payload = report.to_json_dict()
         report_payload["scenario"] = scenario.name
@@ -263,7 +265,7 @@ def _cmd_analyze(args) -> int:
         )
         sections.append({
             "analysis": "optimal_wall_tilt",
-            "inputs": {"payload_kg": payload, "step_deg": 0.1},
+            "inputs": {"payload_kg": payload},
             "result": {
                 "optimal_tilt_deg": best,
                 "required_thrust_n": at_best.required_thrust,

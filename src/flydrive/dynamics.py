@@ -313,17 +313,6 @@ def ground_allocator(params: VehicleParams, rotor: RotorModel):
     return allocate
 
 
-def _ground_feedforward(g: float, mu_roll: float, m: float, psi: float,
-                        v_target: float) -> float:
-    """Along-track force (N) that holds mass m against gravity on a slope of
-    psi rad and, when moving, against rolling resistance; the speed loop's
-    proportional term adds to it."""
-    force = m * g * math.sin(psi)
-    if v_target != 0.0:
-        force += mu_roll * m * g * math.cos(psi) * _sgn(v_target)
-    return force
-
-
 @dataclass(frozen=True)
 class TiltSchedule:
     """Linear tilt ramp produced by mode_transition."""
@@ -632,19 +621,20 @@ def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, gains,
     update(v, r) maps the speed and yaw rate a step reads to (v_new, c0, c1,
     c2, c3, r_new): the speed along the track after the step, the four
     rotor commands and the yaw rate after the step.
-    Feedforward holds gravity and rolling resistance and a proportional
-    term closes the speed loop, which reads the speed along the slope on an
-    incline and along the heading on any other surface (a wall's foot
-    included). Off an incline the yaw loop steers, its feedforward
-    cancelling the lateral-friction moment of the fixed wheels (a positive
-    yaw-rate target turns right). The axis is the unit vector up an
-    incline's slope, (cos psi, 0, sin psi), and None on any other surface."""
+    Feedforward holds gravity and rolling resistance (the statics'
+    `along_slope_force`) and a proportional term closes the speed loop,
+    which reads the speed along the slope on an incline and along the
+    heading on any other surface (a wall's foot included). Off an incline
+    the yaw loop steers, its feedforward cancelling the lateral-friction
+    moment of the fixed wheels (a positive yaw-rate target turns right).
+    The axis is the unit vector up an incline's slope, (cos psi, 0, sin
+    psi), and None on any other surface."""
     m = params.total_mass(payload)
     incline = surface.kind == "incline"
     g = params.gravity
     psi = math.radians(surface.slope_deg) if incline else 0.0
     mu_r = surface.mu_roll(params)
-    feedforward = _ground_feedforward(g, mu_r, m, psi, v_target)
+    feedforward = statics.along_slope_force(m, g, psi, mu_r, _sgn(v_target))
     kp = gains.kp_speed
     grade = m * g * math.sin(psi)
     hold = mu_r * (m * g * math.cos(psi))  # rolling resistance at the normal force
@@ -760,9 +750,10 @@ def speed_law(surface, speed_mps, dt, params, rotor, gains, payload=0.0):
 
 
 def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
-    """The step law of a wall state, with the axles gamma rad past vertical.
-    A step raises DetachEvent (with no state) when the wall-normal force
-    falls below the attachment threshold."""
+    """The step law of a wall state, with the axles gamma rad past vertical:
+    the statics' equilibrium thrust (`statics.wall_required_thrust`) plus a
+    proportional speed term. A step raises DetachEvent (with no state) when
+    the wall-normal force falls below the attachment threshold."""
     m = params.total_mass(payload)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     gamma = math.radians(0.5 * (front + rear) - 90.0)
@@ -771,8 +762,9 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
     v_target = setpoint.speed_mps
     g = params.gravity
     mu_r = params.rolling_resistance_coeff
-    den = math.cos(gamma) - mu_r * math.sin(gamma) * _sgn(v_target)
-    thrust_ff = m * g / den if den > 0.0 else 4.0 * rotor.max_thrust
+    thrust_ff = statics.wall_required_thrust(m, g, gamma, mu_r, _sgn(v_target))
+    if thrust_ff == math.inf:  # no thrust balances: ask for all four rotors'
+        thrust_ff = 4.0 * rotor.max_thrust
     kp, f_max = gains.kp_speed, rotor.max_thrust
     sin_gamma, cos_gamma, weight = math.sin(gamma), math.cos(gamma), m * g
     attach = gains.attach_normal_fraction * m * g

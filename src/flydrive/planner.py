@@ -54,7 +54,7 @@ from itertools import groupby, repeat
 from operator import and_, eq, itemgetter, le, ne, sub
 
 from . import dynamics, fields
-from .defaults import TRANSITION_ENERGY_WH, TRANSITION_TIME_S
+from .defaults import AVIONICS_POWER_W, TRANSITION_ENERGY_WH, TRANSITION_TIME_S
 from .dynamics import exact_run, finite_power, first_holding
 from .energy import PowerModel
 from .fields import FieldError
@@ -221,6 +221,7 @@ def plan(
     model: PowerModel,
     batteries: list | None = None,
     payload: float = 0.0,
+    avionics_power_w: float = AVIONICS_POWER_W,
 ) -> MissionPlan:
     """Least-energy mission between two drivable cells.
 
@@ -253,7 +254,8 @@ def plan(
     )
     legs = _legs_from_steps(steps, terrain, cfg, prices)
     total_duration = sum(leg.duration_s for leg in legs)
-    feasible = batteries is None or _packs_hold(batteries, total_energy)
+    feasible = batteries is None or _packs_hold(batteries, total_energy, total_duration,
+                                                avionics_power_w)
     return MissionPlan(
         start=start,
         goal=goal,
@@ -265,13 +267,20 @@ def plan(
     )
 
 
-def _packs_hold(batteries: list, energy_wh: float) -> bool:
-    """Whether `energy_wh` fits the packs: a run draws an equal share from
-    each propulsion pack, and each share must fit above that pack's
-    protection floor. Both `plan` and `validate_plan` decide by this rule."""
+def _packs_hold(batteries: list, energy_wh: float, duration_s: float,
+                avionics_power_w: float) -> bool:
+    """Whether each pack holds its draw above its protection floor, as
+    `Simulator.run` drains them: an equal share of `energy_wh` from each
+    propulsion pack, and the avionics draw over `duration_s` from the
+    electronics pack. Both `plan` and `validate_plan` decide by this rule."""
+    if not avionics_power_w >= 0.0:  # NaN included
+        raise ValueError(f"avionics_power_w must be >= 0, got {avionics_power_w!r}")
     packs = [b for b in batteries if b.is_propulsion]
     share = energy_wh / max(1, len(packs))
-    return share <= min((b.remaining_usable_wh for b in packs), default=0.0)
+    electronics = next((b for b in batteries if not b.is_propulsion), None)
+    return (share <= min((b.remaining_usable_wh for b in packs), default=0.0)
+            and (electronics is None
+                 or avionics_power_w * duration_s / 3600.0 <= electronics.remaining_usable_wh))
 
 
 def _search(terrain, trav, start, goal, prices, switch_wh):
@@ -505,6 +514,7 @@ def validate_plan(
     payload: float = 0.0,
     dt_s: float = 0.001,
     max_deviation: float = 0.15,
+    avionics_power_w: float = AVIONICS_POWER_W,
 ) -> PlanValidationReport:
     """Re-fly the plan leg by leg with the mode controllers and compare
     simulated energy against the planner's prediction.
@@ -519,8 +529,9 @@ def validate_plan(
     a leg that times out marks the leg failed, with an infinite deviation,
     instead of aborting the report. `battery_ok` applies the plan's own
     rule (`_packs_hold`): the predicted total, split in equal shares over
-    the propulsion packs, must fit above each pack's protection floor, so
-    it equals `plan(..., batteries).feasible` for the same packs.
+    the propulsion packs, and the avionics draw over the plan's duration
+    must fit above their packs' protection floors, so it equals the plan's
+    `feasible` for the same packs and draw.
     """
     dynamics.check_dt(dt_s)
     if not max_deviation >= 0.0:  # NaN included, which would fail every leg
@@ -562,7 +573,8 @@ def validate_plan(
                 fault=fault,
             )
         )
-    battery_ok = batteries is None or _packs_hold(batteries, mission.total_energy_wh)
+    battery_ok = batteries is None or _packs_hold(
+        batteries, mission.total_energy_wh, mission.total_duration_s, avionics_power_w)
     ok = all(r.ok for r in results) and battery_ok
     return PlanValidationReport(
         legs=tuple(results),

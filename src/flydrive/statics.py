@@ -75,6 +75,15 @@ def tipping_slope(params: VehicleParams) -> float:
     )
 
 
+def along_slope_force(m: float, g: float, psi: float, c_rr: float, direction: float) -> float:
+    """Along-slope force (N) holding mass m on a slope of psi rad: m g sin(psi)
+    plus c_rr m g cos(psi) times the sign of the motion (+1 up, 0 at rest)."""
+    force = m * g * math.sin(psi)
+    if direction:
+        force += c_rr * m * g * math.cos(psi) * direction
+    return force
+
+
 def incline_equilibrium(
     params: VehicleParams,
     slope_deg: float,
@@ -82,9 +91,8 @@ def incline_equilibrium(
     rotor: RotorModel | None = None,
     payload: float = 0.0,
 ) -> SlopeAnalysis:
-    """Thrust needed to hold (or creep along) an incline with surface-parallel
-    rotors: gravity component m g sin(psi), plus rolling resistance
-    C_rr m g cos(psi) when moving.
+    """Thrust needed to hold (or creep up) an incline with surface-parallel
+    rotors (`along_slope_force`).
 
     Slopes at or past the tipping limit come back infeasible rather than
     raising. Without a rotor the thrust-availability check is skipped and
@@ -93,30 +101,20 @@ def incline_equilibrium(
     if not 0.0 <= slope_deg <= 90.0:
         raise ValueError(f"slope {slope_deg} outside [0, 90] deg")
     tip_limit = tipping_slope(params)
-    m = params.total_mass(payload)
-    g = params.gravity
-    psi = math.radians(slope_deg)
-    required = m * g * math.sin(psi)
-    if moving:
-        required += params.rolling_resistance_coeff * m * g * math.cos(psi)
-    feasible = slope_deg < tip_limit
-    if rotor is not None and required > 4.0 * rotor.max_thrust:
-        feasible = False
-    return SlopeAnalysis(
-        slope_angle=slope_deg,
-        required_total_thrust=required,
-        tipping_margin=tip_limit - slope_deg,
-        feasible=feasible,
-    )
+    required = along_slope_force(params.total_mass(payload), params.gravity,
+                                 math.radians(slope_deg), params.rolling_resistance_coeff,
+                                 1.0 if moving else 0.0)
+    feasible = slope_deg < tip_limit and (rotor is None or required <= 4.0 * rotor.max_thrust)
+    return SlopeAnalysis(slope_deg, required, tip_limit - slope_deg, feasible)
 
 
-def _wall_required_thrust(m: float, g: float, gamma: float, resist: float) -> float:
-    """Total thrust for vertical equilibrium on a wall: F cos(g) balances
-    weight plus (minus, when holding) the wheel term resist * F sin(g)."""
-    den = math.cos(gamma) - resist * math.sin(gamma)
-    if den <= 0:
-        return math.inf
-    return m * g / den
+def wall_required_thrust(m: float, g: float, gamma: float, resist: float,
+                         direction: float = 1.0) -> float:
+    """Total thrust (N) for vertical equilibrium on a wall: F cos(gamma)
+    balances m g plus resist * F sin(gamma) times the sign of the motion
+    (+1 up, 0 parked); inf where no thrust balances."""
+    den = math.cos(gamma) - resist * math.sin(gamma) * direction
+    return m * g / den if den > 0.0 else math.inf
 
 
 def wall_climb_analysis(
@@ -144,7 +142,7 @@ def wall_climb_analysis(
     g = params.gravity
     gamma = math.radians(tilt_deg - 90.0)
     resist = params.rolling_resistance_coeff if climbing else -params.wall_friction_coeff
-    required = _wall_required_thrust(m, g, gamma, resist)
+    required = wall_required_thrust(m, g, gamma, resist)
     if math.isinf(required):
         return WallClimbAnalysis(tilt_deg, math.inf, math.inf, False, False)
     normal = required * math.sin(gamma)
@@ -154,45 +152,40 @@ def wall_climb_analysis(
     d = params.wheel_contact_half_spacing_long
     anti_tip = required * (h * math.cos(gamma) + d * math.sin(gamma)) - m * g * h
     attached = normal >= attach_normal_fraction * m * g and anti_tip >= 0.0
-    feasible = attached
-    if rotor is not None and required > 4.0 * rotor.max_thrust:
-        feasible = False
+    feasible = attached and (rotor is None or required <= 4.0 * rotor.max_thrust)
     return WallClimbAnalysis(tilt_deg, required, normal, attached, feasible)
 
 
 def optimal_wall_tilt(
     params: VehicleParams,
     rotor: RotorModel,
-    step_deg: float = 0.1,
     payload: float = 0.0,
     attach_normal_fraction: float = DEFAULT_ATTACH_NORMAL_FRACTION,
 ) -> float:
-    """Tilt angle minimizing the climb thrust, over a grid on (90, 180) deg,
-    subject to attachment and the four-rotor thrust limit. A step below
-    0.001 deg (more than 90 000 analyses) is refused."""
-    if not step_deg >= 0.001:  # NaN included
-        raise ValueError(f"step_deg must be >= 0.001, got {step_deg!r}")
-    best_tilt = None
-    best_required = math.inf
-    n = int(round((180.0 - 90.0) / step_deg))
-    for i in range(1, n):
-        tilt = 90.0 + i * step_deg
-        if tilt >= 180.0:
+    """Tilt (deg) of least climb thrust that attaches and that the four
+    rotors can give, else InfeasibleTiltError. With gamma = tilt - 90 the
+    thrust m g / (cos gamma - C_rr sin gamma) rises on (0, 90) deg and the
+    anti-tip moment, m g (d + h C_rr) sin gamma over the same, is >= 0, so
+    the optimum is the least attached float: tan gamma = f / (1 + f C_rr)
+    for an attach fraction f > 0, else the least float past 90."""
+    f = attach_normal_fraction
+    tilt = math.nextafter(90.0, 180.0)
+    if f > 0.0:  # an infinite f gives a NaN tilt, which max drops
+        best = 90.0 + math.degrees(math.atan(f / (1.0 + f * params.rolling_resistance_coeff)))
+        tilt = max(tilt, best - 8 * math.ulp(best))  # rounding moves it a few floats at most
+    for _ in range(32):
+        wall = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload,
+                                   attach_normal_fraction=f)
+        if wall.attached:
             break
-        result = wall_climb_analysis(
-            params, tilt, climbing=True, rotor=rotor, payload=payload,
-            attach_normal_fraction=attach_normal_fraction,
-        )
-        if result.attached and result.climb_feasible and result.required_thrust < best_required:
-            best_required = result.required_thrust
-            best_tilt = tilt
-    if best_tilt is None:
+        tilt = math.nextafter(tilt, 180.0)
+    if not wall.climb_feasible:  # a NaN or infinite f attaches nowhere
         raise InfeasibleTiltError(
-            "no tilt in (90, 180) deg satisfies attachment and thrust limits "
+            "no tilt in (90, 180] deg satisfies attachment and thrust limits "
             f"(mass {params.total_mass(payload):.2f} kg, max thrust "
             f"{4 * rotor.max_thrust:.1f} N)"
         )
-    return best_tilt
+    return tilt
 
 
 def analysis_record(kind: str, inputs: dict, result) -> dict:

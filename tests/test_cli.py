@@ -812,6 +812,44 @@ class TestPlanCommand:
         assert json.loads((out / "validation.json").read_text())["battery_ok"] is feasible
         assert f"feasible={feasible}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("soc, avionics_w, feasible", [
+        (1.0, 5.0, True), (0.2001, 5.0, False), (0.2001, 0.5, True),
+    ], ids=["full", "near-floor", "near-floor-low-draw"])
+    def test_plan_feasible_only_if_the_electronics_pack_carries_the_avionics(
+            self, tmp_path, capsys, soc, avionics_w, feasible):
+        # the README's 3x5 fenced grid: the 15.5 s route draws 0.0215 Wh of
+        # avionics at 5 W (0.00215 Wh at 0.5 W) from the electronics pack,
+        # which at SoC 0.2001 holds 0.0024 Wh above its 0.2 floor; the
+        # propulsion packs are full. --validate's battery_ok applies the
+        # same rule, and a 0.2 leg bound passes every leg.
+        spec = {
+            "name": "fenced",
+            "planner": {
+                "terrain": {"width": 5, "height": 3, "cell_size_m": 3.0, "elevation_m": 0.0,
+                            "obstacles": [[r, 2] for r in range(3)]},
+                "start_cell": [1, 0],
+                "goal_cell": [1, 4],
+            },
+            "batteries": [
+                {"battery_id": "prop_a", "cells_series": 4, "capacity_ah": 5.0,
+                 "usable_fraction": 0.643},
+                {"battery_id": "prop_b", "cells_series": 4, "capacity_ah": 5.0,
+                 "usable_fraction": 0.643},
+                {"battery_id": "electronics", "cells_series": 2, "capacity_ah": 3.2,
+                 "usable_fraction": 0.8, "soc": soc},
+            ],
+            "avionics_power_w": avionics_w,
+            "validation": {"max_leg_deviation_frac": 0.2},
+        }
+        out = tmp_path / "out"
+        rc = main(["plan", write_scenario(tmp_path, spec), "--out", str(out), "--validate"])
+        assert rc == (EXIT_OK if feasible else EXIT_VALIDATION)
+        plan = json.loads((out / "plan.json").read_text())
+        assert plan["total_duration_s"] == 15.5
+        assert plan["feasible"] is feasible
+        assert json.loads((out / "validation.json").read_text())["battery_ok"] is feasible
+        assert f"feasible={feasible}" in capsys.readouterr().out
+
     def test_validate_writes_report(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI_PLAN)
         out = tmp_path / "out"

@@ -29,7 +29,7 @@ from flydrive.fields import FieldError
 from flydrive.planner import PlannerConfig, plan, validate_plan
 from flydrive.scenario import ValidationSpec
 from flydrive.simulator import ScriptEvent, Simulator
-from flydrive.statics import decompose_thrust, optimal_wall_tilt
+from flydrive.statics import decompose_thrust
 from flydrive.terrain import FREE, TerrainGrid, terrain_from_ascii, terrain_from_dict
 from flydrive.vehicle import RotorTableError, VehicleParams, load_mass_budget, load_rotor_table
 
@@ -266,12 +266,6 @@ class TestNanArguments:
             with pytest.raises(ValueError, match="total_thrust"):
                 decompose_thrust(thrust, 30.0)
 
-    def test_optimal_wall_tilt_step(self, params, rotor):
-        # 1e-12 would ask for about 9e13 analyses and never return
-        for step in (math.nan, 1e-12):
-            with pytest.raises(ValueError, match="step_deg"):
-                optimal_wall_tilt(params, rotor, step_deg=step)
-
     def test_mode_power_and_range_speed(self, power_model, batteries):
         with pytest.raises(ValueError, match="speed"):
             mode_power(power_model, "ground", speed=math.nan)
@@ -285,6 +279,18 @@ class TestNanArguments:
         for bound in (math.nan, -0.1):
             with pytest.raises(ValueError, match="max_deviation"):
                 validate_plan(mission, terrain, power_model, cfg, max_deviation=bound)
+
+    def test_plan_and_validate_plan_avionics_power(self, power_model, batteries):
+        terrain = terrain_from_ascii("...")
+        cfg = PlannerConfig()
+        mission = plan(terrain, (0, 0), (0, 2), cfg, power_model)
+        for watts in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="avionics_power_w"):
+                plan(terrain, (0, 0), (0, 2), cfg, power_model, batteries=batteries,
+                     avionics_power_w=watts)
+            with pytest.raises(ValueError, match="avionics_power_w"):
+                validate_plan(mission, terrain, power_model, cfg, batteries=batteries,
+                              avionics_power_w=watts)
 
 
 class TestRecords:

@@ -1,10 +1,13 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flydrive import statics
 from flydrive.statics import (
+    DEFAULT_ATTACH_NORMAL_FRACTION,
     InfeasibleTiltError,
     conventional_pitch_for_slope,
     decompose_thrust,
@@ -118,15 +121,39 @@ class TestWallClimb:
         assert lift - drag == pytest.approx(m * params.gravity, rel=1e-12)
 
 
+def _scan(params, rotor, payload=0.0, attach_normal_fraction=DEFAULT_ATTACH_NORMAL_FRACTION):
+    """The grid search `optimal_wall_tilt` made before its closed form, as
+    the oracle: (tilt, thrust) of least climb thrust over the attached and
+    climbable tilts 90 + 0.1 i in (90, 180), or None where there is none.
+    Without a rotor, thrust is not limited."""
+    best = None
+    for i in range(1, 900):
+        tilt = 90.0 + i * 0.1
+        w = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload,
+                                attach_normal_fraction=attach_normal_fraction)
+        if w.attached and w.climb_feasible and (best is None or w.required_thrust < best[1]):
+            best = tilt, w.required_thrust
+    return best
+
+
+def _attached(params, tilt, payload=0.0, attach_normal_fraction=DEFAULT_ATTACH_NORMAL_FRACTION):
+    return wall_climb_analysis(params, tilt, climbing=True, payload=payload,
+                               attach_normal_fraction=attach_normal_fraction).attached
+
+
 class TestOptimalWallTilt:
     def test_optimum_below_working_tilt(self, params, rotor):
         best = optimal_wall_tilt(params, rotor)
         assert 90.0 < best < 135.0
 
-    def test_agrees_with_fine_grid(self, params, rotor):
-        coarse = optimal_wall_tilt(params, rotor, step_deg=0.1)
-        fine = optimal_wall_tilt(params, rotor, step_deg=0.01)
-        assert abs(coarse - fine) <= 0.1
+    @pytest.mark.parametrize("payload", [0.0, 0.5, 1.0])
+    def test_closed_form_with_the_defaults(self, params, rotor, payload):
+        # tan(tilt - 90) = f / (1 + f C_rr) gives 91.14507597568347, one
+        # float short of attached; the 0.1 deg grid gave 91.2
+        best = optimal_wall_tilt(params, rotor, payload=payload)
+        assert best == 91.14507597568348
+        assert not _attached(params, math.nextafter(best, 90.0), payload)
+        assert best < _scan(params, rotor, payload)[0] == pytest.approx(91.2)
 
     def test_heavier_vehicle_still_solvable(self, params, rotor):
         best = optimal_wall_tilt(params, rotor, payload=1.0)
@@ -140,6 +167,71 @@ class TestOptimalWallTilt:
         )
         with pytest.raises(InfeasibleTiltError):
             optimal_wall_tilt(params, weak)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5])
+    def test_no_attach_threshold_gives_the_least_tilt_past_vertical(self, params, rotor,
+                                                                    fraction):
+        # the scan's least grid tilt was 90.1
+        best = optimal_wall_tilt(params, rotor, attach_normal_fraction=fraction)
+        assert best == math.nextafter(90.0, 180.0)
+        assert _scan(params, rotor, attach_normal_fraction=fraction)[0] == pytest.approx(90.1)
+
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, 5.0])
+    def test_fractions_nothing_meets_are_infeasible(self, params, rotor, fraction):
+        # NaN and inf attach nowhere, and at 5.0 the least attached tilt
+        # needs more thrust than the rotors give; the scan found nothing
+        # either way
+        with pytest.raises(InfeasibleTiltError):
+            optimal_wall_tilt(params, rotor, attach_normal_fraction=fraction)
+        assert _scan(params, rotor, attach_normal_fraction=fraction) is None
+
+    def test_matches_the_scan_oracle(self, params, rotor):
+        rng = random.Random(30)
+        n_feasible = 0
+        for _ in range(150):
+            f = rng.uniform(1e-4, 1.5)
+            vehicle = replace(params, rolling_resistance_coeff=rng.uniform(0.0, 0.3))
+            payload = rng.uniform(0.0, 1.3)
+            scale = rng.uniform(0.1, 2.0)
+            scaled = replace(rotor, thrusts=tuple(scale * t for t in rotor.thrusts))
+            case = f"f={f!r}, C_rr={vehicle.rolling_resistance_coeff!r}, " \
+                   f"payload={payload!r}, rotor x{scale!r}"
+            scan = _scan(vehicle, scaled, payload, f)
+            try:
+                best = optimal_wall_tilt(vehicle, scaled, payload, f)
+            except InfeasibleTiltError:
+                assert scan is None, case
+                continue
+            n_feasible += 1
+            wall = wall_climb_analysis(vehicle, best, rotor=scaled, payload=payload,
+                                       attach_normal_fraction=f)
+            assert wall.attached and wall.climb_feasible, case
+            assert not _attached(vehicle, math.nextafter(best, 90.0), payload, f), case
+            if scan is None:
+                # the rotors' limit falls between the optimum's thrust and
+                # that of the least attached grid tilt
+                assert _scan(vehicle, None, payload, f)[1] > 4.0 * scaled.max_thrust, case
+                continue
+            assert best <= scan[0] and wall.required_thrust <= scan[1], case
+        assert 30 < n_feasible < 140  # both outcomes are swept
+
+
+class TestEquilibriumRules:
+    def test_along_slope_force_direction(self, params):
+        m, g, psi = params.total_mass(), params.gravity, math.radians(20.0)
+        grade = m * g * math.sin(psi)
+        roll = 0.03 * m * g * math.cos(psi)
+        assert statics.along_slope_force(m, g, psi, 0.03, 0.0) == grade
+        assert statics.along_slope_force(m, g, psi, 0.03, 1.0) == grade + roll
+        assert statics.along_slope_force(m, g, psi, 0.03, -1.0) == grade - roll
+
+    def test_wall_required_thrust_direction(self, params):
+        m, g, gamma = params.total_mass(), params.gravity, math.radians(45.0)
+        parked = statics.wall_required_thrust(m, g, gamma, 0.03, 0.0)
+        assert parked == m * g / math.cos(gamma)
+        assert (statics.wall_required_thrust(m, g, gamma, 0.03, -1.0) < parked
+                < statics.wall_required_thrust(m, g, gamma, 0.03))
+        assert statics.wall_required_thrust(m, g, gamma, 1.5) == math.inf
 
 
 def test_analysis_record_round_trips(params):
