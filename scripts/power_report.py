@@ -28,9 +28,13 @@ def main(argv=None) -> int:
     payload = args.payload_kg
 
     speeds = [0.25 * i for i in range(1, 18)]  # 0.25 .. 4.25 m/s
-    rows = []
-    for v in speeds:
-        rows.append(
+    fixed = (
+        ("hover", {"mode": "hover"}),
+        ("flight cruise", {"mode": "flight"}),
+        ("wall climb 135 deg", {"mode": "wall", "tilt_deg": 135.0}),
+    )
+    try:  # every figure is computed before any is printed
+        rows = [
             {
                 "speed_mps": v,
                 "ground_w": model.ground_power(v, payload),
@@ -39,7 +43,11 @@ def main(argv=None) -> int:
                 "range_km": range_estimate(model, batteries, "ground", v, payload)
                 / 1000.0,
             }
-        )
+            for v in speeds
+        ]
+        draws = [(label, mode_power(model, payload=payload, **kwargs)) for label, kwargs in fixed]
+    except ValueError as exc:  # a payload the model has no calibration for, or too heavy
+        ap.error(f"--payload-kg {payload}: {exc}")
 
     print(f"payload {payload} kg")
     print(f"{'v [m/s]':>8} {'ground [W]':>11} {'33 deg [W]':>11} "
@@ -52,12 +60,7 @@ def main(argv=None) -> int:
 
     print()
     print("fixed-state power draw:")
-    for label, kwargs in (
-        ("hover", {"mode": "hover"}),
-        ("flight cruise", {"mode": "flight"}),
-        ("wall climb 135 deg", {"mode": "wall", "tilt_deg": 135.0}),
-    ):
-        watts = mode_power(model, payload=payload, **kwargs)
+    for label, watts in draws:
         print(f"  {label:<20} {watts:8.1f} W")
 
     if args.csv:

@@ -20,13 +20,18 @@ def main(argv=None) -> int:
     ap.add_argument("--payload-kg", type=float, default=0.0)
     ap.add_argument("--step-deg", type=float, default=5.0)
     args = ap.parse_args(argv)
+    if not 0.01 <= args.step_deg <= 90.0:  # NaN included
+        ap.error(f"--step-deg {args.step_deg} must be finite and within [0.01, 90] deg")
 
     params = default_params()
     rotor = default_rotor()
     model = default_power_model()
     available = 4.0 * rotor.max_thrust
 
-    best = statics.optimal_wall_tilt(params, rotor, payload=args.payload_kg)
+    try:
+        best = statics.optimal_wall_tilt(params, rotor, payload=args.payload_kg)
+    except ValueError as exc:  # a payload the vehicle cannot carry
+        ap.error(f"--payload-kg {args.payload_kg}: {exc}")
     print(f"payload {args.payload_kg} kg, available thrust {available:.1f} N")
     print(f"{'tilt [deg]':>10} {'attached':>9} {'climbable':>10} "
           f"{'thrust [N]':>11} {'power [W]':>10}")

@@ -58,7 +58,7 @@ from . import statics
 from .fields import FieldError
 from .vehicle import RotorModel, VehicleParams
 
-DT_MAX_S = 0.02
+DT_MIN_S, DT_MAX_S = 1e-5, 0.02  # a finer step makes a run too many steps to take
 DEFAULT_SPEED_ENVELOPE_MPS = 4.1  # fastest ground speed the model is trusted at
 GROUND_TILT_DEG = 90.0
 WALL_TILT_DEG = 135.0
@@ -438,8 +438,8 @@ def _check_state_finite(state: SimState) -> None:
 
 def check_dt(dt_s: float) -> None:
     """Raise ValueError unless dt_s lies in the range `step` takes."""
-    if not 0.0 < dt_s <= DT_MAX_S:
-        raise ValueError(f"dt_s {dt_s} outside (0, {DT_MAX_S}] s")
+    if not DT_MIN_S <= dt_s <= DT_MAX_S:
+        raise ValueError(f"dt_s {dt_s} outside [{DT_MIN_S}, {DT_MAX_S}] s")
 
 
 def step(
@@ -565,8 +565,8 @@ def exact_run(a: float, d: float, n: int) -> tuple[int, float]:
     nearest gives a + m * u with m = round(d / u) every time (d / u is exact:
     u is a power of two). The run stops a unit short of either edge of the
     binade, and is empty at a tie (d / u an odd multiple of 1/2, rounded to
-    even), at a zero or subnormal `a` that d moves, and at a huge |d / u|; a
-    plain addition then takes the step. A d of 0.0 or -0.0 allows any run."""
+    even), at a zero or subnormal `a` that d moves, and at a huge |d / u|;
+    the step law then takes the step. A d of 0.0 or -0.0 allows any run."""
     if d == 0.0:  # a + j * d is a + d for any j >= 1, -0.0 + 0.0 = 0.0 included
         return n, d
     size = abs(a)

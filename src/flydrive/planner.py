@@ -524,7 +524,7 @@ def validate_plan(
     with the flight controller's authority and cruise through. A drive
     edge is straight, so only its speed is stepped, through the ground
     law's speed update (`dynamics.speed_law`); each distinct drive edge is
-    stepped once per call, its steady steps in exact jumps
+    stepped once per call, with one exact jump after each steady step
     (`_simulate_drive_leg`). A tip event, a simulation fault or
     a leg that times out marks the leg failed, with an infinite deviation,
     instead of aborting the report. `battery_ok` applies the plan's own
@@ -593,8 +593,10 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     edge. Once that speed comes back with the same bits (where
     `dynamics.repeats` holds: the yaw rate and yaw stay 0.0), each further
     step only moves the vehicle on, so the speed and power stay and the
-    distance and energy go up by the same amounts every step: those steps
-    go in exact jumps (`_steady_edge`).
+    distance and energy go up by the same amounts every step. After each
+    such step one jump takes those that follow (`dynamics.exact_run`), cut
+    at the step that covers the cell and at the 60 s step limit, after which
+    a step times out; a step no jump can take goes through the law.
 
     The position is not stepped, yet each step faults as a full step
     would. A step whose velocity or position is not finite reads a speed
@@ -631,8 +633,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
         v = read(v)
         covered = 0.0
         steps = 0
-        steady = False
-        while covered < cell and not steady:
+        while covered < cell:
             w, vx, vy, vz = advance(v)
             try:
                 power = price(w if w > 0.0 else 0.0 - w)  # abs(w), signed zeros included
@@ -651,35 +652,13 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
             steps += 1
             if steps > max_steps_per_edge:
                 raise dynamics.SimulationFault("drive edge timed out", None)
-        # steady unless the cell is covered: each further step adds the same
-        energy = _steady_edge(covered, energy, steps, v * dt_s, power * dt_s / 3600.0, cell,
-                              max_steps_per_edge)
+            if steady and covered < cell:  # one jump of the steps that add the same
+                n, ds = exact_run(covered, v * dt_s, max_steps_per_edge - steps)
+                n, de = exact_run(energy, power * dt_s / 3600.0, n)
+                if n and covered + n * ds >= cell:
+                    n = first_holding(n, lambda j: covered + j * ds >= cell)
+                covered, energy, steps = covered + n * ds, energy + n * de, steps + n
         edges[key] = energy, v
-    return energy
-
-
-def _steady_edge(covered, energy, steps, moved, used, cell, max_steps):
-    """The energy (Wh) at the end of a drive edge of `cell` m that has
-    covered `covered` m and reached `energy` Wh in `steps` steps, each
-    further step adding `moved` m and `used` Wh. The steps go in jumps as
-    long as both floats allow (`dynamics.exact_run`), cut at the first step
-    that covers the cell (monotone in the jump's length, so bisection finds
-    it) and at `max_steps`; where either float allows no jump, one step is
-    added plainly. Either way every float gets the bits that adding one
-    step at a time gives, and the step after `max_steps` times out."""
-    while covered < cell:
-        n, ds = exact_run(covered, moved, max_steps - steps)
-        n, de = exact_run(energy, used, n)
-        if n:
-            if covered + n * ds >= cell:
-                n = first_holding(n, lambda j: covered + j * ds >= cell)
-            covered, energy, steps = covered + n * ds, energy + n * de, steps + n
-            continue
-        covered += moved
-        energy += used
-        steps += 1
-        if steps > max_steps:
-            raise dynamics.SimulationFault("drive edge timed out", None)
     return energy
 
 

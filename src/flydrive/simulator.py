@@ -23,13 +23,13 @@ pack or with a negative or NaN avionics draw. Once the speed, yaw rate and
 yaw that a ground, incline or wall step read come back bit for bit after
 it (`dynamics.repeats`), every further step computes the same, so each
 only adds the increments of the one before to time, position and the same
-sums, and those steps are taken in jumps (`_steady_stretch`): while a
-float's sums stay inside one binade, where floats are evenly spaced, each
-addition rounds to the same whole number of spacings, so j of them add
-exactly j times that, and one exact addition gives the bits of j. Either
-way each increment is the expression the booking oracle
-`tests/reference_simulator.drain` computes and its `record` adds, in the
-same order, so every sum keeps its bits. The step that ends a transition is
+sums, and after each such step one jump takes those that follow
+(`_steady_stretch`): while a float's sums stay inside one binade, where
+floats are evenly spaced, each addition rounds to the same whole number of
+spacings, so one exact addition gives the bits of j of them. A step no
+jump can take goes through the law. Either way each increment is the
+expression the booking oracle `tests/reference_simulator.drain` computes
+and its `record` adds, in the same order, so every sum keeps its bits. The step that ends a transition is
 booked in the mode it enters and ends its stretch. A step that would detach
 from a wall, or leave the state or its power non-finite, ends the run with
 that fault, logged at the state before it. Per step at dt 1 ms, booking
@@ -423,9 +423,9 @@ class Simulator:
         sums of `books` (written back when the stretch ends, however it
         ends) and traced from the floats; a step that would bring a pack to
         its floor, draws below 0 W, or that the local sums do not take at
-        all, is booked by `_Books.book`. From a step after which the speed,
-        yaw rate and yaw it read come back bit for bit (`dynamics.repeats`),
-        `_steady_stretch` takes the steps that follow.
+        all, is booked by `_Books.book`. After each step after which the
+        speed, yaw rate and yaw it read come back bit for bit
+        (`dynamics.repeats`), `_steady_stretch` takes one jump.
 
         Stops before the first step that would consume the script event at
         `t_event`, and at step `end`. Ends the run after a step that trips
@@ -445,7 +445,11 @@ class Simulator:
         wh, wh_avionics, sa, aa, sb, ab, se, ae = books.sums(name)
         k = synced = i  # the books hold every step before `synced`, the sums the rest
         try:
-            while True:  # closed by an unconditional jump: see `_steady_stretch`
+            # CPython 3.11 specializes a function's bytecode after a few calls or
+            # unconditional backward jumps; a `while <test>:` loop closes with a
+            # conditional one, so a long stretch taken in one call would run
+            # generic bytecode throughout
+            while True:
                 if k >= end or t_event <= f[TIME] + 1e-12:
                     return k, f, None
                 try:
@@ -500,75 +504,54 @@ class Simulator:
                 books.put(name, (wh, wh_avionics, sa, aa, sb, ab, se, ae))
 
     def _steady_stretch(self, f, power, i, end, t_event, books, rows, sums):
-        """`_stretch` from the floats f of a step that drew `power`, after
-        which the speed, yaw rate and yaw it read came back bit for bit
-        (`dynamics.repeats`), with its local `sums`: each further step only
-        adds the increments of the step before to time, position and the
-        sums. Returns the index and the floats of the step after them, and
-        the sums. Stops before a step that would bring a pack to its
-        floor, and takes none where the sums leave every step to
-        `_Books.book`.
+        """One jump of `_stretch` from the floats f of a step that drew
+        `power`, after which the speed, yaw rate and yaw it read came back
+        bit for bit (`dynamics.repeats`), with its local `sums`: each step
+        only adds the increments of the one before to time, position and the
+        sums. Returns the index and floats of the step after it, and the sums.
 
-        The steps go in jumps as long as every float allows (`exact_run`), cut
-        at `end`, at the first step that meets the script event at `t_event`
-        and before the first that would bring a pack to its floor (each
-        test is monotone in the jump's length, so bisection finds it); the
-        trace rows inside a jump come from the same closed form. Where a
-        float allows no jump, one step is added plainly. Either way every
-        float gets the bits that adding one step at a time gives.
+        The jump is as long as every float allows (`exact_run`), cut at `end`,
+        at the first step that meets the script event at `t_event` and one
+        step before the first that would bring a pack to its floor (each
+        test is monotone in the jump's length, so bisection finds it). Its
+        floats and trace rows get the bits that one step at a time gives. It
+        may be empty: `_stretch`'s law step then takes the step, bit for bit.
         """
-        dt, decimation = self.dt_s, self.trace_decimation
+        dt, decimation, t = self.dt_s, self.trace_decimation, f[TIME]
+        if t_event <= t + 1e-12:  # the event is due: `_stretch` takes it
+            return i, f, sums
         (soc_a, floor_a, ah_a), (soc_b, floor_b, ah_b), (d_soc_e, floor_e, d_ah_e) = books.slots
         q = power / books.n_packs * dt
-        name = f[MODE].value
         (vx, vy, vz), moved = f[VELOCITY], VELOCITY.start  # the trace columns after the position
-        tail = "," + ",".join(map(repr, f[moved:TRACE.stop])) + f",{name},{power!r}\n"
         # time, position and the sums, and what each step adds to them: a wall
         # step keeps x and y (adding -0.0 keeps any float's bits), and a SoC
         # falls by its decrement (a - d is a + -d, bit for bit)
-        floats = [f[TIME], *f[POSITION], *sums]
+        floats = [t, *f[POSITION], *sums]
         adds = (dt, *((vx * dt, vy * dt) if f[MODE] is not Mode.WALL else (-0.0, -0.0)), vz * dt,
                 power * dt / 3600.0, books.avionics_wh,
                 -(q / soc_a), q / ah_a, -(q / soc_b), q / ah_b, -d_soc_e, d_ah_e)
-        socs = ((6, floor_a), (8, floor_b), (10, floor_e))  # each SoC's place and floor
-        k = i
-        # CPython 3.11 specializes a function's bytecode after a few calls or
-        # unconditional backward jumps; a `while <test>:` loop closes with a
-        # conditional one, so a long stretch taken in one call would run
-        # generic bytecode throughout
-        while True:
-            t, x, y, z = floats[:4]
-            if k >= end or t_event <= t + 1e-12:
-                break
-            n, steps = end - k, []
-            for a, d in zip(floats, adds):
-                n, s = exact_run(a, d, n)
-                steps.append(s)
-            jt, jx, jy, jz = steps[:4]
-            if n and t_event <= t + n * jt + 1e-12:  # the jump ends at the step that meets it
-                n = first_holding(n, lambda j: t_event <= t + j * jt + 1e-12)
+        n, steps = end - i, []
+        for a, d in zip(floats, adds):
+            n, s = exact_run(a, d, n)
+            steps.append(s)
+        jt, jx, jy, jz = steps[:4]
+        if n and t_event <= t + n * jt + 1e-12:  # the jump ends at the step that meets it
+            n = first_holding(n, lambda j: t_event <= t + j * jt + 1e-12)
 
-            def refused(j):  # whether step j of the jump would bring a pack to its floor
-                return any(floats[s] + j * steps[s] <= floor for s, floor in socs)
+        def refused(j):  # whether step j of the jump would bring a pack to its floor
+            return any(floats[s] + j * steps[s] <= floor
+                       for s, floor in ((6, floor_a), (8, floor_b), (10, floor_e)))
 
-            if n and refused(n):
-                n = first_holding(n, refused) - 1
-            if n:
-                for r in range(decimation - k % decimation, n + 1, decimation):
-                    rows.append(f"{t + r * jt!r},{x + r * jx!r},{y + r * jy!r},{z + r * jz!r}{tail}")
-                floats = [a + n * s for a, s in zip(floats, steps)]
-                k += n
-                continue
-            g = [a + d for a, d in zip(floats, adds)]  # one plain step
-            if not all(map(math.isfinite, g[1:4])) or any(g[s] <= floor for s, floor in socs):
-                break
-            floats = g
-            k += 1
-            if k % decimation == 0:
-                rows.append(f"{g[0]!r},{g[1]!r},{g[2]!r},{g[3]!r}{tail}")
-        if k == i:
+        if n and refused(n):
+            n = first_holding(n, refused) - 1
+        if not n:
             return i, f, sums
-        return k, (*floats[:4], *f[moved:]), tuple(floats[4:])
+        x, y, z = f[POSITION]
+        tail = "," + ",".join(map(repr, f[moved:TRACE.stop])) + f",{f[MODE].value},{power!r}\n"
+        for r in range(decimation - i % decimation, n + 1, decimation):
+            rows.append(f"{t + r * jt!r},{x + r * jx!r},{y + r * jy!r},{z + r * jz!r}{tail}")
+        floats = [a + n * s for a, s in zip(floats, steps)]
+        return i + n, (*floats[:4], *f[moved:]), tuple(floats[4:])
 
 
 def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -719,6 +720,25 @@ class TestSimulateCommand:
                    "--out", str(out)])
         assert rc == EXIT_INPUT
         assert "error: dt_s " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt_s", ["1e-300", "9.99e-06"])
+    def test_dt_below_the_floor_exits_2_at_once(self, tmp_path, capsys, dt_s):
+        # 1e-300 s is 3e301 steps of confined-space, a count a float holds:
+        # before the floor on dt_s, the run went on until it was killed
+        def late(signum, frame):
+            raise TimeoutError("no exit within 5 s")
+
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.alarm(5)
+        try:
+            rc = main(["simulate", "confined-space", "--dt-s", dt_s, "--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == EXIT_INPUT
+        assert f"error: dt_s {float(dt_s)} outside [1e-05, 0.02] s" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dt_s", ["0.001", "0.01", "0.02"])

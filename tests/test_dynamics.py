@@ -5,7 +5,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flydrive import dynamics
 from flydrive.dynamics import (
@@ -173,6 +173,7 @@ class TestLongitudinalAllocation:
         trim = params.rolling_resistance_coeff * params.total_mass() * params.gravity
         assert total == pytest.approx(trim, rel=1e-6)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         f_long=st.floats(min_value=-30.0, max_value=30.0),
         moment=st.floats(min_value=-40.0, max_value=40.0),
@@ -185,6 +186,7 @@ class TestLongitudinalAllocation:
         # per side, front and rear are never simultaneously engaged
         assert min(fl, rl) == 0.0 and min(fr, rr) == 0.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(f_long=st.floats(min_value=-30.0, max_value=30.0))
     def test_saturated_differential_preserves_longitudinal(self, f_long):
         from flydrive.defaults import default_params, default_rotor
@@ -461,7 +463,7 @@ class TestTransitions:
                 assert repr(schedule.tilts_at(t)) == repr(want), (start, duration, t)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     v_target=st.floats(min_value=0.0, max_value=4.0),
     seed_v=st.floats(min_value=0.0, max_value=4.0),
@@ -486,7 +488,7 @@ def _bits(*floats) -> bytes:
     return struct.pack(f"{len(floats)}d", *floats)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     incline=st.booleans(),
     slope=st.floats(min_value=0.0, max_value=_TIP_DEG),
@@ -496,6 +498,12 @@ def _bits(*floats) -> bytes:
     payload=st.floats(min_value=0.0, max_value=1.3),
     dt=st.sampled_from([0.001, 0.005, 0.02]),
 )
+# found by random draws: a heavy start from rest settles in 6 312 steps, and
+# the slowest corner of the draws, up the steepest drivable slope, in 17 895
+@example(incline=False, slope=0.0, carried="rest", fraction=0.0, target=1.0, payload=1.25,
+         dt=0.001)
+@example(incline=True, slope=_TIP_DEG, carried="rest", fraction=0.0, target=4.1, payload=1.3,
+         dt=0.001)
 def test_speed_law_steps_as_the_step_law(incline, slope, carried, fraction, target, payload,
                                          dt):
     """From a straight ground or incline state, `read` has the bits of the
@@ -522,7 +530,7 @@ def test_speed_law_steps_as_the_step_law(incline, slope, carried, fraction, targ
     assert _bits(v) == _bits(f[dynamics.SPEED])
     came_back = None  # the first step whose read speed comes back
     moved = dynamics.VELOCITY.start  # all that follows the time and position
-    for n in range(1, 6001):  # a heavy start from rest takes about 5 500 at dt 1 ms
+    for n in range(1, 20001):  # see the examples above
         g, t = full(f), advance(v)
         assert _bits(*t) == _bits(g[dynamics.SPEED], *g[dynamics.VELOCITY]), n
         assert dynamics.repeats(f, g) == (_bits(t[0]) == _bits(v)), n

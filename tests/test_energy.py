@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flydrive.defaults import (
     GROUND_CALIBRATION_POINTS,
@@ -68,6 +68,7 @@ class TestBattery:
         drain(pack, 74.0 * 3600.0 * 5.0, 10.0)
         assert pack.soc >= 0.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         power=st.floats(min_value=0.0, max_value=2000.0),
         dt=st.floats(min_value=0.0, max_value=60.0),
@@ -136,6 +137,7 @@ class TestModePower:
         with pytest.raises(ValueError):
             mode_power(power_model, "wall")
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=0.0, max_value=4.1))
     def test_ground_power_strictly_increasing(self, v):
         model = default_power_model()
@@ -144,6 +146,7 @@ class TestModePower:
         p2 = model.ground_power(v + dv, 0.0)
         assert p2 > p1
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=0.05, max_value=4.0))
     def test_ground_power_convex(self, v):
         model = default_power_model()

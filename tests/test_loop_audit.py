@@ -29,10 +29,8 @@ LOOPS = {
     ("planner", "_precedes", "depth[x] > depth[y]"): "the ancestor depth of u",
     ("planner", "_precedes", "depth[y] > depth[x]"): "the ancestor depth of parent[v]",
     ("planner", "_precedes", "x != y"): "the ancestor depth of u",
-    ("planner", "_simulate_drive_leg", "covered < cell and (not steady)"):
-        "60 s per drive edge, then SimulationFault",
-    ("planner", "_steady_edge", "covered < cell"):
-        "60 s per drive edge, then SimulationFault: a pass takes one step or a jump",
+    ("planner", "_simulate_drive_leg", "covered < cell"):
+        "60 s per drive edge, then SimulationFault: a pass takes one step and at most one jump",
     ("planner", "_simulate_fly_leg", "s < total_len"):
         "120 s per fly leg, then SimulationFault",
     ("simulator", "Simulator.run", "i < n_steps"):
@@ -41,9 +39,7 @@ LOOPS = {
      "next_event < len(script) and script[next_event].t_s <= state.time_s + 1e-12"):
         "the script's events: a pass takes one",
     ("simulator", "Simulator._stretch", "True"):
-        "the stretch's end step: a pass takes one step or a jump, or returns",
-    ("simulator", "Simulator._steady_stretch", "True"):
-        "the stretch's end step: a pass takes one step or a jump, or breaks",
+        "the stretch's end step: a pass takes one step and at most one jump, or returns",
 }
 
 

@@ -270,7 +270,7 @@ class TestCorridorPlans:
 
 class TestPlanInvariants:
     @given(extra=st.floats(min_value=0.0, max_value=2.0))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     def test_transition_energy_monotonicity(self, extra):
         model = default_power_model()
         grid = terrain_from_ascii(
@@ -627,10 +627,10 @@ class TestValidatePlan:
     def test_each_distinct_edge_is_stepped_once(self, monkeypatch):
         # both drive legs of multimodal-obstacle cross the same flat edges
         # from rest, so the second reads them back: stepping every edge of
-        # both legs would take 8 726 ground steps, and one call takes 4 361
-        # speed steps of its three distinct edges, two fewer than it took
-        # full steps before, as a step is steady once the speed it reads
-        # repeats, at most one step before the whole step repeats
+        # both legs would take 8 726 ground steps, and one call takes 4 377
+        # speed steps of its three distinct edges: 4 361 until the speed it
+        # reads repeats, and 16 steady steps that no jump can take (a sum a
+        # unit short of its binade's edge, say), which go through the law too
         real, steps = dynamics.speed_law, []
 
         def law(*args):
@@ -648,13 +648,13 @@ class TestValidatePlan:
         mission = plan(query.terrain, query.start, query.goal, query.config, model)
         report = validate_plan(mission, query.terrain, model, query.config)
         assert report.ok and [leg.mode for leg in mission.legs].count(DRIVE) == 2
-        assert len(steps) == 4361
+        assert len(steps) == 4377
 
-    @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5])
+    @pytest.mark.parametrize("dt_s", [0.0, -0.001, math.nan, 0.5, 1e-300, 9.99e-6])
     def test_dt_outside_the_step_range_raises(self, model, dt_s):
         grid = terrain_from_ascii("....", cell_size_m=2.0)
         mission = plan(grid, (0, 0), (0, 3), cfg(), model)
-        with pytest.raises(ValueError, match=r"dt_s .* outside \(0, 0\.02\] s"):
+        with pytest.raises(ValueError, match=r"dt_s .* outside \[1e-05, 0\.02\] s"):
             validate_plan(mission, grid, model, cfg(), dt_s=dt_s)
 
     def test_report_serializes(self, model):
@@ -815,7 +815,7 @@ class TestMatchesReference:
     the same plan under the full tie-break, the same NoPathError."""
 
     @given(case=planning_cases())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     def test_random_grids(self, case):
         assert _outcome(plan, *case) == _outcome(reference_planner.plan, *case)
 

@@ -235,6 +235,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     real_stretch, real_steady, real_book = Simulator._stretch, Simulator._steady_stretch, _Books.book
     at_floor = set()  # (propulsion?, "trip" or "rest"): a step `book` took from a pack at its floor
     seen = set()  # (mode, why a steady stretch of at least one step ended)
+    cut = []  # (mode, step index) of each steady stretch of this stretch cut short of end or event
     seen_law = set()  # (mode, why a stretch ended, or "handoff" to a steady one)
     handed = []  # the step index each steady stretch started at
     steady_steps = []  # the steps each steady stretch took
@@ -243,13 +244,15 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         handed.append(i)
         k, after, sums = real_steady(self, f, power, i, end, t_event, books, rows, sums)
         steady_steps.append(k - i)
-        if k > i:
-            why = "end" if k == end else "event" if t_event <= after[TIME] + 1e-12 else "trip"
-            seen.add((after[MODE], why))
+        if k > i and (k == end or t_event <= after[TIME] + 1e-12):
+            seen.add((after[MODE], "end" if k == end else "event"))
+        elif k > i:  # "trip" if the law's step after it trips a pack, else "binade"
+            cut.append((after[MODE], k))
         return k, after, sums
 
     def watched(self, law, i, end, t_event, books, rows):
         handed.clear()
+        cut.clear()
         k, after, fault = real_stretch(self, law, i, end, t_event, books, rows)
         mode = law[1][MODE]
         if handed:
@@ -266,6 +269,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
         else:  # a stretch that ended for no reason
             why = "other"
         seen_law.add((mode, why))
+        seen.update((m, "trip" if why == "trip" and j == k - 1 else "binade") for m, j in cut)
         return k, after, fault
 
     def book_watched(self, power, mode, t_s):
@@ -314,7 +318,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     assert at_floor == {(p, why) for p in (True, False) for why in ("trip", "rest")}
     assert electronics_only > 0
     steady_modes = (Mode.GROUND, Mode.INCLINE, Mode.WALL)
-    assert {(m, why) for m in steady_modes for why in ("event", "trip")} <= seen
+    assert {(m, why) for m in steady_modes for why in ("event", "trip", "binade")} <= seen
     assert "end" in {why for _, why in seen}
     assert {(m, why) for m in steady_modes for why in ("event", "trip", "handoff", "end")} \
         | {(Mode.FLIGHT, why) for why in ("event", "trip", "end")} \

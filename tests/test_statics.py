@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flydrive import statics
 from flydrive.statics import (
@@ -18,6 +18,7 @@ from flydrive.statics import (
 )
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     thrust=st.floats(min_value=0.0, max_value=1e4),
     pitch=st.floats(min_value=0.0, max_value=90.0),
@@ -37,6 +38,7 @@ def test_decompose_endpoints():
     assert abs(steep.f_perpendicular) < 1e-12
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=0.0, max_value=90.0))
 def test_conventional_pitch_complement(slope):
     assert conventional_pitch_for_slope(slope) == 90.0 - slope

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import flydrive
 from flydrive import vehicle
@@ -67,6 +67,7 @@ class TestRotorTable:
         for c in (0.05, 0.25, 0.5, 0.777, 1.0):
             assert command_at(rotor, rotor.thrust_at(c)) == pytest.approx(c, abs=1e-9)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=0.0, max_value=18.08))
     def test_power_increases_with_thrust(self, thrust):
         # session fixture not available inside @given, rebuild is cheap
