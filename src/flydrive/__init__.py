@@ -6,7 +6,7 @@ The public surface groups into five layers:
 - vehicle: physical parameters, rotor performance tables, mass budget
 - statics: force decomposition, tipping, incline and wall feasibility
 - energy: batteries, calibrated per-mode power, endurance and range
-- dynamics + simulator: mode controllers, rigid-body stepping, traces
+- dynamics + simulator: mode controllers, scripted runs, traces
 - terrain + planner: grid worlds and least-energy multi-modal routing
 
 `__all__` is the library API; other module-level names may change.
@@ -32,7 +32,6 @@ from .dynamics import (
     initial_ground_state,
     initial_wall_state,
     mode_transition,
-    step,
 )
 from .energy import (
     Battery,
@@ -54,7 +53,7 @@ from .planner import (
     validate_plan,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, run_scenario
-from .simulator import ScriptEvent, SimResult, Simulator, instantaneous_power
+from .simulator import ScriptEvent, SimResult, Simulator
 from .statics import (
     InfeasibleTiltError,
     conventional_pitch_for_slope,
@@ -117,7 +116,6 @@ __all__ = [
     "initial_flight_state",
     "initial_ground_state",
     "initial_wall_state",
-    "instantaneous_power",
     "load_rotor_table",
     "load_rotor_table_file",
     "load_scenario",
@@ -128,7 +126,6 @@ __all__ = [
     "plan",
     "range_estimate",
     "run_scenario",
-    "step",
     "terrain_from_ascii",
     "tipping_slope",
     "usable_propulsion_energy_wh",

@@ -21,9 +21,10 @@ vertical component carries the weight.
 Each mode's step is one law over plain floats (`step_law`), built once for
 a stretch in which the mode, setpoint, surface and tilt schedule hold: it
 maps a state's floats (`floats_of`) to those of the state after the step.
-`step` builds the law, takes one step and builds the state (`state_of`), so
-there is one copy of the physics; `Simulator.run` takes whole stretches
-through the law with no state object. A ground, incline or wall law reads
+It is the one copy of the physics: `Simulator.run` takes whole stretches
+through it with no state object, building one (`state_of`) where a stretch
+ends, and the tests' per-step oracle (`tests/reference_simulator.step`)
+steps a `SimState` through it. A ground, incline or wall law reads
 three floats, the yaw rate, the yaw and the speed, and the time and the
 position only to advance them. So once a step reads, bit for bit, what the
 step before it read (`repeats`), it computes everything else as that step
@@ -415,15 +416,9 @@ def _height_above_surface(
     return state.position[2] - rest
 
 
-def _default_rotor() -> RotorModel:
-    from .defaults import default_rotor
-
-    return default_rotor()
-
-
-def check_finite(values, state: SimState) -> None:
+def check_finite(values) -> None:
     if not all(map(math.isfinite, values)):
-        raise SimulationFault("non-finite value in integration step", state)
+        raise SimulationFault("non-finite value in integration step", None)
 
 
 def _check_state_finite(state: SimState) -> None:
@@ -437,36 +432,9 @@ def _check_state_finite(state: SimState) -> None:
 
 
 def check_dt(dt_s: float) -> None:
-    """Raise ValueError unless dt_s lies in the range `step` takes."""
+    """Raise ValueError unless dt_s is a step a run may take, in [DT_MIN_S, DT_MAX_S]."""
     if not DT_MIN_S <= dt_s <= DT_MAX_S:
         raise ValueError(f"dt_s {dt_s} outside [{DT_MIN_S}, {DT_MAX_S}] s")
-
-
-def step(
-    state: SimState,
-    setpoint: ControlSetpoint,
-    surface: SurfaceModel,
-    dt_s: float,
-    params: VehicleParams | None = None,
-    rotor: RotorModel | None = None,
-    gains: ControllerGains | None = None,
-    payload: float = 0.0,
-    schedule: TiltSchedule | None = None,
-) -> SimState:
-    """Advance one control + integration step: build the `step_law`, take
-    one step through it and build the state. Pure function of its inputs."""
-    check_dt(dt_s)
-    advance = step_law(state, setpoint, surface, dt_s, params or VehicleParams(),
-                       rotor or _default_rotor(), gains or ControllerGains(), payload, schedule)
-    try:
-        floats = advance(floats_of(state, surface))
-    except DetachEvent as exc:
-        exc.state = state
-        raise
-    new = state_of(floats)
-    check_finite((*floats[POSITION], *floats[VELOCITY], *floats[QUATERNION], floats[YAW_RATE]),
-                 state)
-    return new
 
 
 # Where each field sits in the floats a step law maps (`floats_of`): first
@@ -497,9 +465,10 @@ def step_law(
 ):
     """The step from `state` as a map over plain floats, for as long as the
     mode, setpoint, surface and schedule hold: advance(f) returns the
-    `floats_of` the state that `step` returns from the state of floats f,
-    unchecked for finiteness. Raises what `step` raises before it
-    integrates; a wall step may raise DetachEvent with no state."""
+    `floats_of` the state one step after the state of floats f, unchecked
+    for finiteness (`check_finite`). Raises before any step as the mode's
+    law is built (a non-finite state raises SimulationFault carrying it);
+    a wall step may raise DetachEvent with no state."""
     _check_state_finite(state)
     mode = state.mode
     if mode in (Mode.GROUND, Mode.INCLINE):
@@ -595,10 +564,10 @@ def first_holding(n: int, holds) -> int:
     return 1 + bisect_left(range(1, n + 1), True, key=holds)
 
 
-def finite_power(power: float, mode: Mode, state: SimState | None) -> float:
-    """`power`, or SimulationFault carrying `state` where it is not finite."""
+def finite_power(power: float, mode: Mode) -> float:
+    """`power`, or SimulationFault, with no state, where it is not finite."""
     if not -math.inf < power < math.inf:
-        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
+        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", None)
     return power
 
 

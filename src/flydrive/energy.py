@@ -172,8 +172,8 @@ class PowerModel:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.hover_power_w >= 0.0:
-            raise FieldError("hover_power_w", "must be >= 0")
+        if not 0.0 <= self.hover_power_w < math.inf:
+            raise FieldError("hover_power_w", "must be finite and >= 0")
         if not self.wall_wake_factor > 0.0:
             raise FieldError("wall_wake_factor", "must be > 0")
         if not self.wall_wake_factor * 4.0 * self.rotor.powers[-1] < math.inf:  # the most it draws
@@ -183,8 +183,8 @@ class PowerModel:
             if fault := _ground_fit_fault(c1, c3):
                 raise FieldError(f"ground_coeffs.{payload}", fault)
         for payload, watts in self.flight_power_w.items():
-            if not watts > 0.0:  # every planned move must cost energy
-                raise FieldError(f"flight_power_w.{payload}", "must be > 0")
+            if not 0.0 < watts < math.inf:  # every planned move must cost energy
+                raise FieldError(f"flight_power_w.{payload}", "must be finite and > 0")
 
     def _lookup(self, table: dict, payload: float, what: str) -> float:
         for key, value in table.items():

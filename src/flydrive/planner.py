@@ -641,9 +641,9 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
                 power = inf
             if not -inf < power < inf:
                 z = params.com_height + vz * dt_s
-                dynamics.check_finite((vx, vy, vz, z), None)  # velocity, position
+                dynamics.check_finite((vx, vy, vz, z))  # velocity, position
                 mode = dynamics.Mode.GROUND if slope == 0.0 else dynamics.Mode.INCLINE
-                finite_power(power, mode, None)  # raises the fault
+                finite_power(power, mode)  # raises the fault
             # the same bits: == cannot tell 0.0 from -0.0
             steady = w == v and (w or math.copysign(1.0, w) == math.copysign(1.0, v))
             v = w

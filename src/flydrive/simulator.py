@@ -153,23 +153,6 @@ class SimResult:
             fh.writelines(self.rows)
 
 
-def instantaneous_power(
-    model: PowerModel,
-    state: SimState,
-    surface: SurfaceModel,
-    payload: float = 0.0,
-    schedule: TiltSchedule | None = None,
-) -> float:
-    """Electrical propulsion power for the current state, W. A power that
-    overflows or is not finite raises SimulationFault carrying the state."""
-    floats = dynamics.floats_of(state, surface)
-    try:
-        power = _stretch_power(model, surface, payload, schedule, floats)(floats)
-    except OverflowError:
-        power = math.inf
-    return finite_power(power, state.mode, state)
-
-
 class _Books:
     """The booking constants of one run: each propulsion pack with its id,
     its SoC and Ah divisors (a pack's energy and nominal voltage are fixed)
@@ -363,8 +346,12 @@ class Simulator:
         model, payload = self.power_model, self.payload
         params, rotor, gains = self.params, self.rotor, self.gains
         rows = [] if trace is None else _TraceSink(trace)
-        rows.append(_row(dynamics.floats_of(state, surface),
-                         instantaneous_power(model, state, surface, payload, schedule)))
+        floats = dynamics.floats_of(state, surface)
+        try:
+            power = _stretch_power(model, surface, payload, schedule, floats)(floats)
+        except OverflowError:
+            power = math.inf
+        rows.append(_row(floats, finite_power(power, state.mode)))
         n_steps = int(round(duration_s / dt))
         next_event = 0
         fault_reason = None
@@ -455,7 +442,7 @@ class Simulator:
                 try:
                     g = advance(f)
                     if not -inf < sum(g[moving], g[YAW_RATE]) < inf:  # the sum may overflow alone
-                        dynamics.check_finite((*g[moving], g[YAW_RATE]), None)
+                        dynamics.check_finite((*g[moving], g[YAW_RATE]))
                     ends = g[MODE] is not mode  # the step that ends a transition
                     if ends:
                         if synced < k:
@@ -468,7 +455,7 @@ class Simulator:
                     except OverflowError:
                         power = inf
                     if not -inf < power < inf:
-                        finite_power(power, g[MODE], None)  # raises the fault
+                        finite_power(power, g[MODE])  # raises the fault
                 except (dynamics.DetachEvent, dynamics.SimulationFault) as exc:
                     return k, f, books.fault(f[TIME], exc)
                 k += 1

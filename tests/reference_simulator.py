@@ -1,8 +1,13 @@
-"""A reference for `Simulator.run`: every step a full `dynamics.step`, its
+"""A reference for `Simulator.run`: every step a full `step`, its
 `instantaneous_power`, one `drain` per pack and `record` into the ledger,
 the way the Simulator booked steps before it kept its own booking
 constants. The differential tests in test_simulator.py compare its bytes
 with the Simulator's. `is_steady` tells a steady step from two states.
+
+`step` is the per-step `SimState` stepper: one `dynamics.step_law` step
+from a state to a state. `instantaneous_power` prices a state from
+`PowerModel`'s public prices alone, not through the Simulator's stretch
+pricer, so a differential test compares two pricings.
 
 `drain` and `record` are the booking oracle: the SoC, Ah and Wh arithmetic
 of `simulator._Books` must match theirs bit for bit. test_energy.py holds
@@ -11,13 +16,14 @@ their own tests.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
 from flydrive import dynamics
-from flydrive.dynamics import ControlSetpoint, Mode, SimState
+from flydrive.dynamics import ControlSetpoint, ControllerGains, Mode, SimState, SimulationFault
 from flydrive.energy import Battery, EnergyLedger
-from flydrive.simulator import SimResult, Simulator, instantaneous_power
+from flydrive.simulator import HOVER_SPEED_THRESHOLD_MPS, SimResult, Simulator
 
 
 class BatteryProtectionError(RuntimeError):
@@ -54,6 +60,58 @@ def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent
         return [ProtectionEvent(battery.battery_id, floor)]
     battery.soc = new_soc
     return []
+
+
+def step(state, setpoint, surface, dt_s, params, rotor, gains=None, payload=0.0,
+         schedule=None) -> SimState:
+    """One control and integration step from `state`: build its
+    `dynamics.step_law`, take one step and build the state. A step that
+    detaches from a wall, or leaves the state not finite, raises carrying
+    `state`."""
+    dynamics.check_dt(dt_s)
+    advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor,
+                                gains or ControllerGains(), payload, schedule)
+    try:
+        f = advance(dynamics.floats_of(state, surface))
+    except dynamics.DetachEvent as exc:
+        exc.state = state
+        raise
+    new = dynamics.state_of(f)
+    if not all(map(math.isfinite, (*new.position, *new.velocity, *new.quaternion,
+                                   *new.angular_velocity))):
+        raise SimulationFault("non-finite value in integration step", state)
+    return new
+
+
+def instantaneous_power(model, state, surface, payload=0.0, schedule=None) -> float:
+    """Electrical propulsion power of `state`, W: the drive power at the
+    speed a ground or incline step reads; in flight the hover power below
+    the hover speed, else the cruise power, plus the power to climb; the
+    wall power at the mean tilt; the hover power through a tilt that flies
+    or has no wheel contact, else 0 W. A power that overflows or is not
+    finite raises SimulationFault carrying the state."""
+    mode, params = state.mode, model.params
+    try:
+        if mode in (Mode.GROUND, Mode.INCLINE):
+            speed = dynamics.floats_of(state, surface)[dynamics.SPEED]
+            slope = surface.slope_deg if surface.kind == "incline" else None
+            power = model.drive_power_at(slope, payload)(abs(speed))
+        elif mode == Mode.FLIGHT:
+            vx, vy, vz = state.velocity
+            level = (model.hover_power_w if math.hypot(vx, vy) < HOVER_SPEED_THRESHOLD_MPS
+                     else model.flight_power(payload))
+            power = level + params.total_mass(payload) * params.gravity * max(0.0, vz)
+        elif mode == Mode.WALL:
+            power = model.wall_power(0.5 * (state.tilt_front_deg + state.tilt_rear_deg), payload)
+        else:
+            airborne = schedule is not None and (
+                schedule.target_mode == Mode.FLIGHT or not any(state.contact))
+            power = model.hover_power_w if airborne else 0.0
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
+    return power
 
 
 _pack_motion = struct.Struct("16d").pack
@@ -136,8 +194,8 @@ def reference_run(sim: Simulator, initial_state, surface, script, duration_s) ->
                     log("transition_rejected", str(exc))
         previous = state
         try:
-            state = dynamics.step(state, setpoint, surface, dt, sim.params, sim.rotor,
-                                  sim.gains, payload, schedule)
+            state = step(state, setpoint, surface, dt, sim.params, sim.rotor, sim.gains,
+                         payload, schedule)
             if previous.mode == Mode.TRANSITION and state.mode != Mode.TRANSITION:
                 log("transition_complete", state.mode.value)
                 setpoint = replace(setpoint, mode=state.mode)

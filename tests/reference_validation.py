@@ -2,7 +2,7 @@
 differential tests in test_planner.py.
 
 `reference_drive_leg` is `planner._simulate_drive_leg` with each edge from a
-fresh `SimState`, one full `dynamics.step` and its `instantaneous_power` per
+fresh `SimState`, one full `step` and its `instantaneous_power` per
 step until a step changes nothing but the time and the position
 (`is_steady`), then only distance and energy add up: the loop plan
 validation ran before it stepped edges through the step law over floats,
@@ -22,8 +22,7 @@ import math
 from dataclasses import replace
 
 from flydrive import dynamics
-from flydrive.simulator import instantaneous_power
-from reference_simulator import is_steady
+from reference_simulator import instantaneous_power, is_steady, step
 
 
 def along_track_speed(state, surface) -> float:
@@ -65,8 +64,8 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
         while covered < terrain.cell_size_m:
             if not steady:
                 previous = state
-                state = dynamics.step(state, setpoint, surface, dt_s, params=params, rotor=rotor,
-                                      gains=gains, payload=payload)
+                state = step(state, setpoint, surface, dt_s, params=params, rotor=rotor,
+                             gains=gains, payload=payload)
                 v = along_track_speed(state, surface)
                 power = instantaneous_power(model, state, surface, payload)
                 steady = is_steady(previous, state)

@@ -31,6 +31,7 @@ from flydrive.scenario import (
 )
 from flydrive.terrain import TerrainError
 from flydrive.vehicle import RotorTableError
+import reference_simulator
 from reference_simulator import reference_run
 
 BUNDLED = [
@@ -1300,7 +1301,7 @@ def _reference_error(scenario, dt):
     behind it: the last one consumed before the error that set the setpoint
     or started a transition (None if there is none)."""
     accepted, times = [], []
-    real_transition, real_step = dynamics.mode_transition, dynamics.step
+    real_transition, real_step = dynamics.mode_transition, reference_simulator.step
 
     def transition(*args, **kw):
         accepted.append(False)
@@ -1314,7 +1315,7 @@ def _reference_error(scenario, dt):
 
     try:
         with mock.patch.object(dynamics, "mode_transition", transition), \
-                mock.patch.object(dynamics, "step", step):
+                mock.patch.object(reference_simulator, "step", step):
             reference_run(build_simulator(scenario, dt_s=dt), initial_state_for(scenario),
                           scenario.surface, list(scenario.script), scenario.duration_s)
         return None

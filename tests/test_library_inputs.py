@@ -130,11 +130,15 @@ class TestMovedRules:
         assert str(err.value) == "payload must be >= 0"
 
     @pytest.mark.parametrize("changes, key, message", [
-        ({"hover_power_w": -1.0}, "hover_power_w", "must be >= 0"),
-        ({"hover_power_w": math.nan}, "hover_power_w", "must be >= 0"),
+        ({"hover_power_w": -1.0}, "hover_power_w", "must be finite and >= 0"),
+        ({"hover_power_w": math.nan}, "hover_power_w", "must be finite and >= 0"),
+        # inf passes both sign checks, and a run would price its first row at inf W
+        ({"hover_power_w": math.inf}, "hover_power_w", "must be finite and >= 0"),
         ({"wall_wake_factor": -1.0}, "wall_wake_factor", "must be > 0"),
-        ({"flight_power_w": {0.0: 0.0}}, "flight_power_w.0.0", "must be > 0"),
-        ({"flight_power_w": {0.0: 858.24, 2.0: -5.0}}, "flight_power_w.2.0", "must be > 0"),
+        ({"flight_power_w": {0.0: 0.0}}, "flight_power_w.0.0", "must be finite and > 0"),
+        ({"flight_power_w": {0.0: math.inf}}, "flight_power_w.0.0", "must be finite and > 0"),
+        ({"flight_power_w": {0.0: 858.24, 2.0: -5.0}}, "flight_power_w.2.0",
+         "must be finite and > 0"),
     ])
     def test_power_model_values(self, changes, key, message):
         with pytest.raises(FieldError) as err:

@@ -34,7 +34,7 @@ from flydrive.scenario import load_scenario
 from flydrive.statics import tipping_slope
 from flydrive.terrain import terrain_from_ascii, terrain_from_dict
 from flydrive.vehicle import ThrustSaturationError
-from reference_simulator import is_steady
+from reference_simulator import is_steady, step
 from reference_validation import along_track_speed, reference_drive_leg, reference_fly_leg
 from terrain_helpers import class_at, mirrored
 
@@ -606,8 +606,8 @@ class TestValidatePlan:
         covered, steady = 0.0, False
         for _ in range(last_step):  # as `reference_drive_leg` adds it up
             if not steady:
-                previous, state = state, dynamics.step(state, setpoint, flat, dt_s, params=params,
-                                                       rotor=model.rotor)
+                previous, state = state, step(state, setpoint, flat, dt_s, params=params,
+                                              rotor=model.rotor)
                 v, steady = along_track_speed(state, flat), is_steady(previous, state)
             covered += v * dt_s
         assert steady

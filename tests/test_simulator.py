@@ -1,8 +1,9 @@
 """`Simulator.run` takes every step through the step law of its mode over
 plain floats, books it through per-run constants and takes steady stretches
 of constant increments in exact jumps. `reference_run` takes every step as
-a full `dynamics.step`, `drain` and `record`. Both must give the same bytes,
-and a jump (`exact_run`) the bits of repeated addition."""
+a full `step`, priced by its own `instantaneous_power`, `drain` and
+`record`. Both must give the same bytes, and a jump (`exact_run`) the bits
+of repeated addition."""
 
 import copy
 import hashlib
@@ -33,16 +34,10 @@ from flydrive.dynamics import (
 from flydrive.energy import Battery
 from flydrive.dynamics import exact_run
 from flydrive.simulator import ScriptEvent, Simulator, _Books
+import reference_simulator
 from reference_simulator import reference_run
 
 FLOOR = 1.0 - USABLE_FRACTION
-
-
-def _count_steps(monkeypatch) -> list:
-    """Patch dynamics.step to log each call into the returned list."""
-    calls, real_step = [], dynamics.step
-    monkeypatch.setattr(dynamics, "step", lambda *a, **k: calls.append(1) or real_step(*a, **k))
-    return calls
 
 
 def _count_books(monkeypatch) -> list:
@@ -217,8 +212,9 @@ def _steady_case(params, kind):
     if kind == "wall":  # x and y stay -0.0 while z climbs, until prop_b trips
         packs = full[:1] + [Battery("prop_b", 4, 5.0, soc=FLOOR + 0.1,
                                     usable_fraction=USABLE_FRACTION)] + full[2:]
-        start = replace(initial_wall_state(params, height_m=1.0),
-                        position=(-0.0, -0.0, 1.0))
+        # the axles 5 deg either side of the wall tilt, priced at their mean
+        start = replace(initial_wall_state(params, height_m=1.0), position=(-0.0, -0.0, 1.0),
+                        tilt_front_deg=130.0, tilt_rear_deg=140.0)
         script = [ScriptEvent(0.0, ControlSetpoint(mode=Mode.WALL, speed_mps=0.3))]
         return packs, start, SurfaceModel(kind="wall"), script, 100.0, 0.01, 1, \
             "battery prop_b protection tripped"
@@ -440,6 +436,40 @@ def test_negative_draw_raises(params, rotor, power_model, batteries, c1, avionic
     _assert_same(fast[1], ref[1])
 
 
+def _moving_start(params, mode):
+    """A state that starts a run in `mode` already moving, and its surface:
+    a drive on a 30 deg heading, a climb up a 15 deg incline and up a wall
+    (the axles 10 deg apart), a climbing cruise, and a hover drifting below
+    the hover speed."""
+    if mode == "wall":
+        start = replace(initial_wall_state(params, 1.0, 130.0), tilt_rear_deg=140.0)
+        surface, velocity = SurfaceModel("wall"), (0.0, 0.0, 0.3)
+    elif mode in ("flight", "hover"):
+        start, surface = initial_flight_state((0.0, 0.0, 3.0)), SurfaceModel()
+        velocity = (3.0, 1.0, 0.5) if mode == "flight" else (0.2, -0.1, -0.05)
+    elif mode == "incline":
+        surface, psi = SurfaceModel("incline", slope_deg=15.0), math.radians(15.0)
+        start, velocity = initial_ground_state(params, surface), (1.2 * math.cos(psi), 0.0,
+                                                                  1.2 * math.sin(psi))
+    else:
+        surface, yaw = SurfaceModel(), math.radians(30.0)
+        start = initial_ground_state(params, surface, heading_deg=30.0)
+        velocity = (1.2 * math.cos(yaw), 1.2 * math.sin(yaw), 0.0)
+    return replace(start, velocity=velocity), surface
+
+
+@pytest.mark.parametrize("mode", ["ground", "incline", "wall", "flight", "hover"])
+def test_first_row_matches_the_reference(params, rotor, power_model, mode):
+    """A run's first trace row, priced through the Simulator's stretch
+    pricer like every other row, is the reference's first row, priced from
+    `PowerModel`'s public prices: in each mode a run starts in, moving."""
+    start, surface = _moving_start(params, mode)
+    sim = Simulator(params, rotor, power_model)
+    fast = sim.run(start, surface, [], 0.0).rows
+    assert len(fast) == 1 and float(fast[0].rsplit(",", 1)[1]) > 0.0
+    assert fast == reference_run(sim, start, surface, [], 0.0).rows
+
+
 def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
     """A vehicle so light that one step's speed overflows the ground power
     ends the run with a fault at the state before that step."""
@@ -455,33 +485,29 @@ def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
     assert result.ledger.to_dict()["total_wh"] == 0
 
 
-def test_rocky_soil_takes_the_fast_path(tmp_path, monkeypatch):
+def test_rocky_soil_takes_the_fast_path(tmp_path):
     """rocky-soil gives its golden bytes through `Simulator.run` and through
-    `reference_run`; only the reference takes a full `dynamics.step` for
-    every step, the Simulator none."""
+    `reference_run`, which takes a full `step` for every one of its 30 000
+    steps (30 s at the default dt of 1 ms)."""
     from test_acceptance import GOLDEN_SHA256
 
-    calls = _count_steps(monkeypatch)
-
     def run():
-        calls.clear()
         out = tmp_path / f"out-{len(list(tmp_path.iterdir()))}"
         assert cli.main(["simulate", "rocky-soil", "--out", str(out)]) == cli.EXIT_OK
-        return len(calls), {f: (out / f).read_bytes() for f in
-                            ("trace.csv", "ledger.json", "result.json")}
+        return {f: (out / f).read_bytes() for f in ("trace.csv", "ledger.json", "result.json")}
 
-    fast_steps, fast_files = run()
+    fast_files = run()
+    steps, real_step = [], reference_simulator.step
     with pytest.MonkeyPatch.context() as mp:
         # the reference keeps its rows in a list, which `write_trace` writes
         # at the path the streamed file would have been renamed to
         mp.setattr(Simulator, "run", lambda sim, *args, trace: reference_run(sim, *args))
-        slow_steps, slow_files = run()
+        mp.setattr(reference_simulator, "step", lambda *a: steps.append(1) or real_step(*a))
+        slow_files = run()
     assert fast_files == slow_files
     for fname, data in fast_files.items():
         assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[("rocky-soil", fname)]
-    n_steps = 30_000  # 30 s at the default dt of 1 ms
-    assert slow_steps == n_steps
-    assert fast_steps == 0  # the ground law over floats, then steady stretches
+    assert len(steps) == 30_000
 
 
 def _ground(speed, yaw_rate=0.0):
@@ -518,7 +544,7 @@ def _packs(margin_a):
 
 def _non_finite_after(t_s, mode, monkeypatch):
     """Make every step in `mode` past t_s move the vehicle to x = inf, in
-    both the float stretch and `dynamics.step`."""
+    both the float stretch and the reference's `step`."""
     real = dynamics.step_law
 
     def law(state, *args):
@@ -535,52 +561,57 @@ def _non_finite_after(t_s, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["turns", "ground-on-wall", "fly-land", "geofence",
-                                  "trip-in-turn", "trip-in-flight", "non-finite-in-turn",
-                                  "non-finite-in-flight"])
+                                  "wall-entry", "trip-in-turn", "trip-in-flight",
+                                  "non-finite-in-turn", "non-finite-in-flight"])
 def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_model,
                                                           monkeypatch, case):
     """Settled turns, the same script in ground mode at the foot of a wall
     (where it steers as on flat ground), a flight to waypoints with a
-    landing, transitions both ways, and a fault in the middle of a turn or
-    a flight: the float stretches give `reference_run`'s bytes, and take no
-    full step, not even where a transition ends."""
-    surface = SurfaceModel(kind="wall") if case == "ground-on-wall" else SurfaceModel()
+    landing, transitions both ways, a wall entry (a tilt swap with the
+    wheels on) and climb, and a fault in the middle of a turn or a flight:
+    the float stretches give `reference_run`'s bytes."""
+    on_wall = case in ("ground-on-wall", "wall-entry")
+    surface = SurfaceModel(kind="wall") if on_wall else SurfaceModel()
     start, script, duration = initial_ground_state(params, surface), TURNS, 16.0
     packs = _packs(USABLE_FRACTION)  # full
     if case in ("fly-land", "geofence") or case.endswith("flight"):
         script, duration = _drive_fly_land(params), 30.0
     if case == "geofence":
         script = _drive_fly_land(params, [ScriptEvent(12.0, _fly((500.0, 0.0, 4.0)))])
+    if case == "wall-entry":
+        script, duration = [ScriptEvent(0.5, transition_to=Mode.WALL),
+                            ScriptEvent(2.0, ControlSetpoint(mode=Mode.WALL, speed_mps=0.3))], 4.0
     if case.startswith("trip"):
         # a turn draws about 15 W from each pack, a flight about 290 W
         packs = _packs(4e-4 if case == "trip-in-turn" else 9e-3)
     if case.startswith("non-finite"):
         _non_finite_after(8.0, Mode.GROUND if case.endswith("turn") else Mode.FLIGHT,
                           monkeypatch)
-    calls = _count_steps(monkeypatch)
     fast, ref = _against_reference(params, rotor, power_model, packs, start, surface,
                                    script, duration)
     _assert_same(fast[1], ref[1], case)
-    full_steps = len(calls) - int(round(duration / 0.001))  # the reference takes them all
     result = fast[0]
     if case == "geofence":
         assert result is None and "GeofenceError" in fast[1]
         return
     kinds = [e["kind"] for e in result.events]
     if case == "turns":
-        assert not result.faulted and full_steps == 0
+        assert not result.faulted
         assert result.final_state.angular_velocity == (0.0, 0.0, 0.0)
     elif case == "ground-on-wall":  # the same run as on flat ground, bit for bit
-        assert start.mode is Mode.GROUND and not result.faulted and full_steps == 0
+        assert start.mode is Mode.GROUND and not result.faulted
         flat = Simulator(params, rotor, power_model, batteries=_packs(USABLE_FRACTION)).run(
             initial_ground_state(params), SurfaceModel(), script, duration)
         assert repr(result.final_state) == repr(flat.final_state)
         assert result.ledger.to_dict() == flat.ledger.to_dict()
         assert result.final_state.quaternion != start.quaternion  # it turned
     elif case == "fly-land":
-        assert not result.faulted and full_steps == 0
+        assert not result.faulted
         assert kinds == ["transition_started", "transition_complete"] * 2
         assert result.final_state.mode is Mode.GROUND
+    elif case == "wall-entry":
+        assert not result.faulted and kinds == ["transition_started", "transition_complete"]
+        assert result.final_state.mode is Mode.WALL and result.final_state.position[2] > 0.5
     else:
         mode = Mode.GROUND if case.endswith("turn") else Mode.FLIGHT
         assert result.final_state.mode is mode and result.final_state.time_s > 1.0
@@ -660,14 +691,13 @@ def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_mode
     """confined-space (turns) and a drive / fly / land mission take every
     step over floats, the ends of its transitions included, and book each in
     the stretch's local sums: `_Books.book` takes none."""
-    calls, booked = _count_steps(monkeypatch), _count_books(monkeypatch)
+    booked = _count_books(monkeypatch)
     if mission == "confined-space":
         assert cli.main(["simulate", mission, "--out", str(tmp_path)]) == cli.EXIT_OK
     else:
         result = Simulator(params, rotor, power_model).run(
             initial_ground_state(params), SurfaceModel(), _drive_fly_land(params), 30.0)
         assert not result.faulted and result.final_state.mode is Mode.GROUND
-    assert len(calls) == 0
     assert len(booked) == 0
 
 
