@@ -36,8 +36,8 @@ def main(argv=None) -> int:
     print(f"{'tilt [deg]':>10} {'attached':>9} {'climbable':>10} "
           f"{'thrust [N]':>11} {'power [W]':>10}")
 
-    tilt = 90.0 + args.step_deg
-    while tilt < 180.0:
+    i = 1
+    while (tilt := 90.0 + i * args.step_deg) < 180.0:  # a running sum would drift off the grid
         result = statics.wall_climb_analysis(
             params, tilt, climbing=True, rotor=rotor, payload=args.payload_kg
         )
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
             f"{tilt:10.1f} {str(result.attached):>9} {str(result.climb_feasible):>10} "
             f"{result.required_thrust:11.2f} {power}{marker}"
         )
-        tilt += args.step_deg
+        i += 1
 
     at_best = statics.wall_climb_analysis(
         params, best, climbing=True, rotor=rotor, payload=args.payload_kg

@@ -21,7 +21,6 @@ from .defaults import (
 )
 from .dynamics import (
     ControlSetpoint,
-    ControllerGains,
     DetachEvent,
     Mode,
     SimState,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Battery",
     "ControlSetpoint",
-    "ControllerGains",
     "DetachEvent",
     "EnergyLedger",
     "InfeasibleTiltError",

@@ -145,10 +145,10 @@ def _cmd_simulate(args) -> int:
     }
     if scenario.initial.mode == Mode.WALL:
         wall = statics.wall_climb_analysis(
-            scenario.params,
+            scenario.power_model.params,
             scenario.initial.tilt_deg,
             climbing=True,
-            rotor=scenario.rotor,
+            rotor=scenario.power_model.rotor,
             payload=scenario.payload_kg,
         )
         payload["wall_climb"] = statics.analysis_record(

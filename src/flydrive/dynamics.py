@@ -39,6 +39,9 @@ flight law its yaw loop, only when the yaw's bits change, which a settled
 yaw repeats. In a step, clamps are comparisons with the bits of `min`,
 `max`, `abs` and `_sgn`.
 
+The controllers run one tuning, the module constants `KP_SPEED` to
+`GEOFENCE_RADIUS_M` below; each law builder binds the ones it reads once.
+
 Every law drives the four rotors through the one `RotorModel` table: each
 demanded rotor thrust becomes a command and the thrust that command
 realises in one `RotorModel.realise` call, once per step in a wall or
@@ -67,6 +70,17 @@ FLIGHT_TILT_DEG = 0.0
 STATIONARY_SPEED_MPS = 0.05  # "at rest" threshold for transition envelopes
 TILT_TIME_S = 1.0  # how long `mode_transition` sweeps the axles
 
+# The controller's loop gains and limits, one tuning for every run; tuned
+# against the closed-loop response tests.
+KP_SPEED = 20.0  # N per m/s of speed error (ground/incline/wall)
+KP_YAW_RATE = 12.0  # N m per rad/s of yaw-rate error
+KP_POS = 4.0  # 1/s^2, flight position loop
+KD_POS = 4.0  # 1/s, flight velocity damping (critically damped pair)
+KP_YAW = 2.0  # 1/s, flight heading loop
+MAX_YAW_RATE_RADPS = 1.5
+MAX_FLIGHT_ACCEL_MPS2 = 15.0  # horizontal authority at T/W 1.84
+GEOFENCE_RADIUS_M = 200.0
+
 
 class Mode(str, Enum):
     FLIGHT = "flight"
@@ -77,30 +91,15 @@ class Mode(str, Enum):
 
 
 class SimulationFault(RuntimeError):
-    """Numerical divergence or a timed-out validation leg; carries the last
-    valid state, or None where the loop keeps no SimState."""
-
-    def __init__(self, message: str, last_state: "SimState | None"):
-        super().__init__(message)
-        self.last_state = last_state
+    """Numerical divergence or a timed-out validation leg."""
 
 
 class TipEvent(RuntimeError):
-    """Static tip-over limit exceeded during ground/incline operation; carries
-    the state."""
-
-    def __init__(self, message: str, state: "SimState | None"):
-        super().__init__(message)
-        self.state = state
+    """Static tip-over limit exceeded during ground/incline operation."""
 
 
 class DetachEvent(RuntimeError):
-    """Wall-normal force dropped below the attachment threshold; carries the
-    state, or None where the loop keeps no SimState."""
-
-    def __init__(self, message: str, state: "SimState | None"):
-        super().__init__(message)
-        self.state = state
+    """Wall-normal force dropped below the attachment threshold."""
 
 
 class FlightTargetError(ValueError):
@@ -226,26 +225,6 @@ class SurfaceModel:
         if self.lateral_friction is not None:
             return self.lateral_friction
         return params.lateral_friction_coeff
-
-
-@dataclass(frozen=True)
-class ControllerGains:
-    """Loop gains and limits; tuned against the closed-loop response tests."""
-
-    kp_speed: float = 20.0  # N per m/s of speed error (ground/incline/wall)
-    kp_yaw_rate: float = 12.0  # N m per rad/s of yaw-rate error
-    kp_pos: float = 4.0  # 1/s^2, flight position loop
-    kd_pos: float = 4.0  # 1/s, flight velocity damping (critically damped pair)
-    kp_yaw: float = 2.0  # 1/s, flight heading loop
-    max_yaw_rate_radps: float = 1.5
-    max_flight_accel_mps2: float = 15.0  # horizontal authority at T/W 1.84
-    geofence_radius_m: float = 200.0
-    attach_normal_fraction: float = statics.DEFAULT_ATTACH_NORMAL_FRACTION
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise FieldError(name, "must be finite")
 
 
 def _sgn(x: float) -> float:
@@ -418,17 +397,7 @@ def _height_above_surface(
 
 def check_finite(values) -> None:
     if not all(map(math.isfinite, values)):
-        raise SimulationFault("non-finite value in integration step", None)
-
-
-def _check_state_finite(state: SimState) -> None:
-    """A `ControlSetpoint` is finite by construction; the state is checked
-    at each step."""
-    if not all(map(math.isfinite, (
-        *state.position, *state.velocity, *state.quaternion,
-        *state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg,
-    ))):
-        raise SimulationFault("non-finite value in state", state)
+        raise SimulationFault("non-finite value in integration step")
 
 
 def check_dt(dt_s: float) -> None:
@@ -459,7 +428,6 @@ def step_law(
     dt: float,
     params: VehicleParams,
     rotor: RotorModel,
-    gains: ControllerGains,
     payload: float = 0.0,
     schedule: TiltSchedule | None = None,
 ):
@@ -467,16 +435,17 @@ def step_law(
     mode, setpoint, surface and schedule hold: advance(f) returns the
     `floats_of` the state one step after the state of floats f, unchecked
     for finiteness (`check_finite`). Raises before any step as the mode's
-    law is built (a non-finite state raises SimulationFault carrying it);
-    a wall step may raise DetachEvent with no state."""
-    _check_state_finite(state)
+    law is built (a non-finite state raises SimulationFault; a `ControlSetpoint`
+    is finite by construction); a wall step may raise DetachEvent."""
+    check_finite((*state.position, *state.velocity, *state.quaternion,
+                  *state.angular_velocity, state.tilt_front_deg, state.tilt_rear_deg))
     mode = state.mode
     if mode in (Mode.GROUND, Mode.INCLINE):
-        advance = _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload)
+        advance = _ground_law(state, setpoint, surface, dt, params, rotor, payload)
     elif mode == Mode.WALL:
-        advance = _wall_law(state, setpoint, dt, params, rotor, gains, payload)
+        advance = _wall_law(state, setpoint, dt, params, rotor, payload)
     elif mode == Mode.FLIGHT:
-        advance = _flight_law(state, setpoint, dt, params, rotor, gains, payload)
+        advance = _flight_law(state, setpoint, dt, params, rotor, payload)
     elif mode == Mode.TRANSITION:
         if schedule is None:
             raise ValueError("transition mode needs the active TiltSchedule")
@@ -565,26 +534,24 @@ def first_holding(n: int, holds) -> int:
 
 
 def finite_power(power: float, mode: Mode) -> float:
-    """`power`, or SimulationFault, with no state, where it is not finite."""
+    """`power`, or SimulationFault where it is not finite."""
     if not -math.inf < power < math.inf:
-        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", None)
+        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode")
     return power
 
 
-def _check_tip(params: VehicleParams, surface: SurfaceModel, state: SimState | None) -> None:
-    """Raise TipEvent carrying `state` on an incline at or past the tip
-    limit."""
+def _check_tip(params: VehicleParams, surface: SurfaceModel) -> None:
+    """Raise TipEvent on an incline at or past the tip limit."""
     if surface.kind != "incline":
         return
     tip = statics.tipping_slope(params)
     if surface.slope_deg >= tip:
         raise TipEvent(
-            f"slope {surface.slope_deg:.2f} deg is at or beyond the {tip:.2f} deg tip limit",
-            state,
+            f"slope {surface.slope_deg:.2f} deg is at or beyond the {tip:.2f} deg tip limit"
         )
 
 
-def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, gains, payload):
+def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, payload):
     """The speed update of a ground or incline step law asked for the speed
     `v_target` and the yaw rate `yaw_rate_target`, and the slope's axis.
     update(v, r) maps the speed and yaw rate a step reads to (v_new, c0, c1,
@@ -604,13 +571,13 @@ def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, gains,
     psi = math.radians(surface.slope_deg) if incline else 0.0
     mu_r = surface.mu_roll(params)
     feedforward = statics.along_slope_force(m, g, psi, mu_r, _sgn(v_target))
-    kp = gains.kp_speed
+    kp = KP_SPEED
     grade = m * g * math.sin(psi)
     hold = mu_r * (m * g * math.cos(psi))  # rolling resistance at the normal force
     lat, half_long = params.wheel_contact_half_spacing_lat, params.wheel_contact_half_spacing_long
     r_target = -yaw_rate_target  # driving convention -> CCW-positive internal
     friction_moment = params.lateral_friction_coeff * m * g * half_long * _sgn(r_target)
-    kp_yaw, two_lat = gains.kp_yaw_rate, 2.0 * lat
+    kp_yaw, two_lat = KP_YAW_RATE, 2.0 * lat
     fric_cap = surface.mu_lat(params) * m * g * half_long
     inertia = params.yaw_inertia
     allocate = ground_allocator(params, rotor)
@@ -642,16 +609,16 @@ def _ground_update(surface, v_target, yaw_rate_target, dt, params, rotor, gains,
     return update, ((math.cos(psi), 0.0, math.sin(psi)) if incline else None)
 
 
-def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
+def _ground_law(state, setpoint, surface, dt, params, rotor, payload):
     """The step law of a ground or incline state: the speed update
     (`_ground_update`), then the heading and the velocity along it. It
     reruns the update only when the bits of the speed and yaw rate it reads
     change (a settled turn repeats them), and the heading's trigonometry
     only when the new yaw's bits change (a straight run). Raises TipEvent
     on an incline at or past the tip limit."""
-    _check_tip(params, surface, state)
+    _check_tip(params, surface)
     update, axis = _ground_update(surface, setpoint.speed_mps, setpoint.yaw_rate_radps, dt,
-                                  params, rotor, gains, payload)
+                                  params, rotor, payload)
     incline = axis is not None
     cos_psi, _, sin_psi = axis or (1.0, 0.0, 0.0)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
@@ -670,7 +637,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
             if incline:
                 ux, uy, uz = axis
             elif not -math.inf < yaw_new < math.inf:  # a yaw rate that overflowed
-                raise SimulationFault("non-finite value in integration step", None)
+                raise SimulationFault("non-finite value in integration step")
             else:
                 ux, uy, uz = math.cos(yaw_new), math.sin(yaw_new), 0.0
             q = _yaw_quaternion(yaw_new)
@@ -686,7 +653,7 @@ def _ground_law(state, setpoint, surface, dt, params, rotor, gains, payload):
     return advance
 
 
-def speed_law(surface, speed_mps, dt, params, rotor, gains, payload=0.0):
+def speed_law(surface, speed_mps, dt, params, rotor, payload=0.0):
     """The step law of a straight ground or incline state over the speed it
     reads alone: the state heads along +x (quaternion (1, 0, 0, 0)) with a
     yaw rate of 0.0, and is asked for `speed_mps` and no yaw rate. Returns
@@ -695,11 +662,10 @@ def speed_law(surface, speed_mps, dt, params, rotor, gains, payload=0.0):
     reads to (v', vx, vy, vz), the floats `step_law` gives at SPEED and
     VELOCITY through the same update (`_ground_update`). The yaw rate and
     yaw that step reads stay 0.0, so it repeats (`repeats`) once v' has the
-    bits of v. Raises TipEvent, with no state, on an incline at or past the
-    tip limit, and ValueError at a step that would turn the vehicle (only a
+    bits of v. Raises TipEvent on an incline at or past the tip limit, and ValueError at a step that would turn the vehicle (only a
     lateral friction moment that overflows asks for that)."""
-    _check_tip(params, surface, None)
-    update, axis = _ground_update(surface, speed_mps, 0.0, dt, params, rotor, gains, payload)
+    _check_tip(params, surface)
+    update, axis = _ground_update(surface, speed_mps, 0.0, dt, params, rotor, payload)
     incline = axis is not None
     ux, uy, uz = axis or (1.0, 0.0, 0.0)  # off an incline, also heading 0's cosine and sine
 
@@ -718,25 +684,26 @@ def speed_law(surface, speed_mps, dt, params, rotor, gains, payload=0.0):
     return read, advance
 
 
-def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
+def _wall_law(state, setpoint, dt, params, rotor, payload):
     """The step law of a wall state, with the axles gamma rad past vertical:
     the statics' equilibrium thrust (`statics.wall_required_thrust`) plus a
-    proportional speed term. A step raises DetachEvent (with no state) when
-    the wall-normal force falls below the attachment threshold."""
+    proportional speed term. A step raises DetachEvent when the wall-normal
+    force falls below the attachment threshold
+    (`statics.DEFAULT_ATTACH_NORMAL_FRACTION` of the weight)."""
     m = params.total_mass(payload)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     gamma = math.radians(0.5 * (front + rear) - 90.0)
     if gamma <= 0.0:
-        raise DetachEvent("wall mode needs tilt > 90 deg", state)
+        raise DetachEvent("wall mode needs tilt > 90 deg")
     v_target = setpoint.speed_mps
     g = params.gravity
     mu_r = params.rolling_resistance_coeff
     thrust_ff = statics.wall_required_thrust(m, g, gamma, mu_r, _sgn(v_target))
     if thrust_ff == math.inf:  # no thrust balances: ask for all four rotors'
         thrust_ff = 4.0 * rotor.max_thrust
-    kp, f_max = gains.kp_speed, rotor.max_thrust
+    kp, f_max = KP_SPEED, rotor.max_thrust
     sin_gamma, cos_gamma, weight = math.sin(gamma), math.cos(gamma), m * g
-    attach = gains.attach_normal_fraction * m * g
+    attach = statics.DEFAULT_ATTACH_NORMAL_FRACTION * m * g
     mu_wall = params.wall_friction_coeff
     qw, qx, qy, qz = _WALL_QUATERNION
     realise = rotor.realise
@@ -752,8 +719,7 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
         if normal < attach:
             raise DetachEvent(
                 f"wall normal force {normal:.2f} N below the attachment "
-                f"threshold {attach:.2f} N",
-                None,
+                f"threshold {attach:.2f} N"
             )
         lift = thrust * cos_gamma - weight
         # the wheels roll freely along the climb axis; static friction only
@@ -774,7 +740,7 @@ def _wall_law(state, setpoint, dt, params, rotor, gains, payload):
     return advance
 
 
-def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
+def _flight_law(state, setpoint, dt, params, rotor, payload):
     """The step law of a flight state: position hold through cascaded
     proportional loops. Point-mass abstraction: the attitude loop is assumed
     fast enough that the thrust vector tracks the commanded acceleration
@@ -784,15 +750,13 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
         raise FlightTargetError("flight mode needs a target_position setpoint")
     tx, ty, tz = setpoint.target_position
     radius = math.sqrt(tx * tx + ty * ty)
-    if radius > gains.geofence_radius_m:
-        raise GeofenceError(
-            f"target {radius:.1f} m from origin exceeds geofence "
-            f"{gains.geofence_radius_m:.1f} m"
-        )
+    fence = GEOFENCE_RADIUS_M
+    if radius > fence:
+        raise GeofenceError(f"target {radius:.1f} m from origin exceeds geofence {fence:.1f} m")
     m = params.total_mass(payload)
-    gravity, a_max, f_max = params.gravity, gains.max_flight_accel_mps2, rotor.max_thrust
-    kp, kd = gains.kp_pos, gains.kd_pos
-    kp_yaw, max_rate = gains.kp_yaw, gains.max_yaw_rate_radps
+    gravity, a_max, f_max = params.gravity, MAX_FLIGHT_ACCEL_MPS2, rotor.max_thrust
+    kp, kd = KP_POS, KD_POS
+    kp_yaw, max_rate = KP_YAW, MAX_YAW_RATE_RADPS
     yaw_target = math.radians(setpoint.target_yaw_deg)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     realise = rotor.realise
@@ -821,7 +785,7 @@ def _flight_law(state, setpoint, dt, params, rotor, gains, payload):
         mag = math.sqrt(ax * ax + ay * ay + az * az)
         demand = m * mag / 4.0
         if not demand >= 0.0:  # NaN: kp times a position error of ~1e308 m overflowed
-            raise SimulationFault("non-finite value in integration step", None)
+            raise SimulationFault("non-finite value in integration step")
         c, per_rotor = realise(f_max if f_max < demand else demand)
         k = 4.0 * per_rotor / m
         if mag > 1e-12:
@@ -900,11 +864,7 @@ def initial_ground_state(
     )
 
 
-def initial_wall_state(
-    params: VehicleParams | None = None,
-    height_m: float = 0.0,
-    tilt_deg: float = WALL_TILT_DEG,
-) -> SimState:
+def initial_wall_state(*, height_m: float = 0.0, tilt_deg: float = WALL_TILT_DEG) -> SimState:
     """Vehicle attached to a vertical wall, ready to climb."""
     return SimState(
         time_s=0.0,

@@ -613,7 +613,6 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
     those three floats. An edge that raises is not kept; it raises again."""
     params = model.params
     rotor = model.rotor
-    gains = dynamics.ControllerGains()
     cell = terrain.cell_size_m
     energy = 0.0
     v = 0.0
@@ -628,7 +627,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
             continue
         surface = _FLAT if slope == 0.0 else dynamics.SurfaceModel("incline", slope_deg=slope)
         read, advance = dynamics.speed_law(surface, cfg.drive_speed_mps, dt_s, params, rotor,
-                                           gains, payload)
+                                           payload)
         price = model.drive_power_at(None if slope == 0.0 else slope, payload)
         v = read(v)
         covered = 0.0
@@ -651,7 +650,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:
-                raise dynamics.SimulationFault("drive edge timed out", None)
+                raise dynamics.SimulationFault("drive edge timed out")
             if steady and covered < cell:  # one jump of the steps that add the same
                 n, ds = exact_run(covered, v * dt_s, max_steps_per_edge - steps)
                 n, de = exact_run(energy, power * dt_s / 3600.0, n)
@@ -663,8 +662,7 @@ def _simulate_drive_leg(leg, terrain, cfg, model, payload, dt_s, edges):
 
 
 def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
-    gains = dynamics.ControllerGains()
-    cap = gains.max_flight_accel_mps2
+    kp, cap = dynamics.KP_POS, dynamics.MAX_FLIGHT_ACCEL_MPS2
     m = model.params.total_mass(payload)
     g = model.params.gravity
     cell = terrain.cell_size_m
@@ -682,7 +680,7 @@ def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
     max_steps = int(120.0 / dt_s)
     p_cruise = model.flight_power(payload)
     while s < total_len:
-        accel = gains.kp_pos * (cfg.fly_speed_mps - v)
+        accel = kp * (cfg.fly_speed_mps - v)
         accel = accel if accel < cap else cap
         accel = accel if accel > -cap else -cap
         v += accel * dt_s
@@ -694,5 +692,5 @@ def _simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s):
         energy += power * dt_s / 3600.0
         steps += 1
         if steps > max_steps:
-            raise dynamics.SimulationFault("fly leg timed out", None)
+            raise dynamics.SimulationFault("fly leg timed out")
     return energy

@@ -29,7 +29,7 @@ from .fields import REQUIRED, FieldError
 from .planner import PlannerConfig
 from .simulator import ScriptEvent, SimResult, Simulator
 from .terrain import TerrainGrid, load_terrain_file, terrain_from_dict
-from .vehicle import RotorModel, VehicleParams, load_rotor_table_file
+from .vehicle import VehicleParams, load_rotor_table_file
 
 
 class ScenarioError(ValueError):
@@ -88,9 +88,7 @@ class InitialSpec:
 class Scenario:
     name: str
     payload_kg: float
-    params: VehicleParams
-    rotor: RotorModel
-    power_model: PowerModel
+    power_model: PowerModel  # the vehicle and its rotors too
     batteries: tuple[Battery, ...]
     avionics_power_w: float
     surface: SurfaceModel
@@ -196,8 +194,6 @@ def scenario_from_dict(data: dict, source: str = "<scenario>", base_dir: str = "
     return Scenario(
         name=top["name"],
         payload_kg=top["payload_kg"],
-        params=params,
-        rotor=rotor,
         power_model=model,
         batteries=tuple(_load_batteries(top["batteries"], fail)),
         avionics_power_w=top["avionics_power_w"],
@@ -335,9 +331,7 @@ def _load_planner_query(query: dict, fail, source: str, base_dir: str) -> Planne
 def build_simulator(scenario: Scenario, dt_s: float = 0.001,
                     trace_decimation: int = 10) -> Simulator:
     return Simulator(
-        params=scenario.params,
-        rotor=scenario.rotor,
-        power_model=scenario.power_model,
+        scenario.power_model,
         batteries=[replace(b) for b in scenario.batteries],  # packs change within a run
         payload=scenario.payload_kg,
         avionics_power_w=scenario.avionics_power_w,
@@ -349,16 +343,14 @@ def build_simulator(scenario: Scenario, dt_s: float = 0.001,
 def initial_state_for(scenario: Scenario):
     init = scenario.initial
     if init.mode == Mode.WALL:
-        return dynamics.initial_wall_state(
-            scenario.params, height_m=init.height_m, tilt_deg=init.tilt_deg
-        )
+        return dynamics.initial_wall_state(height_m=init.height_m, tilt_deg=init.tilt_deg)
     if init.mode == Mode.FLIGHT:
         return dynamics.initial_flight_state(
             (init.position_m[0], init.position_m[1], init.height_m),
             yaw_deg=init.heading_deg,
         )
     return dynamics.initial_ground_state(
-        scenario.params, scenario.surface,
+        scenario.power_model.params, scenario.surface,
         position_xy=init.position_m, heading_deg=init.heading_deg,
     )
 

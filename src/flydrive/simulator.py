@@ -18,8 +18,9 @@ packs when the stretch ends, and writes its trace row from the floats; it
 builds a `SimState` only at a script event, at the end of a transition, at
 a fault and at the end of the run. `_Books.book` takes only the steps that
 trip a pack or are refused: one that would bring a pack to its floor, one
-that draws below 0 W, and every step of a run that starts with a tripped
-pack or with a negative or NaN avionics draw. Once the speed, yaw rate and
+whose propulsion draw is below 0 W, and every step of a run that starts
+with a tripped pack. The avionics draw is refused when the `Simulator` is
+built unless it is finite and >= 0. Once the speed, yaw rate and
 yaw that a ground, incline or wall step read come back bit for bit after
 it (`dynamics.repeats`), every further step computes the same, so each
 only adds the increments of the one before to time, position and the same
@@ -29,13 +30,14 @@ floats are evenly spaced, each addition rounds to the same whole number of
 spacings, so one exact addition gives the bits of j of them. A step no
 jump can take goes through the law. Either way each increment is the
 expression the booking oracle `tests/reference_simulator.drain` computes
-and its `record` adds, in the same order, so every sum keeps its bits. The step that ends a transition is
-booked in the mode it enters and ends its stretch. A step that would detach
-from a wall, or leave the state or its power non-finite, ends the run with
-that fault, logged at the state before it. Per step at dt 1 ms, booking
-and trace included, flight costs about 5 us, a turn 5.5 us and a
-transition 3 us (medians of nine best-of-five runs on a shared 2-core
-x86_64 host, Python 3.11.7).
+and its `record` adds, in the same order, so every sum keeps its bits. The
+step that ends a transition is booked in the mode it enters and ends its
+stretch. A step that would detach from a wall, or leave the state or its
+power non-finite, ends the run with that fault, logged at the state before
+it; an initial state whose power is not finite ends it before any row.
+Per step at dt 1 ms, booking and trace included, flight costs about 5 us,
+a turn 5.5 us and a transition 3 us (medians of nine best-of-five runs on
+a shared 2-core x86_64 host, Python 3.11.7).
 
 A library call keeps the trace rows in `SimResult.rows`, a list.
 `flydrive simulate` passes `Simulator.run` an open file instead, and the
@@ -67,7 +69,6 @@ from .dynamics import (
     VELOCITY,
     YAW_RATE,
     ControlSetpoint,
-    ControllerGains,
     Mode,
     SimState,
     SurfaceModel,
@@ -76,9 +77,9 @@ from .dynamics import (
     finite_power,
     first_holding,
 )
+from .defaults import AVIONICS_POWER_W
 from .energy import Battery, EnergyLedger, PowerModel, UnknownPayloadError
 from .fields import FieldError
-from .vehicle import RotorModel, VehicleParams
 
 TRACE_HEADER = (
     "time_s", "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps",
@@ -163,9 +164,9 @@ class _Books:
     reads and `put` writes back: the mode's and the avionics Wh and each
     pack's SoC and Ah, in `slots` order. `book` takes the steps those floats
     leave to it, and alone decides trips, refusals and negative draws: a
-    step that would bring a pack to its floor or draws below 0 W, and every
-    step of a run that starts with a tripped pack or with a negative or NaN
-    avionics draw. A draw of exactly 0 W books its avionics Wh in the sums
+    step that would bring a pack to its floor or draws below 0 W for
+    propulsion, and every step of a run that starts with a tripped pack.
+    An avionics draw of exactly 0 W books its avionics Wh in the sums
     and, as `book` does, no Ah and no SoC. Each SoC decrement is the
     expression the oracle `tests/reference_simulator.drain` computes, and
     each Wh and Ah increment is power * dt / 3600 (over the nominal voltage
@@ -188,8 +189,8 @@ class _Books:
             self.avionics_soc = d_soc_e = avionics_w * dt / (e.pack_energy_wh * 3600.0)
             self.avionics_floor = e.protection_soc
             self.avionics_ah = d_ah_e = avionics_w * dt / (e.nominal_voltage * 3600.0)
-            if avionics_w != 0.0:  # a NaN or negative one goes to `book`: no SoC is above inf
-                floor_e = e.protection_soc if avionics_w > 0.0 else math.inf
+            if avionics_w > 0.0:
+                floor_e = e.protection_soc
         if any(b.tripped for b in batteries):
             floor_e = math.inf  # so `book` takes every step, and refuses those that draw
         # the slots of the local sums: two propulsion packs, each with its SoC
@@ -226,8 +227,8 @@ class _Books:
     def book(self, power: float, mode: str, t_s: float) -> str | None:
         """Book the step to `t_s` drawing `power` W in `mode`: drain every
         pack as `drain` would, add to the ledger and log each trip at `t_s`.
-        Returns the fault that ends the run, if any; a negative draw raises
-        ValueError."""
+        Returns the fault that ends the run, if any; a negative propulsion
+        draw raises ValueError."""
         dt, per_mode_wh, per_battery_ah = self.dt, self.per_mode_wh, self.per_battery_ah
         fault = None
         per_mode_wh[mode] = per_mode_wh.get(mode, 0.0) + power * dt / 3600.0
@@ -252,15 +253,12 @@ class _Books:
         e, avionics_w = self.electronics, self.avionics_w
         if e is None:
             return fault
-        if avionics_w < 0.0:
-            raise ValueError("power must be >= 0")
         if avionics_w > 0.0 and e.tripped:
             return f"battery {e.battery_id} is below its protection threshold"
         per_mode_wh["avionics"] = per_mode_wh.get("avionics", 0.0) + self.avionics_wh
         if avionics_w == 0.0:
             return fault
-        if avionics_w > 0.0:  # as in `record`: a NaN draw books no Ah
-            per_battery_ah[e.battery_id] = per_battery_ah.get(e.battery_id, 0.0) + self.avionics_ah
+        per_battery_ah[e.battery_id] = per_battery_ah.get(e.battery_id, 0.0) + self.avionics_ah
         soc = e.soc - self.avionics_soc
         if soc <= self.avionics_floor:
             # an avionics brownout ends the run like a propulsion trip
@@ -282,30 +280,29 @@ class _Books:
 
 
 class Simulator:
-    """Owns the physical context and marches scripts through time."""
+    """Owns the physical context and marches scripts through time: the
+    vehicle and its rotors are the power model's (`PowerModel.params` and
+    `PowerModel.rotor`), so the step laws and the pricing see one vehicle."""
 
     def __init__(
         self,
-        params: VehicleParams,
-        rotor: RotorModel,
         power_model: PowerModel,
         batteries: list[Battery] | None = None,
-        gains: ControllerGains | None = None,
+        *,
         payload: float = 0.0,
-        avionics_power_w: float = 5.0,
+        avionics_power_w: float = AVIONICS_POWER_W,
         dt_s: float = 0.001,
         trace_decimation: int = 10,
     ):
         dynamics.check_dt(dt_s)
         if trace_decimation < 1:
             raise ValueError("trace_decimation must be >= 1")
+        if not 0.0 <= avionics_power_w < math.inf:  # NaN included
+            raise FieldError("avionics_power_w", "must be finite and >= 0")
         self.batteries = batteries if batteries is not None else []
         if len({b.battery_id for b in self.batteries}) < len(self.batteries):
             raise ValueError("battery ids must be unique: the ledger books Ah by id")
-        self.params = params
-        self.rotor = rotor
         self.power_model = power_model
-        self.gains = gains or ControllerGains()
         self.payload = payload
         self.avionics_power_w = avionics_power_w
         self.dt_s = dt_s
@@ -332,7 +329,9 @@ class Simulator:
             raise FieldError("duration_s", f"{duration_s} s is too many steps of {dt} s to count")
         # the ground yaw-rate loop integrates explicitly: past this gain per
         # step each correction overshoots by more than the error it corrects
-        kp_yaw, inertia = self.gains.kp_yaw_rate, self.params.yaw_inertia
+        model, payload = self.power_model, self.payload
+        params, rotor = model.params, model.rotor
+        kp_yaw, inertia = dynamics.KP_YAW_RATE, params.yaw_inertia
         if not kp_yaw * dt / inertia < 2.0:
             raise FieldError("yaw_inertia", f"{inertia} kg m^2 makes the yaw-rate loop unstable "
                                             f"at dt_s {dt} s; it must exceed "
@@ -343,20 +342,21 @@ class Simulator:
         schedule: TiltSchedule | None = None
         ledger = EnergyLedger()
         events: list[dict] = []
-        model, payload = self.power_model, self.payload
-        params, rotor, gains = self.params, self.rotor, self.gains
         rows = [] if trace is None else _TraceSink(trace)
+        books = _Books(self.batteries, self.avionics_power_w, dt, ledger, events)
+        n_steps = int(round(duration_s / dt))
+        next_event = 0
+        fault_reason = None
+        cause = None  # the last event that set the setpoint or started a transition
         floats = dynamics.floats_of(state, surface)
         try:
             power = _stretch_power(model, surface, payload, schedule, floats)(floats)
         except OverflowError:
             power = math.inf
-        rows.append(_row(floats, finite_power(power, state.mode)))
-        n_steps = int(round(duration_s / dt))
-        next_event = 0
-        fault_reason = None
-        books = _Books(self.batteries, self.avionics_power_w, dt, ledger, events)
-        cause = None  # the last event that set the setpoint or started a transition
+        try:
+            rows.append(_row(floats, finite_power(power, state.mode)))
+        except dynamics.SimulationFault as exc:  # ends the run as at any later step
+            fault_reason, n_steps = books.fault(state.time_s, exc), 0
 
         i = 0
         while i < n_steps:
@@ -376,8 +376,8 @@ class Simulator:
                         books.log(state.time_s, "transition_rejected", str(exc))
             t_event = script[next_event].t_s if next_event < len(script) else math.inf
             try:
-                advance = dynamics.step_law(state, setpoint, surface, dt, params, rotor, gains,
-                                            payload, schedule)
+                advance = dynamics.step_law(state, setpoint, surface, dt, params, rotor, payload,
+                                            schedule)
             except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
                 fault_reason = books.fault(state.time_s, exc)
                 break
@@ -587,7 +587,7 @@ def _stretch_power(model: PowerModel, surface: SurfaceModel, payload: float,
                 raise
             except ValueError as exc:  # a wall it cannot climb, a slope it cannot hold
                 raise dynamics.SimulationFault(
-                    f"cannot enter {g[MODE].value} mode: {exc}", None) from None
+                    f"cannot enter {g[MODE].value} mode: {exc}") from None
 
         return lambda g: power if g[MODE] is mode else entered(g)
     else:

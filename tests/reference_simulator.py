@@ -21,8 +21,8 @@ import struct
 from dataclasses import dataclass, replace
 
 from flydrive import dynamics
-from flydrive.dynamics import ControlSetpoint, ControllerGains, Mode, SimState, SimulationFault
-from flydrive.energy import Battery, EnergyLedger
+from flydrive.dynamics import ControlSetpoint, Mode, SimState, SimulationFault
+from flydrive.energy import Battery, EnergyLedger, UnknownPayloadError
 from flydrive.simulator import HOVER_SPEED_THRESHOLD_MPS, SimResult, Simulator
 
 
@@ -62,24 +62,16 @@ def drain(battery: Battery, power_w: float, dt_s: float) -> list[ProtectionEvent
     return []
 
 
-def step(state, setpoint, surface, dt_s, params, rotor, gains=None, payload=0.0,
-         schedule=None) -> SimState:
+def step(state, setpoint, surface, dt_s, params, rotor, payload=0.0, schedule=None) -> SimState:
     """One control and integration step from `state`: build its
     `dynamics.step_law`, take one step and build the state. A step that
-    detaches from a wall, or leaves the state not finite, raises carrying
-    `state`."""
+    detaches from a wall, or leaves the state not finite, raises."""
     dynamics.check_dt(dt_s)
-    advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor,
-                                gains or ControllerGains(), payload, schedule)
-    try:
-        f = advance(dynamics.floats_of(state, surface))
-    except dynamics.DetachEvent as exc:
-        exc.state = state
-        raise
-    new = dynamics.state_of(f)
+    advance = dynamics.step_law(state, setpoint, surface, dt_s, params, rotor, payload, schedule)
+    new = dynamics.state_of(advance(dynamics.floats_of(state, surface)))
     if not all(map(math.isfinite, (*new.position, *new.velocity, *new.quaternion,
                                    *new.angular_velocity))):
-        raise SimulationFault("non-finite value in integration step", state)
+        raise SimulationFault("non-finite value in integration step")
     return new
 
 
@@ -89,7 +81,7 @@ def instantaneous_power(model, state, surface, payload=0.0, schedule=None) -> fl
     the hover speed, else the cruise power, plus the power to climb; the
     wall power at the mean tilt; the hover power through a tilt that flies
     or has no wheel contact, else 0 W. A power that overflows or is not
-    finite raises SimulationFault carrying the state."""
+    finite raises SimulationFault."""
     mode, params = state.mode, model.params
     try:
         if mode in (Mode.GROUND, Mode.INCLINE):
@@ -110,7 +102,7 @@ def instantaneous_power(model, state, surface, payload=0.0, schedule=None) -> fl
     except OverflowError:
         power = math.inf
     if not math.isfinite(power):
-        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode", state)
+        raise SimulationFault(f"non-finite power {power} W in {mode.value} mode")
     return power
 
 
@@ -155,7 +147,9 @@ def record(ledger: EnergyLedger, dt_s: float, power_w: float, mode: str,
 
 def reference_run(sim: Simulator, initial_state, surface, script, duration_s) -> SimResult:
     """`sim.run(initial_state, surface, script, duration_s)`, one full step
-    at a time; drains `sim.batteries` the same way."""
+    at a time; drains `sim.batteries` the same way. A fault ends the run at
+    the state before it: before the first row where the initial state's
+    power is not finite."""
     if duration_s < 0:
         raise ValueError("duration must be >= 0")
     script = sorted(script, key=lambda ev: ev.t_s)
@@ -169,7 +163,13 @@ def reference_run(sim: Simulator, initial_state, surface, script, duration_s) ->
         events.append({"t_s": state.time_s, "kind": kind, "detail": detail})
 
     model, payload, dt = sim.power_model, sim.payload, sim.dt_s
-    rows = [_trace_row(state, instantaneous_power(model, state, surface, payload, schedule))]
+    params, rotor = model.params, model.rotor
+    try:
+        rows = [_trace_row(state, instantaneous_power(model, state, surface, payload, schedule))]
+    except SimulationFault as exc:
+        log("simulationfault", str(exc))
+        return SimResult(final_state=state, rows=[], ledger=ledger, events=events,
+                         faulted=True, fault_reason=str(exc))
     n_steps = int(round(duration_s / dt))
     next_event = 0
     faulted, fault_reason = False, None
@@ -186,7 +186,7 @@ def reference_run(sim: Simulator, initial_state, surface, script, duration_s) ->
             if ev.transition_to is not None:
                 try:
                     schedule = dynamics.mode_transition(
-                        state, ev.transition_to, surface=surface, params=sim.params
+                        state, ev.transition_to, surface=surface, params=params
                     )
                     state = dynamics.begin_transition(state)
                     log("transition_started", ev.transition_to.value)
@@ -194,13 +194,20 @@ def reference_run(sim: Simulator, initial_state, surface, script, duration_s) ->
                     log("transition_rejected", str(exc))
         previous = state
         try:
-            state = step(state, setpoint, surface, dt, sim.params, sim.rotor, sim.gains,
-                         payload, schedule)
-            if previous.mode == Mode.TRANSITION and state.mode != Mode.TRANSITION:
+            state = step(state, setpoint, surface, dt, params, rotor, payload, schedule)
+            entered = previous.mode == Mode.TRANSITION and state.mode != Mode.TRANSITION
+            if entered:
                 log("transition_complete", state.mode.value)
                 setpoint = replace(setpoint, mode=state.mode)
                 schedule = None
-            power = instantaneous_power(model, state, surface, payload, schedule)
+            try:
+                power = instantaneous_power(model, state, surface, payload, schedule)
+            except UnknownPayloadError:
+                raise
+            except ValueError as exc:  # a wall it cannot climb, a slope it cannot hold
+                if not entered:
+                    raise
+                raise SimulationFault(f"cannot enter {state.mode.value} mode: {exc}") from None
         except (dynamics.TipEvent, dynamics.DetachEvent, dynamics.SimulationFault) as exc:
             state = previous
             faulted, fault_reason = True, str(exc)

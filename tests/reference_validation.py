@@ -41,7 +41,6 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
     with a full step for every step until an edge is steady."""
     params = model.params
     rotor = model.rotor
-    gains = dynamics.ControllerGains()
     energy = 0.0
     v = 0.0
     max_steps_per_edge = int(60.0 / dt_s)
@@ -65,7 +64,7 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
             if not steady:
                 previous = state
                 state = step(state, setpoint, surface, dt_s, params=params, rotor=rotor,
-                             gains=gains, payload=payload)
+                             payload=payload)
                 v = along_track_speed(state, surface)
                 power = instantaneous_power(model, state, surface, payload)
                 steady = is_steady(previous, state)
@@ -73,14 +72,14 @@ def reference_drive_leg(leg, terrain, cfg, model, payload, dt_s):
             energy += power * dt_s / 3600.0
             steps += 1
             if steps > max_steps_per_edge:
-                raise dynamics.SimulationFault("drive edge timed out", state)
+                raise dynamics.SimulationFault("drive edge timed out")
     return energy
 
 
 def reference_fly_leg(leg, terrain, cfg, model, payload, dt_s):
     """`planner._simulate_fly_leg(leg, terrain, cfg, model, payload, dt_s)`
     clamping with the builtin `min` and `max`."""
-    gains = dynamics.ControllerGains()
+    kp, cap = dynamics.KP_POS, dynamics.MAX_FLIGHT_ACCEL_MPS2
     m = model.params.total_mass(payload)
     g = model.params.gravity
     cell = terrain.cell_size_m
@@ -97,8 +96,8 @@ def reference_fly_leg(leg, terrain, cfg, model, payload, dt_s):
     max_steps = int(120.0 / dt_s)
     p_cruise = model.flight_power(payload)
     while s < total_len:
-        accel = gains.kp_pos * (cfg.fly_speed_mps - v)
-        accel = max(-gains.max_flight_accel_mps2, min(gains.max_flight_accel_mps2, accel))
+        accel = kp * (cfg.fly_speed_mps - v)
+        accel = max(-cap, min(cap, accel))
         v += accel * dt_s
         s += v * dt_s
         edge = min(int(s / cell), n_edges - 1)
@@ -107,5 +106,5 @@ def reference_fly_leg(leg, terrain, cfg, model, payload, dt_s):
         energy += power * dt_s / 3600.0
         steps += 1
         if steps > max_steps:
-            raise dynamics.SimulationFault("fly leg timed out", None)
+            raise dynamics.SimulationFault("fly leg timed out")
     return energy

@@ -295,10 +295,11 @@ class TestScenarioLoading:
         assert (tmp_path / "out" / "plan.json").exists()
 
     def test_lightest_vehicle_the_rotors_allow_loads(self, tmp_path):
-        rotor = load_scenario(write_scenario(tmp_path, MINI_DRIVE)).rotor
+        rotor = load_scenario(write_scenario(tmp_path, MINI_DRIVE)).power_model.rotor
         lightest = 4.0 * rotor.max_thrust / (20.0 * 9.81)
         spec = {**MINI_DRIVE, "vehicle_overrides": {"empty_mass": lightest}}
-        assert load_scenario(write_scenario(tmp_path, spec)).params.empty_mass == lightest
+        assert load_scenario(write_scenario(tmp_path, spec)).power_model.params.empty_mass \
+            == lightest
 
     @pytest.mark.parametrize("key", ["payload_kg", "duration_s", "avionics_power_w"])
     def test_negative_amount_exits_2_with_its_key(self, tmp_path, capsys, key):

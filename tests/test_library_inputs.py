@@ -18,7 +18,6 @@ import pytest
 from flydrive import fields
 from flydrive.defaults import default_power_model
 from flydrive.dynamics import (
-    ControllerGains,
     ControlSetpoint,
     Mode,
     SurfaceModel,
@@ -85,9 +84,6 @@ BUILDERS = [
       for name in ("speed_mps", "yaw_rate_radps", "target_yaw_deg")],
     ("ControlSetpoint.target_position", "target_position",
      lambda v: ControlSetpoint(Mode.FLIGHT, target_position=(0.0, 0.0, v))),
-    *[(f"ControllerGains.{f.name}", f.name,
-       lambda v, name=f.name: ControllerGains(**{name: v}))
-      for f in dataclasses.fields(ControllerGains)],
     *[(f"ValidationSpec.{name}", name, lambda v, name=name: ValidationSpec(**{name: v}))
       for name in ("steady_speed_mps", "max_speed_error_frac", "min_distance_m",
                    "expect_fly_legs", "max_leg_deviation_frac", "expect_wall_tilt_deg")],
@@ -183,9 +179,9 @@ class TestMovedRules:
             ScriptEvent(t_s)
         assert str(err.value) == "t_s must be finite and >= 0"
 
-    def test_run_with_a_nan_script_time_is_refused(self, params, rotor, power_model, batteries):
+    def test_run_with_a_nan_script_time_is_refused(self, params, power_model, batteries):
         # a NaN time used to be sorted into the script and never fire
-        sim = Simulator(params, rotor, power_model, batteries)
+        sim = Simulator(power_model, batteries)
         with pytest.raises(FieldError, match="t_s"):
             sim.run(initial_ground_state(params), SurfaceModel(),
                     [ScriptEvent(math.nan, ControlSetpoint(Mode.GROUND, speed_mps=1.0))], 0.1)
@@ -223,27 +219,27 @@ class TestMovedRules:
         assert ControlSetpoint(Mode.FLIGHT, target_yaw_deg=-360.0).target_yaw_deg == -360.0
 
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -1.0])
-    def test_run_duration(self, params, rotor, power_model, batteries, duration_s):
+    def test_run_duration(self, params, power_model, batteries, duration_s):
         # NaN used to raise "cannot convert float NaN to integer"
-        sim = Simulator(params, rotor, power_model, batteries)
+        sim = Simulator(power_model, batteries)
         with pytest.raises(FieldError) as err:
             sim.run(initial_ground_state(params), SurfaceModel(), [], duration_s)
         assert str(err.value) == "duration_s must be finite and >= 0"
 
-    def test_run_duration_of_too_many_steps(self, params, rotor, power_model, batteries):
+    def test_run_duration_of_too_many_steps(self, params, power_model, batteries):
         # used to raise a bare OverflowError from int(round(duration_s / dt))
-        sim = Simulator(params, rotor, power_model, batteries)
+        sim = Simulator(power_model, batteries)
         trace = io.StringIO()
         with pytest.raises(FieldError) as err:
             sim.run(initial_ground_state(params), SurfaceModel(), [], 1e308, trace=trace)
         assert str(err.value) == "duration_s 1e+308 s is too many steps of 0.001 s to count"
         assert trace.getvalue() == ""  # refused before the trace got its header
 
-    def test_run_refuses_an_unstable_yaw_loop(self, rotor, power_model, batteries):
+    def test_run_refuses_an_unstable_yaw_loop(self, power_model, batteries):
         # the rule `run_scenario` applied alone: a library run used to turn
         # at a yaw rate that ran away, unfaulted
         params = VehicleParams(yaw_inertia=0.05)
-        sim = Simulator(params, rotor, power_model, batteries, dt_s=0.01)
+        sim = Simulator(dataclasses.replace(power_model, params=params), batteries, dt_s=0.01)
         with pytest.raises(FieldError) as err:
             sim.run(initial_ground_state(params), SurfaceModel(), [], 1.0)
         assert str(err.value) == ("yaw_inertia 0.05 kg m^2 makes the yaw-rate loop unstable "

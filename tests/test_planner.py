@@ -7,7 +7,6 @@ import math
 import random
 from collections import deque
 from dataclasses import replace as _replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -482,15 +481,12 @@ class TestValidatePlan:
         profiles = [(0.0, 0.5, -0.0, 1e308, 0.25), (0.0, -0.0, 0.0, -0.0),
                     (0.0, math.nan, 1.0), (0.0, math.inf, 0.0), (0.0, -math.inf, 2.0),
                     (math.inf, math.inf, 1.0), (-1e308, 1e308, -1e308)]
-        def gains_of(**changes):
-            # ControllerGains refuses a non-finite field; the clamps must
-            # still match the builtins on any float
-            return SimpleNamespace(**{**vars(dynamics.ControllerGains()), **changes})
-
+        # the gains are constants; the clamps must still match the builtins
+        # on any float they could be set to
         limits = [(cap, 4.0) for cap in (15.0, 1.0, 0.0, -0.0, math.inf, -math.inf, math.nan)]
         for cap, kp in limits + [(15.0, math.nan), (0.5, math.inf)]:
-            gains = gains_of(kp_pos=kp, max_flight_accel_mps2=cap)
-            monkeypatch.setattr(dynamics, "ControllerGains", lambda gains=gains: gains)
+            monkeypatch.setattr(dynamics, "KP_POS", kp)
+            monkeypatch.setattr(dynamics, "MAX_FLIGHT_ACCEL_MPS2", cap)
             for speed in (4.0, 1e308, -4.0, -math.inf, math.inf):
                 config = type("Config", (), {"fly_speed_mps": speed})
                 for elevations in profiles:

@@ -25,6 +25,20 @@ def test_script_exits_0(tmp_path, script, args):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("step_deg", ["5", "0.1"])
+def test_tilt_sweep_marks_the_scenario_angle(tmp_path, step_deg):
+    """Each tilt is 90 + i * step, so a fine grid still lands on 135 deg: a
+    running sum of 0.1 deg steps reached 134.99999999999744 there."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "tilt_sweep.py"),
+            f"--step-deg={step_deg}"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    marked = [line.split()[0] for line in done.stdout.splitlines() if "<- scenario angle" in line]
+    assert marked == ["135.0"]
+
+
 @pytest.mark.parametrize("script, flag, value", [
     ("tilt_sweep.py", "--step-deg", "1e-9"),  # once a scan of 9e10 tilts
     ("tilt_sweep.py", "--step-deg", "0"),

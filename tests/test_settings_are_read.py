@@ -19,9 +19,8 @@ from collections import Counter
 
 import flydrive
 
-SETTINGS_CLASSES = ("VehicleParams", "Battery", "SurfaceModel", "ControllerGains",
-                    "ControlSetpoint", "InitialSpec", "ValidationSpec", "PlannerConfig",
-                    "PowerModel")
+SETTINGS_CLASSES = ("VehicleParams", "Battery", "SurfaceModel", "ControlSetpoint",
+                    "InitialSpec", "ValidationSpec", "PlannerConfig", "PowerModel")
 PACKAGE = pathlib.Path(flydrive.__file__).parent
 
 

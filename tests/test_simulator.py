@@ -33,6 +33,7 @@ from flydrive.dynamics import (
 )
 from flydrive.energy import Battery
 from flydrive.dynamics import exact_run
+from flydrive.fields import FieldError
 from flydrive.simulator import ScriptEvent, Simulator, _Books
 import reference_simulator
 from reference_simulator import reference_run
@@ -47,11 +48,10 @@ def _count_books(monkeypatch) -> list:
     return calls
 
 
-def _simulate(run, params, rotor, power_model, batteries, state, surface, script, duration,
-              **kw):
+def _simulate(run, power_model, batteries, state, surface, script, duration, **kw):
     """`run(simulator, ...)` on copies of the packs: its result and everything
     it produced, in repr; or the repr of the error it raised and of the packs."""
-    sim = Simulator(params, rotor, power_model, batteries=list(map(copy.copy, batteries)), **kw)
+    sim = Simulator(power_model, batteries=list(map(copy.copy, batteries)), **kw)
     try:
         result = run(sim, state, surface, script, duration)
     except ValueError as exc:
@@ -104,7 +104,7 @@ def _batteries(rng, low=0.0):
 
 def _random_case(rng, params, standing=False):
     """A ground, incline, wall or flight start, its surface, script,
-    duration, dt, payload and gains. Setpoints change while the speed still
+    duration, dt and payload. Setpoints change while the speed still
     settles, stop the vehicle (static friction holds it), reverse it, and
     turn it and stop turning; the wall sometimes holds on so lightly that it
     detaches as the climb settles. A flight flies to waypoints, sometimes
@@ -115,19 +115,18 @@ def _random_case(rng, params, standing=False):
     payload = rng.choice([0.0, rng.uniform(0.0, 1.3)])
     dt = rng.choice([0.001, 0.002, 0.005, dynamics.DT_MAX_S,
                      rng.uniform(0.001, dynamics.DT_MAX_S)])
-    gains = dynamics.ControllerGains()
     if kind in ("flight", "takeoff"):
-        return _random_flight(rng, params, kind == "takeoff", dt, payload, gains)
+        return _random_flight(rng, params, kind == "takeoff", dt, payload)
     if kind == "wall":
         surface = SurfaceModel(kind="wall")
-        state = initial_wall_state(params, height_m=rng.uniform(0.0, 5.0))
+        # below the least attached tilt (91.145 deg) a settled climb presses
+        # too lightly on the wall to stay on, the first steps of a climb
+        # from rest hard enough
+        tilt = rng.uniform(91.0, 91.1) if rng.random() < 0.3 else dynamics.WALL_TILT_DEG
+        state = initial_wall_state(height_m=rng.uniform(0.0, 5.0), tilt_deg=tilt)
         state = replace(state, position=(-0.0, rng.choice([0.0, -0.0]), state.position[2]))
         speeds = [0.0, 0.0, rng.uniform(-0.5, 0.5), rng.uniform(0.1, 0.5),
                   -rng.uniform(0.1, 0.5)]
-        if rng.random() < 0.3:
-            # a settled climb presses too lightly on the wall to stay on, the
-            # first steps of a climb from rest hard enough
-            gains = replace(gains, attach_normal_fraction=1.1)
     else:
         surface = SurfaceModel(
             kind=kind,
@@ -155,10 +154,10 @@ def _random_case(rng, params, standing=False):
         duration = script[-1].t_s + rng.uniform(0.05, 2.0)
     if standing:
         script[0] = ScriptEvent(0.0, setpoint=ControlSetpoint(mode=state.mode))
-    return state, surface, script, duration, dt, payload, gains
+    return state, surface, script, duration, dt, payload
 
 
-def _random_flight(rng, params, takeoff, dt, payload, gains):
+def _random_flight(rng, params, takeoff, dt, payload):
     """`_random_case` for a flight: from the air, or a take-off from rest
     (one second of transition), then waypoints, and sometimes a landing
     (a transition back to the ground) and a turning drive."""
@@ -185,7 +184,7 @@ def _random_flight(rng, params, takeoff, dt, payload, gains):
             mode=Mode.GROUND, speed_mps=rng.uniform(0.5, 2.0),
             yaw_rate_radps=rng.choice([0.0, rng.uniform(-0.5, 0.5)]))))
     duration = t + rng.uniform(0.5, 3.0)
-    return state, surface, script, duration, max(dt, 0.002), payload, gains
+    return state, surface, script, duration, max(dt, 0.002), payload
 
 
 def _steady_case(params, kind):
@@ -213,7 +212,7 @@ def _steady_case(params, kind):
         packs = full[:1] + [Battery("prop_b", 4, 5.0, soc=FLOOR + 0.1,
                                     usable_fraction=USABLE_FRACTION)] + full[2:]
         # the axles 5 deg either side of the wall tilt, priced at their mean
-        start = replace(initial_wall_state(params, height_m=1.0), position=(-0.0, -0.0, 1.0),
+        start = replace(initial_wall_state(height_m=1.0), position=(-0.0, -0.0, 1.0),
                         tilt_front_deg=130.0, tilt_rear_deg=140.0)
         script = [ScriptEvent(0.0, ControlSetpoint(mode=Mode.WALL, speed_mps=0.3))]
         return packs, start, SurfaceModel(kind="wall"), script, 100.0, 0.01, 1, \
@@ -226,7 +225,7 @@ def _steady_case(params, kind):
     return full, start, flat, script, 250.0, 0.02, 3, None
 
 
-def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch):
+def test_fast_path_matches_per_step_path(params, power_model, monkeypatch):
     rng = random.Random(20261018)
     real_stretch, real_steady, real_book = Simulator._stretch, Simulator._steady_stretch, _Books.book
     at_floor = set()  # (propulsion?, "trip" or "rest"): a step `book` took from a pack at its floor
@@ -282,18 +281,18 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     for case in range(180):  # enough for a pack to trip inside a stretch in every mode
         # and then flat starts that stand still with packs at or below their floors
         standing = case >= 150
-        state, surface, script, duration, dt, payload, gains = _random_case(rng, params, standing)
+        state, surface, script, duration, dt, payload = _random_case(rng, params, standing)
         # the unloaded ground calibration, and flight power, booked under this payload
         model = replace(power_model, ground_coeffs={payload: power_model.ground_coeffs[0.0]},
                         flight_power_w={payload: power_model.flight_power_w[0.0]})
         batteries = _batteries(rng, 0.5 if standing else 0.0)
         kw = {"dt_s": dt, "payload": payload, "trace_decimation": rng.choice([1, 7, 10]),
-              "avionics_power_w": rng.choice([5.0, 5.0, 0.0]), "gains": gains}
+              "avionics_power_w": rng.choice([5.0, 5.0, 0.0])}
         if len({b.battery_id for b in batteries}) < len(batteries):  # the same_id layout
             with pytest.raises(ValueError, match="battery ids must be unique"):
-                Simulator(params, rotor, model, batteries=batteries, **kw)
+                Simulator(model, batteries=batteries, **kw)
             continue
-        fast, ref = _against_reference(params, rotor, model, batteries,
+        fast, ref = _against_reference(model, batteries,
                                         state, surface, script, duration, **kw)
         _assert_same(fast[1], ref[1], f"case {case}")
         electronics_only += [b.battery_id for b in batteries] == ["electronics"]
@@ -304,7 +303,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
     for kind in ("binades", "trip", "brownout", "wall", "stop"):
         packs, state, surface, script, duration, dt, decimation, fault = _steady_case(params, kind)
         steady_steps.clear()
-        fast, ref = _against_reference(params, rotor, power_model, packs, state, surface, script,
+        fast, ref = _against_reference(power_model, packs, state, surface, script,
                                         duration, dt_s=dt, trace_decimation=decimation)
         _assert_same(fast[1], ref[1], kind)
         assert fast[0].fault_reason == fault
@@ -325,7 +324,7 @@ def test_fast_path_matches_per_step_path(params, rotor, power_model, monkeypatch
 @pytest.mark.parametrize("electronics_soc, tripped", [
     (1.0, "prop_a"), (0.2 + 6e-4, "electronics"),
 ])
-def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypatch,
+def test_trip_or_brownout_inside_a_stretch(params, power_model, monkeypatch,
                                            electronics_soc, tripped):
     """After many coasted steps a pack trips or the electronics pack browns
     out: the steady stretch stops one step short and the law's step trips it,
@@ -344,7 +343,7 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
     booked = _count_books(monkeypatch)  # `reference_run` books through `drain`
     fast, ref = _against_reference(
-        params, rotor, power_model, packs, initial_ground_state(params), SurfaceModel(),
+        power_model, packs, initial_ground_state(params), SurfaceModel(),
         script, 60.0, dt_s=0.001, trace_decimation=7)
     _assert_same(fast[1], ref[1])
     assert len(booked) == 1
@@ -354,7 +353,7 @@ def test_trip_or_brownout_inside_a_stretch(params, rotor, power_model, monkeypat
 
 
 @pytest.mark.parametrize("wall", [False, True])
-def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypatch, wall):
+def test_position_overflow_inside_a_stretch(params, power_model, monkeypatch, wall):
     """No controller holds a speed that overflows a position, so a step law
     that only moves the vehicle stands in for `dynamics.step_law`: the
     stretch ends the run with the finiteness fault at the last finite
@@ -370,7 +369,7 @@ def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypa
     monkeypatch.setattr(dynamics, "step_law", drift)
     near_max = sys.float_info.max - 3e299  # 300 steps of 1e297 m from overflow
     if wall:
-        start = replace(initial_wall_state(params), position=(-0.0, -0.0, near_max),
+        start = replace(initial_wall_state(), position=(-0.0, -0.0, near_max),
                         velocity=(0.0, 0.0, 1e300))
         surface = SurfaceModel(kind="wall")
     else:  # sideways, so the along-track speed, and with it the power, stays finite
@@ -378,7 +377,7 @@ def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypa
         start = replace(ground, position=(0.0, near_max, ground.position[2]),
                         velocity=(0.0, 1e300, 0.0))
         surface = SurfaceModel()
-    fast, ref = _against_reference(params, rotor, power_model, [], start, surface,
+    fast, ref = _against_reference(power_model, [], start, surface,
                                     [], 1.0, dt_s=0.001, trace_decimation=10)
     _assert_same(fast[1], ref[1])
     result = fast[0]
@@ -390,7 +389,7 @@ def test_position_overflow_inside_a_stretch(params, rotor, power_model, monkeypa
 
 @pytest.mark.parametrize("tripped", ["prop_a", "prop_b", "electronics"])
 @pytest.mark.parametrize("speed, avionics_w", [(0.0, 5.0), (1.0, 5.0), (1.0, 0.0)])
-def test_pre_tripped_pack(params, rotor, power_model, tripped, speed, avionics_w):
+def test_pre_tripped_pack(params, power_model, tripped, speed, avionics_w):
     """A pack that tripped before the run: drained above 0 W it ends the run
     with `drain`'s refusal; at 0 W it is booked like any other."""
     packs = [Battery(bid, cells, 5.0, usable_fraction=USABLE_FRACTION)
@@ -399,7 +398,7 @@ def test_pre_tripped_pack(params, rotor, power_model, tripped, speed, avionics_w
         if pack.battery_id == tripped:
             pack.soc, pack.tripped = FLOOR, True
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=speed))]
-    fast, ref = _against_reference(params, rotor, power_model, packs, initial_ground_state(params),
+    fast, ref = _against_reference(power_model, packs, initial_ground_state(params),
                                    SurfaceModel(), script, 0.5, avionics_power_w=avionics_w)
     _assert_same(fast[1], ref[1])
     draws = speed > 0.0 if tripped != "electronics" else avionics_w > 0.0
@@ -408,41 +407,56 @@ def test_pre_tripped_pack(params, rotor, power_model, tripped, speed, avionics_w
 
 
 @pytest.mark.parametrize("tripped", ["prop_b", "electronics"])
-def test_tripped_pack_above_its_floor(params, rotor, power_model, tripped):
+def test_tripped_pack_above_its_floor(params, power_model, tripped):
     """A pack recharged after it tripped, its protection not reset: its
     first draw is refused as `drain` refuses it, however full it is."""
     packs = _packs(USABLE_FRACTION)
     next(b for b in packs if b.battery_id == tripped).tripped = True
     script = [ScriptEvent(0.0, setpoint=_ground(1.0))]
-    fast, ref = _against_reference(params, rotor, power_model, packs, initial_ground_state(params),
+    fast, ref = _against_reference(power_model, packs, initial_ground_state(params),
                                    SurfaceModel(), script, 0.5)
     _assert_same(fast[1], ref[1])
     assert fast[0].fault_reason == f"battery {tripped} is below its protection threshold"
 
 
-@pytest.mark.parametrize("c1, avionics_w", [(-10.0, 5.0), (29.0, -1.0)])
-def test_negative_draw_raises(params, rotor, power_model, batteries, c1, avionics_w):
-    """A model that prices a move below 0 W, or a negative avionics draw,
-    raises `drain`'s ValueError after the same packs were drained.
-    `PowerModel` refuses a negative ground fit when it is built, but its
-    `ground_coeffs` dict can still be edited after that."""
+def test_negative_draw_raises(params, power_model, batteries):
+    """A model that prices a move below 0 W raises `drain`'s ValueError
+    after the same packs were drained. `PowerModel` refuses a negative
+    ground fit when it is built, but its `ground_coeffs` dict can still be
+    edited after that."""
     model = replace(power_model, ground_coeffs={0.0: (29.0, 0.0)})
-    model.ground_coeffs[0.0] = (c1, 0.0)
+    model.ground_coeffs[0.0] = (-10.0, 0.0)
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
-    fast, ref = _against_reference(params, rotor, model, batteries, initial_ground_state(params),
-                                   SurfaceModel(), script, 1.0, avionics_power_w=avionics_w)
+    fast, ref = _against_reference(model, batteries, initial_ground_state(params),
+                                   SurfaceModel(), script, 1.0)
     assert fast[0] is None
     assert "power must be >= 0" in fast[1]
     _assert_same(fast[1], ref[1])
+
+
+@pytest.mark.parametrize("avionics_w", [-1.0, math.nan, math.inf, -math.inf])
+def test_bad_avionics_draw_is_refused(power_model, avionics_w):
+    """An avionics draw that is negative, NaN or infinite is refused when
+    the Simulator is built: a NaN one used to run unfaulted to a NaN
+    ledger, and a negative one to raise at the first step."""
+    with pytest.raises(FieldError) as err:
+        Simulator(power_model, avionics_power_w=avionics_w)
+    assert str(err.value) == "avionics_power_w must be finite and >= 0"
 
 
 def _moving_start(params, mode):
     """A state that starts a run in `mode` already moving, and its surface:
     a drive on a 30 deg heading, a climb up a 15 deg incline and up a wall
     (the axles 10 deg apart), a climbing cruise, and a hover drifting below
-    the hover speed."""
-    if mode == "wall":
-        start = replace(initial_wall_state(params, 1.0, 130.0), tilt_rear_deg=140.0)
+    the hover speed; or a drive and a climb so fast that their power
+    overflows."""
+    if mode == "ground-overflow":
+        start, surface, velocity = initial_ground_state(params), SurfaceModel(), (1e200, 0.0, 0.0)
+    elif mode == "flight-overflow":
+        start, surface = initial_flight_state((0.0, 0.0, 3.0)), SurfaceModel()
+        velocity = (0.0, 0.0, 1e308)
+    elif mode == "wall":
+        start = replace(initial_wall_state(height_m=1.0, tilt_deg=130.0), tilt_rear_deg=140.0)
         surface, velocity = SurfaceModel("wall"), (0.0, 0.0, 0.3)
     elif mode in ("flight", "hover"):
         start, surface = initial_flight_state((0.0, 0.0, 3.0)), SurfaceModel()
@@ -458,24 +472,38 @@ def _moving_start(params, mode):
     return replace(start, velocity=velocity), surface
 
 
-@pytest.mark.parametrize("mode", ["ground", "incline", "wall", "flight", "hover"])
-def test_first_row_matches_the_reference(params, rotor, power_model, mode):
+@pytest.mark.parametrize("mode", ["ground", "incline", "wall", "flight", "hover",
+                                  "ground-overflow", "flight-overflow"])
+def test_first_row_matches_the_reference(params, power_model, mode):
     """A run's first trace row, priced through the Simulator's stretch
     pricer like every other row, is the reference's first row, priced from
-    `PowerModel`'s public prices: in each mode a run starts in, moving."""
+    `PowerModel`'s public prices: in each mode a run starts in, moving. A
+    start whose power overflows ends the run as a later step's would: the
+    fault at the start time, at the initial state, with no row and no
+    booked step."""
     start, surface = _moving_start(params, mode)
-    sim = Simulator(params, rotor, power_model)
+    if mode.endswith("overflow"):
+        fast, ref = _against_reference(power_model, _packs(USABLE_FRACTION), start, surface,
+                                       [], 1.0)
+        _assert_same(fast[1], ref[1])
+        result = fast[0]
+        assert result.faulted and result.final_state == start and result.rows == []
+        assert result.fault_reason == f"non-finite power inf W in {start.mode.value} mode"
+        assert [(e["kind"], e["t_s"]) for e in result.events] == [("simulationfault", 0.0)]
+        assert result.ledger.to_dict()["total_wh"] == 0
+        return
+    sim = Simulator(power_model)
     fast = sim.run(start, surface, [], 0.0).rows
     assert len(fast) == 1 and float(fast[0].rsplit(",", 1)[1]) > 0.0
     assert fast == reference_run(sim, start, surface, [], 0.0).rows
 
 
-def test_overflowing_power_is_a_fault(params, rotor, power_model, batteries):
+def test_overflowing_power_is_a_fault(params, power_model, batteries):
     """A vehicle so light that one step's speed overflows the ground power
     ends the run with a fault at the state before that step."""
     light = replace(params, empty_mass=1e-300)
     script = [ScriptEvent(0.0, setpoint=ControlSetpoint(mode=Mode.GROUND, speed_mps=1.0))]
-    fast, ref = _against_reference(light, rotor, replace(power_model, params=light), batteries,
+    fast, ref = _against_reference(replace(power_model, params=light), batteries,
                                    initial_ground_state(light), SurfaceModel(), script, 1.0)
     _assert_same(fast[1], ref[1])
     result = fast[0]
@@ -561,16 +589,19 @@ def _non_finite_after(t_s, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["turns", "ground-on-wall", "fly-land", "geofence",
-                                  "wall-entry", "trip-in-turn", "trip-in-flight",
-                                  "non-finite-in-turn", "non-finite-in-flight"])
-def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_model,
+                                  "wall-entry", "failed-wall-entry", "trip-in-turn",
+                                  "trip-in-flight", "non-finite-in-turn",
+                                  "non-finite-in-flight"])
+def test_turns_flight_and_transitions_match_per_step_path(params, power_model,
                                                           monkeypatch, case):
     """Settled turns, the same script in ground mode at the foot of a wall
     (where it steers as on flat ground), a flight to waypoints with a
     landing, transitions both ways, a wall entry (a tilt swap with the
-    wheels on) and climb, and a fault in the middle of a turn or a flight:
-    the float stretches give `reference_run`'s bytes."""
-    on_wall = case in ("ground-on-wall", "wall-entry")
+    wheels on) and climb, the same tilt swap onto a wall the vehicle cannot
+    climb (rolling resistance 1.5), whose entry pricing faults, and a fault
+    in the middle of a turn or a flight: the float stretches give
+    `reference_run`'s bytes."""
+    on_wall = case in ("ground-on-wall", "wall-entry", "failed-wall-entry")
     surface = SurfaceModel(kind="wall") if on_wall else SurfaceModel()
     start, script, duration = initial_ground_state(params, surface), TURNS, 16.0
     packs = _packs(USABLE_FRACTION)  # full
@@ -578,16 +609,18 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
         script, duration = _drive_fly_land(params), 30.0
     if case == "geofence":
         script = _drive_fly_land(params, [ScriptEvent(12.0, _fly((500.0, 0.0, 4.0)))])
-    if case == "wall-entry":
+    if case.endswith("wall-entry"):
         script, duration = [ScriptEvent(0.5, transition_to=Mode.WALL),
                             ScriptEvent(2.0, ControlSetpoint(mode=Mode.WALL, speed_mps=0.3))], 4.0
+    if case == "failed-wall-entry":
+        power_model = replace(power_model, params=replace(params, rolling_resistance_coeff=1.5))
     if case.startswith("trip"):
         # a turn draws about 15 W from each pack, a flight about 290 W
         packs = _packs(4e-4 if case == "trip-in-turn" else 9e-3)
     if case.startswith("non-finite"):
         _non_finite_after(8.0, Mode.GROUND if case.endswith("turn") else Mode.FLIGHT,
                           monkeypatch)
-    fast, ref = _against_reference(params, rotor, power_model, packs, start, surface,
+    fast, ref = _against_reference(power_model, packs, start, surface,
                                    script, duration)
     _assert_same(fast[1], ref[1], case)
     result = fast[0]
@@ -600,7 +633,7 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
         assert result.final_state.angular_velocity == (0.0, 0.0, 0.0)
     elif case == "ground-on-wall":  # the same run as on flat ground, bit for bit
         assert start.mode is Mode.GROUND and not result.faulted
-        flat = Simulator(params, rotor, power_model, batteries=_packs(USABLE_FRACTION)).run(
+        flat = Simulator(power_model, batteries=_packs(USABLE_FRACTION)).run(
             initial_ground_state(params), SurfaceModel(), script, duration)
         assert repr(result.final_state) == repr(flat.final_state)
         assert result.ledger.to_dict() == flat.ledger.to_dict()
@@ -609,6 +642,10 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
         assert not result.faulted
         assert kinds == ["transition_started", "transition_complete"] * 2
         assert result.final_state.mode is Mode.GROUND
+    elif case == "failed-wall-entry":
+        assert kinds == ["transition_started", "transition_complete", "simulationfault"]
+        assert result.fault_reason.startswith("cannot enter wall mode: ")
+        assert result.final_state.mode is Mode.TRANSITION
     elif case == "wall-entry":
         assert not result.faulted and kinds == ["transition_started", "transition_complete"]
         assert result.final_state.mode is Mode.WALL and result.final_state.position[2] > 0.5
@@ -626,7 +663,7 @@ def test_turns_flight_and_transitions_match_per_step_path(params, rotor, power_m
 
 
 @pytest.mark.parametrize("heading_deg", [0.0, 30.0])
-def test_ground_drive_at_the_foot_of_a_wall_covers_the_flat_distance(params, rotor, power_model,
+def test_ground_drive_at_the_foot_of_a_wall_covers_the_flat_distance(params, power_model,
                                                                       heading_deg):
     """Ground mode on a wall surface reads its speed along the heading, as
     on flat ground, so a straight drive covers the same distance and books
@@ -636,7 +673,7 @@ def test_ground_drive_at_the_foot_of_a_wall_covers_the_flat_distance(params, rot
     for kind in ("flat", "wall"):
         surface = SurfaceModel(kind=kind)
         start = initial_ground_state(params, surface, heading_deg=heading_deg)
-        result = Simulator(params, rotor, power_model).run(start, surface, script, 8.0)
+        result = Simulator(power_model).run(start, surface, script, 8.0)
         assert not result.faulted
         runs.append((result.final_state, result.ledger.to_dict()))
     (flat, flat_ledger), (wall, wall_ledger) = runs
@@ -646,7 +683,7 @@ def test_ground_drive_at_the_foot_of_a_wall_covers_the_flat_distance(params, rot
 
 
 @pytest.mark.parametrize("takeoff", [False, True])
-def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
+def test_hover_needs_no_flight_calibration(params, power_model, takeoff):
     """A hover is priced at the hover power, so a payload with a ground
     calibration but none for flight hovers (from the air, or after a
     take-off) to the end of the run; a step that cruises raises for it."""
@@ -658,25 +695,25 @@ def test_hover_needs_no_flight_calibration(params, rotor, power_model, takeoff):
     else:
         start = initial_flight_state((0.0, 0.0, 3.0))
         hover = [ScriptEvent(0.0, _fly(start.position))]
-    fast, ref = _against_reference(params, rotor, model, _packs(1e-2), start, SurfaceModel(),
+    fast, ref = _against_reference(model, _packs(1e-2), start, SurfaceModel(),
                                    hover, 3.0, payload=payload)
     _assert_same(fast[1], ref[1])
     assert not fast[0].faulted and fast[0].final_state.mode is Mode.FLIGHT
     cruise = [*hover, ScriptEvent(2.0, _fly((8.0, 0.0, 3.0)))]
-    fast, ref = _against_reference(params, rotor, model, _packs(1e-2), start, SurfaceModel(),
+    fast, ref = _against_reference(model, _packs(1e-2), start, SurfaceModel(),
                                    cruise, 4.0, payload=payload)
     _assert_same(fast[1], ref[1])
     assert fast[0] is None and "no flight calibration for payload 0.5 kg" in fast[1]
 
 
 @pytest.mark.parametrize("speed", [0.0, 1.0])
-def test_zero_avionics_draw_books_in_the_sums(params, rotor, power_model, monkeypatch, speed):
+def test_zero_avionics_draw_books_in_the_sums(params, power_model, monkeypatch, speed):
     """An avionics draw of 0 W books its Wh in a stretch's local sums and,
     as `_Books.book` would, no Ah and no SoC: parked or driving, `book`
     takes no step, and the run matches the per-step reference."""
     booked = _count_books(monkeypatch)  # `reference_run` books through `drain`
     script = [ScriptEvent(0.0, setpoint=_ground(speed))]
-    fast, ref = _against_reference(params, rotor, power_model, _packs(USABLE_FRACTION),
+    fast, ref = _against_reference(power_model, _packs(USABLE_FRACTION),
                                    initial_ground_state(params), SurfaceModel(), script, 30.0,
                                    dt_s=0.01, avionics_power_w=0.0)
     _assert_same(fast[1], ref[1])
@@ -687,7 +724,7 @@ def test_zero_avionics_draw_books_in_the_sums(params, rotor, power_model, monkey
 
 
 @pytest.mark.parametrize("mission", ["confined-space", "drive-fly-land"])
-def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_model, mission):
+def test_full_steps_per_mission(tmp_path, monkeypatch, params, power_model, mission):
     """confined-space (turns) and a drive / fly / land mission take every
     step over floats, the ends of its transitions included, and book each in
     the stretch's local sums: `_Books.book` takes none."""
@@ -695,7 +732,7 @@ def test_full_steps_per_mission(tmp_path, monkeypatch, params, rotor, power_mode
     if mission == "confined-space":
         assert cli.main(["simulate", mission, "--out", str(tmp_path)]) == cli.EXIT_OK
     else:
-        result = Simulator(params, rotor, power_model).run(
+        result = Simulator(power_model).run(
             initial_ground_state(params), SurfaceModel(), _drive_fly_land(params), 30.0)
         assert not result.faulted and result.final_state.mode is Mode.GROUND
     assert len(booked) == 0
