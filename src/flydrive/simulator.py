@@ -295,8 +295,8 @@ class Simulator:
         trace_decimation: int = 10,
     ):
         dynamics.check_dt(dt_s)
-        if trace_decimation < 1:
-            raise ValueError("trace_decimation must be >= 1")
+        if type(trace_decimation) is not int or trace_decimation < 1:  # a float fails range()
+            raise FieldError("trace_decimation", "must be an integer >= 1")
         if not 0.0 <= avionics_power_w < math.inf:  # NaN included
             raise FieldError("avionics_power_w", "must be finite and >= 0")
         self.batteries = batteries if batteries is not None else []

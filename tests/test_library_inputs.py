@@ -3,8 +3,9 @@
 Each value rule lives in the type or function that holds the value and
 raises a `FieldError` (a ValueError) naming the field or argument, so a
 caller building a setting in code meets the same rule, and the same key, as
-a scenario file does. The sweep below builds each settings type with each
-numeric field set to NaN, +-inf, -1, 0 and 1e308; the other tests pin each rule
+a scenario file does. The sweep below builds each settings type, and a
+Simulator and its run, with each numeric field or argument set to NaN,
++-inf, -1, 0 and 1e308; the other tests pin each rule
 that moved out of the scenario loader, and the NaN arguments that used to
 run on.
 """
@@ -22,6 +23,7 @@ from flydrive.dynamics import (
     Mode,
     SurfaceModel,
     initial_ground_state,
+    initial_wall_state,
 )
 from flydrive.energy import Battery, calibrate_ground_power, mode_power, range_estimate
 from flydrive.fields import FieldError
@@ -30,7 +32,13 @@ from flydrive.scenario import ValidationSpec
 from flydrive.simulator import ScriptEvent, Simulator
 from flydrive.statics import decompose_thrust
 from flydrive.terrain import FREE, TerrainGrid, terrain_from_ascii, terrain_from_dict
-from flydrive.vehicle import RotorTableError, VehicleParams, load_mass_budget, load_rotor_table
+from flydrive.vehicle import (
+    MassComponent,
+    RotorTableError,
+    VehicleParams,
+    load_mass_budget,
+    load_rotor_table,
+)
 
 VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308]
 
@@ -79,11 +87,26 @@ BUILDERS = [
                    "transition_time_s", "slope_margin_deg")],
     *[(f"TerrainGrid.{name}", name, lambda v, name=name: _grid(**{name: v}))
       for name in ("width", "height", "cell_size_m")],
+    ("TerrainGrid.elevation_m[0][0]", "elevation",
+     lambda v: TerrainGrid(width=2, height=1, cell_size_m=1.0,
+                           elevation_m=((v, 0.0),), classes=((FREE, FREE),))),
+    ("MassComponent.mass_kg", "mass", lambda v: MassComponent("frame", v, "structure")),
+    ("initial_wall_state.tilt_deg", "tilt", lambda v: initial_wall_state(tilt_deg=v)),
+    *[(f"Simulator.{name}", name,
+       lambda v, name=name: Simulator(default_power_model(), **{name: v}))
+      for name in ("avionics_power_w", "dt_s", "trace_decimation")],
+    ("Simulator.run.duration_s", "duration_s",
+     lambda v: Simulator(default_power_model()).run(
+         initial_ground_state(), SurfaceModel(), [], v)),
     *[(f"ControlSetpoint.{name}", name,
        lambda v, name=name: ControlSetpoint(Mode.FLIGHT, **{name: v}))
       for name in ("speed_mps", "yaw_rate_radps", "target_yaw_deg")],
     ("ControlSetpoint.target_position", "target_position",
      lambda v: ControlSetpoint(Mode.FLIGHT, target_position=(0.0, 0.0, v))),
+    ("ControlSetpoint.target_position[0]", "target_position",
+     lambda v: ControlSetpoint(Mode.FLIGHT, target_position=(v, 0.0, 0.0))),
+    ("ControlSetpoint.target_position[1]", "target_position",
+     lambda v: ControlSetpoint(Mode.FLIGHT, target_position=(0.0, v, 0.0))),
     *[(f"ValidationSpec.{name}", name, lambda v, name=name: ValidationSpec(**{name: v}))
       for name in ("steady_speed_mps", "max_speed_error_frac", "min_distance_m",
                    "expect_fly_legs", "max_leg_deviation_frac", "expect_wall_tilt_deg")],
@@ -217,6 +240,12 @@ class TestMovedRules:
             ControlSetpoint(Mode.FLIGHT, target_yaw_deg=yaw)
         assert str(err.value) == "target_yaw_deg must be within +-360 deg"
         assert ControlSetpoint(Mode.FLIGHT, target_yaw_deg=-360.0).target_yaw_deg == -360.0
+
+    def test_float_trace_decimation_is_refused(self, power_model):
+        # a whole float used to build and then raise a bare TypeError at the run
+        with pytest.raises(FieldError) as err:
+            Simulator(power_model, trace_decimation=10.0)
+        assert str(err.value) == "trace_decimation must be an integer >= 1"
 
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -1.0])
     def test_run_duration(self, params, power_model, batteries, duration_s):
