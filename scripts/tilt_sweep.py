@@ -3,7 +3,9 @@
 
 For each tilt in (90, 180) degrees: whether the vehicle stays pressed to the
 wall, the total thrust a steady climb needs, and the electrical power that
-costs. Marks the optimum and the working angle used by the bundled scenario.
+costs. Marks the first tilt at or past the optimum, the least one on the
+grid that the vehicle holds, and the working angle used by the bundled
+scenario.
 
 Usage: python scripts/tilt_sweep.py [--payload-kg X] [--step-deg D]
 """
@@ -36,7 +38,7 @@ def main(argv=None) -> int:
     print(f"{'tilt [deg]':>10} {'attached':>9} {'climbable':>10} "
           f"{'thrust [N]':>11} {'power [W]':>10}")
 
-    i = 1
+    i, unmarked = 1, True
     while (tilt := 90.0 + i * args.step_deg) < 180.0:  # a running sum would drift off the grid
         result = statics.wall_climb_analysis(
             params, tilt, climbing=True, rotor=rotor, payload=args.payload_kg
@@ -46,8 +48,8 @@ def main(argv=None) -> int:
         else:
             power = f"{'-':>10}"
         marker = ""
-        if abs(tilt - best) < args.step_deg / 2:
-            marker = "  <- optimum"
+        if unmarked and tilt >= best:
+            marker, unmarked = "  <- optimum", False
         elif tilt == 135.0:
             marker = "  <- scenario angle"
         print(

@@ -331,8 +331,9 @@ _TILT_TARGETS = {
 def mode_transition(
     state: SimState,
     target_mode: Mode,
-    surface: SurfaceModel | None = None,
-    params: VehicleParams | None = None,
+    *,
+    surface: SurfaceModel,
+    params: VehicleParams,
 ) -> TiltSchedule:
     """Plan the TILT_TIME_S axle tilt ramp into another mode, enforcing the
     envelope.
@@ -340,8 +341,8 @@ def mode_transition(
     Ground<->Flight requires standing on the surface at near-zero speed
     (the tilt sweep passes through thrust directions that would fight the
     airframe anywhere else). Wall entry/exit requires near-zero speed too.
+    A landing needs wheel contact on `surface` for the vehicle `params`.
     """
-    params = params or VehicleParams()
     if target_mode == Mode.TRANSITION:
         raise TransitionEnvelopeError("transition is not a target mode")
     if state.mode == target_mode:
@@ -383,10 +384,7 @@ def begin_transition(state: SimState) -> SimState:
     return replace(state, mode=Mode.TRANSITION)
 
 
-def _height_above_surface(
-    state: SimState, surface: SurfaceModel | None, params: VehicleParams
-) -> float:
-    surface = surface or SurfaceModel()
+def _height_above_surface(state: SimState, surface: SurfaceModel, params: VehicleParams) -> float:
     if surface.kind == "incline":
         psi = math.radians(surface.slope_deg)
         rest = state.position[0] * math.tan(psi) + params.com_height
@@ -689,7 +687,7 @@ def _wall_law(state, setpoint, dt, params, rotor, payload):
     the statics' equilibrium thrust (`statics.wall_required_thrust`) plus a
     proportional speed term. A step raises DetachEvent when the wall-normal
     force falls below the attachment threshold
-    (`statics.DEFAULT_ATTACH_NORMAL_FRACTION` of the weight)."""
+    (`statics.ATTACH_NORMAL_FRACTION` of the weight)."""
     m = params.total_mass(payload)
     front, rear, mode = state.tilt_front_deg, state.tilt_rear_deg, state.mode
     gamma = math.radians(0.5 * (front + rear) - 90.0)
@@ -703,7 +701,7 @@ def _wall_law(state, setpoint, dt, params, rotor, payload):
         thrust_ff = 4.0 * rotor.max_thrust
     kp, f_max = KP_SPEED, rotor.max_thrust
     sin_gamma, cos_gamma, weight = math.sin(gamma), math.cos(gamma), m * g
-    attach = statics.DEFAULT_ATTACH_NORMAL_FRACTION * m * g
+    attach = statics.ATTACH_NORMAL_FRACTION * m * g
     mu_wall = params.wall_friction_coeff
     qw, qx, qy, qz = _WALL_QUATERNION
     realise = rotor.realise

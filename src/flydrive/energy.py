@@ -159,8 +159,9 @@ class PowerModel:
 
     Ground power is c1 v + c3 v^3 per payload configuration; incline adds the
     rotor power to hold m g sin(psi); wall applies the rotor curve to the
-    climb thrust times a wake residual factor; flight and hover are calibrated
-    constants.
+    climb thrust times a wake residual factor; flight is calibrated per
+    payload. Hover is one constant at every payload up to the MTOM, as the
+    run and the planner price it: 571.2 W is the rotor map's hover at MTOM.
     """
 
     params: VehicleParams
@@ -263,11 +264,6 @@ class PowerModel:
     def flight_power(self, payload: float = 0.0) -> float:
         return self._lookup(self.flight_power_w, payload, "flight")
 
-    def hover_power(self, payload: float = 0.0) -> float:
-        if abs(payload) > 1e-6:
-            raise UnknownPayloadError("hover power is calibrated for zero payload only")
-        return self.hover_power_w
-
 
 def mode_power(
     model: PowerModel,
@@ -293,7 +289,8 @@ def mode_power(
     if mode == "flight":
         return model.flight_power(payload)
     if mode == "hover":
-        return model.hover_power(payload)
+        model.params.total_mass(payload)  # refuses a payload past the MTOM
+        return model.hover_power_w
     raise ValueError(f"unknown mode {mode!r}; expected one of {POWER_MODES}")
 
 

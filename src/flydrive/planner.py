@@ -18,16 +18,13 @@ first two only decide between two candidates for the same node (so the same
 last mode) that tie on both: the parent chains of the two are walked up to
 their common ancestor and the parts below it compared.
 
-A move's key goes on a heap. Every mode switch adds the same energy to a
-key that settles in order, so switch keys arrive sorted and go on a
-first-in first-out queue, bar two energies an ulp apart that round to the
-same sum, inserted in place (see `_search`). Each step settles the smaller
-front, as one heap of every key would. A drive node's fly twin (the fly
-node its switch reaches) is not queued at all when it cannot move: each of
-its fly neighbours is closed or will hold less, by the time it would
-settle, than any fly move from it could give. Settling it would change
-nothing, so every other node settles in the same order; its energy is
-still written, and a fly move that lowers it later heaps it as usual.
+Every key, a move's or a mode switch's, goes on one heap. A drive node's
+fly twin (the fly node its switch reaches) is not pushed at all when it
+cannot move: each of its fly neighbours is closed or will hold less, by
+the time it would settle, than any fly move from it could give. Settling
+it would change nothing, so every other node settles in the same order;
+its energy is still written, and a fly move that lowers it later pushes
+it as usual.
 
 A fly move whose target already holds less than the settled node's energy
 plus the level fly edge energy is skipped unpriced: no fly edge costs less
@@ -47,8 +44,6 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import and_, eq, itemgetter, le, ne, sub
@@ -294,18 +289,11 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     enter. Each open neighbour of a settled node is priced and relaxed in
     one pass, in that order and then the switch.
 
-    A move's key (energy, n_transitions, node) is pushed on `heap`; a mode
-    switch's is appended to `switched`, and each step settles whichever
-    front is smaller. Settled keys never decrease and each switch adds
-    `switch_wh` and one transition, so, float addition being monotone,
-    switch keys arrive in order. The exception is two energies an ulp apart
-    whose sums round to the same energy: the later key may then carry fewer
-    transitions, so a key below the queue's last is inserted in its sorted
-    place. The queue stays sorted and the settle order is that of one heap
-    of every key.
+    Each key (energy, n_transitions, node), a move's or a mode switch's, is
+    pushed on one heap, and each step settles its least key.
 
     A drive node u settled at energy E writes its fly twin v = u ^ 1 at
-    e = E + switch_wh as any switch does, but queues it only if v can move:
+    e = E + switch_wh as any switch does, but pushes it only if v can move:
     unless, with b = e + fly.floor > e, each fly neighbour w of v is
     closed, holds dist[w] < b, or has a drive twin w - 1 with
     dist[w - 1] < e and dist[w - 1] + switch_wh < b. This is exact: dist
@@ -314,7 +302,7 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     (float addition is monotone). So when v would settle, each of its fly
     moves fails the floor test below and its switch back meets the closed
     u; from then on every move onto v fails the floor test too, and a fly
-    move that lowers v before then heaps it as usual. The floor is bound,
+    move that lowers v before then pushes it as usual. The floor is bound,
     so no fly price can raise.
 
     A fly move is skipped unpriced when its target already holds less
@@ -345,16 +333,10 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
     target = 2 * ((goal[0] + 1) * pw + goal[1] + 1)
     dist[source] = 0.0
     heap = [(0.0, 0, source)]
-    switched = deque()  # mode-switch keys, sorted
-    pop, push, popleft = heapq.heappop, heapq.heappush, switched.popleft
+    pop, push = heapq.heappop, heapq.heappush
     drive, fly = prices
-    while True:
-        if switched and (not heap or switched[0] < heap[0]):
-            energy, ntrans, u = popleft()
-        elif heap:
-            energy, ntrans, u = pop(heap)
-        else:
-            break
+    while heap:
+        energy, ntrans, u = pop(heap)
         if closed[u]:
             continue
         closed[u] = True
@@ -385,7 +367,7 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
             dist[v] = e
             trans[v] = t
             # v's fly neighbours are x + 1 for u's drive neighbours x
-            # (u - row, u - 2, u + 2, u + row): queued only if v can move
+            # (u - row, u - 2, u + 2, u + row): pushed only if v can move
             if u & 1 or not (b := e + fly.floor) > e or not (
                 (closed[u - row + 1] or dist[u - row + 1] < b
                  or dist[u - row] < e and dist[u - row] + switch_wh < b)
@@ -396,17 +378,14 @@ def _search(terrain, trav, start, goal, prices, switch_wh):
                 and (closed[u + row + 1] or dist[u + row + 1] < b
                      or dist[u + row] < e and dist[u + row] + switch_wh < b)
             ):
-                if switched and (e, t, v) < switched[-1]:
-                    insort(switched, (e, t, v))  # energies an ulp apart
-                else:
-                    switched.append((e, t, v))
+                push(heap, (e, t, v))
         elif e != d or t != trans[v] or not _precedes(u, v, parent, depth):
             continue
         parent[v] = u
         depth[v] = depth[u] + 1
     if not closed[target]:
-        # both queues ran dry, so every node given an energy was settled or
-        # is a fly twin that could not move
+        # the heap ran dry, so every node given an energy was settled or is
+        # a fly twin that could not move
         explored = [_cell_mode(n, pw) for n, d in enumerate(dist) if d < math.inf]
         raise NoPathError(
             f"no route from {start} to {goal}: explored "

@@ -12,8 +12,9 @@ from .vehicle import RotorModel, VehicleParams
 
 # Minimum wall-normal force for attachment, as a fraction of vehicle weight.
 # Zero normal force leaves no friction margin against lateral disturbance, so
-# attachment requires a small positive bite; configurable per analysis.
-DEFAULT_ATTACH_NORMAL_FRACTION = 0.02
+# attachment requires a small positive bite. The analyses below and the wall
+# law of a run (`dynamics._wall_law`) all read this one value.
+ATTACH_NORMAL_FRACTION = 0.02
 
 
 class InfeasibleTiltError(ValueError):
@@ -123,7 +124,6 @@ def wall_climb_analysis(
     climbing: bool = True,
     rotor: RotorModel | None = None,
     payload: float = 0.0,
-    attach_normal_fraction: float = DEFAULT_ATTACH_NORMAL_FRACTION,
 ) -> WallClimbAnalysis:
     """Attachment and climb feasibility on a vertical wall.
 
@@ -132,9 +132,10 @@ def wall_climb_analysis(
     F cos(gamma) = m g + C_rr F sin(gamma); static holding gets help from
     wheel friction instead: F cos(gamma) + mu F sin(gamma) = m g.
 
-    Attached needs the normal force above the attachment threshold and a
-    non-negative anti-tip moment about the lower wheel pair (thrust resultant
-    taken in the COM plane, same lever arms as ground tipping rotated 90 deg).
+    Attached needs the normal force at least ATTACH_NORMAL_FRACTION of the
+    weight and a non-negative anti-tip moment about the lower wheel pair
+    (thrust resultant taken in the COM plane, same lever arms as ground
+    tipping rotated 90 deg).
     """
     if not 90.0 < tilt_deg <= 180.0:
         raise ValueError(f"tilt {tilt_deg} outside (90, 180] deg")
@@ -151,7 +152,7 @@ def wall_climb_analysis(
     h = params.com_height
     d = params.wheel_contact_half_spacing_long
     anti_tip = required * (h * math.cos(gamma) + d * math.sin(gamma)) - m * g * h
-    attached = normal >= attach_normal_fraction * m * g and anti_tip >= 0.0
+    attached = normal >= ATTACH_NORMAL_FRACTION * m * g and anti_tip >= 0.0
     feasible = attached and (rotor is None or required <= 4.0 * rotor.max_thrust)
     return WallClimbAnalysis(tilt_deg, required, normal, attached, feasible)
 
@@ -160,22 +161,21 @@ def optimal_wall_tilt(
     params: VehicleParams,
     rotor: RotorModel,
     payload: float = 0.0,
-    attach_normal_fraction: float = DEFAULT_ATTACH_NORMAL_FRACTION,
 ) -> float:
     """Tilt (deg) of least climb thrust that attaches and that the four
     rotors can give, else InfeasibleTiltError. With gamma = tilt - 90 the
     thrust m g / (cos gamma - C_rr sin gamma) rises on (0, 90) deg and the
     anti-tip moment, m g (d + h C_rr) sin gamma over the same, is >= 0, so
     the optimum is the least attached float: tan gamma = f / (1 + f C_rr)
-    for an attach fraction f > 0, else the least float past 90."""
-    f = attach_normal_fraction
-    tilt = math.nextafter(90.0, 180.0)
-    if f > 0.0:  # an infinite f gives a NaN tilt, which max drops
-        best = 90.0 + math.degrees(math.atan(f / (1.0 + f * params.rolling_resistance_coeff)))
-        tilt = max(tilt, best - 8 * math.ulp(best))  # rounding moves it a few floats at most
+    for the attach fraction f = ATTACH_NORMAL_FRACTION > 0, else the least
+    float past 90."""
+    f = ATTACH_NORMAL_FRACTION
+    # an f <= 0 gives a tilt at or below 90 and an infinite f a NaN one,
+    # both of which max drops; rounding moves it a few floats at most
+    best = 90.0 + math.degrees(math.atan(f / (1.0 + f * params.rolling_resistance_coeff)))
+    tilt = max(math.nextafter(90.0, 180.0), best - 8 * math.ulp(best))
     for _ in range(32):
-        wall = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload,
-                                   attach_normal_fraction=f)
+        wall = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload)
         if wall.attached:
             break
         tilt = math.nextafter(tilt, 180.0)

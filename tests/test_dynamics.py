@@ -402,7 +402,7 @@ class TestTransitions:
 
     def test_landing_transition_completes(self, params, rotor):
         s = initial_flight_state((0.0, 0.0, params.com_height))
-        schedule = mode_transition(s, Mode.GROUND, params=params)
+        schedule = mode_transition(s, Mode.GROUND, surface=FLAT, params=params)
         assert (schedule.end_front_deg, schedule.end_rear_deg) == (90.0, 90.0)
         s = self.finish(s, schedule, FLAT, params, rotor)
         assert s.mode == Mode.GROUND
@@ -411,7 +411,7 @@ class TestTransitions:
 
     def test_ground_to_wall_tilts(self, params, rotor):
         s = initial_ground_state(params)
-        schedule = mode_transition(s, Mode.WALL, params=params)
+        schedule = mode_transition(s, Mode.WALL, surface=FLAT, params=params)
         assert (schedule.end_front_deg, schedule.end_rear_deg) == (135.0, 135.0)
         s = self.finish(s, schedule, FLAT, params, rotor)
         assert s.mode == Mode.WALL
@@ -420,29 +420,29 @@ class TestTransitions:
     def test_landing_at_altitude_rejected(self, params):
         s = initial_flight_state((0.0, 0.0, 5.0))
         with pytest.raises(TransitionEnvelopeError) as err:
-            mode_transition(s, Mode.GROUND, params=params)
+            mode_transition(s, Mode.GROUND, surface=FLAT, params=params)
         assert "above the surface" in str(err.value)
 
     def test_moving_transition_rejected(self, params):
         s = initial_ground_state(params)
         s = replace(s, velocity=(1.0, 0.0, 0.0))
         with pytest.raises(TransitionEnvelopeError):
-            mode_transition(s, Mode.FLIGHT, params=params)
+            mode_transition(s, Mode.FLIGHT, surface=FLAT, params=params)
 
     def test_wall_entry_from_flight_rejected(self, params):
         s = initial_flight_state((0.0, 0.0, params.com_height))
         with pytest.raises(TransitionEnvelopeError):
-            mode_transition(s, Mode.WALL, params=params)
+            mode_transition(s, Mode.WALL, surface=FLAT, params=params)
 
     def test_same_mode_rejected(self, params):
         s = initial_ground_state(params)
         with pytest.raises(TransitionEnvelopeError):
-            mode_transition(s, Mode.GROUND, params=params)
+            mode_transition(s, Mode.GROUND, surface=FLAT, params=params)
 
     def test_transition_not_a_target(self, params):
         s = initial_ground_state(params)
         with pytest.raises(TransitionEnvelopeError):
-            mode_transition(s, Mode.TRANSITION, params=params)
+            mode_transition(s, Mode.TRANSITION, surface=FLAT, params=params)
 
     def test_tilts_clamp_like_the_builtins(self):
         """The ramp fraction's clamp to [0, 1] gives, in repr, what

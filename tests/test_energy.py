@@ -137,6 +137,15 @@ class TestModePower:
         with pytest.raises(ValueError):
             mode_power(power_model, "wall")
 
+    @pytest.mark.parametrize("payload", [0.0, 0.7, 1.3])
+    def test_hover_is_one_constant_up_to_the_mtom(self, power_model, payload):
+        # the run and the planner price hover at this one value at any payload
+        assert mode_power(power_model, "hover", payload=payload) == power_model.hover_power_w
+
+    def test_hover_past_the_mtom_is_refused(self, power_model):
+        with pytest.raises(ValueError, match="exceeds MTOM"):
+            mode_power(power_model, "hover", payload=2.0)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.floats(min_value=0.0, max_value=4.1))
     def test_ground_power_strictly_increasing(self, v):

@@ -22,8 +22,8 @@ LOOPS = {
         "twice: a yaw target within ±360 deg (ControlSetpoint) less a yaw in [-pi, pi]",
     ("dynamics", "_wrap_angle", "a < -math.pi"):
         "twice: a yaw target within ±360 deg (ControlSetpoint) less a yaw in [-pi, pi]",
-    ("planner", "_search", "True"):
-        "the queued keys: five per (cell, mode) node, four moves and a switch in",
+    ("planner", "_search", "heap"):
+        "the pushed keys: five per (cell, mode) node, four moves and a switch in",
     ("planner", "_search", "route[-1] != source"):
         "the (cell, mode) nodes: a parent's (energy, transitions) is below its child's",
     ("planner", "_precedes", "depth[x] > depth[y]"): "the ancestor depth of u",

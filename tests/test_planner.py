@@ -5,8 +5,8 @@ import heapq
 import json
 import math
 import random
-from collections import deque
 from dataclasses import replace as _replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -749,22 +749,53 @@ def _oriented_ascii(lines, flip, transpose):
     return terrain_from_ascii("\n".join(lines), elevations=dict.fromkeys(at, 0.0)), at
 
 
+def _pricer_log(monkeypatch):
+    """Log every call of the planner's edge pricers as (mode, dh), in call
+    order, into the returned list."""
+    real, calls = planner._edge_pricer, []
+
+    class Logged:
+        def __init__(self, mode, price):
+            self.mode, self.price = mode, price
+
+        def __call__(self, dh):
+            calls.append((self.mode, dh))
+            return self.price(dh)
+
+        @property
+        def floor(self):
+            return self.price.floor
+
+    monkeypatch.setattr(planner, "_edge_pricer",
+                        lambda mode, *args: Logged(mode, real(mode, *args)))
+    return calls
+
+
 def _switch_queue_log(monkeypatch):
-    """Log every key that enters the search's mode-switch queue; the
-    returned function gives the logged (cell, mode) nodes on a grid."""
-    keys = []
+    """Log every key the search pushes on its heap; the returned function
+    gives the (cell, mode) nodes of the mode switches among them on a grid,
+    a switch being a push of the twin of the node popped last, and its
+    `pushes` the number of keys pushed."""
+    keys, switches, last = [], [], [None]
 
-    class Logged(deque):
-        def append(self, key):
-            keys.append(key)
-            super().append(key)
+    def heappop(heap):
+        key = heapq.heappop(heap)
+        last[0] = key[2]
+        return key
 
-        def insert(self, i, key):
-            keys.append(key)
-            super().insert(i, key)
+    def heappush(heap, key):
+        keys.append(key)
+        if key[2] == last[0] ^ 1:
+            switches.append(key)
+        heapq.heappush(heap, key)
 
-    monkeypatch.setattr(planner, "deque", Logged)
-    return lambda grid: [planner._cell_mode(node, grid.width + 2) for _, _, node in keys]
+    monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappop=heappop, heappush=heappush))
+
+    def queued(grid):
+        return [planner._cell_mode(node, grid.width + 2) for _, _, node in switches]
+
+    queued.pushes = keys
+    return queued
 
 
 @st.composite
@@ -837,10 +868,9 @@ class TestMatchesReference:
         # S's twin settles first (the switch costs a little more than a
         # drive edge) and prices the climb onto the 1 m cell, which binds
         # the fly floor. The fly twins of X and Y, settled after it, cannot
-        # move and skip the switch queue; T's twin, between no-fly cells
-        # and beside the obstacle, is the only useful takeoff and must be
-        # queued. Each orientation puts the obstacle at another of T's
-        # four neighbours.
+        # move and are not pushed; T's twin, between no-fly cells and beside
+        # the obstacle, is the only useful takeoff and must be pushed. Each
+        # orientation puts the obstacle at another of T's four neighbours.
         lines = ["~~~~~~~~~", "1S.XYT#.G", "~~~~~~~~~"]
         grid, at = _oriented_ascii(lines, flip, transpose)
         queued = _switch_queue_log(monkeypatch)
@@ -855,8 +885,8 @@ class TestMatchesReference:
 
     def test_skipped_twins_are_explored(self, model, monkeypatch):
         # the goal is cut off by a no-fly cell; once the floor is bound,
-        # the fly twins of X and Y cannot move and skip the switch queue,
-        # but they hold an energy, so NoPathError lists them as the
+        # the fly twins of X and Y cannot move and are not pushed, but
+        # they hold an energy, so NoPathError lists them as the
         # reference does
         lines = ["~~~~~~~~", "1S.XY~.G", "~~~~~~~~"]
         grid, at = _oriented_ascii(lines, False, False)
@@ -955,54 +985,34 @@ class TestReliefPlansPinned:
         # node that already holds less than that above the settled node is
         # skipped: about 600 fly pricings, legs included, where pricing
         # every fly move takes 6 593
-        real, counts = planner._edge_pricer, []
-
-        class Counted:
-            def __init__(self, price):
-                self.price = price
-
-            def __call__(self, dh):
-                counts.append(dh)
-                return self.price(dh)
-
-            @property
-            def floor(self):
-                return self.price.floor
-
-        def pricer(mode, *args):
-            price = real(mode, *args)
-            return Counted(price) if mode == FLY else price
-
-        monkeypatch.setattr(planner, "_edge_pricer", pricer)
+        calls = _pricer_log(monkeypatch)
         grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
         mission = plan(grid, (0, 0), (59, 59), cfg(), model)
         assert any(leg.mode == FLY for leg in mission.legs)
-        assert 0 < len(counts) < 1000
+        assert 0 < sum(mode == FLY for mode, _ in calls) < 1000
 
-    def test_mode_switches_skip_the_heap(self, model, monkeypatch):
-        # a mode switch's key goes to its own sorted queue, not the heap:
-        # 4 774 heap pushes, where pushing every relaxation takes 8 220
-        real, pushes = heapq.heappush, []
-
-        def push(heap, item):
-            pushes.append(item)
-            real(heap, item)
-
-        monkeypatch.setattr(heapq, "heappush", push)
+    def test_relief_grid_settle_order_pinned(self, model, monkeypatch):
+        # each settled node prices its moves in a fixed order, so the
+        # sequence of (mode, dh) pricer calls of the corner-to-corner plan
+        # pins the order in which nodes settle. Regenerate only in a change
+        # that states on purpose that it alters the search.
+        calls = _pricer_log(monkeypatch)
         grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
-        mission = plan(grid, (0, 0), (59, 59), cfg(), model)
-        assert mission.n_transitions == 2
-        assert 0 < len(pushes) < 6000
+        plan(grid, (0, 0), (59, 59), cfg(), model)
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() \
+            == "da38ef8cc391aeaf4152809ef3aaee19cebb05b87b15749b64b829d86e0ff9b2"
 
     def test_fly_twins_that_cannot_move_skip_the_switch_queue(self, model, monkeypatch):
-        # a settled drive node's fly twin goes to the switch queue only if
-        # one of its fly moves could improve or tie a neighbour: 614 queued
-        # switches, where queueing every twin takes 3 446
+        # a settled drive node's fly twin is pushed only if one of its fly
+        # moves could improve or tie a neighbour: 614 pushed switches, where
+        # pushing every twin takes 3 446, and 5 388 heap pushes in all,
+        # where pushing every twin takes 8 220
         queued = _switch_queue_log(monkeypatch)
         grid = terrain_from_dict(_relief_scenario()["planner"]["terrain"])
         mission = plan(grid, (0, 0), (59, 59), cfg(), model)
         assert mission.n_transitions == 2
         assert 0 < len(queued(grid)) < 1000
+        assert 0 < len(queued.pushes) < 6000
 
     def test_twin_whose_move_ties_a_neighbour_is_queued(self):
         """A fly twin with a move that ties a neighbour's energy must settle:

@@ -39,6 +39,21 @@ def test_tilt_sweep_marks_the_scenario_angle(tmp_path, step_deg):
     assert marked == ["135.0"]
 
 
+@pytest.mark.parametrize("step_deg, tilt", [("5", "95.0"), ("0.1", "91.2")])
+def test_tilt_sweep_marks_an_attached_optimum(tmp_path, step_deg, tilt):
+    """The optimum, 91.1451 deg, is the least attached tilt, so the marked
+    row is the first grid tilt at or past it; the nearest one, 91.1 deg at a
+    0.1 deg step, does not hold the wall."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "tilt_sweep.py"),
+            f"--step-deg={step_deg}"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    marked = [line.split()[:2] for line in done.stdout.splitlines() if "<- optimum" in line]
+    assert marked == [[tilt, "True"]]
+
+
 @pytest.mark.parametrize("script, flag, value", [
     ("tilt_sweep.py", "--step-deg", "1e-9"),  # once a scan of 9e10 tilts
     ("tilt_sweep.py", "--step-deg", "0"),

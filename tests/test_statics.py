@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from flydrive import statics
 from flydrive.statics import (
-    DEFAULT_ATTACH_NORMAL_FRACTION,
     InfeasibleTiltError,
     conventional_pitch_for_slope,
     decompose_thrust,
@@ -123,7 +122,7 @@ class TestWallClimb:
         assert lift - drag == pytest.approx(m * params.gravity, rel=1e-12)
 
 
-def _scan(params, rotor, payload=0.0, attach_normal_fraction=DEFAULT_ATTACH_NORMAL_FRACTION):
+def _scan(params, rotor, payload=0.0):
     """The grid search `optimal_wall_tilt` made before its closed form, as
     the oracle: (tilt, thrust) of least climb thrust over the attached and
     climbable tilts 90 + 0.1 i in (90, 180), or None where there is none.
@@ -131,16 +130,14 @@ def _scan(params, rotor, payload=0.0, attach_normal_fraction=DEFAULT_ATTACH_NORM
     best = None
     for i in range(1, 900):
         tilt = 90.0 + i * 0.1
-        w = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload,
-                                attach_normal_fraction=attach_normal_fraction)
+        w = wall_climb_analysis(params, tilt, climbing=True, rotor=rotor, payload=payload)
         if w.attached and w.climb_feasible and (best is None or w.required_thrust < best[1]):
             best = tilt, w.required_thrust
     return best
 
 
-def _attached(params, tilt, payload=0.0, attach_normal_fraction=DEFAULT_ATTACH_NORMAL_FRACTION):
-    return wall_climb_analysis(params, tilt, climbing=True, payload=payload,
-                               attach_normal_fraction=attach_normal_fraction).attached
+def _attached(params, tilt, payload=0.0):
+    return wall_climb_analysis(params, tilt, climbing=True, payload=payload).attached
 
 
 class TestOptimalWallTilt:
@@ -172,47 +169,50 @@ class TestOptimalWallTilt:
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5])
     def test_no_attach_threshold_gives_the_least_tilt_past_vertical(self, params, rotor,
-                                                                    fraction):
+                                                                    fraction, monkeypatch):
         # the scan's least grid tilt was 90.1
-        best = optimal_wall_tilt(params, rotor, attach_normal_fraction=fraction)
+        monkeypatch.setattr(statics, "ATTACH_NORMAL_FRACTION", fraction)
+        best = optimal_wall_tilt(params, rotor)
         assert best == math.nextafter(90.0, 180.0)
-        assert _scan(params, rotor, attach_normal_fraction=fraction)[0] == pytest.approx(90.1)
+        assert _scan(params, rotor)[0] == pytest.approx(90.1)
 
     @pytest.mark.parametrize("fraction", [math.nan, math.inf, 5.0])
-    def test_fractions_nothing_meets_are_infeasible(self, params, rotor, fraction):
+    def test_fractions_nothing_meets_are_infeasible(self, params, rotor, fraction,
+                                                    monkeypatch):
         # NaN and inf attach nowhere, and at 5.0 the least attached tilt
         # needs more thrust than the rotors give; the scan found nothing
         # either way
+        monkeypatch.setattr(statics, "ATTACH_NORMAL_FRACTION", fraction)
         with pytest.raises(InfeasibleTiltError):
-            optimal_wall_tilt(params, rotor, attach_normal_fraction=fraction)
-        assert _scan(params, rotor, attach_normal_fraction=fraction) is None
+            optimal_wall_tilt(params, rotor)
+        assert _scan(params, rotor) is None
 
-    def test_matches_the_scan_oracle(self, params, rotor):
+    def test_matches_the_scan_oracle(self, params, rotor, monkeypatch):
         rng = random.Random(30)
         n_feasible = 0
         for _ in range(150):
             f = rng.uniform(1e-4, 1.5)
+            monkeypatch.setattr(statics, "ATTACH_NORMAL_FRACTION", f)
             vehicle = replace(params, rolling_resistance_coeff=rng.uniform(0.0, 0.3))
             payload = rng.uniform(0.0, 1.3)
             scale = rng.uniform(0.1, 2.0)
             scaled = replace(rotor, thrusts=tuple(scale * t for t in rotor.thrusts))
             case = f"f={f!r}, C_rr={vehicle.rolling_resistance_coeff!r}, " \
                    f"payload={payload!r}, rotor x{scale!r}"
-            scan = _scan(vehicle, scaled, payload, f)
+            scan = _scan(vehicle, scaled, payload)
             try:
-                best = optimal_wall_tilt(vehicle, scaled, payload, f)
+                best = optimal_wall_tilt(vehicle, scaled, payload)
             except InfeasibleTiltError:
                 assert scan is None, case
                 continue
             n_feasible += 1
-            wall = wall_climb_analysis(vehicle, best, rotor=scaled, payload=payload,
-                                       attach_normal_fraction=f)
+            wall = wall_climb_analysis(vehicle, best, rotor=scaled, payload=payload)
             assert wall.attached and wall.climb_feasible, case
-            assert not _attached(vehicle, math.nextafter(best, 90.0), payload, f), case
+            assert not _attached(vehicle, math.nextafter(best, 90.0), payload), case
             if scan is None:
                 # the rotors' limit falls between the optimum's thrust and
                 # that of the least attached grid tilt
-                assert _scan(vehicle, None, payload, f)[1] > 4.0 * scaled.max_thrust, case
+                assert _scan(vehicle, None, payload)[1] > 4.0 * scaled.max_thrust, case
                 continue
             assert best <= scan[0] and wall.required_thrust <= scan[1], case
         assert 30 < n_feasible < 140  # both outcomes are swept
